@@ -408,44 +408,6 @@ std::uint64_t Formula::id() const { return node_->id; }
 
 const std::set<int>& Formula::FreeVars() const { return node_->free_vars; }
 
-namespace {
-
-void CollectAllVars(const Formula& f, std::set<int>* out) {
-  switch (f.kind()) {
-    case Formula::Kind::kTrue:
-    case Formula::Kind::kFalse:
-      return;
-    case Formula::Kind::kAtom: {
-      const Polynomial& p = f.atom().poly;
-      for (int v = 0; v <= p.max_var(); ++v) {
-        if (p.Mentions(v)) out->insert(v);
-      }
-      return;
-    }
-    case Formula::Kind::kRelation:
-      for (int v : f.relation_args()) out->insert(v);
-      return;
-    case Formula::Kind::kNot:
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr:
-      for (const Formula& child : f.children()) CollectAllVars(child, out);
-      return;
-    case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      out->insert(f.quantified_var());
-      CollectAllVars(f.children()[0], out);
-      return;
-  }
-}
-
-}  // namespace
-
-std::set<int> Formula::AllVars() const {
-  std::set<int> out;
-  CollectAllVars(*this, &out);
-  return out;
-}
-
 Formula RelationToFormula(const ConstraintRelation& relation,
                           const std::vector<int>& column_vars) {
   CCDB_CHECK(static_cast<int>(column_vars.size()) == relation.arity());
@@ -505,56 +467,6 @@ StatusOr<Formula> Formula::InstantiateRelations(
     }
   }
   return Status::Internal("unreachable formula kind");
-}
-
-Formula Formula::RenameFreeVar(int from, int to) const {
-  switch (kind()) {
-    case Kind::kTrue:
-    case Kind::kFalse:
-      return *this;
-    case Kind::kAtom: {
-      const Polynomial& p = node_->atom.poly;
-      if (!p.Mentions(from)) return *this;
-      std::vector<int> mapping(std::max(p.max_var(), from) + 1);
-      for (std::size_t i = 0; i < mapping.size(); ++i) {
-        mapping[i] = static_cast<int>(i);
-      }
-      mapping[from] = to;
-      return MakeAtom(Atom(p.RenameVars(mapping), node_->atom.op));
-    }
-    case Kind::kRelation: {
-      std::vector<int> args = relation_args();
-      bool changed = false;
-      for (int& a : args) {
-        if (a == from) {
-          a = to;
-          changed = true;
-        }
-      }
-      if (!changed) return *this;
-      return Relation(relation_name(), std::move(args));
-    }
-    case Kind::kNot:
-      return Not(children()[0].RenameFreeVar(from, to));
-    case Kind::kAnd:
-    case Kind::kOr: {
-      if (FreeVars().count(from) == 0) return *this;
-      std::vector<Formula> mapped;
-      for (const Formula& child : children()) {
-        mapped.push_back(child.RenameFreeVar(from, to));
-      }
-      return kind() == Kind::kAnd ? And(mapped) : Or(mapped);
-    }
-    case Kind::kExists:
-    case Kind::kForall: {
-      if (quantified_var() == from) return *this;  // bound below
-      Formula inner = children()[0].RenameFreeVar(from, to);
-      return kind() == Kind::kExists ? Exists(quantified_var(), inner)
-                                     : Forall(quantified_var(), inner);
-    }
-  }
-  CCDB_CHECK(false);
-  return *this;
 }
 
 Formula Formula::SubstituteValue(int var, const Rational& value) const {
@@ -675,15 +587,26 @@ Formula ToNnf(const Formula& f) {
       return f;
     case Formula::Kind::kAnd:
     case Formula::Kind::kOr: {
+      // An unchanged child list would re-intern to f itself: return f.
       std::vector<Formula> mapped;
-      for (const Formula& child : f.children()) mapped.push_back(ToNnf(child));
+      mapped.reserve(f.children().size());
+      bool changed = false;
+      for (const Formula& child : f.children()) {
+        mapped.push_back(ToNnf(child));
+        changed |= mapped.back() != child;
+      }
+      if (!changed) return f;
       return f.kind() == Formula::Kind::kAnd ? Formula::And(mapped)
                                              : Formula::Or(mapped);
     }
     case Formula::Kind::kExists:
-      return Formula::Exists(f.quantified_var(), ToNnf(f.children()[0]));
-    case Formula::Kind::kForall:
-      return Formula::Forall(f.quantified_var(), ToNnf(f.children()[0]));
+    case Formula::Kind::kForall: {
+      Formula body = ToNnf(f.children()[0]);
+      if (body == f.children()[0]) return f;
+      return f.kind() == Formula::Kind::kExists
+                 ? Formula::Exists(f.quantified_var(), std::move(body))
+                 : Formula::Forall(f.quantified_var(), std::move(body));
+    }
     case Formula::Kind::kNot: {
       const Formula& inner = f.children()[0];
       switch (inner.kind()) {
@@ -723,104 +646,132 @@ Formula ToNnf(const Formula& f) {
   return f;
 }
 
-PrenexForm ToPrenex(const Formula& f, int* next_fresh_var) {
-  Formula nnf = ToNnf(f);
-  std::function<PrenexForm(const Formula&)> go =
-      [&](const Formula& g) -> PrenexForm {
+namespace {
+
+// The renaming pass of NormalizeForQe over an NNF, relation-free formula:
+// strips the quantifiers into `prefix` in pre-order and maps every bound
+// variable straight to its prefix target, returning the matrix.
+class PrefixStripper {
+ public:
+  explicit PrefixStripper(int num_free_vars) : num_free_vars_(num_free_vars) {}
+
+  Formula Strip(const Formula& g) {
+    if (g.is_quantifier_free() && !Moves(g)) return g;
     switch (g.kind()) {
-      case Formula::Kind::kTrue:
-      case Formula::Kind::kFalse:
-      case Formula::Kind::kAtom:
-      case Formula::Kind::kRelation:
-        return {{}, g};
-      case Formula::Kind::kNot:
-        // NNF guarantees the child is an atom or relation.
-        return {{}, g};
+      case Formula::Kind::kAtom: {
+        const Polynomial& p = g.atom().poly;
+        std::vector<int> mapping(static_cast<std::size_t>(p.max_var()) + 1);
+        for (int v = 0; v <= p.max_var(); ++v) mapping[v] = Target(v);
+        ++atoms_renamed;
+        return Formula::MakeAtom(Atom(p.RenameVars(mapping), g.atom().op));
+      }
       case Formula::Kind::kAnd:
       case Formula::Kind::kOr: {
-        std::vector<PrenexBlock> prefix;
-        std::vector<Formula> matrices;
+        std::vector<Formula> mapped;
+        mapped.reserve(g.children().size());
         for (const Formula& child : g.children()) {
-          PrenexForm sub = go(child);
-          prefix.insert(prefix.end(), sub.prefix.begin(), sub.prefix.end());
-          matrices.push_back(sub.matrix);
+          mapped.push_back(Strip(child));
         }
-        Formula matrix = g.kind() == Formula::Kind::kAnd
-                             ? Formula::And(matrices)
-                             : Formula::Or(matrices);
-        return {std::move(prefix), std::move(matrix)};
+        return g.kind() == Formula::Kind::kAnd ? Formula::And(mapped)
+                                               : Formula::Or(mapped);
       }
       case Formula::Kind::kExists:
       case Formula::Kind::kForall: {
-        int fresh = (*next_fresh_var)++;
-        Formula body =
-            g.children()[0].RenameFreeVar(g.quantified_var(), fresh);
-        PrenexForm sub = go(body);
-        std::vector<PrenexBlock> prefix;
-        prefix.push_back({g.kind() == Formula::Kind::kExists, fresh});
-        prefix.insert(prefix.end(), sub.prefix.begin(), sub.prefix.end());
-        return {std::move(prefix), std::move(sub.matrix)};
-      }
-    }
-    CCDB_CHECK(false);
-    return {{}, g};
-  };
-  return go(nnf);
-}
-
-std::vector<GeneralizedTuple> ToDnf(const Formula& f) {
-  Formula nnf = ToNnf(f);
-  std::function<std::vector<GeneralizedTuple>(const Formula&)> go =
-      [&](const Formula& g) -> std::vector<GeneralizedTuple> {
-    switch (g.kind()) {
-      case Formula::Kind::kTrue:
-        return {GeneralizedTuple()};
-      case Formula::Kind::kFalse:
-        return {};
-      case Formula::Kind::kAtom: {
-        GeneralizedTuple tuple;
-        tuple.atoms.push_back(g.atom());
-        return {std::move(tuple)};
-      }
-      case Formula::Kind::kOr: {
-        std::vector<GeneralizedTuple> out;
-        for (const Formula& child : g.children()) {
-          auto sub = go(child);
-          out.insert(out.end(), std::make_move_iterator(sub.begin()),
-                     std::make_move_iterator(sub.end()));
+        const int var = g.quantified_var();
+        const int target = num_free_vars_ + static_cast<int>(prefix.size());
+        prefix.push_back({g.kind() == Formula::Kind::kExists, target});
+        if (static_cast<std::size_t>(var) >= map_.size()) {
+          const int old_size = static_cast<int>(map_.size());
+          map_.resize(static_cast<std::size_t>(var) + 1);
+          for (int v = old_size; v <= var; ++v) map_[v] = v;
         }
-        return out;
-      }
-      case Formula::Kind::kAnd: {
-        std::vector<GeneralizedTuple> acc{GeneralizedTuple()};
-        for (const Formula& child : g.children()) {
-          auto sub = go(child);
-          std::vector<GeneralizedTuple> next;
-          for (const GeneralizedTuple& left : acc) {
-            for (const GeneralizedTuple& right : sub) {
-              GeneralizedTuple merged = left;
-              merged.atoms.insert(merged.atoms.end(), right.atoms.begin(),
-                                  right.atoms.end());
-              next.push_back(std::move(merged));
-            }
-          }
-          acc = std::move(next);
-        }
-        return acc;
+        // Scoped: an inner quantifier on the same variable shadows this
+        // binding, and the outer binding comes back after its scope.
+        const int outer = map_[var];
+        map_[var] = target;
+        Formula matrix = Strip(g.children()[0]);
+        map_[var] = outer;
+        return matrix;
       }
       default:
-        CCDB_CHECK_MSG(false,
-                       "ToDnf requires a quantifier/relation-free formula");
-        return {};
+        CCDB_CHECK_MSG(false, "NormalizeForQe requires a relation-free NNF");
+        return g;
     }
-  };
-  std::vector<GeneralizedTuple> tuples = go(nnf);
-  // Canonicalize each disjunct and drop trivially-false and syntactically
-  // duplicate ones (first occurrence kept, so order stays input-derived).
+  }
+
+  std::vector<PrenexBlock> prefix;
+  std::uint64_t atoms_renamed = 0;
+
+ private:
+  int Target(int var) const {
+    return static_cast<std::size_t>(var) < map_.size() ? map_[var] : var;
+  }
+  bool Moves(const Formula& g) const {
+    for (int v : g.FreeVars()) {
+      if (Target(v) != v) return true;
+    }
+    return false;
+  }
+
+  const int num_free_vars_;
+  std::vector<int> map_;  // variable -> target in the current scope
+};
+
+// The disjuncts of a quantifier-free, relation-free NNF formula, unsorted.
+std::vector<GeneralizedTuple> Disjuncts(const Formula& g) {
+  switch (g.kind()) {
+    case Formula::Kind::kTrue:
+      return {GeneralizedTuple()};
+    case Formula::Kind::kFalse:
+      return {};
+    case Formula::Kind::kAtom:
+      return {GeneralizedTuple({g.atom()})};
+    case Formula::Kind::kOr: {
+      std::vector<GeneralizedTuple> out;
+      for (const Formula& child : g.children()) {
+        auto sub = Disjuncts(child);
+        out.insert(out.end(), std::make_move_iterator(sub.begin()),
+                   std::make_move_iterator(sub.end()));
+      }
+      return out;
+    }
+    case Formula::Kind::kAnd: {
+      std::vector<GeneralizedTuple> acc{GeneralizedTuple()};
+      for (const Formula& child : g.children()) {
+        auto sub = Disjuncts(child);
+        std::vector<GeneralizedTuple> next;
+        for (const GeneralizedTuple& left : acc) {
+          for (const GeneralizedTuple& right : sub) {
+            GeneralizedTuple merged = left;
+            merged.atoms.insert(merged.atoms.end(), right.atoms.begin(),
+                                right.atoms.end());
+            next.push_back(std::move(merged));
+          }
+        }
+        acc = std::move(next);
+      }
+      return acc;
+    }
+    default:
+      CCDB_CHECK_MSG(false,
+                     "ToDnf requires a quantifier/relation-free formula");
+      return {};
+  }
+}
+
+// DNF of a quantifier-free, relation-free NNF formula. Atoms of interned
+// nodes are canonical and non-constant (MakeAtom folds constants), so each
+// disjunct only needs its atoms sorted and deduplicated to be canonical.
+std::vector<GeneralizedTuple> DnfOfNnf(const Formula& nnf) {
+  std::vector<GeneralizedTuple> tuples = Disjuncts(nnf);
+  // Sort each disjunct and drop syntactically duplicate ones (first
+  // occurrence kept, so order stays input-derived).
   std::vector<GeneralizedTuple> kept;
   std::unordered_map<std::size_t, std::vector<std::size_t>> seen;
   for (GeneralizedTuple& tuple : tuples) {
-    if (!tuple.Canonicalize()) continue;
+    std::sort(tuple.atoms.begin(), tuple.atoms.end());
+    tuple.atoms.erase(std::unique(tuple.atoms.begin(), tuple.atoms.end()),
+                      tuple.atoms.end());
     std::size_t hash = tuple.Hash();
     bool duplicate = false;
     for (std::size_t index : seen[hash]) {
@@ -834,6 +785,22 @@ std::vector<GeneralizedTuple> ToDnf(const Formula& f) {
     kept.push_back(std::move(tuple));
   }
   return kept;
+}
+
+}  // namespace
+
+QeNormalForm NormalizeForQe(const Formula& f, int num_free_vars) {
+  PrefixStripper stripper(num_free_vars);
+  QeNormalForm out;
+  out.matrix = stripper.Strip(ToNnf(f));
+  out.prefix = std::move(stripper.prefix);
+  out.tuples = DnfOfNnf(out.matrix);
+  CCDB_METRIC_COUNT("qe.normalize.atoms_renamed", stripper.atoms_renamed);
+  return out;
+}
+
+std::vector<GeneralizedTuple> ToDnf(const Formula& f) {
+  return DnfOfNnf(ToNnf(f));
 }
 
 }  // namespace ccdb

@@ -82,8 +82,6 @@ class Formula {
 
   /// Free variable indices (cached at construction; O(1)).
   const std::set<int>& FreeVars() const;
-  /// All variable indices occurring (free or bound).
-  std::set<int> AllVars() const;
 
   /// Structural equality — a pointer comparison, because construction
   /// hash-conses: equal formulas share one interned node.
@@ -108,10 +106,6 @@ class Formula {
   StatusOr<Formula> InstantiateRelations(
       const std::function<StatusOr<ConstraintRelation>(const std::string&)>&
           lookup) const;
-
-  /// Renames free occurrences of `from` to `to` (capture is the caller's
-  /// responsibility; `to` should be fresh).
-  Formula RenameFreeVar(int from, int to) const;
 
   /// Substitutes a rational value for a free variable (into atoms).
   Formula SubstituteValue(int var, const Rational& value) const;
@@ -142,25 +136,45 @@ struct FormulaArenaStats {
 FormulaArenaStats GetFormulaArenaStats();
 
 /// Negation-normal form: negations pushed to atoms (atoms absorb them via
-/// operator complement), quantifiers dualized.
+/// operator complement), quantifiers dualized. A subtree already in NNF is
+/// returned as the same interned node, so ToNnf of an NNF formula costs one
+/// walk and no interning.
 Formula ToNnf(const Formula& f);
 
-/// Prenex normal form of a relation-free formula: returns the quantifier
-/// prefix (outermost first) and the quantifier-free matrix. Bound variables
-/// are renamed apart using `next_fresh_var` (incremented as used).
+/// One quantifier of a prenex prefix.
 struct PrenexBlock {
   bool is_exists;
   int var;
 };
-struct PrenexForm {
+
+/// The input of quantifier elimination: a relation-free formula in prenex
+/// form with its quantified variables compacted and its matrix in DNF.
+struct QeNormalForm {
+  /// Quantifier prefix, outermost first; block i binds num_free_vars + i.
   std::vector<PrenexBlock> prefix;
+  /// The quantifier-free matrix over variables 0..num_free_vars+|prefix|-1.
   Formula matrix;
+  /// ToDnf(matrix).
+  std::vector<GeneralizedTuple> tuples;
 };
-PrenexForm ToPrenex(const Formula& f, int* next_fresh_var);
+
+/// The one normalization prologue of quantifier elimination, shared by the
+/// planner and the monolithic driver. `f` must be relation-free with free
+/// variables among 0..num_free_vars-1. In one scoped pre-order pass over
+/// ToNnf(f) it numbers the k-th quantifier met num_free_vars + k and maps
+/// its variable straight to that index; a quantifier-free subtree none of
+/// whose free variables moves is kept as is, never re-interned. Sibling
+/// quantifier scopes are numbered in the structural child order of the NNF
+/// input. Adds the number of atoms it re-interned to the metric
+/// qe.normalize.atoms_renamed.
+QeNormalForm NormalizeForQe(const Formula& f, int num_free_vars);
 
 /// Disjunctive normal form of a quantifier-free, relation-free formula, as
-/// a list of canonicalized generalized tuples, with trivially-false and
-/// syntactically duplicate disjuncts dropped (first occurrence kept).
+/// a list of generalized tuples, each with its atoms sorted and
+/// deduplicated, and with syntactically duplicate disjuncts dropped (first
+/// occurrence kept). Interned atoms are canonical and non-constant, so the
+/// tuples come out canonical (GeneralizedTuple::Canonicalize would not
+/// change them) and no disjunct is trivially false.
 std::vector<GeneralizedTuple> ToDnf(const Formula& f);
 
 /// Builds the formula of a constraint relation body (the disjunction of its

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <map>
 #include <numeric>
-#include <set>
 #include <sstream>
 
 #include "base/logging.h"
@@ -451,42 +449,23 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
   QueryPlan plan;
   plan.num_free_vars = num_free_vars;
 
-  // Same normalization prologue as the monolithic driver: prenex, compact
-  // quantified variables to num_free_vars..n-1 in prefix order, DNF.
-  std::set<int> all_vars = formula.AllVars();
-  int next_fresh = num_free_vars;
-  if (!all_vars.empty()) {
-    next_fresh = std::max(next_fresh, *all_vars.rbegin() + 1);
-  }
-  PrenexForm prenex = ToPrenex(formula, &next_fresh);
-  Formula matrix_formula = prenex.matrix;
-  for (std::size_t i = 0; i < prenex.prefix.size(); ++i) {
-    int target = num_free_vars + static_cast<int>(i);
-    if (prenex.prefix[i].var != target) {
-      matrix_formula =
-          matrix_formula.RenameFreeVar(prenex.prefix[i].var, target);
-      prenex.prefix[i].var = target;
-    }
-  }
-  int q = static_cast<int>(prenex.prefix.size());
-  int n = num_free_vars + q;
-  std::vector<GeneralizedTuple> tuples = ToDnf(matrix_formula);
-
+  QeNormalForm normal = NormalizeForQe(formula, num_free_vars);
+  std::vector<GeneralizedTuple>& tuples = normal.tuples;
+  const int q = static_cast<int>(normal.prefix.size());
   if (q == 0) {
     plan.root = MakeLeaf(std::move(tuples));
     return plan;
   }
 
   bool all_exists = true;
-  for (const PrenexBlock& block : prenex.prefix) {
+  for (const PrenexBlock& block : normal.prefix) {
     if (!block.is_exists) all_exists = false;
   }
   // Fallbacks the planner does not restructure: universal quantifiers
-  // (miniscoping ∃ over ∨ needs an all-existential prefix), variable-free
-  // sentences, and — when the disjunct-split ablation knob is off — any
-  // union the planner would otherwise split.
-  if (!all_exists || n == 0 ||
-      (!options.allow_disjunct_split && tuples.size() > 1)) {
+  // (miniscoping ∃ over ∨ needs an all-existential prefix) and — when the
+  // disjunct-split ablation knob is off — any union the planner would
+  // otherwise split.
+  if (!all_exists || (!options.allow_disjunct_split && tuples.size() > 1)) {
     auto node = std::make_shared<PlanNode>();
     node->kind = PlanNode::Kind::kMonolithic;
     node->formula = formula;
@@ -508,7 +487,7 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
     // Union-find over this disjunct's quantified variables.
     std::vector<int> parent(static_cast<std::size_t>(q));
     std::iota(parent.begin(), parent.end(), 0);
-    std::function<int(int)> find = [&](int a) {
+    auto find = [&parent](int a) {
       while (parent[a] != a) {
         parent[a] = parent[parent[a]];
         a = parent[a];

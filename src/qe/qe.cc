@@ -345,29 +345,11 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     return ExecutePlan(plan, options, s, prof);
   }
 
-  std::set<int> all_vars = formula.AllVars();
-  int next_fresh = num_free_vars;
-  if (!all_vars.empty()) {
-    next_fresh = std::max(next_fresh, *all_vars.rbegin() + 1);
-  }
-  PrenexForm prenex = ToPrenex(formula, &next_fresh);
-
-  // Compact the quantified variables to num_free_vars, num_free_vars+1, ...
-  // in prefix order (outermost first). ToPrenex hands out strictly
-  // increasing fresh indices in prefix order, so renaming in order is safe.
-  Formula matrix_formula = prenex.matrix;
-  for (std::size_t i = 0; i < prenex.prefix.size(); ++i) {
-    int target = num_free_vars + static_cast<int>(i);
-    if (prenex.prefix[i].var != target) {
-      matrix_formula =
-          matrix_formula.RenameFreeVar(prenex.prefix[i].var, target);
-      prenex.prefix[i].var = target;
-    }
-  }
-  int q = static_cast<int>(prenex.prefix.size());
+  QeNormalForm normal = NormalizeForQe(formula, num_free_vars);
+  std::vector<PrenexBlock>& prefix = normal.prefix;
+  std::vector<GeneralizedTuple> tuples = std::move(normal.tuples);
+  int q = static_cast<int>(prefix.size());
   int n = num_free_vars + q;
-
-  std::vector<GeneralizedTuple> tuples = ToDnf(matrix_formula);
   s->max_intermediate_bits = MaxBits(tuples);
 
   if (q == 0) {
@@ -375,24 +357,15 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     return ConstraintRelation(num_free_vars, SimplifyTuples(std::move(tuples)));
   }
 
-  if (n == 0) {
-    // Sentence with no variables at all.
-    if (prof != nullptr) prof->label = "qe.sentence";
-    bool truth = matrix_formula.EvaluateAt({});
-    ConstraintRelation rel(0);
-    if (truth) rel.AddTuple(GeneralizedTuple());
-    return rel;
-  }
-
   // Peel innermost existential quantifiers that have defining equations.
   std::uint64_t peeled = 0;
   while (options.allow_equation_substitution && q > 0 &&
-         prenex.prefix.back().is_exists &&
+         prefix.back().is_exists &&
          TrySubstituteInnermostExists(&tuples, num_free_vars + q - 1)) {
     CCDB_CHECK_BUDGET(gov, "qe.drive");
     CCDB_METRIC_COUNT("qe.equation_substitutions", 1);
     ++peeled;
-    prenex.prefix.pop_back();
+    prefix.pop_back();
     --q;
     n = num_free_vars + q;
     tuples = SimplifyTuples(std::move(tuples));
@@ -420,7 +393,7 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
       CCDB_CHECK_BUDGET(gov, "qe.fm");
       ++s->fm_rounds;
       int var = num_free_vars + i;
-      if (prenex.prefix[i].is_exists) {
+      if (prefix[i].is_exists) {
         CCDB_ASSIGN_OR_RETURN(
             tuples, EliminateExistsLinear(tuples, var, gov, options.pool));
       } else {
@@ -452,7 +425,7 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
   // decisions, not scheduling artifacts, so the answer is identical at
   // every thread count (and with the split disabled, semantically so).
   bool all_exists = true;
-  for (const PrenexBlock& block : prenex.prefix) {
+  for (const PrenexBlock& block : prefix) {
     if (!block.is_exists) all_exists = false;
   }
   if (options.allow_disjunct_split && all_exists && tuples.size() > 1) {
@@ -545,7 +518,7 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
 
     CCDB_ASSIGN_OR_RETURN(
         CadEvalResult eval,
-        EvaluateCad(cad, prenex.prefix, num_free_vars, tuples, matrix_polys,
+        EvaluateCad(cad, prefix, num_free_vars, tuples, matrix_polys,
                     options.pool));
 
     if (num_free_vars == 0) {

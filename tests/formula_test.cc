@@ -176,28 +176,30 @@ TEST(NnfTest, PushesNegations) {
 }
 
 TEST(PrenexTest, PullsAndRenames) {
-  // exists y (x<y) and exists y (y<x): bound vars must be renamed apart.
+  // exists y (x<y) and exists y (y<x): bound vars must be renamed apart,
+  // onto the compact targets 1 and 2.
   Formula left = Formula::Exists(1, Formula::Compare(X(), RelOp::kLt, Y()));
   Formula right = Formula::Exists(1, Formula::Compare(Y(), RelOp::kLt, X()));
   Formula f = Formula::And(left, right);
-  int fresh = 2;
-  PrenexForm prenex = ToPrenex(f, &fresh);
-  ASSERT_EQ(prenex.prefix.size(), 2u);
-  EXPECT_TRUE(prenex.prefix[0].is_exists);
-  EXPECT_TRUE(prenex.prefix[1].is_exists);
-  EXPECT_NE(prenex.prefix[0].var, prenex.prefix[1].var);
-  EXPECT_TRUE(prenex.matrix.is_quantifier_free());
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1);
+  ASSERT_EQ(normal.prefix.size(), 2u);
+  EXPECT_TRUE(normal.prefix[0].is_exists);
+  EXPECT_TRUE(normal.prefix[1].is_exists);
+  EXPECT_EQ(normal.prefix[0].var, 1);
+  EXPECT_EQ(normal.prefix[1].var, 2);
+  EXPECT_TRUE(normal.matrix.is_quantifier_free());
+  EXPECT_EQ(normal.tuples, ToDnf(normal.matrix));
   // Matrix satisfiable with suitable witnesses: x=0 and {1, -1} for the
-  // two fresh variables. AND children are structurally sorted, so which
-  // fresh variable belongs to which conjunct is not fixed — one of the two
+  // two bound variables. AND children are structurally sorted, so which
+  // bound variable belongs to which conjunct is not fixed — one of the two
   // assignments must work.
-  std::vector<Rational> point(4, R(0));
-  point[prenex.prefix[0].var] = R(1);
-  point[prenex.prefix[1].var] = R(-1);
-  bool forward = prenex.matrix.EvaluateAt(point);
-  point[prenex.prefix[0].var] = R(-1);
-  point[prenex.prefix[1].var] = R(1);
-  bool backward = prenex.matrix.EvaluateAt(point);
+  std::vector<Rational> point(3, R(0));
+  point[1] = R(1);
+  point[2] = R(-1);
+  bool forward = normal.matrix.EvaluateAt(point);
+  point[1] = R(-1);
+  point[2] = R(1);
+  bool backward = normal.matrix.EvaluateAt(point);
   EXPECT_TRUE(forward || backward);
   EXPECT_FALSE(forward && backward);
 }
@@ -206,12 +208,54 @@ TEST(PrenexTest, ForallUnderNegation) {
   // not (forall y (y > x)) == exists y (y <= x).
   Formula f = Formula::Not(
       Formula::Forall(1, Formula::Compare(Y(), RelOp::kGt, X())));
-  int fresh = 2;
-  PrenexForm prenex = ToPrenex(f, &fresh);
-  ASSERT_EQ(prenex.prefix.size(), 1u);
-  EXPECT_TRUE(prenex.prefix[0].is_exists);
-  EXPECT_EQ(prenex.matrix.kind(), Formula::Kind::kAtom);
-  EXPECT_EQ(prenex.matrix.atom().op, RelOp::kLe);
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1);
+  ASSERT_EQ(normal.prefix.size(), 1u);
+  EXPECT_TRUE(normal.prefix[0].is_exists);
+  EXPECT_EQ(normal.prefix[0].var, 1);
+  EXPECT_EQ(normal.matrix.kind(), Formula::Kind::kAtom);
+  EXPECT_EQ(normal.matrix.atom().op, RelOp::kLe);
+  ASSERT_EQ(normal.tuples.size(), 1u);
+  EXPECT_EQ(normal.tuples[0].atoms.size(), 1u);
+}
+
+TEST(PrenexTest, BoundVariablesAtTheirTargetsAreNotRebuilt) {
+  // exists y (x < y and y < 3) with y already variable 1: the matrix is
+  // the quantifier's own body node.
+  Formula body = Formula::And(Formula::Compare(X(), RelOp::kLt, Y()),
+                              Formula::Compare(Y(), RelOp::kLt, Polynomial(3)));
+  QeNormalForm normal = NormalizeForQe(Formula::Exists(1, body), 1);
+  ASSERT_EQ(normal.prefix.size(), 1u);
+  EXPECT_EQ(normal.prefix[0].var, 1);
+  EXPECT_EQ(normal.matrix.id(), body.id());
+}
+
+TEST(PrenexTest, BoundVariableBelowFreeCountMovesUp) {
+  // exists x (x < y) with two free slots: x (variable 0) is bound, so it
+  // moves to the first quantifier slot 2 while y stays variable 1.
+  Formula f = Formula::Exists(0, Formula::Compare(X(), RelOp::kLt, Y()));
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/2);
+  ASSERT_EQ(normal.prefix.size(), 1u);
+  EXPECT_EQ(normal.prefix[0].var, 2);
+  EXPECT_EQ(normal.matrix,
+            Formula::Compare(Polynomial::Var(2), RelOp::kLt, Y()));
+}
+
+TEST(PrenexTest, ShadowedVariableGetsItsOwnSlot) {
+  // exists y (y < 1 and exists y (y > 5)) over free x: the inner y is a
+  // different variable, so the matrix is y1 < 1 and y2 > 5.
+  Formula inner = Formula::Exists(1, Formula::Compare(Y(), RelOp::kGt,
+                                                      Polynomial(5)));
+  Formula f = Formula::Exists(
+      1, Formula::And(Formula::Compare(Y(), RelOp::kLt, Polynomial(1)),
+                      Formula::And(inner, Formula::Compare(X(), RelOp::kLt,
+                                                           Y()))));
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1);
+  ASSERT_EQ(normal.prefix.size(), 2u);
+  Formula expected = Formula::And(
+      {Formula::Compare(Y(), RelOp::kLt, Polynomial(1)),
+       Formula::Compare(X(), RelOp::kLt, Y()),
+       Formula::Compare(Polynomial::Var(2), RelOp::kGt, Polynomial(5))});
+  EXPECT_EQ(normal.matrix, expected);
 }
 
 TEST(DnfTest, CrossProduct) {

@@ -4,10 +4,14 @@
 // atoms), structurally equal formulas intern to one node (also under
 // concurrent construction — the TSan CI leg exercises the arena locks), and
 // the negated-operator normalization regression: ¬(p < 0) and p >= 0 must be
-// the same interned atom.
+// the same interned atom. Also pins the invariants the normalization fast
+// paths rely on: interned atoms are canonical, ToNnf returns an NNF input
+// as the same node, and ToDnf matches a DNF that re-canonicalizes every
+// atom.
 
 #include <memory>
 #include <random>
+#include <unordered_map>
 #include <thread>
 #include <vector>
 
@@ -144,6 +148,82 @@ Formula Rebuild(const Formula& f) {
   return Formula::True();
 }
 
+void CollectAtoms(const Formula& f, std::vector<Atom>* out) {
+  if (f.kind() == Formula::Kind::kAtom) {
+    out->push_back(f.atom());
+    return;
+  }
+  for (const Formula& child : f.children()) CollectAtoms(child, out);
+}
+
+void CollectRawAtoms(const Shadow& shadow, std::vector<Atom>* out) {
+  if (shadow.kind == Shadow::kAtom) {
+    out->emplace_back(shadow.poly, shadow.op);
+    return;
+  }
+  for (const auto& child : shadow.children) CollectRawAtoms(*child, out);
+}
+
+// ToDnf as it was before it trusted the canonical-atom invariant: every
+// disjunct goes through GeneralizedTuple::Canonicalize, which
+// re-canonicalizes each atom and folds constant ones.
+std::vector<GeneralizedTuple> CanonicalizingDnf(const Formula& nnf) {
+  std::vector<GeneralizedTuple> tuples;
+  switch (nnf.kind()) {
+    case Formula::Kind::kTrue:
+      tuples.emplace_back();
+      break;
+    case Formula::Kind::kFalse:
+      break;
+    case Formula::Kind::kAtom:
+      tuples.emplace_back(std::vector<Atom>{nnf.atom()});
+      break;
+    case Formula::Kind::kOr:
+      for (const Formula& child : nnf.children()) {
+        for (GeneralizedTuple& t : CanonicalizingDnf(child)) {
+          tuples.push_back(std::move(t));
+        }
+      }
+      break;
+    case Formula::Kind::kAnd: {
+      tuples.emplace_back();
+      for (const Formula& child : nnf.children()) {
+        std::vector<GeneralizedTuple> sub = CanonicalizingDnf(child);
+        std::vector<GeneralizedTuple> next;
+        for (const GeneralizedTuple& left : tuples) {
+          for (const GeneralizedTuple& right : sub) {
+            GeneralizedTuple merged = left;
+            merged.atoms.insert(merged.atoms.end(), right.atoms.begin(),
+                                right.atoms.end());
+            next.push_back(std::move(merged));
+          }
+        }
+        tuples = std::move(next);
+      }
+      break;
+    }
+    default:
+      ADD_FAILURE() << "CanonicalizingDnf needs a quantifier-free NNF";
+  }
+  return tuples;
+}
+
+std::vector<GeneralizedTuple> CanonicalizingToDnf(const Formula& f) {
+  std::vector<GeneralizedTuple> kept;
+  std::unordered_map<std::size_t, std::vector<std::size_t>> seen;
+  for (GeneralizedTuple& tuple : CanonicalizingDnf(ToNnf(f))) {
+    if (!tuple.Canonicalize()) continue;
+    bool duplicate = false;
+    for (std::size_t index : seen[tuple.Hash()]) {
+      duplicate |= kept[index] == tuple;
+    }
+    if (duplicate) continue;
+    seen[tuple.Hash()].push_back(kept.size());
+    kept.push_back(std::move(tuple));
+  }
+  return kept;
+}
+
 class InternPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(InternPropertyTest, CanonicalizationIsIdempotent) {
@@ -154,10 +234,20 @@ TEST_P(InternPropertyTest, CanonicalizationIsIdempotent) {
     Formula rebuilt = Rebuild(f);
     EXPECT_TRUE(f == rebuilt) << f.ToString({"x", "y"});
     EXPECT_EQ(f.id(), rebuilt.id());
-    if (f.kind() == Formula::Kind::kAtom) {
-      Atom once = f.atom().Canonical();
-      Atom twice = once.Canonical();
-      EXPECT_TRUE(once == twice);
+    // Atom::Canonical is idempotent on the raw generated atoms, and every
+    // atom an interned formula holds is canonical and non-constant — the
+    // invariant that lets ToDnf skip re-canonicalizing.
+    std::vector<Atom> raw;
+    CollectRawAtoms(*shadow, &raw);
+    for (const Atom& atom : raw) {
+      Atom once = atom.Canonical();
+      EXPECT_TRUE(once.Canonical() == once) << atom.ToString({"x", "y"});
+    }
+    std::vector<Atom> interned;
+    CollectAtoms(f, &interned);
+    for (const Atom& atom : interned) {
+      EXPECT_TRUE(atom.Canonical() == atom) << atom.ToString({"x", "y"});
+      EXPECT_FALSE(atom.poly.is_constant());
     }
   }
 }
@@ -187,6 +277,30 @@ TEST_P(InternPropertyTest, StructurallyEqualFormulasShareOneNode) {
     EXPECT_TRUE(a == b);
     EXPECT_EQ(a.id(), b.id());
     EXPECT_EQ(a.Hash(), b.Hash());
+  }
+}
+
+TEST_P(InternPropertyTest, ToNnfOfNnfIsTheSameNode) {
+  std::mt19937_64 rng(4000 + GetParam());
+  for (int trial = 0; trial < 30; ++trial) {
+    std::unique_ptr<Shadow> shadow;
+    Formula f = RandomFormula(&rng, 3, &shadow);
+    for (const Formula& g :
+         {f, Formula::Not(Formula::Exists(1, f)),
+          Formula::Forall(0, Formula::Not(Formula::And(f, Formula::Exists(
+                                                              1, f))))}) {
+      Formula nnf = ToNnf(g);
+      EXPECT_EQ(ToNnf(nnf).id(), nnf.id()) << g.ToString({"x", "y"});
+    }
+  }
+}
+
+TEST_P(InternPropertyTest, ToDnfMatchesCanonicalizingDnf) {
+  std::mt19937_64 rng(5000 + GetParam());
+  for (int trial = 0; trial < 30; ++trial) {
+    std::unique_ptr<Shadow> shadow;
+    Formula f = RandomFormula(&rng, 3, &shadow);
+    EXPECT_EQ(ToDnf(f), CanonicalizingToDnf(f)) << f.ToString({"x", "y"});
   }
 }
 
