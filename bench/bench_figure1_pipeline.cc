@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   // Warm vs cold memo caches: the same scaled query is rebuilt from
   // scratch and eliminated twice. Hash-consing makes the rebuilt formula
   // the same interned node, so with the caches on the second elimination
-  // is one QE-cache lookup; with `--qe-cache=0` both runs pay full price.
+  // is one QE-cache lookup; with `CCDB_QE_CACHE=0` both runs pay full price.
   // The outputs are byte-identical either way (pure memo contract) — only
   // the timing moves.
   ccdb_bench::Row("");

@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "base/config.h"
 #include "base/logging.h"
-#include "base/memo.h"
 #include "base/metrics.h"
 #include "base/profile.h"
 #include "base/resource.h"
@@ -26,7 +26,6 @@
 #include "base/trace.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
-#include "plan/planner.h"
 #include "poly/polynomial.h"
 #include "poly/upoly.h"
 
@@ -52,22 +51,17 @@ inline int& BenchThreads() {
 /// the process-wide shared pool, sized by InitBenchTracing.
 inline ccdb::ThreadPool* Pool() { return ccdb::ThreadPool::Shared(); }
 
-/// Whether the memo caches are on for this run (set by `--qe-cache=0|1`
-/// or CCDB_QE_CACHE; defaults to on). Also the value of the JSON report's
-/// "qe_cache" column, so cache-on/cache-off runs can be diffed row by row.
-inline bool& BenchQeCacheEnabled() {
-  static bool enabled = ccdb::MemoCachesEnabled();
-  return enabled;
+/// Whether the memo caches are on for this run (CCDB_QE_CACHE; defaults
+/// to on). Also the value of the JSON report's "qe_cache" column, so
+/// cache-on/cache-off runs can be diffed row by row.
+inline bool BenchQeCacheEnabled() {
+  return ccdb::EngineConfig::Process().qe_cache;
 }
 
-/// Whether the structure-aware planner is on for this run (set by
-/// `--plan=0|1` or CCDB_PLAN; defaults to on). Also the value of the JSON
-/// report's "plan" column, so planned/monolithic runs can be diffed row by
-/// row.
-inline bool& BenchPlanEnabled() {
-  static bool enabled = ccdb::PlannerEnabled();
-  return enabled;
-}
+/// Whether the structure-aware planner is on for this run (CCDB_PLAN;
+/// defaults to on). Also the value of the JSON report's "plan" column, so
+/// planned/monolithic runs can be diffed row by row.
+inline bool BenchPlanEnabled() { return ccdb::EngineConfig::Process().plan; }
 
 /// Whether `--profile` was passed: span tracing is enabled for the whole
 /// run and the aggregated span profile (base/profile.h) is printed to
@@ -87,6 +81,9 @@ inline std::string& BenchOutPath() {
 }
 
 /// Processes the standard harness flags. Call first thing in main().
+/// Engine toggles are not flags: the planner, memo caches and semi-naive
+/// Datalog follow CCDB_PLAN, CCDB_QE_CACHE and CCDB_SEMINAIVE through
+/// EngineConfig::Process().
 ///
 ///   --trace-out=<file>    (or CCDB_TRACE_OUT) span tracing for the run,
 ///                         written as a Chrome trace_event JSON at exit
@@ -98,12 +95,6 @@ inline std::string& BenchOutPath() {
 ///                         pool; N = total runners, 1 = serial. Results
 ///                         are identical at every N (see DESIGN.md), only
 ///                         the timings change.
-///   --qe-cache=<0|1>      (or CCDB_QE_CACHE) toggle the memo caches (QE
-///                         result / resultant / query caches). Results are
-///                         byte-identical either way (pure memo contract),
-///                         only the timings change.
-///   --plan=<0|1>          (or CCDB_PLAN) toggle the structure-aware query
-///                         planner; 0 = the monolithic elimination path.
 ///   --profile             enable span tracing and print the aggregated
 ///                         span profile (path -> count, inclusive µs,
 ///                         exclusive µs) to stderr at exit
@@ -130,17 +121,6 @@ inline void InitBenchTracing(int argc, char** argv) {
     constexpr const char kThreadsFlag[] = "--threads=";
     if (std::strncmp(argv[i], kThreadsFlag, sizeof(kThreadsFlag) - 1) == 0) {
       BenchThreads() = std::atoi(argv[i] + (sizeof(kThreadsFlag) - 1));
-    }
-    constexpr const char kQeCacheFlag[] = "--qe-cache=";
-    if (std::strncmp(argv[i], kQeCacheFlag, sizeof(kQeCacheFlag) - 1) == 0) {
-      BenchQeCacheEnabled() =
-          std::atoi(argv[i] + (sizeof(kQeCacheFlag) - 1)) != 0;
-      ccdb::SetMemoCachesEnabled(BenchQeCacheEnabled());
-    }
-    constexpr const char kPlanFlag[] = "--plan=";
-    if (std::strncmp(argv[i], kPlanFlag, sizeof(kPlanFlag) - 1) == 0) {
-      BenchPlanEnabled() = std::atoi(argv[i] + (sizeof(kPlanFlag) - 1)) != 0;
-      ccdb::SetPlannerEnabled(BenchPlanEnabled());
     }
     if (std::strcmp(argv[i], "--profile") == 0) BenchProfileEnabled() = true;
     constexpr const char kBenchOutFlag[] = "--bench-out=";
@@ -219,7 +199,8 @@ inline std::string TableCell(const std::optional<double>& seconds) {
 /// human-readable table), machine-readable for the experiment plots. The
 /// "threads" column lets a sweep (`--threads=1`, `--threads=8`, ...)
 /// concatenate its reports into one speedup table; "qe_cache" and "plan"
-/// do the same for `--qe-cache=0/1` and `--plan=0/1` differential runs. The hit rate is per cell (delta of the qe_cache
+/// do the same for `CCDB_QE_CACHE=0/1` and `CCDB_PLAN=0/1` differential
+/// runs. The hit rate is per cell (delta of the qe_cache
 /// hit/miss counters since the previous RecordCell, null when the cell
 /// never consulted the cache); the node counts are the live hash-consed
 /// formula arena and interned polynomial pool sizes at record time.

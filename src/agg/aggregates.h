@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "base/config.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "constraint/atom.h"
@@ -49,9 +50,12 @@ class AggregateModules {
   /// `governor`, when non-null, bounds every CAD decomposition and
   /// quadrature the modules run; exceeded budgets surface as
   /// kResourceExhausted from the aggregate call. Borrowed, not owned.
+  /// `memo` is the evaluation's memo toggle, handed to every CAD
+  /// (CadOptions::memo).
   explicit AggregateModules(double tolerance = 1e-9,
-                            const ResourceGovernor* governor = nullptr)
-      : tolerance_(tolerance), governor_(governor) {}
+                            const ResourceGovernor* governor = nullptr,
+                            PlanToggle memo = PlanToggle::kAuto)
+      : tolerance_(tolerance), governor_(governor), memo_(memo) {}
 
   /// Number of aggregate-module calls served (Theorem 5.5 counts these).
   std::uint64_t call_count() const { return call_count_; }
@@ -104,6 +108,7 @@ class AggregateModules {
  private:
   double tolerance_;
   const ResourceGovernor* governor_ = nullptr;
+  PlanToggle memo_ = PlanToggle::kAuto;
   mutable std::uint64_t call_count_ = 0;
 };
 

@@ -88,9 +88,6 @@ EngineConfig EngineConfig::FromEnv(std::vector<std::string>* warnings) {
       config.qe_cache_capacity = static_cast<std::size_t>(parsed);
     }
   }
-  if (const char* env = std::getenv("CCDB_FILTER")) {
-    config.filter = ParseBool("CCDB_FILTER", env, config.filter, warnings);
-  }
   if (const char* env = std::getenv("CCDB_LOG_LEVEL")) {
     if (std::strcmp(env, "DEBUG") == 0 || std::strcmp(env, "INFO") == 0 ||
         std::strcmp(env, "WARN") == 0 || std::strcmp(env, "ERROR") == 0 ||
@@ -164,18 +161,13 @@ EngineConfig EngineConfig::WithQeCache(bool value) const {
   c.qe_cache = value;
   return c;
 }
-EngineConfig EngineConfig::WithFilter(bool value) const {
-  EngineConfig c = *this;
-  c.filter = value;
-  return c;
-}
 
 std::string EngineConfig::Canonical() const {
   std::ostringstream out;
   out << "threads=" << threads << ",plan=" << plan
       << ",seminaive=" << seminaive << ",incremental=" << incremental
       << ",qe_cache=" << qe_cache << ",qe_cache_capacity=" << qe_cache_capacity
-      << ",filter=" << filter << ",log_level=" << log_level
+      << ",log_level=" << log_level
       << ",trace=" << trace << ",query_log=" << query_log_path
       << ",wal_fsync=" << wal_fsync
       << ",wal_checkpoint_bytes=" << wal_checkpoint_bytes;
@@ -209,8 +201,6 @@ std::string EngineConfig::ToString() const {
       << "  incremental           " << (incremental ? "on" : "off") << "\n"
       << "  qe_cache              " << (qe_cache ? "on" : "off") << "\n"
       << "  qe_cache_capacity     " << qe_cache_capacity << "\n"
-      << "  filter                " << (filter ? "on" : "off")
-      << "  (reserved)\n"
       << "  log_level             " << log_level << "\n"
       << "  trace                 " << (trace ? "on" : "off") << "\n"
       << "  query_log             "

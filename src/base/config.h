@@ -25,8 +25,9 @@
 namespace ccdb {
 
 /// Three-way per-call toggle used throughout the pipeline's option
-/// structs: kAuto follows the relevant process-wide switch (itself
-/// defaulted from EngineConfig), kOn/kOff force the feature per call.
+/// structs: kOn/kOff force the feature per call; kAuto takes the setting
+/// of the session the call runs in, and outside any session the field of
+/// EngineConfig::Process().
 /// Carried here (not in qe/) because it is a configuration concept shared
 /// by the planner, the memo caches, semi-naive Datalog, and incremental
 /// re-fixpoint alike.
@@ -36,7 +37,8 @@ enum class PlanToggle { kAuto, kOn, kOff };
 /// override fields with the With* builders, hand it to
 /// ConstraintDatabase::OpenSession. The process-wide instance —
 /// EngineConfig::Process() — is resolved from the environment exactly
-/// once and is what every legacy single-session entry point sees.
+/// once; it is the config of every database's default session (the
+/// facade) and what a kAuto toggle reads outside any session.
 struct EngineConfig {
   /// Concurrent runners of the session's thread pool (CCDB_THREADS,
   /// default 1 = the exact serial path).
@@ -56,11 +58,6 @@ struct EngineConfig {
   /// Capacity of the QE result cache (CCDB_QE_CACHE_CAPACITY,
   /// default 4096 entries).
   std::size_t qe_cache_capacity = 4096;
-  /// Numeric-filtered hybrid QE: decide cell truth in interval/float
-  /// arithmetic first, fall back to exact arithmetic when inconclusive
-  /// (CCDB_FILTER, default on). Reserved: parsed and carried now so the
-  /// knob is stable before the filter stage lands (ROADMAP).
-  bool filter = true;
   /// Minimum log severity, one of DEBUG|INFO|WARN|ERROR|OFF
   /// (CCDB_LOG_LEVEL, default WARN). Stored as the canonical spelling.
   std::string log_level = "WARN";
@@ -83,9 +80,9 @@ struct EngineConfig {
   static EngineConfig FromEnv(std::vector<std::string>* warnings = nullptr);
 
   /// The process-wide configuration: FromEnv() resolved exactly once, at
-  /// first use, with warnings to stderr. Every legacy single-session
-  /// default (ThreadPool::Shared width, PlannerEnabled, MemoCachesEnabled,
-  /// SeminaiveEnabled, log level, tracer, query log, WAL policy) reads
+  /// first use, with warnings to stderr. Every process-wide default
+  /// (ThreadPool::Shared width, kAuto planner / memo / semi-naive /
+  /// incremental toggles, log level, tracer, query log, WAL policy) reads
   /// from here instead of calling getenv.
   static const EngineConfig& Process();
 
@@ -95,7 +92,6 @@ struct EngineConfig {
   EngineConfig WithSeminaive(bool value) const;
   EngineConfig WithIncremental(bool value) const;
   EngineConfig WithQeCache(bool value) const;
-  EngineConfig WithFilter(bool value) const;
 
   /// Stable identity of the resolved configuration: 16 lowercase hex
   /// digits (FNV-1a over the canonical rendering). Logged in every

@@ -1,46 +1,25 @@
 #include "base/memo.h"
 
-#include <atomic>
-
 #include "base/config.h"
 #include "base/failpoint.h"
 
 namespace ccdb {
 
-namespace {
-
-// -1 = follow EngineConfig::Process(), 0 = forced off, 1 = forced on.
-std::atomic<int> g_memo_override{-1};
-
-}  // namespace
-
-bool MemoCachesEnabled() {
+bool MemoCachesEnabledFor(PlanToggle memo) {
   // Armed failpoints demand real execution: a memo hit would skip the very
   // stage a fault-injection test wants to reach, so the caches stand down
-  // (no lookups, no inserts) while any site is armed.
+  // (no lookups, no inserts) while any site is armed. This outranks any
+  // configuration, as does the governor gate at each call site.
   if (FailpointRegistry::Global().HasArmed()) return false;
-  int forced = g_memo_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return EngineConfig::Process().qe_cache;
-}
-
-bool MemoCachesEnabledFor(PlanToggle memo) {
   switch (memo) {
     case PlanToggle::kOff:
       return false;
     case PlanToggle::kOn:
-      // A per-session force still respects the failpoint stand-down: the
-      // pure-memo contract (budget charging and fault injection never
-      // depend on cache temperature) outranks any configuration.
-      return !FailpointRegistry::Global().HasArmed();
+      return true;
     case PlanToggle::kAuto:
       break;
   }
-  return MemoCachesEnabled();
-}
-
-void SetMemoCachesEnabled(bool enabled) {
-  g_memo_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  return EngineConfig::Process().qe_cache;
 }
 
 }  // namespace ccdb

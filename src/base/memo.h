@@ -2,11 +2,11 @@
 #define CCDB_BASE_MEMO_H_
 
 /// Shared infrastructure for the memoization layers that sit on top of the
-/// hash-consed IR: a process-wide on/off switch (the CCDB_QE_CACHE
-/// environment variable, overridable at runtime for differential tests and
-/// the `--qe-cache=` bench flag) and a bounded, sharded, FIFO-evicting
-/// memo table used by the QE result cache, the resultant/PRS cache, and
-/// the engine's query cache.
+/// hash-consed IR: the resolver of the per-call memo toggle (kAuto follows
+/// the session's config, or EngineConfig::Process().qe_cache — the
+/// CCDB_QE_CACHE knob — outside any session) and a bounded, sharded,
+/// FIFO-evicting memo table used by the QE result cache, the
+/// resultant/PRS cache, and the engine's query cache.
 ///
 /// Contract: every cache keyed through this header is a pure memo — a hit
 /// returns exactly the value a recomputation would produce, so query
@@ -15,8 +15,9 @@
 /// governed budget charging and degradation-ladder behaviour never depend
 /// on cache temperature; successful results are still inserted so later
 /// ungoverned evaluations can reuse them. While any failpoint is armed the
-/// caches stand down entirely (MemoCachesEnabled() reports false), so
-/// fault injection always reaches the real stage instead of a memo hit.
+/// caches stand down entirely (MemoCachesEnabledFor reports false for
+/// every toggle), so fault injection always reaches the real stage
+/// instead of a memo hit.
 
 #include <cstddef>
 #include <deque>
@@ -29,16 +30,12 @@
 
 namespace ccdb {
 
-/// Whether the memo layers (QE result cache, resultant/PRS cache, query
-/// cache) are enabled. Defaults to EngineConfig::Process().qe_cache (the
-/// CCDB_QE_CACHE knob); SetMemoCachesEnabled overrides.
-bool MemoCachesEnabled();
-void SetMemoCachesEnabled(bool enabled);
-
-/// Resolves a per-call/per-session memo toggle (QeOptions::memo):
-/// kAuto follows MemoCachesEnabled(); kOff disables the layers for this
-/// evaluation; kOn enables them regardless of the process default (still
-/// standing down while failpoints are armed — the pure-memo contract).
+/// Resolves a per-call/per-session memo toggle (QeOptions::memo): whether
+/// the memo layers (QE result cache, resultant/PRS cache, query cache)
+/// serve this evaluation. kAuto follows EngineConfig::Process().qe_cache;
+/// kOff disables the layers; kOn enables them regardless of the process
+/// default. Every setting stands down while failpoints are armed — the
+/// pure-memo contract.
 bool MemoCachesEnabledFor(PlanToggle memo);
 
 /// A bounded, sharded memo table with per-shard FIFO eviction. Thread-safe.

@@ -59,8 +59,9 @@ class ThreadPool {
 
   /// The process-wide shared pool, sized by EngineConfig::Process().threads
   /// (the CCDB_THREADS knob) at first use (default 1 = serial). Never null.
-  /// Legacy default only — sessions (engine/session.h) own their own pools
-  /// sized by their session config.
+  /// The pool of every database's default session (the facade) and of
+  /// pipeline calls that pass none; opened sessions (engine/session.h) own
+  /// pools sized by their session config.
   static ThreadPool* Shared();
   /// Replaces the shared pool with one of `threads` runners. Not
   /// thread-safe against concurrent users of the previous pool — call

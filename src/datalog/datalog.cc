@@ -1,13 +1,13 @@
 #include "datalog/datalog.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
 
+#include "base/config.h"
 #include "base/failpoint.h"
 #include "base/logging.h"
 #include "base/memo.h"
@@ -37,10 +37,6 @@ DatalogLiteral DatalogLiteral::Constraint(Atom atom) {
 }
 
 namespace {
-
-// -1 = follow EngineConfig::Process(), 0 = forced off, 1 = forced on.
-std::atomic<int> g_seminaive_override{-1};
-std::atomic<int> g_incremental_override{-1};
 
 // Variable renaming shared by every body formula a rule can take: head
 // variable i -> column i, every other body variable existentially
@@ -562,7 +558,7 @@ bool ResolveSeminaive(const DatalogOptions& options) {
       on = false;
       break;
     default:
-      on = SeminaiveEnabled();
+      on = EngineConfig::Process().seminaive;
       break;
   }
   // Z_k forces the naive path: the finite-precision verdict must observe
@@ -573,26 +569,6 @@ bool ResolveSeminaive(const DatalogOptions& options) {
 }
 
 }  // namespace
-
-bool SeminaiveEnabled() {
-  int forced = g_seminaive_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return EngineConfig::Process().seminaive;
-}
-
-void SetSeminaiveEnabled(bool enabled) {
-  g_seminaive_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool IncrementalEnabled() {
-  int forced = g_incremental_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return EngineConfig::Process().incremental;
-}
-
-void SetIncrementalEnabled(bool enabled) {
-  g_incremental_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 std::string DatalogStats::ToString() const {
   std::ostringstream out;

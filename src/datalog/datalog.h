@@ -43,22 +43,6 @@ struct DatalogProgram {
   std::vector<DatalogRule> rules;
 };
 
-/// Process-wide semi-naive toggle: CCDB_SEMINAIVE=0 forces every fixpoint
-/// onto the naive path (full rule bodies each round — the executable spec);
-/// any other value (or unset) keeps semi-naive delta evaluation on. Both
-/// paths produce byte-identical fixpoints — the same contract CCDB_PLAN
-/// carries. SetSeminaiveEnabled overrides the environment (tests).
-bool SeminaiveEnabled();
-void SetSeminaiveEnabled(bool enabled);
-
-/// Process-wide incremental re-fixpoint toggle: CCDB_INCREMENTAL=0 makes
-/// ConstraintDatabase::Fixpoint recompute from scratch on every call; on
-/// (default), materialized fixpoint state is replayed or resumed when the
-/// EDB read-set versions allow it. SetIncrementalEnabled overrides the
-/// environment (tests).
-bool IncrementalEnabled();
-void SetIncrementalEnabled(bool enabled);
-
 struct DatalogOptions {
   /// Hard iteration cap (the paper's PTIME bound is enforced by the finite
   /// precision context; this is the engineering backstop).
@@ -69,12 +53,18 @@ struct DatalogOptions {
   /// always evaluate naively: the bit-length verdict must observe every
   /// intermediate the naive rounds materialize.
   std::uint32_t precision_k = 0;
-  /// Per-call semi-naive override: kAuto follows SeminaiveEnabled().
+  /// Per-call semi-naive override: kOff forces the naive path (full rule
+  /// bodies each round — the executable spec), kOn delta evaluation;
+  /// kAuto follows the session config, or outside any session
+  /// EngineConfig::Process().seminaive (CCDB_SEMINAIVE). Both paths
+  /// produce byte-identical fixpoints — the contract CCDB_PLAN carries.
   PlanToggle seminaive = PlanToggle::kAuto;
   /// Per-call/per-session incremental re-fixpoint override (the
-  /// materialized-state layer of ConstraintDatabase::Fixpoint): kAuto
-  /// follows IncrementalEnabled(). Pure memo — every setting returns the
-  /// same fixpoint a cold evaluation would.
+  /// materialized-state layer of ConstraintDatabase::Fixpoint): kOff
+  /// recomputes from scratch on every call; kOn replays or resumes the
+  /// stored state when the EDB read-set versions allow it; kAuto follows
+  /// the session config (CCDB_INCREMENTAL for the facade). Pure memo —
+  /// every setting returns the same fixpoint a cold evaluation would.
   PlanToggle incremental = PlanToggle::kAuto;
   /// QE options for each rule evaluation. `qe.governor`, when set, is also
   /// charged once per fixpoint round and per derived tuple (stage

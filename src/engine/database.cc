@@ -1,20 +1,12 @@
 #include "engine/database.h"
 
-#include <algorithm>
-#include <chrono>
 #include <iomanip>
-#include <set>
 #include <sstream>
 #include <utility>
 
 #include "base/logging.h"
-#include "base/memo.h"
 #include "base/metrics.h"
-#include "base/query_log.h"
-#include "base/thread_pool.h"
-#include "base/trace.h"
-#include "plan/planner.h"
-#include "query/lower.h"
+#include "engine/session.h"
 #include "query/parser.h"
 
 namespace ccdb {
@@ -27,262 +19,19 @@ std::string FormatMillis(double seconds) {
   return out.str();
 }
 
-// Process-wide memo of whole-query results, keyed on (database id, the
-// per-relation versions of exactly the relations the query reads, query
-// text). Versions are drawn from a process-global counter, so a version
-// value identifies one state of one relation; a mutation invalidates
-// precisely the entries whose read-set it touched — an Insert into S
-// leaves every cached query that reads only R hot. Drop-and-redefine can
-// never alias: the redefined relation carries a fresh (larger) version.
-// The database id covers the degenerate empty-read-set key, which would
-// otherwise collide across instances holding different options.
-ShardedMemoCache<std::string, CalcFResult>& QueryResultCache() {
-  static auto* cache =
-      new ShardedMemoCache<std::string, CalcFResult>("query_cache", 256);
-  return *cache;
-}
-
-std::string QueryCacheKey(
-    std::uint64_t db_id, const std::string& text,
-    const std::vector<std::pair<std::string, std::uint64_t>>& read_set,
-    bool plan_resolved) {
-  std::string key = std::to_string(db_id);
-  // The resolved planner setting is part of the key: answers are
-  // byte-identical with the planner on and off, but the cached stats carry
-  // the plan summary line, so a plan-off session must not be served a
-  // plan-on session's stats (or vice versa).
-  key += plan_resolved ? "+p" : "-p";
-  for (const auto& [name, version] : read_set) {
-    key += '\x1e';
-    key += name;
-    key += '\x1d';
-    key += std::to_string(version);
-  }
-  key += '\x1f';
-  key += text;
-  return key;
-}
-
-// The process config's fingerprint, stamped into facade-path query-log
-// records (sessions stamp their own). Computed once.
-const std::string& ProcessConfigFingerprint() {
-  static const std::string* fp =
-      new std::string(EngineConfig::Process().Fingerprint());
-  return *fp;
-}
-
-void CollectRelationNames(const QFormula& formula,
-                          std::set<std::string>* names) {
-  if (formula.kind == QFormula::Kind::kRelation) {
-    names->insert(formula.relation_name);
-  }
-  for (const auto& child : formula.children) {
-    CollectRelationNames(*child, names);
-  }
-}
-
-// The relation names `text` mentions, sorted and deduplicated — the
-// query's read-set, computed by a parse (no evaluation). Memoized on the
-// text alone: the AST, hence the name set, is a pure function of it.
-StatusOr<std::vector<std::string>> RelationsReadBy(
-    const std::string& text, PlanToggle memo = PlanToggle::kAuto) {
-  static auto* cache = new ShardedMemoCache<std::string, std::vector<std::string>>(
-      "read_set_cache", 64);
-  std::vector<std::string> names;
-  const bool use_cache = MemoCachesEnabledFor(memo);
-  if (use_cache && cache->Lookup(text, &names)) return names;
-  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
-  std::set<std::string> set;
-  CollectRelationNames(*parsed, &set);
-  names.assign(set.begin(), set.end());
-  if (use_cache) cache->Insert(text, names);
-  return names;
-}
-
-// Resolves a name set against one catalog snapshot: absent relations
-// version as 0, so a later Define (nonzero version) changes the key.
-std::vector<std::pair<std::string, std::uint64_t>> ResolveReadSet(
-    const std::vector<std::string>& names, const Catalog::View& snapshot) {
-  std::vector<std::pair<std::string, std::uint64_t>> read_set;
-  read_set.reserve(names.size());
-  for (const std::string& name : names) {
-    std::optional<RelationVersion> version = snapshot.GetRelationVersion(name);
-    read_set.emplace_back(name,
-                          version.has_value() ? version->version : 0);
-  }
-  return read_set;
-}
-
-std::map<std::string, std::uint64_t> MetricDeltas(
-    const std::map<std::string, std::uint64_t>& before,
-    const std::map<std::string, std::uint64_t>& after) {
-  std::map<std::string, std::uint64_t> deltas;
-  for (const auto& [name, value] : after) {
-    auto it = before.find(name);
-    std::uint64_t previous = it == before.end() ? 0 : it->second;
-    // Max gauges can stay flat or even (after ResetAll) shrink; only
-    // report meters that moved forward.
-    if (value > previous) deltas[name] = value - previous;
-  }
-  return deltas;
-}
-
-std::uint64_t Delta(const std::map<std::string, std::uint64_t>& deltas,
-                    const char* name) {
-  auto it = deltas.find(name);
-  return it == deltas.end() ? 0 : it->second;
-}
-
-// Builds and appends one structured query-log record (base/query_log.h).
-// Call only when the log is enabled; observation only — never affects the
-// result being logged.
-void AppendQueryLogRecord(
-    QueryLog& log, std::uint64_t session_id,
-    const std::string& config_fingerprint, const char* kind,
-    const std::string& text, std::uint64_t catalog_version,
-    const StatusOr<CalcFResult>& result, bool cache_hit,
-    const QueryVerdict* verdict, double elapsed_seconds,
-    const std::map<std::string, std::uint64_t>& deltas,
-    const std::vector<std::pair<std::string, std::uint64_t>>* read_set,
-    const std::string& profile_json = "") {
-  std::uint64_t ts_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-  JsonObjectBuilder record;
-  record.Add("schema_version",
-             static_cast<std::uint64_t>(QueryLog::kSchemaVersion))
-      .Add("ts_us", ts_us)
-      .Add("session_id", session_id)
-      .Add("config", config_fingerprint)
-      .Add("kind", std::string(kind))
-      .Add("text_hash", QueryLog::HashText(text))
-      .Add("text_len", static_cast<std::uint64_t>(text.size()))
-      .Add("catalog_version", catalog_version)
-      .Add("ok", result.ok())
-      .Add("cache_hit", cache_hit)
-      .Add("elapsed_seconds", elapsed_seconds);
-  // Invalidation scope: with a known read-set, only a mutation of one of
-  // the listed relations can invalidate this query's cached answer
-  // ("relations:[...]"); without one (unparsable text), any mutation must
-  // be assumed to ("global").
-  if (read_set != nullptr) {
-    std::string names = "[";
-    std::string scope = "relations:[";
-    for (std::size_t i = 0; i < read_set->size(); ++i) {
-      const std::string& name = (*read_set)[i].first;
-      if (i > 0) {
-        names += ',';
-        scope += ',';
-      }
-      names += '"' + JsonObjectBuilder::Escape(name) + '"';
-      scope += name;
-    }
-    names += ']';
-    scope += ']';
-    record.AddRaw("read_set", names).Add("invalidation", scope);
-  } else {
-    record.AddRaw("read_set", "[]").Add("invalidation", std::string("global"));
-  }
-  if (result.ok()) {
-    const CalcFResult& r = *result;
-    record.Add("tuples", static_cast<std::uint64_t>(r.relation.tuples().size()))
-        .Add("arity", static_cast<std::uint64_t>(r.relation.arity()))
-        .Add("has_scalar", r.has_scalar)
-        .Add("plan", r.stats.plan)
-        .AddRaw("stats", r.stats.ToJson());
-  } else {
-    record.Add("error_code",
-               std::string(StatusCodeToString(result.status().code())))
-        .Add("error", result.status().message());
-  }
-  if (verdict != nullptr) {
-    record.AddRaw("verdict",
-                  JsonObjectBuilder()
-                      .Add("ok", verdict->ok)
-                      .Add("rung", verdict->rung)
-                      .Add("attempts", static_cast<std::int64_t>(
-                                           verdict->attempts))
-                      .Add("exhausted_rungs",
-                           static_cast<std::uint64_t>(
-                               verdict->exhausted_rungs.size()))
-                      .Add("steps_consumed", verdict->steps_consumed)
-                      .Add("bytes_consumed", verdict->bytes_consumed)
-                      .Add("elapsed_seconds", verdict->elapsed_seconds)
-                      .Build());
-  }
-  // Cache temperature this query ran at: hit/miss deltas of the memo
-  // layers (whole-query, QE result, plan, resultant).
-  record.AddRaw("caches",
-                JsonObjectBuilder()
-                    .Add("query_cache_hits", Delta(deltas, "query_cache_hits"))
-                    .Add("qe_cache_hits", Delta(deltas, "qe_cache_hits"))
-                    .Add("qe_cache_misses", Delta(deltas, "qe_cache_misses"))
-                    .Add("plan_cache_hits", Delta(deltas, "plan_cache_hits"))
-                    .Add("resultant_cache_hits",
-                         Delta(deltas, "resultant_cache_hits"))
-                    .Build());
-  if (!profile_json.empty()) record.AddRaw("profile", profile_json);
-  log.Append(record.Build());
-}
-
 }  // namespace
-
-std::string ExplainResult::ToString() const {
-  std::ostringstream out;
-  out << "EXPLAIN (Figure-1 pipeline";
-  if (from_cache) out << ", whole-query cache hit";
-  out << ")\n";
-  const CalcFStats& s = result.stats;
-  if (!s.plan.empty()) {
-    out << "  PLAN                    " << s.plan
-        << (from_cache ? "  (cached)" : "") << "\n";
-  }
-  if (s.parse_seconds > 0.0) {
-    out << "  PARSE                   " << FormatMillis(s.parse_seconds)
-        << "\n";
-  }
-  out << "  INSTANTIATION           " << FormatMillis(s.instantiation_seconds)
-      << "\n";
-  out << "  QUANTIFIER ELIMINATION  " << FormatMillis(s.qe_seconds)
-      << "  (rounds=" << s.qe_rounds
-      << ", max_bits=" << s.max_intermediate_bits << ")\n";
-  if (ran_numeric) {
-    out << "  NUMERICAL EVALUATION    " << FormatMillis(numeric_seconds)
-        << "  ("
-        << (numeric_finite
-                ? "finite, " + std::to_string(numeric_points) + " point(s)"
-                : "infinite answer set")
-        << ")\n";
-  } else {
-    out << "  NUMERICAL EVALUATION    skipped (scalar aggregate answer)\n";
-  }
-  out << "  AGGREGATE EVALUATION    " << FormatMillis(s.aggregate_seconds)
-      << "  (aggregate_calls=" << s.aggregate_calls
-      << ", approximation_calls=" << s.approximation_calls << ")\n";
-  out << "  TOTAL                   " << FormatMillis(total_seconds) << "\n";
-  out << "result: " << result.relation.tuples().size() << " generalized "
-      << "tuple(s), arity " << result.relation.arity();
-  if (result.has_scalar) {
-    out << ", scalar "
-        << (result.scalar.exact ? result.scalar.exact_value.ToString()
-                                : std::to_string(result.scalar.approx_value));
-  }
-  out << "\n";
-  if (!metric_deltas.empty()) {
-    out << "metrics moved by this query:\n";
-    for (const auto& [name, delta] : metric_deltas) {
-      out << "  " << name << " += " << delta << "\n";
-    }
-  }
-  return out.str();
-}
 
 std::string QueryProfile::ToString() const {
   std::ostringstream out;
-  out << "EXPLAIN ANALYZE (profiled execution)\n";
+  if (!qe_rounds.empty()) {
+    out << "EXPLAIN ANALYZE (profiled execution)\n";
+  } else {
+    out << "EXPLAIN (Figure-1 pipeline"
+        << (from_cache ? ", whole-query cache hit" : "") << ")\n";
+  }
   if (!stats.plan.empty()) {
-    out << "  PLAN                    " << stats.plan << "\n";
+    out << "  PLAN                    " << stats.plan
+        << (from_cache ? "  (cached)" : "") << "\n";
   }
   if (stats.parse_seconds > 0.0) {
     out << "  PARSE                   " << FormatMillis(stats.parse_seconds)
@@ -323,6 +72,12 @@ std::string QueryProfile::ToString() const {
     out << "governor: steps=" << governor_steps << " bytes=" << governor_bytes
         << "\n";
   }
+  if (!metric_deltas.empty()) {
+    out << "metrics moved by this query:\n";
+    for (const auto& [name, delta] : metric_deltas) {
+      out << "  " << name << " += " << delta << "\n";
+    }
+  }
   return out.str();
 }
 
@@ -338,6 +93,7 @@ std::string QueryProfile::ToJson() const {
   return JsonObjectBuilder()
       .Add("total_seconds", total_seconds)
       .AddRaw("stats", stats.ToJson())
+      .Add("from_cache", from_cache)
       .AddRaw("qe_rounds", rounds)
       .Add("ran_numeric", ran_numeric)
       .Add("numeric_finite", numeric_finite)
@@ -394,115 +150,18 @@ std::string QueryVerdict::ToString() const {
   return out.str();
 }
 
-StatusOr<CalcFResult> ConstraintDatabase::QueryWithPolicy(
-    const std::string& text, const QueryPolicy& policy,
-    QueryVerdict* verdict) const {
-  return QueryWithPolicy(text, policy, verdict, ExecContext{});
-}
-
-StatusOr<CalcFResult> ConstraintDatabase::QueryWithPolicy(
-    const std::string& text, const QueryPolicy& policy, QueryVerdict* verdict,
-    const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.query_with_policy");
-  CCDB_METRIC_COUNT("db.governed_queries", 1);
-  const CalcFOptions& base_options = OptionsFor(ctx);
-  QueryLog& qlog = ctx.log != nullptr ? *ctx.log : QueryLog::Global();
-  QueryVerdict local;
-  QueryVerdict& v = verdict != nullptr ? *verdict : local;
-  v = QueryVerdict{};
-  const bool log = qlog.enabled();
-  std::map<std::string, std::uint64_t> before;
-  if (log) before = MetricsRegistry::Global().SnapshotValues();
-  auto log_start = std::chrono::steady_clock::now();
-  // One snapshot across every rung: a degraded retry answers against the
-  // same catalog state the full-quality attempt saw.
-  std::shared_ptr<const Catalog::View> snapshot = SnapshotFor(ctx);
-  StatusOr<CalcFResult> outcome = [&]() -> StatusOr<CalcFResult> {
-  static constexpr const char* kRungNames[] = {"full", "reduced-precision",
-                                               "linear-only"};
-  const int num_rungs = policy.allow_degradation ? 3 : 1;
-  Status last = Status::Ok();
-  for (int rung = 0; rung < num_rungs; ++rung) {
-    // Each rung gets a fresh governor so degraded attempts receive the
-    // full budget, not the exhausted remainder of the previous attempt.
-    ResourceGovernor gov(policy.limits, policy.cancel);
-    CalcFOptions opts = base_options;
-    opts.governor = &gov;
-    opts.qe.governor = &gov;
-    if (rung >= 1) {
-      // Reduced precision: halve the approximation order and coarsen the
-      // tolerances — cheaper modules, same query semantics up to epsilon.
-      opts.approx_order = std::max(2, opts.approx_order / 2);
-      opts.tolerance = std::max(opts.tolerance * 1e3, 1e-6);
-      opts.eval_epsilon = Rational(BigInt(1), BigInt::Pow2(12));
-    }
-    if (rung >= 2) {
-      // Linear-only: Fourier-Motzkin without the CAD fallback. Queries
-      // that genuinely need CAD exhaust immediately instead of blowing up.
-      opts.qe.linear_only = true;
-    }
-    CalcFEvaluator evaluator(LookupFor(snapshot), opts);
-    StatusOr<CalcFResult> result = evaluator.EvaluateText(text);
-    ++v.attempts;
-    // One coherent snapshot: workers spawned by a parallel attempt all
-    // charge this governor, so the three readings are taken through the
-    // governor's atomic snapshot rather than three bare field reads.
-    ResourceGovernor::Consumption consumed = gov.Snapshot();
-    v.steps_consumed = consumed.steps;
-    v.bytes_consumed = consumed.bytes;
-    v.elapsed_seconds = consumed.elapsed_seconds;
-    if (result.ok()) {
-      v.ok = true;
-      v.rung = kRungNames[rung];
-      CCDB_METRIC_COUNT(rung == 0 ? "db.governed_answered_full"
-                                  : "db.governed_answered_degraded",
-                        1);
-      return result;
-    }
-    if (result.status().code() != StatusCode::kResourceExhausted) {
-      // Semantic errors (parse failure, kUndefined, ...) are not budget
-      // problems; degrading would not help.
-      return result.status();
-    }
-    v.exhausted_rungs.push_back(std::string(kRungNames[rung]) + ": " +
-                                result.status().message());
-    last = result.status();
-    if (gov.reason() == ExhaustionReason::kCancelled) break;  // user asked to stop
-  }
-  CCDB_METRIC_COUNT("db.governed_exhausted", 1);
-  return last;
-  }();
-  if (log) {
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      log_start)
-            .count();
-    std::vector<std::pair<std::string, std::uint64_t>> read_set;
-    bool have_read_set = false;
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, base_options.qe.memo);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-    AppendQueryLogRecord(
-        qlog, ctx.session_id, FingerprintFor(ctx), "governed", text,
-        snapshot->version(), outcome, /*cache_hit=*/false, &v, elapsed,
-        MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-        have_read_set ? &read_set : nullptr);
-  }
-  return outcome;
-}
-
 ConstraintDatabase::ConstraintDatabase(CalcFOptions options)
-    : options_(std::move(options)), db_id_(Catalog::ReserveVersion()) {}
+    : options_(std::move(options)),
+      db_id_(Catalog::ReserveVersion()),
+      session_(DefaultSession()) {}
 
 ConstraintDatabase::ConstraintDatabase(ConstraintDatabase&& other) noexcept
     : options_(std::move(other.options_)),
       catalog_(std::move(other.catalog_)),
       db_id_(other.db_id_),
       durability_(other.durability_),
-      store_(std::move(other.store_)) {
+      store_(std::move(other.store_)),
+      session_(DefaultSession()) {
   std::lock_guard<std::mutex> lock(other.fixpoint_mu_);
   fixpoint_states_ = std::move(other.fixpoint_states_);
 }
@@ -515,6 +174,7 @@ ConstraintDatabase& ConstraintDatabase::operator=(
   db_id_ = other.db_id_;
   durability_ = other.durability_;
   store_ = std::move(other.store_);
+  session_ = DefaultSession();
   std::scoped_lock lock(fixpoint_mu_, other.fixpoint_mu_);
   fixpoint_states_ = std::move(other.fixpoint_states_);
   return *this;
@@ -531,6 +191,11 @@ ConstraintDatabase::~ConstraintDatabase() {
                      << st.ToString();
     }
   }
+}
+
+std::unique_ptr<Session> ConstraintDatabase::DefaultSession() {
+  return std::unique_ptr<Session>(
+      new Session(this, EngineConfig::Process(), /*id=*/0, /*pool=*/nullptr));
 }
 
 StatusOr<ConstraintDatabase> ConstraintDatabase::OpenDurable(
@@ -558,23 +223,6 @@ Status ConstraintDatabase::CheckpointLocked() {
   // before their append), so replay after this checkpoint skips them all.
   return store_->WriteCheckpoint(catalog_.Serialize(),
                                  Catalog::ReserveVersion());
-}
-
-CalcFEvaluator::RelationLookup ConstraintDatabase::MakeLookup() const {
-  return LookupFor(catalog_.Snapshot());
-}
-
-const std::string& ConstraintDatabase::FingerprintFor(const ExecContext& ctx) {
-  return ctx.config_fingerprint != nullptr ? *ctx.config_fingerprint
-                                           : ProcessConfigFingerprint();
-}
-
-CalcFEvaluator::RelationLookup ConstraintDatabase::LookupFor(
-    std::shared_ptr<const Catalog::View> snapshot) {
-  return [snapshot = std::move(snapshot)](
-             const std::string& name) -> StatusOr<ConstraintRelation> {
-    return snapshot->GetRelation(name);
-  };
 }
 
 Status ConstraintDatabase::MutateDurably(
@@ -682,450 +330,6 @@ Status ConstraintDatabase::Insert(const std::string& definition) {
       [&]() { return catalog_.InsertTuples(name, delta); });
 }
 
-StatusOr<CalcFResult> ConstraintDatabase::Query(const std::string& text) const {
-  return QueryImpl(text, nullptr, ExecContext{});
-}
-
-StatusOr<CalcFResult> ConstraintDatabase::QueryImpl(
-    const std::string& text, bool* cache_hit, const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.query");
-  CCDB_METRIC_COUNT("db.queries", 1);
-  if (cache_hit != nullptr) *cache_hit = false;
-  const CalcFOptions& options = OptionsFor(ctx);
-  QueryLog& qlog = ctx.log != nullptr ? *ctx.log : QueryLog::Global();
-  const bool log = qlog.enabled();
-  std::map<std::string, std::uint64_t> before;
-  if (log) before = MetricsRegistry::Global().SnapshotValues();
-  auto log_start = std::chrono::steady_clock::now();
-  bool hit = false;
-  // One catalog snapshot for the whole query: the memo key's read-set
-  // versions and every relation the evaluator instantiates come from the
-  // same immutable catalog state, even under concurrent mutators. A
-  // pinned-session context supplies its own snapshot — the query then
-  // answers against that pinned version no matter what writers did since.
-  std::shared_ptr<const Catalog::View> snapshot = SnapshotFor(ctx);
-  // Pure memo on the whole pipeline: a hit returns exactly the result a
-  // re-evaluation would produce (same text, same versions of the relations
-  // the query reads, same immutable options). Governed evaluations bypass
-  // the cache entirely so budget charging never depends on temperature.
-  const bool use_cache = options.governor == nullptr &&
-                         options.qe.governor == nullptr &&
-                         MemoCachesEnabledFor(options.qe.memo);
-  // The query's read-set at this snapshot — the memo key and the log's
-  // invalidation scope. Unparsable text has no read-set (the evaluator
-  // below reports the parse error) and is never cached.
-  std::vector<std::pair<std::string, std::uint64_t>> read_set;
-  bool have_read_set = false;
-  if (use_cache || log) {
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, options.qe.memo);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-  }
-  StatusOr<CalcFResult> outcome = [&]() -> StatusOr<CalcFResult> {
-    std::string key;
-    if (use_cache && have_read_set) {
-      key = QueryCacheKey(db_id_, text, read_set,
-                          PlannerResolved(options.qe));
-      CalcFResult cached;
-      if (QueryResultCache().Lookup(key, &cached)) {
-        hit = true;
-        return cached;
-      }
-    }
-    CalcFEvaluator evaluator(LookupFor(snapshot), options);
-    CCDB_ASSIGN_OR_RETURN(CalcFResult result, evaluator.EvaluateText(text));
-    if (use_cache && have_read_set) QueryResultCache().Insert(key, result);
-    return result;
-  }();
-  if (cache_hit != nullptr) *cache_hit = hit;
-  if (log) {
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      log_start)
-            .count();
-    AppendQueryLogRecord(
-        qlog, ctx.session_id, FingerprintFor(ctx), "query", text,
-        snapshot->version(), outcome, hit, /*verdict=*/nullptr, elapsed,
-        MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-        have_read_set ? &read_set : nullptr);
-  }
-  return outcome;
-}
-
-StatusOr<std::string> ConstraintDatabase::Plan(const std::string& text) const {
-  return Plan(text, ExecContext{});
-}
-
-StatusOr<std::string> ConstraintDatabase::Plan(const std::string& text,
-                                               const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.plan");
-  CCDB_METRIC_COUNT("db.plans", 1);
-  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
-  std::vector<std::string> columns = parsed->FreeVarNames();
-  VarEnv env;
-  for (const std::string& column : columns) env.Intern(column);
-  int arity = env.next_index;
-  CCDB_ASSIGN_OR_RETURN(Formula lowered, LowerFormula(*parsed, &env));
-  CCDB_ASSIGN_OR_RETURN(Formula instantiated,
-                        lowered.InstantiateRelations(LookupFor(SnapshotFor(ctx))));
-  QueryPlan plan = GetOrBuildPlan(instantiated, arity, OptionsFor(ctx).qe);
-  return plan.ToString(env.NamesByIndex());
-}
-
-StatusOr<ExplainResult> ConstraintDatabase::Explain(
-    const std::string& text) const {
-  return Explain(text, ExecContext{});
-}
-
-StatusOr<ExplainResult> ConstraintDatabase::Explain(
-    const std::string& text, const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.explain");
-  CCDB_METRIC_COUNT("db.explains", 1);
-  ExplainResult explain;
-  auto before = MetricsRegistry::Global().SnapshotValues();
-  auto start = std::chrono::steady_clock::now();
-  CCDB_ASSIGN_OR_RETURN(explain.result,
-                        QueryImpl(text, &explain.from_cache, ctx));
-  // NUMERICAL EVALUATION (Figure 1, step 3): only meaningful when the
-  // answer is a relation; a scalar aggregate is already a value.
-  if (!explain.result.has_scalar && explain.result.relation.arity() > 0) {
-    explain.ran_numeric = true;
-    auto numeric_start = std::chrono::steady_clock::now();
-    CCDB_ASSIGN_OR_RETURN(NumericalEvaluation numeric,
-                          EvaluateNumerically(explain.result.relation));
-    explain.numeric_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      numeric_start)
-            .count();
-    explain.numeric_finite = numeric.finite;
-    explain.numeric_points = numeric.points.size();
-  }
-  explain.total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  explain.metric_deltas =
-      MetricDeltas(before, MetricsRegistry::Global().SnapshotValues());
-  return explain;
-}
-
-StatusOr<ExplainAnalyzeResult> ConstraintDatabase::ExplainAnalyze(
-    const std::string& text) const {
-  return ExplainAnalyze(text, ExecContext{});
-}
-
-StatusOr<ExplainAnalyzeResult> ConstraintDatabase::ExplainAnalyze(
-    const std::string& text, const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.explain_analyze");
-  CCDB_METRIC_COUNT("db.explain_analyzes", 1);
-  QueryLog& qlog = ctx.log != nullptr ? *ctx.log : QueryLog::Global();
-  const bool log = qlog.enabled();
-  ExplainAnalyzeResult out;
-  auto before = MetricsRegistry::Global().SnapshotValues();
-  auto start = std::chrono::steady_clock::now();
-  // Run the actual pipeline with a profile sink armed — the whole-query
-  // memo is bypassed on purpose (EXPLAIN ANALYZE observes an execution,
-  // not a memo lookup); the QE / plan / resultant memo layers still apply
-  // and surface below as cache temperature. The sink is observation only:
-  // the evaluation is byte-identical to Query(text).
-  ProfileSink sink;
-  CalcFOptions opts = OptionsFor(ctx);
-  opts.qe.profile = &sink;
-  std::shared_ptr<const Catalog::View> snapshot = SnapshotFor(ctx);
-  std::vector<std::pair<std::string, std::uint64_t>> read_set;
-  bool have_read_set = false;
-  if (log) {
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, opts.qe.memo);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-  }
-  CalcFEvaluator evaluator(LookupFor(snapshot), opts);
-  StatusOr<CalcFResult> outcome = evaluator.EvaluateText(text);
-  if (!outcome.ok()) {
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (log) {
-      AppendQueryLogRecord(
-          qlog, ctx.session_id, FingerprintFor(ctx), "explain_analyze", text,
-          snapshot->version(), outcome, /*cache_hit=*/false,
-          /*verdict=*/nullptr, elapsed,
-          MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-          have_read_set ? &read_set : nullptr);
-    }
-    return outcome.status();
-  }
-  out.result = std::move(*outcome);
-  QueryProfile& profile = out.profile;
-  // NUMERICAL EVALUATION (Figure 1, step 3), same rule as Explain: only
-  // meaningful when the answer is a relation.
-  if (!out.result.has_scalar && out.result.relation.arity() > 0) {
-    profile.ran_numeric = true;
-    auto numeric_start = std::chrono::steady_clock::now();
-    CCDB_ASSIGN_OR_RETURN(NumericalEvaluation numeric,
-                          EvaluateNumerically(out.result.relation));
-    profile.numeric_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      numeric_start)
-            .count();
-    profile.numeric_finite = numeric.finite;
-    profile.numeric_points = numeric.points.size();
-  }
-  profile.total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  profile.stats = out.result.stats;
-  profile.qe_rounds = sink.Take();
-  profile.metric_deltas =
-      MetricDeltas(before, MetricsRegistry::Global().SnapshotValues());
-  profile.qe_cache_hits = Delta(profile.metric_deltas, "qe_cache_hits");
-  profile.qe_cache_misses = Delta(profile.metric_deltas, "qe_cache_misses");
-  profile.plan_cache_hits = Delta(profile.metric_deltas, "plan_cache_hits");
-  profile.resultant_cache_hits =
-      Delta(profile.metric_deltas, "resultant_cache_hits");
-  profile.pool_tasks_completed =
-      Delta(profile.metric_deltas, "threadpool.tasks_completed");
-  profile.pool_tasks_stolen =
-      Delta(profile.metric_deltas, "threadpool.tasks_stolen");
-  profile.pool_tasks_inline =
-      Delta(profile.metric_deltas, "threadpool.tasks_inline");
-  profile.pool_threads = static_cast<std::uint64_t>(
-      ThreadPool::Resolve(opts.qe.pool)->threads());
-  if (opts.qe.governor != nullptr) {
-    profile.governed = true;
-    ResourceGovernor::Consumption consumed = opts.qe.governor->Snapshot();
-    profile.governor_steps = consumed.steps;
-    profile.governor_bytes = consumed.bytes;
-  }
-  if (log) {
-    StatusOr<CalcFResult> logged = out.result;
-    AppendQueryLogRecord(qlog, ctx.session_id, FingerprintFor(ctx),
-                         "explain_analyze", text, snapshot->version(), logged,
-                         /*cache_hit=*/false, /*verdict=*/nullptr,
-                         profile.total_seconds, profile.metric_deltas,
-                         have_read_set ? &read_set : nullptr,
-                         profile.ToJson());
-  }
-  return out;
-}
-
-StatusOr<CalcFResult> ConstraintDatabase::QueryFp(const std::string& text,
-                                                  std::uint32_t k,
-                                                  FpQeStats* stats) const {
-  return QueryFp(text, k, stats, ExecContext{});
-}
-
-StatusOr<CalcFResult> ConstraintDatabase::QueryFp(
-    const std::string& text, std::uint32_t k, FpQeStats* stats,
-    const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.query_fp");
-  CCDB_METRIC_COUNT("db.fp_queries", 1);
-  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
-  std::vector<std::string> columns = parsed->FreeVarNames();
-  VarEnv env;
-  for (const std::string& column : columns) env.Intern(column);
-  int arity = env.next_index;
-  CCDB_ASSIGN_OR_RETURN(Formula lowered, LowerFormula(*parsed, &env));
-  CCDB_ASSIGN_OR_RETURN(
-      Formula instantiated,
-      lowered.InstantiateRelations(LookupFor(SnapshotFor(ctx))));
-  CalcFResult result;
-  CCDB_ASSIGN_OR_RETURN(
-      result.relation,
-      EliminateQuantifiersFp(instantiated, arity, FpContext{k}, stats));
-  result.column_names = std::move(columns);
-  return result;
-}
-
-StatusOr<std::vector<std::vector<Rational>>> ConstraintDatabase::Solve(
-    const std::string& text, const Rational& epsilon) const {
-  return Solve(text, epsilon, ExecContext{});
-}
-
-StatusOr<std::vector<std::vector<Rational>>> ConstraintDatabase::Solve(
-    const std::string& text, const Rational& epsilon,
-    const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.solve");
-  CCDB_METRIC_COUNT("db.solves", 1);
-  CCDB_ASSIGN_OR_RETURN(CalcFResult result, QueryImpl(text, nullptr, ctx));
-  return ApproximateSolutions(result.relation, epsilon);
-}
-
-StatusOr<std::vector<std::pair<std::string, std::uint64_t>>>
-ConstraintDatabase::ReadSet(const std::string& text) const {
-  return ReadSet(text, ExecContext{});
-}
-
-StatusOr<std::vector<std::pair<std::string, std::uint64_t>>>
-ConstraintDatabase::ReadSet(const std::string& text,
-                            const ExecContext& ctx) const {
-  CCDB_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                        RelationsReadBy(text, OptionsFor(ctx).qe.memo));
-  return ResolveReadSet(names, *SnapshotFor(ctx));
-}
-
-namespace {
-
-// Deterministic identity of (program, evaluation-relevant options) for the
-// materialized-fixpoint map. Rule order matters (it is the merge order),
-// so the rendering is a faithful serialization, not a canonical form.
-std::string ProgramFingerprint(const DatalogProgram& program,
-                               const DatalogOptions& options) {
-  std::ostringstream out;
-  out << "k=" << options.precision_k << ";max=" << options.max_iterations
-      << ";";
-  for (const auto& [name, arity] : program.idb_arities) {
-    out << name << "/" << arity << ";";
-  }
-  for (const DatalogRule& rule : program.rules) {
-    out << rule.head << "(";
-    for (std::size_t i = 0; i < rule.head_vars.size(); ++i) {
-      if (i > 0) out << ",";
-      out << rule.head_vars[i];
-    }
-    out << "):-";
-    for (const DatalogLiteral& lit : rule.body) {
-      if (lit.is_relation) {
-        if (lit.negated) out << "!";
-        out << lit.relation << "(";
-        for (std::size_t i = 0; i < lit.args.size(); ++i) {
-          if (i > 0) out << ",";
-          out << lit.args[i];
-        }
-        out << ")";
-      } else {
-        out << "{" << lit.constraint.ToString() << "}";
-      }
-      out << ",";
-    }
-    out << ";";
-  }
-  return out.str();
-}
-
-}  // namespace
-
-StatusOr<std::map<std::string, ConstraintRelation>>
-ConstraintDatabase::Fixpoint(const DatalogProgram& program,
-                             const DatalogOptions& options,
-                             DatalogStats* stats) const {
-  return Fixpoint(program, options, stats, ExecContext{});
-}
-
-StatusOr<std::map<std::string, ConstraintRelation>>
-ConstraintDatabase::Fixpoint(const DatalogProgram& program,
-                             const DatalogOptions& options,
-                             DatalogStats* stats,
-                             const ExecContext& ctx) const {
-  CCDB_TRACE_SPAN("db.fixpoint");
-  CCDB_METRIC_COUNT("db.fixpoints", 1);
-  // One snapshot: the EDB contents and the versions they are keyed under
-  // come from the same catalog state.
-  std::shared_ptr<const Catalog::View> snapshot = SnapshotFor(ctx);
-  std::map<std::string, ConstraintRelation> edb;
-  std::map<std::string, RelationVersion> versions;
-  for (const DatalogRule& rule : program.rules) {
-    for (const DatalogLiteral& lit : rule.body) {
-      if (!lit.is_relation || program.idb_arities.count(lit.relation) > 0 ||
-          edb.count(lit.relation) > 0) {
-        continue;
-      }
-      CCDB_ASSIGN_OR_RETURN(ConstraintRelation relation,
-                            snapshot->GetRelation(lit.relation));
-      versions[lit.relation] =
-          snapshot->GetRelationVersion(lit.relation).value_or(
-              RelationVersion{});
-      edb.emplace(lit.relation, std::move(relation));
-    }
-  }
-  DatalogStats local_stats;
-  DatalogStats* s = stats != nullptr ? stats : &local_stats;
-  *s = DatalogStats{};
-  // Materialized state is a memo layer: off under a governor (budget
-  // charging must not depend on temperature) and with the caches disabled,
-  // exactly like the whole-query memo. The incremental toggle resolves
-  // per call (sessions force it from their config); kAuto follows the
-  // process-wide switch.
-  const bool incremental =
-      options.incremental == PlanToggle::kOn ||
-      (options.incremental == PlanToggle::kAuto && IncrementalEnabled());
-  const bool use_state = incremental &&
-                         MemoCachesEnabledFor(options.qe.memo) &&
-                         options.qe.governor == nullptr;
-  std::string key;
-  if (use_state) {
-    key = ProgramFingerprint(program, options);
-    FixpointEntry entry;
-    bool found = false;
-    {
-      std::lock_guard<std::mutex> lock(fixpoint_mu_);
-      auto it = fixpoint_states_.find(key);
-      if (it != fixpoint_states_.end()) {
-        entry = it->second;
-        found = true;
-      }
-    }
-    if (found && entry.edb_versions.size() == versions.size()) {
-      bool exact = true;
-      bool grown_only = true;  // equal bases: old tuples are a prefix
-      for (const auto& [name, old_version] : entry.edb_versions) {
-        auto current = versions.find(name);
-        if (current == versions.end() ||
-            current->second.base != old_version.base) {
-          exact = grown_only = false;
-          break;
-        }
-        if (current->second.version != old_version.version) exact = false;
-      }
-      if (exact) {
-        // Nothing the program reads changed: replay the stored fixpoint.
-        CCDB_METRIC_COUNT("datalog_fixpoint_hits", 1);
-        s->reached_fixpoint = true;
-        return entry.state.idb;
-      }
-      if (grown_only) {
-        // Append-only growth: resume semi-naive rounds from the stored
-        // state with the new tuples as seed deltas. ResumeDatalog itself
-        // rejects the ineligible cases (negation, Z_k, a shrunk EDB) —
-        // those fall through to the cold recompute below.
-        StatusOr<std::map<std::string, ConstraintRelation>> resumed =
-            ResumeDatalog(program, edb, &entry.state, options, s);
-        if (resumed.ok()) {
-          CCDB_METRIC_COUNT("datalog_fixpoint_resumes", 1);
-          entry.edb_versions = versions;
-          std::lock_guard<std::mutex> lock(fixpoint_mu_);
-          fixpoint_states_[key] = std::move(entry);
-          return resumed;
-        }
-        *s = DatalogStats{};
-      }
-    }
-  }
-  StatusOr<std::map<std::string, ConstraintRelation>> idb_or =
-      EvaluateDatalog(program, edb, options, s);
-  if (!idb_or.ok()) return idb_or.status();
-  std::map<std::string, ConstraintRelation>& idb = *idb_or;
-  if (use_state) {
-    CCDB_METRIC_COUNT("datalog_fixpoint_recomputes", 1);
-    // EvaluateDatalog only returns OK at a true fixpoint, so the state is
-    // always resumable-from.
-    FixpointEntry entry;
-    entry.edb_versions = std::move(versions);
-    entry.state.idb = idb;
-    for (const auto& [name, relation] : edb) {
-      entry.state.edb_sizes[name] = relation.tuples().size();
-    }
-    std::lock_guard<std::mutex> lock(fixpoint_mu_);
-    fixpoint_states_[key] = std::move(entry);
-  }
-  return std::move(idb);
-}
-
 Status ConstraintDatabase::Load(const std::string& path) {
   CCDB_ASSIGN_OR_RETURN(Catalog loaded, Catalog::LoadFromFile(path));
   // A wholesale load is one logical mutation: the WAL record carries the
@@ -1137,6 +341,53 @@ Status ConstraintDatabase::Load(const std::string& path) {
         catalog_ = std::move(loaded);
         return Status::Ok();
       });
+}
+
+StatusOr<CalcFResult> ConstraintDatabase::Query(const std::string& text) const {
+  return session_->Query(text);
+}
+
+StatusOr<CalcFResult> ConstraintDatabase::QueryWithPolicy(
+    const std::string& text, const QueryPolicy& policy,
+    QueryVerdict* verdict) const {
+  return session_->QueryWithPolicy(text, policy, verdict);
+}
+
+StatusOr<ExplainAnalyzeResult> ConstraintDatabase::Explain(
+    const std::string& text) const {
+  return session_->Explain(text);
+}
+
+StatusOr<ExplainAnalyzeResult> ConstraintDatabase::ExplainAnalyze(
+    const std::string& text) const {
+  return session_->ExplainAnalyze(text);
+}
+
+StatusOr<std::string> ConstraintDatabase::Plan(const std::string& text) const {
+  return session_->Plan(text);
+}
+
+StatusOr<CalcFResult> ConstraintDatabase::QueryFp(const std::string& text,
+                                                  std::uint32_t k,
+                                                  FpQeStats* stats) const {
+  return session_->QueryFp(text, k, stats);
+}
+
+StatusOr<std::vector<std::vector<Rational>>> ConstraintDatabase::Solve(
+    const std::string& text, const Rational& epsilon) const {
+  return session_->Solve(text, epsilon);
+}
+
+StatusOr<std::map<std::string, ConstraintRelation>>
+ConstraintDatabase::Fixpoint(const DatalogProgram& program,
+                             const DatalogOptions& options,
+                             DatalogStats* stats) const {
+  return session_->Fixpoint(program, options, stats);
+}
+
+StatusOr<std::vector<std::pair<std::string, std::uint64_t>>>
+ConstraintDatabase::ReadSet(const std::string& text) const {
+  return session_->ReadSet(text);
 }
 
 }  // namespace ccdb

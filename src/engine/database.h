@@ -25,52 +25,32 @@
 
 namespace ccdb {
 
-/// EXPLAIN output: the query's result plus a per-stage breakdown of the
-/// Figure-1 pipeline (INSTANTIATION, QUANTIFIER ELIMINATION, NUMERICAL
-/// EVALUATION, AGGREGATE EVALUATION) and the process-wide metric counters
-/// this query moved.
-struct ExplainResult {
-  CalcFResult result;
-  /// The whole-query memo answered: the pipeline did not run this time, so
-  /// stage timings and metric deltas reflect the (near-free) cache hit
-  /// while the stats — including the plan — are the cached evaluation's.
-  bool from_cache = false;
-  /// Whether the NUMERICAL EVALUATION stage ran (it is skipped for
-  /// scalar-aggregate answers, which are already values).
-  bool ran_numeric = false;
-  /// When it ran: was the answer set finite, and how many points?
-  bool numeric_finite = false;
-  std::size_t numeric_points = 0;
-  double numeric_seconds = 0.0;
-  /// Total wall time of the whole EXPLAIN-ed evaluation.
-  double total_seconds = 0.0;
-  /// Delta of every registry metric that changed during the query
-  /// (counter/gauge values after minus before; histograms contribute
-  /// `<name>.count` and `<name>.sum`).
-  std::map<std::string, std::uint64_t> metric_deltas;
-
-  /// Multi-line human-readable plan/profile rendering.
-  std::string ToString() const;
-};
-
-/// EXPLAIN ANALYZE output (Observability v2, DESIGN.md §12): everything a
-/// profiled execution observed. Stage timings come from CalcFStats; the
-/// per-plan-node attribution trees (one per QE round the evaluator ran —
-/// aggregate stages first, the main round last) come from the executor's
-/// ProfileSink; cache temperature and thread-pool utilization are metric
-/// deltas across the run. Collection is observation only: the answer is
-/// byte-identical to an unprofiled Query at every CCDB_PLAN × thread
-/// setting.
+/// EXPLAIN and EXPLAIN ANALYZE output (Observability v2, DESIGN.md §12):
+/// everything an explained execution observed. Stage timings come from
+/// CalcFStats; cache temperature and thread-pool utilization are metric
+/// deltas across the run. EXPLAIN ANALYZE additionally arms the executor's
+/// ProfileSink and carries its per-plan-node attribution trees; EXPLAIN
+/// carries none, and may be answered by the whole-query memo. Collection
+/// is observation only: the answer is byte-identical to an unexplained
+/// Query at every CCDB_PLAN × thread setting.
 struct QueryProfile {
-  /// Total wall time of the profiled evaluation (plus the numeric stage
+  /// Total wall time of the explained evaluation (plus the numeric stage
   /// when it ran).
   double total_seconds = 0.0;
   /// Stage timings / counters of the evaluation (parse, instantiation, QE,
   /// aggregates) plus the plan summary line.
   CalcFStats stats;
-  /// Per-plan-node attribution trees, one per QE round, in round order.
-  /// Labels mirror the plan ("union", "block[cad] exists x1", ...) or the
-  /// monolithic engine stage ("qe.fourier_motzkin", "qe[cached]").
+  /// EXPLAIN only: the whole-query memo answered, so the pipeline did not
+  /// run this time — stage timings and deltas reflect the (near-free)
+  /// cache hit, while the stats, including the plan, are the cached
+  /// evaluation's.
+  bool from_cache = false;
+  /// EXPLAIN ANALYZE only: per-plan-node attribution trees, one per QE
+  /// round the evaluator ran (aggregate stages first, the main round
+  /// last). Labels mirror the plan ("union", "block[cad] exists x1", ...)
+  /// or the monolithic engine stage ("qe.fourier_motzkin", "qe[cached]").
+  /// A profiled execution always runs the main round, so this is
+  /// non-empty exactly for EXPLAIN ANALYZE profiles.
   std::vector<ProfileNode> qe_rounds;
   /// Whether the NUMERICAL EVALUATION stage ran, and what it found.
   bool ran_numeric = false;
@@ -97,16 +77,18 @@ struct QueryProfile {
   /// Delta of every registry metric that moved during the query.
   std::map<std::string, std::uint64_t> metric_deltas;
 
-  /// Multi-line rendering: stage table, annotated QE round trees, cache /
-  /// pool summary lines.
+  /// Multi-line rendering, titled "EXPLAIN ANALYZE" when the profile
+  /// carries QE round trees and "EXPLAIN" otherwise: stage table, the
+  /// annotated round trees, cache / pool / governor summary lines, and the
+  /// metrics the query moved.
   std::string ToString() const;
   /// Machine-readable JSON (single object; schema documented in DESIGN.md
   /// §12).
   std::string ToJson() const;
 };
 
-/// EXPLAIN ANALYZE: the actual query result plus the profile observed
-/// while producing it.
+/// EXPLAIN / EXPLAIN ANALYZE: the actual query result plus the profile
+/// observed while producing it.
 struct ExplainAnalyzeResult {
   CalcFResult result;
   QueryProfile profile;
@@ -167,6 +149,12 @@ struct QueryVerdict {
 ///   auto q = db.Query("exists y (S(x, y) and y <= 0)");
 ///   auto points = db.Solve("exists y (S(x, y) and y <= 0)", epsilon);
 ///   auto area = db.Query("SURFACE[x, y](S(x, y) and y <= 9)(z)");
+///
+/// Every read method is a call into the database's default Session
+/// (engine/session.h): session id 0, config EngineConfig::Process(), the
+/// global query log, and the shared thread pool. The read path exists once,
+/// in Session; OpenSession hands out further sessions with their own
+/// config, pool, log binding and pinned snapshot.
 class Session;
 
 class ConstraintDatabase {
@@ -265,12 +253,13 @@ class ConstraintDatabase {
                                         const QueryPolicy& policy,
                                         QueryVerdict* verdict = nullptr) const;
 
-  /// EXPLAIN: evaluates `text` like Query, additionally running the
-  /// NUMERICAL EVALUATION stage when applicable, and reports per-stage
-  /// wall times plus the metric counters the evaluation moved. On a
-  /// whole-query cache hit the cached plan is still reported (marked
-  /// "cached"), not an empty pipeline.
-  StatusOr<ExplainResult> Explain(const std::string& text) const;
+  /// EXPLAIN: evaluates `text` like Query (whole-query memo included),
+  /// additionally running the NUMERICAL EVALUATION stage when applicable,
+  /// and reports the profile without QE round trees: per-stage wall
+  /// times, cache / pool readings and the metric counters the evaluation
+  /// moved. On a whole-query cache hit the cached plan is still reported
+  /// (marked "cached", profile.from_cache), not an empty pipeline.
+  StatusOr<ExplainAnalyzeResult> Explain(const std::string& text) const;
 
   /// EXPLAIN ANALYZE: ACTUALLY EXECUTES `text` with a profile sink armed
   /// and reports per-plan-node wall time (inclusive/exclusive), CAD cell
@@ -311,12 +300,14 @@ class ConstraintDatabase {
   Status Load(const std::string& path);
 
   /// Opens a session on this database: an isolated execution context
-  /// carrying its own resolved EngineConfig (planner/memo/seminaive/
-  /// incremental toggles, a private thread pool of `config.threads`
-  /// runners), a unique session id stamped into query-log records, and an
-  /// optional pinned catalog snapshot (Session::PinSnapshot) under which
-  /// every read runs until unpinned — MVCC: writers keep mutating the
-  /// database while the session observes one consistent version. Two
+  /// carrying its own EngineConfig (its planner/memo/seminaive/incremental
+  /// settings resolve every kAuto toggle; an explicit kOn/kOff in the
+  /// database options still wins), a private thread pool of
+  /// `config.threads` runners, a unique session id stamped into query-log
+  /// records, and an optional pinned catalog snapshot
+  /// (Session::PinSnapshot) under which every read runs until unpinned —
+  /// MVCC: writers keep mutating the database while the session observes
+  /// one consistent version. Two
   /// sessions with different configs coexist in one process; answers are
   /// byte-identical across configs (the pure-memo and determinism
   /// contracts). The database must outlive the session.
@@ -329,68 +320,6 @@ class ConstraintDatabase {
  private:
   friend class Session;
 
-  /// Execution context threaded through the read path by the facade and by
-  /// sessions: which options to evaluate under, which snapshot to read,
-  /// which query log to stamp (and with what identity). Default-constructed
-  /// = the facade path: database options, a fresh snapshot per call, the
-  /// global log, session id 0, the process config fingerprint.
-  struct ExecContext {
-    /// Null = the database's own options_.
-    const CalcFOptions* options = nullptr;
-    /// 0 = facade default path (no session).
-    std::uint64_t session_id = 0;
-    /// Null or empty = EngineConfig::Process().Fingerprint().
-    const std::string* config_fingerprint = nullptr;
-    /// Null = QueryLog::Global().
-    QueryLog* log = nullptr;
-    /// Non-null = the pinned catalog snapshot every read of this call uses;
-    /// null = take a fresh snapshot.
-    std::shared_ptr<const Catalog::View> snapshot;
-  };
-  CalcFEvaluator::RelationLookup MakeLookup() const;
-  /// A relation lookup pinned to one catalog snapshot: every relation a
-  /// query instantiates comes from the same catalog version, even while
-  /// writers mutate concurrently.
-  static CalcFEvaluator::RelationLookup LookupFor(
-      std::shared_ptr<const Catalog::View> snapshot);
-  /// The snapshot `ctx` reads: its pinned one, else a fresh Snapshot().
-  std::shared_ptr<const Catalog::View> SnapshotFor(
-      const ExecContext& ctx) const {
-    return ctx.snapshot != nullptr ? ctx.snapshot : catalog_.Snapshot();
-  }
-  const CalcFOptions& OptionsFor(const ExecContext& ctx) const {
-    return ctx.options != nullptr ? *ctx.options : options_;
-  }
-  /// The config fingerprint `ctx` stamps into query-log records: its own,
-  /// else the process config's.
-  static const std::string& FingerprintFor(const ExecContext& ctx);
-  /// Query() body; `cache_hit`, when non-null, reports whether the answer
-  /// came from the whole-query memo (Explain's cached-plan reporting).
-  StatusOr<CalcFResult> QueryImpl(const std::string& text, bool* cache_hit,
-                                  const ExecContext& ctx) const;
-  /// Context-taking twins of the public read path, shared by the facade
-  /// (default context) and sessions (their own).
-  StatusOr<CalcFResult> QueryWithPolicy(const std::string& text,
-                                        const QueryPolicy& policy,
-                                        QueryVerdict* verdict,
-                                        const ExecContext& ctx) const;
-  StatusOr<ExplainResult> Explain(const std::string& text,
-                                  const ExecContext& ctx) const;
-  StatusOr<ExplainAnalyzeResult> ExplainAnalyze(const std::string& text,
-                                                const ExecContext& ctx) const;
-  StatusOr<std::string> Plan(const std::string& text,
-                             const ExecContext& ctx) const;
-  StatusOr<CalcFResult> QueryFp(const std::string& text, std::uint32_t k,
-                                FpQeStats* stats,
-                                const ExecContext& ctx) const;
-  StatusOr<std::vector<std::vector<Rational>>> Solve(
-      const std::string& text, const Rational& epsilon,
-      const ExecContext& ctx) const;
-  StatusOr<std::map<std::string, ConstraintRelation>> Fixpoint(
-      const DatalogProgram& program, const DatalogOptions& options,
-      DatalogStats* stats, const ExecContext& ctx) const;
-  StatusOr<std::vector<std::pair<std::string, std::uint64_t>>> ReadSet(
-      const std::string& text, const ExecContext& ctx) const;
   /// The write-ahead path shared by every mutator: with `mutate_mu_` held,
   /// runs `precheck` (the mutation's precondition — anything that would
   /// make the logged record fail to replay must be rejected here, before
@@ -403,6 +332,9 @@ class ConstraintDatabase {
                        const std::function<Status()>& apply);
   /// Checkpoint body; caller holds `mutate_mu_`.
   Status CheckpointLocked();
+  /// A default session bound to this instance (id 0, process config,
+  /// global log, shared pool).
+  std::unique_ptr<Session> DefaultSession();
 
   /// One materialized Datalog fixpoint: the completed state plus the
   /// per-relation EDB versions it was computed against.
@@ -431,6 +363,9 @@ class ConstraintDatabase {
   DurabilityOptions durability_;
   /// Non-null iff the database was opened with OpenDurable.
   std::unique_ptr<DurableStore> store_;
+  /// The facade's read path. Bound to this instance, so a move builds a
+  /// fresh one for the new owner. Declared last: it reads options_.
+  std::unique_ptr<Session> session_;
 };
 
 }  // namespace ccdb

@@ -1,18 +1,23 @@
 #ifndef CCDB_ENGINE_SESSION_H_
 #define CCDB_ENGINE_SESSION_H_
 
-/// Session contexts (DESIGN.md §16): the de-globalized execution scope of
-/// the engine. A Session is opened on a ConstraintDatabase
-/// (ConstraintDatabase::OpenSession) and carries everything that used to
-/// be process-global state:
+/// Session contexts (DESIGN.md §16): the engine's one read path. Every
+/// ConstraintDatabase owns a default session — the facade, id 0, config
+/// EngineConfig::Process(), the global query log, the shared thread pool —
+/// and OpenSession hands out further ones. A session carries:
 ///
-///   - an immutable, resolved EngineConfig (base/config.h) — the planner /
-///     memo / semi-naive / incremental toggles and the thread count this
-///     session runs at, independent of every other session's settings;
-///   - a private ThreadPool of config.threads runners (the Shared()
-///     singleton remains only as the facade's legacy default);
-///   - a unique session id and the config's fingerprint, stamped into
-///     every query-log record the session produces (schema v3);
+///   - an immutable EngineConfig (base/config.h) — the planner / memo /
+///     semi-naive / incremental settings and the thread count this session
+///     runs at, independent of every other session's settings. The config
+///     resolves every kAuto toggle; an explicit kOn/kOff wins, whether it
+///     comes from the database's CalcFOptions or from a caller's
+///     DatalogOptions;
+///   - a thread pool: a private one of config.threads runners for an
+///     opened session, ThreadPool::Shared() (or the database options'
+///     pool) for the default session;
+///   - a session id (unique per opened session, 0 for the default one) and
+///     the config's fingerprint, stamped into every query-log record the
+///     session produces (schema v3);
 ///   - a query-log binding (the global log by default, replaceable with a
 ///     session-owned instance via SetQueryLog);
 ///   - an optional pinned MVCC catalog snapshot (PinSnapshot/Unpin): while
@@ -23,7 +28,7 @@
 ///
 /// Answers are byte-identical across session configs (plan on/off, memo
 /// on/off, any thread count) — the engine's determinism and pure-memo
-/// contracts, now checkable in one process by opening two sessions.
+/// contracts, checkable in one process by opening two sessions.
 ///
 /// Thread safety: a Session's read methods are safe to call concurrently
 /// with other sessions' methods and with database mutators. Pin/Unpin and
@@ -35,6 +40,7 @@
 #include <mutex>
 #include <string>
 
+#include "base/thread_pool.h"
 #include "engine/database.h"
 
 namespace ccdb {
@@ -45,17 +51,20 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Unique in this process (1, 2, ... in open order across databases).
+  /// Unique in this process for an opened session (1, 2, ... in open order
+  /// across databases); 0 for a database's default session.
   std::uint64_t id() const { return id_; }
   /// The immutable configuration this session was opened with.
   const EngineConfig& config() const { return config_; }
   /// 16-hex fingerprint of config(), as stamped into query-log records.
   const std::string& config_fingerprint() const { return fingerprint_; }
-  /// The session's private pool (config().threads runners). Never null.
-  ThreadPool* pool() const { return pool_.get(); }
-  /// The resolved evaluation options: the database's options with the
-  /// session config applied (qe.plan / qe.memo forced on or off, qe.pool
-  /// pointing at the session pool).
+  /// The pool the session's reads run on: the private one
+  /// (config().threads runners) of an opened session, else the database
+  /// options' pool or ThreadPool::Shared(). Never null.
+  ThreadPool* pool() const { return ThreadPool::Resolve(options_.qe.pool); }
+  /// The resolved evaluation options: the database's options with every
+  /// kAuto qe.plan / qe.memo toggle resolved from the session config, and
+  /// qe.pool pointing at the private pool when the session has one.
   const CalcFOptions& options() const { return options_; }
 
   /// Pins the database's CURRENT catalog state: until Unpin, every read
@@ -72,23 +81,24 @@ class Session {
   /// outlive the session or be reset). Null restores QueryLog::Global().
   void SetQueryLog(QueryLog* log);
 
-  /// Read path — same semantics as the ConstraintDatabase methods of the
+  /// Read path — the bodies behind the ConstraintDatabase methods of the
   /// same names, evaluated under this session's options, snapshot (when
   /// pinned), pool, and log binding.
   StatusOr<CalcFResult> Query(const std::string& text) const;
   StatusOr<CalcFResult> QueryWithPolicy(const std::string& text,
                                         const QueryPolicy& policy,
                                         QueryVerdict* verdict = nullptr) const;
-  StatusOr<ExplainResult> Explain(const std::string& text) const;
+  StatusOr<ExplainAnalyzeResult> Explain(const std::string& text) const;
   StatusOr<ExplainAnalyzeResult> ExplainAnalyze(const std::string& text) const;
   StatusOr<std::string> Plan(const std::string& text) const;
   StatusOr<CalcFResult> QueryFp(const std::string& text, std::uint32_t k,
                                 FpQeStats* stats = nullptr) const;
   StatusOr<std::vector<std::vector<Rational>>> Solve(
       const std::string& text, const Rational& epsilon) const;
-  /// Fixpoint under the session config: the semi-naive and incremental
-  /// toggles are forced from config(), caller options otherwise respected
-  /// (a caller-supplied pool/governor/profile wins over the session pool).
+  /// Fixpoint under the session config: kAuto semi-naive / incremental /
+  /// qe.plan / qe.memo toggles of `options` resolve from config() and
+  /// options(), explicit ones win; a caller-supplied pool wins over the
+  /// session pool.
   StatusOr<std::map<std::string, ConstraintRelation>> Fixpoint(
       const DatalogProgram& program, const DatalogOptions& options = {},
       DatalogStats* stats = nullptr) const;
@@ -105,11 +115,19 @@ class Session {
 
  private:
   friend class ConstraintDatabase;
-  Session(ConstraintDatabase* db, EngineConfig config);
+  /// `pool` null = no private pool (the default session).
+  Session(ConstraintDatabase* db, EngineConfig config, std::uint64_t id,
+          std::unique_ptr<ThreadPool> pool);
 
-  /// The ExecContext this session threads through the database read path.
-  /// Captures the pinned snapshot (if any) at call time.
-  ConstraintDatabase::ExecContext Context() const;
+  /// The catalog version a read answers against: the pinned snapshot, else
+  /// a fresh one. Captured once per call.
+  std::shared_ptr<const Catalog::View> ReadSnapshot() const;
+  /// The query log records go to: the bound one, else QueryLog::Global().
+  QueryLog& Log() const;
+  /// Query() body; `cache_hit`, when non-null, reports whether the answer
+  /// came from the whole-query memo (EXPLAIN's from_cache).
+  StatusOr<CalcFResult> QueryImpl(const std::string& text,
+                                  bool* cache_hit) const;
 
   ConstraintDatabase* db_;
   const EngineConfig config_;

@@ -1,12 +1,12 @@
 #include "plan/planner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <numeric>
 #include <sstream>
 
+#include "base/config.h"
 #include "base/logging.h"
 #include "base/memo.h"
 #include "base/metrics.h"
@@ -18,9 +18,6 @@
 namespace ccdb {
 
 namespace {
-
-// -1 = follow EngineConfig::Process(), 0 = forced off, 1 = forced on.
-std::atomic<int> g_plan_override{-1};
 
 std::uint64_t MaxBits(const std::vector<GeneralizedTuple>& tuples) {
   std::uint64_t bits = 0;
@@ -398,16 +395,6 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
 
 }  // namespace
 
-bool PlannerEnabled() {
-  int forced = g_plan_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return EngineConfig::Process().plan;
-}
-
-void SetPlannerEnabled(bool enabled) {
-  g_plan_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 bool PlannerResolved(const QeOptions& options) {
   switch (options.plan) {
     case PlanToggle::kOn:
@@ -415,7 +402,7 @@ bool PlannerResolved(const QeOptions& options) {
     case PlanToggle::kOff:
       return false;
     case PlanToggle::kAuto:
-      return PlannerEnabled();
+      return EngineConfig::Process().plan;
   }
   return false;
 }

@@ -54,12 +54,9 @@ namespace ccdb {
 
 struct ProfileNode;
 
-/// Process-wide planner switch. Defaults to the CCDB_PLAN environment
-/// variable (unset or any value but "0" = on); SetPlannerEnabled
-/// overrides at runtime (differential tests, the `--plan=` bench flag).
-bool PlannerEnabled();
-void SetPlannerEnabled(bool enabled);
-/// Resolves options.plan: kAuto follows PlannerEnabled().
+/// Resolves options.plan: kOn/kOff force the planner; kAuto follows
+/// EngineConfig::Process().plan (the CCDB_PLAN knob). Sessions resolve
+/// kAuto from their own config before a call gets here.
 bool PlannerResolved(const QeOptions& options);
 
 /// One node of the plan IR. Immutable once built; shared between the plan

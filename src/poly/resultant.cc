@@ -217,8 +217,9 @@ StatusOr<Polynomial> ResultantUncached(const Polynomial& a,
 }  // namespace
 
 StatusOr<Polynomial> Resultant(const Polynomial& a, const Polynomial& b,
-                               int var, const ResourceGovernor* gov) {
-  if (!MemoCachesEnabled()) return ResultantUncached(a, b, var, gov);
+                               int var, const ResourceGovernor* gov,
+                               PlanToggle memo) {
+  if (!MemoCachesEnabledFor(memo)) return ResultantUncached(a, b, var, gov);
   PolyOpKey key{a, b, var, kOpResultant};
   Polynomial cached;
   if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
@@ -237,11 +238,12 @@ Polynomial Resultant(const Polynomial& a, const Polynomial& b, int var) {
 namespace {
 
 StatusOr<Polynomial> DiscriminantUncached(const Polynomial& p, int var,
-                                          const ResourceGovernor* gov) {
+                                          const ResourceGovernor* gov,
+                                          PlanToggle memo) {
   std::uint32_t d = p.DegreeIn(var);
   CCDB_CHECK_MSG(d >= 1, "discriminant requires positive degree");
   CCDB_ASSIGN_OR_RETURN(Polynomial res,
-                        Resultant(p, p.Derivative(var), var, gov));
+                        Resultant(p, p.Derivative(var), var, gov, memo));
   Polynomial lc = p.LeadingCoefficientIn(var);
   CCDB_ASSIGN_OR_RETURN(Polynomial result,
                         ExactOrDie(DivideExactMv(res, lc, gov),
@@ -256,13 +258,16 @@ StatusOr<Polynomial> DiscriminantUncached(const Polynomial& p, int var,
 }  // namespace
 
 StatusOr<Polynomial> Discriminant(const Polynomial& p, int var,
-                                  const ResourceGovernor* gov) {
-  if (!MemoCachesEnabled()) return DiscriminantUncached(p, var, gov);
+                                  const ResourceGovernor* gov,
+                                  PlanToggle memo) {
+  if (!MemoCachesEnabledFor(memo)) {
+    return DiscriminantUncached(p, var, gov, memo);
+  }
   PolyOpKey key{p, Polynomial(), var, kOpDiscriminant};
   Polynomial cached;
   if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
   CCDB_ASSIGN_OR_RETURN(Polynomial result,
-                        DiscriminantUncached(p, var, gov));
+                        DiscriminantUncached(p, var, gov, memo));
   PolyOpCache().Insert(std::move(key), result);
   return result;
 }
@@ -276,13 +281,14 @@ Polynomial Discriminant(const Polynomial& p, int var) {
 namespace {
 
 StatusOr<Polynomial> ContentInGoverned(const Polynomial& p, int var,
-                                       const ResourceGovernor* gov) {
+                                       const ResourceGovernor* gov,
+                                       PlanToggle memo) {
   if (p.is_zero()) return Polynomial();
   Polynomial content;
   for (const Polynomial& coeff : p.CoefficientsIn(var)) {
     CCDB_CHECK_BUDGET(gov, "poly.gcd");
     if (coeff.is_zero()) continue;
-    CCDB_ASSIGN_OR_RETURN(content, MvGcd(content, coeff, gov));
+    CCDB_ASSIGN_OR_RETURN(content, MvGcd(content, coeff, gov, memo));
     // Stop only at a unit: for univariate inputs the content is a
     // CONSTANT rational gcd that must keep accumulating (it is what keeps
     // the pseudo-remainder sequences primitive).
@@ -294,9 +300,11 @@ StatusOr<Polynomial> ContentInGoverned(const Polynomial& p, int var,
 }
 
 StatusOr<Polynomial> PrimitivePartInGoverned(const Polynomial& p, int var,
-                                             const ResourceGovernor* gov) {
+                                             const ResourceGovernor* gov,
+                                             PlanToggle memo) {
   if (p.is_zero()) return Polynomial();
-  CCDB_ASSIGN_OR_RETURN(Polynomial content, ContentInGoverned(p, var, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial content,
+                        ContentInGoverned(p, var, gov, memo));
   return ExactOrDie(DivideExactMv(p, content, gov),
                     "content division not exact");
 }
@@ -304,13 +312,13 @@ StatusOr<Polynomial> PrimitivePartInGoverned(const Polynomial& p, int var,
 }  // namespace
 
 Polynomial ContentIn(const Polynomial& p, int var) {
-  auto content = ContentInGoverned(p, var, nullptr);
+  auto content = ContentInGoverned(p, var, nullptr, PlanToggle::kAuto);
   CCDB_CHECK(content.ok());
   return *std::move(content);
 }
 
 Polynomial PrimitivePartIn(const Polynomial& p, int var) {
-  auto pp = PrimitivePartInGoverned(p, var, nullptr);
+  auto pp = PrimitivePartInGoverned(p, var, nullptr, PlanToggle::kAuto);
   CCDB_CHECK(pp.ok());
   return *std::move(pp);
 }
@@ -328,7 +336,8 @@ Polynomial GcdWithZero(const Polynomial& p) {
 // Internal recursion goes through the public entry so shared subproblems
 // (contents, primitive parts) memoize too.
 StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
-                                   const ResourceGovernor* gov) {
+                                   const ResourceGovernor* gov,
+                                   PlanToggle memo) {
   CCDB_CHECK_BUDGET(gov, "poly.gcd");
   if (a.is_zero()) return b.is_zero() ? Polynomial() : GcdWithZero(b);
   if (b.is_zero()) return GcdWithZero(a);
@@ -352,9 +361,9 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
     while (!content.is_constant()) {
       CCDB_CHECK_BUDGET(gov, "poly.gcd");
       CCDB_ASSIGN_OR_RETURN(
-          content, ContentInGoverned(content, content.max_var(), gov));
+          content, ContentInGoverned(content, content.max_var(), gov, memo));
     }
-    return MvGcd(constant, content, gov);
+    return MvGcd(constant, content, gov, memo);
   }
   int var = std::max(a.max_var(), b.max_var());
   bool a_has = a.Mentions(var);
@@ -365,17 +374,23 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
   }
   if (!a_has) {
     // gcd(a, b) divides a (free of var) hence divides content_var(b).
-    CCDB_ASSIGN_OR_RETURN(Polynomial content, ContentInGoverned(b, var, gov));
-    return MvGcd(a, content, gov);
+    CCDB_ASSIGN_OR_RETURN(Polynomial content,
+                          ContentInGoverned(b, var, gov, memo));
+    return MvGcd(a, content, gov, memo);
   }
   if (!b_has) {
-    CCDB_ASSIGN_OR_RETURN(Polynomial content, ContentInGoverned(a, var, gov));
-    return MvGcd(b, content, gov);
+    CCDB_ASSIGN_OR_RETURN(Polynomial content,
+                          ContentInGoverned(a, var, gov, memo));
+    return MvGcd(b, content, gov, memo);
   }
-  CCDB_ASSIGN_OR_RETURN(Polynomial content_a, ContentInGoverned(a, var, gov));
-  CCDB_ASSIGN_OR_RETURN(Polynomial content_b, ContentInGoverned(b, var, gov));
-  CCDB_ASSIGN_OR_RETURN(Polynomial pp_a, PrimitivePartInGoverned(a, var, gov));
-  CCDB_ASSIGN_OR_RETURN(Polynomial pp_b, PrimitivePartInGoverned(b, var, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial content_a,
+                        ContentInGoverned(a, var, gov, memo));
+  CCDB_ASSIGN_OR_RETURN(Polynomial content_b,
+                        ContentInGoverned(b, var, gov, memo));
+  CCDB_ASSIGN_OR_RETURN(Polynomial pp_a,
+                        PrimitivePartInGoverned(a, var, gov, memo));
+  CCDB_ASSIGN_OR_RETURN(Polynomial pp_b,
+                        PrimitivePartInGoverned(b, var, gov, memo));
   // Primitive PRS on the primitive parts.
   if (pp_a.DegreeIn(var) < pp_b.DegreeIn(var)) std::swap(pp_a, pp_b);
   while (!pp_b.is_zero()) {
@@ -387,13 +402,13 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
     if (r.is_zero()) {
       pp_b = Polynomial();
     } else {
-      CCDB_ASSIGN_OR_RETURN(pp_b, PrimitivePartInGoverned(r, var, gov));
+      CCDB_ASSIGN_OR_RETURN(pp_b, PrimitivePartInGoverned(r, var, gov, memo));
     }
   }
   Polynomial gcd_pp =
       pp_a.DegreeIn(var) == 0 ? Polynomial(Rational(1)) : pp_a;
   CCDB_ASSIGN_OR_RETURN(Polynomial content_gcd,
-                        MvGcd(content_a, content_b, gov));
+                        MvGcd(content_a, content_b, gov, memo));
   Polynomial result = content_gcd * gcd_pp;
   return result.IntegerNormalized();
 }
@@ -401,14 +416,14 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
 }  // namespace
 
 StatusOr<Polynomial> MvGcd(const Polynomial& a, const Polynomial& b,
-                           const ResourceGovernor* gov) {
-  if (!MemoCachesEnabled()) return MvGcdUncached(a, b, gov);
+                           const ResourceGovernor* gov, PlanToggle memo) {
+  if (!MemoCachesEnabledFor(memo)) return MvGcdUncached(a, b, gov, memo);
   // gcd is symmetric: order the operands so (a,b) and (b,a) share an entry.
   PolyOpKey key = b < a ? PolyOpKey{b, a, -1, kOpGcd}
                         : PolyOpKey{a, b, -1, kOpGcd};
   Polynomial cached;
   if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
-  CCDB_ASSIGN_OR_RETURN(Polynomial result, MvGcdUncached(a, b, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial result, MvGcdUncached(a, b, gov, memo));
   PolyOpCache().Insert(std::move(key), result);
   return result;
 }
@@ -422,10 +437,12 @@ Polynomial MvGcd(const Polynomial& a, const Polynomial& b) {
 namespace {
 
 StatusOr<Polynomial> SquarefreePartInGoverned(const Polynomial& p, int var,
-                                              const ResourceGovernor* gov) {
+                                              const ResourceGovernor* gov,
+                                              PlanToggle memo) {
   if (p.is_zero()) return Polynomial();
   if (p.DegreeIn(var) == 0) return p.IntegerNormalized();
-  CCDB_ASSIGN_OR_RETURN(Polynomial g, MvGcd(p, p.Derivative(var), gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial g,
+                        MvGcd(p, p.Derivative(var), gov, memo));
   if (g.is_constant()) return p.IntegerNormalized();
   auto divided = DivideExactMv(p, g, gov);
   if (!divided.ok()) {
@@ -447,13 +464,14 @@ StatusOr<Polynomial> SquarefreePartInGoverned(const Polynomial& p, int var,
 }  // namespace
 
 Polynomial SquarefreePartIn(const Polynomial& p, int var) {
-  auto result = SquarefreePartInGoverned(p, var, nullptr);
+  auto result = SquarefreePartInGoverned(p, var, nullptr, PlanToggle::kAuto);
   CCDB_CHECK(result.ok());
   return *std::move(result);
 }
 
 StatusOr<std::vector<Polynomial>> SquarefreeBasis(
-    const std::vector<Polynomial>& polys, const ResourceGovernor* gov) {
+    const std::vector<Polynomial>& polys, const ResourceGovernor* gov,
+    PlanToggle memo) {
   std::vector<Polynomial> basis;
   auto push_unique = [&basis](const Polynomial& p) {
     if (p.is_constant()) return;
@@ -467,7 +485,7 @@ StatusOr<std::vector<Polynomial>> SquarefreeBasis(
     CCDB_CHECK_BUDGET(gov, "poly.gcd");
     if (p.is_constant()) continue;
     CCDB_ASSIGN_OR_RETURN(Polynomial part,
-                          SquarefreePartInGoverned(p, p.max_var(), gov));
+                          SquarefreePartInGoverned(p, p.max_var(), gov, memo));
     push_unique(part);
   }
   // Refine until pairwise coprime.
@@ -477,7 +495,8 @@ StatusOr<std::vector<Polynomial>> SquarefreeBasis(
     for (std::size_t i = 0; i < basis.size() && !changed; ++i) {
       for (std::size_t j = i + 1; j < basis.size() && !changed; ++j) {
         CCDB_CHECK_BUDGET(gov, "poly.gcd");
-        CCDB_ASSIGN_OR_RETURN(Polynomial g, MvGcd(basis[i], basis[j], gov));
+        CCDB_ASSIGN_OR_RETURN(Polynomial g,
+                              MvGcd(basis[i], basis[j], gov, memo));
         if (g.is_constant()) continue;
         CCDB_ASSIGN_OR_RETURN(
             Polynomial pi, ExactOrDie(DivideExactMv(basis[i], g, gov),

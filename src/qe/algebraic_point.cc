@@ -28,7 +28,8 @@ std::vector<Rational> AlgebraicPoint::RationalCoords() const {
 }
 
 StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
-    Polynomial q, int extra_var, const ResourceGovernor* gov) const {
+    Polynomial q, int extra_var, const ResourceGovernor* gov,
+    PlanToggle memo) const {
   // Substitute rational coordinates exactly first (cheap, lowers degrees).
   for (int i = 0; i < dimension(); ++i) {
     if (coords_[i].is_rational() && q.Mentions(i)) {
@@ -42,7 +43,7 @@ StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
     CCDB_CHECK_BUDGET(gov, "cad.stack");
     Polynomial defining =
         coords_[i].defining_polynomial().ToPolynomial(i);
-    CCDB_ASSIGN_OR_RETURN(q, Resultant(defining, q, i, gov));
+    CCDB_ASSIGN_OR_RETURN(q, Resultant(defining, q, i, gov, memo));
     if (q.is_zero()) break;
   }
   // Now q mentions at most extra_var.
@@ -51,13 +52,7 @@ StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
   return q;
 }
 
-Polynomial AlgebraicPoint::EliminateCoords(Polynomial q, int extra_var) const {
-  auto result = EliminateCoords(std::move(q), extra_var, nullptr);
-  CCDB_CHECK(result.ok());
-  return *std::move(result);
-}
-
-int AlgebraicPoint::SignAt(const Polynomial& p) const {
+int AlgebraicPoint::SignAt(const Polynomial& p, PlanToggle memo) const {
   CCDB_CHECK_MSG(p.max_var() < dimension(),
                  "polynomial mentions variables beyond the point dimension");
   // Fast path: substitute rational coordinates; if at most one algebraic
@@ -95,16 +90,20 @@ int AlgebraicPoint::SignAt(const Polynomial& p) const {
     int sign = q.EvaluateInterval(box).CertainSign();
     if (sign != Interval::kAmbiguousSign) return sign;
   }
-  return ValueAt(p).Sign();
+  return ValueAt(p, memo).Sign();
 }
 
-AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p) const {
+AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p,
+                                        PlanToggle memo) const {
   CCDB_CHECK(p.max_var() < dimension());
   // T(z) = iterated resultant eliminating every coordinate from z - p; the
   // value p(point) is among the real roots of T.
   int z_var = dimension();
   Polynomial z_minus_p = Polynomial::Var(z_var) - p;
-  Polynomial t = EliminateCoords(std::move(z_minus_p), z_var);
+  StatusOr<Polynomial> eliminated =
+      EliminateCoords(std::move(z_minus_p), z_var, nullptr, memo);
+  CCDB_CHECK(eliminated.ok());
+  Polynomial t = *std::move(eliminated);
   CCDB_CHECK_MSG(!t.is_zero(),
                  "iterated resultant vanished identically in ValueAt");
   auto t_upoly = UPoly::FromPolynomial(t, z_var);
@@ -145,7 +144,7 @@ AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p) const {
 }
 
 StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
-    const Polynomial& p, const ResourceGovernor* gov) const {
+    const Polynomial& p, const ResourceGovernor* gov, PlanToggle memo) const {
   int y_var = dimension();
   CCDB_CHECK_MSG(p.max_var() <= y_var,
                  "stack polynomial mentions variables beyond the next level");
@@ -174,7 +173,7 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
   std::vector<Polynomial> coeffs = p.CoefficientsIn(y_var);
   int effective_degree = static_cast<int>(coeffs.size()) - 1;
   while (effective_degree >= 0 &&
-         SignAt(coeffs[effective_degree]) == 0) {
+         SignAt(coeffs[effective_degree], memo) == 0) {
     --effective_degree;
   }
   if (effective_degree < 0) {
@@ -188,7 +187,7 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
 
   // Candidate roots: real roots of the iterated resultant.
   CCDB_ASSIGN_OR_RETURN(Polynomial r,
-                        EliminateCoords(effective, y_var, gov));
+                        EliminateCoords(effective, y_var, gov, memo));
   if (r.is_zero()) {
     return Status::NumericalFailure(
         "degenerate lifting: candidate resultant vanished identically");
@@ -204,7 +203,7 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
   for (AlgebraicNumber& candidate : candidates) {
     CCDB_CHECK_BUDGET(gov, "cad.stack");
     AlgebraicPoint extended = Extended(candidate);
-    if (extended.SignAt(effective) == 0) {
+    if (extended.SignAt(effective, memo) == 0) {
       roots.push_back(std::move(candidate));
     }
   }

@@ -192,7 +192,7 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
                                     int num_free,
                                     const std::vector<GeneralizedTuple>& matrix,
                                     const std::vector<Polynomial>& matrix_polys,
-                                    ThreadPool* pool) {
+                                    ThreadPool* pool, PlanToggle memo) {
   int n = cad.num_vars();
   // Recursive truth of a cell.
   std::function<bool(const CadCell&)> truth = [&](const CadCell& cell) -> bool {
@@ -201,7 +201,7 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
       std::vector<int> signs;
       signs.reserve(matrix_polys.size());
       for (const Polynomial& p : matrix_polys) {
-        signs.push_back(cell.sample.SignAt(p));
+        signs.push_back(cell.sample.SignAt(p, memo));
       }
       return MatrixTruth(matrix, matrix_polys, signs);
     }
@@ -499,6 +499,7 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     cad_options.derivative_closure_below = attempt == 0 ? 0 : num_free_vars;
     cad_options.governor = gov;
     cad_options.pool = options.pool;
+    cad_options.memo = options.memo;
     if (attempt == 1) {
       s->used_thom_augmentation = true;
       CCDB_LOG(INFO) << "QE: retrying CAD with Thom-derivative augmentation "
@@ -519,7 +520,7 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     CCDB_ASSIGN_OR_RETURN(
         CadEvalResult eval,
         EvaluateCad(cad, prefix, num_free_vars, tuples, matrix_polys,
-                    options.pool));
+                    options.pool, options.memo));
 
     if (num_free_vars == 0) {
       ConstraintRelation rel(0);

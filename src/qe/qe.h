@@ -86,15 +86,18 @@ struct QeOptions {
   /// block into fragments, miniscope ∃ into the narrowest scope, split
   /// independent variable components, and dispatch each block to the
   /// cheapest engine (dense-order / Fourier-Motzkin / CAD). kAuto follows
-  /// the process-wide CCDB_PLAN switch (default on); kOff is the
-  /// monolithic fallback path.
+  /// the session config, or EngineConfig::Process().plan (CCDB_PLAN,
+  /// default on) outside any session; kOff is the monolithic fallback
+  /// path.
   PlanToggle plan = PlanToggle::kAuto;
   /// Memo layers (QE result cache, resultant/PRS cache, whole-query cache)
-  /// for this evaluation: kAuto follows the process-wide switch
-  /// (MemoCachesEnabled, the CCDB_QE_CACHE knob), kOn/kOff force it per
-  /// call/session. Pure-memo contract holds at every setting: answers are
-  /// byte-identical on and off, and even kOn stands down while failpoints
-  /// are armed or a governor charges budget.
+  /// for this evaluation: kAuto follows the session config, or
+  /// EngineConfig::Process().qe_cache (CCDB_QE_CACHE) outside any session;
+  /// kOn/kOff force it per call (MemoCachesEnabledFor resolves it). The
+  /// CAD path hands it down to the resultant/discriminant/gcd memo
+  /// through CadOptions::memo. Pure-memo contract holds at every setting:
+  /// answers are byte-identical on and off, and even kOn stands down while
+  /// failpoints are armed or a governor charges budget.
   PlanToggle memo = PlanToggle::kAuto;
   /// Resource budget charged at every hot-loop head of the elimination
   /// (driver rounds, CAD projection/base/lifting, root isolation,

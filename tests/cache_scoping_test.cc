@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
-#include "base/memo.h"
+#include "base/config.h"
 #include "base/metrics.h"
 #include "datalog/datalog.h"
 #include "engine/database.h"
+#include "engine/session.h"
 
 namespace ccdb {
 namespace {
@@ -25,29 +27,26 @@ Rational R(std::int64_t n, std::int64_t d = 1) {
 class CacheScopingTest : public testing::Test {
  protected:
   void SetUp() override {
-    saved_memo_ = MemoCachesEnabled();
-    saved_incremental_ = IncrementalEnabled();
-    SetMemoCachesEnabled(true);
-    SetIncrementalEnabled(true);
     hits_ = MetricsRegistry::Global().GetCounter("query_cache_hits");
   }
-  void TearDown() override {
-    SetMemoCachesEnabled(saved_memo_);
-    SetIncrementalEnabled(saved_incremental_);
+
+  // A session with the memo layers and incremental re-fixpoint on, so the
+  // CCDB_QE_CACHE=0 and CCDB_INCREMENTAL=0 CI legs still exercise them.
+  static std::unique_ptr<Session> CachingSession(ConstraintDatabase& db) {
+    return db.OpenSession(
+        EngineConfig::Process().WithQeCache(true).WithIncremental(true));
   }
 
   // Runs the query and reports whether it was answered by the whole-query
   // memo, via the hit counter delta (single-threaded test, so exact).
-  bool QueryHitsCache(const ConstraintDatabase& db, const std::string& text) {
+  bool QueryHitsCache(const Session& session, const std::string& text) {
     std::uint64_t before = hits_->value();
-    auto result = db.Query(text);
+    auto result = session.Query(text);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return hits_->value() > before;
   }
 
   Counter* hits_ = nullptr;
-  bool saved_memo_ = false;
-  bool saved_incremental_ = false;
 };
 
 TEST_F(CacheScopingTest, InsertIntoUnreadRelationKeepsEntriesHot) {
@@ -55,40 +54,42 @@ TEST_F(CacheScopingTest, InsertIntoUnreadRelationKeepsEntriesHot) {
   ASSERT_TRUE(db.Define("ScopeR(x) := x >= 0 and x <= 4").ok());
   ASSERT_TRUE(db.Define("ScopeS(x) := x >= 10 and x <= 14").ok());
   const std::string reads_r = "ScopeR(x) and x >= 1";
+  std::unique_ptr<Session> session = CachingSession(db);
 
-  EXPECT_FALSE(QueryHitsCache(db, reads_r)) << "first run must evaluate";
-  EXPECT_TRUE(QueryHitsCache(db, reads_r)) << "second run must hit";
+  EXPECT_FALSE(QueryHitsCache(*session, reads_r)) << "first run must evaluate";
+  EXPECT_TRUE(QueryHitsCache(*session, reads_r)) << "second run must hit";
 
   // Insert into S: OUTSIDE the query's read-set, so the entry stays hot.
   ASSERT_TRUE(db.Insert("ScopeS(x) := x >= 20 and x <= 24").ok());
-  EXPECT_TRUE(QueryHitsCache(db, reads_r))
+  EXPECT_TRUE(QueryHitsCache(*session, reads_r))
       << "an insert into an unread relation must not invalidate";
 
   // Insert into R: inside the read-set — the entry must be invalidated.
   ASSERT_TRUE(db.Insert("ScopeR(x) := x >= 6 and x <= 7").ok());
-  EXPECT_FALSE(QueryHitsCache(db, reads_r))
+  EXPECT_FALSE(QueryHitsCache(*session, reads_r))
       << "an insert into a read relation must invalidate";
   // And the re-evaluated answer sees the new tuples.
-  auto result = db.Query(reads_r);
+  auto result = session->Query(reads_r);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->relation.Contains({R(13, 2)}));
-  EXPECT_TRUE(QueryHitsCache(db, reads_r)) << "rewarmed";
+  EXPECT_TRUE(QueryHitsCache(*session, reads_r)) << "rewarmed";
 }
 
 TEST_F(CacheScopingTest, DropThenRedefineNeverServesStale) {
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("ScopeT(x) := x >= 0 and x <= 1").ok());
   const std::string text = "ScopeT(x) and x >= 0";
-  auto first = db.Query(text);
+  std::unique_ptr<Session> session = CachingSession(db);
+  auto first = session->Query(text);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->relation.Contains({R(5)}));
-  EXPECT_TRUE(QueryHitsCache(db, text));
+  EXPECT_TRUE(QueryHitsCache(*session, text));
 
   ASSERT_TRUE(db.Drop("ScopeT").ok());
   ASSERT_TRUE(db.Define("ScopeT(x) := x >= 4 and x <= 6").ok());
   // The redefined relation carries a fresh version: the old entry cannot
   // be served.
-  auto second = db.Query(text);
+  auto second = session->Query(text);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->relation.Contains({R(5)}));
   EXPECT_FALSE(second->relation.Contains({R(1, 2)}));
@@ -148,15 +149,16 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
   Counter* fp_recomputes =
       MetricsRegistry::Global().GetCounter("datalog_fixpoint_recomputes");
 
+  std::unique_ptr<Session> session = CachingSession(db);
   // Cold: one recompute, which materializes the state.
   std::uint64_t recomputes = fp_recomputes->value();
-  ASSERT_TRUE(db.Fixpoint(program).ok());
+  ASSERT_TRUE(session->Fixpoint(program).ok());
   EXPECT_EQ(fp_recomputes->value(), recomputes + 1);
 
   // Unchanged EDB: replay, no evaluation.
   std::uint64_t hits = fp_hits->value();
   DatalogStats replay_stats;
-  auto replayed = db.Fixpoint(program, {}, &replay_stats);
+  auto replayed = session->Fixpoint(program, {}, &replay_stats);
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(fp_hits->value(), hits + 1);
   EXPECT_TRUE(replay_stats.reached_fixpoint);
@@ -166,7 +168,7 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
   ASSERT_TRUE(
       db.Insert("FixEdge(x, y) := y - x - 1 = 0 and x >= 3 and x <= 4").ok());
   std::uint64_t resumes = fp_resumes->value();
-  auto resumed = db.Fixpoint(program);
+  auto resumed = session->Fixpoint(program);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(fp_resumes->value(), resumes + 1);
   EXPECT_TRUE(resumed->at("Reach").Contains({R(0), R(5)}))
@@ -177,17 +179,18 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
   ASSERT_TRUE(
       db.Define("FixEdge(x, y) := y - x - 1 = 0 and x >= 0 and x <= 1").ok());
   recomputes = fp_recomputes->value();
-  auto recomputed = db.Fixpoint(program);
+  auto recomputed = session->Fixpoint(program);
   ASSERT_TRUE(recomputed.ok());
   EXPECT_EQ(fp_recomputes->value(), recomputes + 1);
   EXPECT_FALSE(recomputed->at("Reach").Contains({R(0), R(5)}))
       << "the recomputed fixpoint must not leak the dropped tuples";
 
-  // CCDB_INCREMENTAL=0: always a cold evaluation, no metric movement.
-  SetIncrementalEnabled(false);
+  // Incremental off: always a cold evaluation, no metric movement.
+  std::unique_ptr<Session> cold = db.OpenSession(
+      EngineConfig::Process().WithQeCache(true).WithIncremental(false));
   std::uint64_t frozen_hits = fp_hits->value();
   std::uint64_t frozen_resumes = fp_resumes->value();
-  ASSERT_TRUE(db.Fixpoint(program).ok());
+  ASSERT_TRUE(cold->Fixpoint(program).ok());
   EXPECT_EQ(fp_hits->value(), frozen_hits);
   EXPECT_EQ(fp_resumes->value(), frozen_resumes);
 }

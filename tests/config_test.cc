@@ -57,9 +57,9 @@ const char* kAllKnobs[] = {
     "CCDB_THREADS",     "CCDB_PLAN",
     "CCDB_SEMINAIVE",   "CCDB_INCREMENTAL",
     "CCDB_QE_CACHE",    "CCDB_QE_CACHE_CAPACITY",
-    "CCDB_FILTER",      "CCDB_LOG_LEVEL",
-    "CCDB_TRACE",       "CCDB_QUERY_LOG",
-    "CCDB_WAL_FSYNC",   "CCDB_WAL_CHECKPOINT_BYTES",
+    "CCDB_LOG_LEVEL",   "CCDB_TRACE",
+    "CCDB_QUERY_LOG",   "CCDB_WAL_FSYNC",
+    "CCDB_WAL_CHECKPOINT_BYTES",
 };
 
 TEST(ConfigTest, CleanEnvironmentYieldsDefaultsWithoutWarnings) {
@@ -75,7 +75,6 @@ TEST(ConfigTest, CleanEnvironmentYieldsDefaultsWithoutWarnings) {
   EXPECT_TRUE(config.incremental);
   EXPECT_TRUE(config.qe_cache);
   EXPECT_EQ(config.qe_cache_capacity, 4096u);
-  EXPECT_TRUE(config.filter);
   EXPECT_EQ(config.log_level, "WARN");
   EXPECT_FALSE(config.trace);
   EXPECT_EQ(config.query_log_path, "");
@@ -188,8 +187,7 @@ TEST(ConfigTest, WithBuildersAreValueSemantics) {
                              .WithPlan(false)
                              .WithSeminaive(false)
                              .WithIncremental(false)
-                             .WithQeCache(false)
-                             .WithFilter(false);
+                             .WithQeCache(false);
   // The original is untouched (builders copy).
   EXPECT_EQ(base.threads, 1);
   EXPECT_TRUE(base.plan);
@@ -198,7 +196,6 @@ TEST(ConfigTest, WithBuildersAreValueSemantics) {
   EXPECT_FALSE(changed.seminaive);
   EXPECT_FALSE(changed.incremental);
   EXPECT_FALSE(changed.qe_cache);
-  EXPECT_FALSE(changed.filter);
   // WithThreads clamps below 1 (a session pool always has one runner).
   EXPECT_EQ(base.WithThreads(0).threads, 1);
   EXPECT_EQ(base.WithThreads(-3).threads, 1);
@@ -223,7 +220,6 @@ TEST(ConfigTest, FingerprintIsStableAndConfigSensitive) {
   EXPECT_NE(fp, a.WithSeminaive(false).Fingerprint());
   EXPECT_NE(fp, a.WithIncremental(false).Fingerprint());
   EXPECT_NE(fp, a.WithQeCache(false).Fingerprint());
-  EXPECT_NE(fp, a.WithFilter(false).Fingerprint());
   // Distinct overrides, distinct fingerprints.
   EXPECT_NE(a.WithThreads(2).Fingerprint(), a.WithThreads(3).Fingerprint());
 
@@ -232,7 +228,7 @@ TEST(ConfigTest, FingerprintIsStableAndConfigSensitive) {
   const std::string canonical = a.Canonical();
   for (const char* key :
        {"threads=", "plan=", "seminaive=", "incremental=", "qe_cache=",
-        "qe_cache_capacity=", "filter=", "log_level=", "trace=",
+        "qe_cache_capacity=", "log_level=", "trace=",
         "query_log=", "wal_fsync=", "wal_checkpoint_bytes="}) {
     EXPECT_NE(canonical.find(key), std::string::npos) << key;
   }
@@ -244,7 +240,7 @@ TEST(ConfigTest, ToStringNamesEveryKnobAndTheFingerprint) {
   EXPECT_NE(table.find(config.Fingerprint()), std::string::npos);
   for (const char* key :
        {"threads", "plan", "seminaive", "incremental", "qe_cache",
-        "qe_cache_capacity", "filter", "log_level", "trace", "query_log",
+        "qe_cache_capacity", "log_level", "trace", "query_log",
         "wal_fsync", "wal_checkpoint_bytes"}) {
     EXPECT_NE(table.find(key), std::string::npos) << key;
   }

@@ -1,12 +1,18 @@
 #include "base/failpoint.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "base/query_log.h"
 #include "base/status.h"
 #include "datalog/datalog.h"
 #include "engine/database.h"
+#include "engine/session.h"
 
 namespace ccdb {
 namespace {
@@ -174,6 +180,37 @@ TEST_F(FailpointInjectionTest, NumericEvalThroughSolve) {
   FailpointRegistry::Global().ClearAll();
   auto retry = db.Solve("exists y (S(x, y) and y <= 0)", R(1, 1000000));
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
+}
+
+TEST_F(FailpointInjectionTest, NumericEvalThroughExplainAnalyzeIsLogged) {
+  // QE succeeds, then NUMERICAL EVALUATION fails: EXPLAIN ANALYZE still
+  // writes exactly one query-log record, marked failed.
+  ConstraintDatabase db = PaperDb();
+  const std::string path =
+      testing::TempDir() + "/ccdb_failpoint_explain_analyze.jsonl";
+  std::remove(path.c_str());
+  QueryLog log;
+  ASSERT_TRUE(log.Enable(path).ok());
+  std::unique_ptr<Session> session = db.OpenSession();
+  session->SetQueryLog(&log);
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Configure("numeric.eval=error@1").ok());
+  auto analyzed = session->ExplainAnalyze("exists y (S(x, y) and y <= 0)");
+  ASSERT_FALSE(analyzed.ok());
+  EXPECT_EQ(analyzed.status().code(), StatusCode::kInternal);
+  log.Disable();
+
+  std::ifstream in(path);
+  int records = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"kind\":\"explain_analyze\"") == std::string::npos) {
+      continue;
+    }
+    ++records;
+    EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
+  }
+  EXPECT_EQ(records, 1);
+  std::remove(path.c_str());
 }
 
 TEST_F(FailpointInjectionTest, DatalogIteration) {

@@ -95,11 +95,11 @@ TEST(IntegrationTest, ExplainReportsStagesAndMetricDeltas) {
   ASSERT_TRUE(explained.ok()) << explained.status().ToString();
   EXPECT_TRUE(explained->result.has_scalar);
   EXPECT_EQ(explained->result.scalar.exact_value, R(18));
-  EXPECT_GT(explained->total_seconds, 0.0);
+  EXPECT_GT(explained->profile.total_seconds, 0.0);
   EXPECT_GT(explained->result.stats.qe_seconds, 0.0);
   // At least five distinct meters must have moved (acceptance criterion).
-  EXPECT_GE(explained->metric_deltas.size(), 5u);
-  EXPECT_GT(explained->metric_deltas.count("qe.calls"), 0u);
+  EXPECT_GE(explained->profile.metric_deltas.size(), 5u);
+  EXPECT_GT(explained->profile.metric_deltas.count("qe.calls"), 0u);
   std::string rendered = explained->ToString();
   EXPECT_NE(rendered.find("INSTANTIATION"), std::string::npos);
   EXPECT_NE(rendered.find("QUANTIFIER ELIMINATION"), std::string::npos);

@@ -8,14 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "base/config.h"
 #include "base/metrics.h"
-#include "base/memo.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
 #include "engine/database.h"
+#include "engine/session.h"
 #include "plan/fragment.h"
 #include "plan/planner.h"
 #include "qe/qe.h"
@@ -28,19 +30,6 @@ Polynomial Y() { return Polynomial::Var(1); }
 Polynomial Z() { return Polynomial::Var(2); }
 
 Atom A(const Polynomial& p, RelOp op = RelOp::kLe) { return Atom(p, op); }
-
-// Restores the process-wide planner switch on scope exit so tests that
-// flip it cannot leak state into the rest of the suite.
-class PlannerToggleGuard {
- public:
-  explicit PlannerToggleGuard(bool enabled) : before_(PlannerEnabled()) {
-    SetPlannerEnabled(enabled);
-  }
-  ~PlannerToggleGuard() { SetPlannerEnabled(before_); }
-
- private:
-  bool before_;
-};
 
 // ---------------------------------------------------------------------------
 // Fragment classification (the shared linearity/degree helper).
@@ -244,22 +233,29 @@ TEST(PlanQueryTest, DisabledDisjunctSplitFallsBackOnMultiDisjunctInputs) {
 // ---------------------------------------------------------------------------
 // Execution: toggles, byte identity, and the planner's cost advantage.
 
-TEST(PlanExecTest, PerCallToggleOverridesTheProcessSwitch) {
+TEST(PlanExecTest, PerCallToggleOverridesTheProcessConfig) {
   QeOptions on, off, follow;
   on.plan = PlanToggle::kOn;
   off.plan = PlanToggle::kOff;
-  EXPECT_TRUE(PlannerResolved(on));
+  EXPECT_TRUE(PlannerResolved(on));  // per-call force wins
   EXPECT_FALSE(PlannerResolved(off));
-  {
-    PlannerToggleGuard guard(false);
-    EXPECT_FALSE(PlannerResolved(follow));  // kAuto follows the switch
-    EXPECT_TRUE(PlannerResolved(on));       // per-call force wins
+  // kAuto outside any session follows the process config (CCDB_PLAN).
+  EXPECT_EQ(PlannerResolved(follow), EngineConfig::Process().plan);
+
+  // A session resolves kAuto from its own config, both ways...
+  ConstraintDatabase db;
+  for (bool plan : {false, true}) {
+    std::unique_ptr<Session> session =
+        db.OpenSession(EngineConfig::Process().WithPlan(plan));
+    EXPECT_EQ(PlannerResolved(session->options().qe), plan);
   }
-  {
-    PlannerToggleGuard guard(true);
-    EXPECT_TRUE(PlannerResolved(follow));
-    EXPECT_FALSE(PlannerResolved(off));
-  }
+  // ...and an explicit database option wins over the session config.
+  CalcFOptions forced;
+  forced.qe.plan = PlanToggle::kOff;
+  ConstraintDatabase forced_db(forced);
+  std::unique_ptr<Session> session =
+      forced_db.OpenSession(EngineConfig::Process().WithPlan(true));
+  EXPECT_FALSE(PlannerResolved(session->options().qe));
 }
 
 TEST(PlanExecTest, StatsCarryThePlanOnlyOnThePlannedPath) {
@@ -333,7 +329,6 @@ TEST(PlanExecTest, ExecutionFoldsPlanCountersIntoTheMetricsRegistry) {
 }
 
 TEST(PlanCacheTest, RepeatedPlanningHitsTheMemo) {
-  if (!MemoCachesEnabled()) GTEST_SKIP() << "memo caches disabled";
   // A formula unlikely to be planned elsewhere in the suite: distinctive
   // constants keep the first build a miss, the second a hit.
   Formula query = Formula::Exists(
@@ -342,8 +337,11 @@ TEST(PlanCacheTest, RepeatedPlanningHitsTheMemo) {
                       Formula::Compare(Polynomial(6311), RelOp::kLe, Y())));
   Counter* hits = MetricsRegistry::Global().GetCounter("plan_cache_hits");
   const std::uint64_t hits_before = hits->value();
-  QueryPlan first = GetOrBuildPlan(query, 1, QeOptions{});
-  QueryPlan second = GetOrBuildPlan(query, 1, QeOptions{});
+  // Memo forced on, so the CCDB_QE_CACHE=0 leg runs this too.
+  QeOptions options;
+  options.memo = PlanToggle::kOn;
+  QueryPlan first = GetOrBuildPlan(query, 1, options);
+  QueryPlan second = GetOrBuildPlan(query, 1, options);
   EXPECT_GT(hits->value(), hits_before);
   EXPECT_EQ(first.Summary(), second.Summary());
   EXPECT_EQ(first.ToString(), second.ToString());
@@ -370,16 +368,20 @@ TEST(DatabasePlanTest, AggregateQueriesAreNotPlannable) {
 }
 
 TEST(DatabasePlanTest, ExplainReportsTheCachedPlanOnAWholeQueryCacheHit) {
-  if (!MemoCachesEnabled()) GTEST_SKIP() << "memo caches disabled";
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("T(x, y) := x <= y and y <= 5").ok());
   const std::string query = "exists y (T(x, y) and 1 <= x)";
-  auto first = db.Explain(query);
+  // Memo forced on, so the CCDB_QE_CACHE=0 leg runs this too.
+  std::unique_ptr<Session> session =
+      db.OpenSession(EngineConfig::Process().WithQeCache(true));
+  auto first = session->Explain(query);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_FALSE(first->from_cache);
-  auto second = db.Explain(query);
+  EXPECT_FALSE(first->profile.from_cache);
+  auto second = session->Explain(query);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_TRUE(second->from_cache);
+  EXPECT_TRUE(second->profile.from_cache);
+  EXPECT_TRUE(second->profile.qe_rounds.empty())
+      << "EXPLAIN carries no QE round trees";
   // The cached result still carries the original evaluation's plan, and
   // the rendering marks both the hit and the plan's provenance.
   EXPECT_EQ(second->result.stats.plan, first->result.stats.plan);

@@ -135,7 +135,7 @@ TEST(ProfileTest, MonolithicTreeUsesEngineLabels) {
 // A warm second run collapses to a single qe[cached] node that still
 // carries the replayed counters.
 TEST(ProfileTest, CachedRunReportsCacheHitNode) {
-  if (!MemoCachesEnabled()) {
+  if (!MemoCachesEnabledFor(PlanToggle::kAuto)) {
     GTEST_SKIP() << "memo caches disabled (CCDB_QE_CACHE=0): no cached node";
   }
   Formula mixed = MixedFragmentFormula();

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "base/config.h"
 #include "base/memo.h"
 #include "base/metrics.h"
 #include "constraint/formula.h"
 #include "engine/database.h"
+#include "engine/session.h"
 #include "qe/qe.h"
 #include "qe/qe_cache.h"
 
@@ -31,8 +35,11 @@ Formula TestQuery() {
   return Formula::Exists(1, Formula::Or(band, disk));
 }
 
-std::string RunQe(const Formula& f) {
+// Runs QE with the memo layers forced on or off per call, so every test
+// means the same thing on the CCDB_QE_CACHE=0 leg.
+std::string RunQe(const Formula& f, PlanToggle memo) {
   QeOptions options;
+  options.memo = memo;
   QeStats stats;
   StatusOr<ConstraintRelation> result =
       EliminateQuantifiers(f, 1, options, &stats);
@@ -40,43 +47,32 @@ std::string RunQe(const Formula& f) {
   return result->ToString({"x"});
 }
 
-// Restores the cache switch after each test so the binary's tests cannot
-// leak state into each other (the suite may run with CCDB_QE_CACHE=0).
-class QeCacheTest : public ::testing::Test {
- protected:
-  void TearDown() override { SetMemoCachesEnabled(was_enabled_); }
-  bool was_enabled_ = MemoCachesEnabled();
-};
-
-TEST_F(QeCacheTest, CacheOnAndOffProduceByteIdenticalOutput) {
-  SetMemoCachesEnabled(true);
+TEST(QeCacheTest, CacheOnAndOffProduceByteIdenticalOutput) {
   QeResultCache().Clear();
-  std::string cold = RunQe(TestQuery());
-  std::string warm = RunQe(TestQuery());  // same interned formula -> hit
-  SetMemoCachesEnabled(false);
-  std::string uncached = RunQe(TestQuery());
+  std::string cold = RunQe(TestQuery(), PlanToggle::kOn);
+  // Same interned formula -> hit.
+  std::string warm = RunQe(TestQuery(), PlanToggle::kOn);
+  std::string uncached = RunQe(TestQuery(), PlanToggle::kOff);
   EXPECT_EQ(cold, warm);
   EXPECT_EQ(cold, uncached);
 }
 
-TEST_F(QeCacheTest, SecondEliminationHitsTheCache) {
-  SetMemoCachesEnabled(true);
+TEST(QeCacheTest, SecondEliminationHitsTheCache) {
   QeResultCache().Clear();
   Counter* hits = MetricsRegistry::Global().GetCounter("qe_cache_hits");
-  RunQe(TestQuery());
+  RunQe(TestQuery(), PlanToggle::kOn);
   std::uint64_t hits_after_cold = hits->value();
-  RunQe(TestQuery());
+  RunQe(TestQuery(), PlanToggle::kOn);
   EXPECT_GT(hits->value(), hits_after_cold);
 }
 
-TEST_F(QeCacheTest, DisabledCacheIsNeverConsulted) {
-  SetMemoCachesEnabled(false);
+TEST(QeCacheTest, DisabledCacheIsNeverConsulted) {
   Counter* hits = MetricsRegistry::Global().GetCounter("qe_cache_hits");
   Counter* misses = MetricsRegistry::Global().GetCounter("qe_cache_misses");
   std::uint64_t hits_before = hits->value();
   std::uint64_t misses_before = misses->value();
-  RunQe(TestQuery());
-  RunQe(TestQuery());
+  RunQe(TestQuery(), PlanToggle::kOff);
+  RunQe(TestQuery(), PlanToggle::kOff);
   EXPECT_EQ(hits->value(), hits_before);
   EXPECT_EQ(misses->value(), misses_before);
 }
@@ -105,7 +101,7 @@ TEST(ShardedMemoCacheTest, FirstWriterWins) {
   EXPECT_EQ(out, 10);
 }
 
-TEST_F(QeCacheTest, CatalogMutationAdvancesVersion) {
+TEST(QeCacheTest, CatalogMutationAdvancesVersion) {
   Catalog catalog;
   std::uint64_t v0 = catalog.version();
   ASSERT_TRUE(
@@ -119,26 +115,28 @@ TEST_F(QeCacheTest, CatalogMutationAdvancesVersion) {
   EXPECT_NE(other.version(), catalog.version());
 }
 
-TEST_F(QeCacheTest, QueryCacheInvalidatedByRedefinition) {
-  SetMemoCachesEnabled(true);
+TEST(QeCacheTest, QueryCacheInvalidatedByRedefinition) {
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());
   const std::string text = "exists y (S(x, y) and y <= 0)";
-  StatusOr<CalcFResult> first = db.Query(text);
+  std::unique_ptr<Session> cached =
+      db.OpenSession(EngineConfig::Process().WithQeCache(true));
+  StatusOr<CalcFResult> first = cached->Query(text);
   ASSERT_TRUE(first.ok());
-  StatusOr<CalcFResult> repeat = db.Query(text);  // query-cache hit
+  StatusOr<CalcFResult> repeat = cached->Query(text);  // query-cache hit
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(first->relation.ToString({"x"}), repeat->relation.ToString({"x"}));
   // Redefine S: the version moved, so the stale entry must not answer.
   ASSERT_TRUE(db.Drop("S").ok());
   ASSERT_TRUE(db.Define("S(x, y) := x - y = 0").ok());
-  StatusOr<CalcFResult> redefined = db.Query(text);
+  StatusOr<CalcFResult> redefined = cached->Query(text);
   ASSERT_TRUE(redefined.ok());
   EXPECT_NE(first->relation.ToString({"x"}),
             redefined->relation.ToString({"x"}));
   // And the fresh answer matches an uncached evaluation exactly.
-  SetMemoCachesEnabled(false);
-  StatusOr<CalcFResult> uncached = db.Query(text);
+  std::unique_ptr<Session> uncached_session =
+      db.OpenSession(EngineConfig::Process().WithQeCache(false));
+  StatusOr<CalcFResult> uncached = uncached_session->Query(text);
   ASSERT_TRUE(uncached.ok());
   EXPECT_EQ(redefined->relation.ToString({"x"}),
             uncached->relation.ToString({"x"}));

@@ -12,15 +12,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "base/memo.h"
+#include "base/config.h"
 #include "base/metrics.h"
 #include "base/thread_pool.h"
 #include "datalog/datalog.h"
 #include "engine/database.h"
-#include "plan/planner.h"
+#include "engine/session.h"
 
 namespace ccdb {
 namespace {
@@ -31,28 +32,7 @@ Rational R(std::int64_t n, std::int64_t d = 1) {
 
 Polynomial V(int i) { return Polynomial::Var(i); }
 
-// Saves the process-wide toggles and restores them on scope exit, so the
-// matrix sweeps below never leak state into other tests.
-class ToggleGuard {
- public:
-  ToggleGuard()
-      : seminaive_(SeminaiveEnabled()),
-        incremental_(IncrementalEnabled()),
-        plan_(PlannerEnabled()),
-        memo_(MemoCachesEnabled()) {}
-  ~ToggleGuard() {
-    SetSeminaiveEnabled(seminaive_);
-    SetIncrementalEnabled(incremental_);
-    SetPlannerEnabled(plan_);
-    SetMemoCachesEnabled(memo_);
-  }
-
- private:
-  bool seminaive_;
-  bool incremental_;
-  bool plan_;
-  bool memo_;
-};
+PlanToggle Toggle(bool on) { return on ? PlanToggle::kOn : PlanToggle::kOff; }
 
 // y = x + 1 over lo <= x <= hi: one "successor" segment.
 GeneralizedTuple SuccessorSegment(std::int64_t lo, std::int64_t hi) {
@@ -238,17 +218,16 @@ void ExpectSameBinaryRelation(const ConstraintRelation& got,
 }
 
 TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaivePlanThreads) {
-  ToggleGuard guard;
   for (Corpus& corpus : Corpora()) {
     // Baseline: naive, no planner, serial.
     std::string baseline;
     for (bool seminaive : {false, true}) {
       for (bool plan : {false, true}) {
         for (int threads : {1, 2, 8}) {
-          SetSeminaiveEnabled(seminaive);
-          SetPlannerEnabled(plan);
           ThreadPool pool(threads);
           DatalogOptions options;
+          options.seminaive = Toggle(seminaive);
+          options.qe.plan = Toggle(plan);
           options.qe.pool = &pool;
           DatalogStats stats;
           auto result =
@@ -277,9 +256,8 @@ TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaivePlanThreads) {
 }
 
 TEST(SeminaiveDifferentialTest, ExplicitOptionOverridesProcessToggle) {
-  ToggleGuard guard;
+  // kOn / kOff pick the path whatever CCDB_SEMINAIVE says.
   Corpus corpus = Corpora()[0];
-  SetSeminaiveEnabled(false);
   DatalogOptions forced_on;
   forced_on.seminaive = PlanToggle::kOn;
   DatalogStats on_stats;
@@ -287,7 +265,6 @@ TEST(SeminaiveDifferentialTest, ExplicitOptionOverridesProcessToggle) {
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   EXPECT_GT(on_stats.delta_tuples, 0u) << "kOn must run the delta path";
 
-  SetSeminaiveEnabled(true);
   DatalogOptions forced_off;
   forced_off.seminaive = PlanToggle::kOff;
   DatalogStats off_stats;
@@ -299,17 +276,18 @@ TEST(SeminaiveDifferentialTest, ExplicitOptionOverridesProcessToggle) {
 }
 
 TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
-  ToggleGuard guard;
-  SetSeminaiveEnabled(true);
-  SetIncrementalEnabled(true);
-  // The materialized-fixpoint state sits behind the memo master switch;
-  // pin it on so a CCDB_QE_CACHE=0 CI leg still exercises the resume
-  // path this test is about.
-  SetMemoCachesEnabled(true);
-
   ConstraintDatabase db;
   ASSERT_TRUE(
       db.Define("Edge(x, y) := y - x - 1 = 0 and x >= 0 and x <= 2").ok());
+  // The materialized-fixpoint state sits behind the memo switch; the
+  // session pins it (and semi-naive, incremental) on so the
+  // CCDB_QE_CACHE=0 and CCDB_SEMINAIVE=0 CI legs still exercise the resume
+  // path this test is about.
+  std::unique_ptr<Session> session =
+      db.OpenSession(EngineConfig::Process()
+                         .WithSeminaive(true)
+                         .WithIncremental(true)
+                         .WithQeCache(true));
   DatalogProgram program = TransitiveClosure();
 
   Counter* resumes =
@@ -318,7 +296,7 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
   // Cold fixpoint, then a deterministic pseudo-random sequence of
   // append-only segment inserts; after each, the resumed fixpoint must
   // equal a from-scratch recompute over the same catalog state.
-  auto warm = db.Fixpoint(program);
+  auto warm = session->Fixpoint(program);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -333,7 +311,7 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
     ASSERT_TRUE(db.Insert(segment).ok()) << segment;
 
     DatalogStats incremental_stats;
-    auto incremental = db.Fixpoint(program, {}, &incremental_stats);
+    auto incremental = session->Fixpoint(program, {}, &incremental_stats);
     ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
 
     // From-scratch reference over the identical catalog state.
@@ -353,8 +331,9 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
        "recomputes";
 
   // With incremental off, the same call still answers (recompute path).
-  SetIncrementalEnabled(false);
-  auto recomputed = db.Fixpoint(program);
+  std::unique_ptr<Session> recompute = db.OpenSession(
+      EngineConfig::Process().WithIncremental(false));
+  auto recomputed = recompute->Fixpoint(program);
   ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
   auto edge = db.Relation("Edge");
   ASSERT_TRUE(edge.ok());

@@ -2,20 +2,28 @@
 // Two sessions with DIFFERENT configs — plan on vs off, 1 vs 8 threads,
 // private pools — coexist in one process and answer byte-identically to
 // their serial single-threaded equivalents; pinned MVCC snapshots make a
-// writer invisible; and the whole-query memo distinguishes snapshot
-// versions and resolved plan settings instead of aliasing across them.
+// writer invisible; the whole-query memo distinguishes snapshot
+// versions and resolved plan settings instead of aliasing across them; a
+// memo-off session bypasses the resultant memo too; and the facade's
+// default session follows its database across moves.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/config.h"
+#include "base/metrics.h"
+#include "base/query_log.h"
 #include "engine/database.h"
 #include "engine/session.h"
+#include "qe/qe_cache.h"
 
 namespace ccdb {
 namespace {
@@ -46,6 +54,28 @@ const std::vector<std::string>& Workload() {
       "forall y (y >= 4*x^2 - 20*x + 25 or not D(x, y))",
   };
   return queries;
+}
+
+// Reach(x, y) :- Edge(x, y).  Reach(x, y) :- Reach(x, z), Edge(z, y).
+DatalogProgram ReachProgram() {
+  DatalogProgram program;
+  program.idb_arities["Reach"] = 2;
+  {
+    DatalogRule rule;
+    rule.head = "Reach";
+    rule.head_vars = {0, 1};
+    rule.body.push_back(DatalogLiteral::Rel("Edge", {0, 1}));
+    program.rules.push_back(rule);
+  }
+  {
+    DatalogRule rule;
+    rule.head = "Reach";
+    rule.head_vars = {0, 1};
+    rule.body.push_back(DatalogLiteral::Rel("Reach", {0, 2}));
+    rule.body.push_back(DatalogLiteral::Rel("Edge", {2, 1}));
+    program.rules.push_back(rule);
+  }
+  return program;
 }
 
 TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
@@ -186,33 +216,33 @@ TEST(SessionTest, WholeQueryCacheIsVersionedAcrossPinnedSessions) {
   std::unique_ptr<Session> old_session = db.OpenSession(config);
   old_session->PinSnapshot();
 
-  StatusOr<ExplainResult> miss = old_session->Explain(query);
+  StatusOr<ExplainAnalyzeResult> miss = old_session->Explain(query);
   ASSERT_TRUE(miss.ok());
-  EXPECT_FALSE(miss->from_cache) << "first evaluation must be a miss";
+  EXPECT_FALSE(miss->profile.from_cache) << "first evaluation must be a miss";
   const std::string old_answer =
       miss->result.relation.ToString(miss->result.column_names);
 
   ASSERT_TRUE(db.Insert("S(x, y) := x + y <= 20 and x >= -5 and y >= 0").ok());
 
-  StatusOr<ExplainResult> hit = old_session->Explain(query);
+  StatusOr<ExplainAnalyzeResult> hit = old_session->Explain(query);
   ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit->from_cache)
+  EXPECT_TRUE(hit->profile.from_cache)
       << "pinned session must hit its version's entry after the write";
   EXPECT_EQ(hit->result.relation.ToString(hit->result.column_names),
             old_answer);
 
   std::unique_ptr<Session> new_session = db.OpenSession(config);
-  StatusOr<ExplainResult> fresh = new_session->Explain(query);
+  StatusOr<ExplainAnalyzeResult> fresh = new_session->Explain(query);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_FALSE(fresh->from_cache)
+  EXPECT_FALSE(fresh->profile.from_cache)
       << "new version must be a distinct cache entry";
   EXPECT_NE(fresh->result.relation.ToString(fresh->result.column_names),
             old_answer);
 
   // And the new version's entry is itself warm now.
-  StatusOr<ExplainResult> warm = new_session->Explain(query);
+  StatusOr<ExplainAnalyzeResult> warm = new_session->Explain(query);
   ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm->from_cache);
+  EXPECT_TRUE(warm->profile.from_cache);
 }
 
 TEST(SessionTest, PlanOnAndPlanOffSessionsDoNotAliasCacheEntries) {
@@ -228,25 +258,26 @@ TEST(SessionTest, PlanOnAndPlanOffSessionsDoNotAliasCacheEntries) {
   std::unique_ptr<Session> plan_off = db.OpenSession(
       EngineConfig::Process().WithPlan(false).WithQeCache(true));
 
-  StatusOr<ExplainResult> on1 = plan_on->Explain(query);
+  StatusOr<ExplainAnalyzeResult> on1 = plan_on->Explain(query);
   ASSERT_TRUE(on1.ok());
-  EXPECT_FALSE(on1->from_cache);
+  EXPECT_FALSE(on1->profile.from_cache);
 
   // Same text, same snapshot version — but a different resolved plan bit:
   // the plan-off session must compute, not hit the plan-on entry.
-  StatusOr<ExplainResult> off1 = plan_off->Explain(query);
+  StatusOr<ExplainAnalyzeResult> off1 = plan_off->Explain(query);
   ASSERT_TRUE(off1.ok());
-  EXPECT_FALSE(off1->from_cache) << "plan-off must not hit the plan-on entry";
+  EXPECT_FALSE(off1->profile.from_cache)
+      << "plan-off must not hit the plan-on entry";
   EXPECT_EQ(off1->result.relation.ToString(off1->result.column_names),
             on1->result.relation.ToString(on1->result.column_names));
 
   // Each setting hits its own entry on re-query.
-  StatusOr<ExplainResult> on2 = plan_on->Explain(query);
-  StatusOr<ExplainResult> off2 = plan_off->Explain(query);
+  StatusOr<ExplainAnalyzeResult> on2 = plan_on->Explain(query);
+  StatusOr<ExplainAnalyzeResult> off2 = plan_off->Explain(query);
   ASSERT_TRUE(on2.ok());
   ASSERT_TRUE(off2.ok());
-  EXPECT_TRUE(on2->from_cache);
-  EXPECT_TRUE(off2->from_cache);
+  EXPECT_TRUE(on2->profile.from_cache);
+  EXPECT_TRUE(off2->profile.from_cache);
 }
 
 TEST(SessionTest, SessionFixpointForcesConfiguredDatalogToggles) {
@@ -258,23 +289,7 @@ TEST(SessionTest, SessionFixpointForcesConfiguredDatalogToggles) {
   ASSERT_TRUE(
       db.Define("Edge(x, y) := y - x = 1 and x >= 0 and x <= 3").ok());
 
-  DatalogProgram program;
-  program.idb_arities["Reach"] = 2;
-  {
-    DatalogRule rule;
-    rule.head = "Reach";
-    rule.head_vars = {0, 1};
-    rule.body.push_back(DatalogLiteral::Rel("Edge", {0, 1}));
-    program.rules.push_back(rule);
-  }
-  {
-    DatalogRule rule;
-    rule.head = "Reach";
-    rule.head_vars = {0, 1};
-    rule.body.push_back(DatalogLiteral::Rel("Reach", {0, 2}));
-    rule.body.push_back(DatalogLiteral::Rel("Edge", {2, 1}));
-    program.rules.push_back(rule);
-  }
+  DatalogProgram program = ReachProgram();
 
   std::unique_ptr<Session> seminaive = db.OpenSession(
       EngineConfig::Process().WithSeminaive(true).WithIncremental(false));
@@ -295,6 +310,142 @@ TEST(SessionTest, SessionFixpointForcesConfiguredDatalogToggles) {
   EXPECT_TRUE(stats_naive.reached_fixpoint);
   EXPECT_GT(stats_semi.delta_tuples, 0u) << "semi-naive path must have run";
   EXPECT_EQ(stats_naive.delta_tuples, 0u) << "naive path must have run";
+}
+
+TEST(SessionTest, ExplicitCallerTogglesWinOverTheSessionConfig) {
+  // The session config resolves kAuto only: an explicit DatalogOptions
+  // toggle wins, so a naive-configured session still runs the delta path
+  // when the caller asks for it.
+  ConstraintDatabase db;
+  ASSERT_TRUE(
+      db.Define("Edge(x, y) := y - x = 1 and x >= 0 and x <= 3").ok());
+  std::unique_ptr<Session> naive = db.OpenSession(
+      EngineConfig::Process().WithSeminaive(false).WithIncremental(false));
+  DatalogOptions forced;
+  forced.seminaive = PlanToggle::kOn;
+  DatalogStats forced_stats, config_stats;
+  auto forced_model = naive->Fixpoint(ReachProgram(), forced, &forced_stats);
+  auto config_model = naive->Fixpoint(ReachProgram(), {}, &config_stats);
+  ASSERT_TRUE(forced_model.ok()) << forced_model.status().ToString();
+  ASSERT_TRUE(config_model.ok()) << config_model.status().ToString();
+  EXPECT_GT(forced_stats.delta_tuples, 0u) << "explicit kOn must win";
+  EXPECT_EQ(config_stats.delta_tuples, 0u) << "kAuto follows the config";
+  EXPECT_EQ(forced_model->at("Reach").ToString({"x", "y"}),
+            config_model->at("Reach").ToString({"x", "y"}));
+}
+
+TEST(SessionTest, MemoOffSessionBypassesTheResultantCache) {
+  // A memo-off session must neither read nor fill the resultant /
+  // discriminant / gcd memo behind CAD projection and lifting — the
+  // CCDB_QE_CACHE / EngineConfig::qe_cache contract covers every memo.
+  Counter* hits = MetricsRegistry::Global().GetCounter("resultant_cache_hits");
+  const std::string query = "exists y (D(x, y) and S(x, y))";  // a CAD
+  ConstraintDatabase db;
+  DefineFixtures(db);
+  std::unique_ptr<Session> memo_on =
+      db.OpenSession(EngineConfig::Process().WithQeCache(true));
+  std::unique_ptr<Session> memo_off =
+      db.OpenSession(EngineConfig::Process().WithQeCache(false));
+
+  ASSERT_TRUE(memo_on->Query(query).ok());  // warms the resultant memo
+  std::uint64_t before = hits->value();
+  StatusOr<CalcFResult> uncached = memo_off->Query(query);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_EQ(hits->value(), before)
+      << "a memo-off session must not read the resultant memo";
+
+  // Control: the same CAD in a memo-on session does hit the warmed
+  // resultants (a fresh database and a cleared QE result memo force the
+  // CAD to run again).
+  QeResultCache().Clear();
+  ConstraintDatabase fresh;
+  DefineFixtures(fresh);
+  std::unique_ptr<Session> rerun =
+      fresh.OpenSession(EngineConfig::Process().WithQeCache(true));
+  before = hits->value();
+  StatusOr<CalcFResult> cached = rerun->Query(query);
+  EXPECT_GT(hits->value(), before);
+  EXPECT_EQ(Render(uncached), Render(cached));
+}
+
+// Reads the new owner's catalog through every facade read kind and returns
+// the rendered answers, plus whether the query ran planned.
+std::string ReadThroughFacade(const ConstraintDatabase& db) {
+  StatusOr<CalcFResult> query = db.Query("exists y (Edge(x, y) and y <= 2)");
+  std::string out = Render(query);
+  if (query.ok() && !query->stats.plan.empty()) out += "|planned";
+  auto model = db.Fixpoint(ReachProgram());
+  out += "|" + (model.ok() ? model->at("Reach").ToString({"x", "y"})
+                           : "error: " + model.status().ToString());
+  auto read_set = db.ReadSet("Edge(x, y)");
+  out += "|" + (read_set.ok() && read_set->size() == 1 &&
+                        (*read_set)[0].second > 0
+                    ? std::string("live")
+                    : std::string("stale"));
+  return out;
+}
+
+TEST(SessionTest, DefaultSessionFollowsTheDatabaseAcrossMoves) {
+  // The facade's default session is bound to its database; every kind of
+  // move — OpenDurable's by-value return, move-construction,
+  // move-assignment (also through std::optional) — must leave the new
+  // owner reading its own catalog, under its own options, with session
+  // id 0 and the process config fingerprint.
+  const std::string log_path =
+      testing::TempDir() + "/ccdb_session_moves.jsonl";
+  const std::string store = testing::TempDir() + "/ccdb_session_moves_store";
+  std::filesystem::remove(log_path);
+  std::filesystem::remove_all(store);
+  ASSERT_TRUE(QueryLog::Global().Enable(log_path).ok());
+
+  const std::string edge = "Edge(x, y) := y - x = 1 and x >= 0 and x <= 3";
+  // Explicit planner-off options travel with the moved database; the
+  // targets below start out with the defaults.
+  CalcFOptions plan_off;
+  plan_off.qe.plan = PlanToggle::kOff;
+  ConstraintDatabase reference(plan_off);
+  ASSERT_TRUE(reference.Define(edge).ok());
+  const std::string want = ReadThroughFacade(reference);
+  ASSERT_EQ(want.find("error"), std::string::npos) << want;
+  ASSERT_NE(want.find("|live"), std::string::npos) << want;
+  ASSERT_EQ(want.find("|planned"), std::string::npos) << want;
+
+  StatusOr<ConstraintDatabase> opened =
+      ConstraintDatabase::OpenDurable(store, plan_off);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_TRUE(opened->Define(edge).ok());
+  EXPECT_EQ(ReadThroughFacade(*opened), want) << "after OpenDurable";
+
+  ConstraintDatabase constructed(std::move(*opened));
+  EXPECT_EQ(ReadThroughFacade(constructed), want) << "after move-construct";
+
+  ConstraintDatabase assigned;
+  assigned = std::move(constructed);
+  EXPECT_EQ(ReadThroughFacade(assigned), want) << "after move-assign";
+
+  std::optional<ConstraintDatabase> slot;
+  slot.emplace();
+  *slot = std::move(assigned);
+  EXPECT_EQ(ReadThroughFacade(*slot), want) << "after optional move-assign";
+  // A write through the new owner is visible to its own reads.
+  ASSERT_TRUE(slot->Define("Late(x) := x >= 0").ok());
+  EXPECT_TRUE(slot->Query("Late(x) and x <= 1").ok());
+  slot.reset();
+
+  QueryLog::Global().Disable();
+  std::ifstream in(log_path);
+  const std::string config =
+      "\"config\":\"" + EngineConfig::Process().Fingerprint() + "\"";
+  int records = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    ++records;
+    EXPECT_NE(line.find("\"session_id\":0"), std::string::npos) << line;
+    EXPECT_NE(line.find(config), std::string::npos) << line;
+  }
+  EXPECT_EQ(records, 6) << "one record per facade query";
+  std::filesystem::remove(log_path);
+  std::filesystem::remove_all(store);
 }
 
 }  // namespace
