@@ -58,11 +58,6 @@ inline bool BenchQeCacheEnabled() {
   return ccdb::EngineConfig::Process().qe_cache;
 }
 
-/// Whether the structure-aware planner is on for this run (CCDB_PLAN;
-/// defaults to on). Also the value of the JSON report's "plan" column, so
-/// planned/monolithic runs can be diffed row by row.
-inline bool BenchPlanEnabled() { return ccdb::EngineConfig::Process().plan; }
-
 /// Whether `--profile` was passed: span tracing is enabled for the whole
 /// run and the aggregated span profile (base/profile.h) is printed to
 /// stderr at exit, flamegraph-style — one line per call path with count
@@ -81,9 +76,8 @@ inline std::string& BenchOutPath() {
 }
 
 /// Processes the standard harness flags. Call first thing in main().
-/// Engine toggles are not flags: the planner, memo caches and semi-naive
-/// Datalog follow CCDB_PLAN, CCDB_QE_CACHE and CCDB_SEMINAIVE through
-/// EngineConfig::Process().
+/// Engine toggles are not flags: the memo caches and semi-naive Datalog
+/// follow CCDB_QE_CACHE and CCDB_SEMINAIVE through EngineConfig::Process().
 ///
 ///   --trace-out=<file>    (or CCDB_TRACE_OUT) span tracing for the run,
 ///                         written as a Chrome trace_event JSON at exit
@@ -193,14 +187,13 @@ inline std::string TableCell(const std::optional<double>& seconds) {
 }
 
 /// Collects `{"cell": <name>, "threads": <N>, "qe_cache": <0|1>,
-/// "plan": <0|1>, "ms": <value-or-null>, "qe_cache_hit_rate":
+/// "ms": <value-or-null>, "qe_cache_hit_rate":
 /// <rate-or-null>, "formula_nodes": <N>, "poly_nodes": <N>}` rows; the
 /// report is printed as one JSON array line at exit (after the
 /// human-readable table), machine-readable for the experiment plots. The
 /// "threads" column lets a sweep (`--threads=1`, `--threads=8`, ...)
-/// concatenate its reports into one speedup table; "qe_cache" and "plan"
-/// do the same for `CCDB_QE_CACHE=0/1` and `CCDB_PLAN=0/1` differential
-/// runs. The hit rate is per cell (delta of the qe_cache
+/// concatenate its reports into one speedup table; "qe_cache" does the
+/// same for `CCDB_QE_CACHE=0/1` differential runs. The hit rate is per cell (delta of the qe_cache
 /// hit/miss counters since the previous RecordCell, null when the cell
 /// never consulted the cache); the node counts are the live hash-consed
 /// formula arena and interned polynomial pool sizes at record time.
@@ -254,7 +247,6 @@ inline void RecordCell(const std::string& name,
       "{\"cell\": \"" + name +
       "\", \"threads\": " + std::to_string(BenchThreads()) +
       ", \"qe_cache\": " + (BenchQeCacheEnabled() ? "1" : "0") +
-      ", \"plan\": " + (BenchPlanEnabled() ? "1" : "0") +
       ", \"ms\": " + JsonCell(seconds) +
       ", \"qe_cache_hit_rate\": " + hit_rate +
       ", \"formula_nodes\": " + std::to_string(arena.live_nodes) +
@@ -283,11 +275,10 @@ inline void RecordLatencyCell(const std::string& name,
   char buffer[512];
   std::snprintf(buffer, sizeof(buffer),
                 "{\"cell\": \"%s\", \"threads\": %d, \"qe_cache\": %d, "
-                "\"plan\": %d, \"ms\": %.6f, \"samples\": %zu, "
+                "\"ms\": %.6f, \"samples\": %zu, "
                 "\"p50_ms\": %.6f, \"p90_ms\": %.6f, \"p99_ms\": %.6f}",
                 name.c_str(), BenchThreads(),
-                BenchQeCacheEnabled() ? 1 : 0, BenchPlanEnabled() ? 1 : 0,
-                mean_ms, samples_seconds.size(), hist->Percentile(0.50) / 1e3,
+                BenchQeCacheEnabled() ? 1 : 0, mean_ms, samples_seconds.size(), hist->Percentile(0.50) / 1e3,
                 hist->Percentile(0.90) / 1e3, hist->Percentile(0.99) / 1e3);
   JsonReportRows().push_back(buffer);
 }
@@ -312,10 +303,8 @@ inline void WriteRunRecord(const std::string& name) {
                "  \"bench\": \"%s\",\n"
                "  \"threads\": %d,\n"
                "  \"qe_cache\": %d,\n"
-               "  \"plan\": %d,\n"
                "  \"rows\": [\n",
-               name.c_str(), BenchThreads(), BenchQeCacheEnabled() ? 1 : 0,
-               BenchPlanEnabled() ? 1 : 0);
+               name.c_str(), BenchThreads(), BenchQeCacheEnabled() ? 1 : 0);
   const std::vector<std::string>& rows = JsonReportRows();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out, "    %s%s\n", rows[i].c_str(),

@@ -23,7 +23,7 @@ void Warn(std::vector<std::string>* warnings, const std::string& message) {
 
 // Accepted boolean spellings: 0/1, true/false, on/off (case-insensitive).
 // Anything else is a diagnostic, not a silent guess — the historical
-// "any value but 0 counts as on" behavior hid typos like CCDB_PLAN=fales.
+// "any value but 0 counts as on" behavior hid typos like CCDB_SEMINAIVE=fales.
 bool ParseBool(const char* name, const char* value, bool fallback,
                std::vector<std::string>* warnings) {
   std::string v(value);
@@ -61,9 +61,6 @@ EngineConfig EngineConfig::FromEnv(std::vector<std::string>* warnings) {
     } else {
       config.threads = static_cast<int>(parsed);
     }
-  }
-  if (const char* env = std::getenv("CCDB_PLAN")) {
-    config.plan = ParseBool("CCDB_PLAN", env, config.plan, warnings);
   }
   if (const char* env = std::getenv("CCDB_SEMINAIVE")) {
     config.seminaive =
@@ -141,11 +138,6 @@ EngineConfig EngineConfig::WithThreads(int value) const {
   c.threads = value < 1 ? 1 : value;
   return c;
 }
-EngineConfig EngineConfig::WithPlan(bool value) const {
-  EngineConfig c = *this;
-  c.plan = value;
-  return c;
-}
 EngineConfig EngineConfig::WithSeminaive(bool value) const {
   EngineConfig c = *this;
   c.seminaive = value;
@@ -164,8 +156,7 @@ EngineConfig EngineConfig::WithQeCache(bool value) const {
 
 std::string EngineConfig::Canonical() const {
   std::ostringstream out;
-  out << "threads=" << threads << ",plan=" << plan
-      << ",seminaive=" << seminaive << ",incremental=" << incremental
+  out << "threads=" << threads << ",seminaive=" << seminaive << ",incremental=" << incremental
       << ",qe_cache=" << qe_cache << ",qe_cache_capacity=" << qe_cache_capacity
       << ",log_level=" << log_level
       << ",trace=" << trace << ",query_log=" << query_log_path
@@ -196,7 +187,6 @@ std::string EngineConfig::ToString() const {
   std::ostringstream out;
   out << "EngineConfig (fingerprint " << Fingerprint() << ")\n"
       << "  threads               " << threads << "\n"
-      << "  plan                  " << (plan ? "on" : "off") << "\n"
       << "  seminaive             " << (seminaive ? "on" : "off") << "\n"
       << "  incremental           " << (incremental ? "on" : "off") << "\n"
       << "  qe_cache              " << (qe_cache ? "on" : "off") << "\n"

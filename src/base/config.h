@@ -7,7 +7,7 @@
 /// the engine never calls getenv — a CI gate, scripts/check_no_getenv.sh,
 /// enforces this; the only allowlisted exceptions are this file's
 /// implementation and the fault-injection registry. Subsystems
-/// that used to sniff the environment at first use (planner, memo caches,
+/// that used to sniff the environment at first use (memo caches,
 /// thread pool, semi-naive Datalog, tracing, logging, WAL durability)
 /// now read their defaults from EngineConfig::Process(), and a Session
 /// (engine/session.h) can carry a different EngineConfig per client, so
@@ -29,8 +29,8 @@ namespace ccdb {
 /// of the session the call runs in, and outside any session the field of
 /// EngineConfig::Process().
 /// Carried here (not in qe/) because it is a configuration concept shared
-/// by the planner, the memo caches, semi-naive Datalog, and incremental
-/// re-fixpoint alike.
+/// by the memo caches, semi-naive Datalog, and incremental re-fixpoint
+/// alike.
 enum class PlanToggle { kAuto, kOn, kOff };
 
 /// Immutable resolved engine configuration. Value semantics: copy it,
@@ -43,15 +43,12 @@ struct EngineConfig {
   /// Concurrent runners of the session's thread pool (CCDB_THREADS,
   /// default 1 = the exact serial path).
   int threads = 1;
-  /// Structure-aware query planning (CCDB_PLAN, default on). Byte-identity
-  /// contract: plan on/off changes cost, never answers.
-  bool plan = true;
   /// Semi-naive Datalog delta evaluation (CCDB_SEMINAIVE, default on).
   bool seminaive = true;
   /// Incremental re-fixpoint of materialized Datalog state
   /// (CCDB_INCREMENTAL, default on).
   bool incremental = true;
-  /// Memo caches: QE results, plans, resultants, rule bodies, whole
+  /// Memo caches: QE results, resultants, rule bodies, whole
   /// queries (CCDB_QE_CACHE, default on; pure memos — byte-identical
   /// either way).
   bool qe_cache = true;
@@ -81,14 +78,13 @@ struct EngineConfig {
 
   /// The process-wide configuration: FromEnv() resolved exactly once, at
   /// first use, with warnings to stderr. Every process-wide default
-  /// (ThreadPool::Shared width, kAuto planner / memo / semi-naive /
+  /// (ThreadPool::Shared width, kAuto memo / semi-naive /
   /// incremental toggles, log level, tracer, query log, WAL policy) reads
   /// from here instead of calling getenv.
   static const EngineConfig& Process();
 
   /// Per-field programmatic overrides (value-semantics builders).
   EngineConfig WithThreads(int value) const;
-  EngineConfig WithPlan(bool value) const;
   EngineConfig WithSeminaive(bool value) const;
   EngineConfig WithIncremental(bool value) const;
   EngineConfig WithQeCache(bool value) const;

@@ -7,8 +7,8 @@
 ///
 ///   * ProfileNode / ProfileSink — the attribution tree EXPLAIN ANALYZE
 ///     builds while a query executes. The executor mirrors the plan tree
-///     (plan/planner.h) into ProfileNodes: one node per plan node (or per
-///     monolithic engine stage), carrying inclusive wall time and the
+///     (plan/planner.h) into ProfileNodes: one node per plan node,
+///     carrying inclusive wall time and the
 ///     counters that node incurred (CAD cells, FM rounds, peak bigint bit
 ///     length, cache hits). Nodes are assembled in canonical plan order —
 ///     never completion order — so the tree SHAPE is deterministic at
@@ -21,10 +21,11 @@
 ///
 /// Hard contract: profiling is OBSERVATION ONLY. Arming a ProfileSink (or
 /// enabling the tracer) must never change a query's answer — the profiled
-/// run stays byte-identical to the unprofiled one at every CCDB_PLAN ×
-/// thread setting. Profiling code therefore only reads clocks and
+/// run stays byte-identical to the unprofiled one at every thread and
+/// memo setting. Profiling code therefore only reads clocks and
 /// counters; it never branches the algorithm.
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -75,6 +76,14 @@ struct ProfileNode {
   ///  "counters":{...},"children":[...]}
   std::string ToJson() const;
 };
+
+/// Microseconds elapsed since `start` — the wall time a ProfileNode
+/// records.
+inline std::int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 /// Thread-safe collection point for completed top-level QE profile trees.
 /// The evaluator may run several QE rounds per query (nested aggregate

@@ -107,8 +107,8 @@ struct GeneralizedTuple {
   }
   /// Deterministic structural order (lexicographic over atoms). Sorting a
   /// union of canonicalized disjuncts with this order makes the union's
-  /// rendering independent of derivation order — the anchor of the
-  /// planner-on/planner-off byte-identity contract.
+  /// rendering independent of derivation order (and so of the thread
+  /// count).
   bool operator<(const GeneralizedTuple& other) const;
 
   std::string ToString(const std::vector<std::string>& names = {}) const;

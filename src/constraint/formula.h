@@ -158,8 +158,8 @@ struct QeNormalForm {
   std::vector<GeneralizedTuple> tuples;
 };
 
-/// The one normalization prologue of quantifier elimination, shared by the
-/// planner and the monolithic driver. `f` must be relation-free with free
+/// The one normalization prologue of quantifier elimination (PlanQuery
+/// runs it once per elimination). `f` must be relation-free with free
 /// variables among 0..num_free_vars-1. In one scoped pre-order pass over
 /// ToNnf(f) it numbers the k-th quantifier met num_free_vars + k and maps
 /// its variable straight to that index; a quantifier-free subtree none of

@@ -184,20 +184,6 @@ StatusOr<bool> TupleInTuple(const GeneralizedTuple& t,
   return !has_witness;
 }
 
-// Profiling attribution (base/profile.h): the same counter set qe.cc's
-// nodes carry, zero values and already-present names skipped.
-void AddQeCounters(ProfileNode* node, const QeStats& stats) {
-  auto add = [node](const char* name, std::uint64_t v) {
-    if (v == 0 || node->HasCounter(name)) return;
-    node->AddCounter(name, v);
-  };
-  add("cad_cells", stats.cad_cells);
-  add("projection_factors", stats.projection_factors);
-  add("fm_rounds", stats.fm_rounds);
-  add("max_bits", stats.max_intermediate_bits);
-  add("qe_cache_hits", stats.cache_hits);
-}
-
 bool SameTuple(const GeneralizedTuple& a, const GeneralizedTuple& b) {
   if (a.atoms.size() != b.atoms.size()) return false;
   for (std::size_t i = 0; i < a.atoms.size(); ++i) {
@@ -271,7 +257,7 @@ Status RunFixpoint(const DatalogProgram& program,
   // "datalog.round[i]" with one child per rule in rule order — instead of
   // letting every rule elimination add its own root from a pool worker in
   // arrival order. Rule-level eliminations therefore run with the sink
-  // cleared (`rule_qe`), same as QE sub-eliminations; observation only.
+  // cleared (`rule_qe`); observation only.
   ProfileSink* profile = options.qe.profile;
   QeOptions rule_qe = options.qe;
   rule_qe.profile = nullptr;
@@ -291,13 +277,6 @@ Status RunFixpoint(const DatalogProgram& program,
   std::unordered_map<std::uint64_t, BodyMemo> body_cache;
   const bool use_body_cache =
       gov == nullptr && MemoCachesEnabledFor(options.qe.memo);
-
-  // Plan-once-per-fixpoint observability: rule-body plans memoize on the
-  // body's interned formula id (plan/planner.h), so later rounds reuse the
-  // round-one plan. The counter delta over the run surfaces the reuse.
-  Counter* plan_hits_counter =
-      MetricsRegistry::Global().GetCounter("plan_cache_hits");
-  const std::uint64_t plan_hits_before = plan_hits_counter->value();
 
   auto find_relation = [&edb, idb](
                            const std::string& name) -> const ConstraintRelation* {
@@ -436,9 +415,7 @@ Status RunFixpoint(const DatalogProgram& program,
                   EliminateQuantifiers(instantiated,
                                        static_cast<int>(rule.head_vars.size()),
                                        rule_qe, &slot.qe_stats));
-              slot.us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - rule_start)
-                            .count();
+              slot.us = ElapsedUs(rule_start);
               if (use_body_cache) {
                 CCDB_METRIC_COUNT("datalog_body_cache_misses", 1);
                 std::lock_guard<std::mutex> lock(body_cache_mu);
@@ -451,10 +428,7 @@ Status RunFixpoint(const DatalogProgram& program,
     if (profile != nullptr) {
       ProfileNode round_node;
       round_node.label = "datalog.round[" + std::to_string(round) + "]";
-      round_node.inclusive_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - round_start)
-              .count();
+      round_node.inclusive_us = ElapsedUs(round_start);
       round_node.AddCounter("rules", program.rules.size());
       if (delta_round) {
         round_node.AddCounter("delta_tuples", round_delta_tuples);
@@ -535,7 +509,6 @@ Status RunFixpoint(const DatalogProgram& program,
     delta_start = std::move(next_delta_start);
     if (!grew) {
       s->reached_fixpoint = true;
-      s->plan_cache_hits = plan_hits_counter->value() - plan_hits_before;
       CCDB_METRIC_COUNT("datalog.fixpoints", 1);
       CCDB_METRIC_COUNT("datalog.qe_calls", s->qe_calls);
       return Status::Ok();
@@ -575,7 +548,6 @@ std::string DatalogStats::ToString() const {
   out << "iterations=" << iterations
       << " fixpoint=" << (reached_fixpoint ? "yes" : "no")
       << " qe_calls=" << qe_calls << " max_bits=" << max_bits
-      << " plan_cache_hits=" << plan_cache_hits
       << " delta_tuples=" << delta_tuples
       << " rules_skipped=" << rules_skipped;
   return out.str();
@@ -587,7 +559,6 @@ std::string DatalogStats::ToJson() const {
       .Add("reached_fixpoint", reached_fixpoint)
       .Add("qe_calls", qe_calls)
       .Add("max_bits", max_bits)
-      .Add("plan_cache_hits", plan_cache_hits)
       .Add("delta_tuples", delta_tuples)
       .Add("rules_skipped", rules_skipped)
       .Build();

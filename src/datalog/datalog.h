@@ -57,7 +57,7 @@ struct DatalogOptions {
   /// bodies each round — the executable spec), kOn delta evaluation;
   /// kAuto follows the session config, or outside any session
   /// EngineConfig::Process().seminaive (CCDB_SEMINAIVE). Both paths
-  /// produce byte-identical fixpoints — the contract CCDB_PLAN carries.
+  /// produce byte-identical fixpoints.
   PlanToggle seminaive = PlanToggle::kAuto;
   /// Per-call/per-session incremental re-fixpoint override (the
   /// materialized-state layer of ConstraintDatabase::Fixpoint): kOff
@@ -85,11 +85,6 @@ struct DatalogStats {
   bool reached_fixpoint = false;
   std::uint64_t max_bits = 0;
   std::uint64_t qe_calls = 0;
-  /// Plan-cache hits during this run: each rule body is PLANNED once per
-  /// fixpoint (the structure-aware plan memoizes on the body's interned
-  /// formula id) and the plan is reused across rounds — this counts the
-  /// reuses. 0 with the planner or the memo caches off.
-  std::uint64_t plan_cache_hits = 0;
   /// Total tuples presented as per-relation deltas across semi-naive
   /// rounds (0 on the naive path).
   std::uint64_t delta_tuples = 0;

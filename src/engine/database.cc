@@ -62,7 +62,6 @@ std::string QueryProfile::ToString() const {
   }
   out << "caches: qe_cache hits=" << qe_cache_hits
       << " misses=" << qe_cache_misses
-      << "  plan_cache hits=" << plan_cache_hits
       << "  resultant_cache hits=" << resultant_cache_hits << "\n";
   out << "pool: threads=" << pool_threads
       << " tasks_completed=" << pool_tasks_completed
@@ -102,7 +101,6 @@ std::string QueryProfile::ToJson() const {
       .AddRaw("caches", JsonObjectBuilder()
                             .Add("qe_cache_hits", qe_cache_hits)
                             .Add("qe_cache_misses", qe_cache_misses)
-                            .Add("plan_cache_hits", plan_cache_hits)
                             .Add("resultant_cache_hits", resultant_cache_hits)
                             .Build())
       .AddRaw("pool", JsonObjectBuilder()

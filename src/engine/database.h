@@ -32,7 +32,7 @@ namespace ccdb {
 /// ProfileSink and carries its per-plan-node attribution trees; EXPLAIN
 /// carries none, and may be answered by the whole-query memo. Collection
 /// is observation only: the answer is byte-identical to an unexplained
-/// Query at every CCDB_PLAN × thread setting.
+/// Query at every thread and memo setting.
 struct QueryProfile {
   /// Total wall time of the explained evaluation (plus the numeric stage
   /// when it ran).
@@ -47,8 +47,8 @@ struct QueryProfile {
   bool from_cache = false;
   /// EXPLAIN ANALYZE only: per-plan-node attribution trees, one per QE
   /// round the evaluator ran (aggregate stages first, the main round
-  /// last). Labels mirror the plan ("union", "block[cad] exists x1", ...)
-  /// or the monolithic engine stage ("qe.fourier_motzkin", "qe[cached]").
+  /// last). Labels mirror the plan ("union", "block[cad] exists x1",
+  /// "monolithic[fourier_motzkin]", ...) or name a cache hit ("qe[cached]").
   /// A profiled execution always runs the main round, so this is
   /// non-empty exactly for EXPLAIN ANALYZE profiles.
   std::vector<ProfileNode> qe_rounds;
@@ -58,10 +58,9 @@ struct QueryProfile {
   std::size_t numeric_points = 0;
   double numeric_seconds = 0.0;
   /// Cache temperature: hit/miss deltas of the memo caches this query
-  /// touched (qe_cache, plan_cache, resultant_cache).
+  /// touched (qe_cache, resultant_cache).
   std::uint64_t qe_cache_hits = 0;
   std::uint64_t qe_cache_misses = 0;
-  std::uint64_t plan_cache_hits = 0;
   std::uint64_t resultant_cache_hits = 0;
   /// Thread-pool utilization deltas (tasks completed / stolen / run inline
   /// during this query) and the pool width it ran at.

@@ -54,14 +54,8 @@ ShardedMemoCache<std::string, CalcFResult>& QueryResultCache() {
 
 std::string QueryCacheKey(
     std::uint64_t db_id, const std::string& text,
-    const std::vector<std::pair<std::string, std::uint64_t>>& read_set,
-    bool plan_resolved) {
+    const std::vector<std::pair<std::string, std::uint64_t>>& read_set) {
   std::string key = std::to_string(db_id);
-  // The resolved planner setting is part of the key: answers are
-  // byte-identical with the planner on and off, but the cached stats carry
-  // the plan summary line, so a plan-off session must not be served a
-  // plan-on session's stats (or vice versa).
-  key += plan_resolved ? "+p" : "-p";
   for (const auto& [name, version] : read_set) {
     key += '\x1e';
     key += name;
@@ -215,13 +209,12 @@ void AppendQueryLogRecord(
                       .Build());
   }
   // Cache temperature this query ran at: hit/miss deltas of the memo
-  // layers (whole-query, QE result, plan, resultant).
+  // layers (whole-query, QE result, resultant).
   record.AddRaw("caches",
                 JsonObjectBuilder()
                     .Add("query_cache_hits", Delta(deltas, "query_cache_hits"))
                     .Add("qe_cache_hits", Delta(deltas, "qe_cache_hits"))
                     .Add("qe_cache_misses", Delta(deltas, "qe_cache_misses"))
-                    .Add("plan_cache_hits", Delta(deltas, "plan_cache_hits"))
                     .Add("resultant_cache_hits",
                          Delta(deltas, "resultant_cache_hits"))
                     .Build());
@@ -311,7 +304,6 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
   const auto& deltas = profile.metric_deltas;
   profile.qe_cache_hits = Delta(deltas, "qe_cache_hits");
   profile.qe_cache_misses = Delta(deltas, "qe_cache_misses");
-  profile.plan_cache_hits = Delta(deltas, "plan_cache_hits");
   profile.resultant_cache_hits = Delta(deltas, "resultant_cache_hits");
   profile.pool_tasks_completed = Delta(deltas, "threadpool.tasks_completed");
   profile.pool_tasks_stolen = Delta(deltas, "threadpool.tasks_stolen");
@@ -350,7 +342,6 @@ Session::Session(ConstraintDatabase* db, EngineConfig config, std::uint64_t id,
   // database options wins. (Forced-on memo layers still stand down under
   // armed failpoints and governors — the pure-memo contract outranks any
   // configuration.)
-  options_.qe.plan = ResolveToggle(options_.qe.plan, config_.plan);
   options_.qe.memo = ResolveToggle(options_.qe.memo, config_.qe_cache);
   if (pool_ != nullptr) options_.qe.pool = pool_.get();
 }
@@ -437,8 +428,7 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   StatusOr<CalcFResult> outcome = [&]() -> StatusOr<CalcFResult> {
     std::string key;
     if (use_cache && have_read_set) {
-      key = QueryCacheKey(db_->db_id_, text, read_set,
-                          PlannerResolved(options_.qe));
+      key = QueryCacheKey(db_->db_id_, text, read_set);
       CalcFResult cached;
       if (QueryResultCache().Lookup(key, &cached)) {
         hit = true;
@@ -574,7 +564,7 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
   auto start = SteadyClock::now();
   // Run the actual pipeline with a profile sink armed — the whole-query
   // memo is bypassed on purpose (EXPLAIN ANALYZE observes an execution,
-  // not a memo lookup); the QE / plan / resultant memo layers still apply
+  // not a memo lookup); the QE / resultant memo layers still apply
   // and surface as cache temperature. The sink is observation only: the
   // evaluation is byte-identical to Query(text).
   ProfileSink sink;
@@ -622,7 +612,7 @@ StatusOr<std::string> Session::Plan(const std::string& text) const {
   CCDB_ASSIGN_OR_RETURN(
       Formula instantiated,
       lowered.InstantiateRelations(LookupFor(ReadSnapshot())));
-  QueryPlan plan = GetOrBuildPlan(instantiated, arity, options_.qe);
+  QueryPlan plan = PlanQuery(instantiated, arity, options_.qe);
   return plan.ToString(env.NamesByIndex());
 }
 
@@ -672,7 +662,6 @@ StatusOr<std::map<std::string, ConstraintRelation>> Session::Fixpoint(
   DatalogOptions options = caller_options;
   options.seminaive = ResolveToggle(options.seminaive, config_.seminaive);
   options.incremental = ResolveToggle(options.incremental, config_.incremental);
-  if (options.qe.plan == PlanToggle::kAuto) options.qe.plan = options_.qe.plan;
   if (options.qe.memo == PlanToggle::kAuto) options.qe.memo = options_.qe.memo;
   // The session pool drives the per-rule fan-out unless the caller brought
   // a pool of their own.

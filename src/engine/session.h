@@ -6,7 +6,7 @@
 /// EngineConfig::Process(), the global query log, the shared thread pool —
 /// and OpenSession hands out further ones. A session carries:
 ///
-///   - an immutable EngineConfig (base/config.h) — the planner / memo /
+///   - an immutable EngineConfig (base/config.h) — the memo /
 ///     semi-naive / incremental settings and the thread count this session
 ///     runs at, independent of every other session's settings. The config
 ///     resolves every kAuto toggle; an explicit kOn/kOff wins, whether it
@@ -26,8 +26,8 @@
 ///     so writers can Define/Insert/Drop concurrently without the session
 ///     observing any of it.
 ///
-/// Answers are byte-identical across session configs (plan on/off, memo
-/// on/off, any thread count) — the engine's determinism and pure-memo
+/// Answers are byte-identical across session configs (memo on/off,
+/// semi-naive on/off, any thread count) — the engine's determinism and pure-memo
 /// contracts, checkable in one process by opening two sessions.
 ///
 /// Thread safety: a Session's read methods are safe to call concurrently
@@ -63,7 +63,7 @@ class Session {
   /// options' pool or ThreadPool::Shared(). Never null.
   ThreadPool* pool() const { return ThreadPool::Resolve(options_.qe.pool); }
   /// The resolved evaluation options: the database's options with every
-  /// kAuto qe.plan / qe.memo toggle resolved from the session config, and
+  /// kAuto qe.memo toggle resolved from the session config, and
   /// qe.pool pointing at the private pool when the session has one.
   const CalcFOptions& options() const { return options_; }
 
@@ -96,7 +96,7 @@ class Session {
   StatusOr<std::vector<std::vector<Rational>>> Solve(
       const std::string& text, const Rational& epsilon) const;
   /// Fixpoint under the session config: kAuto semi-naive / incremental /
-  /// qe.plan / qe.memo toggles of `options` resolve from config() and
+  /// qe.memo toggles of `options` resolve from config() and
   /// options(), explicit ones win; a caller-supplied pool wins over the
   /// session pool.
   StatusOr<std::map<std::string, ConstraintRelation>> Fixpoint(

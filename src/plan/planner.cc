@@ -6,66 +6,17 @@
 #include <numeric>
 #include <sstream>
 
-#include "base/config.h"
 #include "base/logging.h"
 #include "base/memo.h"
 #include "base/metrics.h"
 #include "base/profile.h"
 #include "base/trace.h"
-#include "qe/dense_order.h"
 #include "qe/fourier_motzkin.h"
+#include "qe/qe_cache.h"
 
 namespace ccdb {
 
 namespace {
-
-std::uint64_t MaxBits(const std::vector<GeneralizedTuple>& tuples) {
-  std::uint64_t bits = 0;
-  for (const GeneralizedTuple& tuple : tuples) {
-    for (const Atom& atom : tuple.atoms) {
-      bits = std::max(bits, atom.poly.MaxCoefficientBitLength());
-    }
-  }
-  return bits;
-}
-
-// Accumulates a sub-elimination's stats into the run's stats. The `plan`
-// string is intentionally not merged: only the top-level run carries the
-// plan summary.
-void MergeStats(QeStats* into, const QeStats& from) {
-  into->cad_cells += from.cad_cells;
-  into->projection_factors += from.projection_factors;
-  into->fm_rounds += from.fm_rounds;
-  into->cache_hits += from.cache_hits;
-  into->max_intermediate_bits =
-      std::max(into->max_intermediate_bits, from.max_intermediate_bits);
-  into->used_linear_path |= from.used_linear_path;
-  into->used_dense_order_path |= from.used_dense_order_path;
-  into->used_thom_augmentation |= from.used_thom_augmentation;
-}
-
-std::int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Attribution counters for a profile node, from the node's accumulated
-// engine stats. Zero values and already-present names are skipped.
-void AddQeCounters(ProfileNode* node, const QeStats& s) {
-  auto add = [node](const char* name, std::uint64_t v) {
-    if (v == 0) return;
-    for (const auto& [key, unused] : node->counters) {
-      if (key == name) return;
-    }
-    node->AddCounter(name, v);
-  };
-  add("cad_cells", s.cad_cells);
-  add("projection_factors", s.projection_factors);
-  add("fm_rounds", s.fm_rounds);
-  add("max_bits", s.max_intermediate_bits);
-  add("qe_cache_hits", s.cache_hits);
-}
 
 std::string VarName(int v, const std::vector<std::string>& names) {
   if (v >= 0 && static_cast<std::size_t>(v) < names.size()) return names[v];
@@ -91,10 +42,15 @@ void RenderNode(const PlanNode& node, const std::vector<std::string>& names,
       *out << indent << "leaf: " << TuplesToDisplay(node.tuples, names)
            << "\n";
       return;
-    case PlanNode::Kind::kBlock: {
-      *out << indent << "block[" << FragmentEngine(node.fragment)
-           << "] exists";
-      for (int v : node.vars) *out << " " << VarName(v, names);
+    case PlanNode::Kind::kBlock:
+    case PlanNode::Kind::kMonolithic: {
+      *out << indent
+           << (node.kind == PlanNode::Kind::kBlock ? "block[" : "monolithic[")
+           << FragmentEngine(node.fragment) << "]";
+      for (const PrenexBlock& block : node.prefix) {
+        *out << (block.is_exists ? " exists " : " forall ")
+             << VarName(block.var, names);
+      }
       *out << ": " << TuplesToDisplay(node.tuples, names) << "\n";
       return;
     }
@@ -105,60 +61,10 @@ void RenderNode(const PlanNode& node, const std::vector<std::string>& names,
       *out << indent << "union (" << node.children.size() << " member"
            << (node.children.size() == 1 ? "" : "s") << ")\n";
       break;
-    case PlanNode::Kind::kMonolithic:
-      *out << indent << "monolithic[" << FragmentEngine(node.fragment)
-           << "]: " << node.formula.ToString(names) << "\n";
-      return;
   }
   for (const auto& child : node.children) {
     RenderNode(*child, names, depth + 1, out);
   }
-}
-
-// Packed algorithm options relevant to plan shape (the same five bits the
-// QE result cache packs; the planner bit itself is implied — plans are
-// only built when planning is on).
-unsigned PlanOptionBits(const QeOptions& options) {
-  return (options.allow_linear_fast_path ? 1u : 0u) |
-         (options.allow_thom_augmentation ? 2u : 0u) |
-         (options.allow_equation_substitution ? 4u : 0u) |
-         (options.linear_only ? 8u : 0u) |
-         (options.allow_disjunct_split ? 16u : 0u);
-}
-
-struct PlanCacheKey {
-  std::uint64_t formula_id = 0;
-  int num_free_vars = 0;
-  unsigned option_bits = 0;
-
-  bool operator==(const PlanCacheKey& other) const {
-    return formula_id == other.formula_id &&
-           num_free_vars == other.num_free_vars &&
-           option_bits == other.option_bits;
-  }
-};
-
-struct PlanCacheKeyHash {
-  std::size_t operator()(const PlanCacheKey& key) const {
-    std::size_t h = 1469598103934665603ull;
-    h = h * 1099511628211ull + static_cast<std::size_t>(key.formula_id);
-    h = h * 1099511628211ull + static_cast<std::size_t>(key.num_free_vars);
-    h = h * 1099511628211ull + key.option_bits;
-    return h;
-  }
-};
-
-struct PlanCacheValue {
-  Formula formula;  // pins the interned node (and so the key id) alive
-  QueryPlan plan;   // nodes are shared immutable — copying is cheap
-};
-
-ShardedMemoCache<PlanCacheKey, PlanCacheValue, PlanCacheKeyHash>&
-PlanCache() {
-  static auto* cache =
-      new ShardedMemoCache<PlanCacheKey, PlanCacheValue, PlanCacheKeyHash>(
-          "plan_cache", 2048);
-  return *cache;
 }
 
 std::shared_ptr<PlanNode> MakeLeaf(std::vector<GeneralizedTuple> tuples) {
@@ -169,10 +75,10 @@ std::shared_ptr<PlanNode> MakeLeaf(std::vector<GeneralizedTuple> tuples) {
 }
 
 // The executor's per-node result: the produced union of tuples over the
-// free variables plus the engine stats of the sub-eliminations that
-// produced it. Stats are returned (not written through a shared pointer)
-// because union members execute in parallel; the caller merges them in
-// member order, keeping the accumulation thread-count independent. The
+// free variables plus the engine stats of the steps that produced it.
+// Stats are returned (not written through a shared pointer) because union
+// members execute in parallel; the caller merges them in member order,
+// keeping the accumulation thread-count independent. The
 // profile node (filled only when EXPLAIN ANALYZE armed a sink) rides the
 // same channel for the same reason: parents splice children in plan
 // order, so the attribution tree's shape is deterministic at every thread
@@ -184,7 +90,7 @@ struct ExecResult {
 };
 
 Formula BlockToFormula(const std::vector<GeneralizedTuple>& tuples,
-                       const std::vector<int>& vars) {
+                       const std::vector<PrenexBlock>& prefix) {
   std::vector<Formula> disjuncts;
   disjuncts.reserve(tuples.size());
   for (const GeneralizedTuple& tuple : tuples) {
@@ -196,95 +102,113 @@ Formula BlockToFormula(const std::vector<GeneralizedTuple>& tuples,
     disjuncts.push_back(Formula::And(conjuncts));
   }
   Formula f = Formula::Or(disjuncts);
-  for (int i = static_cast<int>(vars.size()) - 1; i >= 0; --i) {
-    f = Formula::Exists(vars[i], std::move(f));
+  for (auto block = prefix.rbegin(); block != prefix.rend(); ++block) {
+    f = Formula::Exists(block->var, std::move(f));
   }
   return f;
+}
+
+// The whole-matrix sequence over a compact normal form: peel defining
+// equations, classify what is left (a peel can leave a linear residue),
+// then eliminate it with the linear engine or CAD. Returns the number of
+// quantifiers peeled.
+StatusOr<std::uint64_t> EliminateMatrix(std::vector<GeneralizedTuple>* tuples,
+                                        std::vector<PrenexBlock> prefix,
+                                        int num_free_vars,
+                                        const QeOptions& options,
+                                        QeStats* stats) {
+  CCDB_ASSIGN_OR_RETURN(std::uint64_t peeled,
+                        PeelDefiningEquations(tuples, &prefix, options, stats));
+  if (prefix.empty()) return peeled;
+  const Fragment fragment = options.allow_linear_fast_path
+                                ? ClassifyTuples(*tuples)
+                                : Fragment::kPolynomial;
+  if (fragment != Fragment::kPolynomial) {
+    CCDB_RETURN_IF_ERROR(
+        EliminateLinearPrefix(tuples, prefix, fragment, options, stats));
+  } else {
+    CCDB_ASSIGN_OR_RETURN(*tuples, EliminateByCad(*tuples, prefix,
+                                                  num_free_vars, options,
+                                                  stats));
+  }
+  return peeled;
+}
+
+// A polynomial block's residue after peeling, as a compact normal form —
+// its variables renumbered in elimination order, its matrix DNF-sorted —
+// eliminated by the whole-matrix sequence behind a block-level memo. The
+// memo's keys carry the block-residue bit, so they never alias a
+// whole-query entry (whose stats carry the plan summary).
+Status EliminateResidue(std::vector<GeneralizedTuple>* tuples,
+                        const std::vector<PrenexBlock>& prefix,
+                        int num_free_vars, const QeOptions& options,
+                        QeStats* stats) {
+  Formula residue = BlockToFormula(*tuples, prefix);
+  const bool use_cache =
+      options.governor == nullptr && MemoCachesEnabledFor(options.memo);
+  QeCacheKey key;
+  if (use_cache) {
+    key = MakeQeCacheKey(residue, num_free_vars, options,
+                         /*block_residue=*/true);
+    QeCacheValue cached;
+    if (QeResultCache().Lookup(key, &cached)) {
+      stats->Merge(cached.stats);
+      ++stats->cache_hits;
+      *tuples = cached.relation.tuples();
+      return Status::Ok();
+    }
+  }
+  QeNormalForm normal = NormalizeForQe(residue, num_free_vars);
+  QeStats sub;
+  sub.max_intermediate_bits = MaxCoefficientBits(normal.tuples);
+  CCDB_RETURN_IF_ERROR(EliminateMatrix(&normal.tuples, std::move(normal.prefix),
+                                       num_free_vars, options, &sub)
+                           .status());
+  *tuples = SimplifyTuples(std::move(normal.tuples));
+  stats->Merge(sub);
+  if (use_cache) {
+    QeResultCache().Insert(
+        key, QeCacheValue{residue, ConstraintRelation(num_free_vars, *tuples),
+                          sub});
+  }
+  return Status::Ok();
 }
 
 StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
                               const QeOptions& options, bool profiling);
 
-// Eliminates one block with its fragment's engine, mirroring the
-// monolithic driver's primitive sequence exactly: peel defining equations
-// innermost-first, then per-variable dense-order / Fourier-Motzkin rounds;
-// polynomial residue goes back through the public CAD driver with
-// planning forced off.
+// Eliminates one block with its fragment's engine: peel defining equations
+// innermost-first, then dense-order / Fourier-Motzkin rounds; polynomial
+// residue goes through EliminateResidue.
 StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
                                const QeOptions& options, bool profiling) {
-  const ResourceGovernor* gov = options.governor;
   const auto start = std::chrono::steady_clock::now();
   ExecResult r;
+  r.tuples = node.tuples;
+  r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
+  std::vector<PrenexBlock> prefix = node.prefix;
+  CCDB_ASSIGN_OR_RETURN(
+      std::uint64_t peeled,
+      PeelDefiningEquations(&r.tuples, &prefix, options, &r.stats));
+  if (!prefix.empty() && node.fragment != Fragment::kPolynomial) {
+    CCDB_RETURN_IF_ERROR(EliminateLinearPrefix(&r.tuples, prefix,
+                                               node.fragment, options,
+                                               &r.stats));
+  } else if (!prefix.empty()) {
+    CCDB_RETURN_IF_ERROR(
+        EliminateResidue(&r.tuples, prefix, num_free_vars, options, &r.stats));
+  }
   if (profiling) {
     r.profile.label = std::string("block[") + FragmentEngine(node.fragment) +
                       "] exists";
-    for (int v : node.vars) r.profile.label += " x" + std::to_string(v);
-  }
-  r.tuples = node.tuples;
-  r.stats.max_intermediate_bits = MaxBits(r.tuples);
-  std::vector<int> vars = node.vars;
-  std::uint64_t peeled = 0;
-  while (options.allow_equation_substitution && !vars.empty() &&
-         TrySubstituteInnermostExists(&r.tuples, vars.back())) {
-    CCDB_CHECK_BUDGET(gov, "qe.drive");
-    CCDB_METRIC_COUNT("qe.equation_substitutions", 1);
-    ++peeled;
-    vars.pop_back();
-    r.tuples = SimplifyTuples(std::move(r.tuples));
-    r.stats.max_intermediate_bits =
-        std::max(r.stats.max_intermediate_bits, MaxBits(r.tuples));
-  }
-  auto finish = [&]() {
-    if (!profiling) return;
+    for (const PrenexBlock& block : node.prefix) {
+      r.profile.label += " x" + std::to_string(block.var);
+    }
     r.profile.inclusive_us = ElapsedUs(start);
     if (peeled > 0) r.profile.AddCounter("substitutions", peeled);
     AddQeCounters(&r.profile, r.stats);
     r.profile.AddCounter("tuples_out", r.tuples.size());
-  };
-  if (vars.empty()) {
-    finish();
-    return r;
   }
-
-  if (node.fragment != Fragment::kPolynomial) {
-    CCDB_TRACE_SPAN("qe.fourier_motzkin");
-    r.stats.used_linear_path = true;
-    r.stats.used_dense_order_path = node.fragment == Fragment::kDenseOrder;
-    for (int i = static_cast<int>(vars.size()) - 1; i >= 0; --i) {
-      CCDB_CHECK_BUDGET(gov, "qe.fm");
-      ++r.stats.fm_rounds;
-      if (node.fragment == Fragment::kDenseOrder) {
-        // Closure over the dense-order language is asserted per round, so
-        // every intermediate result stays inside FO(<=).
-        CCDB_ASSIGN_OR_RETURN(r.tuples, EliminateExistsDenseOrder(
-                                            r.tuples, vars[i], gov,
-                                            options.pool));
-      } else {
-        CCDB_ASSIGN_OR_RETURN(
-            r.tuples,
-            EliminateExistsLinear(r.tuples, vars[i], gov, options.pool));
-      }
-      r.stats.max_intermediate_bits =
-          std::max(r.stats.max_intermediate_bits, MaxBits(r.tuples));
-    }
-    finish();
-    return r;
-  }
-
-  // Polynomial residue: rebuild the block formula and hand it to the
-  // monolithic driver (planning off). Under linear_only this refuses with
-  // kResourceExhausted, exactly like the monolithic path would.
-  QeOptions sub = options;
-  sub.plan = PlanToggle::kOff;
-  sub.profile = nullptr;
-  QeStats sub_stats;
-  CCDB_ASSIGN_OR_RETURN(
-      ConstraintRelation rel,
-      EliminateQuantifiers(BlockToFormula(r.tuples, vars), num_free_vars, sub,
-                           &sub_stats));
-  MergeStats(&r.stats, sub_stats);
-  r.tuples = std::move(*rel.mutable_tuples());
-  finish();
   return r;
 }
 
@@ -296,7 +220,7 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
     case PlanNode::Kind::kLeaf: {
       ExecResult r;
       r.tuples = node.tuples;
-      r.stats.max_intermediate_bits = MaxBits(r.tuples);
+      r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
       if (profiling) {
         r.profile.label = "leaf";
         r.profile.inclusive_us = ElapsedUs(start);
@@ -306,6 +230,23 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
     }
     case PlanNode::Kind::kBlock:
       return ExecBlock(node, num_free_vars, options, profiling);
+    case PlanNode::Kind::kMonolithic: {
+      ExecResult r;
+      r.tuples = node.tuples;
+      r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
+      CCDB_ASSIGN_OR_RETURN(std::uint64_t peeled,
+                            EliminateMatrix(&r.tuples, node.prefix,
+                                            num_free_vars, options, &r.stats));
+      if (profiling) {
+        r.profile.label =
+            std::string("monolithic[") + FragmentEngine(node.fragment) + "]";
+        r.profile.inclusive_us = ElapsedUs(start);
+        if (peeled > 0) r.profile.AddCounter("substitutions", peeled);
+        AddQeCounters(&r.profile, r.stats);
+        r.profile.AddCounter("tuples_out", r.tuples.size());
+      }
+      return r;
+    }
     case PlanNode::Kind::kProduct: {
       // Cartesian recombination of independent factors, in child order:
       // sound because the children's quantified supports are disjoint and
@@ -317,7 +258,7 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
         CCDB_ASSIGN_OR_RETURN(
             ExecResult part,
             ExecNode(*child, num_free_vars, options, profiling));
-        MergeStats(&r.stats, part.stats);
+        r.stats.Merge(part.stats);
         if (profiling) r.profile.children.push_back(std::move(part.profile));
         std::vector<GeneralizedTuple> crossed;
         crossed.reserve(r.tuples.size() * part.tuples.size());
@@ -353,7 +294,7 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
               }));
       ExecResult r;
       for (ExecResult& slot : slots) {
-        MergeStats(&r.stats, slot.stats);
+        r.stats.Merge(slot.stats);
         if (profiling) r.profile.children.push_back(std::move(slot.profile));
         for (GeneralizedTuple& tuple : slot.tuples) {
           r.tuples.push_back(std::move(tuple));
@@ -369,50 +310,18 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
       }
       return r;
     }
-    case PlanNode::Kind::kMonolithic: {
-      QeOptions sub = options;
-      sub.plan = PlanToggle::kOff;
-      sub.profile = nullptr;
-      QeStats sub_stats;
-      ExecResult r;
-      CCDB_ASSIGN_OR_RETURN(
-          ConstraintRelation rel,
-          EliminateQuantifiers(node.formula, num_free_vars, sub, &sub_stats));
-      MergeStats(&r.stats, sub_stats);
-      r.tuples = std::move(*rel.mutable_tuples());
-      if (profiling) {
-        r.profile.label =
-            std::string("monolithic[") + FragmentEngine(node.fragment) + "]";
-        r.profile.inclusive_us = ElapsedUs(start);
-        AddQeCounters(&r.profile, r.stats);
-        r.profile.AddCounter("tuples_out", r.tuples.size());
-      }
-      return r;
-    }
   }
   return Status::Internal("unreachable plan node kind");
 }
 
 }  // namespace
 
-bool PlannerResolved(const QeOptions& options) {
-  switch (options.plan) {
-    case PlanToggle::kOn:
-      return true;
-    case PlanToggle::kOff:
-      return false;
-    case PlanToggle::kAuto:
-      return EngineConfig::Process().plan;
-  }
-  return false;
-}
-
 std::string QueryPlan::Summary() const {
   if (root == nullptr) return "";
-  if (fallback) {
+  if (root->kind == PlanNode::Kind::kLeaf) return "quantifier_free";
+  if (root->kind == PlanNode::Kind::kMonolithic) {
     return std::string("monolithic[") + FragmentEngine(root->fragment) + "]";
   }
-  if (root->kind == PlanNode::Kind::kLeaf) return "quantifier_free";
   std::ostringstream out;
   out << "union=" << root->children.size() << " blocks=" << blocks
       << " [dense_order=" << dispatch[0]
@@ -444,23 +353,27 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
     return plan;
   }
 
+  // The matrix fragment picks the shape. Linear and dense-order matrices
+  // take one whole-union pass of their engine; so do universal prefixes
+  // (miniscoping ∃ over ∨ needs an all-existential prefix) and — with the
+  // disjunct-split ablation knob off — multi-disjunct unions.
   bool all_exists = true;
   for (const PrenexBlock& block : normal.prefix) {
     if (!block.is_exists) all_exists = false;
   }
-  // Fallbacks the planner does not restructure: universal quantifiers
-  // (miniscoping ∃ over ∨ needs an all-existential prefix) and — when the
-  // disjunct-split ablation knob is off — any union the planner would
-  // otherwise split.
-  if (!all_exists || (!options.allow_disjunct_split && tuples.size() > 1)) {
+  const Fragment fragment = options.allow_linear_fast_path
+                                ? ClassifyTuples(tuples)
+                                : Fragment::kPolynomial;
+  if (fragment != Fragment::kPolynomial || !all_exists ||
+      (!options.allow_disjunct_split && tuples.size() > 1)) {
     auto node = std::make_shared<PlanNode>();
     node->kind = PlanNode::Kind::kMonolithic;
-    node->formula = formula;
-    node->fragment = options.allow_linear_fast_path
-                         ? ClassifyTuples(tuples)
-                         : Fragment::kPolynomial;
+    node->fragment = fragment;
+    node->prefix = std::move(normal.prefix);
+    node->tuples = std::move(tuples);
     plan.root = node;
-    plan.fallback = true;
+    plan.blocks = 1;
+    ++plan.dispatch[static_cast<int>(fragment)];
     return plan;
   }
 
@@ -528,8 +441,7 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
       // Cheap-first elimination order (min-occurrence heuristic): the
       // executor eliminates innermost-first, so the least-constrained
       // variable goes innermost. Ties keep the highest index innermost —
-      // the monolithic driver's natural order, which is what keeps
-      // single-heuristic-neutral inputs byte-identical across paths.
+      // the prefix's natural order.
       std::vector<int> ordered = vars;
       std::stable_sort(ordered.begin(), ordered.end(), [&](int a, int b) {
         int oa = occurrences[static_cast<std::size_t>(a)];
@@ -537,8 +449,8 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
         if (oa != ob) return oa > ob;
         return a < b;
       });
-      block->vars.reserve(ordered.size());
-      for (int v : ordered) block->vars.push_back(num_free_vars + v);
+      block->prefix.reserve(ordered.size());
+      for (int v : ordered) block->prefix.push_back({true, num_free_vars + v});
       block->fragment = options.allow_linear_fast_path
                             ? ClassifyTuple(block->tuples[0])
                             : Fragment::kPolynomial;
@@ -561,20 +473,6 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
   return plan;
 }
 
-QueryPlan GetOrBuildPlan(const Formula& formula, int num_free_vars,
-                         const QeOptions& options) {
-  const bool use_cache =
-      options.governor == nullptr && MemoCachesEnabledFor(options.memo);
-  PlanCacheKey key{formula.id(), num_free_vars, PlanOptionBits(options)};
-  if (use_cache) {
-    PlanCacheValue cached;
-    if (PlanCache().Lookup(key, &cached)) return cached.plan;
-  }
-  QueryPlan plan = PlanQuery(formula, num_free_vars, options);
-  if (use_cache) PlanCache().Insert(key, PlanCacheValue{formula, plan});
-  return plan;
-}
-
 StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
                                          const QeOptions& options,
                                          QeStats* stats,
@@ -591,7 +489,7 @@ StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
   CCDB_ASSIGN_OR_RETURN(
       ExecResult r,
       ExecNode(*plan.root, plan.num_free_vars, options, profile != nullptr));
-  MergeStats(stats, r.stats);
+  stats->Merge(r.stats);
   if (profile != nullptr) *profile = std::move(r.profile);
   return ConstraintRelation(plan.num_free_vars,
                             SimplifyTuples(std::move(r.tuples)));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <sstream>
 
 #include "base/failpoint.h"
@@ -14,6 +13,7 @@
 #include "plan/fragment.h"
 #include "plan/planner.h"
 #include "qe/cad.h"
+#include "qe/dense_order.h"
 #include "qe/fourier_motzkin.h"
 #include "qe/qe_cache.h"
 
@@ -36,16 +36,6 @@ Formula TuplesToFormula(const std::vector<GeneralizedTuple>& tuples) {
 std::vector<GeneralizedTuple> NegateTuples(
     const std::vector<GeneralizedTuple>& tuples) {
   return ToDnf(Formula::Not(TuplesToFormula(tuples)));
-}
-
-std::uint64_t MaxBits(const std::vector<GeneralizedTuple>& tuples) {
-  std::uint64_t bits = 0;
-  for (const GeneralizedTuple& tuple : tuples) {
-    for (const Atom& atom : tuple.atoms) {
-      bits = std::max(bits, atom.poly.MaxCoefficientBitLength());
-    }
-  }
-  return bits;
 }
 
 std::vector<Polynomial> CollectDistinctPolys(
@@ -96,40 +86,13 @@ RelOp OpForSign(int sign) {
   return RelOp::kEq;
 }
 
-std::int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Folds a run's QeStats into a ProfileNode's counter list, skipping names
-// the producer already attached (monolithic sub-nodes carry their own) and
-// zero values.
-void AddQeCounters(ProfileNode* node, const QeStats& s) {
-  auto add = [node](const char* name, std::uint64_t v) {
-    if (v == 0) return;
-    for (const auto& [key, unused] : node->counters) {
-      if (key == name) return;
-    }
-    node->AddCounter(name, v);
-  };
-  add("cad_cells", s.cad_cells);
-  add("projection_factors", s.projection_factors);
-  add("fm_rounds", s.fm_rounds);
-  add("max_bits", s.max_intermediate_bits);
-  add("qe_cache_hits", s.cache_hits);
-}
-
-}  // namespace
-
-// Virtual substitution for defining equations: when the innermost
-// quantifier is "exists v" and EVERY tuple either does not mention v or
-// contains an equation p = 0 that is linear in v with a nonzero CONSTANT
-// coefficient, v can be eliminated by exact substitution v := g(rest) —
-// no CAD needed. This is what makes queries produced by the CALC_F
-// function-approximation rewriting (t = h(x) conjuncts) cheap. Declared in
-// qe.h so the planner's per-block executor peels with the identical
-// rewrite.
+// Virtual substitution for defining equations: when EVERY tuple either
+// does not mention `var` or contains an equation p = 0 that is linear in
+// `var` with a nonzero CONSTANT coefficient, "exists var" is eliminated by
+// exact substitution var := g(rest) — no CAD needed — and the rewritten
+// tuples replace *tuples (returns true). Otherwise *tuples is unchanged
+// (returns false). This is what makes queries produced by the CALC_F
+// function-approximation rewriting (t = h(x) conjuncts) cheap.
 bool TrySubstituteInnermostExists(std::vector<GeneralizedTuple>* tuples,
                                   int var) {
   std::vector<GeneralizedTuple> rewritten;
@@ -161,6 +124,12 @@ bool TrySubstituteInnermostExists(std::vector<GeneralizedTuple>* tuples,
     for (std::size_t i = 0; i < tuple.atoms.size(); ++i) {
       if (static_cast<int>(i) == eq_index) continue;
       const Atom& atom = tuple.atoms[i];
+      // A whole-matrix peel sees every atom of the disjunct, most of them
+      // free of `var`; those are kept as they are.
+      if (!atom.poly.Mentions(var)) {
+        substituted.atoms.push_back(atom);
+        continue;
+      }
       substituted.atoms.emplace_back(atom.poly.SubstitutePoly(var, solved),
                                      atom.op);
     }
@@ -171,8 +140,6 @@ bool TrySubstituteInnermostExists(std::vector<GeneralizedTuple>* tuples,
   *tuples = std::move(rewritten);
   return true;
 }
-
-namespace {
 
 struct CadEvalResult {
   // Sign vectors (over the free-space factor set) of true / false
@@ -275,8 +242,10 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
   return result;
 }
 
-// Folds a finished run's QeStats into the global metrics registry on every
-// exit path (including errors).
+// Folds a public call's QeStats into the global metrics registry on every
+// exit path (including errors and cache hits): one qe.calls and one
+// qe.eliminate.us sample per call. CAD cells and projection factors are
+// counted where a CAD is built (EliminateByCad), so a cache hit adds none.
 struct QeMetricsFolder {
   const QeStats* s;
   std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
@@ -285,18 +254,25 @@ struct QeMetricsFolder {
     if (s->used_linear_path) CCDB_METRIC_COUNT("qe.linear_path", 1);
     if (s->used_dense_order_path) CCDB_METRIC_COUNT("qe.dense_order_path", 1);
     if (s->used_thom_augmentation) CCDB_METRIC_COUNT("qe.thom_augmentations", 1);
-    CCDB_METRIC_COUNT("qe.cad.cells", s->cad_cells);
-    CCDB_METRIC_COUNT("qe.cad.projection_factors", s->projection_factors);
     CCDB_METRIC_MAX("qe.max_intermediate_bits", s->max_intermediate_bits);
-    auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
     CCDB_METRIC_HISTOGRAM("qe.eliminate.us",
-                          static_cast<std::uint64_t>(micros));
+                          static_cast<std::uint64_t>(ElapsedUs(start)));
   }
 };
 
 }  // namespace
+
+void QeStats::Merge(const QeStats& from) {
+  cad_cells += from.cad_cells;
+  projection_factors += from.projection_factors;
+  fm_rounds += from.fm_rounds;
+  cache_hits += from.cache_hits;
+  max_intermediate_bits =
+      std::max(max_intermediate_bits, from.max_intermediate_bits);
+  used_linear_path |= from.used_linear_path;
+  used_dense_order_path |= from.used_dense_order_path;
+  used_thom_augmentation |= from.used_thom_augmentation;
+}
 
 std::string QeStats::ToString() const {
   std::ostringstream out;
@@ -324,91 +300,82 @@ std::string QeStats::ToJson() const {
       .Build();
 }
 
-// The elimination algorithm proper. The public EliminateQuantifiers wraps
-// this with the failpoint/budget prologue, the QE result cache, and the
-// profile-root bookkeeping. `prof` (nullable) receives this run's
-// attribution subtree; options.profile is already cleared by the wrapper,
-// so recursive EliminateQuantifiers calls below never double-append roots
-// to the sink.
-static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
-    const Formula& formula, int num_free_vars, const QeOptions& options,
-    QeStats* s, ProfileNode* prof) {
-  const ResourceGovernor* gov = options.governor;
-
-  // Structure-aware planning (plan/planner.h): classify, miniscope, split
-  // into independent blocks, dispatch each block to its cheapest engine.
-  // The plan executor forces kOff on its sub-eliminations, so this branch
-  // is taken exactly once per top-level run.
-  if (PlannerResolved(options)) {
-    QueryPlan plan = GetOrBuildPlan(formula, num_free_vars, options);
-    s->plan = plan.Summary();
-    return ExecutePlan(plan, options, s, prof);
+std::uint64_t MaxCoefficientBits(const std::vector<GeneralizedTuple>& tuples) {
+  std::uint64_t bits = 0;
+  for (const GeneralizedTuple& tuple : tuples) {
+    for (const Atom& atom : tuple.atoms) {
+      bits = std::max(bits, atom.poly.MaxCoefficientBitLength());
+    }
   }
+  return bits;
+}
 
-  QeNormalForm normal = NormalizeForQe(formula, num_free_vars);
-  std::vector<PrenexBlock>& prefix = normal.prefix;
-  std::vector<GeneralizedTuple> tuples = std::move(normal.tuples);
-  int q = static_cast<int>(prefix.size());
-  int n = num_free_vars + q;
-  s->max_intermediate_bits = MaxBits(tuples);
+void AddQeCounters(ProfileNode* node, const QeStats& stats) {
+  auto add = [node](const char* name, std::uint64_t v) {
+    if (v == 0 || node->HasCounter(name)) return;
+    node->AddCounter(name, v);
+  };
+  add("cad_cells", stats.cad_cells);
+  add("projection_factors", stats.projection_factors);
+  add("fm_rounds", stats.fm_rounds);
+  add("max_bits", stats.max_intermediate_bits);
+  add("qe_cache_hits", stats.cache_hits);
+}
 
-  if (q == 0) {
-    if (prof != nullptr) prof->label = "qe.quantifier_free";
-    return ConstraintRelation(num_free_vars, SimplifyTuples(std::move(tuples)));
-  }
-
-  // Peel innermost existential quantifiers that have defining equations.
+StatusOr<std::uint64_t> PeelDefiningEquations(
+    std::vector<GeneralizedTuple>* tuples, std::vector<PrenexBlock>* prefix,
+    const QeOptions& options, QeStats* stats) {
   std::uint64_t peeled = 0;
-  while (options.allow_equation_substitution && q > 0 &&
-         prefix.back().is_exists &&
-         TrySubstituteInnermostExists(&tuples, num_free_vars + q - 1)) {
-    CCDB_CHECK_BUDGET(gov, "qe.drive");
+  while (options.allow_equation_substitution && !prefix->empty() &&
+         prefix->back().is_exists &&
+         TrySubstituteInnermostExists(tuples, prefix->back().var)) {
+    CCDB_CHECK_BUDGET(options.governor, "qe.drive");
     CCDB_METRIC_COUNT("qe.equation_substitutions", 1);
     ++peeled;
-    prefix.pop_back();
-    --q;
-    n = num_free_vars + q;
-    tuples = SimplifyTuples(std::move(tuples));
-    s->max_intermediate_bits =
-        std::max(s->max_intermediate_bits, MaxBits(tuples));
+    prefix->pop_back();
+    *tuples = SimplifyTuples(std::move(*tuples));
+    stats->max_intermediate_bits =
+        std::max(stats->max_intermediate_bits, MaxCoefficientBits(*tuples));
   }
-  if (prof != nullptr && peeled > 0) prof->AddCounter("substitutions", peeled);
-  if (q == 0) {
-    if (prof != nullptr) prof->label = "qe.substituted";
-    return ConstraintRelation(num_free_vars, SimplifyTuples(std::move(tuples)));
-  }
+  return peeled;
+}
 
-  // Linear fast path: Fourier-Motzkin, innermost quantifier first. The
-  // shared fragment classifier (plan/fragment.h) replaces the previous
-  // per-engine IsLinearSystem/IsDenseOrderSystem probes.
-  const Fragment matrix_fragment = options.allow_linear_fast_path
-                                       ? ClassifyTuples(tuples)
-                                       : Fragment::kPolynomial;
-  if (matrix_fragment != Fragment::kPolynomial) {
-    CCDB_TRACE_SPAN("qe.fourier_motzkin");
-    if (prof != nullptr) prof->label = "qe.fourier_motzkin";
-    s->used_linear_path = true;
-    s->used_dense_order_path = matrix_fragment == Fragment::kDenseOrder;
-    for (int i = q - 1; i >= 0; --i) {
-      CCDB_CHECK_BUDGET(gov, "qe.fm");
-      ++s->fm_rounds;
-      int var = num_free_vars + i;
-      if (prefix[i].is_exists) {
-        CCDB_ASSIGN_OR_RETURN(
-            tuples, EliminateExistsLinear(tuples, var, gov, options.pool));
-      } else {
-        std::vector<GeneralizedTuple> negated = NegateTuples(tuples);
-        CCDB_ASSIGN_OR_RETURN(
-            negated, EliminateExistsLinear(negated, var, gov, options.pool));
-        tuples = NegateTuples(negated);
-      }
-      s->max_intermediate_bits =
-          std::max(s->max_intermediate_bits, MaxBits(tuples));
+Status EliminateLinearPrefix(std::vector<GeneralizedTuple>* tuples,
+                             const std::vector<PrenexBlock>& prefix,
+                             Fragment fragment, const QeOptions& options,
+                             QeStats* stats) {
+  CCDB_TRACE_SPAN("qe.fourier_motzkin");
+  const ResourceGovernor* gov = options.governor;
+  const bool dense_order = fragment == Fragment::kDenseOrder;
+  // Dense-order rounds assert closure over FO(<=) per round, so every
+  // intermediate result stays inside the dense-order language.
+  auto eliminate = [&](const std::vector<GeneralizedTuple>& in, int var) {
+    return dense_order
+               ? EliminateExistsDenseOrder(in, var, gov, options.pool)
+               : EliminateExistsLinear(in, var, gov, options.pool);
+  };
+  stats->used_linear_path = true;
+  stats->used_dense_order_path |= dense_order;
+  for (auto block = prefix.rbegin(); block != prefix.rend(); ++block) {
+    CCDB_CHECK_BUDGET(gov, "qe.fm");
+    ++stats->fm_rounds;
+    if (block->is_exists) {
+      CCDB_ASSIGN_OR_RETURN(*tuples, eliminate(*tuples, block->var));
+    } else {
+      CCDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> negated,
+                            eliminate(NegateTuples(*tuples), block->var));
+      *tuples = NegateTuples(negated);
     }
-    return ConstraintRelation(num_free_vars, SimplifyTuples(std::move(tuples)));
+    stats->max_intermediate_bits =
+        std::max(stats->max_intermediate_bits, MaxCoefficientBits(*tuples));
   }
+  return Status::Ok();
+}
 
-  // CAD path.
+StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
+    const std::vector<GeneralizedTuple>& tuples,
+    const std::vector<PrenexBlock>& prefix, int num_free_vars,
+    const QeOptions& options, QeStats* stats) {
   if (options.linear_only) {
     // Degradation rung: the caller asked for the linear fragment only.
     // Refusing CAD with kResourceExhausted lets policy ladders treat "this
@@ -417,81 +384,9 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
         "stage=qe.drive reason=linear_only: query needs CAD but the policy "
         "restricts this attempt to the linear fragment");
   }
-  // Disjunct-wise elimination (the driver's parallel fan-out point): an
-  // all-existential prefix distributes over the top-level union, so
-  // exists ȳ (D1 ∨ ... ∨ Dm) is answered by m independent eliminations,
-  // each building a CAD over only its own polynomials. Slots are merged
-  // in disjunct order — the split and the merge order are algorithm
-  // decisions, not scheduling artifacts, so the answer is identical at
-  // every thread count (and with the split disabled, semantically so).
-  bool all_exists = true;
-  for (const PrenexBlock& block : prefix) {
-    if (!block.is_exists) all_exists = false;
-  }
-  if (options.allow_disjunct_split && all_exists && tuples.size() > 1) {
-    CCDB_TRACE_SPAN("qe.disjunct_split");
-    CCDB_METRIC_COUNT("qe.disjunct_splits", 1);
-    const bool profiling = prof != nullptr;
-    struct DisjunctSlot {
-      ConstraintRelation rel;
-      QeStats stats;
-      std::int64_t us = 0;
-    };
-    CCDB_ASSIGN_OR_RETURN(
-        std::vector<DisjunctSlot> slots,
-        ThreadPool::Resolve(options.pool)->ParallelMap<DisjunctSlot>(
-            tuples.size(), [&](std::size_t i) -> StatusOr<DisjunctSlot> {
-              CCDB_CHECK_BUDGET(gov, "qe.drive");
-              auto slot_start = std::chrono::steady_clock::now();
-              std::vector<Formula> atoms;
-              atoms.reserve(tuples[i].atoms.size());
-              for (const Atom& atom : tuples[i].atoms) {
-                atoms.push_back(Formula::MakeAtom(atom));
-              }
-              Formula disjunct = Formula::And(atoms);
-              for (int v = n - 1; v >= num_free_vars; --v) {
-                disjunct = Formula::Exists(v, std::move(disjunct));
-              }
-              DisjunctSlot slot;
-              CCDB_ASSIGN_OR_RETURN(
-                  slot.rel, EliminateQuantifiers(disjunct, num_free_vars,
-                                                 options, &slot.stats));
-              if (profiling) slot.us = ElapsedUs(slot_start);
-              return slot;
-            }));
-    ConstraintRelation rel(num_free_vars);
-    if (profiling) prof->label = "qe.disjunct_split";
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      DisjunctSlot& slot = slots[i];
-      s->cad_cells += slot.stats.cad_cells;
-      s->projection_factors += slot.stats.projection_factors;
-      s->fm_rounds += slot.stats.fm_rounds;
-      s->cache_hits += slot.stats.cache_hits;
-      s->max_intermediate_bits =
-          std::max(s->max_intermediate_bits, slot.stats.max_intermediate_bits);
-      s->used_linear_path |= slot.stats.used_linear_path;
-      s->used_dense_order_path |= slot.stats.used_dense_order_path;
-      s->used_thom_augmentation |= slot.stats.used_thom_augmentation;
-      if (profiling) {
-        // Children in disjunct order — the tree shape is a plan decision,
-        // not a scheduling artifact.
-        ProfileNode child;
-        child.label = "disjunct[" + std::to_string(i) + "]";
-        child.inclusive_us = slot.us;
-        AddQeCounters(&child, slot.stats);
-        child.AddCounter("tuples_out", slot.rel.tuples().size());
-        prof->children.push_back(std::move(child));
-      }
-      for (GeneralizedTuple& tuple : *slot.rel.mutable_tuples()) {
-        rel.AddTuple(std::move(tuple));
-      }
-    }
-    *rel.mutable_tuples() = SimplifyTuples(std::move(*rel.mutable_tuples()));
-    return rel;
-  }
-
   CCDB_TRACE_SPAN("qe.cad_path");
-  if (prof != nullptr) prof->label = "qe.cad";
+  const ResourceGovernor* gov = options.governor;
+  const int n = num_free_vars + static_cast<int>(prefix.size());
   std::vector<Polynomial> matrix_polys = CollectDistinctPolys(tuples);
   for (int attempt = 0; attempt < 2; ++attempt) {
     CCDB_CHECK_BUDGET(gov, "qe.drive");
@@ -501,21 +396,23 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     cad_options.pool = options.pool;
     cad_options.memo = options.memo;
     if (attempt == 1) {
-      s->used_thom_augmentation = true;
+      stats->used_thom_augmentation = true;
       CCDB_LOG(INFO) << "QE: retrying CAD with Thom-derivative augmentation "
                         "(plain sign vectors could not separate cells)";
     }
     CCDB_ASSIGN_OR_RETURN(Cad cad,
                           Cad::Build(matrix_polys, n, cad_options));
-    s->cad_cells = cad.CountAllCells();
-    s->projection_factors = 0;
+    stats->cad_cells = cad.CountAllCells();
+    stats->projection_factors = 0;
     for (int level = 0; level < n; ++level) {
       for (const Polynomial& p : cad.factors_at_level(level)) {
-        s->projection_factors++;
-        s->max_intermediate_bits =
-            std::max(s->max_intermediate_bits, p.MaxCoefficientBitLength());
+        stats->projection_factors++;
+        stats->max_intermediate_bits =
+            std::max(stats->max_intermediate_bits, p.MaxCoefficientBitLength());
       }
     }
+    CCDB_METRIC_COUNT("qe.cad.cells", stats->cad_cells);
+    CCDB_METRIC_COUNT("qe.cad.projection_factors", stats->projection_factors);
 
     CCDB_ASSIGN_OR_RETURN(
         CadEvalResult eval,
@@ -523,9 +420,9 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
                     options.pool, options.memo));
 
     if (num_free_vars == 0) {
-      ConstraintRelation rel(0);
-      if (eval.sentence_truth) rel.AddTuple(GeneralizedTuple());
-      return rel;
+      std::vector<GeneralizedTuple> out;
+      if (eval.sentence_truth) out.push_back(GeneralizedTuple());
+      return out;
     }
 
     // Solution formula construction: distinct sign vectors of true cells,
@@ -559,26 +456,19 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
       }
       if (!seen) distinct_vectors.push_back(tv);
     }
-    ConstraintRelation rel(num_free_vars);
+    std::vector<GeneralizedTuple> out;
     for (const auto& vec : distinct_vectors) {
+      // With no factors below the free space the tuple stays empty: the
+      // whole free space is true.
       GeneralizedTuple tuple;
       for (std::size_t i = 0; i < free_factors.size(); ++i) {
         tuple.atoms.emplace_back(free_factors[i], OpForSign(vec[i]));
       }
-      if (tuple.atoms.empty()) {
-        // No factors below the free space: the whole free space is true.
-        rel.AddTuple(GeneralizedTuple());
-        continue;
-      }
-      rel.AddTuple(std::move(tuple));
+      out.push_back(std::move(tuple));
     }
-    for (const GeneralizedTuple& tuple : rel.tuples()) {
-      for (const Atom& atom : tuple.atoms) {
-        s->max_intermediate_bits = std::max(
-            s->max_intermediate_bits, atom.poly.MaxCoefficientBitLength());
-      }
-    }
-    return rel;
+    stats->max_intermediate_bits =
+        std::max(stats->max_intermediate_bits, MaxCoefficientBits(out));
+    return out;
   }
   return Status::Internal("unreachable: CAD attempts exhausted");
 }
@@ -605,12 +495,8 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
 
   // Profile bookkeeping (observation only — arming a sink never changes
   // the answer, and the sink pointer is excluded from every cache key).
-  // The sink is cleared from the options passed down so recursive calls
-  // report through this run's tree instead of appending their own roots.
   ProfileSink* sink = options.profile;
   const auto prof_start = std::chrono::steady_clock::now();
-  QeOptions inner = options;
-  inner.profile = nullptr;
 
   // Memoized path: only ungoverned runs may SKIP work via the cache, so
   // governed budget charging and degradation behaviour never depend on
@@ -636,15 +522,16 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
       return cached.relation;
     }
   }
+  // One driver: normalize once, plan from the matrix fragment, execute.
+  QueryPlan plan = PlanQuery(formula, num_free_vars, options);
+  s->plan = plan.Summary();
   ProfileNode prof_root;
   CCDB_ASSIGN_OR_RETURN(
       ConstraintRelation result,
-      EliminateQuantifiersUncached(formula, num_free_vars, inner, s,
-                                   sink != nullptr ? &prof_root : nullptr));
+      ExecutePlan(plan, options, s, sink != nullptr ? &prof_root : nullptr));
   // Canonical presentation: sorting the union of canonicalized disjuncts
-  // makes the answer independent of derivation order — the anchor of the
-  // planner-on/planner-off byte-identity contract (and a no-op for
-  // semantics, since a union is order-insensitive).
+  // makes the answer independent of derivation order (and of the thread
+  // count) — a no-op for semantics, since a union is order-insensitive.
   std::sort(result.mutable_tuples()->begin(), result.mutable_tuples()->end());
   if (use_cache) {
     // The stored stats describe the computation itself; the hit count is
@@ -654,7 +541,6 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
     QeResultCache().Insert(key, QeCacheValue{formula, result, stored});
   }
   if (sink != nullptr) {
-    if (prof_root.label.empty()) prof_root.label = "qe";
     prof_root.inclusive_us = ElapsedUs(prof_start);
     AddQeCounters(&prof_root, *s);
     if (!prof_root.HasCounter("tuples_out")) {

@@ -11,10 +11,12 @@
 #include "base/thread_pool.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
+#include "plan/fragment.h"
 
 namespace ccdb {
 
 class ProfileSink;
+struct ProfileNode;
 
 /// Statistics of one quantifier-elimination run, exposed for the paper's
 /// complexity experiments (Theorems 3.1, 4.1, 4.2; Lemma 4.4).
@@ -24,8 +26,8 @@ struct QeStats {
   /// Variable-elimination rounds taken on the linear paths (dense-order /
   /// Fourier-Motzkin), summed over blocks and disjuncts.
   std::uint64_t fm_rounds = 0;
-  /// QE-result-cache hits that served this run or its sub-eliminations
-  /// (per-block residue, per-disjunct splits). 0 on a fully cold run.
+  /// QE-result-cache hits that served this run or its CAD block residues.
+  /// 0 on a fully cold run.
   /// Profiling attribution only: EXCLUDED from ToString()/ToJson(), since
   /// cache temperature is schedule/history-dependent while the canonical
   /// stats rendering replays byte-identically on a memo hit.
@@ -39,22 +41,19 @@ struct QeStats {
   /// language.
   bool used_dense_order_path = false;
   bool used_thom_augmentation = false;
-  /// One-line summary of the structure-aware query plan when the planner
-  /// drove this run ("" on the monolithic path and in sub-eliminations).
-  /// Deterministic — depends only on the input formula and options.
+  /// One-line summary of the plan that ran (QueryPlan::Summary; "" in the
+  /// stats of a block residue). Deterministic — depends only on the input
+  /// formula and options.
   std::string plan;
 
+  /// Accumulates a block's stats into this run's. `plan` is not merged:
+  /// only the top-level run carries the plan summary.
+  void Merge(const QeStats& from);
   /// One-line human-readable rendering.
   std::string ToString() const;
   /// JSON object with one field per statistic.
   std::string ToJson() const;
 };
-
-/// PlanToggle (base/config.h) is the three-way switch carried by the
-/// option structs below: kAuto follows the process-wide switch (itself
-/// defaulted from EngineConfig), kOn/kOff force the feature per call. The
-/// executor forces plan=kOff on its per-block sub-eliminations so plan
-/// execution reuses the monolithic primitives verbatim.
 
 /// Options for quantifier elimination.
 struct QeOptions {
@@ -74,22 +73,13 @@ struct QeOptions {
   /// fails with kResourceExhausted instead of risking a doubly exponential
   /// CAD — the last rung of ConstraintDatabase::QueryWithPolicy's ladder.
   bool linear_only = false;
-  /// Split an all-existential prefix over the top-level disjunction before
-  /// the CAD path: exists ȳ (D1 ∨ ... ∨ Dm) is eliminated disjunct by
-  /// disjunct (each disjunct builds a CAD over only its own polynomials)
-  /// and the per-disjunct answers are unioned in input order. This is both
-  /// an algorithmic win (m small CADs instead of one joint CAD) and the
-  /// driver's parallel fan-out point. The split is a deterministic
-  /// algorithm decision — it does not depend on the thread count.
+  /// Plan a polynomial all-existential union disjunct by disjunct:
+  /// exists ȳ (D1 ∨ ... ∨ Dm) becomes m miniscoped members (plan/planner.h),
+  /// each building a CAD over only its own polynomials, unioned in input
+  /// order. Off, such a union is one whole-matrix node with one joint CAD
+  /// (the ablation baseline). The split is a deterministic algorithm
+  /// decision — it does not depend on the thread count.
   bool allow_disjunct_split = true;
-  /// Structure-aware planning (plan/planner.h): classify the quantifier
-  /// block into fragments, miniscope ∃ into the narrowest scope, split
-  /// independent variable components, and dispatch each block to the
-  /// cheapest engine (dense-order / Fourier-Motzkin / CAD). kAuto follows
-  /// the session config, or EngineConfig::Process().plan (CCDB_PLAN,
-  /// default on) outside any session; kOff is the monolithic fallback
-  /// path.
-  PlanToggle plan = PlanToggle::kAuto;
   /// Memo layers (QE result cache, resultant/PRS cache, whole-query cache)
   /// for this evaluation: kAuto follows the session config, or
   /// EngineConfig::Process().qe_cache (CCDB_QE_CACHE) outside any session;
@@ -103,7 +93,7 @@ struct QeOptions {
   /// (driver rounds, CAD projection/base/lifting, root isolation,
   /// Fourier-Motzkin tuples). Null = unlimited. Borrowed, not owned.
   const ResourceGovernor* governor = nullptr;
-  /// Worker pool for the parallel stages (per-disjunct elimination, CAD
+  /// Worker pool for the parallel stages (plan union members, CAD
   /// lifting over base-phase cells, cell-truth evaluation). Null = the
   /// process-wide ThreadPool::Shared(), which defaults to serial unless
   /// CCDB_THREADS is set. Borrowed, not owned. Results are merged in
@@ -111,12 +101,10 @@ struct QeOptions {
   /// count.
   ThreadPool* pool = nullptr;
   /// EXPLAIN ANALYZE sink (base/profile.h): when non-null, each top-level
-  /// elimination appends one ProfileNode tree — per plan node (or per
-  /// monolithic engine stage) inclusive wall time, CAD cells, FM rounds,
-  /// peak bit length, and cache temperature. Observation only: arming it
-  /// never changes the answer, and it is excluded from every memo-cache
-  /// key. Internal sub-eliminations run with the sink cleared and report
-  /// through their parent's node instead. Borrowed, not owned.
+  /// elimination appends one ProfileNode tree — per plan node inclusive
+  /// wall time, CAD cells, FM rounds, peak bit length, and cache
+  /// temperature. Observation only: arming it never changes the answer,
+  /// and it is excluded from every memo-cache key. Borrowed, not owned.
   ProfileSink* profile = nullptr;
 };
 
@@ -124,7 +112,9 @@ struct QeOptions {
 /// step 2; Appendix I): eliminates all quantifiers from a relation-free
 /// formula whose free variables are exactly 0..num_free_vars-1, producing
 /// an equivalent quantifier-free formula in closed form as a union of
-/// generalized tuples over those variables.
+/// generalized tuples over those variables. One driver: the formula is
+/// normalized once, planned from its matrix fragment (PlanQuery) and the
+/// plan executed (ExecutePlan).
 StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
                                                   int num_free_vars,
                                                   const QeOptions& options = {},
@@ -138,15 +128,44 @@ StatusOr<bool> DecideSentence(const Formula& sentence,
                               const QeOptions& options = {},
                               QeStats* stats = nullptr);
 
-/// Virtual substitution for defining equations: when EVERY tuple either
-/// does not mention `var` or contains an equation p = 0 linear in `var`
-/// with a nonzero CONSTANT coefficient, "exists var" is eliminated by
-/// exact substitution var := g(rest) and the rewritten tuples replace
-/// *tuples (returns true). Otherwise *tuples is left unchanged (returns
-/// false). Shared by the monolithic driver's peel loop and the planner's
-/// per-block executor so both paths rewrite identically.
-bool TrySubstituteInnermostExists(std::vector<GeneralizedTuple>* tuples,
-                                  int var);
+// ---------------------------------------------------------------------------
+// Engine steps. The plan executor's block and whole-matrix nodes
+// (plan/planner.cc) call these directly; each folds its work into *stats.
+
+/// Peels innermost existential quantifiers by virtual substitution: while
+/// the innermost block of *prefix is "exists v" and EVERY tuple either
+/// does not mention v or contains an equation p = 0 linear in v with a
+/// nonzero CONSTANT coefficient, v := g(rest) is substituted and the block
+/// popped. Off under !options.allow_equation_substitution. Returns the
+/// number of quantifiers peeled.
+StatusOr<std::uint64_t> PeelDefiningEquations(
+    std::vector<GeneralizedTuple>* tuples, std::vector<PrenexBlock>* prefix,
+    const QeOptions& options, QeStats* stats);
+
+/// Eliminates *prefix innermost-first from linear tuples with `fragment`'s
+/// engine (dense-order or Fourier-Motzkin); a universal block goes through
+/// negation. Span "qe.fourier_motzkin".
+Status EliminateLinearPrefix(std::vector<GeneralizedTuple>* tuples,
+                             const std::vector<PrenexBlock>& prefix,
+                             Fragment fragment, const QeOptions& options,
+                             QeStats* stats);
+
+/// The CAD path over a compact normal form (prefix[i] binds
+/// num_free_vars + i): build, evaluate the prefix over the cells, and
+/// construct the solution formula (retrying with Thom augmentation when
+/// sign vectors collide). Refuses with kResourceExhausted under
+/// options.linear_only. Span "qe.cad_path".
+StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
+    const std::vector<GeneralizedTuple>& tuples,
+    const std::vector<PrenexBlock>& prefix, int num_free_vars,
+    const QeOptions& options, QeStats* stats);
+
+/// Largest coefficient bit length over the tuples' atoms.
+std::uint64_t MaxCoefficientBits(const std::vector<GeneralizedTuple>& tuples);
+
+/// Attribution counters for a profile node from a run's stats; zero values
+/// and names the node already carries are skipped.
+void AddQeCounters(ProfileNode* node, const QeStats& stats);
 
 }  // namespace ccdb
 

@@ -1,12 +1,11 @@
 #include "qe/qe_cache.h"
 
 #include "base/config.h"
-#include "plan/planner.h"
 
 namespace ccdb {
 
 QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
-                          const QeOptions& options) {
+                          const QeOptions& options, bool block_residue) {
   QeCacheKey key;
   key.formula_id = formula.id();
   key.num_free_vars = num_free_vars;
@@ -15,7 +14,7 @@ QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
                     (options.allow_equation_substitution ? 4u : 0u) |
                     (options.linear_only ? 8u : 0u) |
                     (options.allow_disjunct_split ? 16u : 0u) |
-                    (PlannerResolved(options) ? 32u : 0u);
+                    (block_residue ? 32u : 0u);
   return key;
 }
 

@@ -27,12 +27,13 @@ struct QeCacheKey {
   std::uint64_t formula_id = 0;
   int num_free_vars = 0;
   /// Packed algorithm options (linear fast path, Thom augmentation,
-  /// equation substitution, linear-only, disjunct split, resolved planner
-  /// toggle). The governor and pool are excluded: lookups only happen
-  /// ungoverned, and results are thread-count independent by the
-  /// determinism contract. The PLANNER bit is included because the two
-  /// paths guarantee semantic — not syntactic — equivalence in general, so
-  /// plan-on and plan-off runs must never share cache entries.
+  /// equation substitution, linear-only, disjunct split) plus the
+  /// block-residue bit. The governor and pool are excluded: lookups only
+  /// happen ungoverned, and results are thread-count independent by the
+  /// determinism contract. A block residue (the CAD residue of one plan
+  /// block, plan/planner.cc) is eliminated without planning and its stats
+  /// carry no plan summary, so residue and whole-query entries never share
+  /// a key even for the same formula.
   unsigned option_bits = 0;
 
   bool operator==(const QeCacheKey& other) const {
@@ -59,7 +60,8 @@ struct QeCacheValue {
 };
 
 QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
-                          const QeOptions& options);
+                          const QeOptions& options,
+                          bool block_residue = false);
 
 /// The process-wide cache. Capacity defaults to 4096 entries and can be
 /// set with the CCDB_QE_CACHE_CAPACITY environment variable (read once).

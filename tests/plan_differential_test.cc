@@ -1,13 +1,25 @@
-// Differential property tests for the structure-aware planner: on the
-// disequality-free single-quantified-variable corpora below, the planned
-// path (classify → miniscope → split → dispatch) and the monolithic path
-// route every sub-problem through the same elimination primitives, so the
-// answer relation must be BYTE-identical with the planner on and off, and
-// at every thread count (1, 2, 8). This is the executable form of the
-// determinism contract in plan/planner.h and DESIGN.md §10.
+// Oracle and determinism tests for quantifier elimination over seeded
+// corpora of exists-y queries (x free, y quantified): linear, dense-order,
+// conic, and mixed-fragment unions, which exercise both plan shapes — the
+// whole-matrix node of a linear matrix and the miniscoped union of a
+// polynomial one.
+//
+// Oracle (independent of the engine): ∃ distributes over ∨, so at a
+// rational x the query holds iff one disjunct is satisfiable in y. A
+// disjunct is either a conjunction of atoms linear in y, which reduces to
+// exact rational bounds and equalities on y, or a single conic
+// a*y^2 + ... <= 0 with a > 0, which holds iff its value at the rational
+// vertex y = -(b*x + c) / 2a is <= 0. The engine's quantifier-free answer
+// is evaluated exactly at the same x: seeded points, the rational roots of
+// the answer's linear atoms, and the midpoints between them.
+//
+// Determinism: the rendering is byte-identical at every thread count
+// (1, 2, 8) with the memo caches on and off. CCDB_PROPERTY_ITERS scales
+// the corpora.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -15,8 +27,9 @@
 #include "base/thread_pool.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
-#include "plan/planner.h"
+#include "property_env.h"
 #include "qe/qe.h"
+#include "qe/qe_cache.h"
 
 namespace ccdb {
 namespace {
@@ -26,49 +39,66 @@ const int kThreadCounts[] = {1, 2, 8};
 Polynomial X() { return Polynomial::Var(0); }
 Polynomial Y() { return Polynomial::Var(1); }
 
-// Random linear formula over x (free) and y (quantified) — the same corpus
-// shape as qe_property_test's RandomLinearBody (no disequalities).
-Formula RandomLinearBody(std::mt19937_64* rng) {
+// The body of exists y: a disjunction of conjunctions of atoms over x
+// (variable 0) and y (variable 1), kept as data so the oracle reads the
+// atoms the query was built from.
+using Conjunction = std::vector<Atom>;
+using Body = std::vector<Conjunction>;
+
+Formula ExistsY(const Body& body) {
+  std::vector<Formula> disjuncts;
+  for (const Conjunction& conjunction : body) {
+    std::vector<Formula> atoms;
+    for (const Atom& atom : conjunction) {
+      atoms.push_back(Formula::MakeAtom(atom));
+    }
+    disjuncts.push_back(Formula::And(atoms));
+  }
+  return Formula::Exists(1, Formula::Or(disjuncts));
+}
+
+std::string Render(const Body& body) {
+  return ExistsY(body).ToString({"x", "y"});
+}
+
+const RelOp kOps[] = {RelOp::kLe, RelOp::kLt, RelOp::kEq, RelOp::kGe};
+
+// Random linear body: two conjunctions of two halfplane atoms with small
+// integer coefficients (no disequalities).
+Body RandomLinearBody(std::mt19937_64* rng) {
   std::uniform_int_distribution<std::int64_t> coeff(-3, 3);
   auto random_atom = [&]() {
     std::int64_t a = coeff(*rng), b = coeff(*rng), c = coeff(*rng);
     if (a == 0 && b == 0) a = 1;
     Polynomial p = Polynomial(a) * X() + Polynomial(b) * Y() + Polynomial(c);
-    RelOp ops[] = {RelOp::kLe, RelOp::kLt, RelOp::kEq, RelOp::kGe};
-    return Formula::MakeAtom(Atom(p, ops[(*rng)() % 4]));
+    return Atom(p, kOps[(*rng)() % 4]);
   };
-  Formula conj1 = Formula::And(random_atom(), random_atom());
-  Formula conj2 = Formula::And(random_atom(), random_atom());
-  return Formula::Or(conj1, conj2);
+  return {{random_atom(), random_atom()}, {random_atom(), random_atom()}};
 }
 
-// Random dense-order formula: unit-coefficient comparisons between x, y,
-// and small constants — stays inside FO(<=), so the planner dispatches the
-// dense-order engine.
-Formula RandomDenseOrderBody(std::mt19937_64* rng) {
+// Random dense-order body: unit-coefficient comparisons between x, y, and
+// small constants — stays inside FO(<=).
+Body RandomDenseOrderBody(std::mt19937_64* rng) {
   std::uniform_int_distribution<std::int64_t> constant(-2, 2);
   auto random_atom = [&]() {
-    RelOp ops[] = {RelOp::kLe, RelOp::kLt, RelOp::kEq, RelOp::kGe};
-    RelOp op = ops[(*rng)() % 4];
+    RelOp op = kOps[(*rng)() % 4];
     switch ((*rng)() % 4) {
       case 0:
-        return Formula::MakeAtom(Atom(X() - Y(), op));
+        return Atom(X() - Y(), op);
       case 1:
-        return Formula::MakeAtom(Atom(Y() - X(), op));
+        return Atom(Y() - X(), op);
       case 2:
-        return Formula::MakeAtom(Atom(Y() - Polynomial(constant(*rng)), op));
+        return Atom(Y() - Polynomial(constant(*rng)), op);
       default:
-        return Formula::MakeAtom(Atom(X() - Polynomial(constant(*rng)), op));
+        return Atom(X() - Polynomial(constant(*rng)), op);
     }
   };
-  Formula conj1 = Formula::And(random_atom(), random_atom());
-  Formula conj2 = Formula::And(random_atom(), random_atom());
-  return Formula::Or(conj1, conj2);
+  return {{random_atom(), random_atom()}, {random_atom(), random_atom()}};
 }
 
-// Random conic atom (genuinely polynomial): a*y^2 + (b*x + c)*y + d*x^2 +
-// e*x + f <= 0 with a > 0 — forces the CAD engine on both paths.
-Formula RandomConicBody(std::mt19937_64* rng) {
+// Random conic atom a*y^2 + (b*x + c)*y + d*x^2 + e*x + f <= 0 with a > 0:
+// genuinely polynomial, so it goes through CAD.
+Atom RandomConicAtom(std::mt19937_64* rng) {
   std::uniform_int_distribution<std::int64_t> coeff(-2, 2);
   std::int64_t a = 1 + static_cast<std::int64_t>((*rng)() % 2);
   std::int64_t b = coeff(*rng), c = coeff(*rng), d = coeff(*rng),
@@ -77,83 +107,254 @@ Formula RandomConicBody(std::mt19937_64* rng) {
                      (Polynomial(b) * X() + Polynomial(c)) * Y() +
                      Polynomial(d) * X().Pow(2) + Polynomial(e) * X() +
                      Polynomial(f);
-  return Formula::MakeAtom(Atom(conic, RelOp::kLe));
+  return Atom(conic, RelOp::kLe);
 }
 
-// Eliminates `exists y body` on every (plan, threads) combination and
-// checks that all renderings agree byte-for-byte with the reference run
-// (planner off, threads = 1 — the historical monolithic serial path).
-void ExpectPlanAndThreadInvariant(const Formula& body) {
-  Formula query = Formula::Exists(1, body);
+bool Holds(const Rational& value, RelOp op) {
+  const int sign = value.sign();
+  switch (op) {
+    case RelOp::kEq:
+      return sign == 0;
+    case RelOp::kNeq:
+      return sign != 0;
+    case RelOp::kLt:
+      return sign < 0;
+    case RelOp::kLe:
+      return sign <= 0;
+    case RelOp::kGt:
+      return sign > 0;
+    case RelOp::kGe:
+      return sign >= 0;
+  }
+  return false;
+}
+
+// Evaluates a polynomial in x alone (variable 0) at x0.
+Rational AtX(const Polynomial& p, const Rational& x0) {
+  return p.Evaluate({x0});
+}
+
+// Exact truth of exists y (conjunction) at x = x0.
+bool ConjunctionSatisfiable(const Conjunction& conjunction,
+                            const Rational& x0) {
+  if (conjunction.size() == 1 && conjunction[0].poly.DegreeIn(1) == 2) {
+    // A single conic with a > 0 attains its minimum over y at the vertex.
+    const Atom& conic = conjunction[0];
+    EXPECT_EQ(conic.op, RelOp::kLe);
+    std::vector<Polynomial> c = conic.poly.CoefficientsIn(1);
+    Rational a = AtX(c[2], x0);
+    EXPECT_GT(a.sign(), 0);
+    Rational vertex = -AtX(c[1], x0) / (Rational(2) * a);
+    return Holds(conic.poly.Evaluate({x0, vertex}), conic.op);
+  }
+  // Every atom is linear in y: b*y + k op 0 bounds y by the root -k/b.
+  bool have_lower = false, lower_strict = false;
+  bool have_upper = false, upper_strict = false;
+  bool have_equal = false;
+  Rational lower, upper, equal;
+  for (const Atom& atom : conjunction) {
+    EXPECT_LE(atom.poly.DegreeIn(1), 1u);
+    std::vector<Polynomial> c = atom.poly.CoefficientsIn(1);
+    Rational k = AtX(c[0], x0);
+    Rational b = c.size() > 1 ? AtX(c[1], x0) : Rational(0);
+    if (b.is_zero()) {
+      if (!Holds(k, atom.op)) return false;
+      continue;
+    }
+    Rational root = -k / b;
+    // b*(y - root) op 0, i.e. (y - root) op' 0 with op' flipped for b < 0.
+    RelOp op = atom.op;
+    if (b.sign() < 0) {
+      if (op == RelOp::kLt) op = RelOp::kGt;
+      else if (op == RelOp::kLe) op = RelOp::kGe;
+      else if (op == RelOp::kGt) op = RelOp::kLt;
+      else if (op == RelOp::kGe) op = RelOp::kLe;
+    }
+    switch (op) {
+      case RelOp::kEq:
+        if (have_equal && equal != root) return false;
+        have_equal = true;
+        equal = root;
+        break;
+      case RelOp::kLt:
+      case RelOp::kLe:
+        if (!have_upper || root < upper ||
+            (root == upper && op == RelOp::kLt)) {
+          upper = root;
+          upper_strict = op == RelOp::kLt;
+        }
+        have_upper = true;
+        break;
+      case RelOp::kGt:
+      case RelOp::kGe:
+        if (!have_lower || root > lower ||
+            (root == lower && op == RelOp::kGt)) {
+          lower = root;
+          lower_strict = op == RelOp::kGt;
+        }
+        have_lower = true;
+        break;
+      case RelOp::kNeq:
+        ADD_FAILURE() << "disequalities are outside the corpus";
+        return false;
+    }
+  }
+  if (have_equal) {
+    for (const Atom& atom : conjunction) {
+      if (!Holds(atom.poly.Evaluate({x0, equal}), atom.op)) return false;
+    }
+    return true;
+  }
+  if (!have_lower || !have_upper) return true;
+  if (lower < upper) return true;
+  return lower == upper && !lower_strict && !upper_strict;
+}
+
+bool OracleHolds(const Body& body, const Rational& x0) {
+  for (const Conjunction& conjunction : body) {
+    if (ConjunctionSatisfiable(conjunction, x0)) return true;
+  }
+  return false;
+}
+
+bool AnswerHolds(const ConstraintRelation& answer, const Rational& x0) {
+  for (const GeneralizedTuple& tuple : answer.tuples()) {
+    bool all = true;
+    for (const Atom& atom : tuple.atoms) {
+      if (!Holds(AtX(atom.poly, x0), atom.op)) {
+        all = false;
+        break;
+      }
+    }
+    if (all) return true;
+  }
+  return false;
+}
+
+// Seeded points plus the rational roots of the answer's linear atoms and
+// the midpoints between consecutive roots (and one step past either end):
+// where a wrong bound or operator would show.
+std::vector<Rational> TestPoints(const ConstraintRelation& answer,
+                                 std::mt19937_64* rng) {
+  std::vector<Rational> roots;
+  for (const GeneralizedTuple& tuple : answer.tuples()) {
+    for (const Atom& atom : tuple.atoms) {
+      if (atom.poly.DegreeIn(0) != 1) continue;
+      std::vector<Polynomial> c = atom.poly.CoefficientsIn(0);
+      roots.push_back(-c[0].constant_value() / c[1].constant_value());
+    }
+  }
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  std::vector<Rational> points = roots;
+  for (std::size_t i = 0; i + 1 < roots.size(); ++i) {
+    points.push_back(Rational::Midpoint(roots[i], roots[i + 1]));
+  }
+  if (!roots.empty()) {
+    points.push_back(roots.front() - Rational(1));
+    points.push_back(roots.back() + Rational(1));
+  }
+  std::uniform_int_distribution<std::int64_t> numerator(-40, 40);
+  std::uniform_int_distribution<std::int64_t> denominator(1, 8);
+  for (int i = 0; i < 16; ++i) {
+    points.push_back(
+        Rational(BigInt(numerator(*rng)), BigInt(denominator(*rng))));
+  }
+  return points;
+}
+
+// Eliminates exists y (body) at every (threads, memo) combination, checks
+// the renderings agree byte-for-byte, and checks the answer against the
+// oracle at the test points.
+void ExpectExactAndDeterministic(const Body& body, std::uint64_t seed) {
+  Formula query = ExistsY(body);
   std::string reference;
-  bool have_reference = false;
-  for (PlanToggle plan : {PlanToggle::kOff, PlanToggle::kOn}) {
+  StatusOr<ConstraintRelation> answer = Status::Internal("not run");
+  for (PlanToggle memo : {PlanToggle::kOff, PlanToggle::kOn}) {
     for (int threads : kThreadCounts) {
+      QeResultCache().Clear();
       ThreadPool pool(threads);
       QeOptions options;
-      options.plan = plan;
+      options.memo = memo;
       options.pool = &pool;
       auto result = EliminateQuantifiers(query, 1, options);
       ASSERT_TRUE(result.ok())
-          << result.status().ToString() << " plan="
-          << (plan == PlanToggle::kOn ? "on" : "off")
-          << " threads=" << threads;
-      std::string rendered = result->ToString();
-      if (!have_reference) {
-        reference = rendered;
-        have_reference = true;
+          << result.status().ToString() << " threads=" << threads
+          << " query " << Render(body);
+      if (!answer.ok()) {
+        answer = *result;
+        reference = result->ToString();
         continue;
       }
-      EXPECT_EQ(rendered, reference)
-          << "plan=" << (plan == PlanToggle::kOn ? "on" : "off")
-          << " threads=" << threads << " body " << body.ToString({"x", "y"});
+      EXPECT_EQ(result->ToString(), reference)
+          << "memo=" << (memo == PlanToggle::kOn ? "on" : "off")
+          << " threads=" << threads << " query " << Render(body);
     }
+  }
+  std::mt19937_64 rng(seed);
+  for (const Rational& x0 : TestPoints(*answer, &rng)) {
+    EXPECT_EQ(AnswerHolds(*answer, x0), OracleHolds(body, x0))
+        << "x=" << x0.ToString() << " query " << Render(body) << " answer "
+        << reference;
   }
 }
 
-class PlanLinearDifferentialTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PlanLinearDifferentialTest, PlannedEqualsMonolithicAtEveryThreadCount) {
-  std::mt19937_64 rng(GetParam());
-  ExpectPlanAndThreadInvariant(RandomLinearBody(&rng));
+// Runs `make` for PropertyIterScale() seeds derived from `base`.
+template <typename Make>
+void SweepSeeds(std::uint64_t base, Make make) {
+  for (int k = 0; k < ccdb_test::PropertyIterScale(); ++k) {
+    const std::uint64_t seed = base + 7919u * static_cast<std::uint64_t>(k);
+    std::mt19937_64 rng(seed);
+    ExpectExactAndDeterministic(make(&rng), seed);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomLinear, PlanLinearDifferentialTest,
+class LinearOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LinearOracleTest, AnswerMatchesTheOracleAtEveryThreadAndMemo) {
+  SweepSeeds(GetParam(), RandomLinearBody);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLinear, LinearOracleTest,
                          ::testing::Range(0, 16));
 
-class PlanDenseOrderDifferentialTest : public ::testing::TestWithParam<int> {};
+class DenseOrderOracleTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(PlanDenseOrderDifferentialTest,
-       PlannedEqualsMonolithicAtEveryThreadCount) {
-  std::mt19937_64 rng(100 + GetParam());
-  ExpectPlanAndThreadInvariant(RandomDenseOrderBody(&rng));
+TEST_P(DenseOrderOracleTest, AnswerMatchesTheOracleAtEveryThreadAndMemo) {
+  SweepSeeds(100 + GetParam(), RandomDenseOrderBody);
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomDenseOrder, PlanDenseOrderDifferentialTest,
+INSTANTIATE_TEST_SUITE_P(RandomDenseOrder, DenseOrderOracleTest,
                          ::testing::Range(0, 12));
 
-class PlanConicDifferentialTest : public ::testing::TestWithParam<int> {};
+class ConicOracleTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(PlanConicDifferentialTest, PlannedEqualsMonolithicAtEveryThreadCount) {
-  std::mt19937_64 rng(1000 + GetParam());
-  ExpectPlanAndThreadInvariant(RandomConicBody(&rng));
+TEST_P(ConicOracleTest, AnswerMatchesTheOracleAtEveryThreadAndMemo) {
+  SweepSeeds(1000 + GetParam(), [](std::mt19937_64* rng) -> Body {
+    return {{RandomConicAtom(rng)}};
+  });
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomConics, PlanConicDifferentialTest,
-                         ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(RandomConics, ConicOracleTest, ::testing::Range(0, 8));
 
-// Mixed-fragment union with a free-variable-only conjunct in each
-// disjunct: exercises miniscoping, per-fragment dispatch, and the union
-// merge simultaneously — still byte-identical everywhere.
-TEST(PlanMixedDifferentialTest, MixedFragmentUnionIsPathAndThreadInvariant) {
-  std::mt19937_64 rng(42);
+// Mixed-fragment union with a free-variable-only conjunct guarding the
+// dense-order disjuncts: a polynomial matrix, so the planner miniscopes
+// it and dispatches each member to its own engine.
+TEST(MixedOracleTest, MixedFragmentUnionMatchesTheOracle) {
   for (int trial = 0; trial < 6; ++trial) {
-    Formula dense = RandomDenseOrderBody(&rng);
-    Formula linear = RandomLinearBody(&rng);
-    Formula conic = RandomConicBody(&rng);
-    Formula guard = Formula::Compare(X(), RelOp::kLe, Polynomial(trial + 3));
-    ExpectPlanAndThreadInvariant(
-        Formula::Or({Formula::And(guard, dense), linear, conic}));
+    SweepSeeds(42 + trial, [trial](std::mt19937_64* rng) {
+      Atom guard(X() - Polynomial(trial + 3), RelOp::kLe);
+      Body body;
+      for (Conjunction conjunction : RandomDenseOrderBody(rng)) {
+        conjunction.push_back(guard);
+        body.push_back(std::move(conjunction));
+      }
+      for (Conjunction& conjunction : RandomLinearBody(rng)) {
+        body.push_back(std::move(conjunction));
+      }
+      body.push_back({RandomConicAtom(rng)});
+      return body;
+    });
   }
 }
 

@@ -3,8 +3,8 @@
 // classification into the FO(<=) ⊂ FO(<=,+) ⊂ FO(<=,+,*) hierarchy,
 // miniscoping of ∃ past non-mentioning conjuncts, independent-component
 // splitting, the min-occurrence elimination order, per-fragment engine
-// dispatch, the CCDB_PLAN / QeOptions::plan toggles, the plan memo cache,
-// and the database-level .plan / EXPLAIN surfaces.
+// dispatch, the matrix-fragment choice between one whole-matrix node and a
+// miniscoped union, and the database-level .plan / EXPLAIN surfaces.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +30,29 @@ Polynomial Y() { return Polynomial::Var(1); }
 Polynomial Z() { return Polynomial::Var(2); }
 
 Atom A(const Polynomial& p, RelOp op = RelOp::kLe) { return Atom(p, op); }
+
+// The variables a block or matrix node eliminates, outermost first.
+std::vector<int> PrefixVars(const PlanNode& node) {
+  std::vector<int> vars;
+  for (const PrenexBlock& block : node.prefix) vars.push_back(block.var);
+  return vars;
+}
+
+// The acceptance query: a union mixing all three fragments.
+Formula MixedFragmentQuery() {
+  Formula dense =
+      Formula::And(Formula::Compare(X(), RelOp::kLe, Y()),
+                   Formula::Compare(Y(), RelOp::kLe, Polynomial(3)));
+  Formula linear =
+      Formula::And(Formula::Compare(X() + Polynomial(2) * Y(), RelOp::kLe,
+                                    Polynomial(4)),
+                   Formula::Compare(Polynomial(-1), RelOp::kLe, Y()));
+  Formula poly =
+      Formula::And(Formula::Compare(X(), RelOp::kLt, Polynomial(5)),
+                   Formula::Compare(X() * X() + Y() * Y(), RelOp::kLe,
+                                    Polynomial(4)));
+  return Formula::Exists(1, Formula::Or({dense, linear, poly}));
+}
 
 // ---------------------------------------------------------------------------
 // Fragment classification (the shared linearity/degree helper).
@@ -92,8 +115,9 @@ TEST(FragmentTest, NamesAndWidening) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan construction: miniscoping, component splitting, elimination order,
-// dispatch, fallback.
+// Plan construction: the matrix-fragment choice, then (on polynomial
+// all-existential matrices) miniscoping, component splitting, elimination
+// order and dispatch.
 
 TEST(PlanQueryTest, QuantifierFreeInputIsALeaf) {
   QueryPlan plan = PlanQuery(Formula::Compare(X(), RelOp::kLe, Polynomial(1)),
@@ -104,17 +128,48 @@ TEST(PlanQueryTest, QuantifierFreeInputIsALeaf) {
   EXPECT_EQ(plan.Summary(), "quantifier_free");
 }
 
+TEST(PlanQueryTest, LinearMatrixPlansToOneWholeMatrixNode) {
+  // A linear union — even one the planner could miniscope and split — is
+  // one whole-matrix Fourier-Motzkin node: the whole-union pass answers
+  // without materializing a block per disjunct.
+  Formula query = Formula::Exists(
+      1, Formula::Or(
+             Formula::And(Formula::Compare(X(), RelOp::kLe, Polynomial(3)),
+                          Formula::Compare(Y(), RelOp::kLe, X())),
+             Formula::Compare(X() + Polynomial(2) * Y(), RelOp::kLe,
+                              Polynomial(4))));
+  QueryPlan plan = PlanQuery(query, 1, QeOptions{});
+  ASSERT_EQ(plan.root->kind, PlanNode::Kind::kMonolithic);
+  EXPECT_TRUE(plan.root->children.empty());
+  EXPECT_EQ(plan.root->fragment, Fragment::kLinear);
+  EXPECT_EQ(PrefixVars(*plan.root), std::vector<int>({1}));
+  EXPECT_EQ(plan.root->tuples.size(), 2u);
+  EXPECT_EQ(plan.blocks, 1u);
+  EXPECT_EQ(plan.dispatch[1], 1u);
+  EXPECT_EQ(plan.miniscope_pushes, 0u);
+  EXPECT_EQ(plan.Summary(), "monolithic[fourier_motzkin]");
+  EXPECT_NE(
+      plan.ToString({"x", "y"}).find("monolithic[fourier_motzkin] exists y"),
+      std::string::npos);
+
+  // A dense-order matrix is one node of the dense-order engine.
+  Formula dense = Formula::Exists(
+      1, Formula::And(Formula::Compare(X(), RelOp::kLe, Y()),
+                      Formula::Compare(Y(), RelOp::kLe, Polynomial(3))));
+  EXPECT_EQ(PlanQuery(dense, 1, QeOptions{}).Summary(),
+            "monolithic[dense_order]");
+}
+
 TEST(PlanQueryTest, MiniscopingPushesNonMentioningConjunctsIntoALeaf) {
-  // exists y (x <= 3 and y <= x): the x <= 3 conjunct does not mention y,
-  // so it must be pushed out of the quantifier scope (∃y(A ∧ B) ≡ A ∧ ∃yB
-  // when y is not free in A).
+  // exists y (x <= 3 and y^2 <= x): the x <= 3 conjunct does not mention
+  // y, so it must be pushed out of the quantifier scope (∃y(A ∧ B) ≡
+  // A ∧ ∃yB when y is not free in A).
   Formula query = Formula::Exists(
       1, Formula::And(Formula::Compare(X(), RelOp::kLe, Polynomial(3)),
-                      Formula::Compare(Y(), RelOp::kLe, X())));
+                      Formula::Compare(Y() * Y(), RelOp::kLe, X())));
   QueryPlan plan = PlanQuery(query, 1, QeOptions{});
   EXPECT_EQ(plan.miniscope_pushes, 1u);
   EXPECT_EQ(plan.blocks, 1u);
-  EXPECT_FALSE(plan.fallback);
   ASSERT_EQ(plan.root->kind, PlanNode::Kind::kUnion);
   ASSERT_EQ(plan.root->children.size(), 1u);
   const PlanNode& disjunct = *plan.root->children[0];
@@ -123,19 +178,19 @@ TEST(PlanQueryTest, MiniscopingPushesNonMentioningConjunctsIntoALeaf) {
   EXPECT_EQ(disjunct.children[0]->kind, PlanNode::Kind::kLeaf);
   EXPECT_EQ(disjunct.children[1]->kind, PlanNode::Kind::kBlock);
   // The block only eliminates y over the atoms that mention it.
-  EXPECT_EQ(disjunct.children[1]->vars, std::vector<int>({1}));
+  EXPECT_EQ(PrefixVars(*disjunct.children[1]), std::vector<int>({1}));
   EXPECT_EQ(disjunct.children[1]->tuples.size(), 1u);
   EXPECT_EQ(disjunct.children[1]->tuples[0].atoms.size(), 1u);
 }
 
 TEST(PlanQueryTest, IndependentVariableComponentsSplitIntoSeparateBlocks) {
-  // exists y exists z (y <= x and z <= x): y and z never share an atom, so
-  // the block splits into two independent single-variable eliminations
+  // exists y exists z (y <= x and z^2 <= x): y and z never share an atom,
+  // so the block splits into two independent single-variable eliminations
   // (∃y∃z(C1 ∧ C2) ≡ ∃yC1 ∧ ∃zC2 for disjoint supports).
   Formula query = Formula::Exists(
       1, Formula::Exists(
              2, Formula::And(Formula::Compare(Y(), RelOp::kLe, X()),
-                             Formula::Compare(Z(), RelOp::kLe, X()))));
+                             Formula::Compare(Z() * Z(), RelOp::kLe, X()))));
   QueryPlan plan = PlanQuery(query, 1, QeOptions{});
   EXPECT_EQ(plan.component_splits, 1u);
   EXPECT_EQ(plan.blocks, 2u);
@@ -147,19 +202,22 @@ TEST(PlanQueryTest, IndependentVariableComponentsSplitIntoSeparateBlocks) {
   ASSERT_EQ(disjunct.children.size(), 2u);
   for (const auto& child : disjunct.children) {
     EXPECT_EQ(child->kind, PlanNode::Kind::kBlock);
-    EXPECT_EQ(child->vars.size(), 1u);
+    EXPECT_EQ(child->prefix.size(), 1u);
   }
+  // Each component is dispatched on its own: y's block stays linear.
+  EXPECT_EQ(disjunct.children[0]->fragment, Fragment::kDenseOrder);
+  EXPECT_EQ(disjunct.children[1]->fragment, Fragment::kPolynomial);
 }
 
 TEST(PlanQueryTest, MinOccurrenceVariableGoesInnermost) {
-  // exists y exists z (y <= z and z <= x and 0 <= z): one connected
+  // exists y exists z (y <= z and z^2 <= x and 0 <= z): one connected
   // component; z occurs in three atoms, y in one. The executor eliminates
   // innermost-first, so the least-constrained variable (y) must be last in
-  // the outermost-first `vars` order.
+  // the outermost-first prefix order.
   Formula query = Formula::Exists(
       1, Formula::Exists(
              2, Formula::And({Formula::Compare(Y(), RelOp::kLe, Z()),
-                              Formula::Compare(Z(), RelOp::kLe, X()),
+                              Formula::Compare(Z() * Z(), RelOp::kLe, X()),
                               Formula::Compare(Polynomial(0), RelOp::kLe,
                                                Z())})));
   QueryPlan plan = PlanQuery(query, 1, QeOptions{});
@@ -168,24 +226,14 @@ TEST(PlanQueryTest, MinOccurrenceVariableGoesInnermost) {
   ASSERT_EQ(plan.root->kind, PlanNode::Kind::kUnion);
   const PlanNode* block = plan.root->children[0].get();
   ASSERT_EQ(block->kind, PlanNode::Kind::kBlock);
-  EXPECT_EQ(block->vars, std::vector<int>({2, 1}));  // z outermost, y inner
+  EXPECT_EQ(PrefixVars(*block), std::vector<int>({2, 1}));  // z out, y in
 }
 
 TEST(PlanQueryTest, DispatchClassifiesEachDisjunctIntoItsCheapestEngine) {
-  // A three-way union mixing the hierarchy's levels plans to one block per
-  // fragment: dense-order, Fourier-Motzkin, and CAD.
-  Formula dense = Formula::And(Formula::Compare(X(), RelOp::kLe, Y()),
-                               Formula::Compare(Y(), RelOp::kLe, Polynomial(3)));
-  Formula linear =
-      Formula::And(Formula::Compare(X() + Polynomial(2) * Y(), RelOp::kLe,
-                                    Polynomial(4)),
-                   Formula::Compare(Polynomial(-1), RelOp::kLe, Y()));
-  Formula poly =
-      Formula::And(Formula::Compare(X(), RelOp::kLt, Polynomial(5)),
-                   Formula::Compare(X() * X() + Y() * Y(), RelOp::kLe,
-                                    Polynomial(4)));
-  Formula query = Formula::Exists(1, Formula::Or({dense, linear, poly}));
-  QueryPlan plan = PlanQuery(query, 1, QeOptions{});
+  // A three-way union mixing the hierarchy's levels is a polynomial
+  // matrix, so it is miniscoped: one block per fragment — dense-order,
+  // Fourier-Motzkin, and CAD.
+  QueryPlan plan = PlanQuery(MixedFragmentQuery(), 1, QeOptions{});
   EXPECT_EQ(plan.blocks, 3u);
   EXPECT_EQ(plan.dispatch[0], 1u);  // dense order
   EXPECT_EQ(plan.dispatch[1], 1u);  // Fourier-Motzkin
@@ -211,104 +259,97 @@ TEST(PlanQueryTest, DisabledLinearFastPathForcesCadDispatch) {
   EXPECT_EQ(plan.dispatch[2], 1u);
 }
 
-TEST(PlanQueryTest, UniversalPrefixFallsBackToMonolithic) {
+TEST(PlanQueryTest, UniversalPrefixIsOneMatrixNode) {
   Formula query = Formula::Forall(
       1, Formula::Compare(Y() * Y() + X(), RelOp::kGe, Polynomial(0)));
   QueryPlan plan = PlanQuery(query, 1, QeOptions{});
-  EXPECT_TRUE(plan.fallback);
   ASSERT_EQ(plan.root->kind, PlanNode::Kind::kMonolithic);
-  EXPECT_EQ(plan.Summary().rfind("monolithic", 0), 0u);
+  ASSERT_EQ(plan.root->prefix.size(), 1u);
+  EXPECT_FALSE(plan.root->prefix[0].is_exists);
+  EXPECT_EQ(plan.Summary(), "monolithic[cad]");
+  EXPECT_NE(plan.ToString({"x", "y"}).find("monolithic[cad] forall y"),
+            std::string::npos);
 }
 
-TEST(PlanQueryTest, DisabledDisjunctSplitFallsBackOnMultiDisjunctInputs) {
+TEST(PlanQueryTest, DisabledDisjunctSplitKeepsAPolynomialUnionWhole) {
   QeOptions options;
   options.allow_disjunct_split = false;
-  Formula query = Formula::Exists(
-      1, Formula::Or(Formula::Compare(Y(), RelOp::kLe, X()),
-                     Formula::Compare(X(), RelOp::kLe, Y())));
-  QueryPlan plan = PlanQuery(query, 1, options);
-  EXPECT_TRUE(plan.fallback);
+  QueryPlan plan = PlanQuery(MixedFragmentQuery(), 1, options);
+  ASSERT_EQ(plan.root->kind, PlanNode::Kind::kMonolithic);
+  EXPECT_EQ(plan.root->tuples.size(), 3u);
+  EXPECT_EQ(plan.Summary(), "monolithic[cad]");
 }
 
 // ---------------------------------------------------------------------------
-// Execution: toggles, byte identity, and the planner's cost advantage.
+// Execution: the plan that runs is the plan reported, and the planner's
+// cost advantage.
 
-TEST(PlanExecTest, PerCallToggleOverridesTheProcessConfig) {
-  QeOptions on, off, follow;
-  on.plan = PlanToggle::kOn;
-  off.plan = PlanToggle::kOff;
-  EXPECT_TRUE(PlannerResolved(on));  // per-call force wins
-  EXPECT_FALSE(PlannerResolved(off));
-  // kAuto outside any session follows the process config (CCDB_PLAN).
-  EXPECT_EQ(PlannerResolved(follow), EngineConfig::Process().plan);
-
-  // A session resolves kAuto from its own config, both ways...
-  ConstraintDatabase db;
-  for (bool plan : {false, true}) {
-    std::unique_ptr<Session> session =
-        db.OpenSession(EngineConfig::Process().WithPlan(plan));
-    EXPECT_EQ(PlannerResolved(session->options().qe), plan);
-  }
-  // ...and an explicit database option wins over the session config.
-  CalcFOptions forced;
-  forced.qe.plan = PlanToggle::kOff;
-  ConstraintDatabase forced_db(forced);
-  std::unique_ptr<Session> session =
-      forced_db.OpenSession(EngineConfig::Process().WithPlan(true));
-  EXPECT_FALSE(PlannerResolved(session->options().qe));
-}
-
-TEST(PlanExecTest, StatsCarryThePlanOnlyOnThePlannedPath) {
-  Formula query = Formula::Exists(
+TEST(PlanExecTest, StatsCarryThePlanThatRan) {
+  // A linear matrix runs as one Fourier-Motzkin pass...
+  Formula linear = Formula::Exists(
       1, Formula::And(Formula::Compare(Y(), RelOp::kLe, X()),
                       Formula::Compare(Polynomial(0), RelOp::kLe, Y())));
-  QeOptions options;
-  options.plan = PlanToggle::kOn;
-  QeStats planned_stats;
-  auto planned = EliminateQuantifiers(query, 1, options, &planned_stats);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  EXPECT_FALSE(planned_stats.plan.empty());
-  EXPECT_NE(planned_stats.ToString().find("plan={"), std::string::npos);
+  QeStats linear_stats;
+  auto linear_result = EliminateQuantifiers(linear, 1, QeOptions{},
+                                            &linear_stats);
+  ASSERT_TRUE(linear_result.ok()) << linear_result.status().ToString();
+  EXPECT_EQ(linear_stats.plan, "monolithic[dense_order]");
+  EXPECT_TRUE(linear_stats.used_linear_path);
+  EXPECT_EQ(linear_stats.fm_rounds, 1u);
+  EXPECT_EQ(linear_stats.cad_cells, 0u);
+  EXPECT_NE(linear_stats.ToString().find("plan={monolithic[dense_order]}"),
+            std::string::npos);
+  EXPECT_EQ(linear_result->ToString(), "(x0 >= 0)");
 
-  options.plan = PlanToggle::kOff;
-  QeStats monolithic_stats;
-  auto monolithic = EliminateQuantifiers(query, 1, options, &monolithic_stats);
-  ASSERT_TRUE(monolithic.ok()) << monolithic.status().ToString();
-  EXPECT_TRUE(monolithic_stats.plan.empty());
+  // ...a quantifier-free input is a leaf...
+  QeStats leaf_stats;
+  ASSERT_TRUE(EliminateQuantifiers(
+                  Formula::Compare(X(), RelOp::kLe, Polynomial(1)), 1,
+                  QeOptions{}, &leaf_stats)
+                  .ok());
+  EXPECT_EQ(leaf_stats.plan, "quantifier_free");
 
-  EXPECT_EQ(planned->ToString(), monolithic->ToString());
+  // ...and a defining equation is peeled before the engine runs: the
+  // polynomial matrix of exists y (y = x + 1 and y^2 <= 4) is planned
+  // into one CAD block, whose peel leaves nothing to eliminate.
+  Formula peeled = Formula::Exists(
+      1, Formula::And(Formula::Compare(Y(), RelOp::kEq, X() + Polynomial(1)),
+                      Formula::Compare(Y() * Y(), RelOp::kLe, Polynomial(4))));
+  QeStats peeled_stats;
+  auto peeled_result = EliminateQuantifiers(peeled, 1, QeOptions{},
+                                            &peeled_stats);
+  ASSERT_TRUE(peeled_result.ok()) << peeled_result.status().ToString();
+  EXPECT_EQ(peeled_stats.cad_cells, 0u);
+  EXPECT_EQ(peeled_stats.plan,
+            "union=1 blocks=1 [dense_order=0 fourier_motzkin=0 cad=1] "
+            "miniscoped=0 split=0");
 }
 
-TEST(PlanExecTest, MixedFragmentQueryPlansFewerCadCellsThanMonolithic) {
-  // The acceptance query: a union mixing all three fragments. The planner
-  // must route only the genuinely polynomial disjunct through CAD, so its
-  // cad_cells count is strictly below the monolithic run's — with byte-
-  // identical answers.
-  Formula dense = Formula::And(Formula::Compare(X(), RelOp::kLe, Y()),
-                               Formula::Compare(Y(), RelOp::kLe, Polynomial(3)));
-  Formula linear =
-      Formula::And(Formula::Compare(X() + Polynomial(2) * Y(), RelOp::kLe,
-                                    Polynomial(4)),
-                   Formula::Compare(Polynomial(-1), RelOp::kLe, Y()));
-  Formula poly =
-      Formula::And(Formula::Compare(X(), RelOp::kLt, Polynomial(5)),
-                   Formula::Compare(X() * X() + Y() * Y(), RelOp::kLe,
-                                    Polynomial(4)));
-  Formula query = Formula::Exists(1, Formula::Or({dense, linear, poly}));
-
-  QeOptions options;
-  options.plan = PlanToggle::kOff;
-  QeStats monolithic_stats;
-  auto monolithic = EliminateQuantifiers(query, 1, options, &monolithic_stats);
-  ASSERT_TRUE(monolithic.ok()) << monolithic.status().ToString();
-
-  options.plan = PlanToggle::kOn;
+TEST(PlanExecTest, MixedFragmentQueryPlansFewerCadCellsThanUnsplit) {
+  // The planner routes only the genuinely polynomial disjunct through CAD;
+  // with the split off, the whole union is one joint CAD.
   QeStats planned_stats;
-  auto planned = EliminateQuantifiers(query, 1, options, &planned_stats);
+  auto planned = EliminateQuantifiers(MixedFragmentQuery(), 1, QeOptions{},
+                                      &planned_stats);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(planned_stats.plan,
+            "union=3 blocks=3 [dense_order=1 fourier_motzkin=1 cad=1] "
+            "miniscoped=1 split=0");
+  EXPECT_EQ(planned_stats.cad_cells, 18u);
 
-  EXPECT_EQ(planned->ToString(), monolithic->ToString());
-  EXPECT_LT(planned_stats.cad_cells, monolithic_stats.cad_cells);
+  QeOptions unsplit_options;
+  unsplit_options.allow_disjunct_split = false;
+  QeStats unsplit_stats;
+  auto unsplit = EliminateQuantifiers(MixedFragmentQuery(), 1,
+                                      unsplit_options, &unsplit_stats);
+  ASSERT_TRUE(unsplit.ok()) << unsplit.status().ToString();
+  EXPECT_EQ(unsplit_stats.plan, "monolithic[cad]");
+  EXPECT_LT(planned_stats.cad_cells, unsplit_stats.cad_cells);
+  // Same set, different derivations: spot-check membership on a grid.
+  for (int num = -16; num <= 16; ++num) {
+    Rational x(BigInt(num), BigInt(2));
+    EXPECT_EQ(planned->Contains({x}), unsplit->Contains({x})) << num;
+  }
 }
 
 TEST(PlanExecTest, ExecutionFoldsPlanCountersIntoTheMetricsRegistry) {
@@ -320,31 +361,10 @@ TEST(PlanExecTest, ExecutionFoldsPlanCountersIntoTheMetricsRegistry) {
   Formula query = Formula::Exists(
       1, Formula::Or(Formula::Compare(Y(), RelOp::kLe, X()),
                      Formula::Compare(X(), RelOp::kLe, Y())));
-  QeOptions options;
-  options.plan = PlanToggle::kOn;
-  auto result = EliminateQuantifiers(query, 1, options);
+  auto result = EliminateQuantifiers(query, 1, QeOptions{});
   ASSERT_TRUE(result.ok());
   EXPECT_GT(executions->value(), executions_before);
   EXPECT_GT(blocks->value(), blocks_before);
-}
-
-TEST(PlanCacheTest, RepeatedPlanningHitsTheMemo) {
-  // A formula unlikely to be planned elsewhere in the suite: distinctive
-  // constants keep the first build a miss, the second a hit.
-  Formula query = Formula::Exists(
-      1, Formula::And(Formula::Compare(Y(), RelOp::kLe,
-                                       X() + Polynomial(7919)),
-                      Formula::Compare(Polynomial(6311), RelOp::kLe, Y())));
-  Counter* hits = MetricsRegistry::Global().GetCounter("plan_cache_hits");
-  const std::uint64_t hits_before = hits->value();
-  // Memo forced on, so the CCDB_QE_CACHE=0 leg runs this too.
-  QeOptions options;
-  options.memo = PlanToggle::kOn;
-  QueryPlan first = GetOrBuildPlan(query, 1, options);
-  QueryPlan second = GetOrBuildPlan(query, 1, options);
-  EXPECT_GT(hits->value(), hits_before);
-  EXPECT_EQ(first.Summary(), second.Summary());
-  EXPECT_EQ(first.ToString(), second.ToString());
 }
 
 // ---------------------------------------------------------------------------
@@ -384,11 +404,11 @@ TEST(DatabasePlanTest, ExplainReportsTheCachedPlanOnAWholeQueryCacheHit) {
       << "EXPLAIN carries no QE round trees";
   // The cached result still carries the original evaluation's plan, and
   // the rendering marks both the hit and the plan's provenance.
+  EXPECT_EQ(first->result.stats.plan, "monolithic[dense_order]");
   EXPECT_EQ(second->result.stats.plan, first->result.stats.plan);
-  if (!second->result.stats.plan.empty()) {
-    EXPECT_NE(second->ToString().find("PLAN"), std::string::npos);
-    EXPECT_NE(second->ToString().find("(cached)"), std::string::npos);
-  }
+  EXPECT_NE(second->ToString().find("PLAN                    "
+                                    "monolithic[dense_order]  (cached)"),
+            std::string::npos);
   EXPECT_NE(second->ToString().find("whole-query cache hit"),
             std::string::npos);
 }

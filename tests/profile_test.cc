@@ -2,10 +2,10 @@
 //
 // The hard contract under test: profiling is OBSERVATION ONLY. Arming a
 // ProfileSink must never change a query's answer — the profiled run is
-// byte-identical to the unprofiled one at every CCDB_PLAN × thread
-// setting. On top of that, the attribution tree must be internally
-// consistent (0 <= exclusive <= inclusive at every node) and the span
-// profile must fold trace events into the right paths.
+// byte-identical to the unprofiled one at every memo × thread setting.
+// On top of that, the attribution tree must be internally consistent
+// (0 <= exclusive <= inclusive at every node) and the span profile must
+// fold trace events into the right paths.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "base/memo.h"
 #include "base/profile.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
@@ -47,12 +46,12 @@ Formula MixedFragmentFormula() {
   return Formula::Exists(1, Formula::Or({dense, linear, poly}));
 }
 
-std::string RunQe(const Formula& formula, PlanToggle plan, int threads,
+std::string RunQe(const Formula& formula, PlanToggle memo, int threads,
                   ProfileSink* sink) {
   ThreadPool pool(threads);
   QeOptions options;
   options.pool = &pool;
-  options.plan = plan;
+  options.memo = memo;
   options.profile = sink;
   auto result = EliminateQuantifiers(formula, 1, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -60,19 +59,19 @@ std::string RunQe(const Formula& formula, PlanToggle plan, int threads,
 }
 
 // Profiled and unprofiled answers are byte-identical at every
-// plan × thread combination (and across them, as the determinism tests
+// memo × thread combination (and across them, as the determinism tests
 // already pin).
-TEST(ProfileTest, ObservationOnlyAcrossPlanAndThreads) {
+TEST(ProfileTest, ObservationOnlyAcrossMemoAndThreads) {
   Formula mixed = MixedFragmentFormula();
-  for (PlanToggle plan : {PlanToggle::kOff, PlanToggle::kOn}) {
+  for (PlanToggle memo : {PlanToggle::kOff, PlanToggle::kOn}) {
     for (int threads : {1, 2, 8}) {
       QeResultCache().Clear();
-      std::string unprofiled = RunQe(mixed, plan, threads, nullptr);
+      std::string unprofiled = RunQe(mixed, memo, threads, nullptr);
       QeResultCache().Clear();
       ProfileSink sink;
-      std::string profiled = RunQe(mixed, plan, threads, &sink);
+      std::string profiled = RunQe(mixed, memo, threads, &sink);
       EXPECT_EQ(unprofiled, profiled)
-          << "plan=" << (plan == PlanToggle::kOn) << " threads=" << threads;
+          << "memo=" << (memo == PlanToggle::kOn) << " threads=" << threads;
       EXPECT_EQ(sink.size(), 1u);
     }
   }
@@ -92,7 +91,7 @@ void CheckNodeInvariants(const ProfileNode& node) {
 TEST(ProfileTest, PlannedTreeShapeAndTimes) {
   QeResultCache().Clear();
   ProfileSink sink;
-  RunQe(MixedFragmentFormula(), PlanToggle::kOn, 2, &sink);
+  RunQe(MixedFragmentFormula(), PlanToggle::kOff, 2, &sink);
   std::vector<ProfileNode> roots = sink.Take();
   ASSERT_EQ(roots.size(), 1u);
   const ProfileNode& root = roots[0];
@@ -121,23 +120,25 @@ TEST(ProfileTest, PlannedTreeShapeAndTimes) {
   EXPECT_NE(json.find("\"children\""), std::string::npos);
 }
 
-// The monolithic path reports engine-stage nodes instead of plan nodes.
-TEST(ProfileTest, MonolithicTreeUsesEngineLabels) {
-  QeResultCache().Clear();
+// A linear matrix runs as one whole-matrix node: the tree is that node.
+TEST(ProfileTest, LinearMatrixTreeIsOneMatrixNode) {
+  Formula linear = Formula::Exists(
+      1, Formula::Or(Formula::Compare(V(0) + Polynomial(2) * V(1),
+                                      RelOp::kLe, Polynomial(4)),
+                     Formula::Compare(V(1), RelOp::kLe, V(0))));
   ProfileSink sink;
-  RunQe(MixedFragmentFormula(), PlanToggle::kOff, 1, &sink);
+  RunQe(linear, PlanToggle::kOff, 1, &sink);
   std::vector<ProfileNode> roots = sink.Take();
   ASSERT_EQ(roots.size(), 1u);
   CheckNodeInvariants(roots[0]);
-  EXPECT_EQ(roots[0].label.rfind("qe", 0), 0u) << roots[0].label;
+  EXPECT_EQ(roots[0].label, "monolithic[fourier_motzkin]");
+  EXPECT_EQ(roots[0].Counter("fm_rounds"), 1u);
+  EXPECT_TRUE(roots[0].children.empty());
 }
 
 // A warm second run collapses to a single qe[cached] node that still
 // carries the replayed counters.
 TEST(ProfileTest, CachedRunReportsCacheHitNode) {
-  if (!MemoCachesEnabledFor(PlanToggle::kAuto)) {
-    GTEST_SKIP() << "memo caches disabled (CCDB_QE_CACHE=0): no cached node";
-  }
   Formula mixed = MixedFragmentFormula();
   QeResultCache().Clear();
   RunQe(mixed, PlanToggle::kOn, 1, nullptr);  // warm the QE result cache

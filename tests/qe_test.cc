@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "base/metrics.h"
 #include "qe/algebraic_point.h"
 #include "qe/cad.h"
 #include "qe/fourier_motzkin.h"
+#include "qe/qe_cache.h"
 
 namespace ccdb {
 namespace {
@@ -393,6 +395,48 @@ TEST(QeTest, NestedAlternatingQuantifiers) {
       0, Formula::Exists(1, Formula::MakeAtom(Atom(X() - Y(), RelOp::kLt)))));
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(*r);
+}
+
+TEST(QeTest, WorkMetricsCountEachCadOnceAndEachPublicCallOnce) {
+  // exists y (x < 5 and x^2 + y^2 <= 4): a planned CAD block (the x < 5
+  // conjunct is a miniscoped leaf). CAD cells and projection factors are
+  // counted where the CAD is built, qe.calls once per public call.
+  Counter* cells = MetricsRegistry::Global().GetCounter("qe.cad.cells");
+  Counter* factors =
+      MetricsRegistry::Global().GetCounter("qe.cad.projection_factors");
+  Counter* calls = MetricsRegistry::Global().GetCounter("qe.calls");
+  Formula query = Formula::Exists(
+      1, Formula::And(Formula::MakeAtom(Atom(X() - Polynomial(5), RelOp::kLt)),
+                      Formula::MakeAtom(Atom(X() * X() + Y() * Y() -
+                                                 Polynomial(4),
+                                             RelOp::kLe))));
+  QeResultCache().Clear();
+  QeOptions options;
+  options.memo = PlanToggle::kOn;
+
+  std::uint64_t cells_before = cells->value();
+  std::uint64_t factors_before = factors->value();
+  std::uint64_t calls_before = calls->value();
+  QeStats cold;
+  auto cold_result = EliminateQuantifiers(query, 1, options, &cold);
+  ASSERT_TRUE(cold_result.ok()) << cold_result.status().ToString();
+  EXPECT_EQ(cold.cad_cells, 18u);
+  EXPECT_EQ(cells->value() - cells_before, cold.cad_cells);
+  EXPECT_EQ(factors->value() - factors_before, cold.projection_factors);
+  EXPECT_EQ(calls->value() - calls_before, 1u);
+
+  // A warm replay reports the same stats but builds nothing.
+  cells_before = cells->value();
+  factors_before = factors->value();
+  calls_before = calls->value();
+  QeStats warm;
+  auto warm_result = EliminateQuantifiers(query, 1, options, &warm);
+  ASSERT_TRUE(warm_result.ok());
+  EXPECT_EQ(warm.cad_cells, cold.cad_cells);
+  EXPECT_EQ(warm.cache_hits, 1u);
+  EXPECT_EQ(cells->value() - cells_before, 0u);
+  EXPECT_EQ(factors->value() - factors_before, 0u);
+  EXPECT_EQ(calls->value() - calls_before, 1u);
 }
 
 }  // namespace

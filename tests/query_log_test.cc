@@ -127,7 +127,7 @@ TEST_F(QueryLogTest, SessionRecordsCarrySessionIdAndConfigFingerprint) {
   // A session routes its records to a session-owned log, stamped with the
   // session's id and the fingerprint of ITS resolved config — which
   // differs from the process fingerprint when the config differs.
-  EngineConfig config = EngineConfig::Process().WithPlan(false).WithThreads(2);
+  EngineConfig config = EngineConfig::Process().WithThreads(2);
   std::unique_ptr<Session> session = db.OpenSession(config);
   std::string path = TempLogPath("session");
   std::remove(path.c_str());

@@ -1,6 +1,6 @@
 // Semi-naive / incremental differential tests: the delta-driven fixpoint
 // is a pure optimization, so its output must be BYTE-IDENTICAL to the
-// naive executable spec across CCDB_SEMINAIVE x CCDB_PLAN x thread count
+// naive executable spec across CCDB_SEMINAIVE x memo x thread count
 // on every corpus — transitive closure, same-generation, mutual
 // recursion, and constraint-heavy bodies — and the incremental resume
 // path (ConstraintDatabase::Fixpoint after Insert) must reproduce the
@@ -217,17 +217,17 @@ void ExpectSameBinaryRelation(const ConstraintRelation& got,
   }
 }
 
-TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaivePlanThreads) {
+TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaiveMemoThreads) {
   for (Corpus& corpus : Corpora()) {
-    // Baseline: naive, no planner, serial.
+    // Baseline: naive, memo off, serial.
     std::string baseline;
     for (bool seminaive : {false, true}) {
-      for (bool plan : {false, true}) {
+      for (bool memo : {false, true}) {
         for (int threads : {1, 2, 8}) {
           ThreadPool pool(threads);
           DatalogOptions options;
           options.seminaive = Toggle(seminaive);
-          options.qe.plan = Toggle(plan);
+          options.qe.memo = Toggle(memo);
           options.qe.pool = &pool;
           DatalogStats stats;
           auto result =
@@ -241,7 +241,7 @@ TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaivePlanThreads) {
           } else {
             EXPECT_EQ(fp, baseline)
                 << corpus.name << " diverged at seminaive=" << seminaive
-                << " plan=" << plan << " threads=" << threads;
+                << " memo=" << memo << " threads=" << threads;
           }
           // Semi-naive must actually engage on these recursive corpora
           // (multiple rounds -> nonzero deltas), or the matrix proves

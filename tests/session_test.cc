@@ -1,9 +1,9 @@
 // Session contexts (DESIGN.md §16): the de-globalized execution scope.
-// Two sessions with DIFFERENT configs — plan on vs off, 1 vs 8 threads,
+// Two sessions with DIFFERENT configs — memo on vs off, 1 vs 8 threads,
 // private pools — coexist in one process and answer byte-identically to
-// their serial single-threaded equivalents; pinned MVCC snapshots make a
-// writer invisible; the whole-query memo distinguishes snapshot
-// versions and resolved plan settings instead of aliasing across them; a
+// their serial single-threaded equivalent; pinned MVCC snapshots make a
+// writer invisible; the whole-query memo distinguishes snapshot versions
+// instead of aliasing across them and is shared across thread counts; a
 // memo-off session bypasses the resultant memo too; and the facade's
 // default session follows its database across moves.
 
@@ -80,12 +80,9 @@ DatalogProgram ReachProgram() {
 
 TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
   ConstraintDatabase db;
-  EngineConfig off = EngineConfig::Process()
-                         .WithPlan(false)
-                         .WithQeCache(false)
-                         .WithThreads(1);
-  EngineConfig on =
-      EngineConfig::Process().WithPlan(true).WithQeCache(true).WithThreads(8);
+  EngineConfig off =
+      EngineConfig::Process().WithQeCache(false).WithThreads(1);
+  EngineConfig on = EngineConfig::Process().WithQeCache(true).WithThreads(8);
 
   std::unique_ptr<Session> a = db.OpenSession(off);
   std::unique_ptr<Session> b = db.OpenSession(on);
@@ -96,9 +93,7 @@ TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
   EXPECT_GT(b->id(), a->id()) << "ids are handed out in open order";
 
   // The session config is authoritative: kOn/kOff, never kAuto.
-  EXPECT_EQ(a->options().qe.plan, PlanToggle::kOff);
   EXPECT_EQ(a->options().qe.memo, PlanToggle::kOff);
-  EXPECT_EQ(b->options().qe.plan, PlanToggle::kOn);
   EXPECT_EQ(b->options().qe.memo, PlanToggle::kOn);
 
   // Private pools sized by the config, not by the Shared() singleton.
@@ -115,34 +110,27 @@ TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
 }
 
 TEST(SessionTest, ConcurrentMixedConfigSessionsAreByteIdenticalToSerial) {
-  // The ISSUE acceptance test: one session at plan-off / 1 thread and one
-  // at plan-on / 8 threads run the workload concurrently in one process.
-  // Every answer must be byte-identical to its SERIAL EQUIVALENT — a
-  // fresh single-threaded database evaluating at the same plan setting.
-  // (Plan on vs off may legally render equivalent answers differently on
-  // nonlinear corpora; thread count and session machinery never may.)
+  // One session at memo-off / 1 thread and one at memo-on / 8 threads
+  // run the workload concurrently in one process. Every answer must be
+  // byte-identical to its SERIAL EQUIVALENT — a fresh single-threaded,
+  // memo-off database: neither the memo caches, nor the thread count, nor
+  // the session machinery may change a rendering.
   ConstraintDatabase db;
   DefineFixtures(db);
 
-  auto serial_at = [](PlanToggle plan) {
-    CalcFOptions options;
-    options.qe.plan = plan;
-    ConstraintDatabase serial(options);
-    DefineFixtures(serial);
-    std::vector<std::string> out;
-    out.reserve(Workload().size());
-    for (const std::string& query : Workload()) {
-      out.push_back(Render(serial.Query(query)));
-    }
-    return out;
-  };
-  const std::vector<std::string> serial_off = serial_at(PlanToggle::kOff);
-  const std::vector<std::string> serial_on = serial_at(PlanToggle::kOn);
+  CalcFOptions serial_options;
+  serial_options.qe.memo = PlanToggle::kOff;
+  ConstraintDatabase serial(serial_options);
+  DefineFixtures(serial);
+  std::vector<std::string> serial_answers;
+  for (const std::string& query : Workload()) {
+    serial_answers.push_back(Render(serial.Query(query)));
+  }
 
   std::unique_ptr<Session> slow = db.OpenSession(
-      EngineConfig::Process().WithPlan(false).WithThreads(1));
-  std::unique_ptr<Session> fast =
-      db.OpenSession(EngineConfig::Process().WithPlan(true).WithThreads(8));
+      EngineConfig::Process().WithQeCache(false).WithThreads(1));
+  std::unique_ptr<Session> fast = db.OpenSession(
+      EngineConfig::Process().WithQeCache(true).WithThreads(8));
 
   constexpr int kRounds = 3;
   std::vector<std::string> slow_failures, fast_failures;
@@ -159,8 +147,8 @@ TEST(SessionTest, ConcurrentMixedConfigSessionsAreByteIdenticalToSerial) {
       }
     }
   };
-  std::thread t1(run, slow.get(), &serial_off, &slow_failures);
-  std::thread t2(run, fast.get(), &serial_on, &fast_failures);
+  std::thread t1(run, slow.get(), &serial_answers, &slow_failures);
+  std::thread t2(run, fast.get(), &serial_answers, &fast_failures);
   t1.join();
   t2.join();
 
@@ -245,39 +233,36 @@ TEST(SessionTest, WholeQueryCacheIsVersionedAcrossPinnedSessions) {
   EXPECT_TRUE(warm->profile.from_cache);
 }
 
-TEST(SessionTest, PlanOnAndPlanOffSessionsDoNotAliasCacheEntries) {
-  // The resolved-plan bit is part of the cache key: cached stats carry the
-  // plan summary, so a plan-off session must never be served a plan-on
-  // entry (and vice versa). Answers still agree byte-for-byte.
+TEST(SessionTest, SessionsAtDifferentThreadCountsShareCacheEntries) {
+  // The whole-query key is the database, the read-set versions and the
+  // text: answers and stats (plan summary included) are the same at every
+  // thread count, so a session at 8 threads is served the entry a 1-thread
+  // session computed — and its warm EXPLAIN still reports the plan.
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());
   const std::string query = "exists y (S(x, y) and y <= 0)";
 
-  std::unique_ptr<Session> plan_on =
-      db.OpenSession(EngineConfig::Process().WithPlan(true).WithQeCache(true));
-  std::unique_ptr<Session> plan_off = db.OpenSession(
-      EngineConfig::Process().WithPlan(false).WithQeCache(true));
+  std::unique_ptr<Session> serial = db.OpenSession(
+      EngineConfig::Process().WithThreads(1).WithQeCache(true));
+  std::unique_ptr<Session> parallel = db.OpenSession(
+      EngineConfig::Process().WithThreads(8).WithQeCache(true));
 
-  StatusOr<ExplainAnalyzeResult> on1 = plan_on->Explain(query);
-  ASSERT_TRUE(on1.ok());
-  EXPECT_FALSE(on1->profile.from_cache);
+  StatusOr<ExplainAnalyzeResult> cold = serial->Explain(query);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold->profile.from_cache);
+  ASSERT_FALSE(cold->result.stats.plan.empty());
 
-  // Same text, same snapshot version — but a different resolved plan bit:
-  // the plan-off session must compute, not hit the plan-on entry.
-  StatusOr<ExplainAnalyzeResult> off1 = plan_off->Explain(query);
-  ASSERT_TRUE(off1.ok());
-  EXPECT_FALSE(off1->profile.from_cache)
-      << "plan-off must not hit the plan-on entry";
-  EXPECT_EQ(off1->result.relation.ToString(off1->result.column_names),
-            on1->result.relation.ToString(on1->result.column_names));
-
-  // Each setting hits its own entry on re-query.
-  StatusOr<ExplainAnalyzeResult> on2 = plan_on->Explain(query);
-  StatusOr<ExplainAnalyzeResult> off2 = plan_off->Explain(query);
-  ASSERT_TRUE(on2.ok());
-  ASSERT_TRUE(off2.ok());
-  EXPECT_TRUE(on2->profile.from_cache);
-  EXPECT_TRUE(off2->profile.from_cache);
+  StatusOr<ExplainAnalyzeResult> warm = parallel->Explain(query);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->profile.from_cache)
+      << "the 8-thread session must hit the 1-thread session's entry";
+  EXPECT_EQ(warm->result.relation.ToString(warm->result.column_names),
+            cold->result.relation.ToString(cold->result.column_names));
+  EXPECT_EQ(warm->result.stats.plan, cold->result.stats.plan);
+  EXPECT_NE(warm->ToString().find("PLAN                    " +
+                                  cold->result.stats.plan + "  (cached)"),
+            std::string::npos)
+      << warm->ToString();
 }
 
 TEST(SessionTest, SessionFixpointForcesConfiguredDatalogToggles) {
@@ -369,11 +354,16 @@ TEST(SessionTest, MemoOffSessionBypassesTheResultantCache) {
 }
 
 // Reads the new owner's catalog through every facade read kind and returns
-// the rendered answers, plus whether the query ran planned.
+// the rendered answers, plus whether a repeated query was served by the
+// whole-query memo (never under memo-off options).
 std::string ReadThroughFacade(const ConstraintDatabase& db) {
-  StatusOr<CalcFResult> query = db.Query("exists y (Edge(x, y) and y <= 2)");
+  const std::string text = "exists y (Edge(x, y) and y <= 2)";
+  StatusOr<CalcFResult> query = db.Query(text);
   std::string out = Render(query);
-  if (query.ok() && !query->stats.plan.empty()) out += "|planned";
+  Counter* hits = MetricsRegistry::Global().GetCounter("query_cache_hits");
+  const std::uint64_t hits_before = hits->value();
+  (void)db.Query(text);
+  if (hits->value() > hits_before) out += "|cached";
   auto model = db.Fixpoint(ReachProgram());
   out += "|" + (model.ok() ? model->at("Reach").ToString({"x", "y"})
                            : "error: " + model.status().ToString());
@@ -399,19 +389,19 @@ TEST(SessionTest, DefaultSessionFollowsTheDatabaseAcrossMoves) {
   ASSERT_TRUE(QueryLog::Global().Enable(log_path).ok());
 
   const std::string edge = "Edge(x, y) := y - x = 1 and x >= 0 and x <= 3";
-  // Explicit planner-off options travel with the moved database; the
+  // Explicit memo-off options travel with the moved database; the
   // targets below start out with the defaults.
-  CalcFOptions plan_off;
-  plan_off.qe.plan = PlanToggle::kOff;
-  ConstraintDatabase reference(plan_off);
+  CalcFOptions memo_off;
+  memo_off.qe.memo = PlanToggle::kOff;
+  ConstraintDatabase reference(memo_off);
   ASSERT_TRUE(reference.Define(edge).ok());
   const std::string want = ReadThroughFacade(reference);
   ASSERT_EQ(want.find("error"), std::string::npos) << want;
   ASSERT_NE(want.find("|live"), std::string::npos) << want;
-  ASSERT_EQ(want.find("|planned"), std::string::npos) << want;
+  ASSERT_EQ(want.find("|cached"), std::string::npos) << want;
 
   StatusOr<ConstraintDatabase> opened =
-      ConstraintDatabase::OpenDurable(store, plan_off);
+      ConstraintDatabase::OpenDurable(store, memo_off);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ASSERT_TRUE(opened->Define(edge).ok());
   EXPECT_EQ(ReadThroughFacade(*opened), want) << "after OpenDurable";
@@ -443,7 +433,7 @@ TEST(SessionTest, DefaultSessionFollowsTheDatabaseAcrossMoves) {
     EXPECT_NE(line.find("\"session_id\":0"), std::string::npos) << line;
     EXPECT_NE(line.find(config), std::string::npos) << line;
   }
-  EXPECT_EQ(records, 6) << "one record per facade query";
+  EXPECT_EQ(records, 11) << "one record per facade query";
   std::filesystem::remove(log_path);
   std::filesystem::remove_all(store);
 }

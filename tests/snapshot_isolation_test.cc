@@ -208,13 +208,13 @@ std::string Render(const StatusOr<CalcFResult>& result) {
 
 TEST(SnapshotIsolationTest, PinnedSessionsMatchSerialReplayDuringStorm) {
   // The MVCC acceptance test: 8 reader SESSIONS (mixed configs — half
-  // plan-off, half plan-on at 2 threads) run multi-round queries against
-  // pinned snapshots while one writer defines / inserts / drops. Every
-  // result a reader observed must be byte-identical to a serial replay of
-  // the same query against a fresh database rebuilt from the exact
-  // snapshot the session had pinned — i.e. concurrent mutations are
-  // completely invisible to a pinned reader, and snapshot content fully
-  // determines the answer at every session config.
+  // memo-on at 1 thread, half memo-off at 2 threads) run multi-round
+  // queries against pinned snapshots while one writer defines / inserts /
+  // drops. Every result a reader observed must be byte-identical to a
+  // serial replay of the same query against a fresh database rebuilt from
+  // the exact snapshot the session had pinned — i.e. concurrent mutations
+  // are completely invisible to a pinned reader, and snapshot content
+  // fully determines the answer at every session config.
   constexpr int kReaders = 8;
 
   ConstraintDatabase db;
@@ -240,7 +240,7 @@ TEST(SnapshotIsolationTest, PinnedSessionsMatchSerialReplayDuringStorm) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       EngineConfig config = EngineConfig::Process()
-                                .WithPlan(r % 2 == 0)
+                                .WithQeCache(r % 2 == 0)
                                 .WithThreads(r % 2 == 0 ? 1 : 2);
       std::unique_ptr<Session> session = db.OpenSession(config);
       while (!done.load(std::memory_order_acquire)) {
