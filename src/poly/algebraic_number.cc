@@ -8,17 +8,21 @@ AlgebraicNumber::AlgebraicNumber(Rational value)
     : poly_(UPoly({-value, Rational(1)})), root_{Interval(value), true} {}
 
 AlgebraicNumber::AlgebraicNumber(const UPoly& defining, IsolatedRoot root)
-    : poly_(defining.SquarefreePart()), root_(std::move(root)) {
+    : AlgebraicNumber(defining.SquarefreePart(), std::move(root),
+                      TrustSquarefree{}) {}
+
+AlgebraicNumber::AlgebraicNumber(UPoly squarefree, IsolatedRoot root,
+                                 TrustSquarefree)
+    : poly_(std::move(squarefree)), root_(std::move(root)) {
   CCDB_CHECK_MSG(poly_.degree() >= 1, "defining polynomial must be nonconstant");
   if (root_.is_exact) {
-    CCDB_CHECK_MSG(poly_.Evaluate(root_.interval.lo()).sign() == 0,
+    CCDB_CHECK_MSG(poly_.SignAt(root_.interval.lo()) == 0,
                    "exact root does not satisfy defining polynomial");
   } else {
-    CCDB_CHECK_MSG(
-        poly_.Evaluate(root_.interval.lo()).sign() *
-                poly_.Evaluate(root_.interval.hi()).sign() <
-            0,
-        "isolating interval endpoints must straddle a sign change");
+    CCDB_CHECK_MSG(poly_.SignAt(root_.interval.lo()) *
+                           poly_.SignAt(root_.interval.hi()) <
+                       0,
+                   "isolating interval endpoints must straddle a sign change");
   }
 }
 
@@ -33,12 +37,12 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicNumber::RootsOf(
   std::vector<AlgebraicNumber> numbers;
   UPoly f = p.SquarefreePart();
   CCDB_ASSIGN_OR_RETURN(std::vector<IsolatedRoot> isolated,
-                        IsolateRealRoots(f, gov));
+                        IsolateSquarefreeRoots(f, gov));
   for (IsolatedRoot& root : isolated) {
     if (root.is_exact) {
       numbers.emplace_back(root.interval.lo());
     } else {
-      numbers.emplace_back(f, std::move(root));
+      numbers.push_back(AlgebraicNumber(f, std::move(root), TrustSquarefree{}));
     }
   }
   return numbers;
@@ -60,7 +64,11 @@ int AlgebraicNumber::Sign() const {
 
 int AlgebraicNumber::SignOfPolyAt(const UPoly& q) const {
   if (q.is_zero()) return 0;
-  if (root_.is_exact) return q.Evaluate(root_.interval.lo()).sign();
+  if (root_.is_exact) return q.SignAt(root_.interval.lo());
+  // A certain enclosure sign already proves q(alpha) != 0; only an
+  // ambiguous one needs the exact zero test.
+  int sign = q.EvaluateInterval(root_.interval).CertainSign();
+  if (sign != Interval::kAmbiguousSign) return sign;
   // q(alpha) == 0 iff alpha is a common root of q and the defining
   // polynomial, iff gcd(q, poly_) has a root in the isolating interval.
   UPoly g = UPoly::Gcd(q, poly_);
@@ -73,13 +81,12 @@ int AlgebraicNumber::SignOfPolyAt(const UPoly& q) const {
   }
   // Nonzero: refine until the interval enclosure of q has a certain sign.
   while (true) {
-    Interval value = q.EvaluateInterval(root_.interval);
-    int sign = value.CertainSign();
-    if (sign != Interval::kAmbiguousSign) return sign;
     Rational half_width =
         root_.interval.Width() * Rational(BigInt(1), BigInt(2));
     root_ = RefineRoot(poly_, std::move(root_), half_width);
-    if (root_.is_exact) return q.Evaluate(root_.interval.lo()).sign();
+    if (root_.is_exact) return q.SignAt(root_.interval.lo());
+    sign = q.EvaluateInterval(root_.interval).CertainSign();
+    if (sign != Interval::kAmbiguousSign) return sign;
   }
 }
 
@@ -101,7 +108,7 @@ int AlgebraicNumber::Compare(const AlgebraicNumber& other) const {
       // roots of g only if they are the other number — handle by closing
       // the interval with the half-open count from a nudged left end.
       int count = UPoly::SturmCountRoots(chain, lo, hi);
-      if (g.Evaluate(lo).sign() == 0) ++count;
+      if (g.SignAt(lo) == 0) ++count;
       if (count > 0) {
         // A common root gamma lies in both isolating intervals; gamma is a
         // root of poly_ in this interval, hence equals *this; likewise for
@@ -131,8 +138,7 @@ int AlgebraicNumber::Compare(const AlgebraicNumber& other) const {
 int AlgebraicNumber::CompareRational(const Rational& value) const {
   if (root_.is_exact) return root_.interval.lo().Compare(value);
   // alpha == value iff poly_(value) == 0 and value is in the interval.
-  if (root_.interval.Contains(value) &&
-      poly_.Evaluate(value).sign() == 0) {
+  if (root_.interval.Contains(value) && poly_.SignAt(value) == 0) {
     return 0;
   }
   while (root_.interval.Contains(value)) {

@@ -28,7 +28,9 @@ class AlgebraicNumber {
   /// `root`, as produced by IsolateRealRoots(defining).
   AlgebraicNumber(const UPoly& defining, IsolatedRoot root);
 
-  /// All real roots of p, in increasing order, as algebraic numbers.
+  /// All real roots of p, in increasing order, as algebraic numbers. The
+  /// squarefree part of p is taken once here; isolation and every
+  /// resulting number share it.
   static std::vector<AlgebraicNumber> RootsOf(const UPoly& p);
 
   /// Governed variant: root isolation charges `gov` and fails with
@@ -54,8 +56,10 @@ class AlgebraicNumber {
   /// Sign of this number: refined until certain.
   int Sign() const;
 
-  /// Exact sign of q evaluated at this number (0 iff q(alpha) == 0, decided
-  /// exactly via gcd with the defining polynomial).
+  /// Exact sign of q evaluated at this number. A certain interval sign at
+  /// the current isolating interval answers at once; otherwise q(alpha) == 0
+  /// is decided exactly via gcd with the defining polynomial, and a nonzero
+  /// sign by refining until the interval sign is certain.
   int SignOfPolyAt(const UPoly& q) const;
 
   /// Exact three-way comparison with another algebraic number.
@@ -77,6 +81,10 @@ class AlgebraicNumber {
   std::string ToString() const;
 
  private:
+  struct TrustSquarefree {};
+  // `squarefree` is already squarefree (RootsOf holds the squarefree part).
+  AlgebraicNumber(UPoly squarefree, IsolatedRoot root, TrustSquarefree);
+
   UPoly poly_;               // squarefree, nonzero at non-exact endpoints
   mutable IsolatedRoot root_;  // refined lazily by const operations
 };

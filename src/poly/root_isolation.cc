@@ -4,21 +4,26 @@
 #include <deque>
 
 #include "base/logging.h"
+#include "base/metrics.h"
 
 namespace ccdb {
 
 namespace {
 
-// One root of squarefree p lies in the open interval (lo, hi) with
-// p(lo) != 0 != p(hi); bisect until the width is below `width`.
-Interval BisectToWidth(const UPoly& p, Rational lo, Rational hi,
-                       const Rational& width, bool* became_exact) {
+// One root of squarefree f lies in the open interval (lo, hi) with
+// f(lo) != 0 != f(hi); bisect until the width is below `width`. `f` holds
+// the integer coefficients of the polynomial (UPoly::IntegerCoefficients).
+// Adds the number of midpoints evaluated to *bisections.
+Interval BisectToWidth(const std::vector<BigInt>& f, Rational lo, Rational hi,
+                       const Rational& width, bool* became_exact,
+                       std::uint64_t* bisections) {
   *became_exact = false;
-  int sign_lo = p.Evaluate(lo).sign();
+  int sign_lo = UPoly::IntegerSignAt(f, lo);
   CCDB_DCHECK(sign_lo != 0);
   while (hi - lo > width) {
+    ++*bisections;
     Rational mid = Rational::Midpoint(lo, hi);
-    int sign_mid = p.Evaluate(mid).sign();
+    int sign_mid = UPoly::IntegerSignAt(f, mid);
     if (sign_mid == 0) {
       *became_exact = true;
       return Interval(mid);
@@ -33,35 +38,24 @@ Interval BisectToWidth(const UPoly& p, Rational lo, Rational hi,
 }
 
 // If the unique root of f in the open interval (lo, hi) is rational,
-// identifies it exactly. f must be squarefree with f(lo), f(hi) != 0. Uses
-// the rational root theorem on the integer-normalized polynomial: a root
-// p/q (lowest terms) has q | lc and lands in (q*lo, q*hi) — after a little
-// refinement only a handful of candidates remain per divisor.
-bool TrySnapRationalRoot(const UPoly& f, Rational* lo, Rational* hi,
-                         Rational* root) {
-  // Integer-normalize: scale coefficients to integers.
-  BigInt den_lcm(1);
-  for (const Rational& c : f.coefficients()) {
-    const BigInt& d = c.denominator();
-    den_lcm = den_lcm / BigInt::Gcd(den_lcm, d) * d;
-  }
-  std::vector<Rational> scaled;
-  scaled.reserve(f.coefficients().size());
-  for (const Rational& c : f.coefficients()) {
-    scaled.push_back(c * Rational(den_lcm));
-  }
-  UPoly g(std::move(scaled));
-  BigInt lc = g.leading_coefficient().numerator().Abs();
+// identifies it exactly. f must be squarefree with f(lo), f(hi) != 0 and
+// is given by its integer coefficients (UPoly::IntegerCoefficients). Uses
+// the rational root theorem: a root p/q (lowest terms) has q | lc and lands
+// in (q*lo, q*hi) — after a little refinement only a handful of candidates
+// remain per divisor.
+bool TrySnapRationalRoot(const std::vector<BigInt>& f, Rational* lo,
+                         Rational* hi, Rational* root) {
+  BigInt lc = f.back().Abs();
   if (lc.bit_length() > 20) return false;  // divisor enumeration too costly
   std::int64_t lc_value = lc.ToInt64();
 
   // Refine until each divisor q admits at most one integer candidate p in
   // (q*lo, q*hi): width < 1/(2*lc) suffices for every q <= lc.
   Rational target_width(BigInt(1), BigInt(2 * lc_value));
-  int sign_lo = f.Evaluate(*lo).sign();
+  int sign_lo = UPoly::IntegerSignAt(f, *lo);
   while (*hi - *lo > target_width) {
     Rational mid = Rational::Midpoint(*lo, *hi);
-    int sign_mid = f.Evaluate(mid).sign();
+    int sign_mid = UPoly::IntegerSignAt(f, mid);
     if (sign_mid == 0) {
       *root = mid;
       return true;
@@ -86,7 +80,7 @@ bool TrySnapRationalRoot(const UPoly& f, Rational* lo, Rational* hi,
     for (BigInt p = p_lo; p <= p_hi; p += BigInt(1)) {
       Rational candidate(p, BigInt(q));
       if (!(candidate > *lo && candidate < *hi)) continue;
-      if (f.Evaluate(candidate).is_zero()) {
+      if (UPoly::IntegerSignAt(f, candidate) == 0) {
         *root = candidate;
         return true;
       }
@@ -105,9 +99,14 @@ std::vector<IsolatedRoot> IsolateRealRoots(const UPoly& p) {
 
 StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
     const UPoly& p, const ResourceGovernor* gov) {
-  std::vector<IsolatedRoot> roots;
   CCDB_CHECK_MSG(!p.is_zero(), "cannot isolate roots of the zero polynomial");
-  UPoly f = p.SquarefreePart();
+  return IsolateSquarefreeRoots(p.SquarefreePart(), gov);
+}
+
+StatusOr<std::vector<IsolatedRoot>> IsolateSquarefreeRoots(
+    const UPoly& f, const ResourceGovernor* gov) {
+  std::vector<IsolatedRoot> roots;
+  CCDB_CHECK_MSG(!f.is_zero(), "cannot isolate roots of the zero polynomial");
   if (f.degree() <= 0) return roots;
   if (f.degree() == 1) {
     // Exact rational root -c0/c1.
@@ -117,11 +116,13 @@ StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
   }
 
   std::vector<UPoly> chain = f.SturmChain();
+  const std::vector<BigInt> ints = f.IntegerCoefficients();
   Rational bound = f.CauchyRootBound();
   Rational lo = -bound;
   Rational hi = bound;
   // Endpoints are strict bounds, so f(lo) != 0 != f(hi).
-  CCDB_DCHECK(f.Evaluate(lo).sign() != 0 && f.Evaluate(hi).sign() != 0);
+  CCDB_DCHECK(UPoly::IntegerSignAt(ints, lo) != 0 &&
+              UPoly::IntegerSignAt(ints, hi) != 0);
 
   struct Segment {
     Rational lo, hi;
@@ -137,12 +138,12 @@ StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
     work.pop_front();
     if (seg.count == 1) {
       // (lo, hi] contains exactly one root; normalize to our invariant.
-      if (f.Evaluate(seg.hi).sign() == 0) {
+      if (UPoly::IntegerSignAt(ints, seg.hi) == 0) {
         roots.push_back({Interval(seg.hi), true});
         continue;
       }
       Rational snapped(0);
-      if (TrySnapRationalRoot(f, &seg.lo, &seg.hi, &snapped)) {
+      if (TrySnapRationalRoot(ints, &seg.lo, &seg.hi, &snapped)) {
         roots.push_back({Interval(snapped), true});
       } else {
         roots.push_back({Interval(seg.lo, seg.hi), false});
@@ -150,14 +151,14 @@ StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
       continue;
     }
     Rational mid = Rational::Midpoint(seg.lo, seg.hi);
-    if (f.Evaluate(mid).sign() == 0) {
+    if (UPoly::IntegerSignAt(ints, mid) == 0) {
       // Rational root at the midpoint: emit it exactly, then carve out a
       // window (mid-delta, mid+delta] that contains no other root and whose
       // boundary points are not roots, and recurse on the two sides.
       roots.push_back({Interval(mid), true});
       Rational delta = (seg.hi - seg.lo) * Rational(BigInt(1), BigInt(4));
-      while (f.Evaluate(mid - delta).sign() == 0 ||
-             f.Evaluate(mid + delta).sign() == 0 ||
+      while (UPoly::IntegerSignAt(ints, mid - delta) == 0 ||
+             UPoly::IntegerSignAt(ints, mid + delta) == 0 ||
              UPoly::SturmCountRoots(chain, mid - delta, mid + delta) > 1) {
         delta = delta * Rational(BigInt(1), BigInt(2));
       }
@@ -180,22 +181,27 @@ StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
   return roots;
 }
 
-IsolatedRoot RefineRoot(const UPoly& p, IsolatedRoot root,
+IsolatedRoot RefineRoot(const UPoly& f, IsolatedRoot root,
                         const Rational& width) {
   if (root.is_exact || root.interval.Width() <= width) return root;
-  UPoly f = p.SquarefreePart();
   bool became_exact = false;
-  Interval refined = BisectToWidth(f, root.interval.lo(), root.interval.hi(),
-                                   width, &became_exact);
+  std::uint64_t bisections = 0;
+  Interval refined =
+      BisectToWidth(f.IntegerCoefficients(), root.interval.lo(),
+                    root.interval.hi(), width, &became_exact, &bisections);
+  CCDB_METRIC_COUNT("poly.refine_bisections", bisections);
   return {std::move(refined), became_exact};
 }
 
 std::vector<Rational> ApproximateRealRoots(const UPoly& p,
                                            const Rational& epsilon) {
   CCDB_CHECK_MSG(epsilon.sign() > 0, "epsilon must be positive");
+  UPoly f = p.SquarefreePart();
+  auto roots = IsolateSquarefreeRoots(f, nullptr);
+  CCDB_CHECK(roots.ok());  // a null governor never trips
   std::vector<Rational> values;
-  for (IsolatedRoot& root : IsolateRealRoots(p)) {
-    IsolatedRoot refined = RefineRoot(p, std::move(root), epsilon);
+  for (IsolatedRoot& root : *roots) {
+    IsolatedRoot refined = RefineRoot(f, std::move(root), epsilon);
     values.push_back(refined.is_exact ? refined.interval.lo()
                                       : refined.interval.Midpoint());
   }

@@ -32,9 +32,17 @@ std::vector<IsolatedRoot> IsolateRealRoots(const UPoly& p);
 StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
     const UPoly& p, const ResourceGovernor* gov);
 
-/// Shrinks an isolating interval of squarefree `p` below `width` by
+/// IsolateRealRoots for a caller that already holds a squarefree nonzero
+/// `f` (e.g. AlgebraicNumber::RootsOf): skips the squarefree-part gcd.
+/// Given f = p.SquarefreePart() it returns exactly IsolateRealRoots(p).
+StatusOr<std::vector<IsolatedRoot>> IsolateSquarefreeRoots(
+    const UPoly& f, const ResourceGovernor* gov);
+
+/// Shrinks an isolating interval of squarefree `f` below `width` by
 /// bisection, preserving the isolation invariant. No-op for exact roots.
-IsolatedRoot RefineRoot(const UPoly& p, IsolatedRoot root,
+/// `f` must be squarefree; pass the polynomial the root was isolated for
+/// (its squarefree part), not a multiple with repeated factors.
+IsolatedRoot RefineRoot(const UPoly& f, IsolatedRoot root,
                         const Rational& width);
 
 /// Convenience: all real roots of `p` to absolute precision `epsilon`

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "base/logging.h"
+#include "base/metrics.h"
 
 namespace ccdb {
 
@@ -128,36 +129,85 @@ StatusOr<UPoly> UPoly::DivideExact(const UPoly& divisor) const {
 
 namespace {
 
-// Scales a polynomial by a positive rational so its coefficients become
-// coprime integers (leading sign preserved). Positive scalings leave every
-// sign evaluation unchanged, so this is sound inside Euclidean remainder
+// Dense integer polynomial, low degree first, no trailing zeros. The
+// remainder sequences below run on these, so no step divides over Q.
+using IntPoly = std::vector<BigInt>;
+
+void TrimIntPoly(IntPoly* p) {
+  while (!p->empty() && p->back().is_zero()) p->pop_back();
+}
+
+// Divides out the content (the positive gcd of the coefficients), which
+// keeps the sign of every value. Positive scalings leave every sign
+// evaluation unchanged, so this is sound inside Euclidean remainder
 // sequences and Sturm chains — and it is what keeps their coefficient bit
 // lengths from swelling exponentially.
-UPoly NormalizePositive(const UPoly& p) {
-  if (p.is_zero()) return p;
-  BigInt den_lcm(1);
-  for (const Rational& c : p.coefficients()) {
-    const BigInt& d = c.denominator();
-    den_lcm = den_lcm / BigInt::Gcd(den_lcm, d) * d;
+void MakePrimitive(IntPoly* p) {
+  BigInt content(0);
+  for (const BigInt& c : *p) {
+    content = BigInt::Gcd(content, c);
+    if (content.is_one()) return;
   }
-  BigInt num_gcd(0);
-  for (const Rational& c : p.coefficients()) {
-    num_gcd = BigInt::Gcd(num_gcd, c.numerator() * (den_lcm / c.denominator()));
+  if (content.is_zero()) return;
+  for (BigInt& c : *p) c = c / content;
+}
+
+// The primitive integer polynomial that is a positive multiple of p.
+IntPoly PrimitiveIntegerPart(const UPoly& p) {
+  IntPoly result = p.IntegerCoefficients();
+  MakePrimitive(&result);
+  return result;
+}
+
+IntPoly IntegerDerivative(const IntPoly& p) {
+  IntPoly result;
+  for (std::size_t i = 1; i < p.size(); ++i) {
+    result.push_back(p[i] * BigInt(static_cast<std::int64_t>(i)));
   }
-  return p.Scale(Rational(den_lcm, num_gcd));
+  TrimIntPoly(&result);
+  return result;
+}
+
+UPoly FromIntegers(const IntPoly& p) {
+  return UPoly(std::vector<Rational>(p.begin(), p.end()));
+}
+
+// A positive multiple of x mod y (the remainder over Q), computed in
+// integers: each elimination step multiplies the running remainder by
+// |lc(y)| > 0 before cancelling its leading term, so the result is
+// |lc(y)|^k * (x mod y) for some k <= deg x - deg y + 1. Requires y nonzero.
+IntPoly PositivePseudoRemainder(IntPoly x, const IntPoly& y) {
+  const std::size_t dy = y.size() - 1;
+  const BigInt scale = y.back().Abs();
+  const bool negative_lead = y.back().is_negative();
+  while (!x.empty() && x.size() - 1 >= dy) {
+    const std::size_t shift = x.size() - 1 - dy;
+    // x <- |lc(y)| * x - sign(lc(y)) * lc(x) * t^shift * y.
+    BigInt factor = negative_lead ? -x.back() : x.back();
+    x.pop_back();
+    if (!scale.is_one()) {
+      for (BigInt& c : x) c *= scale;
+    }
+    for (std::size_t j = 0; j < dy; ++j) {
+      if (!y[j].is_zero()) x[j + shift] -= factor * y[j];
+    }
+    TrimIntPoly(&x);
+  }
+  return x;
 }
 
 }  // namespace
 
 UPoly UPoly::Gcd(const UPoly& a, const UPoly& b) {
-  UPoly x = NormalizePositive(a);
-  UPoly y = NormalizePositive(b);
-  while (!y.is_zero()) {
-    UPoly r = NormalizePositive(x.DivMod(y).second);
+  IntPoly x = PrimitiveIntegerPart(a);
+  IntPoly y = PrimitiveIntegerPart(b);
+  while (!y.empty()) {
+    IntPoly r = PositivePseudoRemainder(std::move(x), y);
+    MakePrimitive(&r);
     x = std::move(y);
     y = std::move(r);
   }
-  return x.MakeMonic();
+  return FromIntegers(x).MakeMonic();
 }
 
 UPoly UPoly::Derivative() const {
@@ -176,6 +226,7 @@ UPoly UPoly::MakeMonic() const {
 
 UPoly UPoly::SquarefreePart() const {
   if (degree() <= 1) return MakeMonic();
+  CCDB_METRIC_COUNT("poly.squarefree_gcds", 1);
   UPoly g = Gcd(*this, Derivative());
   if (g.degree() == 0) return MakeMonic();
   auto result = DivideExact(g);
@@ -209,6 +260,69 @@ Rational UPoly::Evaluate(const Rational& x) const {
     result = result * x + coeffs_[i];
   }
   return result;
+}
+
+namespace {
+
+// Sign of sum_{i<size} c_i x^i at x = p/q (q > 0), where coefficient(i)
+// returns c_i as a BigInt. Homogenised Horner evaluates
+// sum c_i p^i q^(n-i) = q^n * value, whose sign is the value's: integer
+// multiplications only, no gcd.
+template <typename CoefficientAt>
+int HomogenizedSign(std::size_t size, const CoefficientAt& coefficient,
+                    const Rational& x) {
+  if (size == 0) return 0;
+  const BigInt& p = x.numerator();
+  const BigInt& q = x.denominator();
+  BigInt acc = coefficient(size - 1);
+  if (q.is_one()) {
+    for (std::size_t i = size - 1; i-- > 0;) acc = acc * p + coefficient(i);
+    return acc.sign();
+  }
+  BigInt q_power = q;  // q^(n-i) for the coefficient being folded in
+  for (std::size_t i = size - 1; i-- > 0;) {
+    acc *= p;
+    const BigInt& c = coefficient(i);
+    if (!c.is_zero()) acc += c * q_power;
+    if (i > 0) q_power *= q;
+  }
+  return acc.sign();
+}
+
+}  // namespace
+
+int UPoly::SignAt(const Rational& x) const {
+  for (const Rational& c : coeffs_) {
+    if (!c.is_integer()) return IntegerSignAt(IntegerCoefficients(), x);
+  }
+  return HomogenizedSign(
+      coeffs_.size(),
+      [this](std::size_t i) -> const BigInt& { return coeffs_[i].numerator(); },
+      x);
+}
+
+std::vector<BigInt> UPoly::IntegerCoefficients() const {
+  BigInt den_lcm(1);
+  for (const Rational& c : coeffs_) {
+    const BigInt& d = c.denominator();
+    if (!d.is_one()) den_lcm = den_lcm / BigInt::Gcd(den_lcm, d) * d;
+  }
+  std::vector<BigInt> result;
+  result.reserve(coeffs_.size());
+  for (const Rational& c : coeffs_) {
+    result.push_back(c.numerator() * (den_lcm / c.denominator()));
+  }
+  return result;
+}
+
+int UPoly::IntegerSignAt(const std::vector<BigInt>& coefficients,
+                         const Rational& x) {
+  return HomogenizedSign(
+      coefficients.size(),
+      [&coefficients](std::size_t i) -> const BigInt& {
+        return coefficients[i];
+      },
+      x);
 }
 
 Interval UPoly::EvaluateInterval(const Interval& x) const {
@@ -253,16 +367,17 @@ Rational UPoly::CauchyRootBound() const {
 std::vector<UPoly> UPoly::SturmChain() const {
   std::vector<UPoly> chain;
   if (is_zero()) return chain;
-  chain.push_back(NormalizePositive(*this));
-  UPoly d = NormalizePositive(Derivative());
-  if (d.is_zero()) return chain;
-  chain.push_back(std::move(d));
-  while (true) {
-    const UPoly& a = chain[chain.size() - 2];
-    const UPoly& b = chain[chain.size() - 1];
-    UPoly r = a.DivMod(b).second;
-    if (r.is_zero()) break;
-    chain.push_back(NormalizePositive(-r));
+  IntPoly a = PrimitiveIntegerPart(*this);
+  IntPoly b = IntegerDerivative(a);
+  MakePrimitive(&b);
+  chain.push_back(FromIntegers(a));
+  while (!b.empty()) {
+    chain.push_back(FromIntegers(b));
+    IntPoly r = PositivePseudoRemainder(std::move(a), b);
+    for (BigInt& c : r) c = -c;
+    MakePrimitive(&r);
+    a = std::move(b);
+    b = std::move(r);
   }
   return chain;
 }
@@ -272,7 +387,7 @@ int UPoly::SturmVariationsAt(const std::vector<UPoly>& chain,
   int variations = 0;
   int last = 0;
   for (const UPoly& p : chain) {
-    int s = p.Evaluate(x).sign();
+    int s = p.SignAt(x);
     if (s == 0) continue;
     if (last != 0 && s != last) ++variations;
     last = s;

@@ -60,7 +60,9 @@ class UPoly {
   /// nonzero.
   StatusOr<UPoly> DivideExact(const UPoly& divisor) const;
 
-  /// Monic gcd over Q; Gcd(0,0) == 0.
+  /// Monic gcd over Q; Gcd(0,0) == 0. The remainder sequence runs on
+  /// primitive integer polynomials (positive pseudo-remainders), so no step
+  /// divides over Q.
   static UPoly Gcd(const UPoly& a, const UPoly& b);
 
   UPoly Derivative() const;
@@ -73,7 +75,20 @@ class UPoly {
   /// monic. Factors of multiplicity i sit at index i-1 (may be 1).
   std::vector<UPoly> SquarefreeDecomposition() const;
 
+  /// The value at x. Callers that only need the sign use SignAt.
   Rational Evaluate(const Rational& x) const;
+  /// sign(this(x)) in {-1, 0, +1}, computed in integers: no gcd, no
+  /// Rational. Always the sign of the value Evaluate(x).
+  int SignAt(const Rational& x) const;
+  /// The coefficients times the lcm of their denominators: a positive
+  /// integer multiple of this polynomial, so it has the same sign at every
+  /// point. Compute it once and pass it to IntegerSignAt when evaluating
+  /// the sign of one polynomial at many points.
+  std::vector<BigInt> IntegerCoefficients() const;
+  /// Sign at x = p/q (q > 0) of the integer polynomial sum c_i x^i, by
+  /// homogenised Horner on sum c_i p^i q^(n-i) = q^n * value.
+  static int IntegerSignAt(const std::vector<BigInt>& coefficients,
+                           const Rational& x);
   Interval EvaluateInterval(const Interval& x) const;
   /// Composition this(inner(x)).
   UPoly Compose(const UPoly& inner) const;
@@ -85,7 +100,10 @@ class UPoly {
   /// Cauchy root bound: every real root lies in (-B, B).
   Rational CauchyRootBound() const;
 
-  /// Sturm chain of this (starting with this, this').
+  /// Sturm chain of this (starting with this, this'). Each member is a
+  /// primitive integer polynomial, a positive multiple of the member the
+  /// rational chain would have: remainders are negated positive
+  /// pseudo-remainders, so no step divides over Q.
   std::vector<UPoly> SturmChain() const;
   /// Number of distinct real roots in the half-open interval (a, b], given
   /// a precomputed Sturm chain for this polynomial. Requires a <= b and

@@ -230,7 +230,11 @@ std::string EncodeWalRecord(const WalRecord& record) {
 }
 
 StatusOr<WalReplay> ReadWal(const std::string& path) {
-  CCDB_ASSIGN_OR_RETURN(std::string contents, ReadFileContents(path));
+  // Read in place rather than moving the string out of the StatusOr: the
+  // move trips a false -Wmaybe-uninitialized in GCC's optimised builds.
+  StatusOr<std::string> read = ReadFileContents(path);
+  if (!read.ok()) return read.status();
+  const std::string& contents = *read;
   const auto* bytes = reinterpret_cast<const unsigned char*>(contents.data());
   const std::size_t size = contents.size();
 

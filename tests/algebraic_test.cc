@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "base/metrics.h"
+
 namespace ccdb {
 namespace {
 
@@ -99,6 +101,28 @@ TEST(AlgebraicNumberTest, GoldenRatioCubicMix) {
   EXPECT_EQ(roots[1].SignOfPolyAt(FromInts({-1, -1, 1})), 0);
   // phi^3 - 2phi - 1 = 0 as well (since x^3-2x-1 = (x^2-x-1)(x+1)).
   EXPECT_EQ(roots[1].SignOfPolyAt(FromInts({-1, -2, 0, 1})), 0);
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+TEST(AlgebraicNumberTest, RootsOfTakesTheSquarefreePartOnce) {
+  // x^4 - 10x^2 + 1: four irrational roots +-sqrt2 +-sqrt3. Root isolation
+  // and all four numbers share the one squarefree part RootsOf takes.
+  const std::uint64_t gcds = CounterValue("poly.squarefree_gcds");
+  const std::uint64_t bisections = CounterValue("poly.refine_bisections");
+  auto roots = AlgebraicNumber::RootsOf(FromInts({1, 0, -10, 0, 1}));
+  ASSERT_EQ(roots.size(), 4u);
+  EXPECT_EQ(CounterValue("poly.squarefree_gcds") - gcds, 1u);
+
+  // Refinement trusts the squarefree defining polynomial: no further gcd.
+  const std::uint64_t after_roots = CounterValue("poly.squarefree_gcds");
+  roots[2].RefineTo(Rational(BigInt(1), BigInt::Pow2(20)));
+  EXPECT_EQ(CounterValue("poly.squarefree_gcds") - after_roots, 0u);
+  EXPECT_GT(CounterValue("poly.refine_bisections") - bisections, 0u);
+  EXPECT_LE(roots[2].isolating_interval().Width(),
+            Rational(BigInt(1), BigInt::Pow2(20)));
 }
 
 TEST(NumberFieldTest, RationalFieldDegenerate) {

@@ -383,7 +383,9 @@ TEST(CrashRecoveryMatrix, RecoversAPrefixAtEveryCrashSite) {
     }
   }
   EXPECT_EQ(combos, static_cast<int>(schedules) * 9);
-  if (schedules >= 24) EXPECT_GE(combos, 200);
+  if (schedules >= 24) {
+    EXPECT_GE(combos, 200);
+  }
   // Vacuity guard: a harness whose failpoints never fire proves nothing.
   // Most crash-kind combos must actually have killed the child mid-run.
   EXPECT_GE(crashes, combos / 2) << "too few injected crashes fired";

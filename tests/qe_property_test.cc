@@ -15,10 +15,6 @@
 namespace ccdb {
 namespace {
 
-Rational R(std::int64_t n, std::int64_t d = 1) {
-  return Rational(BigInt(n), BigInt(d));
-}
-
 Polynomial X() { return Polynomial::Var(0); }
 Polynomial Y() { return Polynomial::Var(1); }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "property_env.h"
+#include "upoly_oracle.h"
+
 namespace ccdb {
 namespace {
 
@@ -139,6 +142,119 @@ TEST(RootIsolationTest, RandomizedRootRecovery) {
                       : roots[i].interval.Contains(expected))
           << "trial " << trial;
     }
+  }
+}
+
+TEST(RootIsolationTest, ApproximateRealRootsOfNonSquarefreeInput) {
+  // (x-1)^2 (x-2) (x^2-2): the double root must not confuse refinement,
+  // which trusts a squarefree polynomial.
+  UPoly f = FromInts({-1, 1}) * FromInts({-1, 1}) * FromInts({-2, 1}) *
+            FromInts({-2, 0, 1});
+  Rational eps(BigInt(1), BigInt::Pow2(30));
+  auto values = ApproximateRealRoots(f, eps);
+  ASSERT_EQ(values.size(), 4u);
+  const double sqrt2 = 1.4142135623730951;
+  const double expected[] = {-sqrt2, 1.0, sqrt2, 2.0};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_NEAR(values[i].ToDouble(), expected[i], eps.ToDouble());
+  }
+  EXPECT_EQ(values[1], R(1));
+  EXPECT_EQ(values[3], R(2));
+}
+
+// A product of random factors of total degree at most 8: rational roots
+// (dyadic ones land on bisection midpoints, spilled ones do not snap),
+// irrational pairs, random quadratics, and now and then a repeated factor.
+UPoly RandomFactoredUPoly(std::mt19937_64& rng) {
+  UPoly f = UPoly::Constant(R(static_cast<std::int64_t>(rng() % 5) + 1,
+                              static_cast<std::int64_t>(rng() % 3) + 1));
+  if (rng() % 2 == 0) f = -f;
+  int target = 1 + static_cast<int>(rng() % 8);
+  while (f.degree() < target) {
+    UPoly factor;
+    switch (rng() % 5) {
+      case 0:
+        factor = UPoly({R(static_cast<std::int64_t>(rng() % 21) - 10,
+                          std::int64_t{1} << (rng() % 4)),
+                        R(1)});
+        break;
+      case 1: {
+        BigInt num = BigInt(static_cast<std::int64_t>(rng() >> 1))
+                         .ShiftLeft(1 + rng() % 4);
+        BigInt den = BigInt(static_cast<std::int64_t>(rng() >> 1) | 1)
+                         .ShiftLeft(1 + rng() % 4);
+        factor = UPoly({Rational(rng() % 2 == 0 ? num : -num, den), R(1)});
+        break;
+      }
+      case 2:
+        factor = FromInts({-static_cast<std::int64_t>(2 + rng() % 30), 0, 1});
+        break;
+      case 3:
+        factor = FromInts({static_cast<std::int64_t>(rng() % 21) - 10,
+                           static_cast<std::int64_t>(rng() % 21) - 10,
+                           static_cast<std::int64_t>(rng() % 9) + 1});
+        break;
+      default:
+        factor = FromInts({0, 1});
+        break;
+    }
+    if (f.degree() + factor.degree() > 8) break;
+    f = f * factor;
+    if (rng() % 6 == 0 && f.degree() + factor.degree() <= 8) f = f * factor;
+  }
+  return f;
+}
+
+void ExpectSameRoots(const std::vector<IsolatedRoot>& actual,
+                     const std::vector<IsolatedRoot>& expected,
+                     const UPoly& p) {
+  ASSERT_EQ(actual.size(), expected.size()) << p;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].is_exact, expected[i].is_exact) << p << " root " << i;
+    EXPECT_EQ(actual[i].interval.lo(), expected[i].interval.lo())
+        << p << " root " << i;
+    EXPECT_EQ(actual[i].interval.hi(), expected[i].interval.hi())
+        << p << " root " << i;
+  }
+}
+
+TEST(RootIsolationDifferentialTest, IntervalsMatchRationalReference) {
+  std::mt19937_64 rng(1503);
+  const int iters = 20 * ccdb_test::PropertyIterScale();
+  for (int trial = 0; trial < iters; ++trial) {
+    UPoly p = RandomFactoredUPoly(rng);
+    if (p.degree() < 1) continue;
+    std::vector<IsolatedRoot> expected = ccdb_test::ReferenceIsolateRealRoots(p);
+    ExpectSameRoots(IsolateRealRoots(p), expected, p);
+    UPoly f = p.SquarefreePart();
+    auto squarefree = IsolateSquarefreeRoots(f, nullptr);
+    ASSERT_TRUE(squarefree.ok());
+    ExpectSameRoots(*squarefree, expected, p);
+    for (const IsolatedRoot& root : expected) {
+      Rational width(BigInt(1), BigInt::Pow2(1 + rng() % 40));
+      IsolatedRoot refined = RefineRoot(f, root, width);
+      IsolatedRoot reference = ccdb_test::ReferenceRefineRoot(p, root, width);
+      EXPECT_EQ(refined.is_exact, reference.is_exact) << p;
+      EXPECT_EQ(refined.interval.lo(), reference.interval.lo()) << p;
+      EXPECT_EQ(refined.interval.hi(), reference.interval.hi()) << p;
+    }
+  }
+}
+
+TEST(RootIsolationDifferentialTest, DenseRandomPolynomialsMatchReference) {
+  std::mt19937_64 rng(1504);
+  const int iters = 40 * ccdb_test::PropertyIterScale();
+  for (int trial = 0; trial < iters; ++trial) {
+    std::vector<Rational> c;
+    int degree = 1 + static_cast<int>(rng() % 8);
+    for (int i = 0; i <= degree; ++i) {
+      c.push_back(R(static_cast<std::int64_t>(rng() % 2001) - 1000,
+                    static_cast<std::int64_t>(rng() % 7) + 1));
+    }
+    UPoly p(std::move(c));
+    if (p.degree() < 1) continue;
+    ExpectSameRoots(IsolateRealRoots(p),
+                    ccdb_test::ReferenceIsolateRealRoots(p), p);
   }
 }
 

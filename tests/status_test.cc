@@ -76,7 +76,7 @@ TEST(StatusOrDeathTest, DereferenceOnErrorAborts) {
 TEST(StatusOrDeathTest, ArrowOnErrorAborts) {
   StatusOr<std::vector<int>> result(
       Status::ResourceExhausted("stage=qe.drive reason=steps"));
-  EXPECT_DEATH(result->size(), "qe.drive");
+  EXPECT_DEATH((void)result->size(), "qe.drive");
 }
 
 TEST(StatusOrDeathTest, ConstAccessorsAbortToo) {

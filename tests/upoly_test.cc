@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "property_env.h"
+#include "upoly_oracle.h"
+
 namespace ccdb {
 namespace {
 
@@ -170,6 +173,112 @@ TEST(UPolyTest, ToString) {
   EXPECT_EQ(FromInts({0, 1}).ToString(), "x");
   EXPECT_EQ(UPoly().ToString(), "0");
   EXPECT_EQ(FromInts({-1, -1}).ToString(), "-x - 1");
+}
+
+// A random integer: small, word-sized, or spilled past 2^63 (limb form).
+BigInt RandomInteger(std::mt19937_64& rng) {
+  BigInt magnitude;
+  switch (rng() % 3) {
+    case 0:
+      magnitude = BigInt(static_cast<std::int64_t>(rng() % 10));
+      break;
+    case 1:
+      magnitude = BigInt(static_cast<std::int64_t>((rng() >> 1) >> (rng() % 63)));
+      break;
+    default:
+      magnitude = BigInt(static_cast<std::int64_t>(rng() >> 1))
+                      .ShiftLeft(1 + rng() % 8) +
+                  BigInt(static_cast<std::int64_t>(rng() >> 1));
+      break;
+  }
+  return rng() % 2 == 0 ? magnitude : -magnitude;
+}
+
+Rational RandomRational(std::mt19937_64& rng) {
+  BigInt den = RandomInteger(rng).Abs();
+  if (den.is_zero() || rng() % 3 == 0) den = BigInt(1);
+  return Rational(RandomInteger(rng), den);
+}
+
+// Degree 1..max_degree (occasionally lower after trimming). One in four
+// has random rational coefficients (small, word-sized or spilled), one in
+// four is sparse (about half the coefficients zero, so remainder sequences
+// drop more than one degree per step), the rest have small integers.
+UPoly RandomUPoly(std::mt19937_64& rng, int max_degree = 8) {
+  std::vector<Rational> c;
+  int degree = 1 + static_cast<int>(rng() % max_degree);
+  int kind = static_cast<int>(rng() % 4);
+  for (int i = 0; i <= degree; ++i) {
+    if (kind == 3) {
+      c.push_back(RandomRational(rng));
+    } else if (kind == 2 && i < degree && rng() % 2 == 0) {
+      c.push_back(R(0));
+    } else {
+      c.push_back(R(static_cast<std::int64_t>(rng() % 19) - 9));
+    }
+  }
+  return UPoly(std::move(c));
+}
+
+TEST(UPolyDifferentialTest, SignAtMatchesRationalEvaluation) {
+  std::mt19937_64 rng(1501);
+  const int iters = 200 * ccdb_test::PropertyIterScale();
+  for (int i = 0; i < iters; ++i) {
+    UPoly f = RandomUPoly(rng);
+    std::vector<BigInt> ints = f.IntegerCoefficients();
+    ASSERT_EQ(ints.size(), f.coefficients().size());
+    for (int k = 0; k < 4; ++k) {
+      Rational x = RandomRational(rng);
+      int expected = f.Evaluate(x).sign();
+      EXPECT_EQ(f.SignAt(x), expected) << f << " at " << x.ToString();
+      EXPECT_EQ(UPoly::IntegerSignAt(ints, x), expected);
+    }
+    // Exact zeros: a root p/q of (q x - p) * f.
+    Rational root = RandomRational(rng);
+    UPoly g = f * UPoly({-root, Rational(1)});
+    EXPECT_EQ(g.SignAt(root), 0) << g;
+    EXPECT_EQ(UPoly::IntegerSignAt(g.IntegerCoefficients(), root), 0);
+  }
+  EXPECT_EQ(UPoly().SignAt(R(3, 7)), 0);
+  EXPECT_EQ(UPoly::Constant(R(-2, 3)).SignAt(R(5)), -1);
+}
+
+TEST(UPolyDifferentialTest, IntegerCoefficientsArePositiveMultiple) {
+  UPoly f({R(1, 6), R(-3, 4), R(2, 3)});
+  // lcm of the denominators is 12.
+  std::vector<BigInt> expected = {BigInt(2), BigInt(-9), BigInt(8)};
+  EXPECT_EQ(f.IntegerCoefficients(), expected);
+}
+
+TEST(UPolyDifferentialTest, GcdAndSturmChainMatchRationalReference) {
+  std::mt19937_64 rng(1502);
+  const int iters = 30 * ccdb_test::PropertyIterScale();
+  for (int i = 0; i < iters; ++i) {
+    // A small integer common factor of degree 0-2 makes the gcd nontrivial.
+    UPoly common({R(static_cast<std::int64_t>(rng() % 19) - 9),
+                  R(static_cast<std::int64_t>(rng() % 3) - 1),
+                  R(static_cast<std::int64_t>(rng() % 3))});
+    if (common.is_zero()) common = UPoly::Constant(R(1));
+    UPoly a = common * RandomUPoly(rng, 6);
+    UPoly b = common * RandomUPoly(rng, 6);
+    EXPECT_EQ(UPoly::Gcd(a, b), ccdb_test::ReferenceGcd(a, b))
+        << a << " / " << b;
+    EXPECT_EQ(UPoly::Gcd(a, a.Derivative()),
+              ccdb_test::ReferenceGcd(a, a.Derivative()));
+    // Repeated factors make the chain end early with a nonconstant gcd.
+    UPoly f = rng() % 3 == 0 ? a * common : a;
+    EXPECT_EQ(f.SturmChain(), ccdb_test::ReferenceSturmChain(f)) << f;
+    UPoly h = RandomUPoly(rng);
+    EXPECT_EQ(h.SturmChain(), ccdb_test::ReferenceSturmChain(h)) << h;
+  }
+  EXPECT_EQ(UPoly::Constant(R(-5, 2)).SturmChain(),
+            ccdb_test::ReferenceSturmChain(UPoly::Constant(R(-5, 2))));
+  // -x^4 + 10x^2 - 1: the derivative's leading coefficient is negative and
+  // the first pseudo-remainder takes one elimination step, so a remainder
+  // scaled by lc instead of |lc| would come out with the wrong sign.
+  UPoly even = FromInts({-1, 0, 10, 0, -1});
+  EXPECT_EQ(even.SturmChain(), ccdb_test::ReferenceSturmChain(even));
+  EXPECT_EQ(even.SturmChain()[2], FromInts({1, 0, -5}));
 }
 
 }  // namespace
