@@ -270,6 +270,44 @@ int main(int argc, char** argv) {
   std::printf("%s", analyzed.profile.ToString().c_str());
   ccdb_bench::Row("profiled answer byte-identical to Query: yes");
 
+  // Conic probe: two conics in one conjunction. Its CAD has 110 cells,
+  // and the sections over irrational x have two irrational coordinates;
+  // their signs come from the exact zero test over Q(alpha), so no sample
+  // point reaches the ValueAt fallback.
+  ccdb_bench::Row("");
+  ccdb_bench::Row("conic probe: exists y (two conics)");
+  auto probe_parsed = ParseFormula(
+      "exists y (3*y^2 - 3*x*y + 3*y - 3*x^2 - 2*x - 3 < 0 and "
+      "2*y^2 + 3*x*y - 2*y - 3*x + 3 > 0)");
+  CCDB_CHECK(probe_parsed.ok());
+  VarEnv probe_env;
+  probe_env.Intern("x");
+  Formula probe = *LowerFormula(**probe_parsed, &probe_env);
+  Counter* fallbacks =
+      MetricsRegistry::Global().GetCounter("cad.value_at_fallbacks");
+  const std::uint64_t fallbacks_before = fallbacks->value();
+  QeResultCache().Clear();
+  ConstraintRelation probe_answer;
+  QeStats probe_stats;
+  std::optional<double> t_probe =
+      ccdb_bench::GovernedCell([&](const ResourceGovernor* gov) -> Status {
+        QeOptions options;
+        options.governor = gov;
+        options.pool = ccdb_bench::Pool();
+        auto result = EliminateQuantifiers(probe, 1, options, &probe_stats);
+        CCDB_RETURN_IF_ERROR(result.status());
+        probe_answer = *std::move(result);
+        return Status::Ok();
+      });
+  ccdb_bench::RecordCell("conic_probe", t_probe);
+  ccdb_bench::Row("%-10s %12s %18s %12s", "tuples", "CAD cells",
+                  "ValueAt fallbacks", "time [ms]");
+  ccdb_bench::Row("%-10zu %12zu %18llu %12s", probe_answer.tuples().size(),
+                  probe_stats.cad_cells,
+                  static_cast<unsigned long long>(fallbacks->value() -
+                                                  fallbacks_before),
+                  ccdb_bench::TableCell(t_probe).c_str());
+
   // Repeated-latency cell: the planned mixed-fragment elimination run
   // cold 20 times (QE result cache cleared before each sample), reported
   // with the Histogram percentile estimator as p50/p90/p99 columns.

@@ -260,6 +260,16 @@ int FieldSturmVariationsAt(const std::vector<FieldPoly>& chain,
 
 }  // namespace
 
+int FieldPoly::CountRealRoots(const Rational& lo, const Rational& hi,
+                              NumberField& field) const {
+  FieldPoly f = *this;
+  f.Normalize(field);
+  if (f.degree() <= 0) return 0;
+  std::vector<FieldPoly> chain = FieldSturmChain(f, field);
+  return FieldSturmVariationsAt(chain, lo, field) -
+         FieldSturmVariationsAt(chain, hi, field);
+}
+
 std::vector<Interval> FieldPoly::IsolateRealRoots(NumberField& field) const {
   std::vector<Interval> roots;
   FieldPoly f = *this;

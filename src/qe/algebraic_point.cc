@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "base/logging.h"
+#include "base/metrics.h"
+#include "poly/number_field.h"
 #include "poly/resultant.h"
 
 namespace ccdb {
@@ -52,40 +54,99 @@ StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
   return q;
 }
 
+namespace {
+
+// Registered at load so metric snapshots list both counters while they are
+// still zero (`cad.value_at_fallbacks` is meant to stay at zero on 2-D CADs).
+Counter* const field_zero_tests =
+    MetricsRegistry::Global().GetCounter("cad.field_zero_tests");
+Counter* const value_at_fallbacks =
+    MetricsRegistry::Global().GetCounter("cad.value_at_fallbacks");
+
+// Exact zero test for q(alpha, beta), where q mentions only the variables
+// a (coordinate alpha) and b (coordinate beta), beta irrational. Writes
+// q(alpha, y) and beta's defining polynomial N(y) over Q(alpha); their gcd
+// g divides N, and N has exactly one root (beta) in beta's isolating
+// interval, with no root at either endpoint. So q(alpha, beta) == 0 iff g
+// has a root in that interval, which a Sturm count over Q(alpha) decides.
+bool VanishesOverField(const Polynomial& q, int a, const AlgebraicNumber& alpha,
+                       int b, const AlgebraicNumber& beta) {
+  field_zero_tests->Increment();
+  NumberField field(alpha);
+  std::vector<UPoly> q_coeffs;
+  for (const Polynomial& c : q.CoefficientsIn(b)) {
+    auto u = UPoly::FromPolynomial(c, a);
+    CCDB_CHECK(u.ok());
+    q_coeffs.push_back(*std::move(u));
+  }
+  std::vector<UPoly> n_coeffs;
+  for (const Rational& c : beta.defining_polynomial().coefficients()) {
+    n_coeffs.push_back(UPoly::Constant(c));
+  }
+  FieldPoly g = FieldPoly::Gcd(FieldPoly(std::move(q_coeffs)),
+                               FieldPoly(std::move(n_coeffs)), field);
+  const Interval& iv = beta.isolating_interval();
+  return g.CountRealRoots(iv.lo(), iv.hi(), field) > 0;
+}
+
+}  // namespace
+
 int AlgebraicPoint::SignAt(const Polynomial& p, PlanToggle memo) const {
   CCDB_CHECK_MSG(p.max_var() < dimension(),
                  "polynomial mentions variables beyond the point dimension");
-  // Fast path: substitute rational coordinates; if at most one algebraic
-  // coordinate remains, delegate to the univariate machinery.
+  // Substitute rational coordinates exactly, then dispatch on how many
+  // irrational coordinates the result still mentions.
   Polynomial q = p;
-  int algebraic_var = -1;
-  int algebraic_count = 0;
   for (int i = 0; i < dimension(); ++i) {
-    if (!q.Mentions(i)) continue;
-    if (coords_[i].is_rational()) {
+    if (coords_[i].is_rational() && q.Mentions(i)) {
       q = q.Substitute(i, coords_[i].rational_value());
-    } else {
-      algebraic_var = i;
-      ++algebraic_count;
     }
   }
   if (q.is_constant()) return q.constant_value().sign();
-  if (algebraic_count == 1) {
-    auto u = UPoly::FromPolynomial(q, algebraic_var);
-    CCDB_CHECK(u.ok());
-    return coords_[algebraic_var].SignOfPolyAt(*u);
+  std::vector<int> irrational;
+  for (int i = 0; i < dimension(); ++i) {
+    if (q.Mentions(i)) irrational.push_back(i);
   }
-  // General path: bounded interval refinement, then exact identification.
+  if (irrational.size() == 1) {
+    auto u = UPoly::FromPolynomial(q, irrational[0]);
+    CCDB_CHECK(u.ok());
+    return coords_[irrational[0]].SignOfPolyAt(*u);
+  }
   std::vector<Interval> box(dimension(), Interval(Rational(0)));
+  if (irrational.size() == 2) {
+    // Filtered exact test: a certain interval sign answers at once; an
+    // ambiguous one pays for the zero test over Q(alpha), and a proven
+    // nonzero value is refined until its interval sign is certain.
+    const AlgebraicNumber& alpha = coords_[irrational[0]];
+    const AlgebraicNumber& beta = coords_[irrational[1]];
+    auto interval_sign = [&] {
+      box[irrational[0]] = alpha.isolating_interval();
+      box[irrational[1]] = beta.isolating_interval();
+      return q.EvaluateInterval(box).CertainSign();
+    };
+    int sign = interval_sign();
+    if (sign != Interval::kAmbiguousSign) return sign;
+    if (VanishesOverField(q, irrational[0], alpha, irrational[1], beta)) {
+      return 0;
+    }
+    const Rational half(BigInt(1), BigInt(2));
+    while (sign == Interval::kAmbiguousSign) {
+      alpha.RefineTo(alpha.isolating_interval().Width() * half);
+      beta.RefineTo(beta.isolating_interval().Width() * half);
+      sign = interval_sign();
+    }
+    return sign;
+  }
+  // Three or more irrational coordinates: bounded interval refinement,
+  // then exact identification through ValueAt.
+  value_at_fallbacks->Increment();
   for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < dimension(); ++i) {
-      if (q.Mentions(i)) {
-        if (round > 0) {
-          coords_[i].RefineTo(coords_[i].isolating_interval().Width() *
-                              Rational(BigInt(1), BigInt::Pow2(16)));
-        }
-        box[i] = coords_[i].isolating_interval();
+    for (int i : irrational) {
+      if (round > 0) {
+        coords_[i].RefineTo(coords_[i].isolating_interval().Width() *
+                            Rational(BigInt(1), BigInt::Pow2(16)));
       }
+      box[i] = coords_[i].isolating_interval();
     }
     int sign = q.EvaluateInterval(box).CertainSign();
     if (sign != Interval::kAmbiguousSign) return sign;

@@ -17,12 +17,17 @@ namespace ccdb {
 /// check the value of the polynomials on the sample points" — paper,
 /// Appendix I).
 ///
-/// The key primitive is ValueAt: q(alpha_1,...,alpha_k) is itself a real
-/// algebraic number, obtained by eliminating each coordinate's defining
-/// polynomial from z - q via iterated resultants; the true value is then
-/// identified among the candidate roots by interval refinement. This gives
-/// exact sign queries (and exact stack construction) over sample points of
-/// ANY level, without nested field extensions.
+/// SignAt first substitutes the rational coordinates. With one irrational
+/// coordinate left it is a univariate sign (AlgebraicNumber::SignOfPolyAt).
+/// With two, alpha and beta, a certain interval sign answers at once; an
+/// ambiguous one is decided exactly by gcd(q(alpha, y), N(y)) over
+/// Q(alpha) (NumberField), N being beta's defining polynomial, and a
+/// nonzero value is then refined until its sign is certain. Only points
+/// with three or more irrational coordinates fall back to ValueAt:
+/// q(alpha_1,...,alpha_k) as a real algebraic number, obtained by
+/// eliminating each coordinate's defining polynomial from z - q via
+/// iterated resultants and identified among the candidate roots by
+/// interval refinement.
 class AlgebraicPoint {
  public:
   AlgebraicPoint() = default;
@@ -43,7 +48,8 @@ class AlgebraicPoint {
   std::vector<Rational> RationalCoords() const;
 
   /// Exact sign of p at this point. p may mention variables 0..dim-1 only.
-  /// `memo` gates the resultant memo of the exact fallback (ValueAt).
+  /// `memo` gates the resultant memo of the fallback for three or more
+  /// irrational coordinates (ValueAt).
   int SignAt(const Polynomial& p, PlanToggle memo = PlanToggle::kAuto) const;
 
   /// Exact value of p at this point as an algebraic number; `memo` gates

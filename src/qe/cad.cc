@@ -129,7 +129,6 @@ StatusOr<std::vector<Polynomial>> DerivativeClosure(
   for (int guard = 0; guard < 64; ++guard) {
     CCDB_CHECK_BUDGET(gov, "cad.project");
     std::vector<Polynomial> augmented = basis;
-    bool grew = false;
     for (const Polynomial& p : basis) {
       int var = p.max_var();
       if (var < 0) continue;
@@ -149,9 +148,7 @@ StatusOr<std::vector<Polynomial>> DerivativeClosure(
       }
       if (same) return basis;
     }
-    grew = true;
     basis = std::move(next);
-    (void)grew;
   }
   return basis;
 }

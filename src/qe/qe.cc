@@ -77,7 +77,7 @@ bool MatrixTruth(const std::vector<GeneralizedTuple>& tuples,
     }
     if (all) return true;
   }
-  return tuples.empty() ? false : false;
+  return false;
 }
 
 RelOp OpForSign(int sign) {
@@ -227,7 +227,7 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
             CellVerdict verdict;
             verdict.vector.reserve(free_factors.size());
             for (const Polynomial& p : free_factors) {
-              verdict.vector.push_back(cell.sample.SignAt(p));
+              verdict.vector.push_back(cell.sample.SignAt(p, memo));
             }
             verdict.truth = truth(cell);
             return verdict;

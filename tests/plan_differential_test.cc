@@ -7,15 +7,21 @@
 // Oracle (independent of the engine): ∃ distributes over ∨, so at a
 // rational x the query holds iff one disjunct is satisfiable in y. A
 // disjunct is either a conjunction of atoms linear in y, which reduces to
-// exact rational bounds and equalities on y, or a single conic
+// exact rational bounds and equalities on y, a single conic
 // a*y^2 + ... <= 0 with a > 0, which holds iff its value at the rational
-// vertex y = -(b*x + c) / 2a is <= 0. The engine's quantifier-free answer
-// is evaluated exactly at the same x: seeded points, the rational roots of
-// the answer's linear atoms, and the midpoints between them.
+// vertex y = -(b*x + c) / 2a is <= 0, or a conjunction of two conics.
+// For two conics every atom's sign is constant between consecutive real
+// roots in y of their product, which the test-side reference kernel
+// (upoly_oracle.h) isolates: one rational sample per sector plus every
+// root decides the conjunction. The engine's quantifier-free answer is
+// evaluated exactly at the same x: seeded points, the answer atoms' rational
+// roots and isolating-interval endpoints, and the midpoints between them.
 //
 // Determinism: the rendering is byte-identical at every thread count
-// (1, 2, 8) with the memo caches on and off. CCDB_PROPERTY_ITERS scales
-// the corpora.
+// (1, 2, 8) with the memo caches on and off. Every corpus here has two
+// variables, so no sample point has three irrational coordinates and the
+// ValueAt fallback (`cad.value_at_fallbacks`) must never run.
+// CCDB_PROPERTY_ITERS scales the corpora.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +30,14 @@
 #include <string>
 #include <vector>
 
+#include "base/metrics.h"
 #include "base/thread_pool.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
 #include "property_env.h"
 #include "qe/qe.h"
 #include "qe/qe_cache.h"
+#include "upoly_oracle.h"
 
 namespace ccdb {
 namespace {
@@ -110,8 +118,7 @@ Atom RandomConicAtom(std::mt19937_64* rng) {
   return Atom(conic, RelOp::kLe);
 }
 
-bool Holds(const Rational& value, RelOp op) {
-  const int sign = value.sign();
+bool HoldsSign(int sign, RelOp op) {
   switch (op) {
     case RelOp::kEq:
       return sign == 0;
@@ -129,14 +136,79 @@ bool Holds(const Rational& value, RelOp op) {
   return false;
 }
 
+bool Holds(const Rational& value, RelOp op) {
+  return HoldsSign(value.sign(), op);
+}
+
 // Evaluates a polynomial in x alone (variable 0) at x0.
 Rational AtX(const Polynomial& p, const Rational& x0) {
   return p.Evaluate({x0});
 }
 
+// Exact truth of exists y (conjunction) at x = x0 for atoms of any degree
+// in y. The atoms' signs are constant on each sector between consecutive
+// real roots of their product, so the conjunction holds somewhere iff it
+// holds at one rational sample per sector or at one of the roots.
+bool SectorSatisfiable(const Conjunction& conjunction, const Rational& x0) {
+  std::vector<UPoly> in_y;
+  UPoly product = UPoly::Constant(Rational(1));
+  for (const Atom& atom : conjunction) {
+    auto u = UPoly::FromPolynomial(atom.poly.Substitute(0, x0), 1);
+    EXPECT_TRUE(u.ok());
+    in_y.push_back(*u);
+    if (!u->is_zero()) product = product * *u;
+  }
+  auto holds_with = [&](auto sign_of) {
+    for (std::size_t i = 0; i < conjunction.size(); ++i) {
+      if (!HoldsSign(sign_of(i), conjunction[i].op)) return false;
+    }
+    return true;
+  };
+  auto holds_at = [&](const Rational& y) {
+    return holds_with([&](std::size_t i) {
+      return ccdb_test::ReferenceSign(in_y[i], y);
+    });
+  };
+  std::vector<IsolatedRoot> roots = ccdb_test::ReferenceIsolateRealRoots(product);
+  if (roots.empty()) return holds_at(Rational(0));
+  // Sector samples. Disjoint isolating intervals can only touch at a point
+  // that is no root (an open interval's endpoints are not roots).
+  if (holds_at(roots.front().interval.lo() - Rational(1))) return true;
+  if (holds_at(roots.back().interval.hi() + Rational(1))) return true;
+  for (std::size_t r = 0; r + 1 < roots.size(); ++r) {
+    if (holds_at(Rational::Midpoint(roots[r].interval.hi(),
+                                    roots[r + 1].interval.lo()))) {
+      return true;
+    }
+  }
+  // The roots. At an irrational root rho isolated by (lo, hi), an atom
+  // vanishes iff its own Sturm count on (lo, hi] is positive; otherwise it
+  // has no root in the interval and its sign at lo is its sign at rho.
+  for (const IsolatedRoot& root : roots) {
+    if (root.is_exact) {
+      if (holds_at(root.interval.lo())) return true;
+      continue;
+    }
+    const Rational& lo = root.interval.lo();
+    const Rational& hi = root.interval.hi();
+    if (holds_with([&](std::size_t i) {
+          if (in_y[i].is_zero()) return 0;
+          std::vector<UPoly> chain = ccdb_test::ReferenceSturmChain(in_y[i]);
+          if (ccdb_test::ReferenceSturmCount(chain, lo, hi) > 0) return 0;
+          return ccdb_test::ReferenceSign(in_y[i], lo);
+        })) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Exact truth of exists y (conjunction) at x = x0.
 bool ConjunctionSatisfiable(const Conjunction& conjunction,
                             const Rational& x0) {
+  if (conjunction.size() > 1 && conjunction[0].poly.DegreeIn(1) == 2) {
+    return SectorSatisfiable(conjunction, x0);
+  }
   if (conjunction.size() == 1 && conjunction[0].poly.DegreeIn(1) == 2) {
     // A single conic with a > 0 attains its minimum over y at the vertex.
     const Atom& conic = conjunction[0];
@@ -231,17 +303,22 @@ bool AnswerHolds(const ConstraintRelation& answer, const Rational& x0) {
   return false;
 }
 
-// Seeded points plus the rational roots of the answer's linear atoms and
-// the midpoints between consecutive roots (and one step past either end):
-// where a wrong bound or operator would show.
+// Seeded points plus, for every atom of the answer, its rational roots
+// and the endpoints of its irrational roots' isolating intervals (from the
+// reference kernel), the midpoints between consecutive such points and one
+// step past either end: where a wrong bound or operator would show.
 std::vector<Rational> TestPoints(const ConstraintRelation& answer,
                                  std::mt19937_64* rng) {
   std::vector<Rational> roots;
   for (const GeneralizedTuple& tuple : answer.tuples()) {
     for (const Atom& atom : tuple.atoms) {
-      if (atom.poly.DegreeIn(0) != 1) continue;
-      std::vector<Polynomial> c = atom.poly.CoefficientsIn(0);
-      roots.push_back(-c[0].constant_value() / c[1].constant_value());
+      auto u = UPoly::FromPolynomial(atom.poly, 0);
+      if (!u.ok()) continue;
+      for (const IsolatedRoot& root :
+           ccdb_test::ReferenceIsolateRealRoots(*u)) {
+        roots.push_back(root.interval.lo());
+        if (!root.is_exact) roots.push_back(root.interval.hi());
+      }
     }
   }
   std::sort(roots.begin(), roots.end());
@@ -268,6 +345,9 @@ std::vector<Rational> TestPoints(const ConstraintRelation& answer,
 // oracle at the test points.
 void ExpectExactAndDeterministic(const Body& body, std::uint64_t seed) {
   Formula query = ExistsY(body);
+  Counter* fallbacks =
+      MetricsRegistry::Global().GetCounter("cad.value_at_fallbacks");
+  const std::uint64_t fallbacks_before = fallbacks->value();
   std::string reference;
   StatusOr<ConstraintRelation> answer = Status::Internal("not run");
   for (PlanToggle memo : {PlanToggle::kOff, PlanToggle::kOn}) {
@@ -291,6 +371,7 @@ void ExpectExactAndDeterministic(const Body& body, std::uint64_t seed) {
           << " threads=" << threads << " query " << Render(body);
     }
   }
+  EXPECT_EQ(fallbacks->value(), fallbacks_before) << "query " << Render(body);
   std::mt19937_64 rng(seed);
   for (const Rational& x0 : TestPoints(*answer, &rng)) {
     EXPECT_EQ(AnswerHolds(*answer, x0), OracleHolds(body, x0))
@@ -336,6 +417,49 @@ TEST_P(ConicOracleTest, AnswerMatchesTheOracleAtEveryThreadAndMemo) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomConics, ConicOracleTest, ::testing::Range(0, 8));
+
+// Two conic atoms in one conjunction under random operators.
+Conjunction RandomTwoConics(std::mt19937_64* rng) {
+  const RelOp ops[] = {RelOp::kLt, RelOp::kLe, RelOp::kEq,
+                       RelOp::kGt, RelOp::kGe, RelOp::kNeq};
+  std::uniform_int_distribution<std::int64_t> coeff(-3, 3);
+  auto random_conic = [&]() {
+    std::int64_t a = 1 + static_cast<std::int64_t>((*rng)() % 3);
+    if ((*rng)() % 2 == 0) a = -a;
+    Polynomial conic = Polynomial(a) * Y().Pow(2) +
+                       (Polynomial(coeff(*rng)) * X() +
+                        Polynomial(coeff(*rng))) * Y() +
+                       Polynomial(coeff(*rng)) * X().Pow(2) +
+                       Polynomial(coeff(*rng)) * X() + Polynomial(coeff(*rng));
+    return Atom(conic, ops[(*rng)() % 6]);
+  };
+  return {random_conic(), random_conic()};
+}
+
+class TwoConicOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TwoConicOracleTest, AnswerMatchesTheSectorOracle) {
+  SweepSeeds(2000 + GetParam(), [](std::mt19937_64* rng) -> Body {
+    return {RandomTwoConics(rng)};
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomTwoConics, TwoConicOracleTest,
+                         ::testing::Range(0, 12));
+
+// The probe exists y (3y^2 - 3xy + 3y - 3x^2 - 2x - 3 < 0 and
+// 2y^2 + 3xy - 2y - 3x + 3 > 0): 110 CAD cells whose sections have two
+// irrational coordinates.
+TEST(TwoConicOracleTest, ConicProbeMatchesTheSectorOracle) {
+  Polynomial first = Polynomial(3) * Y().Pow(2) - Polynomial(3) * X() * Y() +
+                     Polynomial(3) * Y() - Polynomial(3) * X().Pow(2) -
+                     Polynomial(2) * X() - Polynomial(3);
+  Polynomial second = Polynomial(2) * Y().Pow(2) + Polynomial(3) * X() * Y() -
+                      Polynomial(2) * Y() - Polynomial(3) * X() +
+                      Polynomial(3);
+  ExpectExactAndDeterministic(
+      {{Atom(first, RelOp::kLt), Atom(second, RelOp::kGt)}}, 77);
+}
 
 // Mixed-fragment union with a free-variable-only conjunct guarding the
 // dense-order disjuncts: a polynomial matrix, so the planner miniscopes
