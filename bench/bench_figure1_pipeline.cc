@@ -150,12 +150,10 @@ int main(int argc, char** argv) {
   // Warm vs cold memo caches: the same scaled query is rebuilt from
   // scratch and eliminated twice. Hash-consing makes the rebuilt formula
   // the same interned node, so with the caches on the second elimination
-  // is one QE-cache lookup; with `CCDB_QE_CACHE=0` both runs pay full price.
-  // The outputs are byte-identical either way (pure memo contract) — only
-  // the timing moves.
+  // is one QE-cache lookup. The outputs are byte-identical either way (pure
+  // memo contract) — only the timing moves.
   ccdb_bench::Row("");
-  ccdb_bench::Row("warm vs cold QE result cache (qe_cache=%d)",
-                  ccdb_bench::BenchQeCacheEnabled() ? 1 : 0);
+  ccdb_bench::Row("warm vs cold QE result cache");
   QeResultCache().Clear();
   std::string cold_text, warm_text;
   double t_cold = ccdb_bench::TimeSeconds([&] {

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "base/config.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/profile.h"
@@ -51,13 +50,6 @@ inline int& BenchThreads() {
 /// the process-wide shared pool, sized by InitBenchTracing.
 inline ccdb::ThreadPool* Pool() { return ccdb::ThreadPool::Shared(); }
 
-/// Whether the memo caches are on for this run (CCDB_QE_CACHE; defaults
-/// to on). Also the value of the JSON report's "qe_cache" column, so
-/// cache-on/cache-off runs can be diffed row by row.
-inline bool BenchQeCacheEnabled() {
-  return ccdb::EngineConfig::Process().qe_cache;
-}
-
 /// Whether `--profile` was passed: span tracing is enabled for the whole
 /// run and the aggregated span profile (base/profile.h) is printed to
 /// stderr at exit, flamegraph-style — one line per call path with count
@@ -76,8 +68,8 @@ inline std::string& BenchOutPath() {
 }
 
 /// Processes the standard harness flags. Call first thing in main().
-/// Engine toggles are not flags: the memo caches and semi-naive Datalog
-/// follow CCDB_QE_CACHE and CCDB_SEMINAIVE through EngineConfig::Process().
+/// There are no engine toggles: the memo caches and semi-naive Datalog are
+/// always on, and a bench that wants a cold run clears the caches itself.
 ///
 ///   --trace-out=<file>    (or CCDB_TRACE_OUT) span tracing for the run,
 ///                         written as a Chrome trace_event JSON at exit
@@ -186,15 +178,14 @@ inline std::string TableCell(const std::optional<double>& seconds) {
   return buffer;
 }
 
-/// Collects `{"cell": <name>, "threads": <N>, "qe_cache": <0|1>,
+/// Collects `{"cell": <name>, "threads": <N>,
 /// "ms": <value-or-null>, "qe_cache_hit_rate":
 /// <rate-or-null>, "formula_nodes": <N>, "poly_nodes": <N>}` rows; the
 /// report is printed as one JSON array line at exit (after the
 /// human-readable table), machine-readable for the experiment plots. The
 /// "threads" column lets a sweep (`--threads=1`, `--threads=8`, ...)
-/// concatenate its reports into one speedup table; "qe_cache" does the
-/// same for `CCDB_QE_CACHE=0/1` differential runs. The hit rate is per cell (delta of the qe_cache
-/// hit/miss counters since the previous RecordCell, null when the cell
+/// concatenate its reports into one speedup table. The hit rate is per
+/// cell (delta of the qe_cache hit/miss counters since the previous RecordCell, null when the cell
 /// never consulted the cache); the node counts are the live hash-consed
 /// formula arena and interned polynomial pool sizes at record time.
 inline std::vector<std::string>& JsonReportRows() {
@@ -246,7 +237,6 @@ inline void RecordCell(const std::string& name,
   JsonReportRows().push_back(
       "{\"cell\": \"" + name +
       "\", \"threads\": " + std::to_string(BenchThreads()) +
-      ", \"qe_cache\": " + (BenchQeCacheEnabled() ? "1" : "0") +
       ", \"ms\": " + JsonCell(seconds) +
       ", \"qe_cache_hit_rate\": " + hit_rate +
       ", \"formula_nodes\": " + std::to_string(arena.live_nodes) +
@@ -274,12 +264,12 @@ inline void RecordLatencyCell(const std::string& name,
           : total / static_cast<double>(samples_seconds.size()) * 1e3;
   char buffer[512];
   std::snprintf(buffer, sizeof(buffer),
-                "{\"cell\": \"%s\", \"threads\": %d, \"qe_cache\": %d, "
+                "{\"cell\": \"%s\", \"threads\": %d, "
                 "\"ms\": %.6f, \"samples\": %zu, "
                 "\"p50_ms\": %.6f, \"p90_ms\": %.6f, \"p99_ms\": %.6f}",
-                name.c_str(), BenchThreads(),
-                BenchQeCacheEnabled() ? 1 : 0, mean_ms, samples_seconds.size(), hist->Percentile(0.50) / 1e3,
-                hist->Percentile(0.90) / 1e3, hist->Percentile(0.99) / 1e3);
+                name.c_str(), BenchThreads(), mean_ms, samples_seconds.size(),
+                hist->Percentile(0.50) / 1e3, hist->Percentile(0.90) / 1e3,
+                hist->Percentile(0.99) / 1e3);
   JsonReportRows().push_back(buffer);
 }
 
@@ -302,9 +292,8 @@ inline void WriteRunRecord(const std::string& name) {
                "  \"schema_version\": 1,\n"
                "  \"bench\": \"%s\",\n"
                "  \"threads\": %d,\n"
-               "  \"qe_cache\": %d,\n"
                "  \"rows\": [\n",
-               name.c_str(), BenchThreads(), BenchQeCacheEnabled() ? 1 : 0);
+               name.c_str(), BenchThreads());
   const std::vector<std::string>& rows = JsonReportRows();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out, "    %s%s\n", rows[i].c_str(),

@@ -1,7 +1,7 @@
 # REPL smoke test: runs the shell REPL on SCRIPT and checks the EXPLAIN /
 # EXPLAIN ANALYZE renderer end to end. Fails when the shell exits non-zero,
 # prints any "error:" line, or misses a stage-table line. Nothing here
-# depends on cache temperature, the memo setting or the thread count.
+# depends on cache temperature or the thread count.
 #
 #   cmake -DREPL=<example_repl binary> -DSCRIPT=<script> -P repl_smoke.cmake
 execute_process(

@@ -12,9 +12,8 @@ Usage:
 
 Schema (DESIGN.md §12):
   top level: schema_version == 1, bench (str), threads (int >= 1),
-             qe_cache (0|1), rows (list)
-  row:       cell (str), threads (int), qe_cache (0|1),
-             ms (number or null), and either
+             rows (list)
+  row:       cell (str), threads (int), ms (number or null), and either
                plain cell:   qe_cache_hit_rate (number-or-null),
                              formula_nodes, poly_nodes (ints)
                latency cell: samples (int >= 1), p50_ms, p90_ms, p99_ms
@@ -33,13 +32,11 @@ def fail(path, msg):
 def check_row(path, i, row):
     errors = 0
     where = f"rows[{i}]"
-    for key, typ in (("cell", str), ("threads", int), ("qe_cache", int)):
+    for key, typ in (("cell", str), ("threads", int)):
         if not isinstance(row.get(key), typ):
             errors += fail(path, f"{where}: missing or mistyped '{key}'")
     if row.get("ms") is not None and not isinstance(row["ms"], (int, float)):
         errors += fail(path, f"{where}: 'ms' must be a number or null")
-    if row.get("qe_cache") not in (0, 1):
-        errors += fail(path, f"{where}: 'qe_cache' must be 0 or 1")
     if "samples" in row:  # latency cell with percentile columns
         if not isinstance(row["samples"], int) or row["samples"] < 1:
             errors += fail(path, f"{where}: 'samples' must be an int >= 1")
@@ -74,8 +71,6 @@ def check_bench(path):
         errors += fail(path, "missing or empty 'bench'")
     if not isinstance(doc.get("threads"), int) or doc["threads"] < 1:
         errors += fail(path, "'threads' must be an int >= 1")
-    if doc.get("qe_cache") not in (0, 1):
-        errors += fail(path, "'qe_cache' must be 0 or 1")
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         return errors + fail(path, "'rows' must be a non-empty list")

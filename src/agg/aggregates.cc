@@ -89,12 +89,11 @@ AggregateValue EndpointValue(const AlgebraicNumber& endpoint,
   return ApproxValue(endpoint.Approximate(eps).ToDouble(), tolerance);
 }
 
-bool CellSatisfies(const CadCell& cell, const ConstraintRelation& relation,
-                   PlanToggle memo) {
+bool CellSatisfies(const CadCell& cell, const ConstraintRelation& relation) {
   for (const GeneralizedTuple& tuple : relation.tuples()) {
     bool all = true;
     for (const Atom& atom : tuple.atoms) {
-      if (!SignSatisfies(cell.sample.SignAt(atom.poly, memo), atom.op)) {
+      if (!SignSatisfies(cell.sample.SignAt(atom.poly), atom.op)) {
         all = false;
         break;
       }
@@ -137,10 +136,9 @@ struct Measure1D {
 
 StatusOr<Measure1D> MeasureUnary(const ConstraintRelation& relation,
                                  double tolerance,
-                                 const ResourceGovernor* gov,
-                                 PlanToggle memo) {
+                                 const ResourceGovernor* gov) {
   CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, gov, memo));
+                        DecomposeUnary(relation, gov));
   Measure1D out;
   for (const auto& piece : decomposition.pieces) {
     if (piece.is_point) continue;
@@ -168,7 +166,7 @@ StatusOr<AggregateValue> AggregateModules::Min(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "MIN requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, governor_, memo_));
+                        DecomposeUnary(relation, governor_));
   if (decomposition.pieces.empty()) {
     return Status::Undefined("MIN of an empty set");
   }
@@ -187,7 +185,7 @@ StatusOr<AggregateValue> AggregateModules::Max(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "MAX requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, governor_, memo_));
+                        DecomposeUnary(relation, governor_));
   if (decomposition.pieces.empty()) {
     return Status::Undefined("MAX of an empty set");
   }
@@ -205,7 +203,7 @@ StatusOr<AggregateValue> AggregateModules::Avg(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "AVG requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, governor_, memo_));
+                        DecomposeUnary(relation, governor_));
   if (decomposition.pieces.empty()) {
     return Status::Undefined("AVG of an empty set");
   }
@@ -268,7 +266,7 @@ StatusOr<AggregateValue> AggregateModules::Length(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "LENGTH requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(Measure1D measure,
-                        MeasureUnary(relation, tolerance_, governor_, memo_));
+                        MeasureUnary(relation, tolerance_, governor_));
   if (measure.exact) return ExactValue(measure.exact_total);
   return ApproxValue(measure.approx_total, tolerance_);
 }
@@ -278,7 +276,7 @@ StatusOr<double> AggregateModules::SliceMeasure(
   CCDB_CHECK(relation.arity() == 2);
   ConstraintRelation slice = SubstituteFirstVar(relation, x0);
   CCDB_ASSIGN_OR_RETURN(Measure1D measure,
-                        MeasureUnary(slice, tolerance_, governor_, memo_));
+                        MeasureUnary(slice, tolerance_, governor_));
   return measure.approx_total;
 }
 
@@ -290,7 +288,6 @@ StatusOr<AggregateValue> AggregateModules::Surface(
   if (relation.is_empty_syntactically()) return ExactValue(Rational(0));
   CadOptions surface_cad_options;
   surface_cad_options.governor = governor_;
-  surface_cad_options.memo = memo_;
   CCDB_ASSIGN_OR_RETURN(Cad cad,
                         Cad::Build(relation.CollectPolynomials(), 2,
                                    surface_cad_options));
@@ -308,7 +305,7 @@ StatusOr<AggregateValue> AggregateModules::Surface(
     std::vector<bool> satisfied(stack.size(), false);
     bool any_positive = false;
     for (std::size_t c = 0; c < stack.size(); ++c) {
-      satisfied[c] = CellSatisfies(stack[c], relation, memo_);
+      satisfied[c] = CellSatisfies(stack[c], relation);
       if (satisfied[c] && c % 2 == 0) any_positive = true;  // y-sector
     }
     if (!base_is_sector) continue;  // x-section: zero width
@@ -340,7 +337,7 @@ StatusOr<AggregateValue> AggregateModules::Surface(
         auto graph_of = [&](const CadCell& section,
                             UPoly* out) -> bool {
           for (const Polynomial& factor : cad.factors_at_level(1)) {
-            if (section.sample.SignAt(factor, memo_) != 0) continue;
+            if (section.sample.SignAt(factor) != 0) continue;
             if (factor.DegreeIn(1) != 1) return false;
             Polynomial lc = factor.LeadingCoefficientIn(1);
             if (!lc.is_constant()) return false;
@@ -415,7 +412,6 @@ StatusOr<AggregateValue> AggregateModules::Volume(
   // phase matters for the extent).
   CadOptions volume_cad_options;
   volume_cad_options.governor = governor_;
-  volume_cad_options.memo = memo_;
   CCDB_ASSIGN_OR_RETURN(Cad cad,
                         Cad::Build(relation.CollectPolynomials(), 3,
                                    volume_cad_options));
@@ -430,7 +426,7 @@ StatusOr<AggregateValue> AggregateModules::Volume(
     std::function<void(const CadCell&)> scan = [&](const CadCell& cell) {
       if (cell.dimension() == 3) {
         bool sector_volume = cell.index[1] % 2 == 1 && cell.index[2] % 2 == 1;
-        if (sector_volume && CellSatisfies(cell, relation, memo_)) any = true;
+        if (sector_volume && CellSatisfies(cell, relation)) any = true;
         return;
       }
       for (const CadCell& child : cell.children) scan(child);
@@ -445,7 +441,7 @@ StatusOr<AggregateValue> AggregateModules::Volume(
     double a_d = base[b - 1].sample.coord(0).Approximate(eps).ToDouble();
     double c_d = base[b + 1].sample.coord(0).Approximate(eps).ToDouble();
     Status inner_error = Status::Ok();
-    AggregateModules inner_modules(volume_tol, governor_, memo_);
+    AggregateModules inner_modules(volume_tol, governor_);
     auto integrand = [&](double x) -> double {
       ConstraintRelation slice =
           SubstituteFirstVar(relation, FloatK::FromDouble(x).ToRational());
@@ -471,7 +467,7 @@ StatusOr<ConstraintRelation> AggregateModules::Eval(
   ++call_count_;
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_ASSIGN_OR_RETURN(NumericalEvaluation eval,
-                        EvaluateNumerically(relation, governor_, memo_));
+                        EvaluateNumerically(relation, governor_));
   if (!eval.finite) return relation;  // "or to S itself otherwise"
   ConstraintRelation out(relation.arity());
   for (const AlgebraicPoint& point : eval.points) {
@@ -549,7 +545,6 @@ StatusOr<ConstraintRelation> AggregateModules::ApplyParameterized(
     CadOptions cad_options;
     cad_options.derivative_closure_below = attempt == 0 ? 0 : num_params;
     cad_options.governor = governor_;
-    cad_options.memo = memo_;
     CCDB_ASSIGN_OR_RETURN(Cad cad,
                           Cad::Build(x_polys, num_params, cad_options));
     std::vector<Polynomial> factors = cad.FactorsBelow(num_params);
@@ -566,7 +561,7 @@ StatusOr<ConstraintRelation> AggregateModules::ApplyParameterized(
       CellResult result;
       result.signs.reserve(factors.size());
       for (const Polynomial& f : factors) {
-        result.signs.push_back(cell.sample.SignAt(f, memo_));
+        result.signs.push_back(cell.sample.SignAt(f));
       }
       // Active tuples: those whose x-part holds on this cell.
       ConstraintRelation slice_union(agg_arity);
@@ -574,7 +569,7 @@ StatusOr<ConstraintRelation> AggregateModules::ApplyParameterized(
       for (const SplitTuple& st : split) {
         bool active = true;
         for (const Atom& atom : st.x_part.atoms) {
-          if (!SignSatisfies(cell.sample.SignAt(atom.poly, memo_), atom.op)) {
+          if (!SignSatisfies(cell.sample.SignAt(atom.poly), atom.op)) {
             active = false;
             break;
           }

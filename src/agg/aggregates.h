@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "base/config.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "constraint/atom.h"
@@ -50,12 +49,9 @@ class AggregateModules {
   /// `governor`, when non-null, bounds every CAD decomposition and
   /// quadrature the modules run; exceeded budgets surface as
   /// kResourceExhausted from the aggregate call. Borrowed, not owned.
-  /// `memo` is the evaluation's memo toggle, handed to every CAD
-  /// (CadOptions::memo).
   explicit AggregateModules(double tolerance = 1e-9,
-                            const ResourceGovernor* governor = nullptr,
-                            PlanToggle memo = PlanToggle::kAuto)
-      : tolerance_(tolerance), governor_(governor), memo_(memo) {}
+                            const ResourceGovernor* governor = nullptr)
+      : tolerance_(tolerance), governor_(governor) {}
 
   /// Number of aggregate-module calls served (Theorem 5.5 counts these).
   std::uint64_t call_count() const { return call_count_; }
@@ -108,7 +104,6 @@ class AggregateModules {
  private:
   double tolerance_;
   const ResourceGovernor* governor_ = nullptr;
-  PlanToggle memo_ = PlanToggle::kAuto;
   mutable std::uint64_t call_count_ = 0;
 };
 

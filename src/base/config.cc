@@ -23,7 +23,7 @@ void Warn(std::vector<std::string>* warnings, const std::string& message) {
 
 // Accepted boolean spellings: 0/1, true/false, on/off (case-insensitive).
 // Anything else is a diagnostic, not a silent guess — the historical
-// "any value but 0 counts as on" behavior hid typos like CCDB_SEMINAIVE=fales.
+// "any value but 0 counts as on" behavior hid typos like CCDB_TRACE=fales.
 bool ParseBool(const char* name, const char* value, bool fallback,
                std::vector<std::string>* warnings) {
   std::string v(value);
@@ -61,18 +61,6 @@ EngineConfig EngineConfig::FromEnv(std::vector<std::string>* warnings) {
     } else {
       config.threads = static_cast<int>(parsed);
     }
-  }
-  if (const char* env = std::getenv("CCDB_SEMINAIVE")) {
-    config.seminaive =
-        ParseBool("CCDB_SEMINAIVE", env, config.seminaive, warnings);
-  }
-  if (const char* env = std::getenv("CCDB_INCREMENTAL")) {
-    config.incremental =
-        ParseBool("CCDB_INCREMENTAL", env, config.incremental, warnings);
-  }
-  if (const char* env = std::getenv("CCDB_QE_CACHE")) {
-    config.qe_cache =
-        ParseBool("CCDB_QE_CACHE", env, config.qe_cache, warnings);
   }
   if (const char* env = std::getenv("CCDB_QE_CACHE_CAPACITY")) {
     std::uint64_t parsed = 0;
@@ -138,26 +126,10 @@ EngineConfig EngineConfig::WithThreads(int value) const {
   c.threads = value < 1 ? 1 : value;
   return c;
 }
-EngineConfig EngineConfig::WithSeminaive(bool value) const {
-  EngineConfig c = *this;
-  c.seminaive = value;
-  return c;
-}
-EngineConfig EngineConfig::WithIncremental(bool value) const {
-  EngineConfig c = *this;
-  c.incremental = value;
-  return c;
-}
-EngineConfig EngineConfig::WithQeCache(bool value) const {
-  EngineConfig c = *this;
-  c.qe_cache = value;
-  return c;
-}
 
 std::string EngineConfig::Canonical() const {
   std::ostringstream out;
-  out << "threads=" << threads << ",seminaive=" << seminaive << ",incremental=" << incremental
-      << ",qe_cache=" << qe_cache << ",qe_cache_capacity=" << qe_cache_capacity
+  out << "threads=" << threads << ",qe_cache_capacity=" << qe_cache_capacity
       << ",log_level=" << log_level
       << ",trace=" << trace << ",query_log=" << query_log_path
       << ",wal_fsync=" << wal_fsync
@@ -187,9 +159,6 @@ std::string EngineConfig::ToString() const {
   std::ostringstream out;
   out << "EngineConfig (fingerprint " << Fingerprint() << ")\n"
       << "  threads               " << threads << "\n"
-      << "  seminaive             " << (seminaive ? "on" : "off") << "\n"
-      << "  incremental           " << (incremental ? "on" : "off") << "\n"
-      << "  qe_cache              " << (qe_cache ? "on" : "off") << "\n"
       << "  qe_cache_capacity     " << qe_cache_capacity << "\n"
       << "  log_level             " << log_level << "\n"
       << "  trace                 " << (trace ? "on" : "off") << "\n"

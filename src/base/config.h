@@ -7,11 +7,15 @@
 /// the engine never calls getenv — a CI gate, scripts/check_no_getenv.sh,
 /// enforces this; the only allowlisted exceptions are this file's
 /// implementation and the fault-injection registry. Subsystems
-/// that used to sniff the environment at first use (memo caches,
-/// thread pool, semi-naive Datalog, tracing, logging, WAL durability)
-/// now read their defaults from EngineConfig::Process(), and a Session
-/// (engine/session.h) can carry a different EngineConfig per client, so
-/// two sessions with different configurations coexist in one process.
+/// that used to sniff the environment at first use (QE cache capacity,
+/// thread pool, tracing, logging, WAL durability) now read their defaults
+/// from EngineConfig::Process(), and a Session (engine/session.h) can
+/// carry a different EngineConfig per client, so two sessions with
+/// different configurations coexist in one process.
+///
+/// There are no engine toggles: the memo layers, semi-naive Datalog and
+/// incremental re-fixpoint are always on, standing down only where safety
+/// requires (under a governor, while a failpoint is armed, for a Z_k run).
 ///
 /// Parse diagnostics: an invalid value emits ONE stderr warning per bad
 /// knob naming the variable and the fallback actually used — startup
@@ -24,34 +28,16 @@
 
 namespace ccdb {
 
-/// Three-way per-call toggle used throughout the pipeline's option
-/// structs: kOn/kOff force the feature per call; kAuto takes the setting
-/// of the session the call runs in, and outside any session the field of
-/// EngineConfig::Process().
-/// Carried here (not in qe/) because it is a configuration concept shared
-/// by the memo caches, semi-naive Datalog, and incremental re-fixpoint
-/// alike.
-enum class PlanToggle { kAuto, kOn, kOff };
-
 /// Immutable resolved engine configuration. Value semantics: copy it,
 /// override fields with the With* builders, hand it to
 /// ConstraintDatabase::OpenSession. The process-wide instance —
 /// EngineConfig::Process() — is resolved from the environment exactly
 /// once; it is the config of every database's default session (the
-/// facade) and what a kAuto toggle reads outside any session.
+/// facade).
 struct EngineConfig {
   /// Concurrent runners of the session's thread pool (CCDB_THREADS,
   /// default 1 = the exact serial path).
   int threads = 1;
-  /// Semi-naive Datalog delta evaluation (CCDB_SEMINAIVE, default on).
-  bool seminaive = true;
-  /// Incremental re-fixpoint of materialized Datalog state
-  /// (CCDB_INCREMENTAL, default on).
-  bool incremental = true;
-  /// Memo caches: QE results, resultants, rule bodies, whole
-  /// queries (CCDB_QE_CACHE, default on; pure memos — byte-identical
-  /// either way).
-  bool qe_cache = true;
   /// Capacity of the QE result cache (CCDB_QE_CACHE_CAPACITY,
   /// default 4096 entries).
   std::size_t qe_cache_capacity = 4096;
@@ -78,16 +64,12 @@ struct EngineConfig {
 
   /// The process-wide configuration: FromEnv() resolved exactly once, at
   /// first use, with warnings to stderr. Every process-wide default
-  /// (ThreadPool::Shared width, kAuto memo / semi-naive /
-  /// incremental toggles, log level, tracer, query log, WAL policy) reads
-  /// from here instead of calling getenv.
+  /// (ThreadPool::Shared width, QE cache capacity, log level, tracer,
+  /// query log, WAL policy) reads from here instead of calling getenv.
   static const EngineConfig& Process();
 
   /// Per-field programmatic overrides (value-semantics builders).
   EngineConfig WithThreads(int value) const;
-  EngineConfig WithSeminaive(bool value) const;
-  EngineConfig WithIncremental(bool value) const;
-  EngineConfig WithQeCache(bool value) const;
 
   /// Stable identity of the resolved configuration: 16 lowercase hex
   /// digits (FNV-1a over the canonical rendering). Logged in every

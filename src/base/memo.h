@@ -2,22 +2,23 @@
 #define CCDB_BASE_MEMO_H_
 
 /// Shared infrastructure for the memoization layers that sit on top of the
-/// hash-consed IR: the resolver of the per-call memo toggle (kAuto follows
-/// the session's config, or EngineConfig::Process().qe_cache — the
-/// CCDB_QE_CACHE knob — outside any session) and a bounded, sharded,
-/// FIFO-evicting memo table used by the QE result cache, the
+/// hash-consed IR: the memo gate (MemoCachesEnabled) and a bounded,
+/// sharded, FIFO-evicting memo table used by the QE result cache, the
 /// resultant/PRS cache, and the engine's query cache.
 ///
 /// Contract: every cache keyed through this header is a pure memo — a hit
 /// returns exactly the value a recomputation would produce, so query
-/// output is byte-identical with caches on and off. Lookups are skipped
-/// under an armed ResourceGovernor (callers gate on `gov == nullptr`), so
-/// governed budget charging and degradation-ladder behaviour never depend
-/// on cache temperature; successful results are still inserted so later
-/// ungoverned evaluations can reuse them. While any failpoint is armed the
-/// caches stand down entirely (MemoCachesEnabledFor reports false for
-/// every toggle), so fault injection always reaches the real stage
-/// instead of a memo hit.
+/// output is byte-identical whatever the cache temperature. There is no
+/// knob that turns the memo layers off; they stand down only where safety
+/// demands it. Lookups are skipped under an armed ResourceGovernor
+/// (callers gate on `gov == nullptr`), so governed budget charging and
+/// degradation-ladder behaviour never depend on cache temperature;
+/// successful results are still inserted so later ungoverned evaluations
+/// can reuse them. While any failpoint is armed the caches stand down
+/// entirely (MemoCachesEnabled reports false), so fault injection always
+/// reaches the real stage instead of a memo hit. A test that wants an
+/// uncached reference clears the caches (QeResultCache().Clear()) or runs
+/// under an unlimited governor.
 
 #include <cstddef>
 #include <deque>
@@ -25,18 +26,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/config.h"
 #include "base/metrics.h"
 
 namespace ccdb {
 
-/// Resolves a per-call/per-session memo toggle (QeOptions::memo): whether
-/// the memo layers (QE result cache, resultant/PRS cache, query cache)
-/// serve this evaluation. kAuto follows EngineConfig::Process().qe_cache;
-/// kOff disables the layers; kOn enables them regardless of the process
-/// default. Every setting stands down while failpoints are armed — the
-/// pure-memo contract.
-bool MemoCachesEnabledFor(PlanToggle memo);
+/// Whether the memo layers (QE result cache, resultant/PRS cache, rule-body
+/// memo, query cache, materialized fixpoint state) may serve or fill
+/// entries right now: false only while a failpoint is armed. The governor
+/// gate is separate and stays at each call site.
+bool MemoCachesEnabled();
 
 /// A bounded, sharded memo table with per-shard FIFO eviction. Thread-safe.
 /// `Hash` must be deterministic; keys and values are stored by value.

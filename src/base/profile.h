@@ -21,8 +21,8 @@
 ///
 /// Hard contract: profiling is OBSERVATION ONLY. Arming a ProfileSink (or
 /// enabling the tracer) must never change a query's answer — the profiled
-/// run stays byte-identical to the unprofiled one at every thread and
-/// memo setting. Profiling code therefore only reads clocks and
+/// run stays byte-identical to the unprofiled one at every thread count
+/// and cache temperature. Profiling code therefore only reads clocks and
 /// counters; it never branches the algorithm.
 
 #include <chrono>

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "base/config.h"
 #include "base/failpoint.h"
 #include "base/logging.h"
 #include "base/memo.h"
@@ -276,7 +275,7 @@ Status RunFixpoint(const DatalogProgram& program,
   std::mutex body_cache_mu;
   std::unordered_map<std::uint64_t, BodyMemo> body_cache;
   const bool use_body_cache =
-      gov == nullptr && MemoCachesEnabledFor(options.qe.memo);
+      gov == nullptr && MemoCachesEnabled();
 
   auto find_relation = [&edb, idb](
                            const std::string& name) -> const ConstraintRelation* {
@@ -483,7 +482,8 @@ Status RunFixpoint(const DatalogProgram& program,
       // already present (their all-old derivations ran in an earlier
       // round), so after the sort both paths walk the surviving candidates
       // in the same order and append the same tuples — the anchor of the
-      // CCDB_SEMINAIVE byte-identity contract, at every thread count.
+      // semi-naive vs naive (Z_k) byte-identity contract, at every thread
+      // count.
       std::sort(tuples.begin(), tuples.end());
       tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
       ConstraintRelation& current = idb->at(name);
@@ -519,26 +519,6 @@ Status RunFixpoint(const DatalogProgram& program,
   return Status::OutOfRange(
       "Datalog evaluation did not reach a fixpoint within " +
       std::to_string(options.max_iterations) + " iterations");
-}
-
-bool ResolveSeminaive(const DatalogOptions& options) {
-  bool on;
-  switch (options.seminaive) {
-    case PlanToggle::kOn:
-      on = true;
-      break;
-    case PlanToggle::kOff:
-      on = false;
-      break;
-    default:
-      on = EngineConfig::Process().seminaive;
-      break;
-  }
-  // Z_k forces the naive path: the finite-precision verdict must observe
-  // every intermediate the naive rounds would materialize, and skipped
-  // delta joins would shrink max_bits.
-  if (options.precision_k != 0) on = false;
-  return on;
 }
 
 }  // namespace
@@ -579,8 +559,12 @@ StatusOr<std::map<std::string, ConstraintRelation>> EvaluateDatalog(
   for (const auto& [name, arity] : program.idb_arities) {
     idb.emplace(name, ConstraintRelation(arity));
   }
+  // Z_k forces the naive path: the finite-precision verdict must observe
+  // every intermediate the naive rounds would materialize, and skipped
+  // delta joins would shrink max_bits.
+  const bool seminaive = options.precision_k == 0;
   CCDB_RETURN_IF_ERROR(RunFixpoint(program, edb, &idb, {}, /*resumed=*/false,
-                                   ResolveSeminaive(options), options, s));
+                                   seminaive, options, s));
   return idb;
 }
 

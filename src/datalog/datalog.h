@@ -50,22 +50,11 @@ struct DatalogOptions {
   /// When positive, the finite-precision context Z_k: evaluation is
   /// undefined as soon as any materialized integer exceeds k bits
   /// (Theorem 4.7's setting; guarantees termination in PTIME). Z_k runs
-  /// always evaluate naively: the bit-length verdict must observe every
-  /// intermediate the naive rounds materialize.
-  std::uint32_t precision_k = 0;
-  /// Per-call semi-naive override: kOff forces the naive path (full rule
-  /// bodies each round — the executable spec), kOn delta evaluation;
-  /// kAuto follows the session config, or outside any session
-  /// EngineConfig::Process().seminaive (CCDB_SEMINAIVE). Both paths
+  /// evaluate naively (full rule bodies each round — the executable spec):
+  /// the bit-length verdict must observe every intermediate the naive
+  /// rounds materialize. Every other run is semi-naive, and both paths
   /// produce byte-identical fixpoints.
-  PlanToggle seminaive = PlanToggle::kAuto;
-  /// Per-call/per-session incremental re-fixpoint override (the
-  /// materialized-state layer of ConstraintDatabase::Fixpoint): kOff
-  /// recomputes from scratch on every call; kOn replays or resumes the
-  /// stored state when the EDB read-set versions allow it; kAuto follows
-  /// the session config (CCDB_INCREMENTAL for the facade). Pure memo —
-  /// every setting returns the same fixpoint a cold evaluation would.
-  PlanToggle incremental = PlanToggle::kAuto;
+  std::uint32_t precision_k = 0;
   /// QE options for each rule evaluation. `qe.governor`, when set, is also
   /// charged once per fixpoint round and per derived tuple (stage
   /// "datalog.iteration"), so a budget bounds the whole fixpoint — not just

@@ -32,7 +32,7 @@ namespace ccdb {
 /// ProfileSink and carries its per-plan-node attribution trees; EXPLAIN
 /// carries none, and may be answered by the whole-query memo. Collection
 /// is observation only: the answer is byte-identical to an unexplained
-/// Query at every thread and memo setting.
+/// Query at every thread count and cache temperature.
 struct QueryProfile {
   /// Total wall time of the explained evaluation (plus the numeric stage
   /// when it ran).
@@ -224,9 +224,9 @@ class ConstraintDatabase {
 
   /// Runs a Datalog program with the catalog as EDB (every body relation
   /// not declared in idb_arities is read from one catalog snapshot).
-  /// With incremental re-fixpoint on (CCDB_INCREMENTAL, ungoverned, memo
-  /// caches enabled), the completed fixpoint is materialized per program
-  /// and keyed on the EDB relations' versions:
+  /// Unless a governor is set or a failpoint is armed (the memo gates of
+  /// base/memo.h), the completed fixpoint is materialized per program and
+  /// keyed on the EDB relations' versions:
   ///   - unchanged versions      -> the stored interpretation is returned
   ///                                (metric datalog_fixpoint_hits);
   ///   - append-only growth      -> semi-naive rounds resume from the
@@ -299,17 +299,16 @@ class ConstraintDatabase {
   Status Load(const std::string& path);
 
   /// Opens a session on this database: an isolated execution context
-  /// carrying its own EngineConfig (its planner/memo/seminaive/incremental
-  /// settings resolve every kAuto toggle; an explicit kOn/kOff in the
-  /// database options still wins), a private thread pool of
+  /// carrying its own EngineConfig (thread count, query-log and other
+  /// settings), a private thread pool of
   /// `config.threads` runners, a unique session id stamped into query-log
   /// records, and an optional pinned catalog snapshot
   /// (Session::PinSnapshot) under which every read runs until unpinned —
   /// MVCC: writers keep mutating the database while the session observes
   /// one consistent version. Two
   /// sessions with different configs coexist in one process; answers are
-  /// byte-identical across configs (the pure-memo and determinism
-  /// contracts). The database must outlive the session.
+  /// byte-identical across configs (the determinism contract). The
+  /// database must outlive the session.
   std::unique_ptr<Session> OpenSession(
       EngineConfig config = EngineConfig::Process());
 

@@ -26,13 +26,6 @@ std::uint64_t NextSessionId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-// The session rule for toggles: kAuto takes the config's setting, an
-// explicit kOn/kOff wins.
-PlanToggle ResolveToggle(PlanToggle toggle, bool configured) {
-  if (toggle != PlanToggle::kAuto) return toggle;
-  return configured ? PlanToggle::kOn : PlanToggle::kOff;
-}
-
 double SecondsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
@@ -80,13 +73,12 @@ void CollectRelationNames(const QFormula& formula,
 // The relation names `text` mentions, sorted and deduplicated — the
 // query's read-set, computed by a parse (no evaluation). Memoized on the
 // text alone: the AST, hence the name set, is a pure function of it.
-StatusOr<std::vector<std::string>> RelationsReadBy(
-    const std::string& text, PlanToggle memo) {
+StatusOr<std::vector<std::string>> RelationsReadBy(const std::string& text) {
   static auto* cache =
       new ShardedMemoCache<std::string, std::vector<std::string>>(
           "read_set_cache", 64);
   std::vector<std::string> names;
-  const bool use_cache = MemoCachesEnabledFor(memo);
+  const bool use_cache = MemoCachesEnabled();
   if (use_cache && cache->Lookup(text, &names)) return names;
   CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
   std::set<std::string> set;
@@ -287,8 +279,8 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
     if (!out->result.has_scalar && out->result.relation.arity() > 0) {
       profile.ran_numeric = true;
       auto numeric_start = SteadyClock::now();
-      StatusOr<NumericalEvaluation> numeric = EvaluateNumerically(
-          out->result.relation, /*gov=*/nullptr, options.qe.memo);
+      StatusOr<NumericalEvaluation> numeric =
+          EvaluateNumerically(out->result.relation, /*gov=*/nullptr);
       profile.numeric_seconds = SecondsSince(numeric_start);
       if (numeric.ok()) {
         profile.numeric_finite = numeric->finite;
@@ -337,12 +329,6 @@ Session::Session(ConstraintDatabase* db, EngineConfig config, std::uint64_t id,
       id_(id),
       pool_(std::move(pool)),
       options_(db->options()) {
-  // The session config resolves every kAuto toggle, so two sessions with
-  // opposite settings coexist in one process; an explicit kOn/kOff in the
-  // database options wins. (Forced-on memo layers still stand down under
-  // armed failpoints and governors — the pure-memo contract outranks any
-  // configuration.)
-  options_.qe.memo = ResolveToggle(options_.qe.memo, config_.qe_cache);
   if (pool_ != nullptr) options_.qe.pool = pool_.get();
 }
 
@@ -410,16 +396,14 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   // the query reads, same immutable options). Governed evaluations bypass
   // the cache entirely so budget charging never depends on temperature.
   const bool use_cache = options_.governor == nullptr &&
-                         options_.qe.governor == nullptr &&
-                         MemoCachesEnabledFor(options_.qe.memo);
+                         options_.qe.governor == nullptr && MemoCachesEnabled();
   // The query's read-set at this snapshot — the memo key and the log's
   // invalidation scope. Unparsable text has no read-set (the evaluator
   // below reports the parse error) and is never cached.
   std::vector<std::pair<std::string, std::uint64_t>> read_set;
   bool have_read_set = false;
   if (use_cache || log) {
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, options_.qe.memo);
+    if (StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
         names.ok()) {
       read_set = ResolveReadSet(*names, *snapshot);
       have_read_set = true;
@@ -526,8 +510,7 @@ StatusOr<CalcFResult> Session::QueryWithPolicy(const std::string& text,
   if (log) {
     std::vector<std::pair<std::string, std::uint64_t>> read_set;
     bool have_read_set = false;
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, options_.qe.memo);
+    if (StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
         names.ok()) {
       read_set = ResolveReadSet(*names, *snapshot);
       have_read_set = true;
@@ -574,8 +557,7 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
   std::vector<std::pair<std::string, std::uint64_t>> read_set;
   bool have_read_set = false;
   if (log) {
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, opts.qe.memo);
+    if (StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
         names.ok()) {
       read_set = ResolveReadSet(*names, *snapshot);
       have_read_set = true;
@@ -643,14 +625,13 @@ StatusOr<std::vector<std::vector<Rational>>> Session::Solve(
   CCDB_TRACE_SPAN("db.solve");
   CCDB_METRIC_COUNT("db.solves", 1);
   CCDB_ASSIGN_OR_RETURN(CalcFResult result, QueryImpl(text, nullptr));
-  return ApproximateSolutions(result.relation, epsilon, /*gov=*/nullptr,
-                              options_.qe.memo);
+  return ApproximateSolutions(result.relation, epsilon, /*gov=*/nullptr);
 }
 
 StatusOr<std::vector<std::pair<std::string, std::uint64_t>>> Session::ReadSet(
     const std::string& text) const {
   CCDB_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                        RelationsReadBy(text, options_.qe.memo));
+                        RelationsReadBy(text));
   return ResolveReadSet(names, *ReadSnapshot());
 }
 
@@ -660,9 +641,6 @@ StatusOr<std::map<std::string, ConstraintRelation>> Session::Fixpoint(
   CCDB_TRACE_SPAN("db.fixpoint");
   CCDB_METRIC_COUNT("db.fixpoints", 1);
   DatalogOptions options = caller_options;
-  options.seminaive = ResolveToggle(options.seminaive, config_.seminaive);
-  options.incremental = ResolveToggle(options.incremental, config_.incremental);
-  if (options.qe.memo == PlanToggle::kAuto) options.qe.memo = options_.qe.memo;
   // The session pool drives the per-rule fan-out unless the caller brought
   // a pool of their own.
   if (options.qe.pool == nullptr) options.qe.pool = options_.qe.pool;
@@ -689,11 +667,10 @@ StatusOr<std::map<std::string, ConstraintRelation>> Session::Fixpoint(
   DatalogStats* s = stats != nullptr ? stats : &local_stats;
   *s = DatalogStats{};
   // Materialized state is a memo layer: off under a governor (budget
-  // charging must not depend on temperature) and with the caches disabled,
-  // exactly like the whole-query memo.
-  const bool use_state = options.incremental == PlanToggle::kOn &&
-                         MemoCachesEnabledFor(options.qe.memo) &&
-                         options.qe.governor == nullptr;
+  // charging must not depend on temperature) and while a failpoint is
+  // armed, exactly like the whole-query memo.
+  const bool use_state =
+      options.qe.governor == nullptr && MemoCachesEnabled();
   std::mutex& states_mu = db_->fixpoint_mu_;
   auto& states = db_->fixpoint_states_;
   std::string key;

@@ -6,12 +6,12 @@
 /// EngineConfig::Process(), the global query log, the shared thread pool —
 /// and OpenSession hands out further ones. A session carries:
 ///
-///   - an immutable EngineConfig (base/config.h) — the memo /
-///     semi-naive / incremental settings and the thread count this session
-///     runs at, independent of every other session's settings. The config
-///     resolves every kAuto toggle; an explicit kOn/kOff wins, whether it
-///     comes from the database's CalcFOptions or from a caller's
-///     DatalogOptions;
+///   - an immutable EngineConfig (base/config.h) — the thread count this
+///     session runs at and the fingerprint its query-log records carry,
+///     independent of every other session's settings. The memo layers,
+///     semi-naive Datalog and incremental re-fixpoint are not settings:
+///     they are always on, standing down only under a governor or an
+///     armed failpoint (base/memo.h), and Z_k runs are always naive;
 ///   - a thread pool: a private one of config.threads runners for an
 ///     opened session, ThreadPool::Shared() (or the database options'
 ///     pool) for the default session;
@@ -26,8 +26,8 @@
 ///     so writers can Define/Insert/Drop concurrently without the session
 ///     observing any of it.
 ///
-/// Answers are byte-identical across session configs (memo on/off,
-/// semi-naive on/off, any thread count) — the engine's determinism and pure-memo
+/// Answers are byte-identical across session configs (any thread count)
+/// and cache temperatures — the engine's determinism and pure-memo
 /// contracts, checkable in one process by opening two sessions.
 ///
 /// Thread safety: a Session's read methods are safe to call concurrently
@@ -62,9 +62,8 @@ class Session {
   /// (config().threads runners) of an opened session, else the database
   /// options' pool or ThreadPool::Shared(). Never null.
   ThreadPool* pool() const { return ThreadPool::Resolve(options_.qe.pool); }
-  /// The resolved evaluation options: the database's options with every
-  /// kAuto qe.memo toggle resolved from the session config, and
-  /// qe.pool pointing at the private pool when the session has one.
+  /// The evaluation options: the database's options with qe.pool pointing
+  /// at the private pool when the session has one.
   const CalcFOptions& options() const { return options_; }
 
   /// Pins the database's CURRENT catalog state: until Unpin, every read
@@ -95,9 +94,7 @@ class Session {
                                 FpQeStats* stats = nullptr) const;
   StatusOr<std::vector<std::vector<Rational>>> Solve(
       const std::string& text, const Rational& epsilon) const;
-  /// Fixpoint under the session config: kAuto semi-naive / incremental /
-  /// qe.memo toggles of `options` resolve from config() and
-  /// options(), explicit ones win; a caller-supplied pool wins over the
+  /// Fixpoint on the session pool; a caller-supplied pool wins over the
   /// session pool.
   StatusOr<std::map<std::string, ConstraintRelation>> Fixpoint(
       const DatalogProgram& program, const DatalogOptions& options = {},

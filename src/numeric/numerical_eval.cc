@@ -10,12 +10,11 @@ namespace ccdb {
 
 namespace {
 
-bool CellSatisfies(const CadCell& cell, const ConstraintRelation& relation,
-                   PlanToggle memo) {
+bool CellSatisfies(const CadCell& cell, const ConstraintRelation& relation) {
   for (const GeneralizedTuple& tuple : relation.tuples()) {
     bool all = true;
     for (const Atom& atom : tuple.atoms) {
-      if (!SignSatisfies(cell.sample.SignAt(atom.poly, memo), atom.op)) {
+      if (!SignSatisfies(cell.sample.SignAt(atom.poly), atom.op)) {
         all = false;
         break;
       }
@@ -35,8 +34,7 @@ bool IsZeroDimensional(const CadCell& cell) {
 }  // namespace
 
 StatusOr<NumericalEvaluation> EvaluateNumerically(
-    const ConstraintRelation& relation, const ResourceGovernor* gov,
-    PlanToggle memo) {
+    const ConstraintRelation& relation, const ResourceGovernor* gov) {
   CCDB_TRACE_SPAN("numeric.evaluate");
   CCDB_FAILPOINT("numeric.eval");
   CCDB_CHECK_BUDGET(gov, "numeric.eval");
@@ -52,14 +50,13 @@ StatusOr<NumericalEvaluation> EvaluateNumerically(
   }
   CadOptions cad_options;
   cad_options.governor = gov;
-  cad_options.memo = memo;
   CCDB_ASSIGN_OR_RETURN(
       Cad cad, Cad::Build(relation.CollectPolynomials(), relation.arity(),
                           cad_options));
   bool finite = true;
   std::vector<AlgebraicPoint> points;
   cad.ForEachCellAtDimension(relation.arity(), [&](const CadCell& cell) {
-    if (!CellSatisfies(cell, relation, memo)) return;
+    if (!CellSatisfies(cell, relation)) return;
     if (!IsZeroDimensional(cell)) {
       finite = false;
       return;
@@ -73,9 +70,9 @@ StatusOr<NumericalEvaluation> EvaluateNumerically(
 
 StatusOr<std::vector<std::vector<Rational>>> ApproximateSolutions(
     const ConstraintRelation& relation, const Rational& epsilon,
-    const ResourceGovernor* gov, PlanToggle memo) {
+    const ResourceGovernor* gov) {
   CCDB_ASSIGN_OR_RETURN(NumericalEvaluation eval,
-                        EvaluateNumerically(relation, gov, memo));
+                        EvaluateNumerically(relation, gov));
   if (!eval.finite) {
     return Status::InvalidArgument(
         "solution set is infinite; NUMERICAL EVALUATION does not apply");
@@ -91,8 +88,7 @@ StatusOr<std::vector<std::vector<Rational>>> ApproximateSolutions(
 }
 
 StatusOr<UnaryDecomposition> DecomposeUnary(
-    const ConstraintRelation& relation, const ResourceGovernor* gov,
-    PlanToggle memo) {
+    const ConstraintRelation& relation, const ResourceGovernor* gov) {
   CCDB_CHECK_MSG(relation.arity() == 1, "DecomposeUnary requires arity 1");
   CCDB_FAILPOINT("numeric.eval");
   CCDB_CHECK_BUDGET(gov, "numeric.eval");
@@ -100,13 +96,12 @@ StatusOr<UnaryDecomposition> DecomposeUnary(
   if (relation.is_empty_syntactically()) return out;
   CadOptions cad_options;
   cad_options.governor = gov;
-  cad_options.memo = memo;
   CCDB_ASSIGN_OR_RETURN(Cad cad,
                         Cad::Build(relation.CollectPolynomials(), 1,
                                    cad_options));
   const std::vector<CadCell>& cells = cad.roots();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!CellSatisfies(cells[i], relation, memo)) continue;
+    if (!CellSatisfies(cells[i], relation)) continue;
     UnaryDecomposition::Piece piece;
     if (cells[i].index[0] % 2 == 0) {
       piece.is_point = true;

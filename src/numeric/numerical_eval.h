@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "base/config.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "constraint/atom.h"
@@ -29,19 +28,15 @@ struct NumericalEvaluation {
 /// (Theorem 3.2).
 /// A non-null `gov` bounds the underlying CAD construction (stage
 /// "numeric.eval") and fails with kResourceExhausted on a budget trip.
-/// `memo` (QeOptions::memo) gates the resultant memo of the CADs built
-/// here, as in every function of this header.
 StatusOr<NumericalEvaluation> EvaluateNumerically(
-    const ConstraintRelation& relation, const ResourceGovernor* gov = nullptr,
-    PlanToggle memo = PlanToggle::kAuto);
+    const ConstraintRelation& relation, const ResourceGovernor* gov = nullptr);
 
 /// Convenience: epsilon-approximations of all solutions of a finite
 /// solution set, in lexicographic cell order. Fails with kInvalidArgument
 /// when the set is infinite.
 StatusOr<std::vector<std::vector<Rational>>> ApproximateSolutions(
     const ConstraintRelation& relation, const Rational& epsilon,
-    const ResourceGovernor* gov = nullptr,
-    PlanToggle memo = PlanToggle::kAuto);
+    const ResourceGovernor* gov = nullptr);
 
 /// Exact 1-D measure data of a unary relation: the satisfied cells of its
 /// CAD, described as intervals between algebraic endpoints.
@@ -63,8 +58,7 @@ struct UnaryDecomposition {
 /// Decomposes the solution set of a unary relation into maximal-cell
 /// pieces (CAD base phase).
 StatusOr<UnaryDecomposition> DecomposeUnary(
-    const ConstraintRelation& relation, const ResourceGovernor* gov = nullptr,
-    PlanToggle memo = PlanToggle::kAuto);
+    const ConstraintRelation& relation, const ResourceGovernor* gov = nullptr);
 
 }  // namespace ccdb
 

@@ -144,8 +144,7 @@ Status EliminateResidue(std::vector<GeneralizedTuple>* tuples,
                         int num_free_vars, const QeOptions& options,
                         QeStats* stats) {
   Formula residue = BlockToFormula(*tuples, prefix);
-  const bool use_cache =
-      options.governor == nullptr && MemoCachesEnabledFor(options.memo);
+  const bool use_cache = options.governor == nullptr && MemoCachesEnabled();
   QeCacheKey key;
   if (use_cache) {
     key = MakeQeCacheKey(residue, num_free_vars, options,

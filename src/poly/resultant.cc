@@ -217,9 +217,8 @@ StatusOr<Polynomial> ResultantUncached(const Polynomial& a,
 }  // namespace
 
 StatusOr<Polynomial> Resultant(const Polynomial& a, const Polynomial& b,
-                               int var, const ResourceGovernor* gov,
-                               PlanToggle memo) {
-  if (!MemoCachesEnabledFor(memo)) return ResultantUncached(a, b, var, gov);
+                               int var, const ResourceGovernor* gov) {
+  if (!MemoCachesEnabled()) return ResultantUncached(a, b, var, gov);
   PolyOpKey key{a, b, var, kOpResultant};
   Polynomial cached;
   if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
@@ -238,12 +237,11 @@ Polynomial Resultant(const Polynomial& a, const Polynomial& b, int var) {
 namespace {
 
 StatusOr<Polynomial> DiscriminantUncached(const Polynomial& p, int var,
-                                          const ResourceGovernor* gov,
-                                          PlanToggle memo) {
+                                          const ResourceGovernor* gov) {
   std::uint32_t d = p.DegreeIn(var);
   CCDB_CHECK_MSG(d >= 1, "discriminant requires positive degree");
   CCDB_ASSIGN_OR_RETURN(Polynomial res,
-                        Resultant(p, p.Derivative(var), var, gov, memo));
+                        Resultant(p, p.Derivative(var), var, gov));
   Polynomial lc = p.LeadingCoefficientIn(var);
   CCDB_ASSIGN_OR_RETURN(Polynomial result,
                         ExactOrDie(DivideExactMv(res, lc, gov),
@@ -258,16 +256,13 @@ StatusOr<Polynomial> DiscriminantUncached(const Polynomial& p, int var,
 }  // namespace
 
 StatusOr<Polynomial> Discriminant(const Polynomial& p, int var,
-                                  const ResourceGovernor* gov,
-                                  PlanToggle memo) {
-  if (!MemoCachesEnabledFor(memo)) {
-    return DiscriminantUncached(p, var, gov, memo);
-  }
+                                  const ResourceGovernor* gov) {
+  if (!MemoCachesEnabled()) return DiscriminantUncached(p, var, gov);
   PolyOpKey key{p, Polynomial(), var, kOpDiscriminant};
   Polynomial cached;
   if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
   CCDB_ASSIGN_OR_RETURN(Polynomial result,
-                        DiscriminantUncached(p, var, gov, memo));
+                        DiscriminantUncached(p, var, gov));
   PolyOpCache().Insert(std::move(key), result);
   return result;
 }
@@ -281,14 +276,13 @@ Polynomial Discriminant(const Polynomial& p, int var) {
 namespace {
 
 StatusOr<Polynomial> ContentInGoverned(const Polynomial& p, int var,
-                                       const ResourceGovernor* gov,
-                                       PlanToggle memo) {
+                                       const ResourceGovernor* gov) {
   if (p.is_zero()) return Polynomial();
   Polynomial content;
   for (const Polynomial& coeff : p.CoefficientsIn(var)) {
     CCDB_CHECK_BUDGET(gov, "poly.gcd");
     if (coeff.is_zero()) continue;
-    CCDB_ASSIGN_OR_RETURN(content, MvGcd(content, coeff, gov, memo));
+    CCDB_ASSIGN_OR_RETURN(content, MvGcd(content, coeff, gov));
     // Stop only at a unit: for univariate inputs the content is a
     // CONSTANT rational gcd that must keep accumulating (it is what keeps
     // the pseudo-remainder sequences primitive).
@@ -300,11 +294,10 @@ StatusOr<Polynomial> ContentInGoverned(const Polynomial& p, int var,
 }
 
 StatusOr<Polynomial> PrimitivePartInGoverned(const Polynomial& p, int var,
-                                             const ResourceGovernor* gov,
-                                             PlanToggle memo) {
+                                             const ResourceGovernor* gov) {
   if (p.is_zero()) return Polynomial();
   CCDB_ASSIGN_OR_RETURN(Polynomial content,
-                        ContentInGoverned(p, var, gov, memo));
+                        ContentInGoverned(p, var, gov));
   return ExactOrDie(DivideExactMv(p, content, gov),
                     "content division not exact");
 }
@@ -312,13 +305,13 @@ StatusOr<Polynomial> PrimitivePartInGoverned(const Polynomial& p, int var,
 }  // namespace
 
 Polynomial ContentIn(const Polynomial& p, int var) {
-  auto content = ContentInGoverned(p, var, nullptr, PlanToggle::kAuto);
+  auto content = ContentInGoverned(p, var, nullptr);
   CCDB_CHECK(content.ok());
   return *std::move(content);
 }
 
 Polynomial PrimitivePartIn(const Polynomial& p, int var) {
-  auto pp = PrimitivePartInGoverned(p, var, nullptr, PlanToggle::kAuto);
+  auto pp = PrimitivePartInGoverned(p, var, nullptr);
   CCDB_CHECK(pp.ok());
   return *std::move(pp);
 }
@@ -336,8 +329,7 @@ Polynomial GcdWithZero(const Polynomial& p) {
 // Internal recursion goes through the public entry so shared subproblems
 // (contents, primitive parts) memoize too.
 StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
-                                   const ResourceGovernor* gov,
-                                   PlanToggle memo) {
+                                   const ResourceGovernor* gov) {
   CCDB_CHECK_BUDGET(gov, "poly.gcd");
   if (a.is_zero()) return b.is_zero() ? Polynomial() : GcdWithZero(b);
   if (b.is_zero()) return GcdWithZero(a);
@@ -361,9 +353,9 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
     while (!content.is_constant()) {
       CCDB_CHECK_BUDGET(gov, "poly.gcd");
       CCDB_ASSIGN_OR_RETURN(
-          content, ContentInGoverned(content, content.max_var(), gov, memo));
+          content, ContentInGoverned(content, content.max_var(), gov));
     }
-    return MvGcd(constant, content, gov, memo);
+    return MvGcd(constant, content, gov);
   }
   int var = std::max(a.max_var(), b.max_var());
   bool a_has = a.Mentions(var);
@@ -375,22 +367,22 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
   if (!a_has) {
     // gcd(a, b) divides a (free of var) hence divides content_var(b).
     CCDB_ASSIGN_OR_RETURN(Polynomial content,
-                          ContentInGoverned(b, var, gov, memo));
-    return MvGcd(a, content, gov, memo);
+                          ContentInGoverned(b, var, gov));
+    return MvGcd(a, content, gov);
   }
   if (!b_has) {
     CCDB_ASSIGN_OR_RETURN(Polynomial content,
-                          ContentInGoverned(a, var, gov, memo));
-    return MvGcd(b, content, gov, memo);
+                          ContentInGoverned(a, var, gov));
+    return MvGcd(b, content, gov);
   }
   CCDB_ASSIGN_OR_RETURN(Polynomial content_a,
-                        ContentInGoverned(a, var, gov, memo));
+                        ContentInGoverned(a, var, gov));
   CCDB_ASSIGN_OR_RETURN(Polynomial content_b,
-                        ContentInGoverned(b, var, gov, memo));
+                        ContentInGoverned(b, var, gov));
   CCDB_ASSIGN_OR_RETURN(Polynomial pp_a,
-                        PrimitivePartInGoverned(a, var, gov, memo));
+                        PrimitivePartInGoverned(a, var, gov));
   CCDB_ASSIGN_OR_RETURN(Polynomial pp_b,
-                        PrimitivePartInGoverned(b, var, gov, memo));
+                        PrimitivePartInGoverned(b, var, gov));
   // Primitive PRS on the primitive parts.
   if (pp_a.DegreeIn(var) < pp_b.DegreeIn(var)) std::swap(pp_a, pp_b);
   while (!pp_b.is_zero()) {
@@ -402,13 +394,13 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
     if (r.is_zero()) {
       pp_b = Polynomial();
     } else {
-      CCDB_ASSIGN_OR_RETURN(pp_b, PrimitivePartInGoverned(r, var, gov, memo));
+      CCDB_ASSIGN_OR_RETURN(pp_b, PrimitivePartInGoverned(r, var, gov));
     }
   }
   Polynomial gcd_pp =
       pp_a.DegreeIn(var) == 0 ? Polynomial(Rational(1)) : pp_a;
   CCDB_ASSIGN_OR_RETURN(Polynomial content_gcd,
-                        MvGcd(content_a, content_b, gov, memo));
+                        MvGcd(content_a, content_b, gov));
   Polynomial result = content_gcd * gcd_pp;
   return result.IntegerNormalized();
 }
@@ -416,14 +408,14 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
 }  // namespace
 
 StatusOr<Polynomial> MvGcd(const Polynomial& a, const Polynomial& b,
-                           const ResourceGovernor* gov, PlanToggle memo) {
-  if (!MemoCachesEnabledFor(memo)) return MvGcdUncached(a, b, gov, memo);
+                           const ResourceGovernor* gov) {
+  if (!MemoCachesEnabled()) return MvGcdUncached(a, b, gov);
   // gcd is symmetric: order the operands so (a,b) and (b,a) share an entry.
   PolyOpKey key = b < a ? PolyOpKey{b, a, -1, kOpGcd}
                         : PolyOpKey{a, b, -1, kOpGcd};
   Polynomial cached;
   if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
-  CCDB_ASSIGN_OR_RETURN(Polynomial result, MvGcdUncached(a, b, gov, memo));
+  CCDB_ASSIGN_OR_RETURN(Polynomial result, MvGcdUncached(a, b, gov));
   PolyOpCache().Insert(std::move(key), result);
   return result;
 }
@@ -437,12 +429,11 @@ Polynomial MvGcd(const Polynomial& a, const Polynomial& b) {
 namespace {
 
 StatusOr<Polynomial> SquarefreePartInGoverned(const Polynomial& p, int var,
-                                              const ResourceGovernor* gov,
-                                              PlanToggle memo) {
+                                              const ResourceGovernor* gov) {
   if (p.is_zero()) return Polynomial();
   if (p.DegreeIn(var) == 0) return p.IntegerNormalized();
   CCDB_ASSIGN_OR_RETURN(Polynomial g,
-                        MvGcd(p, p.Derivative(var), gov, memo));
+                        MvGcd(p, p.Derivative(var), gov));
   if (g.is_constant()) return p.IntegerNormalized();
   auto divided = DivideExactMv(p, g, gov);
   if (!divided.ok()) {
@@ -464,14 +455,13 @@ StatusOr<Polynomial> SquarefreePartInGoverned(const Polynomial& p, int var,
 }  // namespace
 
 Polynomial SquarefreePartIn(const Polynomial& p, int var) {
-  auto result = SquarefreePartInGoverned(p, var, nullptr, PlanToggle::kAuto);
+  auto result = SquarefreePartInGoverned(p, var, nullptr);
   CCDB_CHECK(result.ok());
   return *std::move(result);
 }
 
 StatusOr<std::vector<Polynomial>> SquarefreeBasis(
-    const std::vector<Polynomial>& polys, const ResourceGovernor* gov,
-    PlanToggle memo) {
+    const std::vector<Polynomial>& polys, const ResourceGovernor* gov) {
   std::vector<Polynomial> basis;
   auto push_unique = [&basis](const Polynomial& p) {
     if (p.is_constant()) return;
@@ -485,7 +475,7 @@ StatusOr<std::vector<Polynomial>> SquarefreeBasis(
     CCDB_CHECK_BUDGET(gov, "poly.gcd");
     if (p.is_constant()) continue;
     CCDB_ASSIGN_OR_RETURN(Polynomial part,
-                          SquarefreePartInGoverned(p, p.max_var(), gov, memo));
+                          SquarefreePartInGoverned(p, p.max_var(), gov));
     push_unique(part);
   }
   // Refine until pairwise coprime.
@@ -496,7 +486,7 @@ StatusOr<std::vector<Polynomial>> SquarefreeBasis(
       for (std::size_t j = i + 1; j < basis.size() && !changed; ++j) {
         CCDB_CHECK_BUDGET(gov, "poly.gcd");
         CCDB_ASSIGN_OR_RETURN(Polynomial g,
-                              MvGcd(basis[i], basis[j], gov, memo));
+                              MvGcd(basis[i], basis[j], gov));
         if (g.is_constant()) continue;
         CCDB_ASSIGN_OR_RETURN(
             Polynomial pi, ExactOrDie(DivideExactMv(basis[i], g, gov),

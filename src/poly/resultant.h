@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "base/config.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "poly/polynomial.h"
@@ -22,11 +21,9 @@ namespace ccdb {
 /// refinement loop below accepts a nullable `const ResourceGovernor*` and
 /// charges it at its loop head ("poly.prs", "poly.gcd", "poly.divide");
 /// the governed overloads return kResourceExhausted when a budget trips.
-/// They also take the caller's memo toggle (QeOptions::memo, carried by
-/// CadOptions::memo): the resultant/discriminant/gcd memo serves a call
-/// only when MemoCachesEnabledFor(memo) holds, so a memo-off session never
-/// reads or fills it. The Polynomial-returning forms are ungoverned
-/// conveniences that follow the process default (kAuto).
+/// Resultants, discriminants and gcds are memoized (base/memo.h); only
+/// ungoverned calls read the memo. The Polynomial-returning forms are
+/// ungoverned conveniences.
 
 /// Exact multivariate division; kInvalidArgument when b does not divide a.
 StatusOr<Polynomial> DivideExactMv(const Polynomial& a, const Polynomial& b,
@@ -42,16 +39,14 @@ Polynomial PseudoRem(const Polynomial& a, const Polynomial& b, int var);
 /// in `var` (over the fraction field).
 Polynomial Resultant(const Polynomial& a, const Polynomial& b, int var);
 StatusOr<Polynomial> Resultant(const Polynomial& a, const Polynomial& b,
-                               int var, const ResourceGovernor* gov,
-                               PlanToggle memo = PlanToggle::kAuto);
+                               int var, const ResourceGovernor* gov);
 
 /// Discriminant of p with respect to `var`:
 /// (-1)^{d(d-1)/2} res_var(p, dp/dvar) / lc_var(p). Requires
 /// deg_var(p) >= 1.
 Polynomial Discriminant(const Polynomial& p, int var);
 StatusOr<Polynomial> Discriminant(const Polynomial& p, int var,
-                                  const ResourceGovernor* gov,
-                                  PlanToggle memo = PlanToggle::kAuto);
+                                  const ResourceGovernor* gov);
 
 /// Content of p with respect to `var`: gcd (up to units, normalized) of the
 /// coefficients of p viewed as univariate in `var`.
@@ -65,8 +60,7 @@ Polynomial PrimitivePartIn(const Polynomial& p, int var);
 /// the gcd of coprime polynomials is 1.
 Polynomial MvGcd(const Polynomial& a, const Polynomial& b);
 StatusOr<Polynomial> MvGcd(const Polynomial& a, const Polynomial& b,
-                           const ResourceGovernor* gov,
-                           PlanToggle memo = PlanToggle::kAuto);
+                           const ResourceGovernor* gov);
 
 /// Squarefree part of p with respect to `var`: p / gcd(p, dp/dvar),
 /// normalized.
@@ -80,8 +74,7 @@ Polynomial SquarefreePartIn(const Polynomial& p, int var);
 /// elements are then guaranteed nonzero.
 std::vector<Polynomial> SquarefreeBasis(const std::vector<Polynomial>& polys);
 StatusOr<std::vector<Polynomial>> SquarefreeBasis(
-    const std::vector<Polynomial>& polys, const ResourceGovernor* gov,
-    PlanToggle memo = PlanToggle::kAuto);
+    const std::vector<Polynomial>& polys, const ResourceGovernor* gov);
 
 }  // namespace ccdb
 

@@ -30,8 +30,7 @@ std::vector<Rational> AlgebraicPoint::RationalCoords() const {
 }
 
 StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
-    Polynomial q, int extra_var, const ResourceGovernor* gov,
-    PlanToggle memo) const {
+    Polynomial q, int extra_var, const ResourceGovernor* gov) const {
   // Substitute rational coordinates exactly first (cheap, lowers degrees).
   for (int i = 0; i < dimension(); ++i) {
     if (coords_[i].is_rational() && q.Mentions(i)) {
@@ -45,7 +44,7 @@ StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
     CCDB_CHECK_BUDGET(gov, "cad.stack");
     Polynomial defining =
         coords_[i].defining_polynomial().ToPolynomial(i);
-    CCDB_ASSIGN_OR_RETURN(q, Resultant(defining, q, i, gov, memo));
+    CCDB_ASSIGN_OR_RETURN(q, Resultant(defining, q, i, gov));
     if (q.is_zero()) break;
   }
   // Now q mentions at most extra_var.
@@ -91,7 +90,7 @@ bool VanishesOverField(const Polynomial& q, int a, const AlgebraicNumber& alpha,
 
 }  // namespace
 
-int AlgebraicPoint::SignAt(const Polynomial& p, PlanToggle memo) const {
+int AlgebraicPoint::SignAt(const Polynomial& p) const {
   CCDB_CHECK_MSG(p.max_var() < dimension(),
                  "polynomial mentions variables beyond the point dimension");
   // Substitute rational coordinates exactly, then dispatch on how many
@@ -151,18 +150,17 @@ int AlgebraicPoint::SignAt(const Polynomial& p, PlanToggle memo) const {
     int sign = q.EvaluateInterval(box).CertainSign();
     if (sign != Interval::kAmbiguousSign) return sign;
   }
-  return ValueAt(p, memo).Sign();
+  return ValueAt(p).Sign();
 }
 
-AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p,
-                                        PlanToggle memo) const {
+AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p) const {
   CCDB_CHECK(p.max_var() < dimension());
   // T(z) = iterated resultant eliminating every coordinate from z - p; the
   // value p(point) is among the real roots of T.
   int z_var = dimension();
   Polynomial z_minus_p = Polynomial::Var(z_var) - p;
   StatusOr<Polynomial> eliminated =
-      EliminateCoords(std::move(z_minus_p), z_var, nullptr, memo);
+      EliminateCoords(std::move(z_minus_p), z_var, nullptr);
   CCDB_CHECK(eliminated.ok());
   Polynomial t = *std::move(eliminated);
   CCDB_CHECK_MSG(!t.is_zero(),
@@ -205,7 +203,7 @@ AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p,
 }
 
 StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
-    const Polynomial& p, const ResourceGovernor* gov, PlanToggle memo) const {
+    const Polynomial& p, const ResourceGovernor* gov) const {
   int y_var = dimension();
   CCDB_CHECK_MSG(p.max_var() <= y_var,
                  "stack polynomial mentions variables beyond the next level");
@@ -234,7 +232,7 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
   std::vector<Polynomial> coeffs = p.CoefficientsIn(y_var);
   int effective_degree = static_cast<int>(coeffs.size()) - 1;
   while (effective_degree >= 0 &&
-         SignAt(coeffs[effective_degree], memo) == 0) {
+         SignAt(coeffs[effective_degree]) == 0) {
     --effective_degree;
   }
   if (effective_degree < 0) {
@@ -248,7 +246,7 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
 
   // Candidate roots: real roots of the iterated resultant.
   CCDB_ASSIGN_OR_RETURN(Polynomial r,
-                        EliminateCoords(effective, y_var, gov, memo));
+                        EliminateCoords(effective, y_var, gov));
   if (r.is_zero()) {
     return Status::NumericalFailure(
         "degenerate lifting: candidate resultant vanished identically");
@@ -264,7 +262,7 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
   for (AlgebraicNumber& candidate : candidates) {
     CCDB_CHECK_BUDGET(gov, "cad.stack");
     AlgebraicPoint extended = Extended(candidate);
-    if (extended.SignAt(effective, memo) == 0) {
+    if (extended.SignAt(effective) == 0) {
       roots.push_back(std::move(candidate));
     }
   }

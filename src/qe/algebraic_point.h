@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "base/config.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "poly/algebraic_number.h"
@@ -48,14 +47,10 @@ class AlgebraicPoint {
   std::vector<Rational> RationalCoords() const;
 
   /// Exact sign of p at this point. p may mention variables 0..dim-1 only.
-  /// `memo` gates the resultant memo of the fallback for three or more
-  /// irrational coordinates (ValueAt).
-  int SignAt(const Polynomial& p, PlanToggle memo = PlanToggle::kAuto) const;
+  int SignAt(const Polynomial& p) const;
 
-  /// Exact value of p at this point as an algebraic number; `memo` gates
-  /// the resultant memo of its iterated resultants.
-  AlgebraicNumber ValueAt(const Polynomial& p,
-                          PlanToggle memo = PlanToggle::kAuto) const;
+  /// Exact value of p at this point as an algebraic number.
+  AlgebraicNumber ValueAt(const Polynomial& p) const;
 
   /// The distinct real roots of y -> p(point, y) in increasing order, where
   /// y is the variable with index dimension(). Each root is returned as an
@@ -64,11 +59,9 @@ class AlgebraicPoint {
   /// candidate resultant vanishes identically, and with kInvalidArgument
   /// when p vanishes identically over the stack. A non-null `gov` is
   /// charged during root isolation and candidate filtering and turns
-  /// budget trips into kResourceExhausted; `memo` gates the resultant
-  /// memo behind the candidate set (CadOptions::memo).
+  /// budget trips into kResourceExhausted.
   StatusOr<std::vector<AlgebraicNumber>> StackRoots(
-      const Polynomial& p, const ResourceGovernor* gov = nullptr,
-      PlanToggle memo = PlanToggle::kAuto) const;
+      const Polynomial& p, const ResourceGovernor* gov = nullptr) const;
 
   /// Rational approximations of all coordinates within epsilon.
   std::vector<Rational> Approximate(const Rational& epsilon) const;
@@ -79,11 +72,9 @@ class AlgebraicPoint {
   // Eliminates all non-rational coordinates from q (rational coordinates
   // are substituted exactly). Variable `extra_var`, if >= 0, is kept.
   // Returns a polynomial mentioning only extra_var (or a constant). The
-  // iterated resultants charge `gov` when non-null and use the resultant
-  // memo as `memo` resolves.
+  // iterated resultants charge `gov` when non-null.
   StatusOr<Polynomial> EliminateCoords(Polynomial q, int extra_var,
-                                       const ResourceGovernor* gov,
-                                       PlanToggle memo) const;
+                                       const ResourceGovernor* gov) const;
 
   std::vector<AlgebraicNumber> coords_;
 };

@@ -80,8 +80,7 @@ namespace {
 // technique of subresultants".
 StatusOr<std::vector<Polynomial>> Project(const std::vector<Polynomial>& basis,
                                           int var,
-                                          const ResourceGovernor* gov,
-                                          PlanToggle memo) {
+                                          const ResourceGovernor* gov) {
   std::vector<Polynomial> out;
   auto add = [&out, gov](Polynomial p) {
     if (p.is_constant()) return;
@@ -102,7 +101,7 @@ StatusOr<std::vector<Polynomial>> Project(const std::vector<Polynomial>& basis,
     if (p.DegreeIn(var) >= 2) {
       CCDB_METRIC_COUNT("cad.discriminants", 1);
       CCDB_ASSIGN_OR_RETURN(Polynomial disc,
-                            Discriminant(p, var, gov, memo));
+                            Discriminant(p, var, gov));
       add(std::move(disc));
     }
   }
@@ -112,7 +111,7 @@ StatusOr<std::vector<Polynomial>> Project(const std::vector<Polynomial>& basis,
         CCDB_CHECK_BUDGET(gov, "cad.project");
         CCDB_METRIC_COUNT("cad.resultants", 1);
         CCDB_ASSIGN_OR_RETURN(Polynomial res,
-                              Resultant(basis[i], basis[j], var, gov, memo));
+                              Resultant(basis[i], basis[j], var, gov));
         add(std::move(res));
       }
     }
@@ -124,8 +123,7 @@ StatusOr<std::vector<Polynomial>> Project(const std::vector<Polynomial>& basis,
 // variable, then re-extracts a squarefree basis; iterates to a fixpoint
 // (bounded by the total degree, which strictly drops along derivatives).
 StatusOr<std::vector<Polynomial>> DerivativeClosure(
-    std::vector<Polynomial> basis, const ResourceGovernor* gov,
-    PlanToggle memo) {
+    std::vector<Polynomial> basis, const ResourceGovernor* gov) {
   for (int guard = 0; guard < 64; ++guard) {
     CCDB_CHECK_BUDGET(gov, "cad.project");
     std::vector<Polynomial> augmented = basis;
@@ -137,7 +135,7 @@ StatusOr<std::vector<Polynomial>> DerivativeClosure(
       augmented.push_back(d);
     }
     CCDB_ASSIGN_OR_RETURN(std::vector<Polynomial> next,
-                          SquarefreeBasis(augmented, gov, memo));
+                          SquarefreeBasis(augmented, gov));
     if (next.size() == basis.size()) {
       bool same = true;
       for (std::size_t i = 0; i < next.size(); ++i) {
@@ -182,16 +180,13 @@ StatusOr<Cad> Cad::Build(const std::vector<Polynomial>& polys, int num_vars,
     for (int level = num_vars - 1; level >= 0; --level) {
       CCDB_CHECK_BUDGET(gov, "cad.project");
       CCDB_ASSIGN_OR_RETURN(std::vector<Polynomial> basis,
-                            SquarefreeBasis(level_sets[level], gov,
-                                            options.memo));
+                            SquarefreeBasis(level_sets[level], gov));
       if (level < options.derivative_closure_below) {
-        CCDB_ASSIGN_OR_RETURN(basis,
-                              DerivativeClosure(std::move(basis), gov,
-                                                options.memo));
+        CCDB_ASSIGN_OR_RETURN(basis, DerivativeClosure(std::move(basis), gov));
       }
       if (level > 0) {
         CCDB_ASSIGN_OR_RETURN(std::vector<Polynomial> projected_set,
-                              Project(basis, level, gov, options.memo));
+                              Project(basis, level, gov));
         for (Polynomial& projected : projected_set) {
           int target = projected.max_var();
           CCDB_DCHECK(target < level);
@@ -234,7 +229,7 @@ StatusOr<Cad> Cad::Build(const std::vector<Polynomial>& polys, int num_vars,
     CCDB_CHECK_BUDGET(gov, "cad.lift");
     std::vector<std::vector<AlgebraicNumber>> stack_roots;
     for (const Polynomial& p : cad.factors_[level]) {
-      auto roots = cell.sample.StackRoots(p, gov, options.memo);
+      auto roots = cell.sample.StackRoots(p, gov);
       if (!roots.ok()) {
         if (roots.status().code() == StatusCode::kInvalidArgument) {
           // The factor vanishes identically over this stack: it

@@ -4,7 +4,6 @@
 #include <functional>
 #include <vector>
 
-#include "base/config.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
@@ -46,10 +45,6 @@ struct CadOptions {
   /// decomposition is identical at every thread count. Null = the
   /// process-wide ThreadPool::Shared(). Borrowed, not owned.
   ThreadPool* pool = nullptr;
-  /// The caller's memo toggle (QeOptions::memo), handed to every
-  /// resultant, discriminant and gcd of the projection and lifting phases:
-  /// a memo-off session neither reads nor fills the resultant memo.
-  PlanToggle memo = PlanToggle::kAuto;
 };
 
 /// A cylindrical algebraic decomposition of R^num_vars, sign-invariant for

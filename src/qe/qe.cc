@@ -159,7 +159,7 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
                                     int num_free,
                                     const std::vector<GeneralizedTuple>& matrix,
                                     const std::vector<Polynomial>& matrix_polys,
-                                    ThreadPool* pool, PlanToggle memo) {
+                                    ThreadPool* pool) {
   int n = cad.num_vars();
   // Recursive truth of a cell.
   std::function<bool(const CadCell&)> truth = [&](const CadCell& cell) -> bool {
@@ -168,7 +168,7 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
       std::vector<int> signs;
       signs.reserve(matrix_polys.size());
       for (const Polynomial& p : matrix_polys) {
-        signs.push_back(cell.sample.SignAt(p, memo));
+        signs.push_back(cell.sample.SignAt(p));
       }
       return MatrixTruth(matrix, matrix_polys, signs);
     }
@@ -227,7 +227,7 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
             CellVerdict verdict;
             verdict.vector.reserve(free_factors.size());
             for (const Polynomial& p : free_factors) {
-              verdict.vector.push_back(cell.sample.SignAt(p, memo));
+              verdict.vector.push_back(cell.sample.SignAt(p));
             }
             verdict.truth = truth(cell);
             return verdict;
@@ -394,7 +394,6 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
     cad_options.derivative_closure_below = attempt == 0 ? 0 : num_free_vars;
     cad_options.governor = gov;
     cad_options.pool = options.pool;
-    cad_options.memo = options.memo;
     if (attempt == 1) {
       stats->used_thom_augmentation = true;
       CCDB_LOG(INFO) << "QE: retrying CAD with Thom-derivative augmentation "
@@ -417,7 +416,7 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
     CCDB_ASSIGN_OR_RETURN(
         CadEvalResult eval,
         EvaluateCad(cad, prefix, num_free_vars, tuples, matrix_polys,
-                    options.pool, options.memo));
+                    options.pool));
 
     if (num_free_vars == 0) {
       std::vector<GeneralizedTuple> out;
@@ -503,7 +502,7 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
   // cache temperature. (The failpoint above fires either way.) The cache
   // is a pure memo over the interned formula id — a hit is byte-identical
   // to recomputation.
-  const bool use_cache = gov == nullptr && MemoCachesEnabledFor(options.memo);
+  const bool use_cache = gov == nullptr && MemoCachesEnabled();
   QeCacheKey key;
   if (use_cache) {
     key = MakeQeCacheKey(formula, num_free_vars, options);

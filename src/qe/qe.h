@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "base/config.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
@@ -80,15 +79,6 @@ struct QeOptions {
   /// (the ablation baseline). The split is a deterministic algorithm
   /// decision — it does not depend on the thread count.
   bool allow_disjunct_split = true;
-  /// Memo layers (QE result cache, resultant/PRS cache, whole-query cache)
-  /// for this evaluation: kAuto follows the session config, or
-  /// EngineConfig::Process().qe_cache (CCDB_QE_CACHE) outside any session;
-  /// kOn/kOff force it per call (MemoCachesEnabledFor resolves it). The
-  /// CAD path hands it down to the resultant/discriminant/gcd memo
-  /// through CadOptions::memo. Pure-memo contract holds at every setting:
-  /// answers are byte-identical on and off, and even kOn stands down while
-  /// failpoints are armed or a governor charges budget.
-  PlanToggle memo = PlanToggle::kAuto;
   /// Resource budget charged at every hot-loop head of the elimination
   /// (driver rounds, CAD projection/base/lifting, root isolation,
   /// Fourier-Motzkin tuples). Null = unlimited. Borrowed, not owned.

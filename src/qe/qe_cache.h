@@ -4,8 +4,10 @@
 /// The cross-query QE result cache: memoizes EliminateQuantifiers on the
 /// interned formula id, the free-variable count, and the algorithm-relevant
 /// option bits. Pure memo — a hit returns exactly the relation and stats a
-/// recomputation would produce, so output is byte-identical with the cache
-/// on or off (the cache-off differential test enforces this).
+/// recomputation would produce, so output is byte-identical warm or cold
+/// (qe_cache_test and plan_differential_test compare warm hits against a
+/// cleared cache and against a run under an unlimited governor, which
+/// skips every lookup).
 ///
 /// Each cached value pins its key formula (a Formula handle), keeping the
 /// arena node — and thus its id — alive, so re-running the same query
@@ -63,8 +65,8 @@ QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
                           const QeOptions& options,
                           bool block_residue = false);
 
-/// The process-wide cache. Capacity defaults to 4096 entries and can be
-/// set with the CCDB_QE_CACHE_CAPACITY environment variable (read once).
+/// The process-wide cache. Its capacity is EngineConfig::Process()
+/// .qe_cache_capacity (default 4096 entries), taken once at first use.
 /// Metrics: qe_cache_hits / qe_cache_misses / qe_cache_evictions.
 ShardedMemoCache<QeCacheKey, QeCacheValue, QeCacheKeyHash>& QeResultCache();
 

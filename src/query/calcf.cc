@@ -265,8 +265,7 @@ CalcFEvaluator::CalcFEvaluator(RelationLookup lookup, CalcFOptions options)
         return opts;
       }(std::move(options))),
       approx_module_(options_.approx_order),
-      aggregate_modules_(options_.tolerance, options_.governor,
-                         options_.qe.memo) {}
+      aggregate_modules_(options_.tolerance, options_.governor) {}
 
 StatusOr<std::shared_ptr<const QFormula>> CalcFEvaluator::EvaluateAggregates(
     const QFormula& formula, CalcFStats* stats) const {

@@ -11,8 +11,8 @@
 #include <memory>
 #include <string>
 
-#include "base/config.h"
 #include "base/metrics.h"
+#include "base/resource.h"
 #include "datalog/datalog.h"
 #include "engine/database.h"
 #include "engine/session.h"
@@ -28,13 +28,6 @@ class CacheScopingTest : public testing::Test {
  protected:
   void SetUp() override {
     hits_ = MetricsRegistry::Global().GetCounter("query_cache_hits");
-  }
-
-  // A session with the memo layers and incremental re-fixpoint on, so the
-  // CCDB_QE_CACHE=0 and CCDB_INCREMENTAL=0 CI legs still exercise them.
-  static std::unique_ptr<Session> CachingSession(ConstraintDatabase& db) {
-    return db.OpenSession(
-        EngineConfig::Process().WithQeCache(true).WithIncremental(true));
   }
 
   // Runs the query and reports whether it was answered by the whole-query
@@ -54,7 +47,7 @@ TEST_F(CacheScopingTest, InsertIntoUnreadRelationKeepsEntriesHot) {
   ASSERT_TRUE(db.Define("ScopeR(x) := x >= 0 and x <= 4").ok());
   ASSERT_TRUE(db.Define("ScopeS(x) := x >= 10 and x <= 14").ok());
   const std::string reads_r = "ScopeR(x) and x >= 1";
-  std::unique_ptr<Session> session = CachingSession(db);
+  std::unique_ptr<Session> session = db.OpenSession();
 
   EXPECT_FALSE(QueryHitsCache(*session, reads_r)) << "first run must evaluate";
   EXPECT_TRUE(QueryHitsCache(*session, reads_r)) << "second run must hit";
@@ -79,7 +72,7 @@ TEST_F(CacheScopingTest, DropThenRedefineNeverServesStale) {
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("ScopeT(x) := x >= 0 and x <= 1").ok());
   const std::string text = "ScopeT(x) and x >= 0";
-  std::unique_ptr<Session> session = CachingSession(db);
+  std::unique_ptr<Session> session = db.OpenSession();
   auto first = session->Query(text);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->relation.Contains({R(5)}));
@@ -149,7 +142,7 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
   Counter* fp_recomputes =
       MetricsRegistry::Global().GetCounter("datalog_fixpoint_recomputes");
 
-  std::unique_ptr<Session> session = CachingSession(db);
+  std::unique_ptr<Session> session = db.OpenSession();
   // Cold: one recompute, which materializes the state.
   std::uint64_t recomputes = fp_recomputes->value();
   ASSERT_TRUE(session->Fixpoint(program).ok());
@@ -185,14 +178,18 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
   EXPECT_FALSE(recomputed->at("Reach").Contains({R(0), R(5)}))
       << "the recomputed fixpoint must not leak the dropped tuples";
 
-  // Incremental off: always a cold evaluation, no metric movement.
-  std::unique_ptr<Session> cold = db.OpenSession(
-      EngineConfig::Process().WithQeCache(true).WithIncremental(false));
+  // Under a governor the materialized state stands down: always a cold
+  // evaluation, no metric movement.
+  ResourceGovernor unlimited{ResourceLimits{}};
+  DatalogOptions governed;
+  governed.qe.governor = &unlimited;
   std::uint64_t frozen_hits = fp_hits->value();
   std::uint64_t frozen_resumes = fp_resumes->value();
-  ASSERT_TRUE(cold->Fixpoint(program).ok());
+  std::uint64_t frozen_recomputes = fp_recomputes->value();
+  ASSERT_TRUE(session->Fixpoint(program, governed).ok());
   EXPECT_EQ(fp_hits->value(), frozen_hits);
   EXPECT_EQ(fp_resumes->value(), frozen_resumes);
+  EXPECT_EQ(fp_recomputes->value(), frozen_recomputes);
 }
 
 }  // namespace

@@ -54,11 +54,9 @@ class ScopedEnv {
 };
 
 const char* kAllKnobs[] = {
-    "CCDB_THREADS",     "CCDB_SEMINAIVE",
-    "CCDB_INCREMENTAL",
-    "CCDB_QE_CACHE",    "CCDB_QE_CACHE_CAPACITY",
-    "CCDB_LOG_LEVEL",   "CCDB_TRACE",
-    "CCDB_QUERY_LOG",   "CCDB_WAL_FSYNC",
+    "CCDB_THREADS",   "CCDB_QE_CACHE_CAPACITY",
+    "CCDB_LOG_LEVEL", "CCDB_TRACE",
+    "CCDB_QUERY_LOG", "CCDB_WAL_FSYNC",
     "CCDB_WAL_CHECKPOINT_BYTES",
 };
 
@@ -70,9 +68,6 @@ TEST(ConfigTest, CleanEnvironmentYieldsDefaultsWithoutWarnings) {
   EngineConfig config = EngineConfig::FromEnv(&warnings);
   EXPECT_TRUE(warnings.empty());
   EXPECT_EQ(config.threads, 1);
-  EXPECT_TRUE(config.seminaive);
-  EXPECT_TRUE(config.incremental);
-  EXPECT_TRUE(config.qe_cache);
   EXPECT_EQ(config.qe_cache_capacity, 4096u);
   EXPECT_EQ(config.log_level, "WARN");
   EXPECT_FALSE(config.trace);
@@ -85,9 +80,6 @@ TEST(ConfigTest, ValidKnobsAreParsed) {
   ScopedEnv env;
   for (const char* knob : kAllKnobs) env.Unset(knob);
   env.Set("CCDB_THREADS", "8");
-  env.Set("CCDB_SEMINAIVE", "FALSE");  // case-insensitive
-  env.Set("CCDB_INCREMENTAL", "off");  // booleans: 0|1|true|false|on|off
-  env.Set("CCDB_QE_CACHE", "true");
   env.Set("CCDB_QE_CACHE_CAPACITY", "128");
   env.Set("CCDB_LOG_LEVEL", "ERROR");
   env.Set("CCDB_TRACE", "1");
@@ -99,9 +91,6 @@ TEST(ConfigTest, ValidKnobsAreParsed) {
   EngineConfig config = EngineConfig::FromEnv(&warnings);
   EXPECT_TRUE(warnings.empty()) << warnings.front();
   EXPECT_EQ(config.threads, 8);
-  EXPECT_FALSE(config.seminaive);
-  EXPECT_FALSE(config.incremental);
-  EXPECT_TRUE(config.qe_cache);
   EXPECT_EQ(config.qe_cache_capacity, 128u);
   EXPECT_EQ(config.log_level, "ERROR");
   EXPECT_TRUE(config.trace);
@@ -109,23 +98,25 @@ TEST(ConfigTest, ValidKnobsAreParsed) {
   EXPECT_EQ(config.wal_fsync, "batch");
   EXPECT_EQ(config.wal_checkpoint_bytes, 65536u);
 
-  // The spellings not covered above: "0" and "on".
-  env.Set("CCDB_INCREMENTAL", "0");
-  env.Set("CCDB_SEMINAIVE", "on");
-  env.Set("CCDB_QE_CACHE", "0");
-  warnings.clear();
-  config = EngineConfig::FromEnv(&warnings);
-  EXPECT_TRUE(warnings.empty()) << warnings.front();
-  EXPECT_FALSE(config.incremental);
-  EXPECT_TRUE(config.seminaive);
-  EXPECT_FALSE(config.qe_cache);
+  // Every boolean spelling: 0|1|true|false|on|off, case-insensitive.
+  const std::pair<const char*, bool> kSpellings[] = {
+      {"0", false},   {"1", true},  {"true", true}, {"FALSE", false},
+      {"off", false}, {"on", true}, {"On", true},   {"false", false},
+  };
+  for (const auto& [spelling, want] : kSpellings) {
+    env.Set("CCDB_TRACE", spelling);
+    warnings.clear();
+    config = EngineConfig::FromEnv(&warnings);
+    EXPECT_TRUE(warnings.empty()) << spelling << ": " << warnings.front();
+    EXPECT_EQ(config.trace, want) << spelling;
+  }
 }
 
 TEST(ConfigTest, EachBadKnobWarnsOnceNamingVariableAndFallback) {
   ScopedEnv env;
   for (const char* knob : kAllKnobs) env.Unset(knob);
   env.Set("CCDB_THREADS", "zero");       // not an integer
-  env.Set("CCDB_SEMINAIVE", "fales");    // the typo that motivated ParseBool
+  env.Set("CCDB_TRACE", "fales");        // the typo that motivated ParseBool
   env.Set("CCDB_QE_CACHE_CAPACITY", "-4");  // negative
   env.Set("CCDB_LOG_LEVEL", "verbose");  // unknown level
   env.Set("CCDB_WAL_FSYNC", "sometimes");  // unknown policy
@@ -146,9 +137,8 @@ TEST(ConfigTest, EachBadKnobWarnsOnceNamingVariableAndFallback) {
   // Each names the rejected value and the fallback actually used.
   EXPECT_NE(warning_for("CCDB_THREADS").find("\"zero\""), std::string::npos);
   EXPECT_NE(warning_for("CCDB_THREADS").find("using 1"), std::string::npos);
-  EXPECT_NE(warning_for("CCDB_SEMINAIVE").find("\"fales\""),
-            std::string::npos);
-  EXPECT_NE(warning_for("CCDB_SEMINAIVE").find("using 1"), std::string::npos);
+  EXPECT_NE(warning_for("CCDB_TRACE").find("\"fales\""), std::string::npos);
+  EXPECT_NE(warning_for("CCDB_TRACE").find("using 0"), std::string::npos);
   EXPECT_NE(warning_for("CCDB_QE_CACHE_CAPACITY").find("\"-4\""),
             std::string::npos);
   EXPECT_NE(warning_for("CCDB_QE_CACHE_CAPACITY").find("using 4096"),
@@ -164,7 +154,7 @@ TEST(ConfigTest, EachBadKnobWarnsOnceNamingVariableAndFallback) {
 
   // And every bad knob actually fell back — never crashed, never guessed.
   EXPECT_EQ(config.threads, 1);
-  EXPECT_TRUE(config.seminaive);
+  EXPECT_FALSE(config.trace);
   EXPECT_EQ(config.qe_cache_capacity, 4096u);
   EXPECT_EQ(config.log_level, "WARN");
   EXPECT_EQ(config.wal_fsync, "always");
@@ -192,17 +182,10 @@ TEST(ConfigTest, ThreadCountBoundsAreEnforced) {
 
 TEST(ConfigTest, WithBuildersAreValueSemantics) {
   EngineConfig base;
-  EngineConfig changed = base.WithThreads(4)
-                             .WithSeminaive(false)
-                             .WithIncremental(false)
-                             .WithQeCache(false);
+  EngineConfig changed = base.WithThreads(4);
   // The original is untouched (builders copy).
   EXPECT_EQ(base.threads, 1);
-  EXPECT_TRUE(base.seminaive);
   EXPECT_EQ(changed.threads, 4);
-  EXPECT_FALSE(changed.seminaive);
-  EXPECT_FALSE(changed.incremental);
-  EXPECT_FALSE(changed.qe_cache);
   // WithThreads clamps below 1 (a session pool always has one runner).
   EXPECT_EQ(base.WithThreads(0).threads, 1);
   EXPECT_EQ(base.WithThreads(-3).threads, 1);
@@ -223,9 +206,15 @@ TEST(ConfigTest, FingerprintIsStableAndConfigSensitive) {
   // Any field change moves the fingerprint (it hashes Canonical(), which
   // renders every field).
   EXPECT_NE(fp, a.WithThreads(2).Fingerprint());
-  EXPECT_NE(fp, a.WithSeminaive(false).Fingerprint());
-  EXPECT_NE(fp, a.WithIncremental(false).Fingerprint());
-  EXPECT_NE(fp, a.WithQeCache(false).Fingerprint());
+  EngineConfig traced = a;
+  traced.trace = true;
+  EXPECT_NE(fp, traced.Fingerprint());
+  EngineConfig small_cache = a;
+  small_cache.qe_cache_capacity = 16;
+  EXPECT_NE(fp, small_cache.Fingerprint());
+  EngineConfig batched = a;
+  batched.wal_fsync = "batch";
+  EXPECT_NE(fp, batched.Fingerprint());
   // Distinct overrides, distinct fingerprints.
   EXPECT_NE(a.WithThreads(2).Fingerprint(), a.WithThreads(3).Fingerprint());
 
@@ -233,8 +222,7 @@ TEST(ConfigTest, FingerprintIsStableAndConfigSensitive) {
   // knob.
   const std::string canonical = a.Canonical();
   for (const char* key :
-       {"threads=", "seminaive=", "incremental=", "qe_cache=",
-        "qe_cache_capacity=", "log_level=", "trace=",
+       {"threads=", "qe_cache_capacity=", "log_level=", "trace=",
         "query_log=", "wal_fsync=", "wal_checkpoint_bytes="}) {
     EXPECT_NE(canonical.find(key), std::string::npos) << key;
   }
@@ -245,8 +233,7 @@ TEST(ConfigTest, ToStringNamesEveryKnobAndTheFingerprint) {
   const std::string table = config.ToString();
   EXPECT_NE(table.find(config.Fingerprint()), std::string::npos);
   for (const char* key :
-       {"threads", "seminaive", "incremental", "qe_cache",
-        "qe_cache_capacity", "log_level", "trace", "query_log",
+       {"threads", "qe_cache_capacity", "log_level", "trace", "query_log",
         "wal_fsync", "wal_checkpoint_bytes"}) {
     EXPECT_NE(table.find(key), std::string::npos) << key;
   }

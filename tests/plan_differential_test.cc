@@ -18,7 +18,7 @@
 // roots and isolating-interval endpoints, and the midpoints between them.
 //
 // Determinism: the rendering is byte-identical at every thread count
-// (1, 2, 8) with the memo caches on and off. Every corpus here has two
+// (1, 2, 8), cached and uncached. Every corpus here has two
 // variables, so no sample point has three irrational coordinates and the
 // ValueAt fallback (`cad.value_at_fallbacks`) must never run.
 // CCDB_PROPERTY_ITERS scales the corpora.
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "base/metrics.h"
+#include "base/resource.h"
 #include "base/thread_pool.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
@@ -340,9 +341,10 @@ std::vector<Rational> TestPoints(const ConstraintRelation& answer,
   return points;
 }
 
-// Eliminates exists y (body) at every (threads, memo) combination, checks
-// the renderings agree byte-for-byte, and checks the answer against the
-// oracle at the test points.
+// Eliminates exists y (body) at every (threads, cached) combination — the
+// uncached runs go under an unlimited governor, which skips every memo
+// lookup — checks the renderings agree byte-for-byte, and checks the
+// answer against the oracle at the test points.
 void ExpectExactAndDeterministic(const Body& body, std::uint64_t seed) {
   Formula query = ExistsY(body);
   Counter* fallbacks =
@@ -350,12 +352,13 @@ void ExpectExactAndDeterministic(const Body& body, std::uint64_t seed) {
   const std::uint64_t fallbacks_before = fallbacks->value();
   std::string reference;
   StatusOr<ConstraintRelation> answer = Status::Internal("not run");
-  for (PlanToggle memo : {PlanToggle::kOff, PlanToggle::kOn}) {
+  ResourceGovernor unlimited{ResourceLimits{}};
+  for (bool cached : {false, true}) {
     for (int threads : kThreadCounts) {
       QeResultCache().Clear();
       ThreadPool pool(threads);
       QeOptions options;
-      options.memo = memo;
+      options.governor = cached ? nullptr : &unlimited;
       options.pool = &pool;
       auto result = EliminateQuantifiers(query, 1, options);
       ASSERT_TRUE(result.ok())
@@ -367,7 +370,7 @@ void ExpectExactAndDeterministic(const Body& body, std::uint64_t seed) {
         continue;
       }
       EXPECT_EQ(result->ToString(), reference)
-          << "memo=" << (memo == PlanToggle::kOn ? "on" : "off")
+          << "cached=" << (cached ? "yes" : "no")
           << " threads=" << threads << " query " << Render(body);
     }
   }

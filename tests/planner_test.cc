@@ -8,16 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "base/config.h"
 #include "base/metrics.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
 #include "engine/database.h"
-#include "engine/session.h"
 #include "plan/fragment.h"
 #include "plan/planner.h"
 #include "qe/qe.h"
@@ -391,13 +388,10 @@ TEST(DatabasePlanTest, ExplainReportsTheCachedPlanOnAWholeQueryCacheHit) {
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("T(x, y) := x <= y and y <= 5").ok());
   const std::string query = "exists y (T(x, y) and 1 <= x)";
-  // Memo forced on, so the CCDB_QE_CACHE=0 leg runs this too.
-  std::unique_ptr<Session> session =
-      db.OpenSession(EngineConfig::Process().WithQeCache(true));
-  auto first = session->Explain(query);
+  auto first = db.Explain(query);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->profile.from_cache);
-  auto second = session->Explain(query);
+  auto second = db.Explain(query);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second->profile.from_cache);
   EXPECT_TRUE(second->profile.qe_rounds.empty())

@@ -2,7 +2,8 @@
 //
 // The hard contract under test: profiling is OBSERVATION ONLY. Arming a
 // ProfileSink must never change a query's answer — the profiled run is
-// byte-identical to the unprofiled one at every memo × thread setting.
+// byte-identical to the unprofiled one, cached or uncached, at every
+// thread count.
 // On top of that, the attribution tree must be internally consistent
 // (0 <= exclusive <= inclusive at every node) and the span profile must
 // fold trace events into the right paths.
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "base/profile.h"
+#include "base/resource.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
 #include "constraint/atom.h"
@@ -46,12 +48,14 @@ Formula MixedFragmentFormula() {
   return Formula::Exists(1, Formula::Or({dense, linear, poly}));
 }
 
-std::string RunQe(const Formula& formula, PlanToggle memo, int threads,
-                  ProfileSink* sink) {
+// A non-null `gov` (an unlimited governor in these tests) makes the run
+// skip every memo lookup: the uncached reference.
+std::string RunQe(const Formula& formula, const ResourceGovernor* gov,
+                  int threads, ProfileSink* sink) {
   ThreadPool pool(threads);
   QeOptions options;
   options.pool = &pool;
-  options.memo = memo;
+  options.governor = gov;
   options.profile = sink;
   auto result = EliminateQuantifiers(formula, 1, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -59,19 +63,21 @@ std::string RunQe(const Formula& formula, PlanToggle memo, int threads,
 }
 
 // Profiled and unprofiled answers are byte-identical at every
-// memo × thread combination (and across them, as the determinism tests
-// already pin).
+// cached/uncached × thread combination (and across them, as the
+// determinism tests already pin).
 TEST(ProfileTest, ObservationOnlyAcrossMemoAndThreads) {
   Formula mixed = MixedFragmentFormula();
-  for (PlanToggle memo : {PlanToggle::kOff, PlanToggle::kOn}) {
+  ResourceGovernor unlimited{ResourceLimits{}};
+  for (bool cached : {false, true}) {
+    const ResourceGovernor* gov = cached ? nullptr : &unlimited;
     for (int threads : {1, 2, 8}) {
       QeResultCache().Clear();
-      std::string unprofiled = RunQe(mixed, memo, threads, nullptr);
+      std::string unprofiled = RunQe(mixed, gov, threads, nullptr);
       QeResultCache().Clear();
       ProfileSink sink;
-      std::string profiled = RunQe(mixed, memo, threads, &sink);
+      std::string profiled = RunQe(mixed, gov, threads, &sink);
       EXPECT_EQ(unprofiled, profiled)
-          << "memo=" << (memo == PlanToggle::kOn) << " threads=" << threads;
+          << "cached=" << cached << " threads=" << threads;
       EXPECT_EQ(sink.size(), 1u);
     }
   }
@@ -91,7 +97,8 @@ void CheckNodeInvariants(const ProfileNode& node) {
 TEST(ProfileTest, PlannedTreeShapeAndTimes) {
   QeResultCache().Clear();
   ProfileSink sink;
-  RunQe(MixedFragmentFormula(), PlanToggle::kOff, 2, &sink);
+  ResourceGovernor unlimited{ResourceLimits{}};
+  RunQe(MixedFragmentFormula(), &unlimited, 2, &sink);
   std::vector<ProfileNode> roots = sink.Take();
   ASSERT_EQ(roots.size(), 1u);
   const ProfileNode& root = roots[0];
@@ -127,7 +134,8 @@ TEST(ProfileTest, LinearMatrixTreeIsOneMatrixNode) {
                                       RelOp::kLe, Polynomial(4)),
                      Formula::Compare(V(1), RelOp::kLe, V(0))));
   ProfileSink sink;
-  RunQe(linear, PlanToggle::kOff, 1, &sink);
+  ResourceGovernor unlimited{ResourceLimits{}};
+  RunQe(linear, &unlimited, 1, &sink);
   std::vector<ProfileNode> roots = sink.Take();
   ASSERT_EQ(roots.size(), 1u);
   CheckNodeInvariants(roots[0]);
@@ -141,9 +149,9 @@ TEST(ProfileTest, LinearMatrixTreeIsOneMatrixNode) {
 TEST(ProfileTest, CachedRunReportsCacheHitNode) {
   Formula mixed = MixedFragmentFormula();
   QeResultCache().Clear();
-  RunQe(mixed, PlanToggle::kOn, 1, nullptr);  // warm the QE result cache
+  RunQe(mixed, nullptr, 1, nullptr);  // warm the QE result cache
   ProfileSink sink;
-  RunQe(mixed, PlanToggle::kOn, 1, &sink);
+  RunQe(mixed, nullptr, 1, &sink);
   std::vector<ProfileNode> roots = sink.Take();
   ASSERT_EQ(roots.size(), 1u);
   EXPECT_EQ(roots[0].label, "qe[cached]");

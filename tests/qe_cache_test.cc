@@ -1,5 +1,5 @@
 // Tests for the memo layers on top of the hash-consed IR: the QE result
-// cache (byte-identical output cache-on vs cache-off, hit metrics), the
+// cache (byte-identical output warm, cold and uncached, hit metrics), the
 // sharded memo table's FIFO eviction, the engine's whole-query cache, and
 // its invalidation by catalog mutation (the version stamp).
 
@@ -7,9 +7,9 @@
 
 #include <memory>
 
-#include "base/config.h"
 #include "base/memo.h"
 #include "base/metrics.h"
+#include "base/resource.h"
 #include "constraint/formula.h"
 #include "engine/database.h"
 #include "engine/session.h"
@@ -35,11 +35,11 @@ Formula TestQuery() {
   return Formula::Exists(1, Formula::Or(band, disk));
 }
 
-// Runs QE with the memo layers forced on or off per call, so every test
-// means the same thing on the CCDB_QE_CACHE=0 leg.
-std::string RunQe(const Formula& f, PlanToggle memo) {
+// Runs QE; a non-null `gov` makes the run skip every memo lookup (see
+// base/memo.h), which is how these tests get an uncached reference.
+std::string RunQe(const Formula& f, const ResourceGovernor* gov = nullptr) {
   QeOptions options;
-  options.memo = memo;
+  options.governor = gov;
   QeStats stats;
   StatusOr<ConstraintRelation> result =
       EliminateQuantifiers(f, 1, options, &stats);
@@ -47,12 +47,13 @@ std::string RunQe(const Formula& f, PlanToggle memo) {
   return result->ToString({"x"});
 }
 
-TEST(QeCacheTest, CacheOnAndOffProduceByteIdenticalOutput) {
+TEST(QeCacheTest, WarmColdAndUncachedRunsProduceByteIdenticalOutput) {
   QeResultCache().Clear();
-  std::string cold = RunQe(TestQuery(), PlanToggle::kOn);
+  std::string cold = RunQe(TestQuery());
   // Same interned formula -> hit.
-  std::string warm = RunQe(TestQuery(), PlanToggle::kOn);
-  std::string uncached = RunQe(TestQuery(), PlanToggle::kOff);
+  std::string warm = RunQe(TestQuery());
+  ResourceGovernor unlimited{ResourceLimits{}};
+  std::string uncached = RunQe(TestQuery(), &unlimited);
   EXPECT_EQ(cold, warm);
   EXPECT_EQ(cold, uncached);
 }
@@ -60,19 +61,21 @@ TEST(QeCacheTest, CacheOnAndOffProduceByteIdenticalOutput) {
 TEST(QeCacheTest, SecondEliminationHitsTheCache) {
   QeResultCache().Clear();
   Counter* hits = MetricsRegistry::Global().GetCounter("qe_cache_hits");
-  RunQe(TestQuery(), PlanToggle::kOn);
+  RunQe(TestQuery());
   std::uint64_t hits_after_cold = hits->value();
-  RunQe(TestQuery(), PlanToggle::kOn);
+  RunQe(TestQuery());
   EXPECT_GT(hits->value(), hits_after_cold);
 }
 
-TEST(QeCacheTest, DisabledCacheIsNeverConsulted) {
+TEST(QeCacheTest, GovernedRunNeverConsultsTheCache) {
   Counter* hits = MetricsRegistry::Global().GetCounter("qe_cache_hits");
   Counter* misses = MetricsRegistry::Global().GetCounter("qe_cache_misses");
+  RunQe(TestQuery());  // warm: an ungoverned run would now hit
   std::uint64_t hits_before = hits->value();
   std::uint64_t misses_before = misses->value();
-  RunQe(TestQuery(), PlanToggle::kOff);
-  RunQe(TestQuery(), PlanToggle::kOff);
+  ResourceGovernor unlimited{ResourceLimits{}};
+  RunQe(TestQuery(), &unlimited);
+  RunQe(TestQuery(), &unlimited);
   EXPECT_EQ(hits->value(), hits_before);
   EXPECT_EQ(misses->value(), misses_before);
 }
@@ -119,8 +122,7 @@ TEST(QeCacheTest, QueryCacheInvalidatedByRedefinition) {
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());
   const std::string text = "exists y (S(x, y) and y <= 0)";
-  std::unique_ptr<Session> cached =
-      db.OpenSession(EngineConfig::Process().WithQeCache(true));
+  std::unique_ptr<Session> cached = db.OpenSession();
   StatusOr<CalcFResult> first = cached->Query(text);
   ASSERT_TRUE(first.ok());
   StatusOr<CalcFResult> repeat = cached->Query(text);  // query-cache hit
@@ -133,10 +135,9 @@ TEST(QeCacheTest, QueryCacheInvalidatedByRedefinition) {
   ASSERT_TRUE(redefined.ok());
   EXPECT_NE(first->relation.ToString({"x"}),
             redefined->relation.ToString({"x"}));
-  // And the fresh answer matches an uncached evaluation exactly.
-  std::unique_ptr<Session> uncached_session =
-      db.OpenSession(EngineConfig::Process().WithQeCache(false));
-  StatusOr<CalcFResult> uncached = uncached_session->Query(text);
+  // And the fresh answer matches an uncached evaluation exactly: a
+  // governed query skips the whole-query memo and every QE cache lookup.
+  StatusOr<CalcFResult> uncached = db.QueryWithPolicy(text, QueryPolicy{});
   ASSERT_TRUE(uncached.ok());
   EXPECT_EQ(redefined->relation.ToString({"x"}),
             uncached->relation.ToString({"x"}));

@@ -412,7 +412,6 @@ TEST(QeTest, WorkMetricsCountEachCadOnceAndEachPublicCallOnce) {
                                              RelOp::kLe))));
   QeResultCache().Clear();
   QeOptions options;
-  options.memo = PlanToggle::kOn;
 
   std::uint64_t cells_before = cells->value();
   std::uint64_t factors_before = factors->value();

@@ -126,8 +126,10 @@ TEST_F(QueryLogTest, SessionRecordsCarrySessionIdAndConfigFingerprint) {
 
   // A session routes its records to a session-owned log, stamped with the
   // session's id and the fingerprint of ITS resolved config — which
-  // differs from the process fingerprint when the config differs.
-  EngineConfig config = EngineConfig::Process().WithThreads(2);
+  // differs from the process fingerprint when the config differs. The
+  // thread count is chosen to differ from the process's (CCDB_THREADS).
+  const EngineConfig& process = EngineConfig::Process();
+  EngineConfig config = process.WithThreads(process.threads == 1 ? 2 : 1);
   std::unique_ptr<Session> session = db.OpenSession(config);
   std::string path = TempLogPath("session");
   std::remove(path.c_str());

@@ -1,11 +1,12 @@
 // Semi-naive / incremental differential tests: the delta-driven fixpoint
 // is a pure optimization, so its output must be BYTE-IDENTICAL to the
-// naive executable spec across CCDB_SEMINAIVE x memo x thread count
-// on every corpus — transitive closure, same-generation, mutual
-// recursion, and constraint-heavy bodies — and the incremental resume
-// path (ConstraintDatabase::Fixpoint after Insert) must reproduce the
-// from-scratch fixpoint tuple-for-tuple under randomized insert
-// sequences.
+// naive executable spec (the Z_k loop, reached through a precision_k far
+// above any bit length so the verdict never trips), cached and uncached,
+// at every thread count, on every corpus — transitive closure,
+// same-generation, mutual recursion, and constraint-heavy bodies — and
+// the incremental resume path (ConstraintDatabase::Fixpoint after Insert)
+// must reproduce the from-scratch fixpoint tuple-for-tuple under
+// randomized insert sequences.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "base/config.h"
 #include "base/metrics.h"
+#include "base/resource.h"
 #include "base/thread_pool.h"
 #include "datalog/datalog.h"
 #include "engine/database.h"
@@ -32,7 +33,9 @@ Rational R(std::int64_t n, std::int64_t d = 1) {
 
 Polynomial V(int i) { return Polynomial::Var(i); }
 
-PlanToggle Toggle(bool on) { return on ? PlanToggle::kOn : PlanToggle::kOff; }
+// A Z_k precision no corpus here comes near: the run takes the naive loop
+// (every Z_k run does) and its bit-length verdict never trips.
+constexpr std::uint32_t kNaiveK = 1u << 20;
 
 // y = x + 1 over lo <= x <= hi: one "successor" segment.
 GeneralizedTuple SuccessorSegment(std::int64_t lo, std::int64_t hi) {
@@ -218,16 +221,19 @@ void ExpectSameBinaryRelation(const ConstraintRelation& got,
 }
 
 TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaiveMemoThreads) {
+  // Uncached runs go under an unlimited governor: every memo lookup (QE
+  // results, rule bodies, resultants) is skipped.
+  ResourceGovernor unlimited{ResourceLimits{}};
   for (Corpus& corpus : Corpora()) {
-    // Baseline: naive, memo off, serial.
+    // Baseline: naive, uncached, serial.
     std::string baseline;
     for (bool seminaive : {false, true}) {
-      for (bool memo : {false, true}) {
+      for (bool cached : {false, true}) {
         for (int threads : {1, 2, 8}) {
           ThreadPool pool(threads);
           DatalogOptions options;
-          options.seminaive = Toggle(seminaive);
-          options.qe.memo = Toggle(memo);
+          options.precision_k = seminaive ? 0 : kNaiveK;
+          options.qe.governor = cached ? nullptr : &unlimited;
           options.qe.pool = &pool;
           DatalogStats stats;
           auto result =
@@ -241,7 +247,7 @@ TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaiveMemoThreads) {
           } else {
             EXPECT_EQ(fp, baseline)
                 << corpus.name << " diverged at seminaive=" << seminaive
-                << " memo=" << memo << " threads=" << threads;
+                << " cached=" << cached << " threads=" << threads;
           }
           // Semi-naive must actually engage on these recursive corpora
           // (multiple rounds -> nonzero deltas), or the matrix proves
@@ -255,39 +261,28 @@ TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaiveMemoThreads) {
   }
 }
 
-TEST(SeminaiveDifferentialTest, ExplicitOptionOverridesProcessToggle) {
-  // kOn / kOff pick the path whatever CCDB_SEMINAIVE says.
+TEST(SeminaiveDifferentialTest, ZkRunsTheNaiveLoopEveryOtherRunIsSemiNaive) {
   Corpus corpus = Corpora()[0];
-  DatalogOptions forced_on;
-  forced_on.seminaive = PlanToggle::kOn;
-  DatalogStats on_stats;
-  auto on = EvaluateDatalog(corpus.program, corpus.edb, forced_on, &on_stats);
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  EXPECT_GT(on_stats.delta_tuples, 0u) << "kOn must run the delta path";
+  DatalogStats semi_stats;
+  auto semi = EvaluateDatalog(corpus.program, corpus.edb, {}, &semi_stats);
+  ASSERT_TRUE(semi.ok()) << semi.status().ToString();
+  EXPECT_GT(semi_stats.delta_tuples, 0u) << "default must run the delta path";
 
-  DatalogOptions forced_off;
-  forced_off.seminaive = PlanToggle::kOff;
-  DatalogStats off_stats;
-  auto off =
-      EvaluateDatalog(corpus.program, corpus.edb, forced_off, &off_stats);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_EQ(off_stats.delta_tuples, 0u) << "kOff must run the naive path";
-  EXPECT_EQ(Fingerprint(*on), Fingerprint(*off));
+  DatalogOptions zk;
+  zk.precision_k = kNaiveK;
+  DatalogStats naive_stats;
+  auto naive = EvaluateDatalog(corpus.program, corpus.edb, zk, &naive_stats);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive_stats.delta_tuples, 0u) << "Z_k must run the naive path";
+  EXPECT_LT(naive_stats.max_bits, kNaiveK);
+  EXPECT_EQ(Fingerprint(*semi), Fingerprint(*naive));
 }
 
 TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
   ConstraintDatabase db;
   ASSERT_TRUE(
       db.Define("Edge(x, y) := y - x - 1 = 0 and x >= 0 and x <= 2").ok());
-  // The materialized-fixpoint state sits behind the memo switch; the
-  // session pins it (and semi-naive, incremental) on so the
-  // CCDB_QE_CACHE=0 and CCDB_SEMINAIVE=0 CI legs still exercise the resume
-  // path this test is about.
-  std::unique_ptr<Session> session =
-      db.OpenSession(EngineConfig::Process()
-                         .WithSeminaive(true)
-                         .WithIncremental(true)
-                         .WithQeCache(true));
+  std::unique_ptr<Session> session = db.OpenSession();
   DatalogProgram program = TransitiveClosure();
 
   Counter* resumes =
@@ -330,10 +325,12 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
       << "the insert sequence must exercise the RESUME path, not silent "
        "recomputes";
 
-  // With incremental off, the same call still answers (recompute path).
-  std::unique_ptr<Session> recompute = db.OpenSession(
-      EngineConfig::Process().WithIncremental(false));
-  auto recomputed = recompute->Fixpoint(program);
+  // Under a governor the materialized state stands down, so the same call
+  // takes the recompute path and still answers.
+  ResourceGovernor unlimited{ResourceLimits{}};
+  DatalogOptions governed;
+  governed.qe.governor = &unlimited;
+  auto recomputed = session->Fixpoint(program, governed);
   ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
   auto edge = db.Relation("Edge");
   ASSERT_TRUE(edge.ok());

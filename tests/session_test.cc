@@ -1,11 +1,13 @@
 // Session contexts (DESIGN.md §16): the de-globalized execution scope.
-// Two sessions with DIFFERENT configs — memo on vs off, 1 vs 8 threads,
-// private pools — coexist in one process and answer byte-identically to
-// their serial single-threaded equivalent; pinned MVCC snapshots make a
-// writer invisible; the whole-query memo distinguishes snapshot versions
-// instead of aliasing across them and is shared across thread counts; a
-// memo-off session bypasses the resultant memo too; and the facade's
-// default session follows its database across moves.
+// Two sessions with DIFFERENT configs — 1 vs 8 threads, private pools,
+// one reading uncached through governed queries — coexist in one process
+// and answer byte-identically to their serial uncached equivalent; pinned
+// MVCC snapshots make a writer invisible; the whole-query memo
+// distinguishes snapshot versions instead of aliasing across them and is
+// shared across thread counts; a governed query bypasses the resultant
+// memo too; a session Fixpoint is semi-naive and byte-identical to the Z_k
+// naive loop; and the facade's default session follows its database
+// across moves.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,8 @@
 #include "base/config.h"
 #include "base/metrics.h"
 #include "base/query_log.h"
+#include "base/resource.h"
+#include "base/thread_pool.h"
 #include "engine/database.h"
 #include "engine/session.h"
 #include "qe/qe_cache.h"
@@ -37,6 +41,13 @@ std::string Render(const StatusOr<CalcFResult>& result) {
                              : std::to_string(result->scalar.approx_value));
   }
   return out;
+}
+
+// An uncached evaluation: a governed query (here with unlimited budgets)
+// skips the whole-query memo and every QE / resultant memo lookup.
+StatusOr<CalcFResult> UncachedQuery(const Session& session,
+                                    const std::string& text) {
+  return session.QueryWithPolicy(text, QueryPolicy{});
 }
 
 void DefineFixtures(ConstraintDatabase& db) {
@@ -80,21 +91,16 @@ DatalogProgram ReachProgram() {
 
 TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
   ConstraintDatabase db;
-  EngineConfig off =
-      EngineConfig::Process().WithQeCache(false).WithThreads(1);
-  EngineConfig on = EngineConfig::Process().WithQeCache(true).WithThreads(8);
+  EngineConfig one = EngineConfig::Process().WithThreads(1);
+  EngineConfig eight = EngineConfig::Process().WithThreads(8);
 
-  std::unique_ptr<Session> a = db.OpenSession(off);
-  std::unique_ptr<Session> b = db.OpenSession(on);
+  std::unique_ptr<Session> a = db.OpenSession(one);
+  std::unique_ptr<Session> b = db.OpenSession(eight);
 
   std::set<std::uint64_t> ids = {a->id(), b->id()};
   EXPECT_EQ(ids.size(), 2u);
   EXPECT_GT(a->id(), 0u);
   EXPECT_GT(b->id(), a->id()) << "ids are handed out in open order";
-
-  // The session config is authoritative: kOn/kOff, never kAuto.
-  EXPECT_EQ(a->options().qe.memo, PlanToggle::kOff);
-  EXPECT_EQ(b->options().qe.memo, PlanToggle::kOn);
 
   // Private pools sized by the config, not by the Shared() singleton.
   ASSERT_NE(a->pool(), nullptr);
@@ -106,49 +112,53 @@ TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
 
   // Distinct configs, distinct fingerprints.
   EXPECT_NE(a->config_fingerprint(), b->config_fingerprint());
-  EXPECT_EQ(a->config_fingerprint(), off.Fingerprint());
+  EXPECT_EQ(a->config_fingerprint(), one.Fingerprint());
 }
 
 TEST(SessionTest, ConcurrentMixedConfigSessionsAreByteIdenticalToSerial) {
-  // One session at memo-off / 1 thread and one at memo-on / 8 threads
-  // run the workload concurrently in one process. Every answer must be
-  // byte-identical to its SERIAL EQUIVALENT — a fresh single-threaded,
-  // memo-off database: neither the memo caches, nor the thread count, nor
-  // the session machinery may change a rendering.
+  // One session reading uncached at 1 thread and one reading through the
+  // memo caches at 8 threads run the workload concurrently in one process.
+  // Every answer must be byte-identical to its SERIAL EQUIVALENT — a fresh
+  // single-threaded database read uncached: neither the memo caches, nor
+  // the thread count, nor the session machinery may change a rendering.
   ConstraintDatabase db;
   DefineFixtures(db);
 
+  ThreadPool serial_pool(1);
   CalcFOptions serial_options;
-  serial_options.qe.memo = PlanToggle::kOff;
+  serial_options.qe.pool = &serial_pool;
   ConstraintDatabase serial(serial_options);
   DefineFixtures(serial);
   std::vector<std::string> serial_answers;
   for (const std::string& query : Workload()) {
-    serial_answers.push_back(Render(serial.Query(query)));
+    serial_answers.push_back(
+        Render(serial.QueryWithPolicy(query, QueryPolicy{})));
   }
 
-  std::unique_ptr<Session> slow = db.OpenSession(
-      EngineConfig::Process().WithQeCache(false).WithThreads(1));
-  std::unique_ptr<Session> fast = db.OpenSession(
-      EngineConfig::Process().WithQeCache(true).WithThreads(8));
+  std::unique_ptr<Session> slow =
+      db.OpenSession(EngineConfig::Process().WithThreads(1));
+  std::unique_ptr<Session> fast =
+      db.OpenSession(EngineConfig::Process().WithThreads(8));
 
   constexpr int kRounds = 3;
   std::vector<std::string> slow_failures, fast_failures;
-  auto run = [&](Session* session, const std::vector<std::string>* serial,
+  auto run = [&](Session* session, bool uncached,
+                 const std::vector<std::string>* serial,
                  std::vector<std::string>* failures) {
     for (int round = 0; round < kRounds; ++round) {
       for (std::size_t i = 0; i < Workload().size(); ++i) {
-        std::string got = Render(session->Query(Workload()[i]));
+        const std::string& text = Workload()[i];
+        std::string got = Render(uncached ? UncachedQuery(*session, text)
+                                          : session->Query(text));
         if (got != (*serial)[i]) {
           failures->push_back("round " + std::to_string(round) + " query " +
-                              Workload()[i] + ": " + got +
-                              " != " + (*serial)[i]);
+                              text + ": " + got + " != " + (*serial)[i]);
         }
       }
     }
   };
-  std::thread t1(run, slow.get(), &serial_answers, &slow_failures);
-  std::thread t2(run, fast.get(), &serial_answers, &fast_failures);
+  std::thread t1(run, slow.get(), true, &serial_answers, &slow_failures);
+  std::thread t2(run, fast.get(), false, &serial_answers, &fast_failures);
   t1.join();
   t2.join();
 
@@ -200,8 +210,7 @@ TEST(SessionTest, WholeQueryCacheIsVersionedAcrossPinnedSessions) {
   ASSERT_TRUE(db.Define("S(x, y) := x + y <= 10 and x >= 0 and y >= 0").ok());
   const std::string query = "exists y (S(x, y) and y <= 1)";
 
-  EngineConfig config = EngineConfig::Process().WithQeCache(true);
-  std::unique_ptr<Session> old_session = db.OpenSession(config);
+  std::unique_ptr<Session> old_session = db.OpenSession();
   old_session->PinSnapshot();
 
   StatusOr<ExplainAnalyzeResult> miss = old_session->Explain(query);
@@ -219,7 +228,7 @@ TEST(SessionTest, WholeQueryCacheIsVersionedAcrossPinnedSessions) {
   EXPECT_EQ(hit->result.relation.ToString(hit->result.column_names),
             old_answer);
 
-  std::unique_ptr<Session> new_session = db.OpenSession(config);
+  std::unique_ptr<Session> new_session = db.OpenSession();
   StatusOr<ExplainAnalyzeResult> fresh = new_session->Explain(query);
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(fresh->profile.from_cache)
@@ -242,10 +251,10 @@ TEST(SessionTest, SessionsAtDifferentThreadCountsShareCacheEntries) {
   ASSERT_TRUE(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());
   const std::string query = "exists y (S(x, y) and y <= 0)";
 
-  std::unique_ptr<Session> serial = db.OpenSession(
-      EngineConfig::Process().WithThreads(1).WithQeCache(true));
-  std::unique_ptr<Session> parallel = db.OpenSession(
-      EngineConfig::Process().WithThreads(8).WithQeCache(true));
+  std::unique_ptr<Session> serial =
+      db.OpenSession(EngineConfig::Process().WithThreads(1));
+  std::unique_ptr<Session> parallel =
+      db.OpenSession(EngineConfig::Process().WithThreads(8));
 
   StatusOr<ExplainAnalyzeResult> cold = serial->Explain(query);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
@@ -265,25 +274,24 @@ TEST(SessionTest, SessionsAtDifferentThreadCountsShareCacheEntries) {
       << warm->ToString();
 }
 
-TEST(SessionTest, SessionFixpointForcesConfiguredDatalogToggles) {
-  // Fixpoint under a session forces the semi-naive / incremental toggles
-  // from the session config (incremental off here so both sessions compute
-  // fresh); both settings reach a byte-identical model, and the stats show
-  // which path actually ran (deltas only exist on the semi-naive path).
+TEST(SessionTest, SessionFixpointIsSemiNaiveAndMatchesTheZkNaiveLoop) {
+  // A session Fixpoint runs semi-naive; a Z_k run (precision_k set far
+  // above any bit length here, so the verdict never trips) runs the naive
+  // loop. Both reach a byte-identical model, and the stats show which path
+  // actually ran (deltas only exist on the semi-naive path). The two runs
+  // carry different program keys, so neither replays the other's state.
   ConstraintDatabase db;
   ASSERT_TRUE(
       db.Define("Edge(x, y) := y - x = 1 and x >= 0 and x <= 3").ok());
 
   DatalogProgram program = ReachProgram();
-
-  std::unique_ptr<Session> seminaive = db.OpenSession(
-      EngineConfig::Process().WithSeminaive(true).WithIncremental(false));
-  std::unique_ptr<Session> naive = db.OpenSession(
-      EngineConfig::Process().WithSeminaive(false).WithIncremental(false));
+  std::unique_ptr<Session> session = db.OpenSession();
+  DatalogOptions naive_options;
+  naive_options.precision_k = 1u << 20;
 
   DatalogStats stats_semi, stats_naive;
-  auto model_semi = seminaive->Fixpoint(program, {}, &stats_semi);
-  auto model_naive = naive->Fixpoint(program, {}, &stats_naive);
+  auto model_semi = session->Fixpoint(program, {}, &stats_semi);
+  auto model_naive = session->Fixpoint(program, naive_options, &stats_naive);
   ASSERT_TRUE(model_semi.ok()) << model_semi.status().ToString();
   ASSERT_TRUE(model_naive.ok()) << model_naive.status().ToString();
 
@@ -297,65 +305,38 @@ TEST(SessionTest, SessionFixpointForcesConfiguredDatalogToggles) {
   EXPECT_EQ(stats_naive.delta_tuples, 0u) << "naive path must have run";
 }
 
-TEST(SessionTest, ExplicitCallerTogglesWinOverTheSessionConfig) {
-  // The session config resolves kAuto only: an explicit DatalogOptions
-  // toggle wins, so a naive-configured session still runs the delta path
-  // when the caller asks for it.
-  ConstraintDatabase db;
-  ASSERT_TRUE(
-      db.Define("Edge(x, y) := y - x = 1 and x >= 0 and x <= 3").ok());
-  std::unique_ptr<Session> naive = db.OpenSession(
-      EngineConfig::Process().WithSeminaive(false).WithIncremental(false));
-  DatalogOptions forced;
-  forced.seminaive = PlanToggle::kOn;
-  DatalogStats forced_stats, config_stats;
-  auto forced_model = naive->Fixpoint(ReachProgram(), forced, &forced_stats);
-  auto config_model = naive->Fixpoint(ReachProgram(), {}, &config_stats);
-  ASSERT_TRUE(forced_model.ok()) << forced_model.status().ToString();
-  ASSERT_TRUE(config_model.ok()) << config_model.status().ToString();
-  EXPECT_GT(forced_stats.delta_tuples, 0u) << "explicit kOn must win";
-  EXPECT_EQ(config_stats.delta_tuples, 0u) << "kAuto follows the config";
-  EXPECT_EQ(forced_model->at("Reach").ToString({"x", "y"}),
-            config_model->at("Reach").ToString({"x", "y"}));
-}
-
-TEST(SessionTest, MemoOffSessionBypassesTheResultantCache) {
-  // A memo-off session must neither read nor fill the resultant /
-  // discriminant / gcd memo behind CAD projection and lifting — the
-  // CCDB_QE_CACHE / EngineConfig::qe_cache contract covers every memo.
+TEST(SessionTest, GovernedQueryBypassesTheResultantCache) {
+  // A governed query must not read the resultant / discriminant / gcd
+  // memo behind CAD projection and lifting: every memo lookup is skipped
+  // under a governor, so budget charging never depends on temperature.
   Counter* hits = MetricsRegistry::Global().GetCounter("resultant_cache_hits");
   const std::string query = "exists y (D(x, y) and S(x, y))";  // a CAD
   ConstraintDatabase db;
   DefineFixtures(db);
-  std::unique_ptr<Session> memo_on =
-      db.OpenSession(EngineConfig::Process().WithQeCache(true));
-  std::unique_ptr<Session> memo_off =
-      db.OpenSession(EngineConfig::Process().WithQeCache(false));
+  std::unique_ptr<Session> session = db.OpenSession();
 
-  ASSERT_TRUE(memo_on->Query(query).ok());  // warms the resultant memo
+  ASSERT_TRUE(session->Query(query).ok());  // warms the resultant memo
   std::uint64_t before = hits->value();
-  StatusOr<CalcFResult> uncached = memo_off->Query(query);
+  StatusOr<CalcFResult> uncached = UncachedQuery(*session, query);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
   EXPECT_EQ(hits->value(), before)
-      << "a memo-off session must not read the resultant memo";
+      << "a governed query must not read the resultant memo";
 
-  // Control: the same CAD in a memo-on session does hit the warmed
-  // resultants (a fresh database and a cleared QE result memo force the
-  // CAD to run again).
+  // Control: the same CAD ungoverned does hit the warmed resultants (a
+  // fresh database and a cleared QE result memo force the CAD to run
+  // again).
   QeResultCache().Clear();
   ConstraintDatabase fresh;
   DefineFixtures(fresh);
-  std::unique_ptr<Session> rerun =
-      fresh.OpenSession(EngineConfig::Process().WithQeCache(true));
   before = hits->value();
-  StatusOr<CalcFResult> cached = rerun->Query(query);
+  StatusOr<CalcFResult> cached = fresh.Query(query);
   EXPECT_GT(hits->value(), before);
   EXPECT_EQ(Render(uncached), Render(cached));
 }
 
 // Reads the new owner's catalog through every facade read kind and returns
 // the rendered answers, plus whether a repeated query was served by the
-// whole-query memo (never under memo-off options).
+// whole-query memo (never under governed options).
 std::string ReadThroughFacade(const ConstraintDatabase& db) {
   const std::string text = "exists y (Edge(x, y) and y <= 2)";
   StatusOr<CalcFResult> query = db.Query(text);
@@ -389,11 +370,13 @@ TEST(SessionTest, DefaultSessionFollowsTheDatabaseAcrossMoves) {
   ASSERT_TRUE(QueryLog::Global().Enable(log_path).ok());
 
   const std::string edge = "Edge(x, y) := y - x = 1 and x >= 0 and x <= 3";
-  // Explicit memo-off options travel with the moved database; the
+  // Explicit governed options (unlimited budgets: no answer changes, but
+  // the whole-query memo stands down) travel with the moved database; the
   // targets below start out with the defaults.
-  CalcFOptions memo_off;
-  memo_off.qe.memo = PlanToggle::kOff;
-  ConstraintDatabase reference(memo_off);
+  ResourceGovernor unlimited{ResourceLimits{}};
+  CalcFOptions governed;
+  governed.governor = &unlimited;
+  ConstraintDatabase reference(governed);
   ASSERT_TRUE(reference.Define(edge).ok());
   const std::string want = ReadThroughFacade(reference);
   ASSERT_EQ(want.find("error"), std::string::npos) << want;
@@ -401,7 +384,7 @@ TEST(SessionTest, DefaultSessionFollowsTheDatabaseAcrossMoves) {
   ASSERT_EQ(want.find("|cached"), std::string::npos) << want;
 
   StatusOr<ConstraintDatabase> opened =
-      ConstraintDatabase::OpenDurable(store, memo_off);
+      ConstraintDatabase::OpenDurable(store, governed);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ASSERT_TRUE(opened->Define(edge).ok());
   EXPECT_EQ(ReadThroughFacade(*opened), want) << "after OpenDurable";

@@ -207,8 +207,8 @@ std::string Render(const StatusOr<CalcFResult>& result) {
 }
 
 TEST(SnapshotIsolationTest, PinnedSessionsMatchSerialReplayDuringStorm) {
-  // The MVCC acceptance test: 8 reader SESSIONS (mixed configs — half
-  // memo-on at 1 thread, half memo-off at 2 threads) run multi-round
+  // The MVCC acceptance test: 8 reader SESSIONS (half reading through the
+  // memo caches at 1 thread, half uncached at 2 threads) run multi-round
   // queries against pinned snapshots while one writer defines / inserts /
   // drops. Every result a reader observed must be byte-identical to a
   // serial replay of the same query against a fresh database rebuilt from
@@ -239,16 +239,20 @@ TEST(SnapshotIsolationTest, PinnedSessionsMatchSerialReplayDuringStorm) {
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      EngineConfig config = EngineConfig::Process()
-                                .WithQeCache(r % 2 == 0)
-                                .WithThreads(r % 2 == 0 ? 1 : 2);
-      std::unique_ptr<Session> session = db.OpenSession(config);
+      // Even readers read through the memo caches at 1 thread; odd readers
+      // read uncached (a governed query skips every memo lookup) at 2.
+      const bool cached = r % 2 == 0;
+      std::unique_ptr<Session> session = db.OpenSession(
+          EngineConfig::Process().WithThreads(cached ? 1 : 2));
       while (!done.load(std::memory_order_acquire)) {
         session->PinSnapshot();
         Observation obs;
         obs.snapshot_text = session->snapshot()->Serialize();
         for (const std::string& query : kQueries) {
-          obs.results.emplace_back(query, Render(session->Query(query)));
+          obs.results.emplace_back(
+              query, Render(cached ? session->Query(query)
+                                   : session->QueryWithPolicy(
+                                         query, QueryPolicy{})));
         }
         // The pin must have held across all queries of the round: the
         // serialization is unchanged even though the writer kept mutating.
