@@ -153,5 +153,6 @@ int main(int argc, char** argv) {
       "confirming round); undefined cutoff arrives after ~k iterations of "
       "the doubling program (bit length grows by 1 per round) — exactly "
       "the PTIME-in-k bound of Theorem 4.7");
+  ccdb_bench::WriteRunRecord("datalog_fixpoint");
   return 0;
 }

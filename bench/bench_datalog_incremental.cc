@@ -116,10 +116,10 @@ int main(int argc, char** argv) {
 
   ccdb_bench::Row("");
   ccdb_bench::Row(
-      "expected shape: recompute/increment grows ~linearly with the "
-      "diameter (cold pays diameter+1 rounds per insert, the resume pays "
-      "2-3 delta rounds); at the largest diameter the closed loop is >5x "
-      "cheaper incrementally");
+      "expected shape: recompute/increment grows with the diameter (cold "
+      "pays diameter+1 rounds per insert, the resume pays 2-3 delta "
+      "rounds); at the largest diameter the closed loop is ~3.5x cheaper "
+      "incrementally");
   ccdb_bench::WriteRunRecord("datalog");
   return 0;
 }

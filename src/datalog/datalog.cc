@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -14,6 +15,7 @@
 #include "base/profile.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
+#include "plan/fragment.h"
 #include "qe/fourier_motzkin.h"
 
 namespace ccdb {
@@ -163,9 +165,10 @@ StatusOr<Formula> RuleToDeltaFormula(
   return QuantifyRuleBody(Formula::Or(std::move(choices)), vm);
 }
 
-// Exact containment of one generalized tuple in another:
+// Exact containment of one generalized tuple in another by the QE driver:
 // not exists x (t(x) and not u(x)) — negating a single conjunction keeps
-// the DNF linear in |u|.
+// the DNF linear in |u|. Only nonlinear pairs come here; linear pairs are
+// decided by LinearContainment.
 StatusOr<bool> TupleInTuple(const GeneralizedTuple& t,
                             const GeneralizedTuple& u, int arity,
                             const QeOptions& qe, std::uint64_t* qe_calls) {
@@ -191,29 +194,47 @@ bool SameTuple(const GeneralizedTuple& a, const GeneralizedTuple& b) {
   return true;
 }
 
+bool IsLinearTuple(const GeneralizedTuple& tuple) {
+  return std::all_of(tuple.atoms.begin(), tuple.atoms.end(), IsLinearAtom);
+}
+
 // Containment test for the inflationary fixpoint: is `candidate` a subset
-// of `relation`? Checked syntactically and then tuple-against-tuple (sound
-// and cheap). Both checks are DROP-STABLE: relations only grow, so a tuple
-// that covers the candidate now still covers it in every later round.
-// Stability is what lets the semi-naive path skip re-deriving a dropped
-// candidate — a cover that could expire (e.g. a union of several tuples
-// whose test is only attempted on small relations) would make the naive
-// path re-admit the candidate later while semi-naive never revisits it.
-// A missed containment merely costs an extra (redundant) tuple, never
-// soundness.
+// of one tuple of `relation`? Checked syntactically and then
+// tuple-against-tuple, exactly: linear pairs by the candidate's bounds
+// (LinearContainment), nonlinear pairs by the QE driver. Both checks are
+// DROP-STABLE: relations only grow, so a tuple that covers the candidate
+// now still covers it in every later round. Stability is what lets the
+// semi-naive path skip re-deriving a dropped candidate — a cover that
+// could expire (e.g. a union of several tuples whose test is only
+// attempted on small relations) would make the naive path re-admit the
+// candidate later while semi-naive never revisits it. A missed
+// containment merely costs an extra (redundant) tuple, never soundness.
 StatusOr<bool> TupleContained(const GeneralizedTuple& candidate,
                               const ConstraintRelation& relation,
-                              const QeOptions& qe, std::uint64_t* qe_calls) {
+                              const QeOptions& qe, DatalogStats* s) {
   for (const GeneralizedTuple& existing : relation.tuples()) {
     if (SameTuple(candidate, existing)) return true;
   }
+  std::optional<LinearContainment> linear;
+  if (IsLinearTuple(candidate)) linear.emplace(candidate, qe.governor, qe.pool);
+  bool inside = false;
   for (const GeneralizedTuple& existing : relation.tuples()) {
-    CCDB_ASSIGN_OR_RETURN(bool inside,
-                          TupleInTuple(candidate, existing, relation.arity(),
-                                       qe, qe_calls));
-    if (inside) return true;
+    CCDB_CHECK_BUDGET(qe.governor, "datalog.containment");
+    ++s->containment_tests;
+    if (linear.has_value() && IsLinearTuple(existing)) {
+      CCDB_ASSIGN_OR_RETURN(inside, linear->In(existing));
+    } else {
+      ++s->containment_qe_fallbacks;
+      CCDB_ASSIGN_OR_RETURN(inside, TupleInTuple(candidate, existing,
+                                                 relation.arity(), qe,
+                                                 &s->qe_calls));
+    }
+    if (inside) break;
   }
-  return false;
+  if (linear.has_value()) {
+    s->containment_qe_fallbacks += linear->eliminations();
+  }
+  return inside;
 }
 
 Status ValidateProgram(const DatalogProgram& program,
@@ -491,7 +512,7 @@ Status RunFixpoint(const DatalogProgram& program,
         CCDB_CHECK_BUDGET(gov, "datalog.iteration");
         CCDB_ASSIGN_OR_RETURN(
             bool contained,
-            TupleContained(tuple, current, rule_qe, &s->qe_calls));
+            TupleContained(tuple, current, rule_qe, s));
         if (contained) continue;
         if (gov != nullptr) {
           std::size_t bytes = 0;
@@ -511,6 +532,9 @@ Status RunFixpoint(const DatalogProgram& program,
       s->reached_fixpoint = true;
       CCDB_METRIC_COUNT("datalog.fixpoints", 1);
       CCDB_METRIC_COUNT("datalog.qe_calls", s->qe_calls);
+      CCDB_METRIC_COUNT("datalog.containment_tests", s->containment_tests);
+      CCDB_METRIC_COUNT("datalog.containment_qe_fallbacks",
+                        s->containment_qe_fallbacks);
       return Status::Ok();
     }
   }
@@ -529,7 +553,9 @@ std::string DatalogStats::ToString() const {
       << " fixpoint=" << (reached_fixpoint ? "yes" : "no")
       << " qe_calls=" << qe_calls << " max_bits=" << max_bits
       << " delta_tuples=" << delta_tuples
-      << " rules_skipped=" << rules_skipped;
+      << " rules_skipped=" << rules_skipped
+      << " containment_tests=" << containment_tests
+      << " containment_qe_fallbacks=" << containment_qe_fallbacks;
   return out.str();
 }
 
@@ -541,6 +567,8 @@ std::string DatalogStats::ToJson() const {
       .Add("max_bits", max_bits)
       .Add("delta_tuples", delta_tuples)
       .Add("rules_skipped", rules_skipped)
+      .Add("containment_tests", containment_tests)
+      .Add("containment_qe_fallbacks", containment_qe_fallbacks)
       .Build();
 }
 

@@ -57,9 +57,11 @@ struct DatalogOptions {
   std::uint32_t precision_k = 0;
   /// QE options for each rule evaluation. `qe.governor`, when set, is also
   /// charged once per fixpoint round and per derived tuple (stage
-  /// "datalog.iteration"), so a budget bounds the whole fixpoint — not just
-  /// the individual QE calls. `qe.pool` additionally drives the per-rule
-  /// fan-out of each inflationary round: rule bodies evaluate in parallel
+  /// "datalog.iteration") and once per containment test of a derived
+  /// tuple against a stored one (stage "datalog.containment"), so a budget
+  /// bounds the whole fixpoint — not just the individual QE calls.
+  /// `qe.pool` additionally drives the per-rule fan-out of each
+  /// inflationary round: rule bodies evaluate in parallel
   /// against the frozen current interpretation and merge in rule order,
   /// so the fixpoint is identical at every thread count. `qe.profile`,
   /// when armed, receives one node per fixpoint round
@@ -73,6 +75,9 @@ struct DatalogStats {
   int iterations = 0;
   bool reached_fixpoint = false;
   std::uint64_t max_bits = 0;
+  /// QE driver calls: one per evaluated rule body, plus one per
+  /// containment test of a nonlinear tuple pair. Linear containment runs
+  /// no QE driver call.
   std::uint64_t qe_calls = 0;
   /// Total tuples presented as per-relation deltas across semi-naive
   /// rounds (0 on the naive path).
@@ -80,6 +85,13 @@ struct DatalogStats {
   /// Rule evaluations skipped outright because every relation the body
   /// mentions had an empty delta (semi-naive only).
   std::uint64_t rules_skipped = 0;
+  /// Candidate-against-tuple containment tests of the merge (the pairs
+  /// after the syntactic duplicate check).
+  std::uint64_t containment_tests = 0;
+  /// Containment tests the bounds could not decide alone: linear pairs
+  /// that needed a Fourier-Motzkin emptiness test of t ∧ ¬a, and
+  /// nonlinear pairs decided by the QE driver.
+  std::uint64_t containment_qe_fallbacks = 0;
 
   /// One-line human-readable rendering.
   std::string ToString() const;

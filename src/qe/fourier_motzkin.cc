@@ -212,4 +212,245 @@ std::vector<GeneralizedTuple> SimplifyTuples(
   return out;
 }
 
+StatusOr<bool> LinearTupleEmpty(const GeneralizedTuple& tuple,
+                                const ResourceGovernor* gov,
+                                ThreadPool* pool) {
+  int max_var = -1;
+  for (const Atom& atom : tuple.atoms) {
+    max_var = std::max(max_var, atom.poly.max_var());
+  }
+  if (max_var < 0) return tuple.TriviallyFalse();
+  std::vector<GeneralizedTuple> rest{tuple};
+  for (int var = max_var; var >= 0 && !rest.empty(); --var) {
+    CCDB_ASSIGN_OR_RETURN(rest, EliminateExistsLinear(rest, var, gov, pool));
+  }
+  return rest.empty();
+}
+
+namespace {
+
+// The key of a linear atom p op 0: p = s*d + c with d the interned
+// primitive form of p's non-constant part, so p op 0 <=> d - b op' 0.
+struct LinearKey {
+  Polynomial direction;
+  Rational bound;
+  RelOp op;
+};
+
+// False for constant and nonlinear atoms.
+bool KeyLinearAtom(const Atom& atom, LinearKey* key) {
+  if (atom.poly.TotalDegree() != 1) return false;
+  Rational constant = atom.poly.constant_value();
+  Rational scale;
+  key->direction =
+      (atom.poly - Polynomial(constant)).IntegerNormalized(&scale).Interned();
+  key->bound = -constant / scale;
+  key->op = scale.sign() < 0 ? FlipOp(atom.op) : atom.op;
+  return true;
+}
+
+}  // namespace
+
+bool LinearBounds::Range::Below(const Rational& v, bool strict) const {
+  return upper.present &&
+         (upper.value < v || (upper.value == v && (upper.strict || !strict)));
+}
+
+bool LinearBounds::Range::Above(const Rational& v, bool strict) const {
+  return lower.present &&
+         (lower.value > v || (lower.value == v && (lower.strict || !strict)));
+}
+
+bool LinearBounds::Range::Excludes(const Rational& v) const {
+  return Below(v, true) || Above(v, true) ||
+         std::find(excluded.begin(), excluded.end(), v) != excluded.end();
+}
+
+LinearBounds::LinearBounds(const GeneralizedTuple& tuple) {
+  // Keeps the tighter of two bounds on one side: the larger lower or the
+  // smaller upper bound, the strict one on a tie.
+  auto tighten = [](Side* side, const Rational& value, bool strict,
+                    bool is_lower) {
+    if (!side->present ||
+        (is_lower ? value > side->value : value < side->value) ||
+        (value == side->value && strict)) {
+      *side = Side{true, value, strict};
+    }
+  };
+  for (const Atom& atom : tuple.atoms) {
+    if (atom.poly.is_constant()) {
+      if (!SignSatisfies(atom.poly.constant_value().sign(), atom.op)) {
+        contradictory_ = true;
+      }
+      continue;
+    }
+    LinearKey key;
+    if (!KeyLinearAtom(atom, &key)) continue;
+    auto range = std::find_if(
+        ranges_.begin(), ranges_.end(),
+        [&key](const Range& r) { return r.direction == key.direction; });
+    if (range == ranges_.end()) {
+      range = ranges_.insert(ranges_.end(), Range{key.direction, {}, {}, {}});
+    }
+    const bool strict = key.op == RelOp::kLt || key.op == RelOp::kGt;
+    switch (key.op) {
+      case RelOp::kLt:
+      case RelOp::kLe:
+        tighten(&range->upper, key.bound, strict, false);
+        break;
+      case RelOp::kGt:
+      case RelOp::kGe:
+        tighten(&range->lower, key.bound, strict, true);
+        break;
+      case RelOp::kEq:
+        tighten(&range->upper, key.bound, false, false);
+        tighten(&range->lower, key.bound, false, true);
+        break;
+      case RelOp::kNeq:
+        range->excluded.push_back(key.bound);
+        break;
+    }
+  }
+  for (const Range& range : ranges_) {
+    // Empty when the upper bound falls below the lower one (a tie with a
+    // strict side included), or the one value left is excluded.
+    const Side& lower = range.lower;
+    if (lower.present && (range.Below(lower.value, !lower.strict) ||
+                          (range.Pinned(lower.value) &&
+                           range.Excludes(lower.value)))) {
+      contradictory_ = true;
+    }
+  }
+}
+
+const LinearBounds::Range* LinearBounds::Find(
+    const Polynomial& direction) const {
+  for (const Range& range : ranges_) {
+    if (range.direction == direction) return &range;
+  }
+  return nullptr;
+}
+
+BoundVerdict LinearBounds::Decide(const Atom& atom) const {
+  if (atom.poly.is_constant()) {
+    return SignSatisfies(atom.poly.constant_value().sign(), atom.op)
+               ? BoundVerdict::kEntailed
+               : BoundVerdict::kDisjoint;
+  }
+  LinearKey key;
+  if (!KeyLinearAtom(atom, &key)) return BoundVerdict::kUnknown;
+  const Range* range = Find(key.direction);
+  if (range == nullptr) return BoundVerdict::kUnknown;
+  const Rational& v = key.bound;
+  bool entailed = false;
+  bool disjoint = false;
+  switch (key.op) {
+    case RelOp::kLt:
+      entailed = range->Below(v, true);
+      disjoint = range->Above(v, false);
+      break;
+    case RelOp::kLe:
+      entailed = range->Below(v, false);
+      disjoint = range->Above(v, true);
+      break;
+    case RelOp::kGt:
+      entailed = range->Above(v, true);
+      disjoint = range->Below(v, false);
+      break;
+    case RelOp::kGe:
+      entailed = range->Above(v, false);
+      disjoint = range->Below(v, true);
+      break;
+    case RelOp::kEq:
+      entailed = range->Pinned(v);
+      disjoint = range->Excludes(v);
+      break;
+    case RelOp::kNeq:
+      entailed = range->Excludes(v);
+      disjoint = range->Pinned(v);
+      break;
+  }
+  if (entailed) return BoundVerdict::kEntailed;
+  return disjoint ? BoundVerdict::kDisjoint : BoundVerdict::kUnknown;
+}
+
+GeneralizedTuple LinearBounds::Tightest() const {
+  GeneralizedTuple out;
+  if (contradictory_) {
+    out.atoms.emplace_back(Polynomial(1), RelOp::kEq);  // 1 = 0
+    return out;
+  }
+  for (const Range& range : ranges_) {
+    auto bound = [&range](const Rational& value, RelOp op) {
+      return Atom(range.direction - Polynomial(value), op);
+    };
+    const Side& lower = range.lower;
+    const Side& upper = range.upper;
+    if (lower.present && range.Pinned(lower.value)) {
+      out.atoms.push_back(bound(lower.value, RelOp::kEq));
+    } else {
+      if (lower.present) {
+        out.atoms.push_back(
+            bound(lower.value, lower.strict ? RelOp::kGt : RelOp::kGe));
+      }
+      if (upper.present) {
+        out.atoms.push_back(
+            bound(upper.value, upper.strict ? RelOp::kLt : RelOp::kLe));
+      }
+    }
+    for (const Rational& value : range.excluded) {
+      if (!range.Below(value, true) && !range.Above(value, true)) {
+        out.atoms.push_back(bound(value, RelOp::kNeq));
+      }
+    }
+  }
+  return out;
+}
+
+LinearContainment::LinearContainment(const GeneralizedTuple& t,
+                                     const ResourceGovernor* gov,
+                                     ThreadPool* pool)
+    : bounds_(t), gov_(gov), pool_(pool) {}
+
+StatusOr<bool> LinearContainment::EmptyWith(const Atom* extra) {
+  if (!tightest_.has_value()) tightest_ = bounds_.Tightest();
+  if (extra == nullptr) return LinearTupleEmpty(*tightest_, gov_, pool_);
+  GeneralizedTuple witness = *tightest_;
+  witness.atoms.push_back(*extra);
+  return LinearTupleEmpty(witness, gov_, pool_);
+}
+
+StatusOr<bool> LinearContainment::Empty() {
+  if (!empty_.has_value()) {
+    CCDB_ASSIGN_OR_RETURN(bool empty, EmptyWith(nullptr));
+    empty_ = empty;
+  }
+  return *empty_;
+}
+
+StatusOr<bool> LinearContainment::In(const GeneralizedTuple& u) {
+  if (bounds_.contradictory() || empty_.value_or(false)) return true;
+  std::vector<const Atom*> open;
+  for (const Atom& atom : u.atoms) {
+    switch (bounds_.Decide(atom)) {
+      case BoundVerdict::kEntailed:
+        break;
+      case BoundVerdict::kDisjoint:
+        // t ∧ atom is empty, so t ⊆ u only when t is.
+        return Empty();
+      case BoundVerdict::kUnknown:
+        open.push_back(&atom);
+        break;
+    }
+  }
+  if (open.empty()) return true;
+  ++eliminations_;
+  for (const Atom* atom : open) {
+    const Atom negated = atom->Negated();
+    CCDB_ASSIGN_OR_RETURN(bool none, EmptyWith(&negated));
+    if (!none) return false;
+  }
+  return true;
+}
+
 }  // namespace ccdb

@@ -219,5 +219,52 @@ TEST(GovernorIntegrationTest, GovernedDatalogFixpointStops) {
   EXPECT_TRUE(gov.exhausted());
 }
 
+TEST(GovernorIntegrationTest, BoundedChainTripsInTheDatalogStage) {
+  // A bounded chain of diameter 48: the fixpoint exists, but reaching it
+  // takes 49 rounds whose merges test every derived tuple against the
+  // growing closure. A small step budget must stop it inside the fixpoint's
+  // own loops, and the verdict must name a datalog stage.
+  DatalogProgram program;
+  program.idb_arities["Reach"] = 2;
+  {
+    DatalogRule rule;
+    rule.head = "Reach";
+    rule.head_vars = {0, 1};
+    rule.body.push_back(DatalogLiteral::Rel("Edge", {0, 1}));
+    program.rules.push_back(rule);
+  }
+  {
+    DatalogRule rule;
+    rule.head = "Reach";
+    rule.head_vars = {0, 1};
+    rule.body.push_back(DatalogLiteral::Rel("Reach", {0, 2}));
+    rule.body.push_back(DatalogLiteral::Rel("Edge", {2, 1}));
+    program.rules.push_back(rule);
+  }
+  constexpr int kDiameter = 48;
+  ConstraintRelation edge(2);
+  GeneralizedTuple t;
+  t.atoms.emplace_back(
+      Polynomial::Var(1) - Polynomial::Var(0) - Polynomial(1), RelOp::kEq);
+  t.atoms.emplace_back(-Polynomial::Var(0), RelOp::kLe);
+  t.atoms.emplace_back(Polynomial::Var(0) - Polynomial(kDiameter - 1),
+                       RelOp::kLe);
+  edge.AddTuple(std::move(t));
+  std::map<std::string, ConstraintRelation> edb;
+  edb.emplace("Edge", std::move(edge));
+
+  ResourceGovernor gov(ResourceLimits::Steps(200));
+  DatalogOptions options;
+  options.max_iterations = kDiameter + 8;
+  options.qe.governor = &gov;
+  DatalogStats stats;
+  auto result = EvaluateDatalog(program, edb, options, &stats);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(gov.tripped_stage().rfind("datalog.", 0), 0u)
+      << "tripped in " << gov.tripped_stage();
+  EXPECT_LT(stats.iterations, kDiameter + 1);
+}
+
 }  // namespace
 }  // namespace ccdb
