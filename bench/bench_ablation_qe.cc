@@ -137,6 +137,13 @@ int main(int argc, char** argv) {
       bool ok = false;
       std::optional<double> t = RunQe(query, 1, options, &stats, &ok);
       ccdb_bench::RecordCell(thom ? "C/thom_on" : "C/thom_off", t);
+      // Only the retry on the derivative-closed CAD separates 2 + sqrt2
+      // from its conjugate, so the query is solved exactly when Thom
+      // augmentation is on. An exhausted cell (deadline) proves nothing.
+      if (t.has_value()) {
+        CCDB_CHECK_MSG(ok == thom && stats.used_thom_augmentation == thom,
+                       "workload C is solved iff Thom augmentation is on");
+      }
       ccdb_bench::Row("%-28s %12s %10s %8s",
                       thom ? "Thom augmentation ON" : "Thom augmentation OFF",
                       ccdb_bench::TableCell(t).c_str(),
@@ -150,5 +157,6 @@ int main(int argc, char** argv) {
       "expected shape: each switch carries its workload — FM beats CAD on "
       "linear data, substitution avoids a 3-var CAD entirely, and the "
       "asymmetric-root query is UNSOLVABLE without Thom augmentation");
+  ccdb_bench::WriteRunRecord("ablation_qe");
   return 0;
 }

@@ -89,20 +89,6 @@ AggregateValue EndpointValue(const AlgebraicNumber& endpoint,
   return ApproxValue(endpoint.Approximate(eps).ToDouble(), tolerance);
 }
 
-bool CellSatisfies(const CadCell& cell, const ConstraintRelation& relation) {
-  for (const GeneralizedTuple& tuple : relation.tuples()) {
-    bool all = true;
-    for (const Atom& atom : tuple.atoms) {
-      if (!SignSatisfies(cell.sample.SignAt(atom.poly), atom.op)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-  }
-  return false;
-}
-
 // Substitutes variable 0 := x0 in a binary relation, producing a unary
 // relation over the remaining variable (renamed to 0).
 ConstraintRelation SubstituteFirstVar(const ConstraintRelation& relation,
@@ -305,7 +291,7 @@ StatusOr<AggregateValue> AggregateModules::Surface(
     std::vector<bool> satisfied(stack.size(), false);
     bool any_positive = false;
     for (std::size_t c = 0; c < stack.size(); ++c) {
-      satisfied[c] = CellSatisfies(stack[c], relation);
+      satisfied[c] = stack[c].sample.Satisfies(relation.tuples());
       if (satisfied[c] && c % 2 == 0) any_positive = true;  // y-sector
     }
     if (!base_is_sector) continue;  // x-section: zero width
@@ -426,7 +412,9 @@ StatusOr<AggregateValue> AggregateModules::Volume(
     std::function<void(const CadCell&)> scan = [&](const CadCell& cell) {
       if (cell.dimension() == 3) {
         bool sector_volume = cell.index[1] % 2 == 1 && cell.index[2] % 2 == 1;
-        if (sector_volume && CellSatisfies(cell, relation)) any = true;
+        if (sector_volume && cell.sample.Satisfies(relation.tuples())) {
+          any = true;
+        }
         return;
       }
       for (const CadCell& child : cell.children) scan(child);
@@ -539,109 +527,43 @@ StatusOr<ConstraintRelation> AggregateModules::ApplyParameterized(
   }
 
   // CAD of the parameter space (the paper's "Construct a CAD C on the
-  // constraint relation {t_x | t ∈ r}"), with a Thom retry when plain
-  // sign vectors cannot distinguish cells carrying different values.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    CadOptions cad_options;
-    cad_options.derivative_closure_below = attempt == 0 ? 0 : num_params;
-    cad_options.governor = governor_;
-    CCDB_ASSIGN_OR_RETURN(Cad cad,
-                          Cad::Build(x_polys, num_params, cad_options));
-    std::vector<Polynomial> factors = cad.FactorsBelow(num_params);
-
-    struct CellResult {
-      std::vector<int> signs;
-      bool defined = false;
-      Rational value;
-    };
-    std::vector<CellResult> results;
-    Status inner_error = Status::Ok();
-    cad.ForEachCellAtDimension(num_params, [&](const CadCell& cell) {
-      if (!inner_error.ok()) return;
-      CellResult result;
-      result.signs.reserve(factors.size());
-      for (const Polynomial& f : factors) {
-        result.signs.push_back(cell.sample.SignAt(f));
-      }
-      // Active tuples: those whose x-part holds on this cell.
-      ConstraintRelation slice_union(agg_arity);
-      bool any_active = false;
-      for (const SplitTuple& st : split) {
-        bool active = true;
-        for (const Atom& atom : st.x_part.atoms) {
-          if (!SignSatisfies(cell.sample.SignAt(atom.poly), atom.op)) {
-            active = false;
-            break;
-          }
-        }
-        if (active) {
-          any_active = true;
-          slice_union.AddTuple(st.y_part);
-        }
-      }
-      if (any_active) {
-        auto value = ApplyNumeric(kind, slice_union);
-        if (value.ok()) {
-          result.defined = true;
-          result.value = value->exact
-                             ? value->exact_value
-                             : FloatK::FromDouble(value->approx_value)
-                                   .ToRational();
-        } else if (value.status().code() != StatusCode::kUndefined) {
-          inner_error = value.status();
-        }
-      }
-      results.push_back(std::move(result));
-    });
-    CCDB_RETURN_IF_ERROR(inner_error);
-
-    // Sign-vector discrimination: a vector shared by cells with different
-    // outcomes needs the Thom retry.
-    bool collision = false;
-    for (std::size_t i = 0; i < results.size() && !collision; ++i) {
-      for (std::size_t j = i + 1; j < results.size(); ++j) {
-        if (results[i].signs != results[j].signs) continue;
-        if (results[i].defined != results[j].defined ||
-            (results[i].defined && results[i].value != results[j].value)) {
-          collision = true;
-          break;
-        }
-      }
+  // constraint relation {t_x | t ∈ r}"), one module call per cell on the
+  // union of the active t_y parts. A cell's label is its value atom
+  // z = value; cells where the aggregate is undefined are dropped. Labels
+  // are computed on this thread: call_count_ is a plain counter.
+  SolutionFormulaSpec spec;
+  spec.polys = std::move(x_polys);
+  spec.num_vars = num_params;
+  spec.num_free = num_params;
+  spec.cad.governor = governor_;
+  spec.label = [&](const CadCell& cell) -> StatusOr<CellLabel> {
+    ConstraintRelation slice_union(agg_arity);
+    bool any_active = false;
+    for (const SplitTuple& st : split) {
+      if (!cell.sample.Satisfies({&st.x_part, 1})) continue;
+      any_active = true;
+      slice_union.AddTuple(st.y_part);
     }
-    if (collision) {
-      if (attempt == 0) continue;
-      return Status::Internal(
-          "parameterized aggregate: cells with different values share a "
-          "sign vector even after Thom augmentation");
+    if (!any_active) return CellLabel();
+    StatusOr<AggregateValue> value = ApplyNumeric(kind, slice_union);
+    if (!value.ok()) {
+      if (value.status().code() == StatusCode::kUndefined) return CellLabel();
+      return value.status();
     }
-
-    ConstraintRelation out(num_params + 1);
-    std::vector<std::vector<int>> emitted;
-    for (const CellResult& result : results) {
-      if (!result.defined) continue;
-      bool seen = false;
-      for (const auto& signs : emitted) {
-        if (signs == result.signs) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) continue;
-      emitted.push_back(result.signs);
-      GeneralizedTuple tuple;
-      for (std::size_t i = 0; i < factors.size(); ++i) {
-        RelOp op = result.signs[i] < 0
-                       ? RelOp::kLt
-                       : (result.signs[i] > 0 ? RelOp::kGt : RelOp::kEq);
-        tuple.atoms.emplace_back(factors[i], op);
-      }
-      tuple.atoms.emplace_back(
-          Polynomial::Var(num_params) - Polynomial(result.value), RelOp::kEq);
-      out.AddTuple(std::move(tuple));
-    }
-    return out;
+    Rational exact = value->exact
+                         ? value->exact_value
+                         : FloatK::FromDouble(value->approx_value).ToRational();
+    return CellLabel(std::vector<Atom>{Atom(
+        Polynomial::Var(num_params) - Polynomial(exact), RelOp::kEq)});
+  };
+  CCDB_ASSIGN_OR_RETURN(SolutionFormula formula, BuildSolutionFormula(spec));
+  ConstraintRelation out(num_params + 1);
+  for (const SolutionFormula::Row& row : formula.rows) {
+    GeneralizedTuple tuple = SignConditions(formula.factors, row.signs);
+    tuple.atoms.insert(tuple.atoms.end(), row.label.begin(), row.label.end());
+    out.AddTuple(std::move(tuple));
   }
-  return Status::Internal("unreachable: parameterized aggregate attempts");
+  return out;
 }
 
 StatusOr<AggregateValue> AggregateModules::ApplyNumeric(

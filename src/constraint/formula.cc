@@ -408,6 +408,20 @@ std::uint64_t Formula::id() const { return node_->id; }
 
 const std::set<int>& Formula::FreeVars() const { return node_->free_vars; }
 
+Formula TuplesToFormula(std::span<const GeneralizedTuple> tuples) {
+  std::vector<Formula> disjuncts;
+  disjuncts.reserve(tuples.size());
+  for (const GeneralizedTuple& tuple : tuples) {
+    std::vector<Formula> conjuncts;
+    conjuncts.reserve(tuple.atoms.size());
+    for (const Atom& atom : tuple.atoms) {
+      conjuncts.push_back(Formula::MakeAtom(atom));
+    }
+    disjuncts.push_back(Formula::And(conjuncts));
+  }
+  return Formula::Or(disjuncts);
+}
+
 Formula RelationToFormula(const ConstraintRelation& relation,
                           const std::vector<int>& column_vars) {
   CCDB_CHECK(static_cast<int>(column_vars.size()) == relation.arity());

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,11 @@ QeNormalForm NormalizeForQe(const Formula& f, int num_free_vars);
 /// tuples come out canonical (GeneralizedTuple::Canonicalize would not
 /// change them) and no disjunct is trivially false.
 std::vector<GeneralizedTuple> ToDnf(const Formula& f);
+
+/// The disjunction of the tuples, each the conjunction of its atoms, over
+/// the tuples' own variables. A single tuple yields its conjunction and a
+/// single atom the atom itself (And/Or of one child is that child).
+Formula TuplesToFormula(std::span<const GeneralizedTuple> tuples);
 
 /// Builds the formula of a constraint relation body (the disjunction of its
 /// generalized tuples), with relation columns already mapped to the given

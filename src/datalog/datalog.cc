@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 
 #include "base/failpoint.h"
 #include "base/logging.h"
-#include "base/memo.h"
 #include "base/metrics.h"
 #include "base/profile.h"
 #include "base/thread_pool.h"
@@ -172,12 +169,8 @@ StatusOr<Formula> RuleToDeltaFormula(
 StatusOr<bool> TupleInTuple(const GeneralizedTuple& t,
                             const GeneralizedTuple& u, int arity,
                             const QeOptions& qe, std::uint64_t* qe_calls) {
-  std::vector<Formula> t_atoms;
-  for (const Atom& atom : t.atoms) t_atoms.push_back(Formula::MakeAtom(atom));
-  std::vector<Formula> u_atoms;
-  for (const Atom& atom : u.atoms) u_atoms.push_back(Formula::MakeAtom(atom));
-  Formula witness =
-      Formula::And(Formula::And(t_atoms), Formula::Not(Formula::And(u_atoms)));
+  Formula witness = Formula::And(TuplesToFormula({&t, 1}),
+                                 Formula::Not(TuplesToFormula({&u, 1})));
   for (int v = arity; v-- > 0;) {
     witness = Formula::Exists(v, std::move(witness));
   }
@@ -281,22 +274,6 @@ Status RunFixpoint(const DatalogProgram& program,
   ProfileSink* profile = options.qe.profile;
   QeOptions rule_qe = options.qe;
   rule_qe.profile = nullptr;
-
-  // Per-run rule-body memo: once the relations a rule depends on stop
-  // changing, its instantiated body hash-conses to the same interned
-  // formula, and the QE result of the previous round can be replayed
-  // verbatim. Keyed on the interned formula id; the stored Formula pins
-  // the id alive. Pure memo (same contract as the QE cache), so it is
-  // skipped under an armed governor to keep budget charging exact.
-  struct BodyMemo {
-    Formula formula;
-    ConstraintRelation rel;
-    QeStats qe_stats;
-  };
-  std::mutex body_cache_mu;
-  std::unordered_map<std::uint64_t, BodyMemo> body_cache;
-  const bool use_body_cache =
-      gov == nullptr && MemoCachesEnabled();
 
   auto find_relation = [&edb, idb](
                            const std::string& name) -> const ConstraintRelation* {
@@ -419,16 +396,6 @@ Status RunFixpoint(const DatalogProgram& program,
               }
               CCDB_ASSIGN_OR_RETURN(Formula instantiated,
                                     body.InstantiateRelations(lookup));
-              if (use_body_cache) {
-                std::lock_guard<std::mutex> lock(body_cache_mu);
-                auto it = body_cache.find(instantiated.id());
-                if (it != body_cache.end()) {
-                  CCDB_METRIC_COUNT("datalog_body_cache_hits", 1);
-                  slot.rel = it->second.rel;
-                  slot.qe_stats = it->second.qe_stats;
-                  return slot;
-                }
-              }
               const auto rule_start = std::chrono::steady_clock::now();
               CCDB_ASSIGN_OR_RETURN(
                   slot.rel,
@@ -436,13 +403,6 @@ Status RunFixpoint(const DatalogProgram& program,
                                        static_cast<int>(rule.head_vars.size()),
                                        rule_qe, &slot.qe_stats));
               slot.us = ElapsedUs(rule_start);
-              if (use_body_cache) {
-                CCDB_METRIC_COUNT("datalog_body_cache_misses", 1);
-                std::lock_guard<std::mutex> lock(body_cache_mu);
-                body_cache.emplace(
-                    instantiated.id(),
-                    BodyMemo{instantiated, slot.rel, slot.qe_stats});
-              }
               return slot;
             }));
     if (profile != nullptr) {

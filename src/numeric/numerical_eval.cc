@@ -10,20 +10,6 @@ namespace ccdb {
 
 namespace {
 
-bool CellSatisfies(const CadCell& cell, const ConstraintRelation& relation) {
-  for (const GeneralizedTuple& tuple : relation.tuples()) {
-    bool all = true;
-    for (const Atom& atom : tuple.atoms) {
-      if (!SignSatisfies(cell.sample.SignAt(atom.poly), atom.op)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-  }
-  return false;
-}
-
 bool IsZeroDimensional(const CadCell& cell) {
   for (std::size_t level = 0; level < cell.index.size(); ++level) {
     if (cell.index[level] % 2 == 1) return false;  // sector somewhere
@@ -56,7 +42,7 @@ StatusOr<NumericalEvaluation> EvaluateNumerically(
   bool finite = true;
   std::vector<AlgebraicPoint> points;
   cad.ForEachCellAtDimension(relation.arity(), [&](const CadCell& cell) {
-    if (!CellSatisfies(cell, relation)) return;
+    if (!cell.sample.Satisfies(relation.tuples())) return;
     if (!IsZeroDimensional(cell)) {
       finite = false;
       return;
@@ -101,7 +87,7 @@ StatusOr<UnaryDecomposition> DecomposeUnary(
                                    cad_options));
   const std::vector<CadCell>& cells = cad.roots();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!CellSatisfies(cells[i], relation)) continue;
+    if (!cells[i].sample.Satisfies(relation.tuples())) continue;
     UnaryDecomposition::Piece piece;
     if (cells[i].index[0] % 2 == 0) {
       piece.is_point = true;

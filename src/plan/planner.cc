@@ -91,17 +91,7 @@ struct ExecResult {
 
 Formula BlockToFormula(const std::vector<GeneralizedTuple>& tuples,
                        const std::vector<PrenexBlock>& prefix) {
-  std::vector<Formula> disjuncts;
-  disjuncts.reserve(tuples.size());
-  for (const GeneralizedTuple& tuple : tuples) {
-    std::vector<Formula> conjuncts;
-    conjuncts.reserve(tuple.atoms.size());
-    for (const Atom& atom : tuple.atoms) {
-      conjuncts.push_back(Formula::MakeAtom(atom));
-    }
-    disjuncts.push_back(Formula::And(conjuncts));
-  }
-  Formula f = Formula::Or(disjuncts);
+  Formula f = TuplesToFormula(tuples);
   for (auto block = prefix.rbegin(); block != prefix.rend(); ++block) {
     f = Formula::Exists(block->var, std::move(f));
   }

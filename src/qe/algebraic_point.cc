@@ -269,6 +269,26 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
   return roots;
 }
 
+bool AlgebraicPoint::Satisfies(std::span<const GeneralizedTuple> tuples) const {
+  // Keyed by the tuples' own polynomials, which outlive the call.
+  std::vector<std::pair<const Polynomial*, int>> signs;
+  auto sign_of = [&](const Polynomial& p) {
+    for (const auto& [q, sign] : signs) {
+      if (*q == p) return sign;
+    }
+    signs.emplace_back(&p, SignAt(p));
+    return signs.back().second;
+  };
+  return std::any_of(tuples.begin(), tuples.end(),
+                     [&](const GeneralizedTuple& tuple) {
+                       return std::all_of(
+                           tuple.atoms.begin(), tuple.atoms.end(),
+                           [&](const Atom& atom) {
+                             return SignSatisfies(sign_of(atom.poly), atom.op);
+                           });
+                     });
+}
+
 std::vector<Rational> AlgebraicPoint::Approximate(
     const Rational& epsilon) const {
   std::vector<Rational> out;

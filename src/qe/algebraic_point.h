@@ -1,10 +1,12 @@
 #ifndef CCDB_QE_ALGEBRAIC_POINT_H_
 #define CCDB_QE_ALGEBRAIC_POINT_H_
 
+#include <span>
 #include <vector>
 
 #include "base/resource.h"
 #include "base/status.h"
+#include "constraint/atom.h"
 #include "poly/algebraic_number.h"
 #include "poly/polynomial.h"
 
@@ -48,6 +50,13 @@ class AlgebraicPoint {
 
   /// Exact sign of p at this point. p may mention variables 0..dim-1 only.
   int SignAt(const Polynomial& p) const;
+
+  /// Truth of the DNF `tuples` (a disjunction of conjunctions) at this
+  /// point: the sample-point test of every CAD consumer. Tuples and atoms
+  /// are walked in order and the walk stops at the first true tuple or
+  /// false atom; each distinct polynomial's SignAt runs at most once per
+  /// call, on its first visit.
+  bool Satisfies(std::span<const GeneralizedTuple> tuples) const;
 
   /// Exact value of p at this point as an algebraic number.
   AlgebraicNumber ValueAt(const Polynomial& p) const;

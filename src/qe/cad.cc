@@ -1,6 +1,7 @@
 #include "qe/cad.h"
 
 #include <algorithm>
+#include <map>
 
 #include "base/failpoint.h"
 #include "base/logging.h"
@@ -313,6 +314,80 @@ std::size_t Cad::CountAllCells() const {
   };
   for (const CadCell& cell : roots_) walk(cell);
   return count;
+}
+
+StatusOr<SolutionFormula> BuildSolutionFormula(
+    const SolutionFormulaSpec& spec) {
+  CCDB_CHECK(spec.num_free >= 1 && spec.num_free <= spec.num_vars);
+  struct LabeledCell {
+    std::vector<int> signs;
+    CellLabel label;
+  };
+  // A one-runner pool runs ParallelMap as the plain loop on the caller.
+  static ThreadPool calling_thread(1);
+  ThreadPool* label_pool =
+      spec.label_pool != nullptr ? spec.label_pool : &calling_thread;
+  const int attempts = spec.allow_thom_retry ? 2 : 1;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    if (spec.before_attempt) CCDB_RETURN_IF_ERROR(spec.before_attempt(attempt));
+    CadOptions cad_options = spec.cad;
+    cad_options.derivative_closure_below = attempt == 0 ? 0 : spec.num_free;
+    CCDB_ASSIGN_OR_RETURN(Cad cad,
+                          Cad::Build(spec.polys, spec.num_vars, cad_options));
+    if (spec.on_cad) spec.on_cad(cad);
+
+    SolutionFormula formula;
+    formula.factors = cad.FactorsBelow(spec.num_free);
+    std::vector<const CadCell*> cells;
+    cad.ForEachCellAtDimension(spec.num_free, [&cells](const CadCell& cell) {
+      cells.push_back(&cell);
+    });
+    CCDB_ASSIGN_OR_RETURN(
+        std::vector<LabeledCell> labeled,
+        label_pool->ParallelMap<LabeledCell>(
+            cells.size(), [&](std::size_t i) -> StatusOr<LabeledCell> {
+              LabeledCell out;
+              out.signs.reserve(formula.factors.size());
+              for (const Polynomial& f : formula.factors) {
+                out.signs.push_back(cells[i]->sample.SignAt(f));
+              }
+              CCDB_ASSIGN_OR_RETURN(out.label, spec.label(*cells[i]));
+              return out;
+            }));
+
+    // The first verdict per sign vector; a later different one collides.
+    std::map<std::vector<int>, const CellLabel*> first;
+    bool collision = false;
+    for (const LabeledCell& cell : labeled) {
+      auto [it, inserted] = first.emplace(cell.signs, &cell.label);
+      if (!inserted && *it->second != cell.label) {
+        collision = true;
+        break;
+      }
+      if (inserted && cell.label.has_value()) {
+        formula.rows.push_back({cell.signs, *cell.label});
+      }
+    }
+    if (!collision) return formula;
+  }
+  return Status::Internal(
+      std::string("solution formula construction failed: cells with "
+                  "different verdicts share a sign vector on ") +
+      (spec.allow_thom_retry
+           ? "both the plain and the Thom-augmented CAD"
+           : "the plain CAD (Thom augmentation not allowed, no retry ran)"));
+}
+
+GeneralizedTuple SignConditions(const std::vector<Polynomial>& factors,
+                                const std::vector<int>& signs) {
+  GeneralizedTuple tuple;
+  for (std::size_t i = 0; i < factors.size(); ++i) {
+    RelOp op = signs[i] < 0 ? RelOp::kLt
+               : signs[i] > 0 ? RelOp::kGt
+                              : RelOp::kEq;
+    tuple.atoms.emplace_back(factors[i], op);
+  }
+  return tuple;
 }
 
 }  // namespace ccdb

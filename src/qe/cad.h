@@ -2,6 +2,7 @@
 #define CCDB_QE_CAD_H_
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "base/resource.h"
@@ -33,7 +34,7 @@ struct CadCell {
 struct CadOptions {
   /// Levels [0, derivative_closure_below) have their projection factor sets
   /// closed under main-variable derivatives before the base/lifting phases.
-  /// Used by solution-formula construction (Thom-style cell discrimination).
+  /// Set by BuildSolutionFormula's retry (Thom-style cell discrimination).
   int derivative_closure_below = 0;
   /// Resource budget charged per projection factor, per isolated root, and
   /// per lifted cell — the loops where the doubly exponential blowup
@@ -93,6 +94,59 @@ class Cad {
   std::vector<std::vector<Polynomial>> factors_;  // per level
   std::vector<CadCell> roots_;
 };
+
+/// A solution-formula labeler's verdict on one cell: std::nullopt drops the
+/// cell; a value keeps it, carrying the atoms the cell adds to its sign
+/// conditions (none for quantifier elimination; `z = value` for a
+/// parameterized aggregate).
+using CellLabel = std::optional<std::vector<Atom>>;
+
+/// What BuildSolutionFormula decomposes and how it labels the cells.
+struct SolutionFormulaSpec {
+  std::vector<Polynomial> polys;
+  int num_vars = 0;
+  /// The free (parameter) variables 0..num_free-1; num_free >= 1. Cells of
+  /// dimension num_free are labeled and described by their sign vectors
+  /// over Cad::FactorsBelow(num_free).
+  int num_free = 0;
+  /// Governor and lifting pool of every CAD built.
+  CadOptions cad;
+  /// Whether a sign-vector collision may be retried once on a CAD whose
+  /// free-space factors are closed under derivatives (Thom's lemma).
+  bool allow_thom_retry = true;
+  /// Cells are labeled across this pool; null labels them on the calling
+  /// thread in cell order (a labeler that is not thread-safe).
+  ThreadPool* label_pool = nullptr;
+  std::function<StatusOr<CellLabel>(const CadCell&)> label;
+  /// Optional observers: called with the attempt number (0, then 1 for the
+  /// retry) before each CAD is built, and with each CAD once built.
+  std::function<Status(int attempt)> before_attempt;
+  std::function<void(const Cad&)> on_cad;
+};
+
+/// A solution formula (paper, Appendix I; Section 5 step 4): one row per
+/// distinct sign vector of a kept cell, in first-occurrence cell order.
+/// The CAD that answered is the last one passed to spec.on_cad.
+struct SolutionFormula {
+  struct Row {
+    std::vector<int> signs;  // over `factors`
+    std::vector<Atom> label;
+  };
+  std::vector<Polynomial> factors;  // Cad::FactorsBelow(num_free)
+  std::vector<Row> rows;
+};
+
+/// Builds a CAD of spec.polys, labels every cell of dimension num_free and
+/// collects the rows. Two cells with one sign vector but different verdicts
+/// (kept with different labels, or kept and dropped) are a collision: the
+/// rows could not describe the answer. A collision is retried once on the
+/// derivative-closed CAD when allowed, else fails with kInternal.
+StatusOr<SolutionFormula> BuildSolutionFormula(const SolutionFormulaSpec& spec);
+
+/// The sign conditions `factors[i] signs[i] 0` (one sign-to-operator map
+/// for every solution formula).
+GeneralizedTuple SignConditions(const std::vector<Polynomial>& factors,
+                                const std::vector<int>& signs);
 
 /// Returns a rational number strictly between two algebraic numbers a < b
 /// (refining their isolating intervals as needed).

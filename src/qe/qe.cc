@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <sstream>
 
 #include "base/failpoint.h"
@@ -20,18 +21,6 @@
 namespace ccdb {
 
 namespace {
-
-Formula TuplesToFormula(const std::vector<GeneralizedTuple>& tuples) {
-  std::vector<Formula> disjuncts;
-  for (const GeneralizedTuple& tuple : tuples) {
-    std::vector<Formula> conjuncts;
-    for (const Atom& atom : tuple.atoms) {
-      conjuncts.push_back(Formula::MakeAtom(atom));
-    }
-    disjuncts.push_back(Formula::And(conjuncts));
-  }
-  return Formula::Or(disjuncts);
-}
 
 std::vector<GeneralizedTuple> NegateTuples(
     const std::vector<GeneralizedTuple>& tuples) {
@@ -54,36 +43,6 @@ std::vector<Polynomial> CollectDistinctPolys(
     }
   }
   return polys;
-}
-
-// Truth of a DNF matrix given precomputed polynomial signs.
-bool MatrixTruth(const std::vector<GeneralizedTuple>& tuples,
-                 const std::vector<Polynomial>& polys,
-                 const std::vector<int>& signs) {
-  auto sign_of = [&](const Polynomial& p) {
-    for (std::size_t i = 0; i < polys.size(); ++i) {
-      if (polys[i] == p) return signs[i];
-    }
-    CCDB_CHECK_MSG(false, "polynomial missing from sign table");
-    return 0;
-  };
-  for (const GeneralizedTuple& tuple : tuples) {
-    bool all = true;
-    for (const Atom& atom : tuple.atoms) {
-      if (!SignSatisfies(sign_of(atom.poly), atom.op)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-  }
-  return false;
-}
-
-RelOp OpForSign(int sign) {
-  if (sign < 0) return RelOp::kLt;
-  if (sign > 0) return RelOp::kGt;
-  return RelOp::kEq;
 }
 
 // Virtual substitution for defining equations: when EVERY tuple either
@@ -139,107 +98,6 @@ bool TrySubstituteInnermostExists(std::vector<GeneralizedTuple>* tuples,
   }
   *tuples = std::move(rewritten);
   return true;
-}
-
-struct CadEvalResult {
-  // Sign vectors (over the free-space factor set) of true / false
-  // free-space cells.
-  std::vector<std::vector<int>> true_vectors;
-  std::vector<std::vector<int>> false_vectors;
-  bool sentence_truth = false;  // when num_free_vars == 0
-};
-
-// Evaluates the quantifier prefix over a built CAD. prefix[i] quantifies
-// variable num_free + i. Free-space cells are evaluated across `pool`:
-// each cell's subtree is disjoint (sample coordinates are owned per cell,
-// so lazy interval refinement never crosses threads) and the verdicts are
-// merged in stack order, keeping the result thread-count independent.
-StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
-                                    const std::vector<PrenexBlock>& prefix,
-                                    int num_free,
-                                    const std::vector<GeneralizedTuple>& matrix,
-                                    const std::vector<Polynomial>& matrix_polys,
-                                    ThreadPool* pool) {
-  int n = cad.num_vars();
-  // Recursive truth of a cell.
-  std::function<bool(const CadCell&)> truth = [&](const CadCell& cell) -> bool {
-    int dim = cell.dimension();
-    if (dim == n) {
-      std::vector<int> signs;
-      signs.reserve(matrix_polys.size());
-      for (const Polynomial& p : matrix_polys) {
-        signs.push_back(cell.sample.SignAt(p));
-      }
-      return MatrixTruth(matrix, matrix_polys, signs);
-    }
-    // Children live at variable index `dim`; its quantifier:
-    CCDB_CHECK(dim >= num_free);
-    const PrenexBlock& block = prefix[dim - num_free];
-    if (block.is_exists) {
-      for (const CadCell& child : cell.children) {
-        if (truth(child)) return true;
-      }
-      return false;
-    }
-    for (const CadCell& child : cell.children) {
-      if (!truth(child)) return false;
-    }
-    return true;
-  };
-
-  CadEvalResult result;
-  if (num_free == 0) {
-    // Sentence: combine the base stack with the first quantifier.
-    CCDB_CHECK(!prefix.empty());
-    if (prefix[0].is_exists) {
-      result.sentence_truth = false;
-      for (const CadCell& cell : cad.roots()) {
-        if (truth(cell)) {
-          result.sentence_truth = true;
-          break;
-        }
-      }
-    } else {
-      result.sentence_truth = true;
-      for (const CadCell& cell : cad.roots()) {
-        if (!truth(cell)) {
-          result.sentence_truth = false;
-          break;
-        }
-      }
-    }
-    return result;
-  }
-
-  std::vector<Polynomial> free_factors = cad.FactorsBelow(num_free);
-  std::vector<const CadCell*> free_cells;
-  cad.ForEachCellAtDimension(
-      num_free, [&free_cells](const CadCell& cell) { free_cells.push_back(&cell); });
-  struct CellVerdict {
-    std::vector<int> vector;
-    bool truth = false;
-  };
-  CCDB_ASSIGN_OR_RETURN(
-      std::vector<CellVerdict> verdicts,
-      ThreadPool::Resolve(pool)->ParallelMap<CellVerdict>(
-          free_cells.size(), [&](std::size_t i) -> StatusOr<CellVerdict> {
-            const CadCell& cell = *free_cells[i];
-            CellVerdict verdict;
-            verdict.vector.reserve(free_factors.size());
-            for (const Polynomial& p : free_factors) {
-              verdict.vector.push_back(cell.sample.SignAt(p));
-            }
-            verdict.truth = truth(cell);
-            return verdict;
-          }));
-  for (CellVerdict& verdict : verdicts) {
-    if (verdict.truth) {
-      result.true_vectors.push_back(std::move(verdict.vector));
-    } else {
-      result.false_vectors.push_back(std::move(verdict.vector));
-    }
-  }
-  return result;
 }
 
 // Folds a public call's QeStats into the global metrics registry on every
@@ -388,19 +246,20 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
   const ResourceGovernor* gov = options.governor;
   const int n = num_free_vars + static_cast<int>(prefix.size());
   std::vector<Polynomial> matrix_polys = CollectDistinctPolys(tuples);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    CCDB_CHECK_BUDGET(gov, "qe.drive");
-    CadOptions cad_options;
-    cad_options.derivative_closure_below = attempt == 0 ? 0 : num_free_vars;
-    cad_options.governor = gov;
-    cad_options.pool = options.pool;
-    if (attempt == 1) {
-      stats->used_thom_augmentation = true;
-      CCDB_LOG(INFO) << "QE: retrying CAD with Thom-derivative augmentation "
-                        "(plain sign vectors could not separate cells)";
-    }
-    CCDB_ASSIGN_OR_RETURN(Cad cad,
-                          Cad::Build(matrix_polys, n, cad_options));
+  // Truth of a cell under the quantifier prefix: prefix[i] quantifies
+  // variable num_free_vars + i, and full-dimensional cells test the matrix.
+  std::function<bool(const CadCell&)> truth = [&](const CadCell& cell) {
+    int dim = cell.dimension();
+    if (dim == n) return cell.sample.Satisfies(tuples);
+    CCDB_CHECK(dim >= num_free_vars);
+    const std::vector<CadCell>& kids = cell.children;
+    return prefix[dim - num_free_vars].is_exists
+               ? std::any_of(kids.begin(), kids.end(), std::cref(truth))
+               : std::all_of(kids.begin(), kids.end(), std::cref(truth));
+  };
+  // Every CAD built is counted; the stats describe the last one, which is
+  // the one that answered.
+  auto count_cad = [&](const Cad& cad) {
     stats->cad_cells = cad.CountAllCells();
     stats->projection_factors = 0;
     for (int level = 0; level < n; ++level) {
@@ -412,64 +271,63 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
     }
     CCDB_METRIC_COUNT("qe.cad.cells", stats->cad_cells);
     CCDB_METRIC_COUNT("qe.cad.projection_factors", stats->projection_factors);
+  };
 
-    CCDB_ASSIGN_OR_RETURN(
-        CadEvalResult eval,
-        EvaluateCad(cad, prefix, num_free_vars, tuples, matrix_polys,
-                    options.pool));
-
-    if (num_free_vars == 0) {
-      std::vector<GeneralizedTuple> out;
-      if (eval.sentence_truth) out.push_back(GeneralizedTuple());
-      return out;
-    }
-
-    // Solution formula construction: distinct sign vectors of true cells,
-    // valid when no false cell shares a vector with a true cell.
-    bool collision = false;
-    for (const auto& tv : eval.true_vectors) {
-      for (const auto& fv : eval.false_vectors) {
-        if (tv == fv) {
-          collision = true;
-          break;
-        }
-      }
-      if (collision) break;
-    }
-    if (collision) {
-      if (attempt == 0 && options.allow_thom_augmentation) continue;
-      return Status::Internal(
-          "solution formula construction failed: a true and a false cell "
-          "share a sign vector even after Thom augmentation");
-    }
-
-    std::vector<Polynomial> free_factors = cad.FactorsBelow(num_free_vars);
-    std::vector<std::vector<int>> distinct_vectors;
-    for (const auto& tv : eval.true_vectors) {
-      bool seen = false;
-      for (const auto& existing : distinct_vectors) {
-        if (existing == tv) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) distinct_vectors.push_back(tv);
-    }
+  if (num_free_vars == 0) {
+    // Sentence: combine the base stack with the first quantifier.
+    CCDB_CHECK_BUDGET(gov, "qe.drive");
+    CadOptions cad_options;
+    cad_options.governor = gov;
+    cad_options.pool = options.pool;
+    CCDB_ASSIGN_OR_RETURN(Cad cad, Cad::Build(matrix_polys, n, cad_options));
+    count_cad(cad);
+    CCDB_CHECK(!prefix.empty());
+    const std::vector<CadCell>& roots = cad.roots();
+    const bool holds =
+        prefix[0].is_exists
+            ? std::any_of(roots.begin(), roots.end(), std::cref(truth))
+            : std::all_of(roots.begin(), roots.end(), std::cref(truth));
     std::vector<GeneralizedTuple> out;
-    for (const auto& vec : distinct_vectors) {
-      // With no factors below the free space the tuple stays empty: the
-      // whole free space is true.
-      GeneralizedTuple tuple;
-      for (std::size_t i = 0; i < free_factors.size(); ++i) {
-        tuple.atoms.emplace_back(free_factors[i], OpForSign(vec[i]));
-      }
-      out.push_back(std::move(tuple));
-    }
-    stats->max_intermediate_bits =
-        std::max(stats->max_intermediate_bits, MaxCoefficientBits(out));
+    if (holds) out.push_back(GeneralizedTuple());
     return out;
   }
-  return Status::Internal("unreachable: CAD attempts exhausted");
+
+  // Solution formula: the distinct sign vectors of the true free-space
+  // cells. Free cells are evaluated across the pool: each cell's subtree
+  // is disjoint (sample coordinates are owned per cell, so lazy interval
+  // refinement never crosses threads).
+  SolutionFormulaSpec spec;
+  spec.polys = std::move(matrix_polys);
+  spec.num_vars = n;
+  spec.num_free = num_free_vars;
+  spec.cad.governor = gov;
+  spec.cad.pool = options.pool;
+  spec.allow_thom_retry = options.allow_thom_augmentation;
+  spec.label_pool = ThreadPool::Resolve(options.pool);
+  spec.label = [&](const CadCell& cell) -> StatusOr<CellLabel> {
+    if (truth(cell)) return CellLabel(std::vector<Atom>());
+    return CellLabel();
+  };
+  spec.before_attempt = [&](int attempt) -> Status {
+    CCDB_CHECK_BUDGET(gov, "qe.drive");
+    if (attempt == 1) {
+      stats->used_thom_augmentation = true;
+      CCDB_LOG(INFO) << "QE: retrying CAD with Thom-derivative augmentation "
+                        "(plain sign vectors could not separate cells)";
+    }
+    return Status::Ok();
+  };
+  spec.on_cad = count_cad;
+  CCDB_ASSIGN_OR_RETURN(SolutionFormula formula, BuildSolutionFormula(spec));
+  // With no factors below the free space a row's tuple stays empty: the
+  // whole free space is true.
+  std::vector<GeneralizedTuple> out;
+  for (const SolutionFormula::Row& row : formula.rows) {
+    out.push_back(SignConditions(formula.factors, row.signs));
+  }
+  stats->max_intermediate_bits =
+      std::max(stats->max_intermediate_bits, MaxCoefficientBits(out));
+  return out;
 }
 
 StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,

@@ -141,9 +141,10 @@ Status EliminateLinearPrefix(std::vector<GeneralizedTuple>* tuples,
                              QeStats* stats);
 
 /// The CAD path over a compact normal form (prefix[i] binds
-/// num_free_vars + i): build, evaluate the prefix over the cells, and
-/// construct the solution formula (retrying with Thom augmentation when
-/// sign vectors collide). Refuses with kResourceExhausted under
+/// num_free_vars + i): BuildSolutionFormula labels each free-space cell
+/// with the prefix's truth over its subtree (retrying with Thom
+/// augmentation when sign vectors collide, if allowed); a sentence is
+/// decided over the base stack. Refuses with kResourceExhausted under
 /// options.linear_only. Span "qe.cad_path".
 StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
     const std::vector<GeneralizedTuple>& tuples,

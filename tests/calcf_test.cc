@@ -209,6 +209,14 @@ TEST(CalcFTest, ParameterizedAggregateSeparable) {
   // Outside the pieces the aggregate is undefined: no tuple matches.
   EXPECT_FALSE(result->relation.Contains({R(4), R(5)}));
   EXPECT_FALSE(result->relation.Contains({R(4), R(2)}));
+  // The exact rendering: one tuple per distinct sign vector of a defined
+  // parameter cell, each with its value atom x1 - m = 0.
+  EXPECT_EQ(result->relation.ToString(),
+            "(x1 - 5 = 0 and x0 - 3 = 0 and x0 - 1 > 0 and x0 > 0) or "
+            "(x1 - 5 = 0 and x0 - 3 < 0 and x0 - 1 = 0 and x0 > 0) or "
+            "(x1 - 5 = 0 and x0 - 3 < 0 and x0 - 1 > 0 and x0 > 0) or "
+            "(x0 - 3 < 0 and x1 - 2 = 0 and x0 - 1 < 0 and x0 = 0) or "
+            "(x0 - 3 < 0 and x1 - 2 = 0 and x0 - 1 < 0 and x0 > 0)");
 }
 
 TEST(CalcFTest, ParameterizedLengthOfSlabs) {
@@ -229,6 +237,12 @@ TEST(CalcFTest, ParameterizedLengthOfSlabs) {
   EXPECT_TRUE(result->relation.Contains({R(1, 2), R(5)}));
   EXPECT_TRUE(result->relation.Contains({R(3, 2), R(3)}));
   EXPECT_FALSE(result->relation.Contains({R(3, 2), R(5)}));
+  EXPECT_EQ(result->relation.ToString(),
+            "(x1 - 5 = 0 and x0 - 2 < 0 and x0 - 1 = 0 and x0 > 0) or "
+            "(x1 - 5 = 0 and x0 - 2 < 0 and x0 - 1 < 0 and x0 = 0) or "
+            "(x1 - 5 = 0 and x0 - 2 < 0 and x0 - 1 < 0 and x0 > 0) or "
+            "(x1 - 3 = 0 and x0 - 2 = 0 and x0 - 1 > 0 and x0 > 0) or "
+            "(x1 - 3 = 0 and x0 - 2 < 0 and x0 - 1 > 0 and x0 > 0)");
 }
 
 TEST(CalcFTest, EvalAggregate) {

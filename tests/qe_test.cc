@@ -1,8 +1,11 @@
 #include "qe/qe.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "base/metrics.h"
+#include "numeric/numerical_eval.h"
 #include "qe/algebraic_point.h"
 #include "qe/cad.h"
 #include "qe/fourier_motzkin.h"
@@ -436,6 +439,45 @@ TEST(QeTest, WorkMetricsCountEachCadOnceAndEachPublicCallOnce) {
   EXPECT_EQ(cells->value() - cells_before, 0u);
   EXPECT_EQ(factors->value() - factors_before, 0u);
   EXPECT_EQ(calls->value() - calls_before, 1u);
+}
+
+// exists y (y^2 = 2 and x = y + y^2 and y > 0) is the single point
+// x = 2 + sqrt2. Its conjugate 2 - sqrt2 is a false cell on the same
+// projection factor x^2 - 4x + 2, so the plain sign vectors collide and
+// only the derivative-closed (Thom) CAD separates the two roots.
+TEST(QeTest, ThomRetrySeparatesConjugateRoots) {
+  Formula query = Formula::Exists(
+      1, Formula::And(
+             Formula::MakeAtom(Atom(Y().Pow(2) - Polynomial(2), RelOp::kEq)),
+             Formula::And(
+                 Formula::MakeAtom(Atom(X() - Y() - Y().Pow(2), RelOp::kEq)),
+                 Formula::MakeAtom(Atom(Y(), RelOp::kGt)))));
+  QeResultCache().Clear();
+  Counter* cells = MetricsRegistry::Global().GetCounter("qe.cad.cells");
+  const std::uint64_t cells_before = cells->value();
+  QeStats stats;
+  auto result = EliminateQuantifiers(query, 1, QeOptions{}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(stats.used_thom_augmentation);
+  ASSERT_EQ(result->tuples().size(), 1u);
+  // Both CADs are counted; the stats describe the one that answered.
+  EXPECT_GT(cells->value() - cells_before, stats.cad_cells);
+  auto points =
+      ApproximateSolutions(*result, Rational(BigInt(1), BigInt::Pow2(40)));
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  ASSERT_EQ(points->size(), 1u);
+  EXPECT_NEAR((*points)[0][0].ToDouble(), 2.0 + std::sqrt(2.0),
+              std::ldexp(1.0, -30));
+
+  QeOptions no_thom;
+  no_thom.allow_thom_augmentation = false;
+  QeStats plain_stats;
+  auto plain = EliminateQuantifiers(query, 1, no_thom, &plain_stats);
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.status().code(), StatusCode::kInternal);
+  EXPECT_FALSE(plain_stats.used_thom_augmentation);
+  EXPECT_NE(plain.status().message().find("no retry ran"), std::string::npos)
+      << plain.status().ToString();
 }
 
 }  // namespace
