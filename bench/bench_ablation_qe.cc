@@ -22,6 +22,7 @@ std::optional<double> RunQe(const Formula& query, int free_vars,
   return ccdb_bench::GovernedCell(
       [&](const ResourceGovernor* gov) -> Status {
         options.governor = gov;
+        options.pool = ccdb_bench::Pool();
         auto result = EliminateQuantifiers(query, free_vars, options, stats);
         *ok = result.ok();
         if (!result.ok() &&

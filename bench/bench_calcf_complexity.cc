@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
              std::to_string(i + 1) + " and v = " + std::to_string(100 + i) +
              ")";
     }
-    ConstraintDatabase db;
+    ConstraintDatabase db(ccdb_bench::DbOptions());
     CCDB_CHECK(db.Define(def).ok());
     StatusOr<CalcFResult> result = Status::Internal("unset");
     double elapsed = ccdb_bench::TimeSeconds([&] {
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       if (i > 0) def += " or ";
       def += "x = " + std::to_string(i);
     }
-    CalcFOptions options;
+    CalcFOptions options = ccdb_bench::DbOptions();
     options.approx_order = 6;
     options.abase = ABase::Uniform(Rational(-1), Rational(9), 10);
     ConstraintDatabase db(options);

@@ -141,6 +141,7 @@ int main(int argc, char** argv) {
     DatalogOptions options;
     options.precision_k = k;
     options.max_iterations = 200;
+    options.qe.pool = ccdb_bench::Pool();
     DatalogStats stats;
     auto result = EvaluateDatalog(doubling, {}, options, &stats);
     ccdb_bench::Row("%-8u %14s %14d", k,

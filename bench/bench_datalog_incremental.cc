@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   ccdb_bench::Row("%-10s %12s %14s %14s %10s", "diameter", "cold [ms]",
                   "recompute[ms]", "increment[ms]", "speedup");
   for (int diameter : {4, 8, 12, 16}) {
-    ConstraintDatabase db;
+    ConstraintDatabase db(ccdb_bench::DbOptions());
     Status defined = db.Define(SegmentText(0, diameter - 1));
     CCDB_CHECK_MSG(defined.ok(), defined.ToString().c_str());
 

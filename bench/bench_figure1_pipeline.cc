@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       "E1: Figure 1 query evaluation pipeline",
       "QE yields 4x^2-20x+25 = 0; numerical evaluation yields x = 2.5");
 
-  ConstraintDatabase db;
+  ConstraintDatabase db(ccdb_bench::DbOptions());
   CCDB_CHECK(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());
 
   // Stage 1: INSTANTIATION.
@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
   std::optional<double> t_numeric =
       ccdb_bench::GovernedCell([&](const ResourceGovernor* gov) -> Status {
         auto result = ApproximateSolutions(
-            closed_form, Rational(BigInt(1), BigInt(1000000)), gov);
+            closed_form, Rational(BigInt(1), BigInt(1000000)), gov,
+            ccdb_bench::Pool());
         CCDB_RETURN_IF_ERROR(result.status());
         solutions = *std::move(result);
         return Status::Ok();

@@ -24,6 +24,8 @@ int main(int argc, char** argv) {
   // constraint relation.
   ccdb_bench::Row("%-10s %14s %14s %12s", "tuples n", "output tuples",
                   "time [ms]", "ratio vs n/2");
+  QeOptions options;
+  options.pool = ccdb_bench::Pool();
   double previous = 0.0;
   for (int n : {4, 8, 16, 32, 64, 128}) {
     ConstraintRelation data = ccdb_bench::RandomLinearRelation(n, 8, 42 + n);
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
     Formula instantiated = *query.InstantiateRelations(lookup);
     ConstraintRelation output;
     double elapsed = ccdb_bench::TimeSeconds([&] {
-      auto result = EliminateQuantifiers(instantiated, 1);
+      auto result = EliminateQuantifiers(instantiated, 1, options);
       CCDB_CHECK(result.ok());
       output = *result;
     });
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
     };
     Formula instantiated = *query.InstantiateRelations(lookup);
     double elapsed = ccdb_bench::TimeSeconds([&] {
-      auto result = EliminateQuantifiers(instantiated, 1);
+      auto result = EliminateQuantifiers(instantiated, 1, options);
       CCDB_CHECK(result.ok());
     });
     ccdb_bench::Row("%-10d %14.3f %12.2f", n, elapsed * 1e3,

@@ -52,11 +52,12 @@ int main(int argc, char** argv) {
       FpQeStats stats;
       auto tight = EliminateQuantifiersFp(query, 1,
                                           FpContext{static_cast<uint32_t>(l)},
-                                          &stats);
+                                          &stats, ccdb_bench::Pool());
       if (tight.ok()) ++defined_tight;
       max_pipeline_bits = std::max(max_pipeline_bits, stats.max_bits);
       auto loose = EliminateQuantifiersFp(
-          query, 1, FpContext{static_cast<uint32_t>(4 * l)}, &stats);
+          query, 1, FpContext{static_cast<uint32_t>(4 * l)}, &stats,
+          ccdb_bench::Pool());
       if (loose.ok()) ++defined_loose;
     }
     ccdb_bench::Row("%-8d %12lld %14llu %13d/%d %13d/%d", l,

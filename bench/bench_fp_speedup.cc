@@ -58,7 +58,9 @@ int main(int argc, char** argv) {
         Formula::Exists(1, Formula::MakeAtom(Atom(ellipse, RelOp::kLe)));
     ConstraintRelation out;
     *seconds = ccdb_bench::TimeSeconds([&] {
-      auto result = EliminateQuantifiers(query, 1, QeOptions{}, stats);
+      QeOptions options;
+      options.pool = ccdb_bench::Pool();
+      auto result = EliminateQuantifiers(query, 1, options, stats);
       CCDB_CHECK(result.ok());
       out = *result;
     });

@@ -70,7 +70,9 @@ int main(int argc, char** argv) {
     QeStats stats;
     ConstraintRelation result;
     double elapsed = ccdb_bench::TimeSeconds([&] {
-      auto r = EliminateQuantifiers(level.query, 1, QeOptions{}, &stats);
+      QeOptions options;
+      options.pool = ccdb_bench::Pool();
+      auto r = EliminateQuantifiers(level.query, 1, options, &stats);
       CCDB_CHECK(r.ok());
       result = *r;
     });

@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
     StatusOr<ConstraintRelation> result = Status::Internal("unreached");
     double seconds = ccdb_bench::TimeSeconds([&] {
       result = EliminateQuantifiersFp(ProjectionQuery(data), 1,
-                                      FpContext{1u << 20}, &stats);
+                                      FpContext{1u << 20}, &stats,
+                                      ccdb_bench::Pool());
     });
     ccdb_bench::RecordCell("projection_b" + std::to_string(bits), seconds);
     ccdb_bench::Row("%-10llu %14llu %14.2f %8s",
@@ -84,7 +85,8 @@ int main(int argc, char** argv) {
     StatusOr<ConstraintRelation> result = Status::Internal("unreached");
     double seconds = ccdb_bench::TimeSeconds([&] {
       result = EliminateQuantifiersFp(AlternationQuery(data), 1,
-                                      FpContext{1u << 20}, &stats);
+                                      FpContext{1u << 20}, &stats,
+                                      ccdb_bench::Pool());
     });
     ccdb_bench::RecordCell("alternation_b" + std::to_string(bits), seconds);
     ccdb_bench::Row("%-10llu %14llu %14.2f %8s",

@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
     UPoly p = ccdb_bench::RandomUPoly(6, bits, 1000 + bits);
     std::size_t roots = 0;
     double elapsed = ccdb_bench::TimeSeconds([&] {
-      auto result = ApproximateSolutions(EquationRelation(p), eps);
+      auto result = ApproximateSolutions(EquationRelation(p), eps, nullptr,
+                                         ccdb_bench::Pool());
       CCDB_CHECK(result.ok());
       roots = result->size();
     });
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
       rel.AddTuple(std::move(tuple));
     }
     double elapsed = ccdb_bench::TimeSeconds([&] {
-      auto result = ApproximateSolutions(rel, eps);
+      auto result = ApproximateSolutions(rel, eps, nullptr, ccdb_bench::Pool());
       CCDB_CHECK(result.ok());
     });
     ccdb_bench::Row("%-8d %12.3f %10.2f", m, elapsed * 1e3,
@@ -79,7 +80,8 @@ int main(int argc, char** argv) {
     UPoly p = ccdb_bench::RandomUPoly(degree, 8, 2000 + degree);
     std::size_t roots = 0;
     double elapsed = ccdb_bench::TimeSeconds([&] {
-      auto result = ApproximateSolutions(EquationRelation(p), eps);
+      auto result = ApproximateSolutions(EquationRelation(p), eps, nullptr,
+                                         ccdb_bench::Pool());
       CCDB_CHECK(result.ok());
       roots = result->size();
     });
@@ -97,7 +99,8 @@ int main(int argc, char** argv) {
   for (int b : {10, 20, 40, 80, 160}) {
     Rational fine_eps(BigInt(1), BigInt::Pow2(b));
     double elapsed = ccdb_bench::TimeSeconds([&] {
-      auto result = ApproximateSolutions(EquationRelation(fixed), fine_eps);
+      auto result = ApproximateSolutions(EquationRelation(fixed), fine_eps,
+                                         nullptr, ccdb_bench::Pool());
       CCDB_CHECK(result.ok());
     });
     ccdb_bench::Row("%-8d %12.3f %10.2f", b, elapsed * 1e3,

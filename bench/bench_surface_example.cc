@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   ccdb_bench::Row("27 - (F(4) - F(1)) = %s (paper: 18)",
                   (Rational(27) + (f4 - f1)).ToString().c_str());
 
-  ConstraintDatabase db;
+  ConstraintDatabase db(ccdb_bench::DbOptions());
   CCDB_CHECK(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());
 
   double elapsed = 0.0;

@@ -15,8 +15,10 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/config.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 #include "base/profile.h"
@@ -27,6 +29,7 @@
 #include "constraint/formula.h"
 #include "poly/polynomial.h"
 #include "poly/upoly.h"
+#include "query/calcf.h"
 
 namespace ccdb_bench {
 
@@ -42,13 +45,39 @@ inline double& BenchDeadlineSeconds() {
 /// "threads" column, so sweep runs at several widths can be merged into
 /// one speedup plot.
 inline int& BenchThreads() {
-  static int threads = ccdb::ThreadPool::DefaultThreads();
+  static int threads = ccdb::EngineConfig::Process().threads;
   return threads;
 }
 
-/// The pool every bench cell should hand to QeOptions/DatalogOptions —
-/// the process-wide shared pool, sized by InitBenchTracing.
-inline ccdb::ThreadPool* Pool() { return ccdb::ThreadPool::Shared(); }
+/// The run's pool of BenchThreads() runners, created by InitBenchTracing.
+/// Every bench cell hands it to its QeOptions/DatalogOptions/numeric call,
+/// and builds its databases with it as `options.qe.pool` (DbOptions), so
+/// it is also their default session's pool.
+inline ccdb::ThreadPool* Pool() {
+  static auto* pool = new ccdb::ThreadPool(BenchThreads());
+  return pool;
+}
+
+/// Database options whose default session runs on Pool().
+inline ccdb::CalcFOptions DbOptions() {
+  ccdb::CalcFOptions options;
+  options.qe.pool = Pool();
+  return options;
+}
+
+/// The process's (qe_cache_hits, qe_cache_misses) counter values.
+inline std::pair<std::uint64_t, std::uint64_t> QeCacheCounts() {
+  ccdb::MetricsRegistry& registry = ccdb::MetricsRegistry::Global();
+  return {registry.GetCounter("qe_cache_hits")->value(),
+          registry.GetCounter("qe_cache_misses")->value()};
+}
+
+/// The QeCacheCounts() a row's hit rate is measured from: taken by
+/// InitBenchTracing before the first cell runs, then by each RecordCell.
+inline std::pair<std::uint64_t, std::uint64_t>& QeCacheBaseline() {
+  static std::pair<std::uint64_t, std::uint64_t> baseline;
+  return baseline;
+}
 
 /// Whether `--profile` was passed: span tracing is enabled for the whole
 /// run and the aggregated span profile (base/profile.h) is printed to
@@ -77,10 +106,11 @@ inline std::string& BenchOutPath() {
 ///                         deadline: cells run under a ResourceGovernor
 ///                         (GovernedCell) and report `null` instead of a
 ///                         timing when the budget is exhausted
-///   --threads=<N>         (or CCDB_THREADS) size the process-wide worker
-///                         pool; N = total runners, 1 = serial. Results
-///                         are identical at every N (see DESIGN.md), only
-///                         the timings change.
+///   --threads=<N>         (or CCDB_THREADS) size the run's pool (Pool())
+///                         that every cell and every database the bench
+///                         builds runs on; N = total runners, 1 = serial.
+///                         Results are identical at every N (see
+///                         DESIGN.md), only the timings change.
 ///   --profile             enable span tracing and print the aggregated
 ///                         span profile (path -> count, inclusive µs,
 ///                         exclusive µs) to stderr at exit
@@ -116,7 +146,8 @@ inline void InitBenchTracing(int argc, char** argv) {
     }
   }
   if (BenchThreads() < 1) BenchThreads() = 1;
-  ccdb::ThreadPool::ConfigureShared(BenchThreads());
+  Pool();  // sized by the width just parsed, before any cell asks for it
+  QeCacheBaseline() = QeCacheCounts();
   if (BenchProfileEnabled()) {
     ccdb::Tracer::Global().SetEnabled(true);
     std::atexit(+[] {
@@ -185,9 +216,10 @@ inline std::string TableCell(const std::optional<double>& seconds) {
 /// human-readable table), machine-readable for the experiment plots. The
 /// "threads" column lets a sweep (`--threads=1`, `--threads=8`, ...)
 /// concatenate its reports into one speedup table. The hit rate is per
-/// cell (delta of the qe_cache hit/miss counters since the previous RecordCell, null when the cell
-/// never consulted the cache); the node counts are the live hash-consed
-/// formula arena and interned polynomial pool sizes at record time.
+/// cell (delta of the qe_cache hit/miss counters since QeCacheBaseline(),
+/// null when the cell never consulted the cache); the node counts are the
+/// live hash-consed formula arena and interned polynomial pool sizes at
+/// record time.
 inline std::vector<std::string>& JsonReportRows() {
   // Leaked on purpose: must stay alive for the atexit printer.
   static auto* rows = new std::vector<std::string>();
@@ -214,16 +246,10 @@ inline void EnsureJsonReportPrinter() {
 inline void RecordCell(const std::string& name,
                        const std::optional<double>& seconds) {
   EnsureJsonReportPrinter();
-  static ccdb::Counter* hits =
-      ccdb::MetricsRegistry::Global().GetCounter("qe_cache_hits");
-  static ccdb::Counter* misses =
-      ccdb::MetricsRegistry::Global().GetCounter("qe_cache_misses");
-  static std::uint64_t prev_hits = hits->value();
-  static std::uint64_t prev_misses = misses->value();
-  std::uint64_t cell_hits = hits->value() - prev_hits;
-  std::uint64_t cell_misses = misses->value() - prev_misses;
-  prev_hits = hits->value();
-  prev_misses = misses->value();
+  std::pair<std::uint64_t, std::uint64_t> now = QeCacheCounts();
+  std::uint64_t cell_hits = now.first - QeCacheBaseline().first;
+  std::uint64_t cell_misses = now.second - QeCacheBaseline().second;
+  QeCacheBaseline() = now;
   std::string hit_rate = "null";
   if (cell_hits + cell_misses > 0) {
     char buffer[32];

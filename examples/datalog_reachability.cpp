@@ -12,6 +12,8 @@
 #include <cstdio>
 
 #include "arith/floatk.h"
+#include "base/config.h"
+#include "base/thread_pool.h"
 #include "datalog/datalog.h"
 
 namespace {
@@ -63,8 +65,13 @@ int main() {
   std::map<std::string, ccdb::ConstraintRelation> edb;
   edb.emplace("Step", step);
 
+  // A direct pipeline call runs on the pool it is handed (none = this
+  // thread); this one is sized by CCDB_THREADS, like a database's default
+  // session.
+  ccdb::ThreadPool pool(ccdb::EngineConfig::Process().threads);
   ccdb::DatalogOptions options;
   options.max_iterations = 64;
+  options.qe.pool = &pool;
   ccdb::DatalogStats stats;
   auto result = ccdb::EvaluateDatalog(program, edb, options, &stats);
   if (!result.ok()) {
@@ -114,6 +121,7 @@ int main() {
   ccdb::DatalogOptions fp_options;
   fp_options.precision_k = 8;
   fp_options.max_iterations = 100;
+  fp_options.qe.pool = &pool;
   ccdb::DatalogStats fp_stats;
   auto fp_result = ccdb::EvaluateDatalog(doubling, {}, fp_options, &fp_stats);
   std::printf("\nDoubling program under Z_%u: %s (stopped at iteration %d)\n",

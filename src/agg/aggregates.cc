@@ -152,7 +152,7 @@ StatusOr<AggregateValue> AggregateModules::Min(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "MIN requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, governor_));
+                        DecomposeUnary(relation, cad_.governor));
   if (decomposition.pieces.empty()) {
     return Status::Undefined("MIN of an empty set");
   }
@@ -171,7 +171,7 @@ StatusOr<AggregateValue> AggregateModules::Max(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "MAX requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, governor_));
+                        DecomposeUnary(relation, cad_.governor));
   if (decomposition.pieces.empty()) {
     return Status::Undefined("MAX of an empty set");
   }
@@ -189,7 +189,7 @@ StatusOr<AggregateValue> AggregateModules::Avg(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "AVG requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, governor_));
+                        DecomposeUnary(relation, cad_.governor));
   if (decomposition.pieces.empty()) {
     return Status::Undefined("AVG of an empty set");
   }
@@ -252,7 +252,7 @@ StatusOr<AggregateValue> AggregateModules::Length(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "LENGTH requires a unary relation");
   CCDB_ASSIGN_OR_RETURN(Measure1D measure,
-                        MeasureUnary(relation, tolerance_, governor_));
+                        MeasureUnary(relation, tolerance_, cad_.governor));
   if (measure.exact) return ExactValue(measure.exact_total);
   return ApproxValue(measure.approx_total, tolerance_);
 }
@@ -262,7 +262,7 @@ StatusOr<double> AggregateModules::SliceMeasure(
   CCDB_CHECK(relation.arity() == 2);
   ConstraintRelation slice = SubstituteFirstVar(relation, x0);
   CCDB_ASSIGN_OR_RETURN(Measure1D measure,
-                        MeasureUnary(slice, tolerance_, governor_));
+                        MeasureUnary(slice, tolerance_, cad_.governor));
   return measure.approx_total;
 }
 
@@ -272,11 +272,8 @@ StatusOr<AggregateValue> AggregateModules::Surface(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 2, "SURFACE requires a binary relation");
   if (relation.is_empty_syntactically()) return ExactValue(Rational(0));
-  CadOptions surface_cad_options;
-  surface_cad_options.governor = governor_;
   CCDB_ASSIGN_OR_RETURN(Cad cad,
-                        Cad::Build(relation.CollectPolynomials(), 2,
-                                   surface_cad_options));
+                        Cad::Build(relation.CollectPolynomials(), 2, cad_));
   const std::vector<CadCell>& base = cad.roots();
   bool exact = true;
   Rational exact_total(0);
@@ -377,7 +374,7 @@ StatusOr<AggregateValue> AggregateModules::Surface(
       return *m;
     };
     auto quad = AdaptiveSimpson(integrand, a_d, c_d, numeric_tol, 24,
-                                governor_);
+                                cad_.governor);
     if (!slice_error.ok()) return slice_error;
     if (!quad.ok()) return quad.status();
     approx_total += quad->value;
@@ -396,11 +393,8 @@ StatusOr<AggregateValue> AggregateModules::Volume(
   // x-extent: decompose the projection onto x via a CAD of the level-0
   // projection factors (cheap: build the full projection but only the base
   // phase matters for the extent).
-  CadOptions volume_cad_options;
-  volume_cad_options.governor = governor_;
   CCDB_ASSIGN_OR_RETURN(Cad cad,
-                        Cad::Build(relation.CollectPolynomials(), 3,
-                                   volume_cad_options));
+                        Cad::Build(relation.CollectPolynomials(), 3, cad_));
   const std::vector<CadCell>& base = cad.roots();
   // Find satisfied leaves to detect x-unboundedness and collect the
   // satisfied base range.
@@ -429,7 +423,7 @@ StatusOr<AggregateValue> AggregateModules::Volume(
     double a_d = base[b - 1].sample.coord(0).Approximate(eps).ToDouble();
     double c_d = base[b + 1].sample.coord(0).Approximate(eps).ToDouble();
     Status inner_error = Status::Ok();
-    AggregateModules inner_modules(volume_tol, governor_);
+    AggregateModules inner_modules(volume_tol, cad_.governor, cad_.pool);
     auto integrand = [&](double x) -> double {
       ConstraintRelation slice =
           SubstituteFirstVar(relation, FloatK::FromDouble(x).ToRational());
@@ -441,7 +435,7 @@ StatusOr<AggregateValue> AggregateModules::Volume(
       return area->Value();
     };
     auto quad = AdaptiveSimpson(integrand, a_d, c_d, volume_tol, 16,
-                                governor_);
+                                cad_.governor);
     if (!inner_error.ok()) return inner_error;
     if (!quad.ok()) return quad.status();
     total += quad->value;
@@ -454,8 +448,9 @@ StatusOr<ConstraintRelation> AggregateModules::Eval(
     const ConstraintRelation& relation, const Rational& epsilon) const {
   ++call_count_;
   CCDB_METRIC_COUNT("agg.module_calls", 1);
-  CCDB_ASSIGN_OR_RETURN(NumericalEvaluation eval,
-                        EvaluateNumerically(relation, governor_));
+  CCDB_ASSIGN_OR_RETURN(
+      NumericalEvaluation eval,
+      EvaluateNumerically(relation, cad_.governor, cad_.pool));
   if (!eval.finite) return relation;  // "or to S itself otherwise"
   ConstraintRelation out(relation.arity());
   for (const AlgebraicPoint& point : eval.points) {
@@ -535,7 +530,7 @@ StatusOr<ConstraintRelation> AggregateModules::ApplyParameterized(
   spec.polys = std::move(x_polys);
   spec.num_vars = num_params;
   spec.num_free = num_params;
-  spec.cad.governor = governor_;
+  spec.cad = cad_;
   spec.label = [&](const CadCell& cell) -> StatusOr<CellLabel> {
     ConstraintRelation slice_union(agg_arity);
     bool any_active = false;

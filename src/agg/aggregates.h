@@ -7,6 +7,7 @@
 #include "base/resource.h"
 #include "base/status.h"
 #include "constraint/atom.h"
+#include "qe/cad.h"
 
 namespace ccdb {
 
@@ -48,10 +49,16 @@ class AggregateModules {
  public:
   /// `governor`, when non-null, bounds every CAD decomposition and
   /// quadrature the modules run; exceeded budgets surface as
-  /// kResourceExhausted from the aggregate call. Borrowed, not owned.
+  /// kResourceExhausted from the aggregate call. The modules' CADs lift on
+  /// `pool`; null lifts them on the calling thread. Both borrowed, not
+  /// owned.
   explicit AggregateModules(double tolerance = 1e-9,
-                            const ResourceGovernor* governor = nullptr)
-      : tolerance_(tolerance), governor_(governor) {}
+                            const ResourceGovernor* governor = nullptr,
+                            ThreadPool* pool = nullptr)
+      : tolerance_(tolerance) {
+    cad_.governor = governor;
+    cad_.pool = pool;
+  }
 
   /// Number of aggregate-module calls served (Theorem 5.5 counts these).
   std::uint64_t call_count() const { return call_count_; }
@@ -103,7 +110,8 @@ class AggregateModules {
 
  private:
   double tolerance_;
-  const ResourceGovernor* governor_ = nullptr;
+  /// The governor and pool of every CAD, quadrature and nested module call.
+  CadOptions cad_;
   mutable std::uint64_t call_count_ = 0;
 };
 

@@ -131,12 +131,6 @@ StatusOr<FloatK> FloatK::Mul(const FloatK& a, const FloatK& b,
   return FromRational(a.ToRational() * b.ToRational(), format, mode);
 }
 
-StatusOr<FloatK> FloatK::Div(const FloatK& a, const FloatK& b,
-                             const FpFormat& format, FpMode mode) {
-  if (b.is_zero()) return Status::InvalidArgument("F_k division by zero");
-  return FromRational(a.ToRational() / b.ToRational(), format, mode);
-}
-
 std::string FloatK::ToString() const {
   return "[" + mantissa_.ToString() + "," + std::to_string(exponent_) + "]";
 }

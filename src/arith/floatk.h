@@ -46,7 +46,7 @@ class FloatK {
   FloatK() : mantissa_(0), exponent_(0) {}
 
   /// Constructs mantissa * 2^exponent, normalizing. The result is NOT
-  /// checked against any format; use Fit() for that.
+  /// checked against any format; FitsFormat() tells whether it fits.
   FloatK(BigInt mantissa, std::int64_t exponent);
 
   /// Exact conversion from an integer.
@@ -81,11 +81,6 @@ class FloatK {
   static StatusOr<FloatK> Sub(const FloatK& a, const FloatK& b,
                               const FpFormat& format, FpMode mode);
   static StatusOr<FloatK> Mul(const FloatK& a, const FloatK& b,
-                              const FpFormat& format, FpMode mode);
-  /// Division always rounds (quotients are rarely representable); in kExact
-  /// mode it is undefined unless the quotient is an exact FloatK of the
-  /// format. Requires b != 0.
-  static StatusOr<FloatK> Div(const FloatK& a, const FloatK& b,
                               const FpFormat& format, FpMode mode);
 
   bool operator==(const FloatK& other) const {

@@ -36,7 +36,9 @@ namespace ccdb {
 /// facade).
 struct EngineConfig {
   /// Concurrent runners of the session's thread pool (CCDB_THREADS,
-  /// default 1 = the exact serial path).
+  /// default 1 = the exact serial path). Every session owns a pool of this
+  /// many runners, the database's default session included; there is no
+  /// process-wide pool.
   int threads = 1;
   /// Capacity of the QE result cache (CCDB_QE_CACHE_CAPACITY,
   /// default 4096 entries).
@@ -64,8 +66,9 @@ struct EngineConfig {
 
   /// The process-wide configuration: FromEnv() resolved exactly once, at
   /// first use, with warnings to stderr. Every process-wide default
-  /// (ThreadPool::Shared width, QE cache capacity, log level, tracer,
-  /// query log, WAL policy) reads from here instead of calling getenv.
+  /// (the default session's pool width, QE cache capacity, log level,
+  /// tracer, query log, WAL policy) reads from here instead of calling
+  /// getenv.
   static const EngineConfig& Process();
 
   /// Per-field programmatic overrides (value-semantics builders).

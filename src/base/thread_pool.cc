@@ -5,7 +5,6 @@
 #include <deque>
 #include <utility>
 
-#include "base/config.h"
 #include "base/logging.h"
 #include "base/metrics.h"
 
@@ -217,35 +216,10 @@ Status ThreadPool::ParallelFor(
   return Status::Ok();
 }
 
-int ThreadPool::DefaultThreads() {
-  return EngineConfig::Process().threads;
-}
-
-namespace {
-std::unique_ptr<ThreadPool>& SharedPoolSlot() {
-  static auto* slot = new std::unique_ptr<ThreadPool>();
-  return *slot;
-}
-std::mutex& SharedPoolMutex() {
-  static auto* mu = new std::mutex();
-  return *mu;
-}
-}  // namespace
-
-ThreadPool* ThreadPool::Shared() {
-  std::lock_guard<std::mutex> lock(SharedPoolMutex());
-  std::unique_ptr<ThreadPool>& slot = SharedPoolSlot();
-  if (slot == nullptr) {
-    slot = std::make_unique<ThreadPool>(DefaultThreads());
-  }
-  return slot.get();
-}
-
-void ThreadPool::ConfigureShared(int threads) {
-  std::lock_guard<std::mutex> lock(SharedPoolMutex());
-  std::unique_ptr<ThreadPool>& slot = SharedPoolSlot();
-  if (slot != nullptr && slot->threads() == threads) return;
-  slot = std::make_unique<ThreadPool>(threads);
+ThreadPool* ThreadPool::Resolve(ThreadPool* pool) {
+  // A one-runner pool spawns no worker: ParallelFor is the plain loop.
+  static auto* calling_thread = new ThreadPool(1);
+  return pool != nullptr ? pool : calling_thread;
 }
 
 }  // namespace ccdb

@@ -26,6 +26,10 @@
 /// ".tasks_completed", ".tasks_inline", "threadpool.task_us",
 /// "threadpool.threads").
 ///
+/// There is no process-wide pool. Every Session (engine/session.h) owns
+/// one; a direct pipeline call runs on the pool its options carry, and a
+/// null pool is the calling thread (Resolve).
+///
 /// ParallelFor may be called from inside a pool task (nested parallelism):
 /// the inner caller drains its own batch while waiting, so progress is
 /// guaranteed even when every worker is busy with ancestor batches.
@@ -57,24 +61,10 @@ class ThreadPool {
   /// Spawned worker threads (threads() - 1).
   int workers() const { return static_cast<int>(workers_.size()); }
 
-  /// The process-wide shared pool, sized by EngineConfig::Process().threads
-  /// (the CCDB_THREADS knob) at first use (default 1 = serial). Never null.
-  /// The pool of every database's default session (the facade) and of
-  /// pipeline calls that pass none; opened sessions (engine/session.h) own
-  /// pools sized by their session config.
-  static ThreadPool* Shared();
-  /// Replaces the shared pool with one of `threads` runners. Not
-  /// thread-safe against concurrent users of the previous pool — call
-  /// from a quiesced state (e.g. bench/test setup).
-  static void ConfigureShared(int threads);
-  /// EngineConfig::Process().threads (the CCDB_THREADS knob; 1 when
-  /// unset/invalid).
-  static int DefaultThreads();
-  /// `pool` when non-null, else Shared(). The pipeline's options structs
-  /// carry a nullable ThreadPool*; null means "use the process default".
-  static ThreadPool* Resolve(ThreadPool* pool) {
-    return pool != nullptr ? pool : Shared();
-  }
+  /// `pool` when non-null, else a process-wide one-runner pool. The
+  /// pipeline's options structs carry a nullable ThreadPool*: a stage runs
+  /// on the pool it is handed, and null runs it on the calling thread.
+  static ThreadPool* Resolve(ThreadPool* pool);
 
   /// Enqueues a fire-and-forget task. With no workers the task runs
   /// inline before Submit returns.

@@ -142,9 +142,4 @@ class TraceSpan {
 #define CCDB_TRACE_SPAN(name) \
   ::ccdb::TraceSpan CCDB_TRACE_CONCAT(_ccdb_trace_span_, __LINE__)(name)
 
-/// Traces the enclosing scope with an explicit category.
-#define CCDB_TRACE_SPAN_CAT(name, category)                             \
-  ::ccdb::TraceSpan CCDB_TRACE_CONCAT(_ccdb_trace_span_, __LINE__)(name, \
-                                                                   category)
-
 #endif  // CCDB_BASE_TRACE_H_

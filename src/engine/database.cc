@@ -193,7 +193,7 @@ ConstraintDatabase::~ConstraintDatabase() {
 
 std::unique_ptr<Session> ConstraintDatabase::DefaultSession() {
   return std::unique_ptr<Session>(
-      new Session(this, EngineConfig::Process(), /*id=*/0, /*pool=*/nullptr));
+      new Session(this, EngineConfig::Process(), /*id=*/0));
 }
 
 StatusOr<ConstraintDatabase> ConstraintDatabase::OpenDurable(

@@ -151,9 +151,10 @@ struct QueryVerdict {
 ///
 /// Every read method is a call into the database's default Session
 /// (engine/session.h): session id 0, config EngineConfig::Process(), the
-/// global query log, and the shared thread pool. The read path exists once,
-/// in Session; OpenSession hands out further sessions with their own
-/// config, pool, log binding and pinned snapshot.
+/// global query log, and a pool of EngineConfig::Process().threads runners
+/// (CCDB_THREADS) — or, when `options.qe.pool` is set, that pool. The
+/// read path exists once, in Session; OpenSession hands out further
+/// sessions with their own config, pool, log binding and pinned snapshot.
 class Session;
 
 class ConstraintDatabase {
@@ -331,7 +332,7 @@ class ConstraintDatabase {
   /// Checkpoint body; caller holds `mutate_mu_`.
   Status CheckpointLocked();
   /// A default session bound to this instance (id 0, process config,
-  /// global log, shared pool).
+  /// global log, its own pool unless options().qe.pool is set).
   std::unique_ptr<Session> DefaultSession();
 
   /// One materialized Datalog fixpoint: the completed state plus the

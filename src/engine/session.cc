@@ -279,8 +279,8 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
     if (!out->result.has_scalar && out->result.relation.arity() > 0) {
       profile.ran_numeric = true;
       auto numeric_start = SteadyClock::now();
-      StatusOr<NumericalEvaluation> numeric =
-          EvaluateNumerically(out->result.relation, /*gov=*/nullptr);
+      StatusOr<NumericalEvaluation> numeric = EvaluateNumerically(
+          out->result.relation, options.qe.governor, options.qe.pool);
       profile.numeric_seconds = SecondsSince(numeric_start);
       if (numeric.ok()) {
         profile.numeric_finite = numeric->finite;
@@ -300,8 +300,8 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
   profile.pool_tasks_completed = Delta(deltas, "threadpool.tasks_completed");
   profile.pool_tasks_stolen = Delta(deltas, "threadpool.tasks_stolen");
   profile.pool_tasks_inline = Delta(deltas, "threadpool.tasks_inline");
-  profile.pool_threads = static_cast<std::uint64_t>(
-      ThreadPool::Resolve(options.qe.pool)->threads());
+  profile.pool_threads =
+      static_cast<std::uint64_t>(options.qe.pool->threads());
   if (options.qe.governor != nullptr) {
     profile.governed = true;
     ResourceGovernor::Consumption consumed = options.qe.governor->Snapshot();
@@ -315,21 +315,22 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
 
 std::unique_ptr<Session> ConstraintDatabase::OpenSession(EngineConfig config) {
   CCDB_METRIC_COUNT("db.sessions_opened", 1);
-  auto pool = std::make_unique<ThreadPool>(config.threads);
-  return std::unique_ptr<Session>(new Session(this, std::move(config),
-                                              NextSessionId(),
-                                              std::move(pool)));
+  return std::unique_ptr<Session>(
+      new Session(this, std::move(config), NextSessionId()));
 }
 
-Session::Session(ConstraintDatabase* db, EngineConfig config, std::uint64_t id,
-                 std::unique_ptr<ThreadPool> pool)
+Session::Session(ConstraintDatabase* db, EngineConfig config, std::uint64_t id)
     : db_(db),
       config_(std::move(config)),
       fingerprint_(config_.Fingerprint()),
       id_(id),
-      pool_(std::move(pool)),
       options_(db->options()) {
-  if (pool_ != nullptr) options_.qe.pool = pool_.get();
+  // An opened session runs on a pool of its own; so does the default
+  // session, unless the database was built with an explicit qe.pool.
+  if (id_ != 0 || options_.qe.pool == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(config_.threads);
+    options_.qe.pool = pool_.get();
+  }
 }
 
 Session::~Session() = default;
@@ -395,8 +396,8 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   // re-evaluation would produce (same text, same versions of the relations
   // the query reads, same immutable options). Governed evaluations bypass
   // the cache entirely so budget charging never depends on temperature.
-  const bool use_cache = options_.governor == nullptr &&
-                         options_.qe.governor == nullptr && MemoCachesEnabled();
+  const bool use_cache =
+      options_.qe.governor == nullptr && MemoCachesEnabled();
   // The query's read-set at this snapshot — the memo key and the log's
   // invalidation scope. Unparsable text has no read-set (the evaluator
   // below reports the parse error) and is never cached.
@@ -461,7 +462,6 @@ StatusOr<CalcFResult> Session::QueryWithPolicy(const std::string& text,
       // full budget, not the exhausted remainder of the previous attempt.
       ResourceGovernor gov(policy.limits, policy.cancel);
       CalcFOptions opts = options_;
-      opts.governor = &gov;
       opts.qe.governor = &gov;
       if (rung >= 1) {
         // Reduced precision: halve the approximation order and coarsen the
@@ -615,7 +615,8 @@ StatusOr<CalcFResult> Session::QueryFp(const std::string& text,
   CalcFResult result;
   CCDB_ASSIGN_OR_RETURN(
       result.relation,
-      EliminateQuantifiersFp(instantiated, arity, FpContext{k}, stats));
+      EliminateQuantifiersFp(instantiated, arity, FpContext{k}, stats,
+                             pool()));
   result.column_names = std::move(columns);
   return result;
 }
@@ -625,7 +626,8 @@ StatusOr<std::vector<std::vector<Rational>>> Session::Solve(
   CCDB_TRACE_SPAN("db.solve");
   CCDB_METRIC_COUNT("db.solves", 1);
   CCDB_ASSIGN_OR_RETURN(CalcFResult result, QueryImpl(text, nullptr));
-  return ApproximateSolutions(result.relation, epsilon, /*gov=*/nullptr);
+  return ApproximateSolutions(result.relation, epsilon, options_.qe.governor,
+                              pool());
 }
 
 StatusOr<std::vector<std::pair<std::string, std::uint64_t>>> Session::ReadSet(

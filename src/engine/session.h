@@ -3,8 +3,8 @@
 
 /// Session contexts (DESIGN.md §16): the engine's one read path. Every
 /// ConstraintDatabase owns a default session — the facade, id 0, config
-/// EngineConfig::Process(), the global query log, the shared thread pool —
-/// and OpenSession hands out further ones. A session carries:
+/// EngineConfig::Process(), the global query log — and OpenSession hands
+/// out further ones. A session carries:
 ///
 ///   - an immutable EngineConfig (base/config.h) — the thread count this
 ///     session runs at and the fingerprint its query-log records carry,
@@ -12,9 +12,10 @@
 ///     semi-naive Datalog and incremental re-fixpoint are not settings:
 ///     they are always on, standing down only under a governor or an
 ///     armed failpoint (base/memo.h), and Z_k runs are always naive;
-///   - a thread pool: a private one of config.threads runners for an
-///     opened session, ThreadPool::Shared() (or the database options'
-///     pool) for the default session;
+///   - a thread pool of config.threads runners, its own — except that the
+///     default session of a database built with an explicit options.qe.pool
+///     runs on that pool. Every stage of a read (QE, the aggregate
+///     modules' CADs, NUMERICAL EVALUATION, Datalog) runs on it;
 ///   - a session id (unique per opened session, 0 for the default one) and
 ///     the config's fingerprint, stamped into every query-log record the
 ///     session produces (schema v3);
@@ -58,12 +59,12 @@ class Session {
   const EngineConfig& config() const { return config_; }
   /// 16-hex fingerprint of config(), as stamped into query-log records.
   const std::string& config_fingerprint() const { return fingerprint_; }
-  /// The pool the session's reads run on: the private one
-  /// (config().threads runners) of an opened session, else the database
-  /// options' pool or ThreadPool::Shared(). Never null.
-  ThreadPool* pool() const { return ThreadPool::Resolve(options_.qe.pool); }
+  /// The pool the session's reads run on: its own (config().threads
+  /// runners), or the database options' qe.pool for the default session of
+  /// a database built with one. Never null.
+  ThreadPool* pool() const { return options_.qe.pool; }
   /// The evaluation options: the database's options with qe.pool pointing
-  /// at the private pool when the session has one.
+  /// at the session's pool.
   const CalcFOptions& options() const { return options_; }
 
   /// Pins the database's CURRENT catalog state: until Unpin, every read
@@ -112,9 +113,8 @@ class Session {
 
  private:
   friend class ConstraintDatabase;
-  /// `pool` null = no private pool (the default session).
-  Session(ConstraintDatabase* db, EngineConfig config, std::uint64_t id,
-          std::unique_ptr<ThreadPool> pool);
+  /// `id` 0 is the default session.
+  Session(ConstraintDatabase* db, EngineConfig config, std::uint64_t id);
 
   /// The catalog version a read answers against: the pinned snapshot, else
   /// a fresh one. Captured once per call.
@@ -130,6 +130,7 @@ class Session {
   const EngineConfig config_;
   const std::string fingerprint_;
   const std::uint64_t id_;
+  /// Null only for a default session on the database options' pool.
   std::unique_ptr<ThreadPool> pool_;
   CalcFOptions options_;
   /// Guards pinned_ and log_ (the mutable bindings).

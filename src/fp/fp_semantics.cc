@@ -22,10 +22,9 @@ std::string FpQeStats::ToJson() const {
       .Build();
 }
 
-StatusOr<ConstraintRelation> EliminateQuantifiersFp(const Formula& formula,
-                                                    int num_free_vars,
-                                                    const FpContext& context,
-                                                    FpQeStats* stats) {
+StatusOr<ConstraintRelation> EliminateQuantifiersFp(
+    const Formula& formula, int num_free_vars, const FpContext& context,
+    FpQeStats* stats, ThreadPool* pool) {
   CCDB_TRACE_SPAN("fp.eliminate");
   CCDB_METRIC_COUNT("fp.queries", 1);
   FpQeStats local;
@@ -38,9 +37,11 @@ StatusOr<ConstraintRelation> EliminateQuantifiersFp(const Formula& formula,
   // Z_k budget on every integer it materializes. Arithmetic inside a step
   // is still exact (the paper: "arithmetic operations are still carried
   // out in exact values"); it is the *materialized* numbers that must fit.
+  QeOptions options;
+  options.pool = pool;
   QeStats qe_stats;
   auto result =
-      EliminateQuantifiers(formula, num_free_vars, QeOptions{}, &qe_stats);
+      EliminateQuantifiers(formula, num_free_vars, options, &qe_stats);
   s->qe = qe_stats;
   s->max_bits = qe_stats.max_intermediate_bits;
   CCDB_METRIC_MAX("fp.max_bits", s->max_bits);
@@ -57,22 +58,24 @@ StatusOr<ConstraintRelation> EliminateQuantifiersFp(const Formula& formula,
 }
 
 StatusOr<bool> DecideSentenceFp(const Formula& sentence,
-                                const FpContext& context, FpQeStats* stats) {
+                                const FpContext& context, FpQeStats* stats,
+                                ThreadPool* pool) {
   CCDB_ASSIGN_OR_RETURN(
       ConstraintRelation rel,
-      EliminateQuantifiersFp(sentence, 0, context, stats));
+      EliminateQuantifiersFp(sentence, 0, context, stats, pool));
   return !rel.is_empty_syntactically();
 }
 
 StatusOr<std::uint32_t> MinimalDefiningK(const Formula& formula,
                                          int num_free_vars,
-                                         std::uint32_t max_k) {
+                                         std::uint32_t max_k,
+                                         ThreadPool* pool) {
   // One exact run reveals the materialized maximum; the minimal k equals
   // it by definition of the budget check.
   FpQeStats stats;
   FpContext context{max_k};
   auto result =
-      EliminateQuantifiersFp(formula, num_free_vars, context, &stats);
+      EliminateQuantifiersFp(formula, num_free_vars, context, &stats, pool);
   if (result.ok()) {
     return static_cast<std::uint32_t>(stats.max_bits);
   }

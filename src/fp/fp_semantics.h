@@ -39,23 +39,26 @@ struct FpQeStats {
 /// kUndefined when the budget is exceeded — by Theorem 4.1 this MUST happen
 /// for some multiplicative queries whose inputs fit in Z_k, and by
 /// Theorem 4.2 it cannot happen for linear queries once k exceeds a
-/// query-dependent constant factor of the input bit length.
-StatusOr<ConstraintRelation> EliminateQuantifiersFp(const Formula& formula,
-                                                    int num_free_vars,
-                                                    const FpContext& context,
-                                                    FpQeStats* stats = nullptr);
+/// query-dependent constant factor of the input bit length. The exact
+/// pipeline runs on `pool` (null = the calling thread); the answer is the
+/// same at every width.
+StatusOr<ConstraintRelation> EliminateQuantifiersFp(
+    const Formula& formula, int num_free_vars, const FpContext& context,
+    FpQeStats* stats = nullptr, ThreadPool* pool = nullptr);
 
 /// Finite-precision sentence decision (the relation |=^F_QE of Section 4).
 StatusOr<bool> DecideSentenceFp(const Formula& sentence,
                                 const FpContext& context,
-                                FpQeStats* stats = nullptr);
+                                FpQeStats* stats = nullptr,
+                                ThreadPool* pool = nullptr);
 
 /// The smallest k (searched by doubling then bisection) for which the
 /// query is defined under FO^F_QE, up to `max_k`. Returns kUndefined if
 /// even max_k does not suffice. Used by the Theorem 4.1/4.2 experiments.
 StatusOr<std::uint32_t> MinimalDefiningK(const Formula& formula,
                                          int num_free_vars,
-                                         std::uint32_t max_k);
+                                         std::uint32_t max_k,
+                                         ThreadPool* pool = nullptr);
 
 }  // namespace ccdb
 

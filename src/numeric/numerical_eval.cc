@@ -20,7 +20,8 @@ bool IsZeroDimensional(const CadCell& cell) {
 }  // namespace
 
 StatusOr<NumericalEvaluation> EvaluateNumerically(
-    const ConstraintRelation& relation, const ResourceGovernor* gov) {
+    const ConstraintRelation& relation, const ResourceGovernor* gov,
+    ThreadPool* pool) {
   CCDB_TRACE_SPAN("numeric.evaluate");
   CCDB_FAILPOINT("numeric.eval");
   CCDB_CHECK_BUDGET(gov, "numeric.eval");
@@ -36,6 +37,7 @@ StatusOr<NumericalEvaluation> EvaluateNumerically(
   }
   CadOptions cad_options;
   cad_options.governor = gov;
+  cad_options.pool = pool;
   CCDB_ASSIGN_OR_RETURN(
       Cad cad, Cad::Build(relation.CollectPolynomials(), relation.arity(),
                           cad_options));
@@ -56,9 +58,9 @@ StatusOr<NumericalEvaluation> EvaluateNumerically(
 
 StatusOr<std::vector<std::vector<Rational>>> ApproximateSolutions(
     const ConstraintRelation& relation, const Rational& epsilon,
-    const ResourceGovernor* gov) {
+    const ResourceGovernor* gov, ThreadPool* pool) {
   CCDB_ASSIGN_OR_RETURN(NumericalEvaluation eval,
-                        EvaluateNumerically(relation, gov));
+                        EvaluateNumerically(relation, gov, pool));
   if (!eval.finite) {
     return Status::InvalidArgument(
         "solution set is infinite; NUMERICAL EVALUATION does not apply");

@@ -5,6 +5,7 @@
 
 #include "base/resource.h"
 #include "base/status.h"
+#include "base/thread_pool.h"
 #include "constraint/atom.h"
 #include "qe/algebraic_point.h"
 
@@ -27,16 +28,18 @@ struct NumericalEvaluation {
 /// (dimension-0 cells). PTIME data complexity for fixed arity
 /// (Theorem 3.2).
 /// A non-null `gov` bounds the underlying CAD construction (stage
-/// "numeric.eval") and fails with kResourceExhausted on a budget trip.
+/// "numeric.eval") and fails with kResourceExhausted on a budget trip. The
+/// CAD lifts on `pool`; null lifts it on the calling thread.
 StatusOr<NumericalEvaluation> EvaluateNumerically(
-    const ConstraintRelation& relation, const ResourceGovernor* gov = nullptr);
+    const ConstraintRelation& relation, const ResourceGovernor* gov = nullptr,
+    ThreadPool* pool = nullptr);
 
 /// Convenience: epsilon-approximations of all solutions of a finite
 /// solution set, in lexicographic cell order. Fails with kInvalidArgument
 /// when the set is infinite.
 StatusOr<std::vector<std::vector<Rational>>> ApproximateSolutions(
     const ConstraintRelation& relation, const Rational& epsilon,
-    const ResourceGovernor* gov = nullptr);
+    const ResourceGovernor* gov = nullptr, ThreadPool* pool = nullptr);
 
 /// Exact 1-D measure data of a unary relation: the satisfied cells of its
 /// CAD, described as intervals between algebraic endpoints.

@@ -26,12 +26,6 @@ AlgebraicNumber::AlgebraicNumber(UPoly squarefree, IsolatedRoot root,
   }
 }
 
-std::vector<AlgebraicNumber> AlgebraicNumber::RootsOf(const UPoly& p) {
-  auto numbers = RootsOf(p, nullptr);
-  CCDB_CHECK(numbers.ok());  // a null governor never trips
-  return *std::move(numbers);
-}
-
 StatusOr<std::vector<AlgebraicNumber>> AlgebraicNumber::RootsOf(
     const UPoly& p, const ResourceGovernor* gov) {
   std::vector<AlgebraicNumber> numbers;

@@ -30,13 +30,10 @@ class AlgebraicNumber {
 
   /// All real roots of p, in increasing order, as algebraic numbers. The
   /// squarefree part of p is taken once here; isolation and every
-  /// resulting number share it.
-  static std::vector<AlgebraicNumber> RootsOf(const UPoly& p);
-
-  /// Governed variant: root isolation charges `gov` and fails with
-  /// kResourceExhausted on budget trip. Null governor never fails.
+  /// resulting number share it. Root isolation charges `gov` and fails
+  /// with kResourceExhausted on a budget trip; a null governor never trips.
   static StatusOr<std::vector<AlgebraicNumber>> RootsOf(
-      const UPoly& p, const ResourceGovernor* gov);
+      const UPoly& p, const ResourceGovernor* gov = nullptr);
 
   /// True iff the number is (known) rational. Numbers constructed from
   /// irrational roots stay non-exact even when the underlying value happens

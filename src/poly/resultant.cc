@@ -52,13 +52,8 @@ StatusOr<Polynomial> DivideExactMv(const Polynomial& a, const Polynomial& b,
   return quotient;
 }
 
-namespace {
-
-// Governed pseudo-remainder core; the public PseudoRem wraps it with a null
-// governor (which can never trip).
-StatusOr<Polynomial> PseudoRemGoverned(const Polynomial& a,
-                                       const Polynomial& b, int var,
-                                       const ResourceGovernor* gov) {
+StatusOr<Polynomial> PseudoRem(const Polynomial& a, const Polynomial& b,
+                               int var, const ResourceGovernor* gov) {
   std::uint32_t deg_b = b.DegreeIn(var);
   CCDB_CHECK_MSG(!b.is_zero(), "pseudo-remainder by zero");
   Polynomial lc_b = b.LeadingCoefficientIn(var);
@@ -87,14 +82,6 @@ StatusOr<Polynomial> PseudoRemGoverned(const Polynomial& a,
   return r;
 }
 
-}  // namespace
-
-Polynomial PseudoRem(const Polynomial& a, const Polynomial& b, int var) {
-  auto r = PseudoRemGoverned(a, b, var, nullptr);
-  CCDB_CHECK(r.ok());
-  return *std::move(r);
-}
-
 namespace {
 
 // Subresultant PRS core (Cohen, "A Course in Computational Algebraic Number
@@ -120,7 +107,7 @@ StatusOr<Polynomial> ResultantOrdered(Polynomial a, Polynomial b, int var,
     deg_b = b.DegreeIn(var);
     std::uint32_t delta = deg_a - deg_b;
     if ((deg_a % 2 == 1) && (deg_b % 2 == 1)) sign = -sign;
-    CCDB_ASSIGN_OR_RETURN(Polynomial r, PseudoRemGoverned(a, b, var, gov));
+    CCDB_ASSIGN_OR_RETURN(Polynomial r, PseudoRem(a, b, var, gov));
     if (gov != nullptr) gov->ChargeBytes(r.EstimateBytes());
     a = b;
     // b = r / (g * h^delta), exact by the subresultant theorem.
@@ -228,12 +215,6 @@ StatusOr<Polynomial> Resultant(const Polynomial& a, const Polynomial& b,
   return result;
 }
 
-Polynomial Resultant(const Polynomial& a, const Polynomial& b, int var) {
-  auto result = Resultant(a, b, var, nullptr);
-  CCDB_CHECK(result.ok());
-  return *std::move(result);
-}
-
 namespace {
 
 StatusOr<Polynomial> DiscriminantUncached(const Polynomial& p, int var,
@@ -267,16 +248,8 @@ StatusOr<Polynomial> Discriminant(const Polynomial& p, int var,
   return result;
 }
 
-Polynomial Discriminant(const Polynomial& p, int var) {
-  auto result = Discriminant(p, var, nullptr);
-  CCDB_CHECK(result.ok());
-  return *std::move(result);
-}
-
-namespace {
-
-StatusOr<Polynomial> ContentInGoverned(const Polynomial& p, int var,
-                                       const ResourceGovernor* gov) {
+StatusOr<Polynomial> ContentIn(const Polynomial& p, int var,
+                               const ResourceGovernor* gov) {
   if (p.is_zero()) return Polynomial();
   Polynomial content;
   for (const Polynomial& coeff : p.CoefficientsIn(var)) {
@@ -293,27 +266,12 @@ StatusOr<Polynomial> ContentInGoverned(const Polynomial& p, int var,
   return content;
 }
 
-StatusOr<Polynomial> PrimitivePartInGoverned(const Polynomial& p, int var,
-                                             const ResourceGovernor* gov) {
+StatusOr<Polynomial> PrimitivePartIn(const Polynomial& p, int var,
+                                     const ResourceGovernor* gov) {
   if (p.is_zero()) return Polynomial();
-  CCDB_ASSIGN_OR_RETURN(Polynomial content,
-                        ContentInGoverned(p, var, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial content, ContentIn(p, var, gov));
   return ExactOrDie(DivideExactMv(p, content, gov),
                     "content division not exact");
-}
-
-}  // namespace
-
-Polynomial ContentIn(const Polynomial& p, int var) {
-  auto content = ContentInGoverned(p, var, nullptr);
-  CCDB_CHECK(content.ok());
-  return *std::move(content);
-}
-
-Polynomial PrimitivePartIn(const Polynomial& p, int var) {
-  auto pp = PrimitivePartInGoverned(p, var, nullptr);
-  CCDB_CHECK(pp.ok());
-  return *std::move(pp);
 }
 
 namespace {
@@ -352,8 +310,8 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
     Polynomial content = poly;
     while (!content.is_constant()) {
       CCDB_CHECK_BUDGET(gov, "poly.gcd");
-      CCDB_ASSIGN_OR_RETURN(
-          content, ContentInGoverned(content, content.max_var(), gov));
+      CCDB_ASSIGN_OR_RETURN(content,
+                            ContentIn(content, content.max_var(), gov));
     }
     return MvGcd(constant, content, gov);
   }
@@ -366,35 +324,28 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
   }
   if (!a_has) {
     // gcd(a, b) divides a (free of var) hence divides content_var(b).
-    CCDB_ASSIGN_OR_RETURN(Polynomial content,
-                          ContentInGoverned(b, var, gov));
+    CCDB_ASSIGN_OR_RETURN(Polynomial content, ContentIn(b, var, gov));
     return MvGcd(a, content, gov);
   }
   if (!b_has) {
-    CCDB_ASSIGN_OR_RETURN(Polynomial content,
-                          ContentInGoverned(a, var, gov));
+    CCDB_ASSIGN_OR_RETURN(Polynomial content, ContentIn(a, var, gov));
     return MvGcd(b, content, gov);
   }
-  CCDB_ASSIGN_OR_RETURN(Polynomial content_a,
-                        ContentInGoverned(a, var, gov));
-  CCDB_ASSIGN_OR_RETURN(Polynomial content_b,
-                        ContentInGoverned(b, var, gov));
-  CCDB_ASSIGN_OR_RETURN(Polynomial pp_a,
-                        PrimitivePartInGoverned(a, var, gov));
-  CCDB_ASSIGN_OR_RETURN(Polynomial pp_b,
-                        PrimitivePartInGoverned(b, var, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial content_a, ContentIn(a, var, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial content_b, ContentIn(b, var, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial pp_a, PrimitivePartIn(a, var, gov));
+  CCDB_ASSIGN_OR_RETURN(Polynomial pp_b, PrimitivePartIn(b, var, gov));
   // Primitive PRS on the primitive parts.
   if (pp_a.DegreeIn(var) < pp_b.DegreeIn(var)) std::swap(pp_a, pp_b);
   while (!pp_b.is_zero()) {
     CCDB_CHECK_BUDGET(gov, "poly.gcd");
-    CCDB_ASSIGN_OR_RETURN(Polynomial r,
-                          PseudoRemGoverned(pp_a, pp_b, var, gov));
+    CCDB_ASSIGN_OR_RETURN(Polynomial r, PseudoRem(pp_a, pp_b, var, gov));
     if (gov != nullptr) gov->ChargeBytes(r.EstimateBytes());
     pp_a = std::move(pp_b);
     if (r.is_zero()) {
       pp_b = Polynomial();
     } else {
-      CCDB_ASSIGN_OR_RETURN(pp_b, PrimitivePartInGoverned(r, var, gov));
+      CCDB_ASSIGN_OR_RETURN(pp_b, PrimitivePartIn(r, var, gov));
     }
   }
   Polynomial gcd_pp =
@@ -420,16 +371,8 @@ StatusOr<Polynomial> MvGcd(const Polynomial& a, const Polynomial& b,
   return result;
 }
 
-Polynomial MvGcd(const Polynomial& a, const Polynomial& b) {
-  auto result = MvGcd(a, b, nullptr);
-  CCDB_CHECK(result.ok());
-  return *std::move(result);
-}
-
-namespace {
-
-StatusOr<Polynomial> SquarefreePartInGoverned(const Polynomial& p, int var,
-                                              const ResourceGovernor* gov) {
+StatusOr<Polynomial> SquarefreePartIn(const Polynomial& p, int var,
+                                      const ResourceGovernor* gov) {
   if (p.is_zero()) return Polynomial();
   if (p.DegreeIn(var) == 0) return p.IntegerNormalized();
   CCDB_ASSIGN_OR_RETURN(Polynomial g,
@@ -452,14 +395,6 @@ StatusOr<Polynomial> SquarefreePartInGoverned(const Polynomial& p, int var,
   return divided->IntegerNormalized();
 }
 
-}  // namespace
-
-Polynomial SquarefreePartIn(const Polynomial& p, int var) {
-  auto result = SquarefreePartInGoverned(p, var, nullptr);
-  CCDB_CHECK(result.ok());
-  return *std::move(result);
-}
-
 StatusOr<std::vector<Polynomial>> SquarefreeBasis(
     const std::vector<Polynomial>& polys, const ResourceGovernor* gov) {
   std::vector<Polynomial> basis;
@@ -475,7 +410,7 @@ StatusOr<std::vector<Polynomial>> SquarefreeBasis(
     CCDB_CHECK_BUDGET(gov, "poly.gcd");
     if (p.is_constant()) continue;
     CCDB_ASSIGN_OR_RETURN(Polynomial part,
-                          SquarefreePartInGoverned(p, p.max_var(), gov));
+                          SquarefreePartIn(p, p.max_var(), gov));
     push_unique(part);
   }
   // Refine until pairwise coprime.
@@ -508,12 +443,6 @@ StatusOr<std::vector<Polynomial>> SquarefreeBasis(
   }
   std::sort(basis.begin(), basis.end());
   return basis;
-}
-
-std::vector<Polynomial> SquarefreeBasis(const std::vector<Polynomial>& polys) {
-  auto basis = SquarefreeBasis(polys, nullptr);
-  CCDB_CHECK(basis.ok());
-  return *std::move(basis);
 }
 
 }  // namespace ccdb

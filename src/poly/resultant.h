@@ -17,13 +17,12 @@ namespace ccdb {
 /// of subresultants").
 ///
 /// The coefficient swell of these pseudo-remainder sequences is where the
-/// doubly-exponential CAD cost concentrates, so every PRS / gcd /
-/// refinement loop below accepts a nullable `const ResourceGovernor*` and
-/// charges it at its loop head ("poly.prs", "poly.gcd", "poly.divide");
-/// the governed overloads return kResourceExhausted when a budget trips.
+/// doubly-exponential CAD cost concentrates, so every operation below
+/// takes a nullable `const ResourceGovernor*`, charges it at its loop
+/// heads ("poly.prs", "poly.gcd", "poly.divide") and returns
+/// kResourceExhausted when a budget trips. A null governor never trips.
 /// Resultants, discriminants and gcds are memoized (base/memo.h); only
-/// ungoverned calls read the memo. The Polynomial-returning forms are
-/// ungoverned conveniences.
+/// ungoverned calls read the memo.
 
 /// Exact multivariate division; kInvalidArgument when b does not divide a.
 StatusOr<Polynomial> DivideExactMv(const Polynomial& a, const Polynomial& b,
@@ -32,39 +31,40 @@ StatusOr<Polynomial> DivideExactMv(const Polynomial& a, const Polynomial& b,
 /// Pseudo-remainder of a by b with respect to variable `var`:
 /// lc_var(b)^(deg_a - deg_b + 1) * a = q*b + prem. Requires
 /// deg_var(b) >= 1 or b constant nonzero, and deg_var(a) >= deg_var(b).
-Polynomial PseudoRem(const Polynomial& a, const Polynomial& b, int var);
+StatusOr<Polynomial> PseudoRem(const Polynomial& a, const Polynomial& b,
+                               int var, const ResourceGovernor* gov = nullptr);
 
 /// Resultant of a and b with respect to `var` (a polynomial in the other
 /// variables). Zero iff a and b share a common factor with positive degree
 /// in `var` (over the fraction field).
-Polynomial Resultant(const Polynomial& a, const Polynomial& b, int var);
 StatusOr<Polynomial> Resultant(const Polynomial& a, const Polynomial& b,
-                               int var, const ResourceGovernor* gov);
+                               int var, const ResourceGovernor* gov = nullptr);
 
 /// Discriminant of p with respect to `var`:
 /// (-1)^{d(d-1)/2} res_var(p, dp/dvar) / lc_var(p). Requires
 /// deg_var(p) >= 1.
-Polynomial Discriminant(const Polynomial& p, int var);
 StatusOr<Polynomial> Discriminant(const Polynomial& p, int var,
-                                  const ResourceGovernor* gov);
+                                  const ResourceGovernor* gov = nullptr);
 
 /// Content of p with respect to `var`: gcd (up to units, normalized) of the
 /// coefficients of p viewed as univariate in `var`.
-Polynomial ContentIn(const Polynomial& p, int var);
+StatusOr<Polynomial> ContentIn(const Polynomial& p, int var,
+                               const ResourceGovernor* gov = nullptr);
 
 /// p divided by its content in `var` (primitive part).
-Polynomial PrimitivePartIn(const Polynomial& p, int var);
+StatusOr<Polynomial> PrimitivePartIn(const Polynomial& p, int var,
+                                     const ResourceGovernor* gov = nullptr);
 
 /// Gcd of multivariate polynomials over Q, normalized to primitive integer
 /// coefficients with positive leading coefficient; MvGcd(0,0) == 0 and
 /// the gcd of coprime polynomials is 1.
-Polynomial MvGcd(const Polynomial& a, const Polynomial& b);
 StatusOr<Polynomial> MvGcd(const Polynomial& a, const Polynomial& b,
-                           const ResourceGovernor* gov);
+                           const ResourceGovernor* gov = nullptr);
 
 /// Squarefree part of p with respect to `var`: p / gcd(p, dp/dvar),
 /// normalized.
-Polynomial SquarefreePartIn(const Polynomial& p, int var);
+StatusOr<Polynomial> SquarefreePartIn(const Polynomial& p, int var,
+                                      const ResourceGovernor* gov = nullptr);
 
 /// A finest squarefree basis for the set: the returned polynomials are
 /// normalized, non-constant, squarefree in their own highest variable and
@@ -72,9 +72,9 @@ Polynomial SquarefreePartIn(const Polynomial& p, int var);
 /// product of powers of basis elements. This is the preconditioning step of
 /// CAD projection — pairwise resultants and discriminants of basis
 /// elements are then guaranteed nonzero.
-std::vector<Polynomial> SquarefreeBasis(const std::vector<Polynomial>& polys);
 StatusOr<std::vector<Polynomial>> SquarefreeBasis(
-    const std::vector<Polynomial>& polys, const ResourceGovernor* gov);
+    const std::vector<Polynomial>& polys,
+    const ResourceGovernor* gov = nullptr);
 
 }  // namespace ccdb
 

@@ -91,12 +91,6 @@ bool TrySnapRationalRoot(const std::vector<BigInt>& f, Rational* lo,
 
 }  // namespace
 
-std::vector<IsolatedRoot> IsolateRealRoots(const UPoly& p) {
-  auto roots = IsolateRealRoots(p, nullptr);
-  CCDB_CHECK(roots.ok());  // a null governor never trips
-  return *std::move(roots);
-}
-
 StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
     const UPoly& p, const ResourceGovernor* gov) {
   CCDB_CHECK_MSG(!p.is_zero(), "cannot isolate roots of the zero polynomial");

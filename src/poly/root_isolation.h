@@ -23,14 +23,11 @@ struct IsolatedRoot {
 /// squarefree part is taken internally), returned in increasing order.
 /// This is the base phase of the CAD algorithm ("all the roots are
 /// identified [CL82]", paper Appendix I) and the heart of the paper's
-/// NUMERICAL EVALUATION step.
-std::vector<IsolatedRoot> IsolateRealRoots(const UPoly& p);
-
-/// Governed variant: charges `gov` per Sturm bisection segment and fails
-/// with kResourceExhausted when the budget trips (stage "poly.isolate").
-/// Null governor = identical to the ungoverned overload.
+/// NUMERICAL EVALUATION step. Charges `gov` per Sturm bisection segment
+/// and fails with kResourceExhausted when the budget trips (stage
+/// "poly.isolate"); a null governor never trips.
 StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
-    const UPoly& p, const ResourceGovernor* gov);
+    const UPoly& p, const ResourceGovernor* gov = nullptr);
 
 /// IsolateRealRoots for a caller that already holds a squarefree nonzero
 /// `f` (e.g. AlgebraicNumber::RootsOf): skips the squarefree-part gcd.

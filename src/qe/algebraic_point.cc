@@ -22,13 +22,6 @@ bool AlgebraicPoint::AllRational() const {
   return true;
 }
 
-std::vector<Rational> AlgebraicPoint::RationalCoords() const {
-  std::vector<Rational> out;
-  out.reserve(coords_.size());
-  for (const AlgebraicNumber& c : coords_) out.push_back(c.rational_value());
-  return out;
-}
-
 StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
     Polynomial q, int extra_var, const ResourceGovernor* gov) const {
   // Substitute rational coordinates exactly first (cheap, lowers degrees).
@@ -167,7 +160,10 @@ AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p) const {
                  "iterated resultant vanished identically in ValueAt");
   auto t_upoly = UPoly::FromPolynomial(t, z_var);
   CCDB_CHECK(t_upoly.ok());
-  std::vector<AlgebraicNumber> candidates = AlgebraicNumber::RootsOf(*t_upoly);
+  StatusOr<std::vector<AlgebraicNumber>> roots =
+      AlgebraicNumber::RootsOf(*t_upoly);
+  CCDB_CHECK(roots.ok());
+  std::vector<AlgebraicNumber> candidates = *std::move(roots);
   CCDB_CHECK_MSG(!candidates.empty(), "candidate set empty in ValueAt");
   if (candidates.size() == 1) return candidates[0];
 

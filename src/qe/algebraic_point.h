@@ -45,8 +45,6 @@ class AlgebraicPoint {
 
   /// True iff every coordinate is (represented as) rational.
   bool AllRational() const;
-  /// The rational coordinates; requires AllRational().
-  std::vector<Rational> RationalCoords() const;
 
   /// Exact sign of p at this point. p may mention variables 0..dim-1 only.
   int SignAt(const Polynomial& p) const;

@@ -323,10 +323,7 @@ StatusOr<SolutionFormula> BuildSolutionFormula(
     std::vector<int> signs;
     CellLabel label;
   };
-  // A one-runner pool runs ParallelMap as the plain loop on the caller.
-  static ThreadPool calling_thread(1);
-  ThreadPool* label_pool =
-      spec.label_pool != nullptr ? spec.label_pool : &calling_thread;
+  ThreadPool* label_pool = ThreadPool::Resolve(spec.label_pool);
   const int attempts = spec.allow_thom_retry ? 2 : 1;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (spec.before_attempt) CCDB_RETURN_IF_ERROR(spec.before_attempt(attempt));

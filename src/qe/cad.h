@@ -27,7 +27,6 @@ struct CadCell {
   std::vector<CadCell> children;
 
   int dimension() const { return static_cast<int>(index.size()); }
-  bool IsSectionAt(int level) const { return index[level] % 2 == 0; }
 };
 
 /// Options controlling CAD construction.
@@ -44,7 +43,7 @@ struct CadOptions {
   /// independent stacks (each base cell's subtree touches only its own
   /// sample points) and the cell tree is assembled in stack order, so the
   /// decomposition is identical at every thread count. Null = the
-  /// process-wide ThreadPool::Shared(). Borrowed, not owned.
+  /// calling thread. Borrowed, not owned.
   ThreadPool* pool = nullptr;
 };
 

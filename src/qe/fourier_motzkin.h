@@ -29,9 +29,9 @@ bool IsLinearSystem(const std::vector<GeneralizedTuple>& tuples);
 /// cross constraint (stage "qe.fm"); on a budget trip the round fails with
 /// kResourceExhausted.
 ///
-/// Disjuncts are eliminated independently across `pool` (null = the shared
-/// pool) and merged in input order, so the output is identical at every
-/// thread count.
+/// Disjuncts are eliminated independently across `pool` (null = the
+/// calling thread) and merged in input order, so the output is identical
+/// at every thread count.
 StatusOr<std::vector<GeneralizedTuple>> EliminateExistsLinear(
     const std::vector<GeneralizedTuple>& tuples, int var,
     const ResourceGovernor* gov = nullptr, ThreadPool* pool = nullptr);

@@ -303,7 +303,7 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
   spec.cad.governor = gov;
   spec.cad.pool = options.pool;
   spec.allow_thom_retry = options.allow_thom_augmentation;
-  spec.label_pool = ThreadPool::Resolve(options.pool);
+  spec.label_pool = options.pool;
   spec.label = [&](const CadCell& cell) -> StatusOr<CellLabel> {
     if (truth(cell)) return CellLabel(std::vector<Atom>());
     return CellLabel();

@@ -85,10 +85,8 @@ struct QeOptions {
   const ResourceGovernor* governor = nullptr;
   /// Worker pool for the parallel stages (plan union members, CAD
   /// lifting over base-phase cells, cell-truth evaluation). Null = the
-  /// process-wide ThreadPool::Shared(), which defaults to serial unless
-  /// CCDB_THREADS is set. Borrowed, not owned. Results are merged in
-  /// canonical index order, so answers are identical at every thread
-  /// count.
+  /// calling thread. Borrowed, not owned. Results are merged in canonical
+  /// index order, so answers are identical at every thread count.
   ThreadPool* pool = nullptr;
   /// EXPLAIN ANALYZE sink (base/profile.h): when non-null, each top-level
   /// elimination appends one ProfileNode tree — per plan node inclusive

@@ -258,14 +258,10 @@ std::string CalcFStats::ToJson() const {
 
 CalcFEvaluator::CalcFEvaluator(RelationLookup lookup, CalcFOptions options)
     : lookup_(std::move(lookup)),
-      options_([](CalcFOptions opts) {
-        // One governor bounds the whole evaluation unless the caller split
-        // the budgets explicitly.
-        if (opts.qe.governor == nullptr) opts.qe.governor = opts.governor;
-        return opts;
-      }(std::move(options))),
+      options_(std::move(options)),
       approx_module_(options_.approx_order),
-      aggregate_modules_(options_.tolerance, options_.governor) {}
+      aggregate_modules_(options_.tolerance, options_.qe.governor,
+                         options_.qe.pool) {}
 
 StatusOr<std::shared_ptr<const QFormula>> CalcFEvaluator::EvaluateAggregates(
     const QFormula& formula, CalcFStats* stats) const {
@@ -298,7 +294,7 @@ StatusOr<std::shared_ptr<const QFormula>> CalcFEvaluator::EvaluateAggregates(
     }
     case QFormula::Kind::kAggregate: {
       CCDB_FAILPOINT("calcf.aggregate");
-      CCDB_CHECK_BUDGET(options_.governor, "calcf.aggregate");
+      CCDB_CHECK_BUDGET(options_.qe.governor, "calcf.aggregate");
       // Inner stages first (the DAG order of Section 5).
       CCDB_ASSIGN_OR_RETURN(auto body,
                             EvaluateAggregates(*formula.children[0], stats));
@@ -384,7 +380,7 @@ StatusOr<ConstraintRelation> CalcFEvaluator::EvaluateCore(
   {
     CCDB_TRACE_SPAN("calcf.instantiate");
     CCDB_FAILPOINT("calcf.instantiate");
-    CCDB_CHECK_BUDGET(options_.governor, "calcf.instantiate");
+    CCDB_CHECK_BUDGET(options_.qe.governor, "calcf.instantiate");
     auto start = SteadyClock::now();
     CCDB_ASSIGN_OR_RETURN(
         auto function_free,

@@ -27,12 +27,11 @@ struct CalcFOptions {
   double tolerance = 1e-9;
   /// Epsilon for EVAL's solution approximation.
   Rational eval_epsilon = Rational(BigInt(1), BigInt::Pow2(24));
+  /// The evaluation's execution context: `qe.governor` is the one budget
+  /// of the whole evaluation (instantiation, every QE round, aggregate
+  /// module and CAD), and `qe.pool` the pool every stage runs on (null =
+  /// the calling thread).
   QeOptions qe;
-  /// Resource budget for the whole evaluation: threaded into every QE
-  /// round, CAD, and aggregate module the query runs. Null = unlimited.
-  /// Borrowed, not owned; also copied into `qe.governor` when that is
-  /// unset.
-  const ResourceGovernor* governor = nullptr;
 };
 
 /// Evaluation statistics (Theorem 5.5: "polynomially many k-order

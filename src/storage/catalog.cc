@@ -316,14 +316,6 @@ std::optional<RelationVersion> Catalog::View::GetRelationVersion(
   return it->second.version;
 }
 
-std::map<std::string, RelationVersion> Catalog::View::RelationVersions() const {
-  std::map<std::string, RelationVersion> versions;
-  for (const auto& [name, entry] : relations_) {
-    versions.emplace(name, entry.version);
-  }
-  return versions;
-}
-
 std::vector<std::string> Catalog::View::RelationNames() const {
   std::vector<std::string> names;
   names.reserve(relations_.size());

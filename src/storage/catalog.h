@@ -81,8 +81,6 @@ class Catalog {
     /// which stamps a nonzero version — invalidates.
     std::optional<RelationVersion> GetRelationVersion(
         const std::string& name) const;
-    /// All per-relation stamps, keyed by name.
-    std::map<std::string, RelationVersion> RelationVersions() const;
     std::size_t size() const { return relations_.size(); }
 
    private:

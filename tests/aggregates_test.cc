@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_pool.h"
+
 namespace ccdb {
 namespace {
 
@@ -57,7 +59,7 @@ TEST(AggregateTest, KindPlumbing) {
 }
 
 TEST(AggregateTest, MinMaxClosedInterval) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel = UnaryInterval(R(-3), R(7));
   auto min = modules.Min(rel);
   ASSERT_TRUE(min.ok()) << min.status().ToString();
@@ -69,7 +71,7 @@ TEST(AggregateTest, MinMaxClosedInterval) {
 }
 
 TEST(AggregateTest, MinUndefinedForOpenOrUnbounded) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   // Open interval: 0 < x < 1.
   ConstraintRelation open(1);
   GeneralizedTuple tuple;
@@ -94,7 +96,7 @@ TEST(AggregateTest, MinUndefinedForOpenOrUnbounded) {
 
 TEST(AggregateTest, MinOfIrrationalEndpoint) {
   // x^2 <= 2: min is -sqrt(2), reported approximately.
-  AggregateModules modules(1e-9);
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(1);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X().Pow(2) - Polynomial(2), RelOp::kLe);
@@ -106,7 +108,7 @@ TEST(AggregateTest, MinOfIrrationalEndpoint) {
 }
 
 TEST(AggregateTest, AvgFiniteSet) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   auto avg = modules.Avg(FinitePoints({R(1), R(2), R(6)}));
   ASSERT_TRUE(avg.ok());
   EXPECT_TRUE(avg->exact);
@@ -114,7 +116,7 @@ TEST(AggregateTest, AvgFiniteSet) {
 }
 
 TEST(AggregateTest, AvgOfInterval) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   auto avg = modules.Avg(UnaryInterval(R(2), R(6)));
   ASSERT_TRUE(avg.ok());
   EXPECT_TRUE(avg->exact);
@@ -132,7 +134,7 @@ TEST(AggregateTest, AvgOfInterval) {
 }
 
 TEST(AggregateTest, AvgUndefinedCases) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   EXPECT_EQ(modules.Avg(ConstraintRelation(1)).status().code(),
             StatusCode::kUndefined);
   ConstraintRelation unbounded(1);
@@ -143,7 +145,7 @@ TEST(AggregateTest, AvgUndefinedCases) {
 }
 
 TEST(AggregateTest, LengthUnionOfIntervals) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation uni = UnaryInterval(R(0), R(1));
   ConstraintRelation second = UnaryInterval(R(5), R(7));
   for (const auto& t : second.tuples()) uni.AddTuple(t);
@@ -158,7 +160,7 @@ TEST(AggregateTest, LengthUnionOfIntervals) {
 }
 
 TEST(AggregateTest, LengthIrrationalEndpoints) {
-  AggregateModules modules(1e-10);
+  AggregateModules modules(1e-10, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(1);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X().Pow(2) - Polynomial(2), RelOp::kLe);
@@ -171,7 +173,7 @@ TEST(AggregateTest, LengthIrrationalEndpoints) {
 TEST(AggregateTest, SurfacePaperExampleExactly18) {
   // The headline example of the paper: SURFACE(S ∧ y<=9) = 18, computed
   // EXACTLY by the graph-boundary fast path.
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   auto area = modules.Surface(PaperSurfaceRegion());
   ASSERT_TRUE(area.ok()) << area.status().ToString();
   EXPECT_TRUE(area->exact);
@@ -180,7 +182,7 @@ TEST(AggregateTest, SurfacePaperExampleExactly18) {
 
 TEST(AggregateTest, SurfaceTriangle) {
   // The paper's Section 3 triangle: x<=y, x>=0, y<=10. Area = 50.
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(2);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X() - Y(), RelOp::kLe);
@@ -195,7 +197,7 @@ TEST(AggregateTest, SurfaceTriangle) {
 
 TEST(AggregateTest, SurfaceUnitDiskNumeric) {
   // Unit disk: area pi (numeric path — circle is not a y-graph).
-  AggregateModules modules(1e-6);
+  AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(2);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X().Pow(2) + Y().Pow(2) - Polynomial(1), RelOp::kLe);
@@ -207,7 +209,7 @@ TEST(AggregateTest, SurfaceUnitDiskNumeric) {
 }
 
 TEST(AggregateTest, SurfaceUnboundedUndefined) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(2);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(Y() - X(), RelOp::kLe);  // half plane
@@ -218,7 +220,7 @@ TEST(AggregateTest, SurfaceUnboundedUndefined) {
 }
 
 TEST(AggregateTest, SurfaceEmptyRegionZero) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(2);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X().Pow(2) + Y().Pow(2) + Polynomial(1),
@@ -231,7 +233,7 @@ TEST(AggregateTest, SurfaceEmptyRegionZero) {
 
 TEST(AggregateTest, VolumeBox) {
   // Box [0,2]x[0,3]x[0,5]: volume 30 (numeric).
-  AggregateModules modules(1e-6);
+  AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(3);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(-X(), RelOp::kLe);
@@ -247,7 +249,7 @@ TEST(AggregateTest, VolumeBox) {
 }
 
 TEST(AggregateTest, EvalFiniteSolutions) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(1);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X().Pow(2) - Polynomial(4), RelOp::kEq);
@@ -260,7 +262,7 @@ TEST(AggregateTest, EvalFiniteSolutions) {
 }
 
 TEST(AggregateTest, EvalInfiniteReturnsOriginal) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   ConstraintRelation rel(1);
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X(), RelOp::kGe);
@@ -273,7 +275,7 @@ TEST(AggregateTest, EvalInfiniteReturnsOriginal) {
 }
 
 TEST(AggregateTest, ApplyNumericDispatchAndArityChecks) {
-  AggregateModules modules;
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
   auto bad = modules.ApplyNumeric(AggregateKind::kSurface,
                                   UnaryInterval(R(0), R(1)));
   EXPECT_FALSE(bad.ok());

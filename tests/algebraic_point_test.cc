@@ -40,7 +40,8 @@ std::vector<AlgebraicNumber> IrrationalRoots(const Polynomial& p, int var) {
   EXPECT_TRUE(u.ok());
   std::vector<AlgebraicNumber> out;
   if (!u.ok() || u->degree() < 1) return out;
-  for (AlgebraicNumber& root : AlgebraicNumber::RootsOf(*u)) {
+  std::vector<AlgebraicNumber> roots = AlgebraicNumber::RootsOf(*u).value();
+  for (AlgebraicNumber& root : roots) {
     if (!root.is_rational()) out.push_back(std::move(root));
   }
   return out;
@@ -107,8 +108,8 @@ struct Tally {
 // and a few combinations at each, tallying points and exact zeros.
 void CheckIntersectionCandidates(const Polynomial& f, const Polynomial& g,
                                  std::mt19937_64* rng, Tally* tally) {
-  Polynomial in_x = Resultant(f, g, 1);
-  Polynomial in_y = Resultant(f, g, 0);
+  Polynomial in_x = Resultant(f, g, 1).value();
+  Polynomial in_y = Resultant(f, g, 0).value();
   if (in_x.is_zero() || in_y.is_zero()) return;
   for (const AlgebraicNumber& alpha : IrrationalRoots(in_x, 0)) {
     for (const AlgebraicNumber& beta : IrrationalRoots(in_y, 1)) {

@@ -9,12 +9,20 @@
 
 #include "base/logging.h"
 #include "query/parser.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
 
 Rational R(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
+}
+
+// Evaluator options on the test pool (test_pool.h).
+CalcFOptions Pooled() {
+  CalcFOptions options;
+  options.qe.pool = ccdb_test::ProcessPool();
+  return options;
 }
 
 // Database with the paper's relation S and a couple of others.
@@ -36,7 +44,7 @@ CalcFEvaluator::RelationLookup PaperDatabase() {
 
 TEST(CalcFTest, PaperFigure1QueryEndToEnd) {
   // Q(x) = exists y (S(x,y) and y <= 0): answer {2.5}.
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto result = evaluator.EvaluateText("exists y (S(x, y) and y <= 0)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->column_names, std::vector<std::string>{"x"});
@@ -48,7 +56,7 @@ TEST(CalcFTest, PaperFigure1QueryEndToEnd) {
 
 TEST(CalcFTest, PaperExample51SurfaceIs18) {
   // Example 5.1/5.4: SURFACE[x,y](S(x,y) and y <= 9)(z) = {18}.
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto result =
       evaluator.EvaluateText("SURFACE[x, y](S(x, y) and y <= 9)(z)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -62,7 +70,7 @@ TEST(CalcFTest, PaperExample51SurfaceIs18) {
 }
 
 TEST(CalcFTest, MinMaxAvgOverSegment) {
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto min = evaluator.EvaluateText("MIN[t](Seg(t))(m)");
   ASSERT_TRUE(min.ok()) << min.status().ToString();
   EXPECT_EQ(min->scalar.exact_value, R(0));
@@ -79,7 +87,7 @@ TEST(CalcFTest, MinMaxAvgOverSegment) {
 
 TEST(CalcFTest, AggregateOverDerivedSet) {
   // MAX over the x-projection of S restricted to y = 9: x in [1,4].
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto result =
       evaluator.EvaluateText("MAX[x](exists y (S(x, y) and y = 9))(m)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -89,7 +97,7 @@ TEST(CalcFTest, AggregateOverDerivedSet) {
 TEST(CalcFTest, NestedAggregates) {
   // LENGTH of the interval [0, MAX(Seg)] = 10: the outer aggregate consumes
   // the inner one's output.
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto result = evaluator.EvaluateText(
       "LENGTH[t](exists m (MAX[s](Seg(s))(m) and 0 <= t and t <= m))(len)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -98,7 +106,7 @@ TEST(CalcFTest, NestedAggregates) {
 }
 
 TEST(CalcFTest, SurfaceOfDiskApproximate) {
-  CalcFOptions options;
+  CalcFOptions options = Pooled();
   options.tolerance = 1e-4;
   CalcFEvaluator evaluator(PaperDatabase(), options);
   auto result = evaluator.EvaluateText("SURFACE[x, y](Disk(x, y))(a)");
@@ -109,7 +117,7 @@ TEST(CalcFTest, SurfaceOfDiskApproximate) {
 
 TEST(CalcFTest, AnalyticFunctionInQuery) {
   // exists x (Seg(x) and y = exp(x) and x = 1): y ≈ e.
-  CalcFOptions options;
+  CalcFOptions options = Pooled();
   options.approx_order = 10;
   options.abase = ABase::Uniform(R(0), R(4), 8);
   CalcFEvaluator evaluator(PaperDatabase(), options);
@@ -144,7 +152,7 @@ TEST(CalcFTest, AnalyticFunctionInQuery) {
 TEST(CalcFTest, FunctionCompositionSinOfPoly) {
   // y = sin(0) must give y = 0 (sin(0) is exactly 0 under Chebyshev
   // interpolation only approximately; accept small error).
-  CalcFOptions options;
+  CalcFOptions options = Pooled();
   options.approx_order = 12;
   options.abase = ABase::Uniform(R(-4), R(4), 8);
   CalcFEvaluator evaluator(PaperDatabase(), options);
@@ -163,7 +171,7 @@ TEST(CalcFTest, FunctionCompositionSinOfPoly) {
 }
 
 TEST(CalcFTest, ArgumentOutsideABaseRejectedOrEmpty) {
-  CalcFOptions options;
+  CalcFOptions options = Pooled();
   options.abase = ABase::Uniform(R(0), R(1), 2);
   CalcFEvaluator evaluator(PaperDatabase(), options);
   // exp(5) is outside the a-base [0,1]: the constraint set is empty.
@@ -176,7 +184,7 @@ TEST(CalcFTest, ParameterizedAggregateNonSeparableUndefined) {
   // The paper's step 4 requires each tuple to split into x-only and y-only
   // constraints ("the query is undefined otherwise"); S mixes x and y in
   // one atom.
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto result =
       evaluator.EvaluateText("LENGTH[y](S(x, y) and y <= 9)(len)");
   EXPECT_FALSE(result.ok());
@@ -196,7 +204,7 @@ TEST(CalcFTest, ParameterizedAggregateSeparable) {
     if (name == "Piece") return rel;
     return Status::NotFound("no relation " + name);
   };
-  CalcFEvaluator evaluator(lookup);
+  CalcFEvaluator evaluator(lookup, Pooled());
   auto result = evaluator.EvaluateText("MAX[y](Piece(x, y))(m)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Columns: x then m.
@@ -230,7 +238,7 @@ TEST(CalcFTest, ParameterizedLengthOfSlabs) {
     if (name == "Slab") return rel;
     return Status::NotFound("no relation " + name);
   };
-  CalcFEvaluator evaluator(lookup);
+  CalcFEvaluator evaluator(lookup, Pooled());
   auto result = evaluator.EvaluateText("LENGTH[y](Slab(x, y))(len)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // x in (0,1): both slabs: length 3 + 2 = 5. x in (1,2): length 3.
@@ -247,7 +255,7 @@ TEST(CalcFTest, ParameterizedLengthOfSlabs) {
 
 TEST(CalcFTest, EvalAggregate) {
   // EVAL[x](4x^2-20x+25 = 0)(r): finite solution {2.5}.
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto result = evaluator.EvaluateText(
       "EVAL[x](4*x^2 - 20*x + 25 = 0)(r)");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -256,7 +264,7 @@ TEST(CalcFTest, EvalAggregate) {
 }
 
 TEST(CalcFTest, UnknownRelation) {
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto result = evaluator.EvaluateText("Nope(x)");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
@@ -265,7 +273,7 @@ TEST(CalcFTest, UnknownRelation) {
 TEST(CalcFTest, ClosedFormComposability) {
   // Theorem 5.5's closed-form property: the output of a CALC_F query is a
   // constraint relation usable as input again.
-  CalcFEvaluator evaluator(PaperDatabase());
+  CalcFEvaluator evaluator(PaperDatabase(), Pooled());
   auto first = evaluator.EvaluateText("exists y (S(x, y) and y <= 0)");
   ASSERT_TRUE(first.ok());
   // Register the output and query it.
@@ -275,7 +283,7 @@ TEST(CalcFTest, ClosedFormComposability) {
     if (name == "D") return derived;
     return Status::NotFound("no relation " + name);
   };
-  CalcFEvaluator second(lookup);
+  CalcFEvaluator second(lookup, Pooled());
   auto final_result = second.EvaluateText("EVAL[x](D(x))(r)");
   ASSERT_TRUE(final_result.ok()) << final_result.status().ToString();
   EXPECT_TRUE(final_result->relation.Contains({R(5, 2)}));

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "test_pool.h"
+
 namespace ccdb {
 namespace {
+
+// DatalogOptions on the test pool (test_pool.h).
+DatalogOptions Pooled() {
+  DatalogOptions options;
+  options.qe.pool = ccdb_test::ProcessPool();
+  return options;
+}
 
 Rational R(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
@@ -47,7 +56,7 @@ TEST(DatalogTest, TransitiveClosureOfSegment) {
   edb.emplace("Edge", IntervalEdge());
 
   DatalogStats stats;
-  auto result = EvaluateDatalog(program, edb, DatalogOptions{}, &stats);
+  auto result = EvaluateDatalog(program, edb, Pooled(), &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(stats.reached_fixpoint);
   const ConstraintRelation& reach = result->at("Reach");
@@ -77,7 +86,7 @@ TEST(DatalogTest, ConstraintLiteralInBody) {
 
   std::map<std::string, ConstraintRelation> edb;
   edb.emplace("Edge", IntervalEdge());
-  auto result = EvaluateDatalog(program, edb);
+  auto result = EvaluateDatalog(program, edb, Pooled());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const ConstraintRelation& p = result->at("P");
   EXPECT_TRUE(p.Contains({R(1)}));
@@ -101,7 +110,7 @@ TEST(DatalogTest, InflationaryNegation) {
   rule.body.push_back(DatalogLiteral::Rel("Seen", {0}, /*negated=*/true));
   program.rules.push_back(rule);
 
-  auto result = EvaluateDatalog(program, {});
+  auto result = EvaluateDatalog(program, {}, Pooled());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->at("Comp").Contains({R(2)}));
   EXPECT_FALSE(result->at("Comp").Contains({R(6)}));
@@ -131,7 +140,7 @@ TEST(DatalogTest, PrecisionBudgetEnforced) {
         Atom(V(0) - Polynomial(2) * V(1), RelOp::kEq)));
     program.rules.push_back(rule);
   }
-  DatalogOptions options;
+  DatalogOptions options = Pooled();
   options.precision_k = 6;  // values up to 63
   options.max_iterations = 100;
   DatalogStats stats;
@@ -149,13 +158,13 @@ TEST(DatalogTest, ErrorsOnBadPrograms) {
   rule.head = "Undeclared";
   rule.head_vars = {0};
   program.rules.push_back(rule);
-  EXPECT_FALSE(EvaluateDatalog(program, {}).ok());
+  EXPECT_FALSE(EvaluateDatalog(program, {}, Pooled()).ok());
 
   DatalogProgram clash;
   clash.idb_arities["E"] = 2;
   std::map<std::string, ConstraintRelation> edb;
   edb.emplace("E", ConstraintRelation(2));
-  EXPECT_FALSE(EvaluateDatalog(clash, edb).ok());
+  EXPECT_FALSE(EvaluateDatalog(clash, edb, Pooled()).ok());
 }
 
 TEST(DatalogTest, GuardedGrowthReachesFixpointWithWidening) {
@@ -184,7 +193,7 @@ TEST(DatalogTest, GuardedGrowthReachesFixpointWithWidening) {
         Atom(V(0) - Polynomial(10), RelOp::kLe)));
     program.rules.push_back(grow);
   }
-  DatalogOptions options;
+  DatalogOptions options = Pooled();
   options.max_iterations = 32;
   DatalogStats stats;
   auto result = EvaluateDatalog(program, {}, options, &stats);

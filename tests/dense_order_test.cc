@@ -5,9 +5,19 @@
 #include <gtest/gtest.h>
 
 #include "qe/qe.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
+
+using ccdb_test::ProcessPool;
+
+// QeOptions on the test pool (test_pool.h).
+QeOptions Pooled() {
+  QeOptions options;
+  options.pool = ProcessPool();
+  return options;
+}
 
 Rational R(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
@@ -46,7 +56,7 @@ TEST(DenseOrderTest, BetweennessElimination) {
   // exists y (x < y and y < z): by density, equivalent to x < z.
   GeneralizedTuple tuple = Tuple(
       {Atom(X() - Y(), RelOp::kLt), Atom(Y() - Z(), RelOp::kLt)});
-  auto result = EliminateExistsDenseOrder({tuple}, 1);
+  auto result = EliminateExistsDenseOrder({tuple}, 1, nullptr, ProcessPool());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->size(), 1u);
   EXPECT_TRUE((*result)[0].SatisfiedAt({R(0), R(0), R(1)}));
@@ -81,7 +91,7 @@ TEST(DenseOrderTest, ClosureOverRandomSystems) {
       tuples.push_back(std::move(tuple));
     }
     ASSERT_TRUE(IsDenseOrderSystem(tuples));
-    auto result = EliminateExistsDenseOrder(tuples, 2);
+    auto result = EliminateExistsDenseOrder(tuples, 2, nullptr, ProcessPool());
     ASSERT_TRUE(result.ok()) << "trial " << trial;
     EXPECT_TRUE(IsDenseOrderSystem(*result)) << "trial " << trial;
   }
@@ -94,7 +104,7 @@ TEST(DenseOrderTest, QeStatsReportDenseOrderPath) {
                       Formula::MakeAtom(
                           Atom(Y() - Polynomial(10), RelOp::kLt))));
   QeStats stats;
-  auto result = EliminateQuantifiers(query, 1, QeOptions{}, &stats);
+  auto result = EliminateQuantifiers(query, 1, Pooled(), &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(stats.used_linear_path);
   EXPECT_TRUE(stats.used_dense_order_path);
@@ -105,7 +115,7 @@ TEST(DenseOrderTest, QeStatsReportDenseOrderPath) {
   Formula linear = Formula::Exists(
       1, Formula::MakeAtom(
              Atom(Polynomial(2) * X() - Y(), RelOp::kLt)));
-  auto r2 = EliminateQuantifiers(linear, 1, QeOptions{}, &stats);
+  auto r2 = EliminateQuantifiers(linear, 1, Pooled(), &stats);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(stats.used_linear_path);
   EXPECT_FALSE(stats.used_dense_order_path);
@@ -121,7 +131,7 @@ TEST(DenseOrderTest, OrderInsensitivityToExactValues) {
     GeneralizedTuple tuple = Tuple(
         {Atom(X() - Y(), RelOp::kLt),
          Atom(Y() - Polynomial(2 * scale), RelOp::kLt)});
-    auto result = EliminateExistsDenseOrder({tuple}, 1);
+    auto result = EliminateExistsDenseOrder({tuple}, 1, nullptr, ProcessPool());
     ASSERT_TRUE(result.ok());
     // Answer: x < 2*scale.
     bool in = false;
@@ -139,7 +149,7 @@ TEST(DenseOrderTest, OrderInsensitivityToExactValues) {
 
 TEST(DenseOrderTest, RejectsNonDenseOrder) {
   GeneralizedTuple tuple = Tuple({Atom(X() + Y(), RelOp::kLt)});
-  auto result = EliminateExistsDenseOrder({tuple}, 1);
+  auto result = EliminateExistsDenseOrder({tuple}, 1, nullptr, ProcessPool());
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }

@@ -13,6 +13,7 @@
 #include "datalog/datalog.h"
 #include "engine/database.h"
 #include "engine/session.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
@@ -231,13 +232,15 @@ TEST_F(FailpointInjectionTest, DatalogIteration) {
   std::map<std::string, ConstraintRelation> edb;
   edb.emplace("Edge", edge);
 
+  DatalogOptions options;
+  options.qe.pool = ccdb_test::ProcessPool();
   ASSERT_TRUE(
       FailpointRegistry::Global().Configure("datalog.iteration=error@1").ok());
-  auto result = EvaluateDatalog(program, edb, DatalogOptions{}, nullptr);
+  auto result = EvaluateDatalog(program, edb, options, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   FailpointRegistry::Global().ClearAll();
-  auto retry = EvaluateDatalog(program, edb, DatalogOptions{}, nullptr);
+  auto retry = EvaluateDatalog(program, edb, options, nullptr);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 

@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "test_pool.h"
+
 namespace ccdb {
 namespace {
+
+// EliminateQuantifiersFp of a one-free-variable query at k, on the test
+// pool (test_pool.h).
+StatusOr<ConstraintRelation> Fp(const Formula& query, std::uint32_t k,
+                                FpQeStats* stats) {
+  return EliminateQuantifiersFp(query, 1, FpContext{k}, stats,
+                                ccdb_test::ProcessPool());
+}
 
 Rational R(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
@@ -18,7 +28,7 @@ TEST(FpSemanticsTest, DefinedWhenBudgetSuffices) {
       1, Formula::And(Formula::Compare(X(), RelOp::kLe, Y()),
                       Formula::Compare(Y(), RelOp::kLe, Polynomial(10))));
   FpQeStats stats;
-  auto result = EliminateQuantifiersFp(query, 1, FpContext{64}, &stats);
+  auto result = Fp(query, 64, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(stats.defined);
   EXPECT_LE(stats.max_bits, 64u);
@@ -32,7 +42,7 @@ TEST(FpSemanticsTest, UndefinedWhenBudgetTooSmall) {
       1, Formula::And(Formula::MakeAtom(Atom(big, RelOp::kEq)),
                       Formula::MakeAtom(Atom(Y() - Polynomial(3), RelOp::kEq))));
   FpQeStats stats;
-  auto result = EliminateQuantifiersFp(query, 1, FpContext{4}, &stats);
+  auto result = Fp(query, 4, &stats);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUndefined);
   EXPECT_FALSE(stats.defined);
@@ -53,7 +63,7 @@ TEST(FpSemanticsTest, Theorem41SeparationPolynomialBitGrowth) {
           Formula::MakeAtom(
               Atom(Y().Pow(2) - Polynomial(97), RelOp::kEq))));
   FpQeStats stats;
-  auto exact = EliminateQuantifiersFp(query, 1, FpContext{1 << 20}, &stats);
+  auto exact = Fp(query, 1 << 20, &stats);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   // Input coefficients fit in 7 bits; intermediates need strictly more.
   EXPECT_GT(stats.max_bits, 7u);
@@ -70,8 +80,7 @@ TEST(FpSemanticsTest, Theorem42LinearBitGrowthLinear) {
                Formula::Compare(Polynomial(coeff) * X(), RelOp::kLe, Y()),
                Formula::Compare(Y(), RelOp::kLe, Polynomial(coeff))));
     FpQeStats stats;
-    auto result =
-        EliminateQuantifiersFp(query, 1, FpContext{1 << 20}, &stats);
+    auto result = Fp(query, 1 << 20, &stats);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(stats.qe.used_linear_path);
     EXPECT_LE(stats.max_bits, static_cast<std::uint64_t>(3 * shift + 8))
@@ -82,7 +91,8 @@ TEST(FpSemanticsTest, Theorem42LinearBitGrowthLinear) {
 TEST(FpSemanticsTest, DecideSentenceFp) {
   Formula sentence = Formula::Exists(
       0, Formula::MakeAtom(Atom(X() - Polynomial(3), RelOp::kEq)));
-  auto truth = DecideSentenceFp(sentence, FpContext{64});
+  auto truth = DecideSentenceFp(sentence, FpContext{64}, nullptr,
+                                ccdb_test::ProcessPool());
   ASSERT_TRUE(truth.ok());
   EXPECT_TRUE(*truth);
 }
@@ -91,15 +101,15 @@ TEST(FpSemanticsTest, MinimalDefiningK) {
   Formula query = Formula::Exists(
       1, Formula::And(Formula::Compare(Polynomial(255) * X(), RelOp::kLe, Y()),
                       Formula::Compare(Y(), RelOp::kLe, Polynomial(255))));
-  auto k = MinimalDefiningK(query, 1, 1 << 16);
+  auto k = MinimalDefiningK(query, 1, 1 << 16, ccdb_test::ProcessPool());
   ASSERT_TRUE(k.ok()) << k.status().ToString();
   EXPECT_GE(*k, 8u);
   EXPECT_LE(*k, 64u);
   // The query is then defined at exactly that k and undefined below.
   FpQeStats stats;
-  EXPECT_TRUE(EliminateQuantifiersFp(query, 1, FpContext{*k}, &stats).ok());
+  EXPECT_TRUE(Fp(query, *k, &stats).ok());
   if (*k > 1) {
-    auto below = EliminateQuantifiersFp(query, 1, FpContext{*k - 1}, &stats);
+    auto below = Fp(query, *k - 1, &stats);
     EXPECT_FALSE(below.ok());
   }
 }
@@ -109,12 +119,11 @@ TEST(FpSemanticsTest, PartialityIsMonotoneInK) {
   Polynomial p = Polynomial(12345) * X().Pow(2) - Y();
   Formula query = Formula::Exists(
       1, Formula::MakeAtom(Atom(p, RelOp::kEq)));
-  auto k = MinimalDefiningK(query, 1, 1 << 16);
+  auto k = MinimalDefiningK(query, 1, 1 << 16, ccdb_test::ProcessPool());
   ASSERT_TRUE(k.ok());
   for (std::uint32_t extra : {0u, 1u, 10u, 100u}) {
     FpQeStats stats;
-    EXPECT_TRUE(
-        EliminateQuantifiersFp(query, 1, FpContext{*k + extra}, &stats).ok());
+    EXPECT_TRUE(Fp(query, *k + extra, &stats).ok());
   }
 }
 

@@ -8,6 +8,7 @@
 #include "datalog/datalog.h"
 #include "engine/database.h"
 #include "qe/qe.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
@@ -130,6 +131,7 @@ TEST(GovernorIntegrationTest, LinearQueriesSurviveTheLastRung) {
   // nonlinear ones.
   QeOptions linear_only;
   linear_only.linear_only = true;
+  linear_only.pool = ccdb_test::ProcessPool();
 
   Formula linear = Formula::Exists(
       1, Formula::And(
@@ -213,6 +215,7 @@ TEST(GovernorIntegrationTest, GovernedDatalogFixpointStops) {
   ResourceGovernor gov(ResourceLimits::Steps(60));
   DatalogOptions options;
   options.qe.governor = &gov;
+  options.qe.pool = ccdb_test::ProcessPool();
   auto result = EvaluateDatalog(program, edb, options, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
@@ -257,6 +260,7 @@ TEST(GovernorIntegrationTest, BoundedChainTripsInTheDatalogStage) {
   DatalogOptions options;
   options.max_iterations = kDiameter + 8;
   options.qe.governor = &gov;
+  options.qe.pool = ccdb_test::ProcessPool();
   DatalogStats stats;
   auto result = EvaluateDatalog(program, edb, options, &stats);
   ASSERT_FALSE(result.ok());

@@ -213,8 +213,8 @@ TEST(IntegrationTest, PerformanceFenceDegree16Kernel) {
   Polynomial poly = p.ToPolynomial(0);
 
   auto start = std::chrono::steady_clock::now();
-  Polynomial g = MvGcd(poly, poly.Derivative(0));
-  auto basis = SquarefreeBasis({poly});
+  Polynomial g = MvGcd(poly, poly.Derivative(0)).value();
+  auto basis = SquarefreeBasis({poly}).value();
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

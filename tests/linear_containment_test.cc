@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_pool.h"
+
 #include <cstdint>
 #include <cstdio>
 #include <random>
@@ -41,7 +43,9 @@ bool QeContained(const GeneralizedTuple& t, const GeneralizedTuple& u,
   Formula witness =
       Formula::And(Formula::And(t_atoms), Formula::Not(Formula::And(u_atoms)));
   for (int v = vars; v-- > 0;) witness = Formula::Exists(v, std::move(witness));
-  StatusOr<bool> has_witness = DecideSentence(witness, QeOptions{});
+  QeOptions options;
+  options.pool = ccdb_test::ProcessPool();
+  StatusOr<bool> has_witness = DecideSentence(witness, options);
   EXPECT_TRUE(has_witness.ok()) << has_witness.status().ToString();
   return has_witness.ok() && !*has_witness;
 }
@@ -50,7 +54,7 @@ bool QeContained(const GeneralizedTuple& t, const GeneralizedTuple& u,
 // an atom open, so the verdict needed Fourier-Motzkin on t ∧ ¬a.
 bool Contained(const GeneralizedTuple& t, const GeneralizedTuple& u,
                bool* eliminated = nullptr) {
-  LinearContainment test(t);
+  LinearContainment test(t, nullptr, ccdb_test::ProcessPool());
   StatusOr<bool> inside = test.In(u);
   EXPECT_TRUE(inside.ok()) << inside.status().ToString();
   if (eliminated != nullptr) *eliminated = test.eliminations() > 0;

@@ -21,6 +21,7 @@
 #include "qe/qe.h"
 #include "query/lower.h"
 #include "query/parser.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
@@ -479,7 +480,9 @@ TEST(LoweringShadowingTest, BoundNameRestoredAfterQuantifier) {
   // Free variables: just the outer x (index 0).
   EXPECT_EQ(lowered->FreeVars(), (std::set<int>{0}));
   // Semantics: satisfiable with x in [0, 1].
-  auto relation = EliminateQuantifiers(*lowered, 1);
+  QeOptions options;
+  options.pool = ccdb_test::ProcessPool();
+  auto relation = EliminateQuantifiers(*lowered, 1, options);
   ASSERT_TRUE(relation.ok());
   EXPECT_TRUE(relation->Contains({R(1, 2)}));
   EXPECT_FALSE(relation->Contains({R(2)}));

@@ -6,9 +6,12 @@
 
 #include "numeric/approx.h"
 #include "numeric/quadrature.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
+
+using ccdb_test::ProcessPool;
 
 Rational R(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
@@ -33,7 +36,8 @@ TEST(NumericalEvalTest, PaperPipelineRoot) {
       1,
       Polynomial(4) * X().Pow(2) - Polynomial(20) * X() + Polynomial(25),
       RelOp::kEq);
-  auto solutions = ApproximateSolutions(rel, R(1, 1000000));
+  auto solutions =
+      ApproximateSolutions(rel, R(1, 1000000), nullptr, ProcessPool());
   ASSERT_TRUE(solutions.ok()) << solutions.status().ToString();
   ASSERT_EQ(solutions->size(), 1u);
   EXPECT_EQ((*solutions)[0][0], R(5, 2));  // exact rational root
@@ -42,7 +46,8 @@ TEST(NumericalEvalTest, PaperPipelineRoot) {
 TEST(NumericalEvalTest, IrrationalRootsApproximated) {
   ConstraintRelation rel =
       SingleAtomRelation(1, X().Pow(2) - Polynomial(2), RelOp::kEq);
-  auto solutions = ApproximateSolutions(rel, R(1, 1000000));
+  auto solutions =
+      ApproximateSolutions(rel, R(1, 1000000), nullptr, ProcessPool());
   ASSERT_TRUE(solutions.ok());
   ASSERT_EQ(solutions->size(), 2u);
   EXPECT_NEAR((*solutions)[0][0].ToDouble(), -std::sqrt(2.0), 1e-6);
@@ -52,10 +57,11 @@ TEST(NumericalEvalTest, IrrationalRootsApproximated) {
 TEST(NumericalEvalTest, InfiniteSetDetected) {
   ConstraintRelation rel =
       SingleAtomRelation(1, X().Pow(2) - Polynomial(2), RelOp::kLe);
-  auto eval = EvaluateNumerically(rel);
+  auto eval = EvaluateNumerically(rel, nullptr, ProcessPool());
   ASSERT_TRUE(eval.ok());
   EXPECT_FALSE(eval->finite);
-  EXPECT_FALSE(ApproximateSolutions(rel, R(1, 100)).ok());
+  EXPECT_FALSE(
+      ApproximateSolutions(rel, R(1, 100), nullptr, ProcessPool()).ok());
 }
 
 TEST(NumericalEvalTest, TwoDimensionalFiniteSet) {
@@ -65,7 +71,7 @@ TEST(NumericalEvalTest, TwoDimensionalFiniteSet) {
   tuple.atoms.emplace_back(X().Pow(2) + Y().Pow(2) - Polynomial(1), RelOp::kEq);
   tuple.atoms.emplace_back(Y() - X(), RelOp::kEq);
   rel.AddTuple(std::move(tuple));
-  auto eval = EvaluateNumerically(rel);
+  auto eval = EvaluateNumerically(rel, nullptr, ProcessPool());
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   ASSERT_TRUE(eval->finite);
   ASSERT_EQ(eval->points.size(), 2u);
@@ -78,7 +84,7 @@ TEST(NumericalEvalTest, TwoDimensionalFiniteSet) {
 TEST(NumericalEvalTest, EmptySet) {
   ConstraintRelation rel =
       SingleAtomRelation(1, X().Pow(2) + Polynomial(1), RelOp::kEq);
-  auto eval = EvaluateNumerically(rel);
+  auto eval = EvaluateNumerically(rel, nullptr, ProcessPool());
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval->finite);
   EXPECT_TRUE(eval->points.empty());

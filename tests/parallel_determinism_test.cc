@@ -15,7 +15,9 @@
 #include "constraint/atom.h"
 #include "constraint/formula.h"
 #include "datalog/datalog.h"
+#include "engine/database.h"
 #include "qe/qe.h"
+#include "qe/qe_cache.h"
 
 namespace ccdb {
 namespace {
@@ -207,25 +209,35 @@ TEST(ParallelDeterminismTest, DatalogFixpointByteIdentical) {
   }
 }
 
-TEST(ParallelDeterminismTest, SharedPoolEnvelope) {
-  // The same guarantee holds when the pool arrives implicitly via
-  // ThreadPool::Shared() (the CCDB_THREADS production path).
-  Formula formula = ParabolaBands(4);
-  QeOptions options;  // pool == nullptr -> resolve to the shared pool
+TEST(ParallelDeterminismTest, DatabasePoolEnvelope) {
+  // The same guarantee holds when the pool arrives through a database's
+  // options: the default session of a database built with options.qe.pool
+  // runs every read there. ParabolaBands(4) as query text.
+  std::string text = "exists y (";
+  for (int k = 1; k <= 4; ++k) {
+    if (k > 1) text += " or ";
+    std::string shift = "(x - " + std::to_string(k) + ")";
+    text += "(" + shift + "^2 <= y and y <= " + std::to_string(k) + ")";
+  }
+  text += ")";
   std::string baseline;
   for (int threads : kThreadCounts) {
-    ThreadPool::ConfigureShared(threads);
-    QeStats stats;
-    auto result = EliminateQuantifiers(formula, 1, options, &stats);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::string rendered = result->ToString() + stats.ToJson();
+    ThreadPool pool(threads);
+    CalcFOptions options;
+    options.qe.pool = &pool;
+    ConstraintDatabase db(options);
+    QeResultCache().Clear();  // each width runs its own elimination
+    auto explained = db.ExplainAnalyze(text);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    EXPECT_EQ(explained->profile.pool_threads,
+              static_cast<std::uint64_t>(threads));
+    std::string rendered = explained->result.relation.ToString({"x"});
     if (baseline.empty()) {
       baseline = rendered;
     } else {
       EXPECT_EQ(rendered, baseline) << "threads " << threads;
     }
   }
-  ThreadPool::ConfigureShared(1);
 }
 
 }  // namespace

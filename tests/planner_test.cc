@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_pool.h"
+
 #include <string>
 #include <vector>
 
@@ -21,6 +23,13 @@
 
 namespace ccdb {
 namespace {
+
+// QeOptions on the test pool (test_pool.h).
+QeOptions Pooled() {
+  QeOptions options;
+  options.pool = ccdb_test::ProcessPool();
+  return options;
+}
 
 Polynomial X() { return Polynomial::Var(0); }
 Polynomial Y() { return Polynomial::Var(1); }
@@ -287,7 +296,7 @@ TEST(PlanExecTest, StatsCarryThePlanThatRan) {
       1, Formula::And(Formula::Compare(Y(), RelOp::kLe, X()),
                       Formula::Compare(Polynomial(0), RelOp::kLe, Y())));
   QeStats linear_stats;
-  auto linear_result = EliminateQuantifiers(linear, 1, QeOptions{},
+  auto linear_result = EliminateQuantifiers(linear, 1, Pooled(),
                                             &linear_stats);
   ASSERT_TRUE(linear_result.ok()) << linear_result.status().ToString();
   EXPECT_EQ(linear_stats.plan, "monolithic[dense_order]");
@@ -302,7 +311,7 @@ TEST(PlanExecTest, StatsCarryThePlanThatRan) {
   QeStats leaf_stats;
   ASSERT_TRUE(EliminateQuantifiers(
                   Formula::Compare(X(), RelOp::kLe, Polynomial(1)), 1,
-                  QeOptions{}, &leaf_stats)
+                  Pooled(), &leaf_stats)
                   .ok());
   EXPECT_EQ(leaf_stats.plan, "quantifier_free");
 
@@ -313,7 +322,7 @@ TEST(PlanExecTest, StatsCarryThePlanThatRan) {
       1, Formula::And(Formula::Compare(Y(), RelOp::kEq, X() + Polynomial(1)),
                       Formula::Compare(Y() * Y(), RelOp::kLe, Polynomial(4))));
   QeStats peeled_stats;
-  auto peeled_result = EliminateQuantifiers(peeled, 1, QeOptions{},
+  auto peeled_result = EliminateQuantifiers(peeled, 1, Pooled(),
                                             &peeled_stats);
   ASSERT_TRUE(peeled_result.ok()) << peeled_result.status().ToString();
   EXPECT_EQ(peeled_stats.cad_cells, 0u);
@@ -326,7 +335,7 @@ TEST(PlanExecTest, MixedFragmentQueryPlansFewerCadCellsThanUnsplit) {
   // The planner routes only the genuinely polynomial disjunct through CAD;
   // with the split off, the whole union is one joint CAD.
   QeStats planned_stats;
-  auto planned = EliminateQuantifiers(MixedFragmentQuery(), 1, QeOptions{},
+  auto planned = EliminateQuantifiers(MixedFragmentQuery(), 1, Pooled(),
                                       &planned_stats);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_EQ(planned_stats.plan,
@@ -334,7 +343,7 @@ TEST(PlanExecTest, MixedFragmentQueryPlansFewerCadCellsThanUnsplit) {
             "miniscoped=1 split=0");
   EXPECT_EQ(planned_stats.cad_cells, 18u);
 
-  QeOptions unsplit_options;
+  QeOptions unsplit_options = Pooled();
   unsplit_options.allow_disjunct_split = false;
   QeStats unsplit_stats;
   auto unsplit = EliminateQuantifiers(MixedFragmentQuery(), 1,
@@ -358,7 +367,7 @@ TEST(PlanExecTest, ExecutionFoldsPlanCountersIntoTheMetricsRegistry) {
   Formula query = Formula::Exists(
       1, Formula::Or(Formula::Compare(Y(), RelOp::kLe, X()),
                      Formula::Compare(X(), RelOp::kLe, Y())));
-  auto result = EliminateQuantifiers(query, 1, QeOptions{});
+  auto result = EliminateQuantifiers(query, 1, Pooled());
   ASSERT_TRUE(result.ok());
   EXPECT_GT(executions->value(), executions_before);
   EXPECT_GT(blocks->value(), blocks_before);

@@ -24,6 +24,7 @@
 #include "engine/database.h"
 #include "qe/qe.h"
 #include "qe/qe_cache.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
@@ -218,11 +219,12 @@ TEST(ProfileTest, DatalogRoundsReportPerRuleNodes) {
   std::map<std::string, ConstraintRelation> edb;
   edb.emplace("Edge", edge);
 
-  auto unprofiled = EvaluateDatalog(program, edb, DatalogOptions{});
+  DatalogOptions options;
+  options.qe.pool = ccdb_test::ProcessPool();
+  auto unprofiled = EvaluateDatalog(program, edb, options);
   ASSERT_TRUE(unprofiled.ok()) << unprofiled.status().ToString();
 
   ProfileSink sink;
-  DatalogOptions options;
   options.qe.profile = &sink;
   auto profiled = EvaluateDatalog(program, edb, options);
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();

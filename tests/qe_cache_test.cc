@@ -15,6 +15,7 @@
 #include "engine/session.h"
 #include "qe/qe.h"
 #include "qe/qe_cache.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
@@ -40,6 +41,7 @@ Formula TestQuery() {
 std::string RunQe(const Formula& f, const ResourceGovernor* gov = nullptr) {
   QeOptions options;
   options.governor = gov;
+  options.pool = ccdb_test::ProcessPool();
   QeStats stats;
   StatusOr<ConstraintRelation> result =
       EliminateQuantifiers(f, 1, options, &stats);

@@ -11,9 +11,17 @@
 #include <gtest/gtest.h>
 
 #include "qe/qe.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
+
+// QeOptions on the test pool (test_pool.h).
+QeOptions Pooled() {
+  QeOptions options;
+  options.pool = ccdb_test::ProcessPool();
+  return options;
+}
 
 Polynomial X() { return Polynomial::Var(0); }
 Polynomial Y() { return Polynomial::Var(1); }
@@ -86,7 +94,7 @@ TEST_P(QeDifferentialTest, ExistsAgreesWithBruteForce) {
   std::mt19937_64 rng(GetParam());
   Formula body = RandomLinearBody(&rng);
   Formula query = Formula::Exists(1, body);
-  auto result = EliminateQuantifiers(query, 1);
+  auto result = EliminateQuantifiers(query, 1, Pooled());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Compare on a grid of x values (including breakpoint-adjacent points).
   for (std::int64_t num = -30; num <= 30; ++num) {
@@ -124,7 +132,7 @@ TEST_P(QeNonlinearDifferentialTest, ConicExistsAgreesOnSamples) {
                      Polynomial(f);
   Formula query =
       Formula::Exists(1, Formula::MakeAtom(Atom(conic, RelOp::kLe)));
-  auto result = EliminateQuantifiers(query, 1);
+  auto result = EliminateQuantifiers(query, 1, Pooled());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (std::int64_t num = -12; num <= 12; ++num) {
     Rational x0(BigInt(num), BigInt(4));
@@ -150,8 +158,8 @@ TEST(QeRoundTripTest, DoubleNegationStable) {
     Formula body = RandomLinearBody(&rng);
     Formula query = Formula::Exists(1, body);
     Formula doubled = Formula::Not(Formula::Not(query));
-    auto r1 = EliminateQuantifiers(query, 1);
-    auto r2 = EliminateQuantifiers(doubled, 1);
+    auto r1 = EliminateQuantifiers(query, 1, Pooled());
+    auto r2 = EliminateQuantifiers(doubled, 1, Pooled());
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
     for (std::int64_t num = -20; num <= 20; ++num) {
@@ -171,8 +179,8 @@ TEST(QeRoundTripTest, ForallIsNotExistsNot) {
     Formula forall_query = Formula::Forall(1, body);
     Formula dual_query =
         Formula::Not(Formula::Exists(1, Formula::Not(body)));
-    auto r1 = EliminateQuantifiers(forall_query, 1);
-    auto r2 = EliminateQuantifiers(dual_query, 1);
+    auto r1 = EliminateQuantifiers(forall_query, 1, Pooled());
+    auto r2 = EliminateQuantifiers(dual_query, 1, Pooled());
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
     for (std::int64_t num = -20; num <= 20; ++num) {

@@ -10,9 +10,26 @@
 #include "qe/cad.h"
 #include "qe/fourier_motzkin.h"
 #include "qe/qe_cache.h"
+#include "test_pool.h"
 
 namespace ccdb {
 namespace {
+
+using ccdb_test::ProcessPool;
+
+// QeOptions on the test pool (test_pool.h).
+QeOptions Pooled() {
+  QeOptions options;
+  options.pool = ProcessPool();
+  return options;
+}
+
+// CadOptions on the test pool (test_pool.h).
+CadOptions PooledCad() {
+  CadOptions options;
+  options.pool = ProcessPool();
+  return options;
+}
 
 Rational R(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
@@ -41,7 +58,7 @@ TEST(AlgebraicPointTest, RationalFastPath) {
 }
 
 TEST(AlgebraicPointTest, SingleAlgebraicCoordinate) {
-  auto roots = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1}));
+  auto roots = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1})).value();
   AlgebraicPoint p;
   p.Append(roots[1]);  // sqrt2
   EXPECT_EQ(p.SignAt(X().Pow(2) - Polynomial(2)), 0);
@@ -51,8 +68,8 @@ TEST(AlgebraicPointTest, SingleAlgebraicCoordinate) {
 
 TEST(AlgebraicPointTest, TwoAlgebraicCoordinatesSign) {
   // (sqrt2, sqrt3): sign of x*y - 2 must be + (sqrt6 > 2), x*y - 3 is -.
-  auto r2 = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1}));
-  auto r3 = AlgebraicNumber::RootsOf(FromInts({-3, 0, 1}));
+  auto r2 = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1})).value();
+  auto r3 = AlgebraicNumber::RootsOf(FromInts({-3, 0, 1})).value();
   AlgebraicPoint p;
   p.Append(r2[1]);
   p.Append(r3[1]);
@@ -65,7 +82,7 @@ TEST(AlgebraicPointTest, TwoAlgebraicCoordinatesSign) {
 }
 
 TEST(AlgebraicPointTest, ValueAtIdentifiesAlgebraicValue) {
-  auto r2 = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1}));
+  auto r2 = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1})).value();
   AlgebraicPoint p;
   p.Append(r2[1]);
   // Value of x + 1 at sqrt2 is sqrt2 + 1 ~ 2.4142.
@@ -88,7 +105,8 @@ TEST(AlgebraicPointTest, StackRootsOverRationalBase) {
 
 TEST(AlgebraicPointTest, StackRootsOverAlgebraicBase) {
   // Circle over x = sqrt(2)/2: y = ±sqrt(1/2).
-  auto r = AlgebraicNumber::RootsOf(FromInts({-1, 0, 2}));  // x^2 = 1/2
+  // x^2 = 1/2
+  auto r = AlgebraicNumber::RootsOf(FromInts({-1, 0, 2})).value();
   AlgebraicPoint p;
   p.Append(r[1]);
   auto roots = p.StackRoots(X().Pow(2) + Y().Pow(2) - Polynomial(1));
@@ -122,7 +140,8 @@ TEST(AlgebraicPointTest, StackRootsOutsideCircle) {
 TEST(CadTest, CircleDecomposition) {
   // Unit circle: base factors should include x^2-1 (discriminant zeros at
   // x = ±1); base stack has 5 cells, full CAD 13 cells.
-  auto cad = Cad::Build({X().Pow(2) + Y().Pow(2) - Polynomial(1)}, 2);
+  auto cad = Cad::Build({X().Pow(2) + Y().Pow(2) - Polynomial(1)}, 2,
+                        PooledCad());
   ASSERT_TRUE(cad.ok());
   EXPECT_EQ(cad->roots().size(), 5u);  // (-inf,-1), -1, (-1,1), 1, (1,inf)
   // Stacks: 1 + 3 + 5 + 3 + 1 = 13.
@@ -133,7 +152,7 @@ TEST(CadTest, PaperExampleDecomposition) {
   // Parabola boundary p = 4x^2 - y - 20x + 25 and the line y = 0.
   Polynomial p = Polynomial(4) * X().Pow(2) - Y() - Polynomial(20) * X() +
                  Polynomial(25);
-  auto cad = Cad::Build({p, Y()}, 2);
+  auto cad = Cad::Build({p, Y()}, 2, PooledCad());
   ASSERT_TRUE(cad.ok());
   // Base: root x = 5/2 (where parabola touches y=0): 3 cells.
   EXPECT_EQ(cad->roots().size(), 3u);
@@ -146,7 +165,7 @@ TEST(CadTest, SignInvarianceSpotCheck) {
   // For the circle CAD, on each leaf cell the circle polynomial's sign at
   // the sample matches the sign at a nearby interior point of the cell.
   Polynomial circle = X().Pow(2) + Y().Pow(2) - Polynomial(1);
-  auto cad = Cad::Build({circle}, 2);
+  auto cad = Cad::Build({circle}, 2, PooledCad());
   ASSERT_TRUE(cad.ok());
   int checked = 0;
   cad->ForEachCellAtDimension(2, [&](const CadCell& cell) {
@@ -164,14 +183,15 @@ TEST(CadTest, SignInvarianceSpotCheck) {
 }
 
 TEST(CadTest, RationalBetweenSeparates) {
-  auto roots = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1}));  // ±sqrt2
+  // ±sqrt2
+  auto roots = AlgebraicNumber::RootsOf(FromInts({-2, 0, 1})).value();
   Rational between = RationalBetween(roots[0], roots[1]);
   EXPECT_EQ(roots[0].CompareRational(between), -1);
   EXPECT_EQ(roots[1].CompareRational(between), 1);
 
   // Adjacent close roots.
   UPoly f = FromInts({-1, 1}) * UPoly({R(-1001, 1000), R(1)});
-  auto close_roots = AlgebraicNumber::RootsOf(f);
+  auto close_roots = AlgebraicNumber::RootsOf(f).value();
   ASSERT_EQ(close_roots.size(), 2u);
   Rational mid = RationalBetween(close_roots[0], close_roots[1]);
   EXPECT_GT(mid, R(1));
@@ -185,7 +205,7 @@ TEST(FourierMotzkinTest, IntervalProjection) {
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X() - Y(), RelOp::kLe);
   tuple.atoms.emplace_back(Y() - Polynomial(5), RelOp::kLe);
-  auto result = EliminateExistsLinear({tuple}, 1);
+  auto result = EliminateExistsLinear({tuple}, 1, nullptr, ProcessPool());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   // Resulting constraint: x - 5 <= 0.
@@ -201,7 +221,7 @@ TEST(FourierMotzkinTest, EquationSubstitution) {
   tuple.atoms.emplace_back(Y() - Polynomial(2) * X() - Polynomial(1),
                            RelOp::kEq);
   tuple.atoms.emplace_back(Y() - Polynomial(7), RelOp::kLe);
-  auto result = EliminateExistsLinear({tuple}, 1);
+  auto result = EliminateExistsLinear({tuple}, 1, nullptr, ProcessPool());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   ASSERT_EQ((*result)[0].atoms.size(), 1u);
@@ -214,7 +234,7 @@ TEST(FourierMotzkinTest, StrictnessPropagation) {
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X() - Y(), RelOp::kLt);
   tuple.atoms.emplace_back(Y() - Polynomial(3), RelOp::kLe);
-  auto result = EliminateExistsLinear({tuple}, 1);
+  auto result = EliminateExistsLinear({tuple}, 1, nullptr, ProcessPool());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   EXPECT_FALSE((*result)[0].SatisfiedAt({R(3)}));
@@ -227,7 +247,7 @@ TEST(FourierMotzkinTest, DisequalitySplit) {
   tuple.atoms.emplace_back(Y() - X(), RelOp::kNeq);
   tuple.atoms.emplace_back(-Y(), RelOp::kLe);
   tuple.atoms.emplace_back(Y() - Polynomial(1), RelOp::kLe);
-  auto result = EliminateExistsLinear({tuple}, 1);
+  auto result = EliminateExistsLinear({tuple}, 1, nullptr, ProcessPool());
   ASSERT_TRUE(result.ok());
   // Union of results covers every x.
   for (std::int64_t xi = -5; xi <= 5; ++xi) {
@@ -243,7 +263,7 @@ TEST(FourierMotzkinTest, UnboundedElimination) {
   // exists y: y >= x: always true.
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X() - Y(), RelOp::kLe);
-  auto result = EliminateExistsLinear({tuple}, 1);
+  auto result = EliminateExistsLinear({tuple}, 1, nullptr, ProcessPool());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   EXPECT_TRUE((*result)[0].atoms.empty());
@@ -252,7 +272,8 @@ TEST(FourierMotzkinTest, UnboundedElimination) {
 TEST(FourierMotzkinTest, RejectsNonlinear) {
   GeneralizedTuple tuple;
   tuple.atoms.emplace_back(X() * Y(), RelOp::kLe);
-  EXPECT_FALSE(EliminateExistsLinear({tuple}, 1).ok());
+  EXPECT_FALSE(EliminateExistsLinear({tuple}, 1, nullptr, ProcessPool())
+                   .ok());
 }
 
 // ---------------------------------------------------------------- QE
@@ -266,7 +287,7 @@ TEST(QeTest, PaperFigure1Query) {
       1, Formula::And(Formula::MakeAtom(Atom(s_poly, RelOp::kLe)),
                       Formula::MakeAtom(Atom(Y(), RelOp::kLe))));
   QeStats stats;
-  auto result = EliminateQuantifiers(query, 1, QeOptions{}, &stats);
+  auto result = EliminateQuantifiers(query, 1, Pooled(), &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(stats.used_linear_path);
   // The answer is exactly {2.5}.
@@ -282,7 +303,7 @@ TEST(QeTest, ExistsPointOnCircle) {
   Formula query = Formula::Exists(
       1, Formula::MakeAtom(Atom(X().Pow(2) + Y().Pow(2) - Polynomial(1),
                                 RelOp::kEq)));
-  auto result = EliminateQuantifiers(query, 1);
+  auto result = EliminateQuantifiers(query, 1, Pooled());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->Contains({R(0)}));
   EXPECT_TRUE(result->Contains({R(1)}));
@@ -296,7 +317,7 @@ TEST(QeTest, ForallParabolaNonNegative) {
   // forall y (y^2 - x >= 0)? Holds iff x <= 0.
   Formula query = Formula::Forall(
       1, Formula::MakeAtom(Atom(Y().Pow(2) - X(), RelOp::kGe)));
-  auto result = EliminateQuantifiers(query, 1);
+  auto result = EliminateQuantifiers(query, 1, Pooled());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->Contains({R(0)}));
   EXPECT_TRUE(result->Contains({R(-5)}));
@@ -306,32 +327,38 @@ TEST(QeTest, ForallParabolaNonNegative) {
 
 TEST(QeTest, SentenceDecision) {
   // exists x (x^2 = 2): true.
-  auto r1 = DecideSentence(Formula::Exists(
-      0, Formula::MakeAtom(Atom(X().Pow(2) - Polynomial(2), RelOp::kEq))));
+  auto r1 = DecideSentence(
+      Formula::Exists(0, Formula::MakeAtom(
+                             Atom(X().Pow(2) - Polynomial(2), RelOp::kEq))),
+      Pooled());
   ASSERT_TRUE(r1.ok());
   EXPECT_TRUE(*r1);
   // forall x (x^2 >= 0): true.
-  auto r2 = DecideSentence(Formula::Forall(
-      0, Formula::MakeAtom(Atom(X().Pow(2), RelOp::kGe))));
+  auto r2 = DecideSentence(
+      Formula::Forall(0, Formula::MakeAtom(Atom(X().Pow(2), RelOp::kGe))),
+      Pooled());
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(*r2);
   // exists x (x^2 < 0): false.
-  auto r3 = DecideSentence(Formula::Exists(
-      0, Formula::MakeAtom(Atom(X().Pow(2), RelOp::kLt))));
+  auto r3 = DecideSentence(
+      Formula::Exists(0, Formula::MakeAtom(Atom(X().Pow(2), RelOp::kLt))),
+      Pooled());
   ASSERT_TRUE(r3.ok());
   EXPECT_FALSE(*r3);
   // exists x forall y ((y - x)^2 + 1 > 0): true.
   Polynomial d = (Y() - X()) * (Y() - X()) + Polynomial(1);
   auto r4 = DecideSentence(
       Formula::Exists(0, Formula::Forall(1, Formula::MakeAtom(
-                                                Atom(d, RelOp::kGt)))));
+                                                Atom(d, RelOp::kGt)))),
+      Pooled());
   ASSERT_TRUE(r4.ok());
   EXPECT_TRUE(*r4);
   // The paper's F_k anomaly sentence: exists x forall y (y <= x) is FALSE
   // over the reals (no biggest element) — the exact semantics gets it right.
-  auto r5 = DecideSentence(Formula::Exists(
-      0,
-      Formula::Forall(1, Formula::MakeAtom(Atom(Y() - X(), RelOp::kLe)))));
+  auto r5 = DecideSentence(
+      Formula::Exists(0, Formula::Forall(1, Formula::MakeAtom(Atom(
+                                                Y() - X(), RelOp::kLe)))),
+      Pooled());
   ASSERT_TRUE(r5.ok());
   EXPECT_FALSE(*r5);
 }
@@ -342,7 +369,7 @@ TEST(QeTest, LinearPathUsedForLinearQueries) {
       1, Formula::And(Formula::Compare(X(), RelOp::kLe, Y()),
                       Formula::Compare(Y(), RelOp::kLe, Polynomial(10))));
   QeStats stats;
-  auto result = EliminateQuantifiers(query, 1, QeOptions{}, &stats);
+  auto result = EliminateQuantifiers(query, 1, Pooled(), &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(stats.used_linear_path);
   EXPECT_TRUE(result->Contains({R(10)}));
@@ -360,7 +387,7 @@ TEST(QeTest, LinearForallViaComplement) {
       Formula::Compare(Y(), RelOp::kLe, X()));
   Formula query = Formula::Forall(1, inside);
   QeStats stats;
-  auto result = EliminateQuantifiers(query, 1, QeOptions{}, &stats);
+  auto result = EliminateQuantifiers(query, 1, Pooled(), &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(stats.used_linear_path);
   EXPECT_TRUE(result->Contains({R(1)}));
@@ -370,7 +397,7 @@ TEST(QeTest, LinearForallViaComplement) {
 
 TEST(QeTest, QuantifierFreeInputPassesThrough) {
   Formula f = Formula::Compare(X(), RelOp::kLe, Polynomial(3));
-  auto result = EliminateQuantifiers(f, 1);
+  auto result = EliminateQuantifiers(f, 1, Pooled());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->Contains({R(3)}));
   EXPECT_FALSE(result->Contains({R(4)}));
@@ -383,7 +410,7 @@ TEST(QeTest, TwoFreeVariablesCircleInterior) {
              Formula::MakeAtom(
                  Atom(Z() - X().Pow(2) - Y().Pow(2), RelOp::kEq)),
              Formula::MakeAtom(Atom(Z() - Polynomial(1), RelOp::kLe))));
-  auto result = EliminateQuantifiers(query, 2);
+  auto result = EliminateQuantifiers(query, 2, Pooled());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->Contains({R(0), R(0)}));
   EXPECT_TRUE(result->Contains({R(1), R(0)}));
@@ -394,8 +421,10 @@ TEST(QeTest, TwoFreeVariablesCircleInterior) {
 
 TEST(QeTest, NestedAlternatingQuantifiers) {
   // forall x exists y (y > x): true sentence.
-  auto r = DecideSentence(Formula::Forall(
-      0, Formula::Exists(1, Formula::MakeAtom(Atom(X() - Y(), RelOp::kLt)))));
+  auto r = DecideSentence(
+      Formula::Forall(0, Formula::Exists(1, Formula::MakeAtom(Atom(
+                                                X() - Y(), RelOp::kLt)))),
+      Pooled());
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(*r);
 }
@@ -414,7 +443,7 @@ TEST(QeTest, WorkMetricsCountEachCadOnceAndEachPublicCallOnce) {
                                                  Polynomial(4),
                                              RelOp::kLe))));
   QeResultCache().Clear();
-  QeOptions options;
+  QeOptions options = Pooled();
 
   std::uint64_t cells_before = cells->value();
   std::uint64_t factors_before = factors->value();
@@ -456,20 +485,21 @@ TEST(QeTest, ThomRetrySeparatesConjugateRoots) {
   Counter* cells = MetricsRegistry::Global().GetCounter("qe.cad.cells");
   const std::uint64_t cells_before = cells->value();
   QeStats stats;
-  auto result = EliminateQuantifiers(query, 1, QeOptions{}, &stats);
+  auto result = EliminateQuantifiers(query, 1, Pooled(), &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(stats.used_thom_augmentation);
   ASSERT_EQ(result->tuples().size(), 1u);
   // Both CADs are counted; the stats describe the one that answered.
   EXPECT_GT(cells->value() - cells_before, stats.cad_cells);
   auto points =
-      ApproximateSolutions(*result, Rational(BigInt(1), BigInt::Pow2(40)));
+      ApproximateSolutions(*result, Rational(BigInt(1), BigInt::Pow2(40)),
+                           nullptr, ProcessPool());
   ASSERT_TRUE(points.ok()) << points.status().ToString();
   ASSERT_EQ(points->size(), 1u);
   EXPECT_NEAR((*points)[0][0].ToDouble(), 2.0 + std::sqrt(2.0),
               std::ldexp(1.0, -30));
 
-  QeOptions no_thom;
+  QeOptions no_thom = Pooled();
   no_thom.allow_thom_augmentation = false;
   QeStats plain_stats;
   auto plain = EliminateQuantifiers(query, 1, no_thom, &plain_stats);

@@ -24,21 +24,21 @@ TEST(RootIsolationTest, PaperExampleDoubleRoot) {
   // 4x^2 - 20x + 25 = (2x-5)^2: unique root 2.5, found exactly even though
   // the input is not squarefree.
   UPoly f = FromInts({25, -20, 4});
-  auto roots = IsolateRealRoots(f);
+  auto roots = IsolateRealRoots(f).value();
   ASSERT_EQ(roots.size(), 1u);
   EXPECT_TRUE(roots[0].is_exact);
   EXPECT_EQ(roots[0].interval.lo(), R(5, 2));
 }
 
 TEST(RootIsolationTest, NoRealRoots) {
-  EXPECT_TRUE(IsolateRealRoots(FromInts({1, 0, 1})).empty());   // x^2+1
-  EXPECT_TRUE(IsolateRealRoots(FromInts({5})).empty());         // constant
+  EXPECT_TRUE(IsolateRealRoots(FromInts({1, 0, 1})).value().empty());  // x^2+1
+  EXPECT_TRUE(IsolateRealRoots(FromInts({5})).value().empty());  // constant
 }
 
 TEST(RootIsolationTest, IntegerRootsExact) {
   // (x-1)(x-2)(x-3).
   UPoly f = FromInts({-1, 1}) * FromInts({-2, 1}) * FromInts({-3, 1});
-  auto roots = IsolateRealRoots(f);
+  auto roots = IsolateRealRoots(f).value();
   ASSERT_EQ(roots.size(), 3u);
   // Sorted order; each either exact or isolating.
   std::vector<Rational> expected = {R(1), R(2), R(3)};
@@ -54,7 +54,7 @@ TEST(RootIsolationTest, IntegerRootsExact) {
 TEST(RootIsolationTest, IrrationalRootsIsolated) {
   // x^2 - 2: roots ±sqrt(2).
   UPoly f = FromInts({-2, 0, 1});
-  auto roots = IsolateRealRoots(f);
+  auto roots = IsolateRealRoots(f).value();
   ASSERT_EQ(roots.size(), 2u);
   EXPECT_FALSE(roots[0].is_exact);
   EXPECT_FALSE(roots[1].is_exact);
@@ -67,7 +67,7 @@ TEST(RootIsolationTest, IrrationalRootsIsolated) {
 
 TEST(RootIsolationTest, RefineRootShrinks) {
   UPoly f = FromInts({-2, 0, 1});
-  auto roots = IsolateRealRoots(f);
+  auto roots = IsolateRealRoots(f).value();
   ASSERT_EQ(roots.size(), 2u);
   Rational eps(BigInt(1), BigInt::Pow2(40));
   IsolatedRoot refined = RefineRoot(f, roots[1], eps);
@@ -93,7 +93,7 @@ TEST(RootIsolationTest, ApproximateRealRootsTheorem32) {
 TEST(RootIsolationTest, CloseRootsSeparated) {
   // (x - 1)(x - 1001/1000): two roots 0.001 apart.
   UPoly f = FromInts({-1, 1}) * UPoly({R(-1001, 1000), R(1)});
-  auto roots = IsolateRealRoots(f);
+  auto roots = IsolateRealRoots(f).value();
   ASSERT_EQ(roots.size(), 2u);
   // Disjoint isolating intervals.
   EXPECT_LE(roots[0].interval.hi(), roots[1].interval.lo());
@@ -104,7 +104,7 @@ TEST(RootIsolationTest, WilkinsonStyleStress) {
   // coefficients.
   UPoly f = UPoly::Constant(R(1));
   for (std::int64_t i = 1; i <= 8; ++i) f = f * FromInts({-i, 1});
-  auto roots = IsolateRealRoots(f);
+  auto roots = IsolateRealRoots(f).value();
   ASSERT_EQ(roots.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     Rational expected(static_cast<std::int64_t>(i + 1));
@@ -133,7 +133,7 @@ TEST(RootIsolationTest, RandomizedRootRecovery) {
     std::sort(chosen.begin(), chosen.end());
     UPoly f = UPoly::Constant(R(1));
     for (std::int64_t r : chosen) f = f * FromInts({-r, 1});
-    auto roots = IsolateRealRoots(f);
+    auto roots = IsolateRealRoots(f).value();
     ASSERT_EQ(roots.size(), chosen.size());
     for (std::size_t i = 0; i < roots.size(); ++i) {
       Rational expected(chosen[i]);
@@ -225,7 +225,7 @@ TEST(RootIsolationDifferentialTest, IntervalsMatchRationalReference) {
     UPoly p = RandomFactoredUPoly(rng);
     if (p.degree() < 1) continue;
     std::vector<IsolatedRoot> expected = ccdb_test::ReferenceIsolateRealRoots(p);
-    ExpectSameRoots(IsolateRealRoots(p), expected, p);
+    ExpectSameRoots(IsolateRealRoots(p).value(), expected, p);
     UPoly f = p.SquarefreePart();
     auto squarefree = IsolateSquarefreeRoots(f, nullptr);
     ASSERT_TRUE(squarefree.ok());
@@ -253,7 +253,7 @@ TEST(RootIsolationDifferentialTest, DenseRandomPolynomialsMatchReference) {
     }
     UPoly p(std::move(c));
     if (p.degree() < 1) continue;
-    ExpectSameRoots(IsolateRealRoots(p),
+    ExpectSameRoots(IsolateRealRoots(p).value(),
                     ccdb_test::ReferenceIsolateRealRoots(p), p);
   }
 }

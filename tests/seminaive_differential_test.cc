@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_pool.h"
+
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -26,6 +28,13 @@
 
 namespace ccdb {
 namespace {
+
+// DatalogOptions on the test pool (test_pool.h).
+DatalogOptions Pooled() {
+  DatalogOptions options;
+  options.qe.pool = ccdb_test::ProcessPool();
+  return options;
+}
 
 Rational R(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
@@ -264,11 +273,12 @@ TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaiveMemoThreads) {
 TEST(SeminaiveDifferentialTest, ZkRunsTheNaiveLoopEveryOtherRunIsSemiNaive) {
   Corpus corpus = Corpora()[0];
   DatalogStats semi_stats;
-  auto semi = EvaluateDatalog(corpus.program, corpus.edb, {}, &semi_stats);
+  auto semi =
+      EvaluateDatalog(corpus.program, corpus.edb, Pooled(), &semi_stats);
   ASSERT_TRUE(semi.ok()) << semi.status().ToString();
   EXPECT_GT(semi_stats.delta_tuples, 0u) << "default must run the delta path";
 
-  DatalogOptions zk;
+  DatalogOptions zk = Pooled();
   zk.precision_k = kNaiveK;
   DatalogStats naive_stats;
   auto naive = EvaluateDatalog(corpus.program, corpus.edb, zk, &naive_stats);
@@ -314,7 +324,7 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
     ASSERT_TRUE(edge.ok());
     std::map<std::string, ConstraintRelation> edb;
     edb.emplace("Edge", *edge);
-    auto cold = EvaluateDatalog(program, edb);
+    auto cold = EvaluateDatalog(program, edb, Pooled());
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
     ExpectSameBinaryRelation(incremental->at("Reach"), cold->at("Reach"),
@@ -336,7 +346,7 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
   ASSERT_TRUE(edge.ok());
   std::map<std::string, ConstraintRelation> edb;
   edb.emplace("Edge", *edge);
-  auto cold = EvaluateDatalog(program, edb);
+  auto cold = EvaluateDatalog(program, edb, Pooled());
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(Fingerprint(*recomputed), Fingerprint(*cold));
 }
@@ -361,7 +371,7 @@ TEST(SeminaiveDifferentialTest, ResumeRefusesNegationAndPrecision) {
   DatalogProgram tc = TransitiveClosure();
   std::map<std::string, ConstraintRelation> edb;
   edb.emplace("Edge", SegmentEdge(0, 2));
-  DatalogOptions zk;
+  DatalogOptions zk = Pooled();
   zk.precision_k = 64;
   DatalogFixpointState tc_state;
   auto zk_refused = ResumeDatalog(tc, edb, &tc_state, zk);

@@ -13,6 +13,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -102,7 +103,7 @@ TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
   EXPECT_GT(a->id(), 0u);
   EXPECT_GT(b->id(), a->id()) << "ids are handed out in open order";
 
-  // Private pools sized by the config, not by the Shared() singleton.
+  // Private pools sized by the config.
   ASSERT_NE(a->pool(), nullptr);
   ASSERT_NE(b->pool(), nullptr);
   EXPECT_NE(a->pool(), b->pool());
@@ -113,6 +114,54 @@ TEST(SessionTest, OpenSessionAppliesConfigAndAssignsUniqueIds) {
   // Distinct configs, distinct fingerprints.
   EXPECT_NE(a->config_fingerprint(), b->config_fingerprint());
   EXPECT_EQ(a->config_fingerprint(), one.Fingerprint());
+}
+
+// The threadpool.tasks_queued delta across `read`: zero when every stage
+// of the read ran on the calling thread.
+std::uint64_t TasksQueuedDuring(const std::function<void()>& read) {
+  Counter* queued =
+      MetricsRegistry::Global().GetCounter("threadpool.tasks_queued");
+  std::uint64_t before = queued->value();
+  read();
+  return queued->value() - before;
+}
+
+// The aggregate module lifts a 2-D CAD of the disk.
+constexpr char kDiskSurface[] = "SURFACE[x, y](Disk(x, y))(z)";
+
+TEST(SessionTest, OneRunnerSessionRunsAggregatesAndSolveOnTheCallingThread) {
+  // The aggregate modules' CADs and NUMERICAL EVALUATION run on the
+  // session's pool, so a 1-runner session queues no task whatever
+  // CCDB_THREADS says.
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("Disk(x, y) := x^2 + y^2 <= 1").ok());
+  std::unique_ptr<Session> session =
+      db.OpenSession(EngineConfig::Process().WithThreads(1));
+  EXPECT_EQ(TasksQueuedDuring([&] {
+              auto area = session->Query(kDiskSurface);
+              EXPECT_TRUE(area.ok()) << area.status().ToString();
+            }),
+            0u);
+  EXPECT_EQ(TasksQueuedDuring([&] {
+              // Two points, found by lifting a 2-D CAD.
+              auto points = session->Solve("x^2 + y^2 = 1 and y = x",
+                                           Rational(BigInt(1), BigInt(1000)));
+              ASSERT_TRUE(points.ok()) << points.status().ToString();
+              EXPECT_EQ(points->size(), 2u);
+            }),
+            0u);
+}
+
+TEST(SessionTest, FourRunnerSessionLiftsTheAggregateCadOnItsPool) {
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("Disk(x, y) := x^2 + y^2 <= 1").ok());
+  std::unique_ptr<Session> session =
+      db.OpenSession(EngineConfig::Process().WithThreads(4));
+  EXPECT_GT(TasksQueuedDuring([&] {
+              auto area = session->Query(kDiskSurface);
+              EXPECT_TRUE(area.ok()) << area.status().ToString();
+            }),
+            0u);
 }
 
 TEST(SessionTest, ConcurrentMixedConfigSessionsAreByteIdenticalToSerial) {
@@ -375,7 +424,7 @@ TEST(SessionTest, DefaultSessionFollowsTheDatabaseAcrossMoves) {
   // targets below start out with the defaults.
   ResourceGovernor unlimited{ResourceLimits{}};
   CalcFOptions governed;
-  governed.governor = &unlimited;
+  governed.qe.governor = &unlimited;
   ConstraintDatabase reference(governed);
   ASSERT_TRUE(reference.Define(edge).ok());
   const std::string want = ReadThroughFacade(reference);

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/metrics.h"
 #include "base/resource.h"
 
 namespace ccdb {
@@ -198,14 +199,30 @@ TEST(ThreadPoolTest, FailureSkipsUnclaimedWorkButFinishesClaimed) {
   EXPECT_LE(executed.load(), 1000);
 }
 
-TEST(ThreadPoolTest, SharedPoolIsConfigurable) {
-  ThreadPool::ConfigureShared(3);
-  EXPECT_EQ(ThreadPool::Shared()->threads(), 3);
-  EXPECT_EQ(ThreadPool::Resolve(nullptr), ThreadPool::Shared());
+TEST(ThreadPoolTest, NullPoolIsTheCallingThread) {
+  ThreadPool* pool = ThreadPool::Resolve(nullptr);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->threads(), 1);
   ThreadPool local(2);
   EXPECT_EQ(ThreadPool::Resolve(&local), &local);
-  ThreadPool::ConfigureShared(1);
-  EXPECT_EQ(ThreadPool::Shared()->threads(), 1);
+
+  // Every index runs on the calling thread, in order, and no task is
+  // queued.
+  Counter* queued =
+      MetricsRegistry::Global().GetCounter("threadpool.tasks_queued");
+  std::uint64_t queued_before = queued->value();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  Status status = pool->ParallelFor(64, [&](std::size_t i) -> Status {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+    return Status::Ok();
+  });
+  ASSERT_TRUE(status.ok());
+  std::vector<std::size_t> expected(64);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(queued->value(), queued_before);
 }
 
 }  // namespace
