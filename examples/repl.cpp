@@ -60,7 +60,7 @@ std::atomic<bool> g_interrupted{false};
 
 extern "C" void HandleSigint(int) { g_interrupted.store(true); }
 
-// Per-attempt deadline applied to every query; 0 = unlimited (.deadline).
+// Deadline of every query, the whole call; 0 = unlimited (.deadline).
 double g_deadline_seconds = 0.0;
 
 void PrintHelp() {
@@ -77,8 +77,8 @@ void PrintHelp() {
       "  .log on [path]          start the JSONL query log (default\n"
       "                          ccdb_query_log.jsonl; or CCDB_QUERY_LOG)\n"
       "  .log off | .log         stop logging / show the log status\n"
-      "  .deadline <ms>          per-query deadline (0 = off); exhausted\n"
-      "                          queries degrade down the policy ladder\n"
+      "  .deadline <ms>          per-query deadline (0 = off); a query\n"
+      "                          that runs out stops with RESOURCE_EXHAUSTED\n"
       "  .config                 the resolved engine configuration (every\n"
       "                          CCDB_* knob) and its fingerprint\n"
       "  .stats                  metrics snapshot as JSON\n"
@@ -102,17 +102,10 @@ void RunQuery(const ccdb::ConstraintDatabase& db, const std::string& text) {
   ccdb::QueryPolicy policy;
   policy.limits = ccdb::ResourceLimits::Deadline(g_deadline_seconds);
   policy.cancel = &g_interrupted;
-  ccdb::QueryVerdict verdict;
-  auto result = db.QueryWithPolicy(text, policy, &verdict);
+  auto result = db.QueryWithPolicy(text, policy);
   if (!result.ok()) {
     std::printf("error: %s\n", result.status().ToString().c_str());
-    if (!verdict.exhausted_rungs.empty()) {
-      std::printf("governor: %s\n", verdict.ToString().c_str());
-    }
     return;
-  }
-  if (verdict.attempts > 1) {
-    std::printf("governor: %s\n", verdict.ToString().c_str());
   }
   if (result->has_scalar) {
     if (result->scalar.exact) {

@@ -9,6 +9,7 @@ CI's bench-smoke leg produces. Exit 0 = every file valid.
 Usage:
   check_bench_schema.py BENCH_pipeline.json [more.json ...]
   check_bench_schema.py --query-log ccdb_query_log.jsonl   # JSONL records
+                                                           # (schema 4)
 
 Schema (DESIGN.md §12):
   top level: schema_version == 1, bench (str), threads (int >= 1),
@@ -85,7 +86,7 @@ def check_bench(path):
     return errors
 
 
-# Required keys of every query-log record (base/query_log.h, schema 3).
+# Required keys of every query-log record (base/query_log.h, schema 4).
 QUERY_LOG_KEYS = ("schema_version", "ts_us", "session_id", "config", "kind",
                   "text_hash", "text_len", "catalog_version", "ok",
                   "cache_hit", "elapsed_seconds", "read_set", "invalidation")
@@ -116,6 +117,28 @@ def check_read_set(path, lineno, rec):
     return errors
 
 
+def check_verdict(path, lineno, rec):
+    """Schema 4: a governed record carries 'verdict', the reading of the one
+    governor that spanned the call: ok (bool) and numeric steps_consumed,
+    bytes_consumed and elapsed_seconds. Any other record that carries a
+    verdict (its evaluation ran under a governor) has the same shape."""
+    verdict = rec.get("verdict")
+    if verdict is None and rec.get("kind") != "governed":
+        return 0
+    if not isinstance(verdict, dict):
+        return fail(path, f"line {lineno}: governed record needs a "
+                          f"'verdict' object")
+    errors = 0
+    if not isinstance(verdict.get("ok"), bool):
+        errors += fail(path, f"line {lineno}: verdict 'ok' must be a bool")
+    for key in ("steps_consumed", "bytes_consumed", "elapsed_seconds"):
+        value = verdict.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            errors += fail(path, f"line {lineno}: verdict '{key}' must be "
+                                 f"a number")
+    return errors
+
+
 def check_query_log(path):
     errors = 0
     records = 0
@@ -135,10 +158,11 @@ def check_query_log(path):
                     if key not in rec:
                         errors += fail(path,
                                        f"line {lineno}: missing '{key}'")
-                if rec.get("schema_version") != 3:
+                if rec.get("schema_version") != 4:
                     errors += fail(path, f"line {lineno}: schema_version "
-                                         f"must be 3")
+                                         f"must be 4")
                 errors += check_read_set(path, lineno, rec)
+                errors += check_verdict(path, lineno, rec)
                 sid = rec.get("session_id")
                 if not isinstance(sid, int) or sid < 0:
                     errors += fail(path, f"line {lineno}: session_id must be "

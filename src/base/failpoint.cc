@@ -170,8 +170,8 @@ Status FailpointRegistry::Hit(const char* site) {
     SiteState& state = sites_[site];
     ++state.hits;
     if (!state.armed || state.hits != state.spec.fire_at) return Status::Ok();
-    // One-shot: firing disarms the site so recovery paths (a ladder retry,
-    // the next query) run clean.
+    // One-shot: firing disarms the site so recovery paths (a retry, the
+    // next query) run clean.
     state.armed = false;
     armed_count_.fetch_sub(1, std::memory_order_relaxed);
     CCDB_METRIC_COUNT("failpoint.injected", 1);

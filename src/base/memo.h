@@ -11,8 +11,8 @@
 /// output is byte-identical whatever the cache temperature. There is no
 /// knob that turns the memo layers off; they stand down only where safety
 /// demands it. Lookups are skipped under an armed ResourceGovernor
-/// (callers gate on `gov == nullptr`), so governed budget charging and
-/// degradation-ladder behaviour never depend on cache temperature;
+/// (callers gate on `gov == nullptr`), so governed budget charging never
+/// depends on cache temperature;
 /// successful results are still inserted so later ungoverned evaluations
 /// can reuse them. While any failpoint is armed the caches stand down
 /// entirely (MemoCachesEnabled reports false), so fault injection always

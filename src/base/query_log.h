@@ -7,9 +7,9 @@
 /// When enabled, the engine appends one JSON object per line for every
 /// query the public facade runs (Query / QueryWithPolicy / ExplainAnalyze),
 /// successful or not: a stable hash of the query text, the catalog version
-/// it read, the plan summary, per-stage timings, the governed verdict and
-/// degradation rung when applicable, and the memo-cache temperature the
-/// query ran at. Enable with the CCDB_QUERY_LOG=<path> environment
+/// it read, the plan summary, per-stage timings, what a governed evaluation
+/// consumed (the "verdict"), and the memo-cache temperature the query ran
+/// at. Enable with the CCDB_QUERY_LOG=<path> environment
 /// variable (read once, at first use) or at runtime via
 /// QueryLog::Global().Enable(path) — the REPL's `.log on/off`.
 ///
@@ -44,8 +44,11 @@ class QueryLog {
   /// scope a mutation must hit to invalidate it: "relations:[...]" or
   /// "global"); 3 = added "session_id" (0 = facade default path) and
   /// "config" (16-hex fingerprint of the resolved EngineConfig the query
-  /// ran under).
-  static constexpr int kSchemaVersion = 3;
+  /// ran under); 4 = "verdict" keeps only ok, steps_consumed,
+  /// bytes_consumed and elapsed_seconds, read from the one governor that
+  /// spans a governed call (the per-attempt fields are gone), and is
+  /// present on every record whose evaluation ran under a governor.
+  static constexpr int kSchemaVersion = 4;
 
   /// A fresh, disabled log. Call Enable(path) to start appending.
   QueryLog() = default;

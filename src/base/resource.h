@@ -21,7 +21,7 @@
 /// returns the same status (so nested loops unwind deterministically), and
 /// the trip is folded into the global metrics registry.
 ///
-/// Governors are intended to be stack-allocated per query attempt (see
+/// Governors are intended to be stack-allocated per governed call (see
 /// ConstraintDatabase::QueryWithPolicy) or re-armed per bench cell with
 /// Reset(). Charging is thread-safe and may come from many pool workers
 /// at once; Reset() is data-race-free but logically racy against
@@ -135,7 +135,7 @@ class ResourceGovernor {
   /// One coherent reading of everything a verdict reports. Safe to call
   /// while workers are still charging (each field is an atomic read); use
   /// this instead of separate steps/bytes/elapsed getters when the three
-  /// values are reported together (e.g. QueryVerdict).
+  /// values are reported together (e.g. a query-log record's "verdict").
   struct Consumption {
     std::uint64_t steps = 0;
     std::uint64_t bytes = 0;

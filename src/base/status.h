@@ -34,7 +34,7 @@ enum class StatusCode {
   /// evaluation was cancelled. Distinguished from kUndefined: kUndefined is
   /// a *semantic* outcome of the finite-precision model (retrying cannot
   /// help), kResourceExhausted is an *operational* one (a retry with more
-  /// budget, or under a degraded policy rung, may well succeed).
+  /// budget may well succeed).
   kResourceExhausted,
 };
 

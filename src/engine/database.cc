@@ -132,26 +132,10 @@ std::string ExplainAnalyzeResult::ToString() const {
   return out.str();
 }
 
-std::string QueryVerdict::ToString() const {
-  std::ostringstream out;
-  if (ok) {
-    out << "answered at rung '" << rung << "'";
-  } else {
-    out << "resource-exhausted on every rung";
-  }
-  out << " after " << attempts << " attempt(s)";
-  out << "; last attempt: steps=" << steps_consumed
-      << " bytes=" << bytes_consumed << " elapsed=" << FormatMillis(elapsed_seconds);
-  for (const std::string& entry : exhausted_rungs) {
-    out << "\n  exhausted: " << entry;
-  }
-  return out.str();
-}
-
 ConstraintDatabase::ConstraintDatabase(CalcFOptions options)
     : options_(std::move(options)),
       db_id_(Catalog::ReserveVersion()),
-      session_(DefaultSession()) {}
+      session_(new Session(this, EngineConfig::Process(), /*id=*/0)) {}
 
 ConstraintDatabase::ConstraintDatabase(ConstraintDatabase&& other) noexcept
     : options_(std::move(other.options_)),
@@ -159,7 +143,8 @@ ConstraintDatabase::ConstraintDatabase(ConstraintDatabase&& other) noexcept
       db_id_(other.db_id_),
       durability_(other.durability_),
       store_(std::move(other.store_)),
-      session_(DefaultSession()) {
+      session_(std::move(other.session_)) {
+  session_->db_ = this;
   std::lock_guard<std::mutex> lock(other.fixpoint_mu_);
   fixpoint_states_ = std::move(other.fixpoint_states_);
 }
@@ -172,7 +157,8 @@ ConstraintDatabase& ConstraintDatabase::operator=(
   db_id_ = other.db_id_;
   durability_ = other.durability_;
   store_ = std::move(other.store_);
-  session_ = DefaultSession();
+  session_ = std::move(other.session_);
+  session_->db_ = this;
   std::scoped_lock lock(fixpoint_mu_, other.fixpoint_mu_);
   fixpoint_states_ = std::move(other.fixpoint_states_);
   return *this;
@@ -189,11 +175,6 @@ ConstraintDatabase::~ConstraintDatabase() {
                      << st.ToString();
     }
   }
-}
-
-std::unique_ptr<Session> ConstraintDatabase::DefaultSession() {
-  return std::unique_ptr<Session>(
-      new Session(this, EngineConfig::Process(), /*id=*/0));
 }
 
 StatusOr<ConstraintDatabase> ConstraintDatabase::OpenDurable(
@@ -346,9 +327,8 @@ StatusOr<CalcFResult> ConstraintDatabase::Query(const std::string& text) const {
 }
 
 StatusOr<CalcFResult> ConstraintDatabase::QueryWithPolicy(
-    const std::string& text, const QueryPolicy& policy,
-    QueryVerdict* verdict) const {
-  return session_->QueryWithPolicy(text, policy, verdict);
+    const std::string& text, const QueryPolicy& policy) const {
+  return session_->QueryWithPolicy(text, policy);
 }
 
 StatusOr<ExplainAnalyzeResult> ConstraintDatabase::Explain(

@@ -96,43 +96,15 @@ struct ExplainAnalyzeResult {
   std::string ToString() const;
 };
 
-/// Resource policy of a governed query (QueryWithPolicy): the budgets each
-/// attempt runs under, an optional external cancellation flag, and whether
-/// the engine may degrade the answer quality to fit the budget.
+/// Resource policy of a governed query (QueryWithPolicy): the budgets the
+/// whole call runs under and an optional external cancellation flag.
 struct QueryPolicy {
-  /// Budget of each ladder attempt (deadline / steps / bytes). Each rung
-  /// gets a fresh governor armed with these limits.
+  /// Budget of the call (deadline / steps / bytes), armed on one governor
+  /// that spans the whole evaluation.
   ResourceLimits limits;
   /// Optional cooperative cancellation flag (e.g. flipped by a SIGINT
   /// handler). Borrowed, not owned; null = not cancellable.
   std::atomic<bool>* cancel = nullptr;
-  /// When true (the default), a kResourceExhausted attempt retries on the
-  /// next rung of the degradation ladder:
-  ///   full -> reduced-precision -> linear-only.
-  /// When false, the first exhaustion is final.
-  bool allow_degradation = true;
-};
-
-/// What a governed query actually did: which rung answered (or that none
-/// could), how many attempts ran, and the resources the answering (or
-/// final failing) attempt consumed.
-struct QueryVerdict {
-  /// True when some rung produced an answer.
-  bool ok = false;
-  /// Name of the rung that answered: "full", "reduced-precision",
-  /// "linear-only" — or "" when every rung was exhausted.
-  std::string rung;
-  /// Number of attempts made (1 = answered at full quality).
-  int attempts = 0;
-  /// Exhaustion messages of the rungs that ran out of budget, in order.
-  std::vector<std::string> exhausted_rungs;
-  /// Resources consumed by the last attempt.
-  std::uint64_t steps_consumed = 0;
-  std::uint64_t bytes_consumed = 0;
-  double elapsed_seconds = 0.0;
-
-  /// One-line human-readable rendering.
-  std::string ToString() const;
 };
 
 /// The public facade of the constraint database system: a catalog of
@@ -160,6 +132,8 @@ class Session;
 class ConstraintDatabase {
  public:
   explicit ConstraintDatabase(CalcFOptions options = {});
+  /// A move hands the default session over; the moved-from database may
+  /// only be destroyed or assigned to.
   ConstraintDatabase(ConstraintDatabase&& other) noexcept;
   ConstraintDatabase& operator=(ConstraintDatabase&& other) noexcept;
   /// A durable database checkpoints any unflushed WAL records on close
@@ -240,18 +214,14 @@ class ConstraintDatabase {
       const DatalogProgram& program, const DatalogOptions& options = {},
       DatalogStats* stats = nullptr) const;
 
-  /// Governed query: evaluates `text` under `policy`'s budgets, walking
-  /// the graceful-degradation ladder when an attempt exhausts them —
-  /// full quality first, then reduced precision (coarser approximation
-  /// order / tolerances), then the linear-only fragment (Fourier–Motzkin
-  /// without CAD). Each rung runs under a fresh governor armed with
-  /// `policy.limits`. Returns the first rung's answer, or the last
-  /// kResourceExhausted when every rung runs out; other errors surface
-  /// immediately. `verdict`, when non-null, reports which rung answered
-  /// and what the attempt consumed.
+  /// Governed query: evaluates `text` once under one ResourceGovernor armed
+  /// with `policy.limits` and `policy.cancel` for the whole call. The
+  /// governor's first trip is the answer: kResourceExhausted, its message
+  /// naming the stage, the exhausted resource and what the call consumed.
+  /// The whole-query memo stands down, so budget charging never depends
+  /// on cache temperature; other errors surface as they are.
   StatusOr<CalcFResult> QueryWithPolicy(const std::string& text,
-                                        const QueryPolicy& policy,
-                                        QueryVerdict* verdict = nullptr) const;
+                                        const QueryPolicy& policy) const;
 
   /// EXPLAIN: evaluates `text` like Query (whole-query memo included),
   /// additionally running the NUMERICAL EVALUATION stage when applicable,
@@ -331,10 +301,6 @@ class ConstraintDatabase {
                        const std::function<Status()>& apply);
   /// Checkpoint body; caller holds `mutate_mu_`.
   Status CheckpointLocked();
-  /// A default session bound to this instance (id 0, process config,
-  /// global log, its own pool unless options().qe.pool is set).
-  std::unique_ptr<Session> DefaultSession();
-
   /// One materialized Datalog fixpoint: the completed state plus the
   /// per-relation EDB versions it was computed against.
   struct FixpointEntry {
@@ -362,8 +328,10 @@ class ConstraintDatabase {
   DurabilityOptions durability_;
   /// Non-null iff the database was opened with OpenDurable.
   std::unique_ptr<DurableStore> store_;
-  /// The facade's read path. Bound to this instance, so a move builds a
-  /// fresh one for the new owner. Declared last: it reads options_.
+  /// The facade's read path: the default session (id 0, process config,
+  /// global log, its own pool unless options().qe.pool is set). A move
+  /// hands it to the new owner, rebound to that instance. Declared last:
+  /// the constructor builds it from options_.
   std::unique_ptr<Session> session_;
 };
 

@@ -1,6 +1,5 @@
 #include "engine/session.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -130,7 +129,7 @@ void AppendQueryLogRecord(
     const std::string& config_fingerprint, const char* kind,
     const std::string& text, std::uint64_t catalog_version,
     const StatusOr<CalcFResult>& result, bool cache_hit,
-    const QueryVerdict* verdict, double elapsed_seconds,
+    const ResourceGovernor* governor, double elapsed_seconds,
     const std::map<std::string, std::uint64_t>& deltas,
     const std::vector<std::pair<std::string, std::uint64_t>>* read_set,
     const std::string& profile_json = "") {
@@ -185,19 +184,16 @@ void AppendQueryLogRecord(
                std::string(StatusCodeToString(result.status().code())))
         .Add("error", result.status().message());
   }
-  if (verdict != nullptr) {
+  // What a governed evaluation consumed, read through the governor's one
+  // coherent snapshot (pool workers charge it concurrently).
+  if (governor != nullptr) {
+    ResourceGovernor::Consumption consumed = governor->Snapshot();
     record.AddRaw("verdict",
                   JsonObjectBuilder()
-                      .Add("ok", verdict->ok)
-                      .Add("rung", verdict->rung)
-                      .Add("attempts", static_cast<std::int64_t>(
-                                           verdict->attempts))
-                      .Add("exhausted_rungs",
-                           static_cast<std::uint64_t>(
-                               verdict->exhausted_rungs.size()))
-                      .Add("steps_consumed", verdict->steps_consumed)
-                      .Add("bytes_consumed", verdict->bytes_consumed)
-                      .Add("elapsed_seconds", verdict->elapsed_seconds)
+                      .Add("ok", result.ok())
+                      .Add("steps_consumed", consumed.steps)
+                      .Add("bytes_consumed", consumed.bytes)
+                      .Add("elapsed_seconds", consumed.elapsed_seconds)
                       .Build());
   }
   // Cache temperature this query ran at: hit/miss deltas of the memo
@@ -372,10 +368,26 @@ QueryLog& Session::Log() const {
 }
 
 StatusOr<CalcFResult> Session::Query(const std::string& text) const {
-  return QueryImpl(text, nullptr);
+  return QueryImpl(text, options_, "query", nullptr);
+}
+
+StatusOr<CalcFResult> Session::QueryWithPolicy(
+    const std::string& text, const QueryPolicy& policy) const {
+  CCDB_TRACE_SPAN("db.query_with_policy");
+  CCDB_METRIC_COUNT("db.governed_queries", 1);
+  ResourceGovernor gov(policy.limits, policy.cancel);
+  CalcFOptions options = options_;
+  options.qe.governor = &gov;
+  StatusOr<CalcFResult> outcome = QueryImpl(text, options, "governed", nullptr);
+  if (outcome.status().code() == StatusCode::kResourceExhausted) {
+    CCDB_METRIC_COUNT("db.governed_exhausted", 1);
+  }
+  return outcome;
 }
 
 StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
+                                         const CalcFOptions& options,
+                                         const char* kind,
                                          bool* cache_hit) const {
   CCDB_TRACE_SPAN("db.query");
   CCDB_METRIC_COUNT("db.queries", 1);
@@ -396,8 +408,7 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   // re-evaluation would produce (same text, same versions of the relations
   // the query reads, same immutable options). Governed evaluations bypass
   // the cache entirely so budget charging never depends on temperature.
-  const bool use_cache =
-      options_.qe.governor == nullptr && MemoCachesEnabled();
+  const bool use_cache = options.qe.governor == nullptr && MemoCachesEnabled();
   // The query's read-set at this snapshot — the memo key and the log's
   // invalidation scope. Unparsable text has no read-set (the evaluator
   // below reports the parse error) and is never cached.
@@ -420,7 +431,7 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
         return cached;
       }
     }
-    CalcFEvaluator evaluator(LookupFor(snapshot), options_);
+    CalcFEvaluator evaluator(LookupFor(snapshot), options);
     CCDB_ASSIGN_OR_RETURN(CalcFResult result, evaluator.EvaluateText(text));
     if (use_cache && have_read_set) QueryResultCache().Insert(key, result);
     return result;
@@ -428,96 +439,8 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   if (cache_hit != nullptr) *cache_hit = hit;
   if (log) {
     AppendQueryLogRecord(
-        qlog, id_, fingerprint_, "query", text, snapshot->version(), outcome,
-        hit, /*verdict=*/nullptr, SecondsSince(log_start),
-        MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-        have_read_set ? &read_set : nullptr);
-  }
-  return outcome;
-}
-
-StatusOr<CalcFResult> Session::QueryWithPolicy(const std::string& text,
-                                               const QueryPolicy& policy,
-                                               QueryVerdict* verdict) const {
-  CCDB_TRACE_SPAN("db.query_with_policy");
-  CCDB_METRIC_COUNT("db.governed_queries", 1);
-  QueryLog& qlog = Log();
-  QueryVerdict local;
-  QueryVerdict& v = verdict != nullptr ? *verdict : local;
-  v = QueryVerdict{};
-  const bool log = qlog.enabled();
-  std::map<std::string, std::uint64_t> before;
-  if (log) before = MetricsRegistry::Global().SnapshotValues();
-  auto log_start = SteadyClock::now();
-  // One snapshot across every rung: a degraded retry answers against the
-  // same catalog state the full-quality attempt saw.
-  std::shared_ptr<const Catalog::View> snapshot = ReadSnapshot();
-  StatusOr<CalcFResult> outcome = [&]() -> StatusOr<CalcFResult> {
-    static constexpr const char* kRungNames[] = {"full", "reduced-precision",
-                                                 "linear-only"};
-    const int num_rungs = policy.allow_degradation ? 3 : 1;
-    Status last = Status::Ok();
-    for (int rung = 0; rung < num_rungs; ++rung) {
-      // Each rung gets a fresh governor so degraded attempts receive the
-      // full budget, not the exhausted remainder of the previous attempt.
-      ResourceGovernor gov(policy.limits, policy.cancel);
-      CalcFOptions opts = options_;
-      opts.qe.governor = &gov;
-      if (rung >= 1) {
-        // Reduced precision: halve the approximation order and coarsen the
-        // tolerances — cheaper modules, same query semantics up to epsilon.
-        opts.approx_order = std::max(2, opts.approx_order / 2);
-        opts.tolerance = std::max(opts.tolerance * 1e3, 1e-6);
-        opts.eval_epsilon = Rational(BigInt(1), BigInt::Pow2(12));
-      }
-      if (rung >= 2) {
-        // Linear-only: Fourier-Motzkin without the CAD fallback. Queries
-        // that genuinely need CAD exhaust immediately instead of blowing
-        // up.
-        opts.qe.linear_only = true;
-      }
-      CalcFEvaluator evaluator(LookupFor(snapshot), opts);
-      StatusOr<CalcFResult> result = evaluator.EvaluateText(text);
-      ++v.attempts;
-      // One coherent snapshot: workers spawned by a parallel attempt all
-      // charge this governor, so the three readings are taken through the
-      // governor's atomic snapshot rather than three bare field reads.
-      ResourceGovernor::Consumption consumed = gov.Snapshot();
-      v.steps_consumed = consumed.steps;
-      v.bytes_consumed = consumed.bytes;
-      v.elapsed_seconds = consumed.elapsed_seconds;
-      if (result.ok()) {
-        v.ok = true;
-        v.rung = kRungNames[rung];
-        CCDB_METRIC_COUNT(rung == 0 ? "db.governed_answered_full"
-                                    : "db.governed_answered_degraded",
-                          1);
-        return result;
-      }
-      if (result.status().code() != StatusCode::kResourceExhausted) {
-        // Semantic errors (parse failure, kUndefined, ...) are not budget
-        // problems; degrading would not help.
-        return result.status();
-      }
-      v.exhausted_rungs.push_back(std::string(kRungNames[rung]) + ": " +
-                                  result.status().message());
-      last = result.status();
-      if (gov.reason() == ExhaustionReason::kCancelled) break;  // user stop
-    }
-    CCDB_METRIC_COUNT("db.governed_exhausted", 1);
-    return last;
-  }();
-  if (log) {
-    std::vector<std::pair<std::string, std::uint64_t>> read_set;
-    bool have_read_set = false;
-    if (StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-    AppendQueryLogRecord(
-        qlog, id_, fingerprint_, "governed", text, snapshot->version(),
-        outcome, /*cache_hit=*/false, &v, SecondsSince(log_start),
+        qlog, id_, fingerprint_, kind, text, snapshot->version(), outcome, hit,
+        options.qe.governor, SecondsSince(log_start),
         MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
         have_read_set ? &read_set : nullptr);
   }
@@ -532,7 +455,8 @@ StatusOr<ExplainAnalyzeResult> Session::Explain(const std::string& text) const {
   // The whole-query memo applies (Query already logs the record); the
   // profile carries no QE round trees.
   ExplainAnalyzeResult out;
-  CCDB_RETURN_IF_ERROR(FinishProfile(QueryImpl(text, &out.profile.from_cache),
+  CCDB_RETURN_IF_ERROR(FinishProfile(QueryImpl(text, options_, "query",
+                                               &out.profile.from_cache),
                                      before, start, options_, &out));
   return out;
 }
@@ -574,7 +498,7 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
         qlog, id_, fingerprint_, "explain_analyze", text, snapshot->version(),
         status.ok() ? StatusOr<CalcFResult>(out.result)
                     : StatusOr<CalcFResult>(status),
-        /*cache_hit=*/false, /*verdict=*/nullptr, out.profile.total_seconds,
+        /*cache_hit=*/false, opts.qe.governor, out.profile.total_seconds,
         out.profile.metric_deltas, have_read_set ? &read_set : nullptr,
         status.ok() ? out.profile.ToJson() : "");
   }
@@ -625,7 +549,8 @@ StatusOr<std::vector<std::vector<Rational>>> Session::Solve(
     const std::string& text, const Rational& epsilon) const {
   CCDB_TRACE_SPAN("db.solve");
   CCDB_METRIC_COUNT("db.solves", 1);
-  CCDB_ASSIGN_OR_RETURN(CalcFResult result, QueryImpl(text, nullptr));
+  CCDB_ASSIGN_OR_RETURN(CalcFResult result,
+                        QueryImpl(text, options_, "query", nullptr));
   return ApproximateSolutions(result.relation, epsilon, options_.qe.governor,
                               pool());
 }

@@ -18,7 +18,7 @@
 ///     modules' CADs, NUMERICAL EVALUATION, Datalog) runs on it;
 ///   - a session id (unique per opened session, 0 for the default one) and
 ///     the config's fingerprint, stamped into every query-log record the
-///     session produces (schema v3);
+///     session produces (schema v4);
 ///   - a query-log binding (the global log by default, replaceable with a
 ///     session-owned instance via SetQueryLog);
 ///   - an optional pinned MVCC catalog snapshot (PinSnapshot/Unpin): while
@@ -85,9 +85,10 @@ class Session {
   /// same names, evaluated under this session's options, snapshot (when
   /// pinned), pool, and log binding.
   StatusOr<CalcFResult> Query(const std::string& text) const;
+  /// Query under one ResourceGovernor(policy.limits, policy.cancel) that
+  /// spans the call; the governor's first trip is the answer.
   StatusOr<CalcFResult> QueryWithPolicy(const std::string& text,
-                                        const QueryPolicy& policy,
-                                        QueryVerdict* verdict = nullptr) const;
+                                        const QueryPolicy& policy) const;
   StatusOr<ExplainAnalyzeResult> Explain(const std::string& text) const;
   StatusOr<ExplainAnalyzeResult> ExplainAnalyze(const std::string& text) const;
   StatusOr<std::string> Plan(const std::string& text) const;
@@ -121,10 +122,13 @@ class Session {
   std::shared_ptr<const Catalog::View> ReadSnapshot() const;
   /// The query log records go to: the bound one, else QueryLog::Global().
   QueryLog& Log() const;
-  /// Query() body; `cache_hit`, when non-null, reports whether the answer
-  /// came from the whole-query memo (EXPLAIN's from_cache).
+  /// The body of Query() and QueryWithPolicy(): evaluates `text` under
+  /// `options` and logs one record of `kind`. The whole-query memo applies
+  /// only when `options` carries no governor. `cache_hit`, when non-null,
+  /// reports whether the answer came from the memo (EXPLAIN's from_cache).
   StatusOr<CalcFResult> QueryImpl(const std::string& text,
-                                  bool* cache_hit) const;
+                                  const CalcFOptions& options,
+                                  const char* kind, bool* cache_hit) const;
 
   ConstraintDatabase* db_;
   const EngineConfig config_;

@@ -234,14 +234,6 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
     const std::vector<GeneralizedTuple>& tuples,
     const std::vector<PrenexBlock>& prefix, int num_free_vars,
     const QeOptions& options, QeStats* stats) {
-  if (options.linear_only) {
-    // Degradation rung: the caller asked for the linear fragment only.
-    // Refusing CAD with kResourceExhausted lets policy ladders treat "this
-    // rung cannot answer" uniformly with budget trips.
-    return Status::ResourceExhausted(
-        "stage=qe.drive reason=linear_only: query needs CAD but the policy "
-        "restricts this attempt to the linear fragment");
-  }
   CCDB_TRACE_SPAN("qe.cad_path");
   const ResourceGovernor* gov = options.governor;
   const int n = num_free_vars + static_cast<int>(prefix.size());
@@ -356,8 +348,7 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
   const auto prof_start = std::chrono::steady_clock::now();
 
   // Memoized path: only ungoverned runs may SKIP work via the cache, so
-  // governed budget charging and degradation behaviour never depend on
-  // cache temperature. (The failpoint above fires either way.) The cache
+  // governed budget charging never depends on cache temperature. (The failpoint above fires either way.) The cache
   // is a pure memo over the interned formula id — a hit is byte-identical
   // to recomputation.
   const bool use_cache = gov == nullptr && MemoCachesEnabled();

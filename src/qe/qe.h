@@ -67,11 +67,6 @@ struct QeOptions {
   /// equations by exact substitution before running CAD (a large win for
   /// CALC_F's function-approximation rewriting). Disable for ablation.
   bool allow_equation_substitution = true;
-  /// Degradation rung: refuse the CAD path entirely (linear systems are
-  /// still eliminated exactly by Fourier-Motzkin). A nonlinear input then
-  /// fails with kResourceExhausted instead of risking a doubly exponential
-  /// CAD — the last rung of ConstraintDatabase::QueryWithPolicy's ladder.
-  bool linear_only = false;
   /// Plan a polynomial all-existential union disjunct by disjunct:
   /// exists ȳ (D1 ∨ ... ∨ Dm) becomes m miniscoped members (plan/planner.h),
   /// each building a CAD over only its own polynomials, unioned in input
@@ -142,8 +137,7 @@ Status EliminateLinearPrefix(std::vector<GeneralizedTuple>* tuples,
 /// num_free_vars + i): BuildSolutionFormula labels each free-space cell
 /// with the prefix's truth over its subtree (retrying with Thom
 /// augmentation when sign vectors collide, if allowed); a sentence is
-/// decided over the base stack. Refuses with kResourceExhausted under
-/// options.linear_only. Span "qe.cad_path".
+/// decided over the base stack. Span "qe.cad_path".
 StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
     const std::vector<GeneralizedTuple>& tuples,
     const std::vector<PrenexBlock>& prefix, int num_free_vars,

@@ -12,7 +12,6 @@ QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
   key.option_bits = (options.allow_linear_fast_path ? 1u : 0u) |
                     (options.allow_thom_augmentation ? 2u : 0u) |
                     (options.allow_equation_substitution ? 4u : 0u) |
-                    (options.linear_only ? 8u : 0u) |
                     (options.allow_disjunct_split ? 16u : 0u) |
                     (block_residue ? 32u : 0u);
   return key;

@@ -29,7 +29,7 @@ struct QeCacheKey {
   std::uint64_t formula_id = 0;
   int num_free_vars = 0;
   /// Packed algorithm options (linear fast path, Thom augmentation,
-  /// equation substitution, linear-only, disjunct split) plus the
+  /// equation substitution, disjunct split) plus the
   /// block-residue bit. The governor and pool are excluded: lookups only
   /// happen ungoverned, and results are thread-count independent by the
   /// determinism contract. A block residue (the CAD residue of one plan

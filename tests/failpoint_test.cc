@@ -244,34 +244,29 @@ TEST_F(FailpointInjectionTest, DatalogIteration) {
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
-TEST_F(FailpointInjectionTest, InjectedExhaustionDegradesOnLadder) {
-  // An exhaust injection on the first (full-quality) attempt: the ladder
-  // retries at reduced precision, where the now-inert site lets the linear
-  // query through — a deterministic end-to-end degradation.
+TEST_F(FailpointInjectionTest, InjectedExhaustionEndsTheGovernedCall) {
+  // An exhaust injection makes the one governed attempt fail with
+  // kResourceExhausted: there is no retry. The one-shot site is inert
+  // afterwards, so the next call answers.
   ConstraintDatabase db = PaperDb();
   ASSERT_TRUE(FailpointRegistry::Global().Configure("qe.fm=exhaust@1").ok());
-  QueryVerdict verdict;
-  auto result =
-      db.QueryWithPolicy("exists y (L(x, y))", QueryPolicy{}, &verdict);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(verdict.ok);
-  EXPECT_EQ(verdict.rung, "reduced-precision");
-  EXPECT_EQ(verdict.attempts, 2);
-  ASSERT_EQ(verdict.exhausted_rungs.size(), 1u);
-  EXPECT_NE(verdict.exhausted_rungs[0].find("full"), std::string::npos);
+  auto exhausted = db.QueryWithPolicy("exists y (L(x, y))", QueryPolicy{});
+  ASSERT_FALSE(exhausted.ok());
+  EXPECT_EQ(exhausted.status().code(), StatusCode::kResourceExhausted)
+      << exhausted.status().ToString();
+  auto next = db.QueryWithPolicy("exists y (L(x, y))", QueryPolicy{});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_FALSE(next->relation.is_empty_syntactically());
 }
 
 TEST_F(FailpointInjectionTest, UndefinedInjectionIsNotRetried) {
-  // kUndefined is a semantic outcome; the ladder must not retry it.
+  // kUndefined is a semantic outcome; the governed call reports it as is.
   ConstraintDatabase db = PaperDb();
   ASSERT_TRUE(
       FailpointRegistry::Global().Configure("qe.drive=undefined@1").ok());
-  QueryVerdict verdict;
-  auto result =
-      db.QueryWithPolicy("exists y (L(x, y))", QueryPolicy{}, &verdict);
+  auto result = db.QueryWithPolicy("exists y (L(x, y))", QueryPolicy{});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUndefined);
-  EXPECT_EQ(verdict.attempts, 1);
 }
 
 #endif  // CCDB_FAILPOINTS

@@ -1,12 +1,13 @@
 // Structured query-log tests (Observability v2, DESIGN.md §12): the
 // JSONL black-box recorder must capture every facade query — plain,
-// governed, EXPLAIN ANALYZE, and failed — with the schema-3 fields
+// governed, EXPLAIN ANALYZE, and failed — with the schema-4 fields
 // (read-set and invalidation scope, session id, resolved-config
 // fingerprint), while never changing an answer (logging is observation
 // only).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -63,8 +64,7 @@ TEST_F(QueryLogTest, RecordsPlainGovernedAndAnalyzedQueries) {
 
   QueryPolicy policy;
   policy.limits = ResourceLimits::Deadline(30.0);
-  QueryVerdict verdict;
-  ASSERT_TRUE(db.QueryWithPolicy(text, policy, &verdict).ok());
+  ASSERT_TRUE(db.QueryWithPolicy(text, policy).ok());
 
   ASSERT_TRUE(db.ExplainAnalyze(text).ok());
 
@@ -75,7 +75,7 @@ TEST_F(QueryLogTest, RecordsPlainGovernedAndAnalyzedQueries) {
   std::vector<std::string> lines = ReadLines(path);
   ASSERT_EQ(lines.size(), 4u);
 
-  // Every record is one JSON object with the schema-3 envelope. Facade
+  // Every record is one JSON object with the schema-4 envelope. Facade
   // (sessionless) records carry session_id 0 and the process config's
   // 16-hex fingerprint.
   const std::string process_fp =
@@ -83,7 +83,7 @@ TEST_F(QueryLogTest, RecordsPlainGovernedAndAnalyzedQueries) {
   for (const std::string& line : lines) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"schema_version\":3"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"schema_version\":4"), std::string::npos) << line;
     EXPECT_NE(line.find("\"session_id\":0"), std::string::npos) << line;
     EXPECT_NE(line.find(process_fp), std::string::npos) << line;
     EXPECT_NE(line.find("\"text_hash\":\""), std::string::npos) << line;
@@ -105,8 +105,21 @@ TEST_F(QueryLogTest, RecordsPlainGovernedAndAnalyzedQueries) {
   EXPECT_NE(lines[0].find("\"kind\":\"query\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
   EXPECT_NE(lines[1].find("\"kind\":\"governed\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"verdict\":"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"rung\":\"full\""), std::string::npos);
+  // The governed record's verdict is the one governor's reading: whether
+  // the call answered, and what it consumed. No per-attempt fields.
+  const std::size_t verdict_at = lines[1].find("\"verdict\":{");
+  ASSERT_NE(verdict_at, std::string::npos) << lines[1];
+  const std::string verdict = lines[1].substr(
+      verdict_at, lines[1].find('}', verdict_at) + 1 - verdict_at);
+  EXPECT_EQ(verdict.rfind("\"verdict\":{\"ok\":true,", 0), 0u) << verdict;
+  EXPECT_NE(verdict.find("\"steps_consumed\":"), std::string::npos) << verdict;
+  EXPECT_NE(verdict.find("\"bytes_consumed\":"), std::string::npos) << verdict;
+  EXPECT_NE(verdict.find("\"elapsed_seconds\":"), std::string::npos) << verdict;
+  // "verdict" and exactly those four keys.
+  EXPECT_EQ(std::count(verdict.begin(), verdict.end(), ':'), 5) << verdict;
+  // Ungoverned records carry no verdict.
+  EXPECT_EQ(lines[0].find("\"verdict\""), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[2].find("\"verdict\""), std::string::npos) << lines[2];
   EXPECT_NE(lines[2].find("\"kind\":\"explain_analyze\""),
             std::string::npos);
   EXPECT_NE(lines[2].find("\"profile\":"), std::string::npos);

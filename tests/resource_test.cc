@@ -132,8 +132,8 @@ TEST(CheckBudgetMacroTest, PropagatesExhaustion) {
 }
 
 // Regression test for the parallel engine: once pool workers charge a
-// shared governor concurrently, the consumption snapshot that
-// QueryWithPolicy folds into QueryVerdict — and the deadline origin that
+// shared governor concurrently, the consumption snapshot that a governed
+// query's log record reports as its verdict — and the deadline origin that
 // Reset() re-arms between bench cells — must be reachable without a data
 // race. Before the counters/origin became atomics, ThreadSanitizer
 // flagged this test (concurrent Charge vs Snapshot/Reset on the

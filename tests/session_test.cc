@@ -470,5 +470,35 @@ TEST(SessionTest, DefaultSessionFollowsTheDatabaseAcrossMoves) {
   std::filesystem::remove_all(store);
 }
 
+// Live threads of this process, from /proc/self/status; -1 when unreadable.
+int LiveThreads() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(SessionTest, MovingADatabaseStartsNoThread) {
+  // A move hands the default session, and with it its pool, to the new
+  // owner: no move builds a pool, so none starts a worker.
+  if (EngineConfig::Process().threads == 1) {
+    GTEST_SKIP() << "a one-runner pool starts no worker to count";
+  }
+  ConstraintDatabase source;
+  ASSERT_TRUE(source.Define("P(x) := x >= 0 and x <= 1").ok());
+  ConstraintDatabase target;
+  const int before = LiveThreads();
+  ASSERT_GT(before, 0);
+  ConstraintDatabase moved(std::move(source));
+  EXPECT_EQ(LiveThreads(), before) << "move-construct started threads";
+  // Assignment drops the target's own session and pool, and builds none.
+  target = std::move(moved);
+  EXPECT_LE(LiveThreads(), before) << "move-assign started threads";
+  StatusOr<CalcFResult> answer = target.Query("P(x) and x >= 1");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer->relation.Contains({Rational(BigInt(1), BigInt(1))}));
+}
+
 }  // namespace
 }  // namespace ccdb
