@@ -5,7 +5,10 @@
 //
 // The harness evaluates the paper's query exactly, checks the
 // antiderivative identity the paper spells out, and sweeps the clipping
-// height to show the aggregate responds exactly to the region.
+// height to show the aggregate responds exactly to the region. Two
+// regions whose boundaries are not polynomial graphs y = g(x) then take
+// the numeric path (Gauss–Legendre quadrature over the CAD's x-sectors);
+// each is checked against its closed form. Writes BENCH_surface_example.json.
 
 #include "bench_util.h"
 #include "engine/database.h"
@@ -39,6 +42,7 @@ int main(int argc, char** argv) {
     area = db.Query("SURFACE[x, y](S(x, y) and y <= 9)(z)");
   });
   CCDB_CHECK(area.ok());
+  ccdb_bench::RecordCell("paper_example", elapsed);
   ccdb_bench::Row("");
   ccdb_bench::Row("engine SURFACE = %s (%s) in %.3f ms",
                   area->scalar.exact_value.ToString().c_str(),
@@ -54,8 +58,10 @@ int main(int argc, char** argv) {
   for (int h : {1, 4, 9, 16, 25}) {
     std::string query = "SURFACE[x, y](S(x, y) and y <= " +
                         std::to_string(h) + ")(z)";
-    auto result = db.Query(query);
+    StatusOr<CalcFResult> result = Status::Internal("unset");
+    double seconds = ccdb_bench::TimeSeconds([&] { result = db.Query(query); });
     CCDB_CHECK(result.ok());
+    ccdb_bench::RecordCell("clip_h" + std::to_string(h), seconds);
     // The parabola y = (2x-5)^2 clipped at height h spans half-width
     // sqrt(h)/2; area = (2/3) * (2 * sqrt(h)/2) * h = (2/3) sqrt(h) h.
     double expected = 2.0 / 3.0 * std::sqrt(static_cast<double>(h)) * h;
@@ -65,8 +71,45 @@ int main(int argc, char** argv) {
                         : "-",
                     expected, result->scalar.exact ? "yes" : "no");
   }
+
+  // Numeric path: circle boundaries, checked against closed forms. The
+  // chord y = x + 1 lies d = 1/sqrt(2) from the centre of the radius-2
+  // disk and cuts off a segment of area r^2 acos(d/r) - d sqrt(r^2 - d^2).
+  double r = 2.0, d = 1.0 / std::sqrt(2.0);
+  double segment = r * r * std::acos(d / r) - d * std::sqrt(r * r - d * d);
+  struct NumericCell {
+    const char* name;
+    const char* region;
+    double oracle;
+  };
+  const NumericCell numeric_cells[] = {
+      {"disk_r3", "x^2 + y^2 <= 9", 9.0 * M_PI},
+      {"chord_cut_disk", "x^2 + y^2 <= 4 and y <= x + 1",
+       M_PI * r * r - segment},
+  };
+  ccdb_bench::Row("");
+  ccdb_bench::Row("%-16s %16s %12s %16s %10s", "region", "engine area",
+                  "+-estimate", "closed form", "ms");
+  for (const NumericCell& cell : numeric_cells) {
+    std::string name = cell.name;
+    CCDB_CHECK(db.Define("N_" + name + "(x, y) := " + cell.region).ok());
+    StatusOr<CalcFResult> result = Status::Internal("unset");
+    double seconds = ccdb_bench::TimeSeconds([&] {
+      result = db.Query("SURFACE[x, y](N_" + name + "(x, y))(a)");
+    });
+    CCDB_CHECK(result.ok());
+    const AggregateValue& value = result->scalar;
+    CCDB_CHECK(result->has_scalar && !value.exact);
+    CCDB_CHECK(std::abs(value.Value() - cell.oracle) <= value.error_estimate);
+    ccdb_bench::Row("%-16s %16.10f %12.1e %16.10f %10.3f", cell.name,
+                    value.Value(), value.error_estimate, cell.oracle,
+                    seconds * 1e3);
+    ccdb_bench::RecordCell(name, seconds);
+  }
+
   bool match = area->scalar.exact && area->scalar.exact_value == Rational(18);
   ccdb_bench::Row("");
   ccdb_bench::Row("headline result matches paper: %s", match ? "yes" : "NO");
+  ccdb_bench::WriteRunRecord("surface_example");
   return match ? 0 : 1;
 }

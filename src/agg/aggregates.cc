@@ -1,8 +1,11 @@
 #include "agg/aggregates.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <functional>
+#include <map>
+#include <optional>
 
 #include "arith/floatk.h"
 #include "base/logging.h"
@@ -10,6 +13,7 @@
 #include "base/trace.h"
 #include "numeric/numerical_eval.h"
 #include "numeric/quadrature.h"
+#include "poly/root_isolation.h"
 #include "qe/cad.h"
 
 namespace ccdb {
@@ -89,8 +93,8 @@ AggregateValue EndpointValue(const AlgebraicNumber& endpoint,
   return ApproxValue(endpoint.Approximate(eps).ToDouble(), tolerance);
 }
 
-// Substitutes variable 0 := x0 in a binary relation, producing a unary
-// relation over the remaining variable (renamed to 0).
+// Substitutes variable 0 := x0, producing a relation over the remaining
+// variables (renamed down by one).
 ConstraintRelation SubstituteFirstVar(const ConstraintRelation& relation,
                                       const Rational& x0) {
   ConstraintRelation out(relation.arity() - 1);
@@ -112,36 +116,95 @@ ConstraintRelation SubstituteFirstVar(const ConstraintRelation& relation,
   return out;
 }
 
-// 1-D measure of a unary relation: {exact?, rational, double}. Undefined
-// when some satisfied sector is unbounded.
-struct Measure1D {
-  bool exact = true;
-  Rational exact_total;
-  double approx_total = 0.0;
+// The integral of f (a value with an error bound at each rational x) over
+// the open x-sector (a, c): CosineGaussLegendre at orders 8, 16, ... 128
+// until two agree within `tol`, keeping the higher. Error: their
+// difference + f's largest error bound times the width + 64 ulps. The
+// ends are rationals a <= lo < hi <= c (at most 2^-60 inside irrational
+// ends); a node is its double image if that rounds inside, else exact.
+StatusOr<AggregateValue> IntegrateOverSector(
+    const std::function<StatusOr<AggregateValue>(const Rational&)>& f,
+    const AlgebraicNumber& a, const AlgebraicNumber& c, double tol,
+    const ResourceGovernor* gov) {
+  Rational trim(BigInt(1), BigInt::Pow2(60)), lo, hi;
+  do {
+    a.RefineTo(trim);
+    c.RefineTo(trim);
+    lo = a.isolating_interval().hi();
+    hi = c.isolating_interval().lo();
+    trim = trim * trim;
+  } while (!(lo < hi));
+  double lo_double = lo.ToDouble(), width = (hi - lo).ToDouble();
+  double f_error = 0.0;
+  auto at = [&](double s) -> StatusOr<double> {
+    Rational x = FloatK::FromDouble(lo_double + width * s).ToRational();
+    if (!(lo < x && x < hi)) {
+      x = lo + (hi - lo) * FloatK::FromDouble(s).ToRational();
+    }
+    CCDB_ASSIGN_OR_RETURN(AggregateValue value, f(x));
+    f_error = std::max(f_error, value.error_estimate);
+    return value.Value();
+  };
+  double value = 0.0, previous = 0.0, difference = 0.0;
+  CCDB_ASSIGN_OR_RETURN(previous, CosineGaussLegendre(at, width, 8, gov));
+  for (int order = 16; order <= 128; order *= 2) {
+    CCDB_ASSIGN_OR_RETURN(value, CosineGaussLegendre(at, width, order, gov));
+    difference = std::abs(value - previous);
+    if (difference <= tol) break;
+    previous = value;
+  }
+  return ApproxValue(value, difference + width * f_error +
+                                64 * DBL_EPSILON * std::abs(value));
+}
+
+// A section of a CAD stack, named by the first level-1 factor that vanishes
+// on it and the rank of the section among that factor's real roots over
+// the stack's base sample.
+struct SectionName {
+  std::size_t factor = 0;
+  std::size_t rank = 0;
 };
 
-StatusOr<Measure1D> MeasureUnary(const ConstraintRelation& relation,
-                                 double tolerance,
-                                 const ResourceGovernor* gov) {
-  CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
-                        DecomposeUnary(relation, gov));
-  Measure1D out;
-  for (const auto& piece : decomposition.pieces) {
-    if (piece.is_point) continue;
-    if (!piece.has_lower || !piece.has_upper) {
-      return Status::Undefined("unbounded set has infinite measure");
-    }
-    AggregateValue lo = EndpointValue(piece.lower, tolerance);
-    AggregateValue hi = EndpointValue(piece.upper, tolerance);
-    if (lo.exact && hi.exact && out.exact) {
-      out.exact_total += hi.exact_value - lo.exact_value;
-    } else {
-      out.exact = false;
-    }
-    out.approx_total += hi.Value() - lo.Value();
+StatusOr<SectionName> NameSection(const std::vector<CadCell>& stack,
+                                  std::size_t s,
+                                  const std::vector<Polynomial>& factors) {
+  SectionName name;
+  while (name.factor < factors.size() &&
+         stack[s].sample.SignAt(factors[name.factor]) != 0) {
+    ++name.factor;
   }
-  if (out.exact) out.approx_total = out.exact_total.ToDouble();
-  return out;
+  if (name.factor == factors.size()) {
+    return Status::Internal("CAD section on no level-1 factor");
+  }
+  for (std::size_t t = 1; t < s; t += 2) {
+    if (stack[t].sample.SignAt(factors[name.factor]) == 0) ++name.rank;
+  }
+  return name;
+}
+
+// The real roots in y of a level-1 factor at a rational x, each within
+// width / 2.
+std::vector<Rational> RootsInY(const Polynomial& factor, const Rational& x,
+                               const Rational& width) {
+  std::vector<Rational> coefficients(factor.DegreeIn(1) + 1, Rational(0));
+  for (const auto& [monomial, coeff] : factor.terms()) {
+    coefficients[monomial.exponent(1)] +=
+        coeff * x.Pow(static_cast<std::int32_t>(monomial.exponent(0)));
+  }
+  UPoly at_x(std::move(coefficients));
+  if (at_x.is_zero()) return {};
+  return ApproximateRealRoots(at_x, width);
+}
+
+// g when `factor` = c (y - g(x)) with c constant: the section is the graph
+// y = g(x) of a polynomial.
+std::optional<UPoly> GraphOf(const Polynomial& factor) {
+  if (factor.DegreeIn(1) != 1) return std::nullopt;
+  Polynomial lc = factor.LeadingCoefficientIn(1);
+  if (!lc.is_constant()) return std::nullopt;
+  // The y^0 coefficient of a level-1 factor mentions x only.
+  return *UPoly::FromPolynomial(
+      factor.CoefficientsIn(1)[0].Scale(-lc.constant_value().Inverse()), 0);
 }
 
 }  // namespace
@@ -251,19 +314,27 @@ StatusOr<AggregateValue> AggregateModules::Length(
   ++call_count_;
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 1, "LENGTH requires a unary relation");
-  CCDB_ASSIGN_OR_RETURN(Measure1D measure,
-                        MeasureUnary(relation, tolerance_, cad_.governor));
-  if (measure.exact) return ExactValue(measure.exact_total);
-  return ApproxValue(measure.approx_total, tolerance_);
-}
-
-StatusOr<double> AggregateModules::SliceMeasure(
-    const ConstraintRelation& relation, const Rational& x0) const {
-  CCDB_CHECK(relation.arity() == 2);
-  ConstraintRelation slice = SubstituteFirstVar(relation, x0);
-  CCDB_ASSIGN_OR_RETURN(Measure1D measure,
-                        MeasureUnary(slice, tolerance_, cad_.governor));
-  return measure.approx_total;
+  CCDB_ASSIGN_OR_RETURN(UnaryDecomposition decomposition,
+                        DecomposeUnary(relation, cad_.governor));
+  bool exact = true;
+  Rational exact_total(0);
+  double approx_total = 0.0;
+  for (const auto& piece : decomposition.pieces) {
+    if (piece.is_point) continue;
+    if (!piece.has_lower || !piece.has_upper) {
+      return Status::Undefined("unbounded set has infinite measure");
+    }
+    AggregateValue lo = EndpointValue(piece.lower, tolerance_);
+    AggregateValue hi = EndpointValue(piece.upper, tolerance_);
+    if (lo.exact && hi.exact && exact) {
+      exact_total += hi.exact_value - lo.exact_value;
+    } else {
+      exact = false;
+    }
+    approx_total += hi.Value() - lo.Value();
+  }
+  if (exact) return ExactValue(exact_total);
+  return ApproxValue(approx_total, tolerance_);
 }
 
 StatusOr<AggregateValue> AggregateModules::Surface(
@@ -275,113 +346,110 @@ StatusOr<AggregateValue> AggregateModules::Surface(
   CCDB_ASSIGN_OR_RETURN(Cad cad,
                         Cad::Build(relation.CollectPolynomials(), 2, cad_));
   const std::vector<CadCell>& base = cad.roots();
+  const std::vector<Polynomial>& factors = cad.factors_at_level(1);
   bool exact = true;
   Rational exact_total(0);
   double approx_total = 0.0;
   double approx_error = 0.0;
+  double numeric_tol = std::max(tolerance_, 1e-6);
+  Rational root_width = FloatK::FromDouble(numeric_tol / 64).ToRational();
+  // Per x-section, the antiderivative terms the graph pieces put there.
+  std::vector<UPoly> primitive_at(base.size());
 
-  for (std::size_t b = 0; b < base.size(); ++b) {
-    const CadCell& base_cell = base[b];
-    bool base_is_sector = base_cell.index[0] % 2 == 1;
-    // Gather satisfied children and their stack structure.
-    const std::vector<CadCell>& stack = base_cell.children;
-    std::vector<bool> satisfied(stack.size(), false);
-    bool any_positive = false;
-    for (std::size_t c = 0; c < stack.size(); ++c) {
-      satisfied[c] = stack[c].sample.Satisfies(relation.tuples());
-      if (satisfied[c] && c % 2 == 0) any_positive = true;  // y-sector
-    }
-    if (!base_is_sector) continue;  // x-section: zero width
-    if (!any_positive) continue;
-    bool base_unbounded = (b == 0) || (b + 1 == base.size());
-    if (base_unbounded) {
-      return Status::Undefined("SURFACE of an x-unbounded region");
-    }
-    // Check y-unbounded satisfied sectors.
-    if (satisfied.front() || (stack.size() > 1 && satisfied.back()) ||
-        (stack.size() == 1 && satisfied[0])) {
-      return Status::Undefined("SURFACE of a y-unbounded region");
-    }
-    const AlgebraicNumber& a = base[b - 1].sample.coord(0);
-    const AlgebraicNumber& c = base[b + 1].sample.coord(0);
-
-    // Try the exact path: rational endpoints and polynomial-graph
-    // boundaries (the boundary factor is linear in y with constant leading
-    // coefficient).
-    bool piece_exact = a.is_rational() && c.is_rational();
-    Rational piece_exact_total(0);
-    std::vector<std::pair<UPoly, UPoly>> graph_bounds;  // lower, upper
-    if (piece_exact) {
-      for (std::size_t j = 0; j + 1 < stack.size() && piece_exact; ++j) {
-        if (j % 2 != 0 || !satisfied[j]) continue;  // only inner y-sectors
-        // Sector children[j] is bounded by sections children[j-1] and
-        // children[j+1] (j > 0 guaranteed since satisfied.front() was
-        // rejected above).
-        auto graph_of = [&](const CadCell& section,
-                            UPoly* out) -> bool {
-          for (const Polynomial& factor : cad.factors_at_level(1)) {
-            if (section.sample.SignAt(factor) != 0) continue;
-            if (factor.DegreeIn(1) != 1) return false;
-            Polynomial lc = factor.LeadingCoefficientIn(1);
-            if (!lc.is_constant()) return false;
-            Polynomial g =
-                factor.CoefficientsIn(1)[0].Scale(-lc.constant_value()
-                                                       .Inverse());
-            auto u = UPoly::FromPolynomial(g, 0);
-            if (!u.ok()) return false;
-            *out = std::move(*u);
-            return true;
-          }
-          return false;
-        };
-        UPoly lower_graph, upper_graph;
-        if (j == 0 || j + 1 >= stack.size() ||
-            !graph_of(stack[j - 1], &lower_graph) ||
-            !graph_of(stack[j + 1], &upper_graph)) {
-          piece_exact = false;
-          break;
-        }
-        piece_exact_total += IntegratePolynomial(
-            upper_graph - lower_graph, a.rational_value(), c.rational_value());
+  // Sectors sit at even stack positions (odd Collins indices); sections
+  // have zero width.
+  for (std::size_t b = 0; b < base.size(); b += 2) {
+    const std::vector<CadCell>& stack = base[b].children;
+    // The satisfied y-sectors j, each bounded by the sections j - 1, j + 1.
+    std::vector<std::pair<SectionName, SectionName>> bounds;
+    for (std::size_t j = 0; j < stack.size(); j += 2) {
+      if (!stack[j].sample.Satisfies(relation.tuples())) continue;
+      if (b == 0 || b + 1 == base.size()) {
+        return Status::Undefined("SURFACE of an x-unbounded region");
       }
+      if (j == 0 || j + 1 == stack.size()) {
+        return Status::Undefined("SURFACE of a y-unbounded region");
+      }
+      CCDB_ASSIGN_OR_RETURN(SectionName lo, NameSection(stack, j - 1, factors));
+      CCDB_ASSIGN_OR_RETURN(SectionName hi, NameSection(stack, j + 1, factors));
+      bounds.emplace_back(lo, hi);
     }
-    if (piece_exact) {
-      exact_total += piece_exact_total;
-      approx_total += piece_exact_total.ToDouble();
+    if (bounds.empty()) continue;
+
+    // Exact path: every boundary a polynomial graph, so the piece is
+    // F(c) - F(a) for an antiderivative F of the summed slice length.
+    bool graphs = true;
+    UPoly graph_length;
+    for (const auto& [lower, upper] : bounds) {
+      std::optional<UPoly> lo = GraphOf(factors[lower.factor]);
+      std::optional<UPoly> hi = GraphOf(factors[upper.factor]);
+      graphs = graphs && lo.has_value() && hi.has_value();
+      if (graphs) graph_length = graph_length + (*hi - *lo);
+    }
+    if (graphs) {
+      UPoly primitive = AntiDerivative(graph_length);
+      primitive_at[b + 1] = primitive_at[b + 1] + primitive;
+      primitive_at[b - 1] = primitive_at[b - 1] - primitive;
       continue;
     }
-    // Numeric path: integrate the slice measure. Quadrature nodes are
-    // quantized to 24-bit dyadics so the per-slice exact root isolation
-    // works with short rationals; the induced node perturbation is far
-    // below the quadrature tolerance.
+
+    // Numeric path: the factors are delineable over the open x-sector, so
+    // a section's name picks out the same section at every node x, where
+    // its y is that root of the factor's polynomial in y. No CAD is built
+    // and no cell is tested per node.
     exact = false;
-    double numeric_tol = std::max(tolerance_, 1e-6);
-    Rational eps = FloatK::FromDouble(numeric_tol).ToRational();
-    double a_d = a.Approximate(eps).ToDouble();
-    double c_d = c.Approximate(eps).ToDouble();
-    Status slice_error = Status::Ok();
-    FpFormat node_format{24, 1024};
-    auto integrand = [&](double x) -> double {
-      auto node = FloatK::FromRational(FloatK::FromDouble(x).ToRational(),
-                                       node_format, FpMode::kRound);
-      Rational x_rational =
-          node.ok() ? node->ToRational() : FloatK::FromDouble(x).ToRational();
-      auto m = SliceMeasure(relation, x_rational);
-      if (!m.ok()) {
-        slice_error = m.status();
-        return 0.0;
+    auto length_at = [&](const Rational& x) -> StatusOr<AggregateValue> {
+      std::map<std::size_t, std::vector<Rational>> roots;  // per factor
+      auto y_of = [&](const SectionName& name) -> const Rational* {
+        auto [it, fresh] = roots.try_emplace(name.factor);
+        if (fresh) it->second = RootsInY(factors[name.factor], x, root_width);
+        return name.rank < it->second.size() ? &it->second[name.rank]
+                                             : nullptr;
+      };
+      Rational length(0);
+      for (const auto& [lower, upper] : bounds) {
+        const Rational* lo = y_of(lower);
+        const Rational* hi = y_of(upper);
+        if (lo == nullptr || hi == nullptr) {
+          return Status::NumericalFailure(
+              "a SURFACE section has no root at a quadrature node");
+        }
+        length += *hi - *lo;
       }
-      return *m;
+      // Each root lies within root_width / 2 of the true one.
+      return ApproxValue(length.ToDouble(),
+                         static_cast<double>(bounds.size()) *
+                             root_width.ToDouble());
     };
-    auto quad = AdaptiveSimpson(integrand, a_d, c_d, numeric_tol, 24,
-                                cad_.governor);
-    if (!slice_error.ok()) return slice_error;
-    if (!quad.ok()) return quad.status();
-    approx_total += quad->value;
-    approx_error += quad->error_estimate;
+    CCDB_ASSIGN_OR_RETURN(
+        AggregateValue piece,
+        IntegrateOverSector(length_at, base[b - 1].sample.coord(0),
+                            base[b + 1].sample.coord(0), numeric_tol,
+                            cad_.governor));
+    approx_total += piece.approx_value;
+    approx_error += piece.error_estimate;
+  }
+  // The graph pieces' F terms, summed per x-section: adjacent pieces with
+  // one F cancel at their shared end, so an irrational end that only the
+  // CAD's projection put there leaves the area exact.
+  for (std::size_t s = 1; s < base.size(); s += 2) {
+    if (primitive_at[s].is_zero()) continue;
+    const AlgebraicNumber& x = base[s].sample.coord(0);
+    x.RefineTo(Rational(BigInt(1), BigInt::Pow2(60)));
+    // A point interval (rational x) evaluates exactly.
+    Interval term = primitive_at[s].EvaluateInterval(x.isolating_interval());
+    double mid = term.Midpoint().ToDouble();
+    approx_total += mid;
+    if (x.is_rational()) {
+      exact_total += term.lo();
+    } else {
+      exact = false;
+      approx_error +=
+          term.Width().ToDouble() / 2 + 64 * DBL_EPSILON * std::abs(mid);
+    }
   }
   if (exact) return ExactValue(exact_total);
-  return ApproxValue(approx_total, approx_error + tolerance_);
+  return ApproxValue(approx_total, approx_error);
 }
 
 StatusOr<AggregateValue> AggregateModules::Volume(
@@ -390,58 +458,39 @@ StatusOr<AggregateValue> AggregateModules::Volume(
   CCDB_METRIC_COUNT("agg.module_calls", 1);
   CCDB_CHECK_MSG(relation.arity() == 3, "VOLUME requires a ternary relation");
   if (relation.is_empty_syntactically()) return ExactValue(Rational(0));
-  // x-extent: decompose the projection onto x via a CAD of the level-0
-  // projection factors (cheap: build the full projection but only the base
-  // phase matters for the extent).
+  // The 3-D CAD gives the x-sectors and which of them meet the region.
   CCDB_ASSIGN_OR_RETURN(Cad cad,
                         Cad::Build(relation.CollectPolynomials(), 3, cad_));
   const std::vector<CadCell>& base = cad.roots();
-  // Find satisfied leaves to detect x-unboundedness and collect the
-  // satisfied base range.
   double total = 0.0;
   double total_error = 0.0;
   double volume_tol = std::max(tolerance_, 1e-5);
   for (std::size_t b = 0; b < base.size(); ++b) {
-    bool any = false;
-    std::function<void(const CadCell&)> scan = [&](const CadCell& cell) {
-      if (cell.dimension() == 3) {
-        bool sector_volume = cell.index[1] % 2 == 1 && cell.index[2] % 2 == 1;
-        if (sector_volume && cell.sample.Satisfies(relation.tuples())) {
-          any = true;
-        }
-        return;
+    bool any = false;  // a satisfied 3-D sector over this base cell
+    for (const CadCell& column : base[b].children) {
+      for (const CadCell& cell : column.children) {
+        any = any || (column.index[1] % 2 == 1 && cell.index[2] % 2 == 1 &&
+                      cell.sample.Satisfies(relation.tuples()));
       }
-      for (const CadCell& child : cell.children) scan(child);
-    };
-    scan(base[b]);
+    }
     if (!any) continue;
     if (base[b].index[0] % 2 == 0) continue;  // x-section: zero width
     if (b == 0 || b + 1 == base.size()) {
       return Status::Undefined("VOLUME of an x-unbounded region");
     }
-    Rational eps = FloatK::FromDouble(volume_tol).ToRational();
-    double a_d = base[b - 1].sample.coord(0).Approximate(eps).ToDouble();
-    double c_d = base[b + 1].sample.coord(0).Approximate(eps).ToDouble();
-    Status inner_error = Status::Ok();
     AggregateModules inner_modules(volume_tol, cad_.governor, cad_.pool);
-    auto integrand = [&](double x) -> double {
-      ConstraintRelation slice =
-          SubstituteFirstVar(relation, FloatK::FromDouble(x).ToRational());
-      auto area = inner_modules.Surface(slice);
-      if (!area.ok()) {
-        inner_error = area.status();
-        return 0.0;
-      }
-      return area->Value();
+    auto area_at = [&](const Rational& x) {
+      return inner_modules.Surface(SubstituteFirstVar(relation, x));
     };
-    auto quad = AdaptiveSimpson(integrand, a_d, c_d, volume_tol, 16,
-                                cad_.governor);
-    if (!inner_error.ok()) return inner_error;
-    if (!quad.ok()) return quad.status();
-    total += quad->value;
-    total_error += quad->error_estimate;
+    CCDB_ASSIGN_OR_RETURN(
+        AggregateValue piece,
+        IntegrateOverSector(area_at, base[b - 1].sample.coord(0),
+                            base[b + 1].sample.coord(0), volume_tol,
+                            cad_.governor));
+    total += piece.approx_value;
+    total_error += piece.error_estimate;
   }
-  return ApproxValue(total, total_error + volume_tol);
+  return ApproxValue(total, total_error);
 }
 
 StatusOr<ConstraintRelation> AggregateModules::Eval(

@@ -42,7 +42,7 @@ struct AggregateValue {
 };
 
 /// The (k,l)-aggregate evaluation modules of Definition 5.3, implemented
-/// with our own CAD-based decomposition and adaptive quadrature. Aggregates
+/// with our own CAD decomposition and Gauss–Legendre quadrature. Aggregates
 /// are *partial*: MIN of an unbounded-below set, or SURFACE of an unbounded
 /// region, is kUndefined ("return ... if they exist, undefined otherwise").
 class AggregateModules {
@@ -74,9 +74,10 @@ class AggregateModules {
   StatusOr<AggregateValue> Avg(const ConstraintRelation& relation) const;
   /// 1-D measure of a unary relation (sum of interval lengths).
   StatusOr<AggregateValue> Length(const ConstraintRelation& relation) const;
-  /// 2-D area of a binary relation.
+  /// 2-D area of a binary relation, exact where every boundary is a
+  /// polynomial graph y = g(x) over rational x-sector ends (DESIGN.md §20).
   StatusOr<AggregateValue> Surface(const ConstraintRelation& relation) const;
-  /// 3-D volume of a ternary relation.
+  /// 3-D volume of a ternary relation: x-slice areas, integrated.
   StatusOr<AggregateValue> Volume(const ConstraintRelation& relation) const;
 
   /// EVAL (paper, Section 5): "maps a given system of constraints S either
@@ -89,11 +90,6 @@ class AggregateModules {
   /// Dispatches a numeric aggregate by kind (not EVAL).
   StatusOr<AggregateValue> ApplyNumeric(AggregateKind kind,
                                         const ConstraintRelation& relation) const;
-
-  /// 1-D measure of the y-slice {y : relation(x0, y)} at a fixed rational
-  /// x0 of a binary relation; the integrand of SURFACE. Exposed for tests.
-  StatusOr<double> SliceMeasure(const ConstraintRelation& relation,
-                                const Rational& x0) const;
 
   /// The paper's step 4 (Section 5): PARAMETERIZED aggregate evaluation.
   /// `relation` is over variables 0..num_params-1 (the parameters x) and

@@ -484,6 +484,21 @@ BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
     }
     return FromMagnitude(false, x);
   }
+  // gcd(2^k, y) = 2^min(k, trailing zero bits of y): a power-of-two
+  // operand (a dyadic denominator, as bisection midpoints have) needs no
+  // division.
+  auto trailing_zeros = [](const BigInt& v) -> std::uint64_t {
+    if (v.small_) return __builtin_ctzll(v.SmallMagnitude());
+    std::uint64_t bits = 0;
+    while (v.limbs_[bits / 32] == 0) bits += 32;
+    return bits + __builtin_ctz(v.limbs_[bits / 32]);
+  };
+  if (!a.is_zero() && !b.is_zero()) {
+    std::uint64_t a_zeros = trailing_zeros(a), b_zeros = trailing_zeros(b);
+    if (a_zeros + 1 == a.bit_length() || b_zeros + 1 == b.bit_length()) {
+      return Pow2(std::min(a_zeros, b_zeros));
+    }
+  }
   BigInt x = a.Abs();
   BigInt y = b.Abs();
   while (!y.is_zero()) {

@@ -10,10 +10,9 @@
 /// engine degrades — never crashes, never leaks a half-built relation into
 /// the catalog.
 ///
-/// The check itself is compiled in only under -DCCDB_FAILPOINTS=ON (the
-/// CMake option adds the CCDB_FAILPOINTS preprocessor define); production
-/// builds pay nothing. The registry API (parsing, arming, hit counting) is
-/// always available so configuration handling can be tested everywhere.
+/// Every build plants the sites. An unarmed site costs one relaxed atomic
+/// load (FailpointRegistry::HasArmed) and counts no hit; the registry lock
+/// is taken only while some site is armed.
 ///
 /// Configuration syntax — programmatic or via the CCDB_FAILPOINTS
 /// environment variable, read once at first registry use:
@@ -38,11 +37,8 @@
 ///                   written and the write reports failure; the process
 ///                   keeps running (simulates ENOSPC mid-write).
 ///
-/// Unlike the CCDB_FAILPOINT macro sites, the durability boundaries in
-/// src/storage consult the registry in EVERY build (they are not on the
-/// query hot path, and the crash-recovery harness must work against the
-/// default build); the HasArmed() fast path keeps the disarmed cost to one
-/// relaxed atomic load.
+/// The durability boundaries in src/storage call Check too, and HitIo at
+/// their write sites.
 ///
 /// Usage at a stage boundary (returns the injected Status to the caller):
 ///
@@ -110,7 +106,8 @@ class FailpointRegistry {
   /// Disarms every site and zeroes all hit counts.
   void ClearAll();
 
-  /// Times the site was passed (armed or not) since the last ClearAll.
+  /// Times Hit/HitIo counted the site since the last ClearAll (the planted
+  /// sites call them only while some site is armed).
   std::uint64_t HitCount(const std::string& site) const;
   /// Names of currently armed sites.
   std::vector<std::string> ArmedSites() const;
@@ -122,8 +119,14 @@ class FailpointRegistry {
     return armed_count_.load(std::memory_order_relaxed) > 0;
   }
 
+  /// What every planted site calls: Hit(site) while some site is armed,
+  /// else Ok without taking the lock or counting a hit.
+  Status Check(const char* site) {
+    return HasArmed() ? Hit(site) : Status::Ok();
+  }
+
   /// Counts a pass through `site`; returns the injected error iff the site
-  /// is armed and this is its fire_at-th hit. Called by CCDB_FAILPOINT.
+  /// is armed and this is its fire_at-th hit.
   /// A fired `crash` kind exits the process here; a fired torn-write /
   /// short-write kind at a non-IO site degrades to kInternal.
   Status Hit(const char* site);
@@ -152,20 +155,9 @@ class FailpointRegistry {
 
 }  // namespace ccdb
 
-/// Plants a failpoint: under CCDB_FAILPOINTS builds, returns the injected
-/// Status to the caller when the site is armed and due; otherwise (and in
-/// production builds) a no-op.
-#if defined(CCDB_FAILPOINTS)
-#define CCDB_FAILPOINT(site)                               \
-  do {                                                     \
-    ::ccdb::Status _ccdb_fp_st =                           \
-        ::ccdb::FailpointRegistry::Global().Hit(site);     \
-    if (!_ccdb_fp_st.ok()) return _ccdb_fp_st;             \
-  } while (0)
-#else
+/// Plants a failpoint: returns the injected Status to the caller when the
+/// site is armed and due; otherwise a no-op.
 #define CCDB_FAILPOINT(site) \
-  do {                       \
-  } while (0)
-#endif
+  CCDB_RETURN_IF_ERROR(::ccdb::FailpointRegistry::Global().Check(site))
 
 #endif  // CCDB_BASE_FAILPOINT_H_

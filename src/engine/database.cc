@@ -60,13 +60,16 @@ std::string QueryProfile::ToString() const {
     out << "qe round " << (i + 1) << " of " << qe_rounds.size() << ":\n";
     out << qe_rounds[i].ToString(1);
   }
-  out << "caches: qe_cache hits=" << qe_cache_hits
-      << " misses=" << qe_cache_misses
-      << "  resultant_cache hits=" << resultant_cache_hits << "\n";
+  auto delta = [this](const char* name) {
+    return MetricDelta(metric_deltas, name);
+  };
+  out << "caches: qe_cache hits=" << delta("qe_cache_hits")
+      << " misses=" << delta("qe_cache_misses")
+      << "  resultant_cache hits=" << delta("resultant_cache_hits") << "\n";
   out << "pool: threads=" << pool_threads
-      << " tasks_completed=" << pool_tasks_completed
-      << " stolen=" << pool_tasks_stolen << " inline=" << pool_tasks_inline
-      << "\n";
+      << " tasks_completed=" << delta("threadpool.tasks_completed")
+      << " stolen=" << delta("threadpool.tasks_stolen")
+      << " inline=" << delta("threadpool.tasks_inline") << "\n";
   if (governed) {
     out << "governor: steps=" << governor_steps << " bytes=" << governor_bytes
         << "\n";
@@ -80,6 +83,12 @@ std::string QueryProfile::ToString() const {
   return out.str();
 }
 
+std::uint64_t MetricDelta(const std::map<std::string, std::uint64_t>& deltas,
+                          const std::string& name) {
+  auto it = deltas.find(name);
+  return it == deltas.end() ? 0 : it->second;
+}
+
 std::string QueryProfile::ToJson() const {
   std::string rounds = "[";
   for (std::size_t i = 0; i < qe_rounds.size(); ++i) {
@@ -89,6 +98,16 @@ std::string QueryProfile::ToJson() const {
   rounds += ']';
   JsonObjectBuilder delta_obj;
   for (const auto& [name, value] : metric_deltas) delta_obj.Add(name, value);
+  JsonObjectBuilder caches, pool;
+  for (const char* name :
+       {"qe_cache_hits", "qe_cache_misses", "resultant_cache_hits"}) {
+    caches.Add(name, MetricDelta(metric_deltas, name));
+  }
+  pool.Add("threads", pool_threads);
+  for (const char* name : {"tasks_completed", "tasks_stolen", "tasks_inline"}) {
+    pool.Add(name, MetricDelta(metric_deltas, std::string("threadpool.") +
+                                                  name));
+  }
   return JsonObjectBuilder()
       .Add("total_seconds", total_seconds)
       .AddRaw("stats", stats.ToJson())
@@ -98,17 +117,8 @@ std::string QueryProfile::ToJson() const {
       .Add("numeric_finite", numeric_finite)
       .Add("numeric_points", static_cast<std::uint64_t>(numeric_points))
       .Add("numeric_seconds", numeric_seconds)
-      .AddRaw("caches", JsonObjectBuilder()
-                            .Add("qe_cache_hits", qe_cache_hits)
-                            .Add("qe_cache_misses", qe_cache_misses)
-                            .Add("resultant_cache_hits", resultant_cache_hits)
-                            .Build())
-      .AddRaw("pool", JsonObjectBuilder()
-                          .Add("threads", pool_threads)
-                          .Add("tasks_completed", pool_tasks_completed)
-                          .Add("tasks_stolen", pool_tasks_stolen)
-                          .Add("tasks_inline", pool_tasks_inline)
-                          .Build())
+      .AddRaw("caches", caches.Build())
+      .AddRaw("pool", pool.Build())
       .AddRaw("governor", JsonObjectBuilder()
                               .Add("governed", governed)
                               .Add("steps", governor_steps)

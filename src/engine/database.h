@@ -57,23 +57,16 @@ struct QueryProfile {
   bool numeric_finite = false;
   std::size_t numeric_points = 0;
   double numeric_seconds = 0.0;
-  /// Cache temperature: hit/miss deltas of the memo caches this query
-  /// touched (qe_cache, resultant_cache).
-  std::uint64_t qe_cache_hits = 0;
-  std::uint64_t qe_cache_misses = 0;
-  std::uint64_t resultant_cache_hits = 0;
-  /// Thread-pool utilization deltas (tasks completed / stolen / run inline
-  /// during this query) and the pool width it ran at.
-  std::uint64_t pool_tasks_completed = 0;
-  std::uint64_t pool_tasks_stolen = 0;
-  std::uint64_t pool_tasks_inline = 0;
+  /// The pool width the query ran at.
   std::uint64_t pool_threads = 0;
   /// Governor consumption of the profiled run; all zero when the database
   /// options carry no governor (the usual EXPLAIN ANALYZE configuration).
   bool governed = false;
   std::uint64_t governor_steps = 0;
   std::uint64_t governor_bytes = 0;
-  /// Delta of every registry metric that moved during the query.
+  /// Delta of every registry metric that moved during the query; cache
+  /// temperature (qe_cache_hits, resultant_cache_hits, ...) and pool
+  /// utilization (threadpool.tasks_completed, ...) are read from here.
   std::map<std::string, std::uint64_t> metric_deltas;
 
   /// Multi-line rendering, titled "EXPLAIN ANALYZE" when the profile
@@ -85,6 +78,11 @@ struct QueryProfile {
   /// §12).
   std::string ToJson() const;
 };
+
+/// The delta of metric `name` in a map of metric deltas (0 when it did not
+/// move).
+std::uint64_t MetricDelta(const std::map<std::string, std::uint64_t>& deltas,
+                          const std::string& name);
 
 /// EXPLAIN / EXPLAIN ANALYZE: the actual query result plus the profile
 /// observed while producing it.

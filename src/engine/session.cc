@@ -115,12 +115,6 @@ std::map<std::string, std::uint64_t> MetricDeltas(
   return deltas;
 }
 
-std::uint64_t Delta(const std::map<std::string, std::uint64_t>& deltas,
-                    const char* name) {
-  auto it = deltas.find(name);
-  return it == deltas.end() ? 0 : it->second;
-}
-
 // Builds and appends one structured query-log record (base/query_log.h).
 // Call only when the log is enabled; observation only — never affects the
 // result being logged.
@@ -198,14 +192,12 @@ void AppendQueryLogRecord(
   }
   // Cache temperature this query ran at: hit/miss deltas of the memo
   // layers (whole-query, QE result, resultant).
-  record.AddRaw("caches",
-                JsonObjectBuilder()
-                    .Add("query_cache_hits", Delta(deltas, "query_cache_hits"))
-                    .Add("qe_cache_hits", Delta(deltas, "qe_cache_hits"))
-                    .Add("qe_cache_misses", Delta(deltas, "qe_cache_misses"))
-                    .Add("resultant_cache_hits",
-                         Delta(deltas, "resultant_cache_hits"))
-                    .Build());
+  JsonObjectBuilder caches;
+  for (const char* name : {"query_cache_hits", "qe_cache_hits",
+                           "qe_cache_misses", "resultant_cache_hits"}) {
+    caches.Add(name, MetricDelta(deltas, name));
+  }
+  record.AddRaw("caches", caches.Build());
   if (!profile_json.empty()) record.AddRaw("profile", profile_json);
   log.Append(record.Build());
 }
@@ -289,13 +281,6 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
   profile.total_seconds = SecondsSince(start);
   profile.metric_deltas =
       MetricDeltas(before, MetricsRegistry::Global().SnapshotValues());
-  const auto& deltas = profile.metric_deltas;
-  profile.qe_cache_hits = Delta(deltas, "qe_cache_hits");
-  profile.qe_cache_misses = Delta(deltas, "qe_cache_misses");
-  profile.resultant_cache_hits = Delta(deltas, "resultant_cache_hits");
-  profile.pool_tasks_completed = Delta(deltas, "threadpool.tasks_completed");
-  profile.pool_tasks_stolen = Delta(deltas, "threadpool.tasks_stolen");
-  profile.pool_tasks_inline = Delta(deltas, "threadpool.tasks_inline");
   profile.pool_threads =
       static_cast<std::uint64_t>(options.qe.pool->threads());
   if (options.qe.governor != nullptr) {

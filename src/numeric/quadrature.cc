@@ -7,74 +7,53 @@
 
 namespace ccdb {
 
-namespace {
-
-struct SimpsonState {
-  const std::function<double(double)>* f;
-  const ResourceGovernor* gov = nullptr;
-  std::uint64_t evaluations = 0;
-  // Residual |delta| accumulated on subintervals whose recursion budget ran
-  // out (integrable endpoint singularities); reported as extra error.
-  double unconverged_error = 0.0;
-  // Set on governor trip; unwinds the recursion without further charges.
-  Status abort = Status::Ok();
-};
-
-double Eval(SimpsonState* state, double x) {
-  ++state->evaluations;
-  return (*state->f)(x);
-}
-
-// Classic adaptive Simpson with Richardson correction.
-double Recurse(SimpsonState* state, double a, double b, double fa, double fm,
-               double fb, double whole, double tol, int depth) {
-  if (!state->abort.ok()) return 0.0;
-  if (state->gov != nullptr) {
-    Status st = state->gov->Charge("numeric.quadrature");
-    if (!st.ok()) {
-      state->abort = std::move(st);
-      return 0.0;
+GaussLegendreRule GaussLegendre(int n) {
+  CCDB_CHECK_MSG(n >= 1, "a Gauss–Legendre rule needs a node");
+  GaussLegendreRule rule{std::vector<double>(n), std::vector<double>(n)};
+  // Newton's method on P_n from the Chebyshev-like guess for the i-th
+  // largest root; the roots are symmetric, so each pair is solved once.
+  for (int i = 0; i < (n + 1) / 2; ++i) {
+    double x = std::cos(M_PI * (i + 0.75) / (n + 0.5));
+    double derivative = 1.0;
+    for (int iteration = 0; iteration < 100; ++iteration) {
+      // P_n(x) and P_{n-1}(x) by the three-term recurrence.
+      double p = 1.0, previous = 0.0;
+      for (int k = 1; k <= n; ++k) {
+        double next = ((2 * k - 1) * x * p - (k - 1) * previous) / k;
+        previous = p;
+        p = next;
+      }
+      derivative = n * (x * p - previous) / (x * x - 1.0);
+      double step = p / derivative;
+      x -= step;
+      if (std::abs(step) <= 1e-16) break;
     }
+    double weight = 2.0 / ((1.0 - x * x) * derivative * derivative);
+    rule.nodes[i] = -x;
+    rule.nodes[n - 1 - i] = x;
+    rule.weights[i] = rule.weights[n - 1 - i] = weight;
   }
-  double m = 0.5 * (a + b);
-  double lm = 0.5 * (a + m);
-  double rm = 0.5 * (m + b);
-  double flm = Eval(state, lm);
-  double frm = Eval(state, rm);
-  double left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
-  double right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
-  double delta = left + right - whole;
-  if (std::abs(delta) <= 15.0 * tol) {
-    return left + right + delta / 15.0;
-  }
-  if (depth <= 0) {
-    state->unconverged_error += std::abs(delta);
-    return left + right + delta / 15.0;
-  }
-  return Recurse(state, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) +
-         Recurse(state, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1);
+  return rule;
 }
 
-}  // namespace
-
-StatusOr<QuadratureResult> AdaptiveSimpson(
-    const std::function<double(double)>& f, double a, double b, double tol,
-    int max_depth, const ResourceGovernor* gov) {
-  CCDB_CHECK_MSG(tol > 0.0, "tolerance must be positive");
+StatusOr<double> CosineGaussLegendre(
+    const std::function<StatusOr<double>(double s)>& f, double width, int n,
+    const ResourceGovernor* gov) {
   CCDB_FAILPOINT("numeric.quadrature");
-  if (a == b) return QuadratureResult{0.0, 0.0, 0};
-  SimpsonState state{&f, gov};
-  double fa = Eval(&state, a);
-  double fb = Eval(&state, b);
-  double fm = Eval(&state, 0.5 * (a + b));
-  double whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-  double value = Recurse(&state, a, b, fa, fm, fb, whole, tol, max_depth);
-  if (!state.abort.ok()) return state.abort;
-  if (!std::isfinite(value)) {
+  GaussLegendreRule rule = GaussLegendre(n);
+  double sum = 0.0;
+  for (int i = 0; i < n; ++i) {
+    CCDB_CHECK_BUDGET(gov, "numeric.quadrature");
+    // θ = π(t + 1)/2 maps the rule onto [0, π]; ds = sin θ / 2 dθ.
+    double theta = 0.5 * M_PI * (rule.nodes[i] + 1.0);
+    CCDB_ASSIGN_OR_RETURN(double value, f(0.5 * (1.0 - std::cos(theta))));
+    sum += rule.weights[i] * value * std::sin(theta);
+  }
+  double integral = width * 0.25 * M_PI * sum;
+  if (!std::isfinite(integral)) {
     return Status::NumericalFailure("non-finite integral value");
   }
-  return QuadratureResult{value, tol + state.unconverged_error,
-                          state.evaluations};
+  return integral;
 }
 
 UPoly AntiDerivative(const UPoly& p) {
@@ -85,12 +64,6 @@ UPoly AntiDerivative(const UPoly& p) {
         p.coefficients()[i] / Rational(static_cast<std::int64_t>(i + 1));
   }
   return UPoly(std::move(coeffs));
-}
-
-Rational IntegratePolynomial(const UPoly& p, const Rational& a,
-                             const Rational& b) {
-  UPoly primitive = AntiDerivative(p);
-  return primitive.Evaluate(b) - primitive.Evaluate(a);
 }
 
 }  // namespace ccdb

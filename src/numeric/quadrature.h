@@ -2,37 +2,33 @@
 #define CCDB_NUMERIC_QUADRATURE_H_
 
 #include <functional>
+#include <vector>
 
-#include "arith/rational.h"
 #include "base/resource.h"
 #include "base/status.h"
 #include "poly/upoly.h"
 
 namespace ccdb {
 
-/// Result of a numerical integration.
-struct QuadratureResult {
-  double value = 0.0;
-  double error_estimate = 0.0;
-  std::uint64_t evaluations = 0;
+/// The n-point Gauss–Legendre rule on [-1, 1]: increasing nodes and their
+/// weights. Exact for polynomials of degree at most 2n − 1.
+struct GaussLegendreRule {
+  std::vector<double> nodes;
+  std::vector<double> weights;
 };
+GaussLegendreRule GaussLegendre(int n);
 
-/// Adaptive Simpson integration of f over [a, b] to absolute tolerance
-/// `tol`. The workhorse of the numerical aggregate modules (the paper cites
-/// [BF85, PTVF92] for these; we implement our own). Fails with
-/// kNumericalFailure if the recursion budget is exhausted. A non-null
-/// `gov` is charged per subdivision (stage "numeric.quadrature") and turns
-/// budget trips into kResourceExhausted.
-StatusOr<QuadratureResult> AdaptiveSimpson(
-    const std::function<double(double)>& f, double a, double b, double tol,
-    int max_depth = 40, const ResourceGovernor* gov = nullptr);
+/// ∫_a^b f(x) dx for b − a = `width` by the n-point Gauss–Legendre rule in
+/// θ ∈ [0, π] after x = a + (b − a)s, s = (1 − cos θ)/2: an integrand like
+/// √(x − a) at an end becomes smooth in θ. `f` gets each node's s ∈ (0, 1)
+/// and forms x itself; its first error is returned. Passes failpoint
+/// "numeric.quadrature" once and charges `gov` there once per node.
+StatusOr<double> CosineGaussLegendre(
+    const std::function<StatusOr<double>(double s)>& f, double width, int n,
+    const ResourceGovernor* gov);
 
 /// Exact antiderivative of a univariate polynomial (constant term 0).
 UPoly AntiDerivative(const UPoly& p);
-
-/// Exact integral of a polynomial over [a, b].
-Rational IntegratePolynomial(const UPoly& p, const Rational& a,
-                             const Rational& b);
 
 }  // namespace ccdb
 

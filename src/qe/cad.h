@@ -74,7 +74,6 @@ class Cad {
 
   /// The level-0 stack (cells of dimension 1).
   const std::vector<CadCell>& roots() const { return roots_; }
-  std::vector<CadCell>& mutable_roots() { return roots_; }
 
   /// Visits every cell of the given dimension (1-based: dimension 1 cells
   /// are the base stack) in stack order.

@@ -264,7 +264,8 @@ CalcFEvaluator::CalcFEvaluator(RelationLookup lookup, CalcFOptions options)
                          options_.qe.pool) {}
 
 StatusOr<std::shared_ptr<const QFormula>> CalcFEvaluator::EvaluateAggregates(
-    const QFormula& formula, CalcFStats* stats) const {
+    const QFormula& formula, CalcFStats* stats,
+    std::optional<AggregateValue>* scalar) const {
   switch (formula.kind) {
     case QFormula::Kind::kTrue:
     case QFormula::Kind::kFalse:
@@ -361,6 +362,7 @@ StatusOr<std::shared_ptr<const QFormula>> CalcFEvaluator::EvaluateAggregates(
           AggregateValue value,
           aggregate_modules_.ApplyNumeric(formula.aggregate, rel));
       stats->aggregate_seconds += SecondsSince(agg_start);
+      if (scalar != nullptr) *scalar = value;
       Rational result = value.exact ? value.exact_value
                                     : DyadicFromDouble(value.approx_value);
       return QFormula::Compare(QTerm::Var(formula.output_vars[0]), RelOp::kEq,
@@ -421,8 +423,9 @@ StatusOr<CalcFResult> CalcFEvaluator::Evaluate(
   CCDB_TRACE_SPAN("calcf.evaluate");
   CCDB_METRIC_COUNT("calcf.queries", 1);
   CalcFResult result;
+  std::optional<AggregateValue> scalar;
   CCDB_ASSIGN_OR_RETURN(auto aggregate_free,
-                        EvaluateAggregates(query, &result.stats));
+                        EvaluateAggregates(query, &result.stats, &scalar));
   std::vector<std::string> columns =
       output_order.empty() ? query.FreeVarNames() : output_order;
   CCDB_ASSIGN_OR_RETURN(
@@ -430,23 +433,10 @@ StatusOr<CalcFResult> CalcFEvaluator::Evaluate(
       EvaluateCore(*aggregate_free, columns, &result.stats));
   result.column_names = columns;
 
-  // Surface a scalar when the whole query was a single-output aggregate.
-  if (query.kind == QFormula::Kind::kAggregate &&
-      query.output_vars.size() == 1 && result.relation.tuples().size() == 1 &&
-      result.relation.tuples()[0].atoms.size() == 1) {
-    const Atom& atom = result.relation.tuples()[0].atoms[0];
-    if (atom.op == RelOp::kEq && atom.poly.DegreeIn(0) == 1) {
-      auto coeffs = atom.poly.CoefficientsIn(0);
-      if (coeffs.size() == 2 && coeffs[1].is_constant() &&
-          coeffs[0].is_constant()) {
-        result.has_scalar = true;
-        result.scalar.exact = true;
-        result.scalar.exact_value =
-            -coeffs[0].constant_value() / coeffs[1].constant_value();
-        result.scalar.approx_value = result.scalar.exact_value.ToDouble();
-      }
-    }
-  }
+  // A top-level numeric aggregate's value is surfaced as the module
+  // returned it: exact, or approximate with its error estimate.
+  result.has_scalar = scalar.has_value();
+  if (scalar.has_value()) result.scalar = *std::move(scalar);
   return result;
 }
 

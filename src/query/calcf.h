@@ -2,6 +2,7 @@
 #define CCDB_QUERY_CALCF_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,8 +65,9 @@ struct CalcFStats {
 };
 
 /// Result of a CALC_F query: always a constraint relation in closed form
-/// (Theorem 5.5); scalar aggregate results are unary singleton relations
-/// and additionally surfaced in `scalar`.
+/// (Theorem 5.5); a top-level numeric aggregate without parameters is a
+/// unary singleton relation `z = value`, and the module's value (exact, or
+/// approximate with its error estimate) is also surfaced in `scalar`.
 struct CalcFResult {
   ConstraintRelation relation;
   /// Names of the output columns, in column order.
@@ -102,9 +104,11 @@ class CalcFEvaluator {
 
  private:
   // Replaces every aggregate predicate in `formula` by polynomial
-  // constraints, evaluating nested aggregates first.
+  // constraints, evaluating nested aggregates first. A non-parameterized
+  // numeric aggregate `formula` stores its module value in `*scalar`.
   StatusOr<std::shared_ptr<const QFormula>> EvaluateAggregates(
-      const QFormula& formula, CalcFStats* stats) const;
+      const QFormula& formula, CalcFStats* stats,
+      std::optional<AggregateValue>* scalar = nullptr) const;
 
   // Evaluates one aggregate-free formula to a constraint relation over the
   // given output columns.

@@ -123,14 +123,6 @@ Status FaultableWrite(int fd, const char* site, const std::string& data,
   return Status::Ok();
 }
 
-// Consults a non-write durability site (pre/post boundaries): fires crash
-// or an injected Status; torn/short kinds armed here degrade to Internal.
-Status HitSite(const char* site) {
-  FailpointRegistry& registry = FailpointRegistry::Global();
-  if (!registry.HasArmed()) return Status::Ok();
-  return registry.Hit(site);
-}
-
 Status SyncFd(int fd, const std::string& what) {
   if (::fdatasync(fd) != 0) return ErrnoStatus(what);
   return Status::Ok();
@@ -358,7 +350,7 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
 
 Status WalWriter::Append(const WalRecord& record) {
   CCDB_METRIC_COUNT("wal.appends", 1);
-  CCDB_RETURN_IF_ERROR(HitSite("wal.append.pre"));
+  CCDB_FAILPOINT("wal.append.pre");
   const std::string frame = EncodeWalRecord(record);
   std::size_t written = 0;
   Status ws = FaultableWrite(fd_, "wal.append.write", frame, &written);
@@ -380,7 +372,7 @@ Status WalWriter::Append(const WalRecord& record) {
   }
   bytes_ += frame.size();
   unsynced_ += frame.size();
-  CCDB_RETURN_IF_ERROR(HitSite("wal.append.post"));
+  CCDB_FAILPOINT("wal.append.post");
   switch (policy_) {
     case WalFsyncPolicy::kAlways:
       return Sync();
@@ -395,7 +387,7 @@ Status WalWriter::Append(const WalRecord& record) {
 
 Status WalWriter::Sync() {
   if (unsynced_ == 0) return Status::Ok();
-  CCDB_RETURN_IF_ERROR(HitSite("wal.fsync.pre"));
+  CCDB_FAILPOINT("wal.fsync.pre");
   CCDB_RETURN_IF_ERROR(SyncFd(fd_, "sync " + path_));
   unsynced_ = 0;
   return Status::Ok();
@@ -682,7 +674,7 @@ Status DurableStore::WriteCheckpoint(const std::string& serialized,
     ::unlink(tmp_path.c_str());
     return ws;
   }
-  Status hs = HitSite("ckpt.fsync.pre");
+  Status hs = FailpointRegistry::Global().Check("ckpt.fsync.pre");
   if (!hs.ok()) {
     ::close(fd);
     ::unlink(tmp_path.c_str());
@@ -696,7 +688,7 @@ Status DurableStore::WriteCheckpoint(const std::string& serialized,
   }
   ::close(fd);
 
-  hs = HitSite("ckpt.rename.pre");
+  hs = FailpointRegistry::Global().Check("ckpt.rename.pre");
   if (!hs.ok()) {
     ::unlink(tmp_path.c_str());
     return hs;
@@ -710,7 +702,7 @@ Status DurableStore::WriteCheckpoint(const std::string& serialized,
   // --- Commit point: the new checkpoint is durable. A crash from here on
   // recovers from it (WAL records with stamp <= checkpoint stamp are
   // skipped), so the rotation below is pure cleanup.
-  CCDB_RETURN_IF_ERROR(HitSite("ckpt.rename.post"));
+  CCDB_FAILPOINT("ckpt.rename.post");
 
   CCDB_RETURN_IF_ERROR(wal_->Reset());
   for (const auto& [old_stamp, old_path] : ListCheckpoints(dir_)) {
@@ -732,7 +724,7 @@ Status AtomicWriteFile(const std::string& path, const std::string& content,
     ::unlink(tmp_path.c_str());
     return ws;
   }
-  Status hs = HitSite((ns + ".fsync.pre").c_str());
+  Status hs = FailpointRegistry::Global().Check((ns + ".fsync.pre").c_str());
   if (!hs.ok()) {
     ::close(fd);
     ::unlink(tmp_path.c_str());
@@ -745,7 +737,7 @@ Status AtomicWriteFile(const std::string& path, const std::string& content,
     return err;
   }
   ::close(fd);
-  hs = HitSite((ns + ".rename.pre").c_str());
+  hs = FailpointRegistry::Global().Check((ns + ".rename.pre").c_str());
   if (!hs.ok()) {
     ::unlink(tmp_path.c_str());
     return hs;
@@ -756,7 +748,7 @@ Status AtomicWriteFile(const std::string& path, const std::string& content,
     return err;
   }
   SyncDirBestEffort(DirOf(path));
-  return HitSite((ns + ".rename.post").c_str());
+  return FailpointRegistry::Global().Check((ns + ".rename.post").c_str());
 }
 
 }  // namespace ccdb

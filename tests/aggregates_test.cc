@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "base/metrics.h"
+
 #include "test_pool.h"
 
 namespace ccdb {
@@ -195,17 +197,98 @@ TEST(AggregateTest, SurfaceTriangle) {
   EXPECT_EQ(area->exact_value, R(50));
 }
 
-TEST(AggregateTest, SurfaceUnitDiskNumeric) {
-  // Unit disk: area pi (numeric path — circle is not a y-graph).
-  AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
+// A binary relation of one tuple.
+ConstraintRelation Region(std::vector<Atom> atoms) {
   ConstraintRelation rel(2);
   GeneralizedTuple tuple;
-  tuple.atoms.emplace_back(X().Pow(2) + Y().Pow(2) - Polynomial(1), RelOp::kLe);
+  tuple.atoms = std::move(atoms);
   rel.AddTuple(std::move(tuple));
-  auto area = modules.Surface(rel);
+  return rel;
+}
+
+Atom Disk(std::int64_t r_squared) {
+  return Atom(X().Pow(2) + Y().Pow(2) - Polynomial(r_squared), RelOp::kLe);
+}
+
+// A numeric answer checked against its closed form: the error estimate
+// covers the true error, and stays within the module's tolerance floor f
+// relative to the answer's size.
+void ExpectOracle(const StatusOr<AggregateValue>& value, double oracle,
+                  double f) {
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_FALSE(value->exact);
+  EXPECT_LE(std::abs(value->Value() - oracle), value->error_estimate)
+      << "value " << value->Value() << " oracle " << oracle;
+  EXPECT_LE(value->error_estimate, f * std::max(1.0, std::abs(oracle)));
+}
+
+// SURFACE's numeric-path tolerance floor.
+constexpr double kSurfaceFloor = 1e-6;
+
+TEST(AggregateTest, SurfaceDisksMatchPiRSquared) {
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
+  ExpectOracle(modules.Surface(Region({Disk(1)})), M_PI, kSurfaceFloor);
+  ExpectOracle(modules.Surface(Region({Disk(9)})), 9.0 * M_PI, kSurfaceFloor);
+}
+
+TEST(AggregateTest, SurfaceChordCutDiskMatchesDiskMinusSegment) {
+  // x^2 + y^2 <= 4 and y <= x + 1: the line is d = 1/sqrt(2) from the
+  // centre, so the cut-off segment is r^2 acos(d/r) - d sqrt(r^2 - d^2).
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
+  double r = 2.0, d = 1.0 / std::sqrt(2.0);
+  double segment = r * r * std::acos(d / r) - d * std::sqrt(r * r - d * d);
+  ExpectOracle(
+      modules.Surface(Region({Disk(4), Atom(Y() - X() - Polynomial(1),
+                                            RelOp::kLe)})),
+      M_PI * r * r - segment, kSurfaceFloor);
+}
+
+TEST(AggregateTest, SurfaceAnnulusAndEllipse) {
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
+  // 1 <= x^2 + y^2 <= 4: two y-sectors over |x| < 1, area 4π − π.
+  ExpectOracle(
+      modules.Surface(Region(
+          {Disk(4), Atom(Polynomial(1) - X().Pow(2) - Y().Pow(2),
+                         RelOp::kLe)})),
+      3.0 * M_PI, kSurfaceFloor);
+  // x^2/4 + y^2 <= 1: πab with a = 2, b = 1.
+  ExpectOracle(modules.Surface(Region({Atom(
+                   X().Pow(2) + Polynomial(4) * Y().Pow(2) - Polynomial(4),
+                   RelOp::kLe)})),
+               2.0 * M_PI, kSurfaceFloor);
+}
+
+TEST(AggregateTest, SurfaceBandStaysExactAcrossProjectionRoots) {
+  // 2x^2 + 3x - 5 <= y <= 2x^2 + 3x - 1 over -87/32 <= x <= -105/64: the
+  // y^0 coefficient 2x^2 + 3x - 1 puts the irrational root (-3 - sqrt 17)/4
+  // inside the x-range, where no boundary changes. The two pieces' terms
+  // cancel there, so the area stays exactly 4 * 69/64.
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
+  Polynomial p = Polynomial(2) * X().Pow(2) + Polynomial(3) * X();
+  auto area = modules.Surface(Region(
+      {Atom(Polynomial(R(-87, 32)) - X(), RelOp::kLe),
+       Atom(X() - Polynomial(R(-105, 64)), RelOp::kLe),
+       Atom(p - Polynomial(5) - Y(), RelOp::kLe),
+       Atom(Y() - p + Polynomial(1), RelOp::kLe)}));
   ASSERT_TRUE(area.ok()) << area.status().ToString();
-  EXPECT_FALSE(area->exact);
-  EXPECT_NEAR(area->Value(), M_PI, 1e-3);
+  EXPECT_TRUE(area->exact);
+  EXPECT_EQ(area->exact_value, R(69, 16));
+}
+
+TEST(AggregateTest, SurfaceBuildsOneCadPerCall) {
+  // The numeric path reads slice lengths off the one CAD's sections: no
+  // per-node CAD.
+  AggregateModules modules(1e-9, nullptr, ccdb_test::ProcessPool());
+  Counter* builds = MetricsRegistry::Global().GetCounter("cad.builds");
+  for (const ConstraintRelation& region :
+       {Region({Disk(9)}),
+        Region({Disk(4), Atom(Y() - X() - Polynomial(1), RelOp::kLe)}),
+        PaperSurfaceRegion()}) {
+    std::uint64_t before = builds->value();
+    auto area = modules.Surface(region);
+    ASSERT_TRUE(area.ok()) << area.status().ToString();
+    EXPECT_EQ(builds->value() - before, 1u);
+  }
 }
 
 TEST(AggregateTest, SurfaceUnboundedUndefined) {
@@ -231,6 +314,9 @@ TEST(AggregateTest, SurfaceEmptyRegionZero) {
   EXPECT_NEAR(area->Value(), 0.0, 1e-12);
 }
 
+// VOLUME's tolerance floor.
+constexpr double kVolumeFloor = 1e-5;
+
 TEST(AggregateTest, VolumeBox) {
   // Box [0,2]x[0,3]x[0,5]: volume 30 (numeric).
   AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
@@ -243,9 +329,17 @@ TEST(AggregateTest, VolumeBox) {
   tuple.atoms.emplace_back(-Z(), RelOp::kLe);
   tuple.atoms.emplace_back(Z() - Polynomial(5), RelOp::kLe);
   rel.AddTuple(std::move(tuple));
-  auto volume = modules.Volume(rel);
-  ASSERT_TRUE(volume.ok()) << volume.status().ToString();
-  EXPECT_NEAR(volume->Value(), 30.0, 1e-2);
+  ExpectOracle(modules.Volume(rel), 30.0, kVolumeFloor);
+}
+
+TEST(AggregateTest, VolumeUnitBall) {
+  AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
+  ConstraintRelation rel(3);
+  GeneralizedTuple tuple;
+  tuple.atoms.emplace_back(X().Pow(2) + Y().Pow(2) + Z().Pow(2) - Polynomial(1),
+                           RelOp::kLe);
+  rel.AddTuple(std::move(tuple));
+  ExpectOracle(modules.Volume(rel), 4.0 * M_PI / 3.0, kVolumeFloor);
 }
 
 TEST(AggregateTest, EvalFiniteSolutions) {

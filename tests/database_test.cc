@@ -1,5 +1,7 @@
 #include "engine/database.h"
 
+#include <cmath>
+
 #include "base/logging.h"
 
 #include <gtest/gtest.h>
@@ -33,6 +35,26 @@ TEST(DatabaseTest, SurfaceQueryScalar) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->has_scalar);
   EXPECT_EQ(result->scalar.exact_value, R(18));
+}
+
+TEST(DatabaseTest, NumericSurfaceScalarKeepsItsErrorEstimate) {
+  // A disk's area comes from quadrature: the scalar is the module's
+  // approximate value with its error estimate, not the dyadic answer
+  // relation read back as an exact number.
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("D(x, y) := x^2 + y^2 <= 9").ok());
+  auto result = db.Query("SURFACE[x, y](D(x, y))(a)");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->has_scalar);
+  EXPECT_FALSE(result->scalar.exact);
+  EXPECT_GT(result->scalar.error_estimate, 0.0);
+  EXPECT_LE(std::abs(result->scalar.Value() - 9.0 * M_PI),
+            result->scalar.error_estimate);
+  // The paper's area stays exact.
+  auto exact = PaperDb().Query("SURFACE[x, y](S(x, y) and y <= 9)(z)");
+  ASSERT_TRUE(exact.ok());
+  EXPECT_TRUE(exact->scalar.exact);
+  EXPECT_EQ(exact->scalar.exact_value, R(18));
 }
 
 TEST(DatabaseTest, RegisterQueryOutput) {

@@ -80,8 +80,6 @@ TEST_F(FailpointRegistryTest, ClearDisarmsButKeepsCount) {
   EXPECT_TRUE(reg.ArmedSites().empty());
 }
 
-#if defined(CCDB_FAILPOINTS)
-
 // Fault injection through the full engine: every planted site must surface
 // the injected status as a clean error — never a crash, never a half-built
 // relation in the catalog.
@@ -164,8 +162,8 @@ TEST_F(FailpointInjectionTest, CalcFAggregate) {
 
 TEST_F(FailpointInjectionTest, NumericQuadrature) {
   // The unit disc's slice bounds are sqrt graphs, not polynomials, so
-  // SURFACE must take the adaptive-quadrature path (the parabola region
-  // integrates exactly and would never reach the failpoint).
+  // SURFACE must take the Gauss–Legendre quadrature path (the parabola
+  // region integrates exactly and would never reach the failpoint).
   ConstraintDatabase db = PaperDb();
   ASSERT_TRUE(db.Define("C(x, y) := x^2 + y^2 - 1 <= 0").ok());
   ExpectInjected(db, "numeric.quadrature", "SURFACE[x, y](C(x, y))(z)");
@@ -268,8 +266,6 @@ TEST_F(FailpointInjectionTest, UndefinedInjectionIsNotRetried) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUndefined);
 }
-
-#endif  // CCDB_FAILPOINTS
 
 }  // namespace
 }  // namespace ccdb

@@ -125,10 +125,11 @@ TEST(DecomposeUnaryTest, UnboundedPieces) {
 
 TEST(QuadratureTest, PolynomialExactIntegral) {
   // ∫_1^4 (-4x^2 + 20x - 25) dx = -9 (the paper's F(4)-F(1) computation).
-  UPoly p({R(-25), R(20), R(-4)});
-  EXPECT_EQ(IntegratePolynomial(p, R(1), R(4)), R(-9));
-  // And 27 - (-9)... the paper's surface: 27 + (-9)?? Check: area = 18.
-  EXPECT_EQ(R(27) + IntegratePolynomial(p, R(1), R(4)), R(18));
+  UPoly primitive = AntiDerivative(UPoly({R(-25), R(20), R(-4)}));
+  Rational integral = primitive.Evaluate(R(4)) - primitive.Evaluate(R(1));
+  EXPECT_EQ(integral, R(-9));
+  // The paper's surface: 27 + (-9) = 18.
+  EXPECT_EQ(R(27) + integral, R(18));
 }
 
 TEST(QuadratureTest, AntiDerivative) {
@@ -141,27 +142,65 @@ TEST(QuadratureTest, AntiDerivative) {
   EXPECT_EQ(primitive.coefficient(0), R(0));
 }
 
-TEST(QuadratureTest, AdaptiveSimpsonSmoothFunctions) {
-  auto quad = AdaptiveSimpson([](double x) { return std::sin(x); }, 0.0,
-                              M_PI, 1e-10);
-  ASSERT_TRUE(quad.ok());
-  EXPECT_NEAR(quad->value, 2.0, 1e-8);
-
-  auto quad2 = AdaptiveSimpson([](double x) { return std::exp(x); }, 0.0, 1.0,
-                               1e-10);
-  ASSERT_TRUE(quad2.ok());
-  EXPECT_NEAR(quad2->value, std::exp(1.0) - 1.0, 1e-8);
-
-  auto zero = AdaptiveSimpson([](double) { return 1.0; }, 2.0, 2.0, 1e-10);
-  ASSERT_TRUE(zero.ok());
-  EXPECT_EQ(zero->value, 0.0);
+TEST(QuadratureTest, GaussLegendreExactOnPolynomialsOfDegreeBelow2n) {
+  // The n-point rule integrates x^k over [-1, 1] exactly for k <= 2n - 1:
+  // 2/(k + 1) for even k, 0 for odd k.
+  for (int n : {1, 2, 3, 8, 16, 32, 64, 128}) {
+    GaussLegendreRule rule = GaussLegendre(n);
+    ASSERT_EQ(rule.nodes.size(), static_cast<std::size_t>(n));
+    ASSERT_EQ(rule.weights.size(), static_cast<std::size_t>(n));
+    for (int i = 0; i + 1 < n; ++i) {
+      EXPECT_LT(rule.nodes[i], rule.nodes[i + 1]) << "n=" << n;
+    }
+    for (int k = 0; k <= 2 * n - 1; ++k) {
+      double sum = 0.0;
+      for (int i = 0; i < n; ++i) {
+        sum += rule.weights[i] * std::pow(rule.nodes[i], k);
+      }
+      double exact = k % 2 == 1 ? 0.0 : 2.0 / (k + 1);
+      EXPECT_NEAR(sum, exact, 1e-13) << "n=" << n << " k=" << k;
+    }
+  }
+  // Degree 2n is the first the n-point rule misses: x^4 with n = 2.
+  GaussLegendreRule two = GaussLegendre(2);
+  double sum = 0.0;
+  for (int i = 0; i < 2; ++i) sum += two.weights[i] * std::pow(two.nodes[i], 4);
+  EXPECT_GT(std::abs(sum - 2.0 / 5.0), 1e-3);
 }
 
-TEST(QuadratureTest, KinkHandled) {
-  auto quad = AdaptiveSimpson([](double x) { return std::abs(x); }, -1.0, 1.0,
-                              1e-9);
-  ASSERT_TRUE(quad.ok());
-  EXPECT_NEAR(quad->value, 1.0, 1e-7);
+TEST(QuadratureTest, CosineSubstitutionIntegratesSquareRootEndpoints) {
+  // ∫_{-1}^{1} √(1 − x²) dx = π/2: the integrand has square-root
+  // endpoints, which x = −1 + 2s, s = (1 − cos θ)/2 makes smooth in θ
+  // (√(1 − x²) = sin θ): 8 nodes are good to 1e-9, 16 to rounding.
+  auto half_disk = [](double s) -> StatusOr<double> {
+    double x = -1.0 + 2.0 * s;
+    return std::sqrt(std::max(0.0, 1.0 - x * x));
+  };
+  for (int n : {8, 16, 32}) {
+    auto value = CosineGaussLegendre(half_disk, 2.0, n, nullptr);
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    EXPECT_NEAR(*value, M_PI / 2.0, n == 8 ? 1e-9 : 1e-13) << "n=" << n;
+  }
+  // A smooth integrand stays accurate too: ∫_0^π sin x dx = 2.
+  auto sine = [](double s) -> StatusOr<double> { return std::sin(M_PI * s); };
+  auto value = CosineGaussLegendre(sine, M_PI, 16, nullptr);
+  ASSERT_TRUE(value.ok());
+  EXPECT_NEAR(*value, 2.0, 1e-12);
+}
+
+TEST(QuadratureTest, CosineSubstitutionChargesTheGovernorAndForwardsErrors) {
+  ResourceGovernor starved{ResourceLimits::Steps(5)};
+  auto one = [](double) -> StatusOr<double> { return 1.0; };
+  auto tripped = CosineGaussLegendre(one, 1.0, 16, &starved);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  auto failing = [](double s) -> StatusOr<double> {
+    if (s > 0.5) return Status::NumericalFailure("no value here");
+    return 1.0;
+  };
+  auto failed = CosineGaussLegendre(failing, 1.0, 8, nullptr);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kNumericalFailure);
 }
 
 // -------------------------------------------------- approximation modules
