@@ -8,7 +8,8 @@
 // height to show the aggregate responds exactly to the region. Two
 // regions whose boundaries are not polynomial graphs y = g(x) then take
 // the numeric path (Gauss–Legendre quadrature over the CAD's x-sectors);
-// each is checked against its closed form. Writes BENCH_surface_example.json.
+// each is checked against its closed form, and so are two VOLUME solids.
+// Writes BENCH_surface_example.json.
 
 #include "bench_util.h"
 #include "engine/database.h"
@@ -102,6 +103,32 @@ int main(int argc, char** argv) {
     CCDB_CHECK(result->has_scalar && !value.exact);
     CCDB_CHECK(std::abs(value.Value() - cell.oracle) <= value.error_estimate);
     ccdb_bench::Row("%-16s %16.10f %12.1e %16.10f %10.3f", cell.name,
+                    value.Value(), value.error_estimate, cell.oracle,
+                    seconds * 1e3);
+    ccdb_bench::RecordCell(name, seconds);
+  }
+
+  // VOLUME on the same numeric path one level deeper: y-ends at each x
+  // node, z-extents at each (x, y) node, all read off one 3-D CAD.
+  const NumericCell volume_cells[] = {
+      {"ball_volume", "x^2 + y^2 + z^2 <= 1", 4.0 * M_PI / 3.0},
+      {"paraboloid_volume", "x^2 + y^2 <= z and z <= 1", M_PI / 2.0},
+  };
+  ccdb_bench::Row("");
+  ccdb_bench::Row("%-18s %14s %12s %16s %10s", "solid", "engine volume",
+                  "+-estimate", "closed form", "ms");
+  for (const NumericCell& cell : volume_cells) {
+    std::string name = cell.name;
+    CCDB_CHECK(db.Define("V_" + name + "(x, y, z) := " + cell.region).ok());
+    StatusOr<CalcFResult> result = Status::Internal("unset");
+    double seconds = ccdb_bench::TimeSeconds([&] {
+      result = db.Query("VOLUME[x, y, z](V_" + name + "(x, y, z))(v)");
+    });
+    CCDB_CHECK(result.ok());
+    const AggregateValue& value = result->scalar;
+    CCDB_CHECK(result->has_scalar && !value.exact);
+    CCDB_CHECK(std::abs(value.Value() - cell.oracle) <= value.error_estimate);
+    ccdb_bench::Row("%-18s %14.10f %12.1e %16.10f %10.3f", cell.name,
                     value.Value(), value.error_estimate, cell.oracle,
                     seconds * 1e3);
     ccdb_bench::RecordCell(name, seconds);

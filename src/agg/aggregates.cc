@@ -13,7 +13,6 @@
 #include "base/trace.h"
 #include "numeric/numerical_eval.h"
 #include "numeric/quadrature.h"
-#include "poly/root_isolation.h"
 #include "qe/cad.h"
 
 namespace ccdb {
@@ -93,31 +92,8 @@ AggregateValue EndpointValue(const AlgebraicNumber& endpoint,
   return ApproxValue(endpoint.Approximate(eps).ToDouble(), tolerance);
 }
 
-// Substitutes variable 0 := x0, producing a relation over the remaining
-// variables (renamed down by one).
-ConstraintRelation SubstituteFirstVar(const ConstraintRelation& relation,
-                                      const Rational& x0) {
-  ConstraintRelation out(relation.arity() - 1);
-  for (const GeneralizedTuple& tuple : relation.tuples()) {
-    GeneralizedTuple mapped;
-    for (const Atom& atom : tuple.atoms) {
-      Polynomial p = atom.poly.Substitute(0, x0);
-      // Shift remaining variables down by one.
-      int max_var = p.max_var();
-      if (max_var >= 1) {
-        std::vector<int> mapping(max_var + 1);
-        for (int v = 0; v <= max_var; ++v) mapping[v] = v == 0 ? 0 : v - 1;
-        p = p.RenameVars(mapping);
-      }
-      mapped.atoms.emplace_back(std::move(p), atom.op);
-    }
-    if (mapped.SimplifyConstants()) out.AddTuple(std::move(mapped));
-  }
-  return out;
-}
-
-// The integral of f (a value with an error bound at each rational x) over
-// the open x-sector (a, c): CosineGaussLegendre at orders 8, 16, ... 128
+// The integral of f (a value with an error bound at each rational point)
+// over the open sector (a, c): CosineGaussLegendre at orders 8, 16, ... 128
 // until two agree within `tol`, keeping the higher. Error: their
 // difference + f's largest error bound times the width + 64 ulps. The
 // ends are rationals a <= lo < hi <= c (at most 2^-60 inside irrational
@@ -157,9 +133,9 @@ StatusOr<AggregateValue> IntegrateOverSector(
                                 64 * DBL_EPSILON * std::abs(value));
 }
 
-// A section of a CAD stack, named by the first level-1 factor that vanishes
-// on it and the rank of the section among that factor's real roots over
-// the stack's base sample.
+// A section of a CAD stack of level k, named by the first level-k factor
+// that vanishes on it and the rank of the section among that factor's real
+// roots over the stack's base sample.
 struct SectionName {
   std::size_t factor = 0;
   std::size_t rank = 0;
@@ -174,7 +150,7 @@ StatusOr<SectionName> NameSection(const std::vector<CadCell>& stack,
     ++name.factor;
   }
   if (name.factor == factors.size()) {
-    return Status::Internal("CAD section on no level-1 factor");
+    return Status::Internal("CAD section on no factor of its level");
   }
   for (std::size_t t = 1; t < s; t += 2) {
     if (stack[t].sample.SignAt(factors[name.factor]) == 0) ++name.rank;
@@ -182,18 +158,118 @@ StatusOr<SectionName> NameSection(const std::vector<CadCell>& stack,
   return name;
 }
 
-// The real roots in y of a level-1 factor at a rational x, each within
-// width / 2.
-std::vector<Rational> RootsInY(const Polynomial& factor, const Rational& x,
-                               const Rational& width) {
-  std::vector<Rational> coefficients(factor.DegreeIn(1) + 1, Rational(0));
+// The real roots of a level-k factor in x_k at the rational point
+// (x_0, ..., x_{k-1}).
+std::vector<AlgebraicNumber> RootsAt(const Polynomial& factor,
+                                     const std::vector<Rational>& point) {
+  int k = static_cast<int>(point.size());
+  std::vector<Rational> coefficients(factor.DegreeIn(k) + 1, Rational(0));
   for (const auto& [monomial, coeff] : factor.terms()) {
-    coefficients[monomial.exponent(1)] +=
-        coeff * x.Pow(static_cast<std::int32_t>(monomial.exponent(0)));
+    Rational term = coeff;
+    for (int v = 0; v < k; ++v) {
+      term *= point[v].Pow(static_cast<std::int32_t>(monomial.exponent(v)));
+    }
+    coefficients[monomial.exponent(k)] += term;
   }
-  UPoly at_x(std::move(coefficients));
-  if (at_x.is_zero()) return {};
-  return ApproximateRealRoots(at_x, width);
+  UPoly at_point(std::move(coefficients));
+  if (at_point.is_zero()) return {};
+  return *AlgebraicNumber::RootsOf(at_point, nullptr);  // never trips
+}
+
+// A satisfied sector of a CAD stack: its position, its bounding sections
+// (unnamed at level 0, whose ends are the base samples) and, below the
+// innermost level, the satisfied sectors of the next level over it.
+struct FibrePiece {
+  std::size_t sector = 0;
+  SectionName lo, hi;
+  std::vector<FibrePiece> inner;
+};
+
+// The sectors of `stack` (of level k, over an open cell) that hold a
+// satisfied full-dimensional sector. One at either end of the stack makes
+// the region unbounded along x_k: *unbounded drops to at most k, and the
+// caller returns kUndefined before measuring any piece.
+StatusOr<std::vector<FibrePiece>> NamePieces(
+    const Cad& cad, const std::vector<CadCell>& stack,
+    const ConstraintRelation& relation, int* unbounded) {
+  int level = stack.front().dimension() - 1;
+  std::vector<FibrePiece> pieces;
+  for (std::size_t j = 0; j < stack.size(); j += 2) {
+    FibrePiece piece{j, {}, {}, {}};
+    if (level + 1 == cad.num_vars()) {
+      if (!stack[j].sample.Satisfies(relation.tuples())) continue;
+    } else {
+      CCDB_ASSIGN_OR_RETURN(
+          piece.inner, NamePieces(cad, stack[j].children, relation, unbounded));
+      if (piece.inner.empty()) continue;
+    }
+    if (j == 0 || j + 1 == stack.size()) {
+      *unbounded = std::min(*unbounded, level);  // kept, never measured
+    } else if (level > 0) {
+      const std::vector<Polynomial>& factors = cad.factors_at_level(level);
+      CCDB_ASSIGN_OR_RETURN(piece.lo, NameSection(stack, j - 1, factors));
+      CCDB_ASSIGN_OR_RETURN(piece.hi, NameSection(stack, j + 1, factors));
+    }
+    pieces.push_back(std::move(piece));
+  }
+  return pieces;
+}
+
+// The fibre measure at a rational point p = (x_0, ..., x_{k-1}) of an open
+// cell over which `pieces` lie: the sum over the pieces of the integral from
+// lo(p) to hi(p) of the next level's fibre measure, or of hi(p) - lo(p) at
+// the innermost level. The level-k factors are delineable over the cell, so
+// a section's name picks out that root of its factor at every p.
+StatusOr<AggregateValue> FibreMeasure(const Cad& cad,
+                                      const std::vector<FibrePiece>& pieces,
+                                      std::vector<Rational>& point, double tol,
+                                      const Rational& root_width,
+                                      const ResourceGovernor* gov) {
+  const std::vector<Polynomial>& factors =
+      cad.factors_at_level(static_cast<int>(point.size()));
+  std::map<std::size_t, std::vector<AlgebraicNumber>> roots;  // per factor
+  auto root_of = [&](const SectionName& name) -> const AlgebraicNumber* {
+    auto [it, fresh] = roots.try_emplace(name.factor);
+    if (fresh) it->second = RootsAt(factors[name.factor], point);
+    return name.rank < it->second.size() ? &it->second[name.rank] : nullptr;
+  };
+  bool innermost = static_cast<int>(point.size()) + 1 == cad.num_vars();
+  Rational length(0);
+  double value = 0.0, error = 0.0;
+  for (const FibrePiece& piece : pieces) {
+    const AlgebraicNumber* lo = root_of(piece.lo);
+    const AlgebraicNumber* hi = root_of(piece.hi);
+    if (lo == nullptr || hi == nullptr) {
+      return Status::NumericalFailure(
+          "a CAD section has no root at a quadrature node");
+    }
+    if (innermost) {
+      length += hi->Approximate(root_width) - lo->Approximate(root_width);
+      continue;
+    }
+    double extent = 0.0;  // the largest inner measure at a node
+    auto inner_at = [&](const Rational& y) -> StatusOr<AggregateValue> {
+      point.push_back(y);
+      StatusOr<AggregateValue> inner =
+          FibreMeasure(cad, piece.inner, point, tol, root_width, gov);
+      point.pop_back();
+      if (inner.ok()) extent = std::max(extent, inner->Value());
+      return inner;
+    };
+    CCDB_ASSIGN_OR_RETURN(AggregateValue integral,
+                          IntegrateOverSector(inner_at, *lo, *hi, tol, gov));
+    value += integral.approx_value;
+    // The integrator trimmed each end inside its isolating interval.
+    Rational trims =
+        lo->isolating_interval().Width() + hi->isolating_interval().Width();
+    error += integral.error_estimate + trims.ToDouble() * extent;
+  }
+  // Each innermost end lies within root_width / 2 of the true one.
+  if (innermost) {
+    return ApproxValue(length.ToDouble(), static_cast<double>(pieces.size()) *
+                                              root_width.ToDouble());
+  }
+  return ApproxValue(value, error);
 }
 
 // g when `factor` = c (y - g(x)) with c constant: the section is the graph
@@ -205,6 +281,91 @@ std::optional<UPoly> GraphOf(const Polynomial& factor) {
   // The y^0 coefficient of a level-1 factor mentions x only.
   return *UPoly::FromPolynomial(
       factor.CoefficientsIn(1)[0].Scale(-lc.constant_value().Inverse()), 0);
+}
+
+// SURFACE (dimension 2) or VOLUME (dimension 3) of `relation` on its one
+// CAD: the integral over each open x-sector of the fibre measure, with `tol`
+// the quadrature ladders' agreement and root_width = tol / 64.
+StatusOr<AggregateValue> RegionMeasure(AggregateKind kind,
+                                       const ConstraintRelation& relation,
+                                       double tol, const CadOptions& options) {
+  int dims = AggregateInputArity(kind);
+  CCDB_CHECK_MSG(relation.arity() == dims, "SURFACE/VOLUME arity mismatch");
+  if (relation.is_empty_syntactically()) return ExactValue(Rational(0));
+  CCDB_ASSIGN_OR_RETURN(Cad cad,
+                        Cad::Build(relation.CollectPolynomials(), dims, options));
+  const std::vector<CadCell>& base = cad.roots();
+  int unbounded = dims;
+  CCDB_ASSIGN_OR_RETURN(std::vector<FibrePiece> sectors,
+                        NamePieces(cad, base, relation, &unbounded));
+  if (unbounded < dims) {
+    static const char* const kAxes[] = {"an x", "a y", "a z"};
+    return Status::Undefined(std::string(AggregateKindName(kind)) + " of " +
+                             kAxes[unbounded] + "-unbounded region");
+  }
+  const std::vector<Polynomial>& factors = cad.factors_at_level(1);
+  bool exact = true;
+  Rational exact_total(0);
+  double approx_total = 0.0, approx_error = 0.0;
+  Rational root_width = FloatK::FromDouble(tol / 64).ToRational();
+  // Per x-section, the antiderivative terms the graph pieces put there.
+  std::vector<UPoly> primitive_at(base.size());
+
+  for (const FibrePiece& sector : sectors) {
+    std::size_t b = sector.sector;
+    // Exact path (SURFACE): every boundary a polynomial graph, so the piece
+    // is F(c) - F(a) for an antiderivative F of the summed slice length.
+    bool graphs = dims == 2;
+    UPoly graph_length;
+    for (const FibrePiece& piece : sector.inner) {
+      if (!graphs) break;
+      std::optional<UPoly> lo = GraphOf(factors[piece.lo.factor]);
+      std::optional<UPoly> hi = GraphOf(factors[piece.hi.factor]);
+      graphs = lo.has_value() && hi.has_value();
+      if (graphs) graph_length = graph_length + (*hi - *lo);
+    }
+    if (graphs) {
+      UPoly primitive = AntiDerivative(graph_length);
+      primitive_at[b + 1] = primitive_at[b + 1] + primitive;
+      primitive_at[b - 1] = primitive_at[b - 1] - primitive;
+      continue;
+    }
+
+    exact = false;
+    auto measure_at = [&](const Rational& x) {
+      std::vector<Rational> point{x};
+      return FibreMeasure(cad, sector.inner, point, tol, root_width,
+                          options.governor);
+    };
+    CCDB_ASSIGN_OR_RETURN(
+        AggregateValue piece,
+        IntegrateOverSector(measure_at, base[b - 1].sample.coord(0),
+                            base[b + 1].sample.coord(0), tol,
+                            options.governor));
+    approx_total += piece.approx_value;
+    approx_error += piece.error_estimate;
+  }
+  // The graph pieces' F terms, summed per x-section: adjacent pieces with
+  // one F cancel at their shared end, so an irrational end that only the
+  // CAD's projection put there leaves the area exact.
+  for (std::size_t s = 1; s < base.size(); s += 2) {
+    if (primitive_at[s].is_zero()) continue;
+    const AlgebraicNumber& x = base[s].sample.coord(0);
+    x.RefineTo(Rational(BigInt(1), BigInt::Pow2(60)));
+    // A point interval (rational x) evaluates exactly.
+    Interval term = primitive_at[s].EvaluateInterval(x.isolating_interval());
+    double mid = term.Midpoint().ToDouble();
+    approx_total += mid;
+    if (x.is_rational()) {
+      exact_total += term.lo();
+    } else {
+      exact = false;
+      approx_error +=
+          term.Width().ToDouble() / 2 + 64 * DBL_EPSILON * std::abs(mid);
+    }
+  }
+  if (exact) return ExactValue(exact_total);
+  return ApproxValue(approx_total, approx_error);
 }
 
 }  // namespace
@@ -341,156 +502,16 @@ StatusOr<AggregateValue> AggregateModules::Surface(
     const ConstraintRelation& relation) const {
   ++call_count_;
   CCDB_METRIC_COUNT("agg.module_calls", 1);
-  CCDB_CHECK_MSG(relation.arity() == 2, "SURFACE requires a binary relation");
-  if (relation.is_empty_syntactically()) return ExactValue(Rational(0));
-  CCDB_ASSIGN_OR_RETURN(Cad cad,
-                        Cad::Build(relation.CollectPolynomials(), 2, cad_));
-  const std::vector<CadCell>& base = cad.roots();
-  const std::vector<Polynomial>& factors = cad.factors_at_level(1);
-  bool exact = true;
-  Rational exact_total(0);
-  double approx_total = 0.0;
-  double approx_error = 0.0;
-  double numeric_tol = std::max(tolerance_, 1e-6);
-  Rational root_width = FloatK::FromDouble(numeric_tol / 64).ToRational();
-  // Per x-section, the antiderivative terms the graph pieces put there.
-  std::vector<UPoly> primitive_at(base.size());
-
-  // Sectors sit at even stack positions (odd Collins indices); sections
-  // have zero width.
-  for (std::size_t b = 0; b < base.size(); b += 2) {
-    const std::vector<CadCell>& stack = base[b].children;
-    // The satisfied y-sectors j, each bounded by the sections j - 1, j + 1.
-    std::vector<std::pair<SectionName, SectionName>> bounds;
-    for (std::size_t j = 0; j < stack.size(); j += 2) {
-      if (!stack[j].sample.Satisfies(relation.tuples())) continue;
-      if (b == 0 || b + 1 == base.size()) {
-        return Status::Undefined("SURFACE of an x-unbounded region");
-      }
-      if (j == 0 || j + 1 == stack.size()) {
-        return Status::Undefined("SURFACE of a y-unbounded region");
-      }
-      CCDB_ASSIGN_OR_RETURN(SectionName lo, NameSection(stack, j - 1, factors));
-      CCDB_ASSIGN_OR_RETURN(SectionName hi, NameSection(stack, j + 1, factors));
-      bounds.emplace_back(lo, hi);
-    }
-    if (bounds.empty()) continue;
-
-    // Exact path: every boundary a polynomial graph, so the piece is
-    // F(c) - F(a) for an antiderivative F of the summed slice length.
-    bool graphs = true;
-    UPoly graph_length;
-    for (const auto& [lower, upper] : bounds) {
-      std::optional<UPoly> lo = GraphOf(factors[lower.factor]);
-      std::optional<UPoly> hi = GraphOf(factors[upper.factor]);
-      graphs = graphs && lo.has_value() && hi.has_value();
-      if (graphs) graph_length = graph_length + (*hi - *lo);
-    }
-    if (graphs) {
-      UPoly primitive = AntiDerivative(graph_length);
-      primitive_at[b + 1] = primitive_at[b + 1] + primitive;
-      primitive_at[b - 1] = primitive_at[b - 1] - primitive;
-      continue;
-    }
-
-    // Numeric path: the factors are delineable over the open x-sector, so
-    // a section's name picks out the same section at every node x, where
-    // its y is that root of the factor's polynomial in y. No CAD is built
-    // and no cell is tested per node.
-    exact = false;
-    auto length_at = [&](const Rational& x) -> StatusOr<AggregateValue> {
-      std::map<std::size_t, std::vector<Rational>> roots;  // per factor
-      auto y_of = [&](const SectionName& name) -> const Rational* {
-        auto [it, fresh] = roots.try_emplace(name.factor);
-        if (fresh) it->second = RootsInY(factors[name.factor], x, root_width);
-        return name.rank < it->second.size() ? &it->second[name.rank]
-                                             : nullptr;
-      };
-      Rational length(0);
-      for (const auto& [lower, upper] : bounds) {
-        const Rational* lo = y_of(lower);
-        const Rational* hi = y_of(upper);
-        if (lo == nullptr || hi == nullptr) {
-          return Status::NumericalFailure(
-              "a SURFACE section has no root at a quadrature node");
-        }
-        length += *hi - *lo;
-      }
-      // Each root lies within root_width / 2 of the true one.
-      return ApproxValue(length.ToDouble(),
-                         static_cast<double>(bounds.size()) *
-                             root_width.ToDouble());
-    };
-    CCDB_ASSIGN_OR_RETURN(
-        AggregateValue piece,
-        IntegrateOverSector(length_at, base[b - 1].sample.coord(0),
-                            base[b + 1].sample.coord(0), numeric_tol,
-                            cad_.governor));
-    approx_total += piece.approx_value;
-    approx_error += piece.error_estimate;
-  }
-  // The graph pieces' F terms, summed per x-section: adjacent pieces with
-  // one F cancel at their shared end, so an irrational end that only the
-  // CAD's projection put there leaves the area exact.
-  for (std::size_t s = 1; s < base.size(); s += 2) {
-    if (primitive_at[s].is_zero()) continue;
-    const AlgebraicNumber& x = base[s].sample.coord(0);
-    x.RefineTo(Rational(BigInt(1), BigInt::Pow2(60)));
-    // A point interval (rational x) evaluates exactly.
-    Interval term = primitive_at[s].EvaluateInterval(x.isolating_interval());
-    double mid = term.Midpoint().ToDouble();
-    approx_total += mid;
-    if (x.is_rational()) {
-      exact_total += term.lo();
-    } else {
-      exact = false;
-      approx_error +=
-          term.Width().ToDouble() / 2 + 64 * DBL_EPSILON * std::abs(mid);
-    }
-  }
-  if (exact) return ExactValue(exact_total);
-  return ApproxValue(approx_total, approx_error);
+  return RegionMeasure(AggregateKind::kSurface, relation,
+                       std::max(tolerance_, 1e-6), cad_);
 }
 
 StatusOr<AggregateValue> AggregateModules::Volume(
     const ConstraintRelation& relation) const {
   ++call_count_;
   CCDB_METRIC_COUNT("agg.module_calls", 1);
-  CCDB_CHECK_MSG(relation.arity() == 3, "VOLUME requires a ternary relation");
-  if (relation.is_empty_syntactically()) return ExactValue(Rational(0));
-  // The 3-D CAD gives the x-sectors and which of them meet the region.
-  CCDB_ASSIGN_OR_RETURN(Cad cad,
-                        Cad::Build(relation.CollectPolynomials(), 3, cad_));
-  const std::vector<CadCell>& base = cad.roots();
-  double total = 0.0;
-  double total_error = 0.0;
-  double volume_tol = std::max(tolerance_, 1e-5);
-  for (std::size_t b = 0; b < base.size(); ++b) {
-    bool any = false;  // a satisfied 3-D sector over this base cell
-    for (const CadCell& column : base[b].children) {
-      for (const CadCell& cell : column.children) {
-        any = any || (column.index[1] % 2 == 1 && cell.index[2] % 2 == 1 &&
-                      cell.sample.Satisfies(relation.tuples()));
-      }
-    }
-    if (!any) continue;
-    if (base[b].index[0] % 2 == 0) continue;  // x-section: zero width
-    if (b == 0 || b + 1 == base.size()) {
-      return Status::Undefined("VOLUME of an x-unbounded region");
-    }
-    AggregateModules inner_modules(volume_tol, cad_.governor, cad_.pool);
-    auto area_at = [&](const Rational& x) {
-      return inner_modules.Surface(SubstituteFirstVar(relation, x));
-    };
-    CCDB_ASSIGN_OR_RETURN(
-        AggregateValue piece,
-        IntegrateOverSector(area_at, base[b - 1].sample.coord(0),
-                            base[b + 1].sample.coord(0), volume_tol,
-                            cad_.governor));
-    total += piece.approx_value;
-    total_error += piece.error_estimate;
-  }
-  return ApproxValue(total, total_error);
+  return RegionMeasure(AggregateKind::kVolume, relation,
+                       std::max(tolerance_, 1e-5), cad_);
 }
 
 StatusOr<ConstraintRelation> AggregateModules::Eval(

@@ -77,7 +77,8 @@ class AggregateModules {
   /// 2-D area of a binary relation, exact where every boundary is a
   /// polynomial graph y = g(x) over rational x-sector ends (DESIGN.md §20).
   StatusOr<AggregateValue> Surface(const ConstraintRelation& relation) const;
-  /// 3-D volume of a ternary relation: x-slice areas, integrated.
+  /// 3-D volume of a ternary relation on its one CAD: SURFACE's numeric
+  /// path one level deeper (y-ends per x node, z-extents per (x, y) node).
   StatusOr<AggregateValue> Volume(const ConstraintRelation& relation) const;
 
   /// EVAL (paper, Section 5): "maps a given system of constraints S either

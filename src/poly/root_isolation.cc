@@ -10,31 +10,34 @@ namespace ccdb {
 
 namespace {
 
-// One root of squarefree f lies in the open interval (lo, hi) with
-// f(lo) != 0 != f(hi); bisect until the width is below `width`. `f` holds
-// the integer coefficients of the polynomial (UPoly::IntegerCoefficients).
-// Adds the number of midpoints evaluated to *bisections.
-Interval BisectToWidth(const std::vector<BigInt>& f, Rational lo, Rational hi,
-                       const Rational& width, bool* became_exact,
-                       std::uint64_t* bisections) {
-  *became_exact = false;
-  int sign_lo = UPoly::IntegerSignAt(f, lo);
+// Bisects the open interval `root` around the one root of squarefree f (its
+// integer coefficients; f nonzero at both ends) below `width`, adding the
+// midpoints evaluated to *bisections. The ends stay a / d and b / d over one
+// unreduced denominator, so a step is an add and shifts (b - a is fixed as
+// d doubles).
+IsolatedRoot BisectToWidth(const std::vector<BigInt>& f, const Interval& root,
+                           const Rational& width, std::uint64_t* bisections) {
+  const Rational &lo = root.lo(), &hi = root.hi();
+  BigInt g = BigInt::Gcd(lo.denominator(), hi.denominator());
+  BigInt a = lo.numerator() * (hi.denominator() / g);
+  BigInt b = hi.numerator() * (lo.denominator() / g);
+  BigInt d = lo.denominator() / g * hi.denominator();
+  BigInt span = (b - a) * width.denominator(), limit = width.numerator() * d;
+  int sign_lo = UPoly::IntegerSignAt(f, a, d);
   CCDB_DCHECK(sign_lo != 0);
-  while (hi - lo > width) {
+  while (span > limit) {
     ++*bisections;
-    Rational mid = Rational::Midpoint(lo, hi);
-    int sign_mid = UPoly::IntegerSignAt(f, mid);
-    if (sign_mid == 0) {
-      *became_exact = true;
-      return Interval(mid);
-    }
-    if (sign_mid == sign_lo) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    BigInt mid = a + b;
+    d = d.ShiftLeft(1);
+    limit = limit.ShiftLeft(1);
+    int sign_mid = UPoly::IntegerSignAt(f, mid, d);
+    if (sign_mid == 0) return {Interval(Rational(std::move(mid), d)), true};
+    bool upper_half = sign_mid == sign_lo;
+    a = upper_half ? std::move(mid) : a.ShiftLeft(1);
+    b = upper_half ? b.ShiftLeft(1) : std::move(mid);
   }
-  return Interval(std::move(lo), std::move(hi));
+  return {Interval(Rational(std::move(a), d), Rational(std::move(b), d)),
+          false};
 }
 
 // If the unique root of f in the open interval (lo, hi) is rational,
@@ -52,20 +55,15 @@ bool TrySnapRationalRoot(const std::vector<BigInt>& f, Rational* lo,
   // Refine until each divisor q admits at most one integer candidate p in
   // (q*lo, q*hi): width < 1/(2*lc) suffices for every q <= lc.
   Rational target_width(BigInt(1), BigInt(2 * lc_value));
-  int sign_lo = UPoly::IntegerSignAt(f, *lo);
-  while (*hi - *lo > target_width) {
-    Rational mid = Rational::Midpoint(*lo, *hi);
-    int sign_mid = UPoly::IntegerSignAt(f, mid);
-    if (sign_mid == 0) {
-      *root = mid;
-      return true;
-    }
-    if (sign_mid == sign_lo) {
-      *lo = mid;
-    } else {
-      *hi = mid;
-    }
+  std::uint64_t bisections = 0;  // isolation work, not refinement
+  IsolatedRoot narrowed =
+      BisectToWidth(f, Interval(*lo, *hi), target_width, &bisections);
+  if (narrowed.is_exact) {
+    *root = narrowed.interval.lo();
+    return true;
   }
+  *lo = narrowed.interval.lo();
+  *hi = narrowed.interval.hi();
   // Divisors of lc via trial division (lc < 2^20, so <= 2^10 iterations).
   std::vector<std::int64_t> divisors;
   for (std::int64_t i = 1; i * i <= lc_value; ++i) {
@@ -178,28 +176,11 @@ StatusOr<std::vector<IsolatedRoot>> IsolateSquarefreeRoots(
 IsolatedRoot RefineRoot(const UPoly& f, IsolatedRoot root,
                         const Rational& width) {
   if (root.is_exact || root.interval.Width() <= width) return root;
-  bool became_exact = false;
   std::uint64_t bisections = 0;
-  Interval refined =
-      BisectToWidth(f.IntegerCoefficients(), root.interval.lo(),
-                    root.interval.hi(), width, &became_exact, &bisections);
+  IsolatedRoot refined =
+      BisectToWidth(f.IntegerCoefficients(), root.interval, width, &bisections);
   CCDB_METRIC_COUNT("poly.refine_bisections", bisections);
-  return {std::move(refined), became_exact};
-}
-
-std::vector<Rational> ApproximateRealRoots(const UPoly& p,
-                                           const Rational& epsilon) {
-  CCDB_CHECK_MSG(epsilon.sign() > 0, "epsilon must be positive");
-  UPoly f = p.SquarefreePart();
-  auto roots = IsolateSquarefreeRoots(f, nullptr);
-  CCDB_CHECK(roots.ok());  // a null governor never trips
-  std::vector<Rational> values;
-  for (IsolatedRoot& root : *roots) {
-    IsolatedRoot refined = RefineRoot(f, std::move(root), epsilon);
-    values.push_back(refined.is_exact ? refined.interval.lo()
-                                      : refined.interval.Midpoint());
-  }
-  return values;
+  return refined;
 }
 
 }  // namespace ccdb

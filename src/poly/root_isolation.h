@@ -42,13 +42,6 @@ StatusOr<std::vector<IsolatedRoot>> IsolateSquarefreeRoots(
 IsolatedRoot RefineRoot(const UPoly& f, IsolatedRoot root,
                         const Rational& width);
 
-/// Convenience: all real roots of `p` to absolute precision `epsilon`
-/// (midpoints of refined isolating intervals; exact roots returned
-/// exactly). Implements Theorem 3.2's ε-approximation for the univariate
-/// case.
-std::vector<Rational> ApproximateRealRoots(const UPoly& p,
-                                           const Rational& epsilon);
-
 }  // namespace ccdb
 
 #endif  // CCDB_POLY_ROOT_ISOLATION_H_

@@ -270,10 +270,8 @@ namespace {
 // multiplications only, no gcd.
 template <typename CoefficientAt>
 int HomogenizedSign(std::size_t size, const CoefficientAt& coefficient,
-                    const Rational& x) {
+                    const BigInt& p, const BigInt& q) {
   if (size == 0) return 0;
-  const BigInt& p = x.numerator();
-  const BigInt& q = x.denominator();
   BigInt acc = coefficient(size - 1);
   if (q.is_one()) {
     for (std::size_t i = size - 1; i-- > 0;) acc = acc * p + coefficient(i);
@@ -298,7 +296,7 @@ int UPoly::SignAt(const Rational& x) const {
   return HomogenizedSign(
       coeffs_.size(),
       [this](std::size_t i) -> const BigInt& { return coeffs_[i].numerator(); },
-      x);
+      x.numerator(), x.denominator());
 }
 
 std::vector<BigInt> UPoly::IntegerCoefficients() const {
@@ -316,13 +314,13 @@ std::vector<BigInt> UPoly::IntegerCoefficients() const {
 }
 
 int UPoly::IntegerSignAt(const std::vector<BigInt>& coefficients,
-                         const Rational& x) {
+                         const BigInt& p, const BigInt& q) {
   return HomogenizedSign(
       coefficients.size(),
       [&coefficients](std::size_t i) -> const BigInt& {
         return coefficients[i];
       },
-      x);
+      p, q);
 }
 
 Interval UPoly::EvaluateInterval(const Interval& x) const {

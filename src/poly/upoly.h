@@ -86,9 +86,14 @@ class UPoly {
   /// the sign of one polynomial at many points.
   std::vector<BigInt> IntegerCoefficients() const;
   /// Sign at x = p/q (q > 0) of the integer polynomial sum c_i x^i, by
-  /// homogenised Horner on sum c_i p^i q^(n-i) = q^n * value.
+  /// homogenised Horner on sum c_i p^i q^(n-i) = q^n * value. p/q need not
+  /// be in lowest terms.
   static int IntegerSignAt(const std::vector<BigInt>& coefficients,
-                           const Rational& x);
+                           const BigInt& p, const BigInt& q);
+  static int IntegerSignAt(const std::vector<BigInt>& coefficients,
+                           const Rational& x) {
+    return IntegerSignAt(coefficients, x.numerator(), x.denominator());
+  }
   Interval EvaluateInterval(const Interval& x) const;
   /// Composition this(inner(x)).
   UPoly Compose(const UPoly& inner) const;

@@ -317,29 +317,119 @@ TEST(AggregateTest, SurfaceEmptyRegionZero) {
 // VOLUME's tolerance floor.
 constexpr double kVolumeFloor = 1e-5;
 
+// A ternary relation, one tuple per atom list.
+ConstraintRelation Solid(std::vector<std::vector<Atom>> tuples) {
+  ConstraintRelation rel(3);
+  for (std::vector<Atom>& atoms : tuples) {
+    GeneralizedTuple tuple;
+    tuple.atoms = std::move(atoms);
+    rel.AddTuple(std::move(tuple));
+  }
+  return rel;
+}
+
+// lo <= v <= hi.
+std::vector<Atom> Between(const Polynomial& v, std::int64_t lo,
+                          std::int64_t hi) {
+  return {Atom(Polynomial(lo) - v, RelOp::kLe),
+          Atom(v - Polynomial(hi), RelOp::kLe)};
+}
+
+std::vector<Atom> Join(std::vector<std::vector<Atom>> parts) {
+  std::vector<Atom> atoms;
+  for (std::vector<Atom>& part : parts) {
+    atoms.insert(atoms.end(), part.begin(), part.end());
+  }
+  return atoms;
+}
+
+// (x - cx)^2 + y^2 + z^2 <= 1.
+Atom UnitBall(std::int64_t cx = 0) {
+  return Atom((X() - Polynomial(cx)).Pow(2) + Y().Pow(2) + Z().Pow(2) -
+                  Polynomial(1),
+              RelOp::kLe);
+}
+
+ConstraintRelation Box() {
+  return Solid({Join({Between(X(), 0, 2), Between(Y(), 0, 3),
+                      Between(Z(), 0, 5)})});
+}
+
+// x^2 + y^2 <= z <= 1.
+ConstraintRelation Paraboloid() {
+  return Solid({{Atom(X().Pow(2) + Y().Pow(2) - Z(), RelOp::kLe),
+                 Atom(Z() - Polynomial(1), RelOp::kLe)}});
+}
+
+ConstraintRelation TwoBalls() { return Solid({{UnitBall()}, {UnitBall(3)}}); }
+
 TEST(AggregateTest, VolumeBox) {
   // Box [0,2]x[0,3]x[0,5]: volume 30 (numeric).
   AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
-  ConstraintRelation rel(3);
-  GeneralizedTuple tuple;
-  tuple.atoms.emplace_back(-X(), RelOp::kLe);
-  tuple.atoms.emplace_back(X() - Polynomial(2), RelOp::kLe);
-  tuple.atoms.emplace_back(-Y(), RelOp::kLe);
-  tuple.atoms.emplace_back(Y() - Polynomial(3), RelOp::kLe);
-  tuple.atoms.emplace_back(-Z(), RelOp::kLe);
-  tuple.atoms.emplace_back(Z() - Polynomial(5), RelOp::kLe);
-  rel.AddTuple(std::move(tuple));
-  ExpectOracle(modules.Volume(rel), 30.0, kVolumeFloor);
+  ExpectOracle(modules.Volume(Box()), 30.0, kVolumeFloor);
 }
 
 TEST(AggregateTest, VolumeUnitBall) {
   AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
-  ConstraintRelation rel(3);
-  GeneralizedTuple tuple;
-  tuple.atoms.emplace_back(X().Pow(2) + Y().Pow(2) + Z().Pow(2) - Polynomial(1),
-                           RelOp::kLe);
-  rel.AddTuple(std::move(tuple));
-  ExpectOracle(modules.Volume(rel), 4.0 * M_PI / 3.0, kVolumeFloor);
+  ExpectOracle(modules.Volume(Solid({{UnitBall()}})), 4.0 * M_PI / 3.0,
+               kVolumeFloor);
+}
+
+TEST(AggregateTest, VolumeClosedForms) {
+  AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
+  // ∫∫ (1 - x^2 - y^2) over the unit disk.
+  ExpectOracle(modules.Volume(Paraboloid()), M_PI / 2.0, kVolumeFloor);
+  // x^2 + y^2 <= 1, 0 <= z <= x + 2: ∫∫ (x + 2) over the unit disk.
+  ExpectOracle(
+      modules.Volume(Solid({{Atom(X().Pow(2) + Y().Pow(2) - Polynomial(1),
+                                  RelOp::kLe),
+                             Atom(-Z(), RelOp::kLe),
+                             Atom(Z() - X() - Polynomial(2), RelOp::kLe)}})),
+      2.0 * M_PI, kVolumeFloor);
+  // The upper half of the unit ball.
+  ExpectOracle(modules.Volume(Solid({{UnitBall(), Atom(-Z(), RelOp::kLe)}})),
+               2.0 * M_PI / 3.0, kVolumeFloor);
+  ExpectOracle(modules.Volume(TwoBalls()), 8.0 * M_PI / 3.0, kVolumeFloor);
+}
+
+TEST(AggregateTest, VolumeBuildsOneCadPerCall) {
+  // The z-extents are read off the one 3-D CAD's sections: no per-node
+  // slice CAD.
+  AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
+  Counter* builds = MetricsRegistry::Global().GetCounter("cad.builds");
+  for (const ConstraintRelation& region :
+       {Solid({{UnitBall()}}), Box(), Paraboloid(), TwoBalls()}) {
+    std::uint64_t before = builds->value();
+    auto volume = modules.Volume(region);
+    ASSERT_TRUE(volume.ok()) << volume.status().ToString();
+    EXPECT_EQ(builds->value() - before, 1u);
+  }
+}
+
+TEST(AggregateTest, VolumeUnboundedUndefined) {
+  AggregateModules modules(1e-6, nullptr, ccdb_test::ProcessPool());
+  struct Case {
+    ConstraintRelation region;
+    const char* message;
+  };
+  const Case cases[] = {
+      {Solid({Join({{Atom(-X(), RelOp::kLe)}, Between(Y(), 0, 1),
+                    Between(Z(), 0, 1)})}),
+       "VOLUME of an x-unbounded region"},
+      {Solid({Join({Between(X(), 0, 1), {Atom(-Y(), RelOp::kLe)},
+                    Between(Z(), 0, 1)})}),
+       "VOLUME of a y-unbounded region"},
+      // x^2 + y^2 <= 1 and z >= 0.
+      {Solid({{Atom(X().Pow(2) + Y().Pow(2) - Polynomial(1), RelOp::kLe),
+               Atom(-Z(), RelOp::kLe)}}),
+       "VOLUME of a z-unbounded region"},
+  };
+  for (const Case& c : cases) {
+    auto volume = modules.Volume(c.region);
+    ASSERT_FALSE(volume.ok()) << c.message;
+    EXPECT_EQ(volume.status().code(), StatusCode::kUndefined);
+    EXPECT_EQ(volume.status().message(), c.message);
+  }
 }
 
 TEST(AggregateTest, EvalFiniteSolutions) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "base/logging.h"
+#include "base/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -55,6 +56,24 @@ TEST(DatabaseTest, NumericSurfaceScalarKeepsItsErrorEstimate) {
   ASSERT_TRUE(exact.ok());
   EXPECT_TRUE(exact->scalar.exact);
   EXPECT_EQ(exact->scalar.exact_value, R(18));
+}
+
+TEST(DatabaseTest, NumericVolumeIsOneModuleCallAndKeepsItsErrorEstimate) {
+  // VOLUME integrates the one 3-D CAD's z-extents: one module call (no
+  // inner SURFACE per quadrature node), and the scalar keeps its error
+  // estimate.
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("B(x, y, z) := x^2 + y^2 + z^2 <= 1").ok());
+  Counter* calls = MetricsRegistry::Global().GetCounter("agg.module_calls");
+  std::uint64_t before = calls->value();
+  auto result = db.Query("VOLUME[x, y, z](B(x, y, z))(v)");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(calls->value() - before, 1u);
+  ASSERT_TRUE(result->has_scalar);
+  EXPECT_FALSE(result->scalar.exact);
+  EXPECT_GT(result->scalar.error_estimate, 0.0);
+  EXPECT_LE(std::abs(result->scalar.Value() - 4.0 * M_PI / 3.0),
+            result->scalar.error_estimate);
 }
 
 TEST(DatabaseTest, RegisterQueryOutput) {

@@ -169,6 +169,21 @@ TEST_F(FailpointInjectionTest, NumericQuadrature) {
   ExpectInjected(db, "numeric.quadrature", "SURFACE[x, y](C(x, y))(z)");
 }
 
+TEST_F(FailpointInjectionTest, NumericQuadratureThroughVolume) {
+  ConstraintDatabase db = PaperDb();
+  ASSERT_TRUE(db.Define("B(x, y, z) := x^2 + y^2 + z^2 <= 1").ok());
+  const std::string query = "VOLUME[x, y, z](B(x, y, z))(v)";
+  ExpectInjected(db, "numeric.quadrature", query);
+  // The second pass is the inner y-rule at the first x node: the outer
+  // rule passes again only after all its nodes are measured.
+  FailpointRegistry& reg = FailpointRegistry::Global();
+  ASSERT_TRUE(reg.Configure("numeric.quadrature=error@2").ok());
+  auto result = db.Query(query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  reg.ClearAll();
+}
+
 TEST_F(FailpointInjectionTest, NumericEvalThroughSolve) {
   ConstraintDatabase db = PaperDb();
   ASSERT_TRUE(

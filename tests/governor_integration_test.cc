@@ -1,5 +1,6 @@
 #include <atomic>
 #include <chrono>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,27 @@ TEST(GovernorIntegrationTest, GovernedQueryIsRepeatable) {
       db.QueryWithPolicy("exists y (S(x, y) and y <= 0)", QueryPolicy{});
   ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
   EXPECT_TRUE(healthy->relation.Contains({R(5, 2)}));
+}
+
+TEST(GovernorIntegrationTest, StepBudgetReachesVolumeInnerRule) {
+  // The ball's CAD charges fewer than 200 steps and the outer x-rule one
+  // per node; every y-node of the inner rules charges too, so 400 steps
+  // run out inside the quadrature. The next, unlimited call answers.
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("B(x, y, z) := x^2 + y^2 + z^2 <= 1").ok());
+  const std::string query = "VOLUME[x, y, z](B(x, y, z))(v)";
+  QueryPolicy starved;
+  starved.limits = ResourceLimits::Steps(400);
+  auto result = db.QueryWithPolicy(query, starved);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  const std::string& message = result.status().message();
+  EXPECT_TRUE(message.find("stage=numeric.quadrature") != std::string::npos ||
+              message.find("stage=cad.") != std::string::npos)
+      << result.status().ToString();
+  auto healthy = db.QueryWithPolicy(query, QueryPolicy{});
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  EXPECT_NEAR(healthy->scalar.Value(), 4.0 * M_PI / 3.0, 1e-4);
 }
 
 TEST(GovernorIntegrationTest, GovernedDatalogFixpointStops) {

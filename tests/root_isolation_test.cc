@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "poly/algebraic_number.h"
 #include "property_env.h"
 #include "upoly_oracle.h"
 
@@ -78,12 +79,24 @@ TEST(RootIsolationTest, RefineRootShrinks) {
             R(0));
 }
 
-TEST(RootIsolationTest, ApproximateRealRootsTheorem32) {
+// All real roots of p, each to within eps (Theorem 3.2's univariate
+// eps-approximation): midpoints of refined isolating intervals, exact roots
+// exactly.
+std::vector<Rational> ApproximateRoots(const UPoly& p, const Rational& eps) {
+  std::vector<AlgebraicNumber> roots = AlgebraicNumber::RootsOf(p).value();
+  std::vector<Rational> values;
+  for (const AlgebraicNumber& root : roots) {
+    values.push_back(root.Approximate(eps));
+  }
+  return values;
+}
+
+TEST(RootIsolationTest, ApproximateRootsTheorem32) {
   // The NUMERICAL EVALUATION step of the paper: eps-approximation of all
   // solutions.
   UPoly f = FromInts({-2, 0, 1});
   Rational eps(BigInt(1), BigInt(1000000));
-  auto values = ApproximateRealRoots(f, eps);
+  auto values = ApproximateRoots(f, eps);
   ASSERT_EQ(values.size(), 2u);
   double sqrt2 = 1.4142135623730951;
   EXPECT_NEAR(values[0].ToDouble(), -sqrt2, 1e-6);
@@ -145,13 +158,13 @@ TEST(RootIsolationTest, RandomizedRootRecovery) {
   }
 }
 
-TEST(RootIsolationTest, ApproximateRealRootsOfNonSquarefreeInput) {
+TEST(RootIsolationTest, ApproximateRootsOfNonSquarefreeInput) {
   // (x-1)^2 (x-2) (x^2-2): the double root must not confuse refinement,
   // which trusts a squarefree polynomial.
   UPoly f = FromInts({-1, 1}) * FromInts({-1, 1}) * FromInts({-2, 1}) *
             FromInts({-2, 0, 1});
   Rational eps(BigInt(1), BigInt::Pow2(30));
-  auto values = ApproximateRealRoots(f, eps);
+  auto values = ApproximateRoots(f, eps);
   ASSERT_EQ(values.size(), 4u);
   const double sqrt2 = 1.4142135623730951;
   const double expected[] = {-sqrt2, 1.0, sqrt2, 2.0};
