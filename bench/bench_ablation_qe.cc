@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   {
     ConstraintRelation data = ccdb_bench::RandomLinearRelation(6, 6, 12345);
     Formula query = Formula::Exists(1, Formula::Relation("R", {0, 1}));
-    auto lookup = [&data](const std::string&) -> StatusOr<ConstraintRelation> {
-      return data;
+    auto lookup = [&data](const std::string&) -> StatusOr<RelationBody> {
+      return RelationBody(data);
     };
     Formula instantiated = *query.InstantiateRelations(lookup);
     ccdb_bench::Row("workload A: linear projection, 6 tuples");

@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
   for (int n : {4, 8, 16, 32, 64, 128}) {
     ConstraintRelation data = ccdb_bench::RandomLinearRelation(n, 8, 42 + n);
     Formula query = Formula::Exists(1, Formula::Relation("R", {0, 1}));
-    auto lookup = [&data](const std::string&) -> StatusOr<ConstraintRelation> {
-      return data;
+    auto lookup = [&data](const std::string&) -> StatusOr<RelationBody> {
+      return RelationBody(data);
     };
     Formula instantiated = *query.InstantiateRelations(lookup);
     ConstraintRelation output;
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
                           Formula::MakeAtom(Atom(
                               Polynomial::Var(1) - Polynomial::Var(2),
                               RelOp::kLe))))));
-    auto lookup = [&data](const std::string&) -> StatusOr<ConstraintRelation> {
-      return data;
+    auto lookup = [&data](const std::string&) -> StatusOr<RelationBody> {
+      return RelationBody(data);
     };
     Formula instantiated = *query.InstantiateRelations(lookup);
     double elapsed = ccdb_bench::TimeSeconds([&] {

@@ -17,8 +17,8 @@ namespace {
 
 Formula ProjectionQuery(const ConstraintRelation& data) {
   Formula query = Formula::Exists(1, Formula::Relation("R", {0, 1}));
-  auto lookup = [&data](const std::string&) -> StatusOr<ConstraintRelation> {
-    return data;
+  auto lookup = [&data](const std::string&) -> StatusOr<RelationBody> {
+    return RelationBody(data);
   };
   return *query.InstantiateRelations(lookup);
 }
@@ -34,8 +34,8 @@ Formula AlternationQuery(const ConstraintRelation& data) {
                                           Polynomial::Var(2) -
                                               Polynomial::Var(1),
                                           RelOp::kLe))))));
-  auto lookup = [&data](const std::string&) -> StatusOr<ConstraintRelation> {
-    return data;
+  auto lookup = [&data](const std::string&) -> StatusOr<RelationBody> {
+    return RelationBody(data);
   };
   return *query.InstantiateRelations(lookup);
 }

@@ -96,13 +96,14 @@ AggregateValue EndpointValue(const AlgebraicNumber& endpoint,
 // over the open sector (a, c): CosineGaussLegendre at orders 8, 16, ... 128
 // until two agree within `tol`, keeping the higher. Error: their
 // difference + f's largest error bound times the width + 64 ulps. The
-// ends are rationals a <= lo < hi <= c (at most 2^-60 inside irrational
+// ends are rationals a <= lo < hi <= c (at most `trim` inside irrational
 // ends); a node is its double image if that rounds inside, else exact.
+// The strips the trim leaves out are the caller's to bound.
 StatusOr<AggregateValue> IntegrateOverSector(
     const std::function<StatusOr<AggregateValue>(const Rational&)>& f,
-    const AlgebraicNumber& a, const AlgebraicNumber& c, double tol,
-    const ResourceGovernor* gov) {
-  Rational trim(BigInt(1), BigInt::Pow2(60)), lo, hi;
+    const AlgebraicNumber& a, const AlgebraicNumber& c, Rational trim,
+    double tol, const ResourceGovernor* gov) {
+  Rational lo, hi;
   do {
     a.RefineTo(trim);
     c.RefineTo(trim);
@@ -256,10 +257,12 @@ StatusOr<AggregateValue> FibreMeasure(const Cad& cad,
       if (inner.ok()) extent = std::max(extent, inner->Value());
       return inner;
     };
-    CCDB_ASSIGN_OR_RETURN(AggregateValue integral,
-                          IntegrateOverSector(inner_at, *lo, *hi, tol, gov));
+    // Inner ends are trimmed to the root width the fibres below are
+    // measured to; each left-out strip is within that isolating interval.
+    CCDB_ASSIGN_OR_RETURN(
+        AggregateValue integral,
+        IntegrateOverSector(inner_at, *lo, *hi, root_width, tol, gov));
     value += integral.approx_value;
-    // The integrator trimmed each end inside its isolating interval.
     Rational trims =
         lo->isolating_interval().Width() + hi->isolating_interval().Width();
     error += integral.error_estimate + trims.ToDouble() * extent;
@@ -337,10 +340,13 @@ StatusOr<AggregateValue> RegionMeasure(AggregateKind kind,
       return FibreMeasure(cad, sector.inner, point, tol, root_width,
                           options.governor);
     };
+    // x-ends trim to 2^-60: the strips left out here are not in the error
+    // estimate, so they must be negligible.
     CCDB_ASSIGN_OR_RETURN(
         AggregateValue piece,
         IntegrateOverSector(measure_at, base[b - 1].sample.coord(0),
-                            base[b + 1].sample.coord(0), tol,
+                            base[b + 1].sample.coord(0),
+                            Rational(BigInt(1), BigInt::Pow2(60)), tol,
                             options.governor));
     approx_total += piece.approx_value;
     approx_error += piece.error_estimate;

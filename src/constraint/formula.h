@@ -14,6 +14,11 @@
 
 namespace ccdb {
 
+class RelationBody;
+/// Where instantiation finds a relation's stored body by name.
+using RelationLookup =
+    std::function<StatusOr<RelationBody>(const std::string&)>;
+
 /// First-order formula over the real closed field extended with database
 /// relation symbols (the language L ∪ σ of the paper, Section 3).
 ///
@@ -101,12 +106,11 @@ class Formula {
 
   /// Replaces every occurrence of relation symbols by their definitions:
   /// the INSTANTIATION step of query evaluation (paper, Section 2).
-  /// `lookup(name)` must return the relation's ConstraintRelation whose
-  /// columns are variables 0..arity-1; occurrences are rewritten with the
-  /// column variables renamed to the atom's argument variables.
-  StatusOr<Formula> InstantiateRelations(
-      const std::function<StatusOr<ConstraintRelation>(const std::string&)>&
-          lookup) const;
+  /// `lookup(name)` returns the relation's stored body (columns are
+  /// variables 0..arity-1); each occurrence becomes
+  /// RelationBody::Instantiate of its argument variables. A subformula
+  /// without relation symbols is returned as is.
+  StatusOr<Formula> InstantiateRelations(const RelationLookup& lookup) const;
 
   /// Substitutes a rational value for a free variable (into atoms).
   Formula SubstituteValue(int var, const Rational& value) const;
@@ -185,9 +189,46 @@ Formula TuplesToFormula(std::span<const GeneralizedTuple> tuples);
 
 /// Builds the formula of a constraint relation body (the disjunction of its
 /// generalized tuples), with relation columns already mapped to the given
-/// variable indices.
+/// variable indices. Adds the atoms it interns to query.instantiate_atoms.
+/// In the engine only RelationBody calls it, to build a version's body.
 Formula RelationToFormula(const ConstraintRelation& relation,
                           const std::vector<int>& column_vars);
+
+/// One relation version as instantiation reads it: the relation and its
+/// body, the interned Or of its tuples' Ands over columns 0..arity-1.
+/// The body is built once, by RelationToFormula, on the first Body() or
+/// identity Instantiate(). Another column map renames the built body over
+/// its DAG, or, while none is built, is built from the tuples directly;
+/// the last few such formulas are memoized. catalog.relation_formula_builds
+/// counts the builds from tuples. Instantiate(args) is pointer-equal to
+/// RelationToFormula(relation(), args) on every path: Or and And are
+/// functions of their flattened child sets, so renaming the body, or
+/// extending an earlier version's formula by appended tuples, interns the
+/// same node.
+///
+/// A cheap handle: copies share the relation, the body and the memo, so
+/// every reader of one version builds it once. Safe to use from any
+/// number of threads.
+class RelationBody {
+ public:
+  explicit RelationBody(ConstraintRelation relation);
+  /// The next version of `prefix` after an append: `relation`'s tuples
+  /// start with all of prefix.relation()'s. What `prefix` had built by now
+  /// (its body, its memoized column maps) is extended by the appended
+  /// tuples instead of rebuilt; the formulas are the same either way.
+  RelationBody(ConstraintRelation relation, const RelationBody& prefix);
+
+  int arity() const;
+  const ConstraintRelation& relation() const;
+  /// The body over columns 0..arity-1.
+  const Formula& Body() const;
+  /// The body with column v renamed to args[v]; args.size() == arity().
+  Formula Instantiate(const std::vector<int>& args) const;
+
+ private:
+  struct State;
+  std::shared_ptr<State> state_;
+};
 
 }  // namespace ccdb
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -292,13 +294,13 @@ Status RunFixpoint(const DatalogProgram& program,
     return size - std::min(it->second, size);
   };
 
-  // Relation lookup for body instantiation. Plain names resolve to the
-  // full relation; the semi-naive rewrite additionally reads the "@old"
+  // The relation a rule body names. Plain names resolve to the full
+  // relation; the semi-naive rewrite additionally reads the "@old"
   // (prefix before this round's delta) and "@delta" (suffix) slices.
   // Slicing by index is exact because relations are append-only across
   // rounds: candidates are only ever pushed at the back and
   // SimplifyTuples keeps first occurrences in place.
-  auto lookup = [&](const std::string& name) -> StatusOr<ConstraintRelation> {
+  auto resolve = [&](const std::string& name) -> StatusOr<ConstraintRelation> {
     const std::size_t at = name.find('@');
     const std::string base = at == std::string::npos ? name : name.substr(0, at);
     const ConstraintRelation* full = find_relation(base);
@@ -321,6 +323,20 @@ Status RunFixpoint(const DatalogProgram& program,
     }
     return Status::NotFound("unknown relation slice " + name);
   };
+  // Relation lookup for body instantiation: each body is built on first
+  // use and shared by every rule that reads it, an EDB relation once per
+  // run, an IDB relation or a slice once per round (the merge grows them
+  // between rounds). Rules instantiate concurrently, hence the lock.
+  std::mutex bodies_mu;
+  std::map<std::string, RelationBody> bodies;
+  auto lookup = [&](const std::string& name) -> StatusOr<RelationBody> {
+    std::lock_guard<std::mutex> lock(bodies_mu);
+    auto it = bodies.find(name);
+    if (it != bodies.end()) return it->second;
+    CCDB_ASSIGN_OR_RETURN(ConstraintRelation relation, resolve(name));
+    return bodies.emplace(name, RelationBody(std::move(relation)))
+        .first->second;
+  };
 
   for (int round = 0; round < options.max_iterations; ++round) {
     CCDB_TRACE_SPAN("datalog.iteration");
@@ -329,6 +345,10 @@ Status RunFixpoint(const DatalogProgram& program,
     ++s->iterations;
     CCDB_METRIC_COUNT("datalog.iterations", 1);
     bool grew = false;
+    std::erase_if(bodies, [&](const auto& entry) {
+      return entry.first.find('@') != std::string::npos ||
+             idb->count(entry.first) != 0;
+    });
 
     // Round 0 of a cold run evaluates every rule in full (there is no
     // previous round to difference against); every later round — and every

@@ -306,7 +306,7 @@ Status ConstraintDatabase::Insert(const std::string& definition) {
         // The catalog re-checks both conditions, but they must hold BEFORE
         // the WAL append — a logged record that cannot apply would poison
         // replay.
-        StatusOr<ConstraintRelation> existing = catalog_.GetRelation(name);
+        StatusOr<RelationBody> existing = catalog_.Snapshot()->GetBody(name);
         if (!existing.ok()) return existing.status();
         if (existing->arity() != delta.arity()) {
           return Status::InvalidArgument(

@@ -208,8 +208,8 @@ void AppendQueryLogRecord(
 CalcFEvaluator::RelationLookup LookupFor(
     std::shared_ptr<const Catalog::View> snapshot) {
   return [snapshot = std::move(snapshot)](
-             const std::string& name) -> StatusOr<ConstraintRelation> {
-    return snapshot->GetRelation(name);
+             const std::string& name) -> StatusOr<RelationBody> {
+    return snapshot->GetBody(name);
   };
 }
 

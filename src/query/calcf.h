@@ -85,8 +85,7 @@ struct CalcFResult {
 /// relations into values.
 class CalcFEvaluator {
  public:
-  using RelationLookup =
-      std::function<StatusOr<ConstraintRelation>(const std::string&)>;
+  using RelationLookup = ccdb::RelationLookup;
 
   CalcFEvaluator(RelationLookup lookup, CalcFOptions options = {});
 

@@ -1,5 +1,6 @@
 #include "storage/catalog.h"
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <sstream>
@@ -175,8 +176,10 @@ void Catalog::RefreshVersion() {
   // than anything drawn before the refresh.
   for (auto& [name, entry] : next->relations_) {
     (void)name;
-    entry.version.version = NextCatalogVersion();
-    entry.version.base = entry.version.version;
+    auto fresh = std::make_shared<Entry>(*entry);
+    fresh->version.version = NextCatalogVersion();
+    fresh->version.base = fresh->version.version;
+    entry = std::move(fresh);
   }
   next->version_ = NextCatalogVersion();
   view_ = std::move(next);
@@ -195,18 +198,20 @@ Status Catalog::AddRelation(const std::string& name,
   // the published view (the swap below is the single commit point).
   CCDB_FAILPOINT("catalog.add");
   auto next = std::make_shared<View>(*view_);
-  Entry entry;
+  std::vector<TupleBox> boxes;
+  std::unordered_set<std::size_t> hashes;
   for (const GeneralizedTuple& tuple : relation.tuples()) {
-    entry.boxes.push_back(TupleBox::Of(tuple, relation.arity()));
+    boxes.push_back(TupleBox::Of(tuple, relation.arity()));
+    hashes.insert(tuple.Hash());
   }
-  entry.relation = std::move(relation);
   next->version_ = NextCatalogVersion();
   // A (re)definition is a structural change: version and base move
   // together, so any cache entry keyed on the old stamps — including one
   // for a previously dropped relation of the same name — misses.
-  entry.version.version = next->version_;
-  entry.version.base = next->version_;
-  next->relations_.emplace(name, std::move(entry));
+  next->relations_.emplace(
+      name, std::make_shared<const Entry>(Entry{
+                RelationBody(std::move(relation)), std::move(boxes),
+                std::move(hashes), {next->version_, next->version_}}));
   view_ = std::move(next);
   return Status::Ok();
 }
@@ -219,14 +224,18 @@ Status Catalog::InsertTuples(const std::string& name,
   if (it == view_->relations_.end()) {
     return Status::NotFound("relation " + name + " not found");
   }
-  if (delta.arity() != it->second.relation.arity()) {
+  const Entry& old = *it->second;
+  const int arity = old.body.arity();
+  if (delta.arity() != arity) {
     return Status::InvalidArgument(
         "insert arity " + std::to_string(delta.arity()) + " != relation " +
-        name + " arity " + std::to_string(it->second.relation.arity()));
+        name + " arity " + std::to_string(arity));
   }
   CCDB_FAILPOINT("catalog.insert");
   auto next = std::make_shared<View>(*view_);
-  Entry& entry = next->relations_.at(name);
+  ConstraintRelation relation = old.body.relation();
+  std::vector<TupleBox> boxes = old.boxes;
+  std::unordered_set<std::size_t> hashes = old.tuple_hashes;
   // Canonicalize the delta and drop syntactic duplicates of existing (or
   // earlier delta) tuples — exactly the normal form a serialize/parse
   // round trip produces, so a checkpoint after the insert reloads to the
@@ -234,20 +243,24 @@ Status Catalog::InsertTuples(const std::string& name,
   std::vector<GeneralizedTuple> appended =
       SimplifyTuples(std::vector<GeneralizedTuple>(delta.tuples()));
   for (GeneralizedTuple& tuple : appended) {
-    bool duplicate = false;
-    for (const GeneralizedTuple& existing : entry.relation.tuples()) {
-      if (existing == tuple) {
-        duplicate = true;
-        break;
-      }
+    const std::size_t hash = tuple.Hash();
+    // Only a hash hit scans the tuples: equal hashes may still differ.
+    const std::vector<GeneralizedTuple>& tuples = relation.tuples();
+    if (hashes.count(hash) != 0 &&
+        std::find(tuples.begin(), tuples.end(), tuple) != tuples.end()) {
+      continue;
     }
-    if (duplicate) continue;
-    entry.boxes.push_back(TupleBox::Of(tuple, entry.relation.arity()));
-    entry.relation.AddTuple(std::move(tuple));
+    hashes.insert(hash);
+    boxes.push_back(TupleBox::Of(tuple, arity));
+    relation.AddTuple(std::move(tuple));
     CCDB_METRIC_COUNT("catalog.tuples_inserted", 1);
   }
   next->version_ = NextCatalogVersion();
-  entry.version.version = next->version_;  // base unchanged: append-only
+  // base unchanged: append-only
+  RelationVersion version{next->version_, old.version.base};
+  next->relations_[name] = std::make_shared<const Entry>(
+      Entry{RelationBody(std::move(relation), old.body), std::move(boxes),
+            std::move(hashes), version});
   view_ = std::move(next);
   return Status::Ok();
 }
@@ -300,20 +313,25 @@ bool Catalog::View::HasRelation(const std::string& name) const {
 
 StatusOr<ConstraintRelation> Catalog::View::GetRelation(
     const std::string& name) const {
+  CCDB_ASSIGN_OR_RETURN(RelationBody body, GetBody(name));
+  return body.relation();
+}
+
+StatusOr<RelationBody> Catalog::View::GetBody(const std::string& name) const {
   CCDB_METRIC_COUNT("catalog.lookups", 1);
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     CCDB_METRIC_COUNT("catalog.lookup_misses", 1);
     return Status::NotFound("relation " + name + " not found");
   }
-  return it->second.relation;
+  return it->second->body;
 }
 
 std::optional<RelationVersion> Catalog::View::GetRelationVersion(
     const std::string& name) const {
   auto it = relations_.find(name);
   if (it == relations_.end()) return std::nullopt;
-  return it->second.version;
+  return it->second->version;
 }
 
 std::vector<std::string> Catalog::View::RelationNames() const {
@@ -329,11 +347,12 @@ StatusOr<bool> Catalog::View::Contains(
   if (it == relations_.end()) {
     return Status::NotFound("relation " + name + " not found");
   }
-  const Entry& entry = it->second;
-  if (static_cast<int>(point.size()) != entry.relation.arity()) {
+  const Entry& entry = *it->second;
+  const ConstraintRelation& relation = entry.body.relation();
+  if (static_cast<int>(point.size()) != relation.arity()) {
     return Status::InvalidArgument("point arity mismatch");
   }
-  for (std::size_t i = 0; i < entry.relation.tuples().size(); ++i) {
+  for (std::size_t i = 0; i < relation.tuples().size(); ++i) {
     if (!entry.boxes[i].MayContain(point)) {
       // Index fast path: the bounding box proves non-membership without
       // evaluating the tuple's polynomial constraints.
@@ -341,7 +360,7 @@ StatusOr<bool> Catalog::View::Contains(
       continue;
     }
     CCDB_METRIC_COUNT("catalog.box_index.evaluated", 1);
-    if (entry.relation.tuples()[i].SatisfiedAt(point)) return true;
+    if (relation.tuples()[i].SatisfiedAt(point)) return true;
   }
   return false;
 }
@@ -384,7 +403,7 @@ std::string Catalog::View::Serialize() const {
   std::ostringstream out;
   out << "# ccdb catalog v1\n";
   for (const auto& [name, entry] : relations_) {
-    out << SerializeRelationDef(name, entry.relation) << "\n";
+    out << SerializeRelationDef(name, entry->body.relation()) << "\n";
   }
   return out.str();
 }

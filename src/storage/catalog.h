@@ -7,10 +7,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "base/status.h"
 #include "constraint/atom.h"
+#include "constraint/formula.h"
 
 namespace ccdb {
 
@@ -53,12 +55,19 @@ struct RelationVersion {
 /// one consistent catalog version for as long as they hold the pointer,
 /// while writers copy the current View, mutate the copy, stamp it with a
 /// fresh version, and swap it in. A long-running query therefore never
-/// observes a half-applied mutation, at any thread count.
+/// observes a half-applied mutation, at any thread count. A View holds its
+/// relations by shared pointer to immutable entries, so a mutation copies
+/// the name map and the one entry it changes, never the other relations.
+///
+/// Each entry's RelationBody is the relation version's body formula, built
+/// once on the first instantiation and shared by every reader of the
+/// version (Formula::InstantiateRelations).
 class Catalog {
  private:
   struct Entry {
-    ConstraintRelation relation;
+    RelationBody body;  // the relation, and its body formula once read
     std::vector<TupleBox> boxes;
+    std::unordered_set<std::size_t> tuple_hashes;  // GeneralizedTuple::Hash
     RelationVersion version;
   };
 
@@ -69,6 +78,9 @@ class Catalog {
    public:
     bool HasRelation(const std::string& name) const;
     StatusOr<ConstraintRelation> GetRelation(const std::string& name) const;
+    /// The relation version's shared body: no tuple is copied. This is the
+    /// lookup query instantiation reads.
+    StatusOr<RelationBody> GetBody(const std::string& name) const;
     std::vector<std::string> RelationNames() const;
     /// Point membership with bounding-box pre-filtering.
     StatusOr<bool> Contains(const std::string& name,
@@ -85,7 +97,7 @@ class Catalog {
 
    private:
     friend class Catalog;
-    std::map<std::string, Entry> relations_;
+    std::map<std::string, std::shared_ptr<const Entry>> relations_;
     std::uint64_t version_ = 0;
   };
 
@@ -109,8 +121,9 @@ class Catalog {
   /// Append-only: existing tuples and their order are untouched (the
   /// prefix-stability contract incremental fixpoints rely on); appended
   /// tuples are canonicalized and syntactic duplicates of existing or
-  /// earlier delta tuples are dropped, matching what a serialize/parse
-  /// round trip would do. Bumps the relation's `version`, not its `base`.
+  /// earlier delta tuples are dropped (found through the entry's tuple-hash
+  /// set), matching what a serialize/parse round trip would do. Bumps the
+  /// relation's `version`, not its `base`.
   Status InsertTuples(const std::string& name, const ConstraintRelation& delta);
   /// Parses "Name(cols...) := formula" and appends its tuples to Name.
   Status InsertTuplesFromText(const std::string& definition);

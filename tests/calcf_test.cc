@@ -35,10 +35,10 @@ CalcFEvaluator::RelationLookup PaperDatabase() {
   relations->emplace("S", s->relation);
   relations->emplace("Seg", segment->relation);
   relations->emplace("Disk", disk->relation);
-  return [relations](const std::string& name) -> StatusOr<ConstraintRelation> {
+  return [relations](const std::string& name) -> StatusOr<RelationBody> {
     auto it = relations->find(name);
     if (it == relations->end()) return Status::NotFound("no relation " + name);
-    return it->second;
+    return RelationBody(it->second);
   };
 }
 
@@ -199,9 +199,8 @@ TEST(CalcFTest, ParameterizedAggregateSeparable) {
       "(1 <= x and x <= 3 and 0 <= y and y <= 5)");
   ASSERT_TRUE(piece.ok());
   ConstraintRelation rel = piece->relation;
-  auto lookup = [&rel](const std::string& name)
-      -> StatusOr<ConstraintRelation> {
-    if (name == "Piece") return rel;
+  auto lookup = [&rel](const std::string& name) -> StatusOr<RelationBody> {
+    if (name == "Piece") return RelationBody(rel);
     return Status::NotFound("no relation " + name);
   };
   CalcFEvaluator evaluator(lookup, Pooled());
@@ -233,9 +232,8 @@ TEST(CalcFTest, ParameterizedLengthOfSlabs) {
       "(0 <= x and x <= 1 and 4 <= y and y <= 6)");
   ASSERT_TRUE(piece.ok());
   ConstraintRelation rel = piece->relation;
-  auto lookup = [&rel](const std::string& name)
-      -> StatusOr<ConstraintRelation> {
-    if (name == "Slab") return rel;
+  auto lookup = [&rel](const std::string& name) -> StatusOr<RelationBody> {
+    if (name == "Slab") return RelationBody(rel);
     return Status::NotFound("no relation " + name);
   };
   CalcFEvaluator evaluator(lookup, Pooled());
@@ -279,8 +277,8 @@ TEST(CalcFTest, ClosedFormComposability) {
   // Register the output and query it.
   ConstraintRelation derived = first->relation;
   auto lookup =
-      [&derived](const std::string& name) -> StatusOr<ConstraintRelation> {
-    if (name == "D") return derived;
+      [&derived](const std::string& name) -> StatusOr<RelationBody> {
+    if (name == "D") return RelationBody(derived);
     return Status::NotFound("no relation " + name);
   };
   CalcFEvaluator second(lookup, Pooled());

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "base/failpoint.h"
+#include "base/metrics.h"
+#include "constraint/formula.h"
 
 namespace ccdb {
 namespace {
@@ -156,6 +158,84 @@ TEST(CatalogTest, DeserializeErrorsCarryLineNumbers) {
   auto bad = Catalog::Deserialize("# header\nR(x) := x <= 1\nbroken line\n");
   EXPECT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 3"), std::string::npos);
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+// S(x, y) instantiated from the catalog's current snapshot, as a query
+// reads it.
+Formula ReadS(const Catalog& catalog) {
+  auto snapshot = catalog.Snapshot();
+  StatusOr<Formula> read = Formula::Relation("S", {0, 1}).InstantiateRelations(
+      [&snapshot](const std::string& name) { return snapshot->GetBody(name); });
+  EXPECT_TRUE(read.ok());
+  return *read;
+}
+
+TEST(CatalogTest, OneBodyBuildPerRelationVersion) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddRelationFromText("S(x, y) := (x >= 0 and y <= x) or "
+                                       "(x <= -1 and y >= 2*x)")
+                  .ok());
+  const std::uint64_t builds =
+      CounterValue("catalog.relation_formula_builds");
+  Formula first = ReadS(catalog);
+  EXPECT_EQ(CounterValue("catalog.relation_formula_builds"), builds + 1);
+  const std::uint64_t atoms = CounterValue("query.instantiate_atoms");
+  Formula second = ReadS(catalog);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(CounterValue("catalog.relation_formula_builds"), builds + 1);
+  EXPECT_EQ(CounterValue("query.instantiate_atoms"), atoms);
+
+  ASSERT_TRUE(catalog.InsertTuplesFromText("S(x, y) := x = 5 and y = 5").ok());
+  Formula third = ReadS(catalog);
+  EXPECT_EQ(CounterValue("catalog.relation_formula_builds"), builds + 2);
+  StatusOr<ConstraintRelation> relation = catalog.GetRelation("S");
+  ASSERT_TRUE(relation.ok());
+  EXPECT_EQ(third, RelationToFormula(*relation, {0, 1}));
+}
+
+TEST(CatalogTest, InsertAppendsNewTuplesAndSharesOtherRelations) {
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.AddRelationFromText("S(x, y) := (x = 1 and y = 1) or x = 2")
+          .ok());
+  ASSERT_TRUE(catalog.AddRelationFromText("T(x) := x >= 0").ok());
+  auto before = catalog.Snapshot();
+  StatusOr<RelationBody> t_before = before->GetBody("T");
+  ASSERT_TRUE(t_before.ok());
+  // One duplicate of a stored tuple, one new tuple, and the new tuple
+  // again: only the new tuple is appended, once.
+  ASSERT_TRUE(catalog
+                  .InsertTuplesFromText(
+                      "S(x, y) := x = 2 or (x = 3 and y = 0) or "
+                      "(y = 0 and x = 3)")
+                  .ok());
+  auto after = catalog.Snapshot();
+  StatusOr<ConstraintRelation> s_before = before->GetRelation("S");
+  StatusOr<ConstraintRelation> s_after = after->GetRelation("S");
+  ASSERT_TRUE(s_before.ok() && s_after.ok());
+  ASSERT_EQ(s_after->tuples().size(), s_before->tuples().size() + 1);
+  for (std::size_t i = 0; i < s_before->tuples().size(); ++i) {
+    EXPECT_EQ(s_after->tuples()[i], s_before->tuples()[i]);
+  }
+  EXPECT_EQ(after->GetRelationVersion("S")->base,
+            before->GetRelationVersion("S")->base);
+  EXPECT_GT(after->GetRelationVersion("S")->version,
+            before->GetRelationVersion("S")->version);
+  // T's entry is shared, not copied: its built body carries over.
+  EXPECT_EQ(after->GetRelationVersion("T")->version,
+            before->GetRelationVersion("T")->version);
+  Formula t = t_before->Instantiate({0});
+  const std::uint64_t builds =
+      CounterValue("catalog.relation_formula_builds");
+  StatusOr<RelationBody> t_after = after->GetBody("T");
+  ASSERT_TRUE(t_after.ok());
+  EXPECT_EQ(t_after->Instantiate({0}), t);
+  EXPECT_EQ(CounterValue("catalog.relation_formula_builds"), builds);
 }
 
 }  // namespace

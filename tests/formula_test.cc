@@ -122,9 +122,8 @@ TEST(FormulaTest, InstantiateRelationsPaperQuery) {
       1, Formula::And(Formula::Relation("S", {0, 1}),
                       Formula::Compare(Y(), RelOp::kLe, Polynomial(0))));
   ConstraintRelation s = PaperRelationS();
-  auto lookup =
-      [&s](const std::string& name) -> StatusOr<ConstraintRelation> {
-    if (name == "S") return s;
+  auto lookup = [&s](const std::string& name) -> StatusOr<RelationBody> {
+    if (name == "S") return RelationBody(s);
     return Status::NotFound("no relation " + name);
   };
   auto instantiated = query.InstantiateRelations(lookup);
@@ -144,7 +143,9 @@ TEST(FormulaTest, InstantiationRenamesColumns) {
   ConstraintRelation s = PaperRelationS();
   Formula use = Formula::Relation("S", {3, 7});
   auto instantiated = use.InstantiateRelations(
-      [&s](const std::string&) -> StatusOr<ConstraintRelation> { return s; });
+      [&s](const std::string&) -> StatusOr<RelationBody> {
+        return RelationBody(s);
+      });
   ASSERT_TRUE(instantiated.ok());
   // Satisfied where S holds with x->var3, y->var7.
   std::vector<Rational> point(8, R(0));

@@ -420,7 +420,9 @@ Formula LoweredRegistryQuery(int padding) {
          Atom(y - x, RelOp::kLe)}));
   }
   auto instantiated = lowered->InstantiateRelations(
-      [&](const std::string&) -> StatusOr<ConstraintRelation> { return r; });
+      [&](const std::string&) -> StatusOr<RelationBody> {
+        return RelationBody(r);
+      });
   EXPECT_TRUE(instantiated.ok());
   return *instantiated;
 }

@@ -14,11 +14,13 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/config.h"
@@ -289,6 +291,27 @@ TEST(SessionTest, WholeQueryCacheIsVersionedAcrossPinnedSessions) {
   StatusOr<ExplainAnalyzeResult> warm = new_session->Explain(query);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->profile.from_cache);
+}
+
+TEST(SessionTest, ExplainAnalyzeCountsOneBodyBuildPerRelationVersion) {
+  // The stored body of a relation version is built by its first read and
+  // shared by later ones; an insert makes a new version, built once more.
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("S(x, y) := (x >= 0 and y <= x) or x <= -4").ok());
+  using Moved = std::pair<std::uint64_t, std::uint64_t>;  // builds, atoms
+  auto deltas = [&db](const std::string& query) {
+    StatusOr<ExplainAnalyzeResult> profiled = db.ExplainAnalyze(query);
+    EXPECT_TRUE(profiled.ok()) << profiled.status().ToString();
+    std::map<std::string, std::uint64_t> moved =
+        profiled->profile.metric_deltas;
+    return Moved(moved["catalog.relation_formula_builds"],
+                 moved["query.instantiate_atoms"]);
+  };
+  EXPECT_EQ(deltas("exists y (S(x, y) and y >= 1)"), Moved(1, 3));
+  EXPECT_EQ(deltas("exists y (S(x, y) and y >= 2)"), Moved(0, 0));
+  ASSERT_TRUE(db.Insert("S(x, y) := x = 9 and y = 9").ok());
+  // The new version extends the old body by the appended tuple's atoms.
+  EXPECT_EQ(deltas("exists y (S(x, y) and y >= 3)"), Moved(1, 2));
 }
 
 TEST(SessionTest, SessionsAtDifferentThreadCountsShareCacheEntries) {
