@@ -103,6 +103,10 @@ StatusOr<AggregateValue> IntegrateOverSector(
     const std::function<StatusOr<AggregateValue>(const Rational&)>& f,
     const AlgebraicNumber& a, const AlgebraicNumber& c, Rational trim,
     double tol, const ResourceGovernor* gov) {
+  // Squaring narrows the trim only below 1 (a large tolerance's root width
+  // is not).
+  const Rational half(BigInt(1), BigInt::Pow2(1));
+  if (half < trim) trim = half;
   Rational lo, hi;
   do {
     a.RefineTo(trim);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "base/logging.h"
@@ -445,99 +444,28 @@ Formula RelationToFormula(const ConstraintRelation& relation,
   return Formula::Or(disjuncts);
 }
 
-namespace {
-
-// `f` (quantifier- and relation-free) with variable v renamed to map[v].
-// Each shared node is renamed once: `done` maps node ids of `f` to their
-// images. Atoms re-intern through MakeAtom, so the result is the formula
-// the same construction over renamed atoms would intern.
-Formula RenameVarsOver(const Formula& f, const std::vector<int>& map,
-                       std::unordered_map<std::uint64_t, Formula>* done,
-                       std::uint64_t* atoms) {
-  auto it = done->find(f.id());
-  if (it != done->end()) return it->second;
-  Formula out = f;
-  switch (f.kind()) {
-    case Formula::Kind::kTrue:
-    case Formula::Kind::kFalse:
-      break;
-    case Formula::Kind::kAtom:
-      ++*atoms;
-      out = Formula::MakeAtom(
-          Atom(f.atom().poly.RenameVars(map), f.atom().op));
-      break;
-    case Formula::Kind::kAnd:
-    case Formula::Kind::kOr: {
-      std::vector<Formula> mapped;
-      mapped.reserve(f.children().size());
-      for (const Formula& child : f.children()) {
-        mapped.push_back(RenameVarsOver(child, map, done, atoms));
-      }
-      out = f.kind() == Formula::Kind::kAnd ? Formula::And(mapped)
-                                            : Formula::Or(mapped);
-      break;
-    }
-    default:
-      CCDB_CHECK_MSG(false, "a relation body is quantifier- and relation-free");
-  }
-  done->emplace(f.id(), out);
-  return out;
-}
-
-// Formulas under non-identity column maps a relation version keeps (oldest
-// dropped first). A query reads a relation under a handful of column maps;
-// each kept one holds a renamed copy of the body's nodes.
-constexpr std::size_t kMaxRenamings = 4;
-
-}  // namespace
-
 struct RelationBody::State {
   explicit State(ConstraintRelation r) : relation(std::move(r)) {}
 
   const ConstraintRelation relation;
   std::once_flag built;
-  Formula body;                    // written once, under `built`
-  std::atomic<bool> ready{false};  // `body` is written
-  std::mutex mu;                   // guards the fields below
-  // The body under non-identity column maps, at most kMaxRenamings.
-  std::vector<std::pair<std::vector<int>, Formula>> renamed;
-  // When this version appended tuples to an earlier one: the number of
-  // tuples they share, and the earlier version's body and `renamed` as
-  // they stood at the append (each is extended by the appended tuples,
-  // once, instead of being rebuilt).
-  std::size_t prefix_tuples = 0;
-  std::optional<Formula> prefix_body;
-  std::vector<std::pair<std::vector<int>, Formula>> prefix_renamed;
-
-  // The body of the appended tuples alone, under `args`; with the prefix's
-  // body under the same map, its Or is this version's body under it.
-  Formula Suffix(const std::vector<int>& args) const {
-    const std::vector<GeneralizedTuple>& tuples = relation.tuples();
-    return RelationToFormula(
-        ConstraintRelation(
-            relation.arity(),
-            std::vector<GeneralizedTuple>(tuples.begin() + prefix_tuples,
-                                          tuples.end())),
-        args);
-  }
+  Formula body;  // written once, under `built`
+  // The body under one non-identity column map, built once.
+  struct Renaming {
+    explicit Renaming(std::vector<int> a) : args(std::move(a)) {}
+    const std::vector<int> args;
+    std::once_flag built;
+    Formula formula;  // written once, under `built`
+  };
+  std::mutex mu;  // guards `renamed`
+  // The last non-identity map read. One is enough: the benchmark
+  // workloads read each relation version under at most one such map. A
+  // reader holds its own reference, so replacing it mid-build is safe.
+  std::shared_ptr<Renaming> renamed;
 };
 
 RelationBody::RelationBody(ConstraintRelation relation)
     : state_(std::make_shared<State>(std::move(relation))) {}
-
-RelationBody::RelationBody(ConstraintRelation relation,
-                           const RelationBody& prefix)
-    : RelationBody(std::move(relation)) {
-  State& old = *prefix.state_;
-  CCDB_CHECK(old.relation.arity() == arity() &&
-             old.relation.tuples().size() <= state_->relation.tuples().size());
-  // Only formulas the prefix already built are carried over, never its
-  // state, so no chain of versions is kept alive.
-  state_->prefix_tuples = old.relation.tuples().size();
-  if (old.ready.load(std::memory_order_acquire)) state_->prefix_body = old.body;
-  std::lock_guard<std::mutex> lock(old.mu);
-  state_->prefix_renamed = old.renamed;
-}
 
 int RelationBody::arity() const { return state_->relation.arity(); }
 
@@ -552,12 +480,8 @@ const Formula& RelationBody::Body() const {
     for (std::size_t v = 0; v < columns.size(); ++v) {
       columns[v] = static_cast<int>(v);
     }
-    state.body = state.prefix_body.has_value()
-                     ? Formula::Or(*state.prefix_body, state.Suffix(columns))
-                     : RelationToFormula(state.relation, columns);
-    state.prefix_body.reset();
+    state.body = RelationToFormula(state.relation, columns);
     CCDB_METRIC_COUNT("catalog.relation_formula_builds", 1);
-    state.ready.store(true, std::memory_order_release);
   });
   return state.body;
 }
@@ -570,43 +494,20 @@ Formula RelationBody::Instantiate(const std::vector<int>& args) const {
   }
   if (identity) return Body();
   State& state = *state_;
-  std::optional<Formula> prefix;
+  std::shared_ptr<State::Renaming> renaming;
   {
     std::lock_guard<std::mutex> lock(state.mu);
-    for (const auto& [map, formula] : state.renamed) {
-      if (map == args) return formula;
+    if (state.renamed == nullptr || state.renamed->args != args) {
+      state.renamed = std::make_shared<State::Renaming>(args);
     }
-    for (const auto& [map, formula] : state.prefix_renamed) {
-      if (map == args) prefix = formula;
-    }
+    renaming = state.renamed;
   }
-  // Built outside the lock: readers racing on one map intern the same
-  // nodes, and only the first result is kept.
-  Formula renamed = Formula::False();
-  if (prefix.has_value()) {
-    renamed = Formula::Or(*prefix, state.Suffix(args));
-  } else if (state.ready.load(std::memory_order_acquire)) {
-    std::unordered_map<std::uint64_t, Formula> done;
-    std::uint64_t atoms = 0;
-    renamed = RenameVarsOver(state.body, args, &done, &atoms);
-    CCDB_METRIC_COUNT("query.instantiate_atoms", atoms);
-  } else {
-    // Nothing built to rename: one pass over the tuples, not a build of
-    // the identity body and then a rename of it.
-    renamed = RelationToFormula(state.relation, args);
+  // Built outside the lock, so reads under other maps do not wait for it.
+  std::call_once(renaming->built, [&state, &renaming] {
+    renaming->formula = RelationToFormula(state.relation, renaming->args);
     CCDB_METRIC_COUNT("catalog.relation_formula_builds", 1);
-  }
-  std::lock_guard<std::mutex> lock(state.mu);
-  for (const auto& [map, formula] : state.renamed) {
-    if (map == args) return formula;
-  }
-  std::erase_if(state.prefix_renamed,
-                [&args](const auto& entry) { return entry.first == args; });
-  if (state.renamed.size() == kMaxRenamings) {
-    state.renamed.erase(state.renamed.begin());
-  }
-  state.renamed.emplace_back(args, renamed);
-  return renamed;
+  });
+  return renaming->formula;
 }
 
 StatusOr<Formula> Formula::InstantiateRelations(

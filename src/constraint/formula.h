@@ -197,14 +197,9 @@ Formula RelationToFormula(const ConstraintRelation& relation,
 /// One relation version as instantiation reads it: the relation and its
 /// body, the interned Or of its tuples' Ands over columns 0..arity-1.
 /// The body is built once, by RelationToFormula, on the first Body() or
-/// identity Instantiate(). Another column map renames the built body over
-/// its DAG, or, while none is built, is built from the tuples directly;
-/// the last few such formulas are memoized. catalog.relation_formula_builds
-/// counts the builds from tuples. Instantiate(args) is pointer-equal to
-/// RelationToFormula(relation(), args) on every path: Or and And are
-/// functions of their flattened child sets, so renaming the body, or
-/// extending an earlier version's formula by appended tuples, interns the
-/// same node.
+/// identity Instantiate(). Another column map is built by
+/// RelationToFormula(relation(), args) too, and the last one is memoized.
+/// catalog.relation_formula_builds counts the builds.
 ///
 /// A cheap handle: copies share the relation, the body and the memo, so
 /// every reader of one version builds it once. Safe to use from any
@@ -212,11 +207,6 @@ Formula RelationToFormula(const ConstraintRelation& relation,
 class RelationBody {
  public:
   explicit RelationBody(ConstraintRelation relation);
-  /// The next version of `prefix` after an append: `relation`'s tuples
-  /// start with all of prefix.relation()'s. What `prefix` had built by now
-  /// (its body, its memoized column maps) is extended by the appended
-  /// tuples instead of rebuilt; the formulas are the same either way.
-  RelationBody(ConstraintRelation relation, const RelationBody& prefix);
 
   int arity() const;
   const ConstraintRelation& relation() const;

@@ -259,7 +259,7 @@ Status Catalog::InsertTuples(const std::string& name,
   // base unchanged: append-only
   RelationVersion version{next->version_, old.version.base};
   next->relations_[name] = std::make_shared<const Entry>(
-      Entry{RelationBody(std::move(relation), old.body), std::move(boxes),
+      Entry{RelationBody(std::move(relation)), std::move(boxes),
             std::move(hashes), version});
   view_ = std::move(next);
   return Status::Ok();

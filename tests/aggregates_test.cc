@@ -392,6 +392,23 @@ TEST(AggregateTest, VolumeClosedForms) {
   ExpectOracle(modules.Volume(TwoBalls()), 8.0 * M_PI / 3.0, kVolumeFloor);
 }
 
+TEST(AggregateTest, VolumeAtALargeToleranceTerminates) {
+  // The inner level trims its ends to the root width tol / 64, here above
+  // 1: the trim must still narrow until the ends' isolating intervals part.
+  AggregateModules modules(1000.0, nullptr, ccdb_test::ProcessPool());
+  const std::pair<ConstraintRelation, double> cases[] = {
+      {Solid({{UnitBall()}}), 4.0 * M_PI / 3.0},
+      {Paraboloid(), M_PI / 2.0},
+      {TwoBalls(), 8.0 * M_PI / 3.0},
+  };
+  for (const auto& [region, oracle] : cases) {
+    auto volume = modules.Volume(region);
+    ASSERT_TRUE(volume.ok()) << volume.status().ToString();
+    EXPECT_LE(std::abs(volume->Value() - oracle), volume->error_estimate)
+        << "value " << volume->Value() << " oracle " << oracle;
+  }
+}
+
 TEST(AggregateTest, VolumeBuildsOneCadPerCall) {
   // The z-extents are read off the one 3-D CAD's sections: no per-node
   // slice CAD.

@@ -1,6 +1,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -199,11 +200,12 @@ TEST(SnapshotIsolationTest, QueriesDuringMutationStormUseOneSnapshot) {
 
 TEST(SnapshotIsolationTest, ReadersRaceTheLazyBodyBuildOfOneVersion) {
   // Every reader of one relation version shares one body, built lazily by
-  // whichever reader comes first: readers released together race that
-  // build (then the renamings of it, in different orders) while a writer
-  // appends new versions that extend whatever the old one had built. Each
-  // read must still be the formula RelationToFormula rebuilds, and the
-  // raced version must be built exactly once.
+  // whichever reader comes first. Readers released together race that
+  // build and the build under one other column map (half of them in each
+  // order) while a writer appends new versions: the raced version must be
+  // built exactly once per map. Then readers alternate two more maps in
+  // opposite orders, replacing each other's memoized map mid-build. Every
+  // read must be the formula RelationToFormula rebuilds.
   constexpr int kReaders = 8;
   Catalog catalog;
   std::string definition = "R(id, x, y) := ";
@@ -215,61 +217,69 @@ TEST(SnapshotIsolationTest, ReadersRaceTheLazyBodyBuildOfOneVersion) {
   ASSERT_TRUE(catalog.AddRelationFromText(definition).ok());
   std::shared_ptr<const Catalog::View> snapshot = catalog.Snapshot();
   const ConstraintRelation relation = *snapshot->GetRelation("R");
-  const std::vector<std::vector<int>> maps = {{0, 1, 2}, {2, 0, 1}, {0, 0, 1}};
   auto read = [](const Catalog::View& view, const std::vector<int>& args) {
     return Formula::Relation("R", args)
         .InstantiateRelations([&view](const std::string& name) {
           return view.GetBody(name);
         });
   };
+  // Readers released together each read `first` then `second` (odd
+  // readers the other way round), `during` running on this thread
+  // meanwhile; every read is checked against the oracle.
+  auto race = [&](const std::vector<int>& first,
+                  const std::vector<int>& second,
+                  const std::function<void()>& during) {
+    std::atomic<int> arrived{0};
+    std::vector<std::vector<StatusOr<Formula>>> seen(kReaders);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        arrived.fetch_add(1, std::memory_order_acq_rel);
+        while (arrived.load(std::memory_order_acquire) <= kReaders) {
+          std::this_thread::yield();
+        }
+        seen[r].push_back(read(*snapshot, r % 2 == 0 ? first : second));
+        seen[r].push_back(read(*snapshot, r % 2 == 0 ? second : first));
+      });
+    }
+    while (arrived.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
+    arrived.fetch_add(1, std::memory_order_acq_rel);  // release the readers
+    during();
+    for (auto& t : readers) t.join();
+    for (int r = 0; r < kReaders; ++r) {
+      ASSERT_EQ(seen[r].size(), 2u);
+      for (int i = 0; i < 2; ++i) {
+        const std::vector<int>& args = (r + i) % 2 == 0 ? first : second;
+        ASSERT_TRUE(seen[r][i].ok()) << seen[r][i].status().ToString();
+        EXPECT_EQ(*seen[r][i], RelationToFormula(relation, args))
+            << "reader " << r << " read " << i;
+      }
+    }
+  };
   Counter* builds =
       MetricsRegistry::Global().GetCounter("catalog.relation_formula_builds");
   const std::uint64_t builds_before = builds->value();
-
-  std::atomic<int> arrived{0};
-  std::vector<std::vector<StatusOr<Formula>>> seen(kReaders);
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      arrived.fetch_add(1, std::memory_order_acq_rel);
-      while (arrived.load(std::memory_order_acquire) <= kReaders) {
-        std::this_thread::yield();
-      }
-      seen[r].push_back(read(*snapshot, maps[0]));
-      for (std::size_t i = 1; i < maps.size(); ++i) {
-        seen[r].push_back(read(*snapshot, maps[1 + (i + r) % 2]));
-      }
-    });
-  }
-  while (arrived.load(std::memory_order_acquire) < kReaders) {
-    std::this_thread::yield();
-  }
-  arrived.fetch_add(1, std::memory_order_acq_rel);  // release the readers
-  for (int k = 200; k < 220; ++k) {
-    const std::string c = std::to_string(k);
-    ASSERT_TRUE(catalog
-                    .InsertTuplesFromText("R(id, x, y) := id = " + c +
-                                          " and x >= " + c)
-                    .ok());
-  }
-  for (auto& t : readers) t.join();
-
-  // The raced version was built once (the appended versions were never
-  // read, so they built nothing).
-  EXPECT_EQ(builds->value(), builds_before + 1);
-  for (int r = 0; r < kReaders; ++r) {
-    ASSERT_EQ(seen[r].size(), maps.size());
-    for (std::size_t i = 0; i < maps.size(); ++i) {
-      const std::vector<int>& args = i == 0 ? maps[0] : maps[1 + (i + r) % 2];
-      ASSERT_TRUE(seen[r][i].ok()) << seen[r][i].status().ToString();
-      EXPECT_EQ(*seen[r][i], RelationToFormula(relation, args))
-          << "reader " << r << " map " << i;
+  race({0, 1, 2}, {2, 0, 1}, [&catalog] {
+    for (int k = 200; k < 220; ++k) {
+      const std::string c = std::to_string(k);
+      ASSERT_TRUE(catalog
+                      .InsertTuplesFromText("R(id, x, y) := id = " + c +
+                                            " and x >= " + c)
+                      .ok());
     }
-  }
+  });
+  // One build per map (the appended versions were never read, so they
+  // built nothing).
+  EXPECT_EQ(builds->value(), builds_before + 2);
+  race({0, 0, 1}, {1, 2, 0}, [] {});
+
   std::shared_ptr<const Catalog::View> last = catalog.Snapshot();
   const ConstraintRelation grown = *last->GetRelation("R");
   ASSERT_EQ(grown.tuples().size(), 220u);
-  for (const std::vector<int>& args : maps) {
+  for (const std::vector<int>& args :
+       {std::vector<int>{0, 1, 2}, {2, 0, 1}, {0, 0, 1}}) {
     StatusOr<Formula> formula = read(*last, args);
     ASSERT_TRUE(formula.ok());
     EXPECT_EQ(*formula, RelationToFormula(grown, args));
