@@ -11,13 +11,13 @@
 ///                resultants computed, Fourier-Motzkin rounds, ...).
 ///   * MaxGauge — running maximum (peak intermediate bigint bit length).
 ///   * Histogram — power-of-two bucketed value distribution with
-///                count/sum/min/max (stage latencies, formula sizes).
+///                count/sum/min/max (work done before a budget trip).
 ///
 /// Use the macros for instrumentation sites:
 ///
 ///   CCDB_METRIC_COUNT("qe.cad.cells", cell_count);
 ///   CCDB_METRIC_MAX("qe.max_intermediate_bits", bits);
-///   CCDB_METRIC_HISTOGRAM("qe.eliminate.us", micros);
+///   CCDB_METRIC_HISTOGRAM("governor.steps_at_trip", steps);
 ///
 /// `MetricsRegistry::Global().SnapshotJson()` serializes everything; the
 /// REPL `.stats` command and the stats structs' ToJson() build on it.

@@ -8,8 +8,8 @@
 ///   * ProfileNode / ProfileSink — the attribution tree EXPLAIN ANALYZE
 ///     builds while a query executes. The executor mirrors the plan tree
 ///     (plan/planner.h) into ProfileNodes: one node per plan node,
-///     carrying inclusive wall time and the
-///     counters that node incurred (CAD cells, FM rounds, peak bigint bit
+///     carrying inclusive wall time (the elapsed time of the node's trace
+///     span, base/trace.h) and the counters that node incurred (CAD cells, FM rounds, peak bigint bit
 ///     length, cache hits). Nodes are assembled in canonical plan order —
 ///     never completion order — so the tree SHAPE is deterministic at
 ///     every thread count; only the timings vary.
@@ -22,10 +22,9 @@
 /// Hard contract: profiling is OBSERVATION ONLY. Arming a ProfileSink (or
 /// enabling the tracer) must never change a query's answer — the profiled
 /// run stays byte-identical to the unprofiled one at every thread count
-/// and cache temperature. Profiling code therefore only reads clocks and
-/// counters; it never branches the algorithm.
+/// and cache temperature. Profiling code therefore only reads span times
+/// and counters; it never branches the algorithm.
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -43,7 +42,9 @@ struct ProfileNode {
   /// "qe[cached]". Deterministic — derived from the plan, not the
   /// schedule.
   std::string label;
-  /// Wall time of this node including its children, microseconds.
+  /// Wall time of this node including its children, microseconds: the
+  /// ElapsedUs() of the span that times the node, read just before the
+  /// span closes, so it never exceeds the span's recorded duration.
   std::int64_t inclusive_us = 0;
   /// Attribution counters in insertion order (cad_cells, fm_rounds,
   /// max_bits, qe_cache_hits, ...). Zero-valued counters are usually
@@ -76,14 +77,6 @@ struct ProfileNode {
   ///  "counters":{...},"children":[...]}
   std::string ToJson() const;
 };
-
-/// Microseconds elapsed since `start` — the wall time a ProfileNode
-/// records.
-inline std::int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Thread-safe collection point for completed top-level QE profile trees.
 /// The evaluator may run several QE rounds per query (nested aggregate

@@ -1,7 +1,6 @@
 #include "base/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <utility>
 
@@ -59,7 +58,6 @@ void ThreadPool::DrainBatch(const std::shared_ptr<Batch>& batch) {
     std::size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch->count) return;
     if (!batch->failed.load(std::memory_order_acquire)) {
-      auto start = std::chrono::steady_clock::now();
       try {
         Status status = (*batch->body)(i);
         if (!status.ok()) {
@@ -68,11 +66,6 @@ void ThreadPool::DrainBatch(const std::shared_ptr<Batch>& batch) {
       } catch (...) {
         batch->RecordFailure(i, Status::Ok(), std::current_exception());
       }
-      auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-      CCDB_METRIC_HISTOGRAM("threadpool.task_us",
-                            static_cast<std::uint64_t>(micros));
       CCDB_METRIC_COUNT("threadpool.tasks_completed", 1);
     }
     batch->FinishOne();

@@ -23,8 +23,7 @@
 /// Each worker owns a deque: it pushes/pops its own work LIFO and steals
 /// FIFO from siblings when starved. Pool activity is folded into the
 /// global metrics registry ("threadpool.tasks_queued", ".tasks_stolen",
-/// ".tasks_completed", ".tasks_inline", "threadpool.task_us",
-/// "threadpool.threads").
+/// ".tasks_completed", ".tasks_inline", "threadpool.threads").
 ///
 /// There is no process-wide pool. Every Session (engine/session.h) owns
 /// one; a direct pipeline call runs on the pool its options carry, and a

@@ -1,15 +1,17 @@
 #ifndef CCDB_BASE_TRACE_H_
 #define CCDB_BASE_TRACE_H_
 
-/// RAII span tracing for the Figure-1 query pipeline.
+/// RAII span tracing for the Figure-1 query pipeline. A span is also the
+/// engine's only stopwatch: every wall time it reports (EXPLAIN's stages,
+/// ProfileNode times, the query log) is some span's ElapsedUs().
 ///
 /// Spans are recorded into a process-wide, thread-safe recorder and can be
 /// exported in the Chrome `trace_event` JSON format (load the file in
 /// chrome://tracing or https://ui.perfetto.dev). Tracing is disabled by
-/// default; when disabled, a span costs one relaxed atomic load and no
-/// allocation. Enable programmatically with `Tracer::Global().SetEnabled()`
-/// or by setting the `CCDB_TRACE=1` environment variable before the first
-/// span is created.
+/// default; when disabled, a span costs one clock read and one relaxed
+/// atomic load, and records nothing. Enable programmatically with
+/// `Tracer::Global().SetEnabled()` or by setting the `CCDB_TRACE=1`
+/// environment variable before the first span is created.
 ///
 ///   {
 ///     CCDB_TRACE_SPAN("qe.eliminate");
@@ -94,19 +96,16 @@ class Tracer {
   std::vector<TraceEvent> events_;
 };
 
-/// RAII span: records a complete event from construction to destruction.
-/// Near-zero cost when tracing is disabled (one relaxed load, no clock
-/// read). `name` and `category` must have static storage duration.
+/// RAII span: times its scope, and records it as a complete event when
+/// tracing was enabled at construction. `name` and `category` must have
+/// static storage duration.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "ccdb")
-      : active_(Tracer::Global().enabled()) {
-    if (active_) {
-      name_ = name;
-      category_ = category;
-      start_us_ = Tracer::Global().NowMicros();
-    }
-  }
+      : active_(Tracer::Global().enabled()),
+        name_(name),
+        category_(category),
+        start_us_(Tracer::Global().NowMicros()) {}
   ~TraceSpan() {
     if (active_) {
       Tracer& tracer = Tracer::Global();
@@ -120,6 +119,12 @@ class TraceSpan {
     }
   }
 
+  /// Microseconds since the span opened. Never decreases, and never
+  /// exceeds the duration the span records when it closes.
+  std::int64_t ElapsedUs() const {
+    return Tracer::Global().NowMicros() - start_us_;
+  }
+
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
@@ -128,9 +133,9 @@ class TraceSpan {
 
  private:
   bool active_;
-  const char* name_ = nullptr;
-  const char* category_ = nullptr;
-  std::int64_t start_us_ = 0;
+  const char* name_;
+  const char* category_;
+  std::int64_t start_us_;
 };
 
 }  // namespace ccdb

@@ -1,7 +1,6 @@
 #include "datalog/datalog.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -339,7 +338,7 @@ Status RunFixpoint(const DatalogProgram& program,
   };
 
   for (int round = 0; round < options.max_iterations; ++round) {
-    CCDB_TRACE_SPAN("datalog.iteration");
+    TraceSpan span("datalog.iteration");
     CCDB_FAILPOINT("datalog.iteration");
     CCDB_CHECK_BUDGET(gov, "datalog.iteration");
     ++s->iterations;
@@ -390,10 +389,8 @@ Status RunFixpoint(const DatalogProgram& program,
     struct RuleSlot {
       ConstraintRelation rel;
       QeStats qe_stats;
-      std::int64_t us = 0;
       bool skipped = false;
     };
-    const auto round_start = std::chrono::steady_clock::now();
     auto changed = [&](const std::string& name) { return delta_size(name) > 0; };
     CCDB_ASSIGN_OR_RETURN(
         std::vector<RuleSlot> rule_slots,
@@ -416,19 +413,17 @@ Status RunFixpoint(const DatalogProgram& program,
               }
               CCDB_ASSIGN_OR_RETURN(Formula instantiated,
                                     body.InstantiateRelations(lookup));
-              const auto rule_start = std::chrono::steady_clock::now();
               CCDB_ASSIGN_OR_RETURN(
                   slot.rel,
                   EliminateQuantifiers(instantiated,
                                        static_cast<int>(rule.head_vars.size()),
                                        rule_qe, &slot.qe_stats));
-              slot.us = ElapsedUs(rule_start);
               return slot;
             }));
     if (profile != nullptr) {
       ProfileNode round_node;
       round_node.label = "datalog.round[" + std::to_string(round) + "]";
-      round_node.inclusive_us = ElapsedUs(round_start);
+      round_node.inclusive_us = span.ElapsedUs();
       round_node.AddCounter("rules", program.rules.size());
       if (delta_round) {
         round_node.AddCounter("delta_tuples", round_delta_tuples);
@@ -440,7 +435,7 @@ Status RunFixpoint(const DatalogProgram& program,
         ProfileNode child;
         child.label = "rule[" + std::to_string(i) + "] " +
                       program.rules[i].head;
-        child.inclusive_us = rule_slots[i].us;
+        child.inclusive_us = rule_slots[i].qe_stats.elapsed_us;
         AddQeCounters(&child, rule_slots[i].qe_stats);
         child.AddCounter("tuples_out", rule_slots[i].rel.tuples().size());
         round_node.children.push_back(std::move(child));

@@ -35,7 +35,7 @@ namespace ccdb {
 /// Query at every thread count and cache temperature.
 struct QueryProfile {
   /// Total wall time of the explained evaluation (plus the numeric stage
-  /// when it ran).
+  /// when it ran): the db.explain / db.explain_analyze span.
   double total_seconds = 0.0;
   /// Stage timings / counters of the evaluation (parse, instantiation, QE,
   /// aggregates) plus the plan summary line.
@@ -56,6 +56,7 @@ struct QueryProfile {
   bool ran_numeric = false;
   bool numeric_finite = false;
   std::size_t numeric_points = 0;
+  /// The numeric.evaluate span; 0 when the stage failed.
   double numeric_seconds = 0.0;
   /// The pool width the query ran at.
   std::uint64_t pool_threads = 0;

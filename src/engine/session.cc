@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -18,15 +19,11 @@ namespace ccdb {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
+using ReadVersions = std::vector<std::pair<std::string, std::uint64_t>>;
 
 std::uint64_t NextSessionId() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-double SecondsSince(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
 // Process-wide memo of whole-query results, keyed on (database id, the
@@ -44,9 +41,8 @@ ShardedMemoCache<std::string, CalcFResult>& QueryResultCache() {
   return *cache;
 }
 
-std::string QueryCacheKey(
-    std::uint64_t db_id, const std::string& text,
-    const std::vector<std::pair<std::string, std::uint64_t>>& read_set) {
+std::string QueryCacheKey(std::uint64_t db_id, const std::string& text,
+                          const ReadVersions& read_set) {
   std::string key = std::to_string(db_id);
   for (const auto& [name, version] : read_set) {
     key += '\x1e';
@@ -89,9 +85,9 @@ StatusOr<std::vector<std::string>> RelationsReadBy(const std::string& text) {
 
 // Resolves a name set against one catalog snapshot: absent relations
 // version as 0, so a later Define (nonzero version) changes the key.
-std::vector<std::pair<std::string, std::uint64_t>> ResolveReadSet(
-    const std::vector<std::string>& names, const Catalog::View& snapshot) {
-  std::vector<std::pair<std::string, std::uint64_t>> read_set;
+ReadVersions ResolveReadSet(const std::vector<std::string>& names,
+                            const Catalog::View& snapshot) {
+  ReadVersions read_set;
   read_set.reserve(names.size());
   for (const std::string& name : names) {
     std::optional<RelationVersion> version = snapshot.GetRelationVersion(name);
@@ -99,6 +95,16 @@ std::vector<std::pair<std::string, std::uint64_t>> ResolveReadSet(
                           version.has_value() ? version->version : 0);
   }
   return read_set;
+}
+
+// The query's read-set at `snapshot`: the whole-query memo key and the
+// log's invalidation scope. Unparsable text has none (the evaluator
+// reports the parse error), so it is never cached.
+std::optional<ReadVersions> ReadSetAt(const std::string& text,
+                                      const Catalog::View& snapshot) {
+  StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
+  if (!names.ok()) return std::nullopt;
+  return ResolveReadSet(*names, snapshot);
 }
 
 std::map<std::string, std::uint64_t> MetricDeltas(
@@ -125,7 +131,7 @@ void AppendQueryLogRecord(
     const StatusOr<CalcFResult>& result, bool cache_hit,
     const ResourceGovernor* governor, double elapsed_seconds,
     const std::map<std::string, std::uint64_t>& deltas,
-    const std::vector<std::pair<std::string, std::uint64_t>>* read_set,
+    const std::optional<ReadVersions>& read_set,
     const std::string& profile_json = "") {
   std::uint64_t ts_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -148,7 +154,7 @@ void AppendQueryLogRecord(
   // the listed relations can invalidate this query's cached answer
   // ("relations:[...]"); without one (unparsable text), any mutation must
   // be assumed to ("global").
-  if (read_set != nullptr) {
+  if (read_set.has_value()) {
     std::string names = "[";
     std::string scope = "relations:[";
     for (std::size_t i = 0; i < read_set->size(); ++i) {
@@ -213,6 +219,30 @@ CalcFEvaluator::RelationLookup LookupFor(
   };
 }
 
+// A query text parsed, lowered with its free variables as the output
+// columns (indices 0..arity-1) and instantiated at `snapshot`: what Plan
+// and QueryFp hand to elimination.
+struct InstantiatedQuery {
+  std::vector<std::string> columns;
+  VarEnv env;
+  int arity = 0;
+  Formula formula = Formula::True();
+};
+
+StatusOr<InstantiatedQuery> InstantiateText(
+    const std::string& text, std::shared_ptr<const Catalog::View> snapshot) {
+  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
+  InstantiatedQuery query;
+  query.columns = parsed->FreeVarNames();
+  for (const std::string& column : query.columns) query.env.Intern(column);
+  query.arity = query.env.next_index;
+  CCDB_ASSIGN_OR_RETURN(Formula lowered, LowerFormula(*parsed, &query.env));
+  CCDB_ASSIGN_OR_RETURN(
+      query.formula,
+      lowered.InstantiateRelations(LookupFor(std::move(snapshot))));
+  return query;
+}
+
 // Deterministic identity of (program, evaluation-relevant options) for the
 // materialized-fixpoint map. Rule order matters (it is the merge order),
 // so the rendering is a faithful serialization, not a canonical form.
@@ -257,8 +287,8 @@ std::string ProgramFingerprint(const DatalogProgram& program,
 // whole run. Returns the evaluation's status, else the numeric stage's.
 Status FinishProfile(StatusOr<CalcFResult> outcome,
                      const std::map<std::string, std::uint64_t>& before,
-                     SteadyClock::time_point start,
-                     const CalcFOptions& options, ExplainAnalyzeResult* out) {
+                     const TraceSpan& span, const CalcFOptions& options,
+                     ExplainAnalyzeResult* out) {
   QueryProfile& profile = out->profile;
   Status status = outcome.status();
   if (outcome.ok()) {
@@ -266,11 +296,10 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
     profile.stats = out->result.stats;
     if (!out->result.has_scalar && out->result.relation.arity() > 0) {
       profile.ran_numeric = true;
-      auto numeric_start = SteadyClock::now();
       StatusOr<NumericalEvaluation> numeric = EvaluateNumerically(
           out->result.relation, options.qe.governor, options.qe.pool);
-      profile.numeric_seconds = SecondsSince(numeric_start);
       if (numeric.ok()) {
+        profile.numeric_seconds = numeric->elapsed_us * 1e-6;
         profile.numeric_finite = numeric->finite;
         profile.numeric_points = numeric->points.size();
       } else {
@@ -278,7 +307,7 @@ Status FinishProfile(StatusOr<CalcFResult> outcome,
       }
     }
   }
-  profile.total_seconds = SecondsSince(start);
+  profile.total_seconds = span.ElapsedUs() * 1e-6;
   profile.metric_deltas =
       MetricDeltas(before, MetricsRegistry::Global().SnapshotValues());
   profile.pool_threads =
@@ -374,14 +403,13 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
                                          const CalcFOptions& options,
                                          const char* kind,
                                          bool* cache_hit) const {
-  CCDB_TRACE_SPAN("db.query");
+  TraceSpan span("db.query");
   CCDB_METRIC_COUNT("db.queries", 1);
   if (cache_hit != nullptr) *cache_hit = false;
   QueryLog& qlog = Log();
   const bool log = qlog.enabled();
   std::map<std::string, std::uint64_t> before;
   if (log) before = MetricsRegistry::Global().SnapshotValues();
-  auto log_start = SteadyClock::now();
   bool hit = false;
   // One catalog snapshot for the whole query: the memo key's read-set
   // versions and every relation the evaluator instantiates come from the
@@ -394,22 +422,12 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   // the query reads, same immutable options). Governed evaluations bypass
   // the cache entirely so budget charging never depends on temperature.
   const bool use_cache = options.qe.governor == nullptr && MemoCachesEnabled();
-  // The query's read-set at this snapshot — the memo key and the log's
-  // invalidation scope. Unparsable text has no read-set (the evaluator
-  // below reports the parse error) and is never cached.
-  std::vector<std::pair<std::string, std::uint64_t>> read_set;
-  bool have_read_set = false;
-  if (use_cache || log) {
-    if (StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-  }
+  std::optional<ReadVersions> read_set;
+  if (use_cache || log) read_set = ReadSetAt(text, *snapshot);
   StatusOr<CalcFResult> outcome = [&]() -> StatusOr<CalcFResult> {
     std::string key;
-    if (use_cache && have_read_set) {
-      key = QueryCacheKey(db_->db_id_, text, read_set);
+    if (use_cache && read_set) {
+      key = QueryCacheKey(db_->db_id_, text, *read_set);
       CalcFResult cached;
       if (QueryResultCache().Lookup(key, &cached)) {
         hit = true;
@@ -418,42 +436,40 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
     }
     CalcFEvaluator evaluator(LookupFor(snapshot), options);
     CCDB_ASSIGN_OR_RETURN(CalcFResult result, evaluator.EvaluateText(text));
-    if (use_cache && have_read_set) QueryResultCache().Insert(key, result);
+    if (use_cache && read_set) QueryResultCache().Insert(key, result);
     return result;
   }();
   if (cache_hit != nullptr) *cache_hit = hit;
   if (log) {
     AppendQueryLogRecord(
         qlog, id_, fingerprint_, kind, text, snapshot->version(), outcome, hit,
-        options.qe.governor, SecondsSince(log_start),
+        options.qe.governor, span.ElapsedUs() * 1e-6,
         MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-        have_read_set ? &read_set : nullptr);
+        read_set);
   }
   return outcome;
 }
 
 StatusOr<ExplainAnalyzeResult> Session::Explain(const std::string& text) const {
-  CCDB_TRACE_SPAN("db.explain");
+  TraceSpan span("db.explain");
   CCDB_METRIC_COUNT("db.explains", 1);
   auto before = MetricsRegistry::Global().SnapshotValues();
-  auto start = SteadyClock::now();
   // The whole-query memo applies (Query already logs the record); the
   // profile carries no QE round trees.
   ExplainAnalyzeResult out;
   CCDB_RETURN_IF_ERROR(FinishProfile(QueryImpl(text, options_, "query",
                                                &out.profile.from_cache),
-                                     before, start, options_, &out));
+                                     before, span, options_, &out));
   return out;
 }
 
 StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
     const std::string& text) const {
-  CCDB_TRACE_SPAN("db.explain_analyze");
+  TraceSpan span("db.explain_analyze");
   CCDB_METRIC_COUNT("db.explain_analyzes", 1);
   QueryLog& qlog = Log();
   const bool log = qlog.enabled();
   auto before = MetricsRegistry::Global().SnapshotValues();
-  auto start = SteadyClock::now();
   // Run the actual pipeline with a profile sink armed — the whole-query
   // memo is bypassed on purpose (EXPLAIN ANALYZE observes an execution,
   // not a memo lookup); the QE / resultant memo layers still apply
@@ -463,19 +479,12 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
   CalcFOptions opts = options_;
   opts.qe.profile = &sink;
   std::shared_ptr<const Catalog::View> snapshot = ReadSnapshot();
-  std::vector<std::pair<std::string, std::uint64_t>> read_set;
-  bool have_read_set = false;
-  if (log) {
-    if (StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-  }
+  std::optional<ReadVersions> read_set;
+  if (log) read_set = ReadSetAt(text, *snapshot);
   CalcFEvaluator evaluator(LookupFor(snapshot), opts);
   ExplainAnalyzeResult out;
   Status status =
-      FinishProfile(evaluator.EvaluateText(text), before, start, opts, &out);
+      FinishProfile(evaluator.EvaluateText(text), before, span, opts, &out);
   out.profile.qe_rounds = sink.Take();
   // One record per call, whichever stage failed.
   if (log) {
@@ -484,7 +493,7 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
         status.ok() ? StatusOr<CalcFResult>(out.result)
                     : StatusOr<CalcFResult>(status),
         /*cache_hit=*/false, opts.qe.governor, out.profile.total_seconds,
-        out.profile.metric_deltas, have_read_set ? &read_set : nullptr,
+        out.profile.metric_deltas, read_set,
         status.ok() ? out.profile.ToJson() : "");
   }
   CCDB_RETURN_IF_ERROR(status);
@@ -494,17 +503,10 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
 StatusOr<std::string> Session::Plan(const std::string& text) const {
   CCDB_TRACE_SPAN("db.plan");
   CCDB_METRIC_COUNT("db.plans", 1);
-  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
-  std::vector<std::string> columns = parsed->FreeVarNames();
-  VarEnv env;
-  for (const std::string& column : columns) env.Intern(column);
-  int arity = env.next_index;
-  CCDB_ASSIGN_OR_RETURN(Formula lowered, LowerFormula(*parsed, &env));
-  CCDB_ASSIGN_OR_RETURN(
-      Formula instantiated,
-      lowered.InstantiateRelations(LookupFor(ReadSnapshot())));
-  QueryPlan plan = PlanQuery(instantiated, arity, options_.qe);
-  return plan.ToString(env.NamesByIndex());
+  CCDB_ASSIGN_OR_RETURN(InstantiatedQuery query,
+                        InstantiateText(text, ReadSnapshot()));
+  QueryPlan plan = PlanQuery(query.formula, query.arity, options_.qe);
+  return plan.ToString(query.env.NamesByIndex());
 }
 
 StatusOr<CalcFResult> Session::QueryFp(const std::string& text,
@@ -512,21 +514,14 @@ StatusOr<CalcFResult> Session::QueryFp(const std::string& text,
                                        FpQeStats* stats) const {
   CCDB_TRACE_SPAN("db.query_fp");
   CCDB_METRIC_COUNT("db.fp_queries", 1);
-  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
-  std::vector<std::string> columns = parsed->FreeVarNames();
-  VarEnv env;
-  for (const std::string& column : columns) env.Intern(column);
-  int arity = env.next_index;
-  CCDB_ASSIGN_OR_RETURN(Formula lowered, LowerFormula(*parsed, &env));
-  CCDB_ASSIGN_OR_RETURN(
-      Formula instantiated,
-      lowered.InstantiateRelations(LookupFor(ReadSnapshot())));
+  CCDB_ASSIGN_OR_RETURN(InstantiatedQuery query,
+                        InstantiateText(text, ReadSnapshot()));
   CalcFResult result;
   CCDB_ASSIGN_OR_RETURN(
       result.relation,
-      EliminateQuantifiersFp(instantiated, arity, FpContext{k}, stats,
+      EliminateQuantifiersFp(query.formula, query.arity, FpContext{k}, stats,
                              pool()));
-  result.column_names = std::move(columns);
+  result.column_names = std::move(query.columns);
   return result;
 }
 

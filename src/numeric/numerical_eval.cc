@@ -22,17 +22,14 @@ bool IsZeroDimensional(const CadCell& cell) {
 StatusOr<NumericalEvaluation> EvaluateNumerically(
     const ConstraintRelation& relation, const ResourceGovernor* gov,
     ThreadPool* pool) {
-  CCDB_TRACE_SPAN("numeric.evaluate");
+  TraceSpan span("numeric.evaluate");
   CCDB_FAILPOINT("numeric.eval");
   CCDB_CHECK_BUDGET(gov, "numeric.eval");
   CCDB_METRIC_COUNT("numeric.evaluations", 1);
   NumericalEvaluation out;
-  if (relation.arity() == 0) {
+  if (relation.arity() == 0 || relation.is_empty_syntactically()) {
     out.finite = true;
-    return out;
-  }
-  if (relation.is_empty_syntactically()) {
-    out.finite = true;
+    out.elapsed_us = span.ElapsedUs();
     return out;
   }
   CadOptions cad_options;
@@ -53,6 +50,7 @@ StatusOr<NumericalEvaluation> EvaluateNumerically(
   });
   out.finite = finite;
   if (finite) out.points = std::move(points);
+  out.elapsed_us = span.ElapsedUs();
   return out;
 }
 

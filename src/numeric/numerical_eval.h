@@ -1,6 +1,7 @@
 #ifndef CCDB_NUMERIC_NUMERICAL_EVAL_H_
 #define CCDB_NUMERIC_NUMERICAL_EVAL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "base/resource.h"
@@ -20,6 +21,8 @@ struct NumericalEvaluation {
   bool finite = false;
   /// The solution points (exact); present only when finite.
   std::vector<AlgebraicPoint> points;
+  /// Wall time, microseconds: the call's "numeric.evaluate" span.
+  std::int64_t elapsed_us = 0;
 };
 
 /// Decides finiteness of the solution set of `relation` and extracts the

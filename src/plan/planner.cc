@@ -1,7 +1,6 @@
 #include "plan/planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -168,10 +167,10 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
 
 // Eliminates one block with its fragment's engine: peel defining equations
 // innermost-first, then dense-order / Fourier-Motzkin rounds; polynomial
-// residue goes through EliminateResidue.
+// residue goes through EliminateResidue. `span` times the node.
 StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
-                               const QeOptions& options, bool profiling) {
-  const auto start = std::chrono::steady_clock::now();
+                               const QeOptions& options, bool profiling,
+                               const TraceSpan& span) {
   ExecResult r;
   r.tuples = node.tuples;
   r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
@@ -193,7 +192,7 @@ StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
     for (const PrenexBlock& block : node.prefix) {
       r.profile.label += " x" + std::to_string(block.var);
     }
-    r.profile.inclusive_us = ElapsedUs(start);
+    r.profile.inclusive_us = span.ElapsedUs();
     if (peeled > 0) r.profile.AddCounter("substitutions", peeled);
     AddQeCounters(&r.profile, r.stats);
     r.profile.AddCounter("tuples_out", r.tuples.size());
@@ -201,10 +200,11 @@ StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
   return r;
 }
 
+// Runs one plan node; its span's elapsed time is the node's profile time.
 StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
                               const QeOptions& options, bool profiling) {
   const ResourceGovernor* gov = options.governor;
-  const auto start = std::chrono::steady_clock::now();
+  TraceSpan span("qe.plan.execute");
   switch (node.kind) {
     case PlanNode::Kind::kLeaf: {
       ExecResult r;
@@ -212,13 +212,13 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
       r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
       if (profiling) {
         r.profile.label = "leaf";
-        r.profile.inclusive_us = ElapsedUs(start);
+        r.profile.inclusive_us = span.ElapsedUs();
         r.profile.AddCounter("tuples_out", r.tuples.size());
       }
       return r;
     }
     case PlanNode::Kind::kBlock:
-      return ExecBlock(node, num_free_vars, options, profiling);
+      return ExecBlock(node, num_free_vars, options, profiling, span);
     case PlanNode::Kind::kMonolithic: {
       ExecResult r;
       r.tuples = node.tuples;
@@ -229,7 +229,7 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
       if (profiling) {
         r.profile.label =
             std::string("monolithic[") + FragmentEngine(node.fragment) + "]";
-        r.profile.inclusive_us = ElapsedUs(start);
+        r.profile.inclusive_us = span.ElapsedUs();
         if (peeled > 0) r.profile.AddCounter("substitutions", peeled);
         AddQeCounters(&r.profile, r.stats);
         r.profile.AddCounter("tuples_out", r.tuples.size());
@@ -263,7 +263,7 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
       }
       if (profiling) {
         r.profile.label = "product";
-        r.profile.inclusive_us = ElapsedUs(start);
+        r.profile.inclusive_us = span.ElapsedUs();
         r.profile.AddCounter("tuples_out", r.tuples.size());
       }
       return r;
@@ -293,7 +293,7 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
         // Inclusive time is the union's wall time (the parallel wait);
         // children may sum past it, which exclusive_us() clamps at 0.
         r.profile.label = "union";
-        r.profile.inclusive_us = ElapsedUs(start);
+        r.profile.inclusive_us = span.ElapsedUs();
         r.profile.AddCounter("members", node.children.size());
         r.profile.AddCounter("tuples_out", r.tuples.size());
       }
@@ -466,7 +466,6 @@ StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
                                          const QeOptions& options,
                                          QeStats* stats,
                                          ProfileNode* profile) {
-  CCDB_TRACE_SPAN("qe.plan.execute");
   CCDB_CHECK(plan.root != nullptr);
   CCDB_METRIC_COUNT("qe.plan.executions", 1);
   CCDB_METRIC_COUNT("qe.plan.blocks", plan.blocks);

@@ -122,7 +122,8 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
 /// into it (base/profile.h): one ProfileNode per plan node with inclusive
 /// wall time and attribution counters, children spliced in plan order —
 /// observation only, the answer is byte-identical with profiling on or
-/// off. Span "qe.plan.execute".
+/// off. Each plan node runs under a "qe.plan.execute" span, whose elapsed
+/// time is the node's inclusive time.
 StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
                                          const QeOptions& options,
                                          QeStats* stats,

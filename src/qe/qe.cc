@@ -1,7 +1,6 @@
 #include "qe/qe.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <sstream>
 
@@ -101,20 +100,17 @@ bool TrySubstituteInnermostExists(std::vector<GeneralizedTuple>* tuples,
 }
 
 // Folds a public call's QeStats into the global metrics registry on every
-// exit path (including errors and cache hits): one qe.calls and one
-// qe.eliminate.us sample per call. CAD cells and projection factors are
-// counted where a CAD is built (EliminateByCad), so a cache hit adds none.
+// exit path (including errors and cache hits): one qe.calls per call. CAD
+// cells and projection factors are counted where a CAD is built
+// (EliminateByCad), so a cache hit adds none.
 struct QeMetricsFolder {
   const QeStats* s;
-  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
   ~QeMetricsFolder() {
     CCDB_METRIC_COUNT("qe.calls", 1);
     if (s->used_linear_path) CCDB_METRIC_COUNT("qe.linear_path", 1);
     if (s->used_dense_order_path) CCDB_METRIC_COUNT("qe.dense_order_path", 1);
     if (s->used_thom_augmentation) CCDB_METRIC_COUNT("qe.thom_augmentations", 1);
     CCDB_METRIC_MAX("qe.max_intermediate_bits", s->max_intermediate_bits);
-    CCDB_METRIC_HISTOGRAM("qe.eliminate.us",
-                          static_cast<std::uint64_t>(ElapsedUs(start)));
   }
 };
 
@@ -326,7 +322,7 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
                                                   int num_free_vars,
                                                   const QeOptions& options,
                                                   QeStats* stats) {
-  CCDB_TRACE_SPAN("qe.eliminate");
+  TraceSpan span("qe.eliminate");
   QeStats local_stats;
   QeStats* s = stats != nullptr ? stats : &local_stats;
   *s = QeStats();
@@ -345,7 +341,6 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
   // Profile bookkeeping (observation only — arming a sink never changes
   // the answer, and the sink pointer is excluded from every cache key).
   ProfileSink* sink = options.profile;
-  const auto prof_start = std::chrono::steady_clock::now();
 
   // Memoized path: only ungoverned runs may SKIP work via the cache, so
   // governed budget charging never depends on cache temperature. (The failpoint above fires either way.) The cache
@@ -359,10 +354,11 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
     if (QeResultCache().Lookup(key, &cached)) {
       *s = cached.stats;
       s->cache_hits += 1;
+      s->elapsed_us = span.ElapsedUs();
       if (sink != nullptr) {
         ProfileNode node;
         node.label = "qe[cached]";
-        node.inclusive_us = ElapsedUs(prof_start);
+        node.inclusive_us = s->elapsed_us;
         AddQeCounters(&node, *s);
         node.AddCounter("tuples_out", cached.relation.tuples().size());
         sink->Add(std::move(node));
@@ -388,8 +384,9 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
     stored.cache_hits = 0;
     QeResultCache().Insert(key, QeCacheValue{formula, result, stored});
   }
+  s->elapsed_us = span.ElapsedUs();
   if (sink != nullptr) {
-    prof_root.inclusive_us = ElapsedUs(prof_start);
+    prof_root.inclusive_us = s->elapsed_us;
     AddQeCounters(&prof_root, *s);
     if (!prof_root.HasCounter("tuples_out")) {
       prof_root.AddCounter("tuples_out", result.tuples().size());

@@ -31,6 +31,10 @@ struct QeStats {
   /// cache temperature is schedule/history-dependent while the canonical
   /// stats rendering replays byte-identically on a memo hit.
   std::uint64_t cache_hits = 0;
+  /// Wall time of the call, microseconds: its qe.eliminate span at a
+  /// successful return. Like cache_hits, not rendered; never merged or
+  /// cached.
+  std::int64_t elapsed_us = 0;
   /// Largest coefficient bit length seen in any intermediate polynomial —
   /// the quantity Lemma 4.4 bounds.
   std::uint64_t max_intermediate_bits = 0;

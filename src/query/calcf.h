@@ -43,16 +43,18 @@ struct CalcFStats {
   std::uint64_t aggregate_calls = 0;
   std::uint64_t qe_rounds = 0;
   std::uint64_t max_intermediate_bits = 0;
-  /// Wall time spent parsing the query text (EvaluateText only).
+  /// Stage wall times, each read off the stage's span (base/trace.h).
+  /// Parsing the query text (EvaluateText only): "parse.formula".
   double parse_seconds = 0.0;
   /// INSTANTIATION: analytic-function rewriting, lowering, and relation
-  /// instantiation from the catalog.
+  /// instantiation from the catalog: "calcf.instantiate".
   double instantiation_seconds = 0.0;
   /// QUANTIFIER ELIMINATION (all rounds, including nested aggregate
-  /// stages).
+  /// stages): "qe.eliminate".
   double qe_seconds = 0.0;
   /// AGGREGATE EVALUATION: time inside the aggregate modules themselves
-  /// (their nested QE rounds are accounted to qe_seconds).
+  /// (their nested QE rounds are accounted to qe_seconds): the spans of
+  /// category "aggregate".
   double aggregate_seconds = 0.0;
   /// One-line summary of the structure-aware query plan of the main QE
   /// round (plan/planner.h); "" when the planner is off.

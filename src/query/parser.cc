@@ -535,11 +535,15 @@ class Parser {
 
 }  // namespace
 
-StatusOr<std::shared_ptr<const QFormula>> ParseFormula(std::string_view text) {
-  CCDB_TRACE_SPAN("parse.formula");
+StatusOr<std::shared_ptr<const QFormula>> ParseFormula(
+    std::string_view text, std::int64_t* elapsed_us) {
+  TraceSpan span("parse.formula");
   CCDB_METRIC_COUNT("parser.formulas", 1);
   Parser parser(text);
-  return parser.ParseFormulaToEnd();
+  StatusOr<std::shared_ptr<const QFormula>> parsed =
+      parser.ParseFormulaToEnd();
+  if (elapsed_us != nullptr) *elapsed_us = span.ElapsedUs();
+  return parsed;
 }
 
 StatusOr<std::shared_ptr<const QTerm>> ParseTerm(std::string_view text) {

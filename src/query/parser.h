@@ -1,6 +1,7 @@
 #ifndef CCDB_QUERY_PARSER_H_
 #define CCDB_QUERY_PARSER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -33,7 +34,9 @@ namespace ccdb {
 /// sin cos sqrt atan. Example (the paper's Example 5.1):
 ///
 ///   SURFACE[x, y](S(x, y) and y <= 9)(z)
-StatusOr<std::shared_ptr<const QFormula>> ParseFormula(std::string_view text);
+/// A non-null `elapsed_us` gets the "parse.formula" span's time.
+StatusOr<std::shared_ptr<const QFormula>> ParseFormula(
+    std::string_view text, std::int64_t* elapsed_us = nullptr);
 
 /// Parses a term alone (for tests and relation definitions).
 StatusOr<std::shared_ptr<const QTerm>> ParseTerm(std::string_view text);

@@ -188,6 +188,33 @@ TEST(ProfileTest, ExplainAnalyzeMatchesQuery) {
   EXPECT_NE(json.find("\"caches\""), std::string::npos);
 }
 
+// Every QE round root's time is read off its qe.eliminate span: with the
+// tracer on, EXPLAIN ANALYZE records one such event per root, in round
+// order, and no root outlasts its event.
+TEST(ProfileTest, QeRoundTimesComeFromTheirSpans) {
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());
+  Tracer& tracer = Tracer::Global();
+  const bool was_enabled = tracer.enabled();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  auto analyzed = db.ExplainAnalyze("SURFACE[x, y](S(x, y) and y <= 9)(z)");
+  tracer.SetEnabled(was_enabled);
+  std::vector<TraceEvent> events;
+  for (const TraceEvent& event : tracer.Events()) {
+    if (std::string(event.name) == "qe.eliminate") events.push_back(event);
+  }
+  tracer.Clear();
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const std::vector<ProfileNode>& roots = analyzed->profile.qe_rounds;
+  // The aggregate body's round, then the main round.
+  ASSERT_EQ(roots.size(), 2u);
+  ASSERT_EQ(events.size(), roots.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_LE(roots[i].inclusive_us, events[i].duration_us) << i;
+  }
+}
+
 // Datalog with an armed sink reports one node per fixpoint round with
 // one child per rule in rule order, and the fixpoint itself is
 // byte-identical with or without profiling.

@@ -1,6 +1,7 @@
 #include "base/trace.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -128,12 +129,48 @@ TEST_F(TraceTest, ConcurrentSpansAllRecorded) {
 
 TEST_F(TraceTest, SpanCapturesEnabledAtConstruction) {
   // A span started while tracing is off must not record, even if tracing
-  // turns on before it ends (it has no start timestamp).
+  // turns on before it ends (whether it records is decided when it opens).
   {
     CCDB_TRACE_SPAN("straddling.span");
     Tracer::Global().SetEnabled(true);
   }
   EXPECT_EQ(Tracer::Global().size(), 0u);
+}
+
+// A span is the engine's stopwatch even with tracing off: its elapsed time
+// runs and never decreases, and closing it records nothing.
+TEST_F(TraceTest, DisabledSpanStillTimes) {
+  ASSERT_FALSE(Tracer::Global().enabled());
+  {
+    TraceSpan span("disabled.timed");
+    std::int64_t last = span.ElapsedUs();
+    EXPECT_GE(last, 0);
+    for (int i = 0; i < 1000; ++i) {
+      std::int64_t now = span.ElapsedUs();
+      EXPECT_GE(now, last);
+      last = now;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_GE(span.ElapsedUs(), 2000);
+  }
+  EXPECT_EQ(Tracer::Global().size(), 0u);
+}
+
+// The recorded event and ElapsedUs() are one clock: no read taken before
+// the span closes exceeds the duration it records.
+TEST_F(TraceTest, RecordedDurationCoversLastElapsedRead) {
+  Tracer::Global().SetEnabled(true);
+  std::int64_t last = 0;
+  {
+    TraceSpan span("timed.span");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    last = span.ElapsedUs();
+  }
+  std::vector<TraceEvent> events = Tracer::Global().Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "timed.span");
+  EXPECT_GE(last, 1000);
+  EXPECT_GE(events[0].duration_us, last);
 }
 
 TEST_F(TraceTest, ClearDiscardsEvents) {
