@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
   // Then one insert makes a new version of U and one read instantiates it.
   ccdb_bench::Row("");
   ccdb_bench::Row("stored union: 20 point reads of a 500-tuple relation, "
-                  "then 1 insert + 1 read");
+                  "then 1 insert + 1 read, then 20 window reads");
   ConstraintDatabase union_db(ccdb_bench::DbOptions());
   std::string union_text = "U(id, x, y) := ";
   for (int k = 0; k < 500; ++k) {
@@ -352,6 +352,22 @@ int main(int argc, char** argv) {
   ccdb_bench::Row("%-24s %12.3f", "20 reads [ms]", t_reads * 1e3);
   ccdb_bench::Row("%-24s %12.3f", "insert + read [ms]",
                   (t_union - t_reads) * 1e3);
+  // Window reads of the same union: each 2 x 1 window meets 3 x 2 cells.
+  std::size_t window_hits = 0;
+  double t_windows = ccdb_bench::TimeSeconds([&] {
+    for (int r = 0; r < 20; ++r) {
+      const std::string x0 = std::to_string(r) + " + 1/3",
+                        y0 = std::to_string(r % 7) + " + 1/2";
+      auto result = union_db.Query(
+          "exists x y (U(id, x, y) and x >= " + x0 + " and x <= " + x0 +
+          " + 2 and y >= " + y0 + " and y <= " + y0 + " + 1)");
+      CCDB_CHECK(result.ok());
+      window_hits += result->relation.tuples().size();
+    }
+  });
+  ccdb_bench::RecordCell("stored_union_window", t_windows);
+  CCDB_CHECK_MSG(window_hits == 20 * 6, "each window meets six cells");
+  ccdb_bench::Row("%-24s %12.3f", "20 window reads [ms]", t_windows * 1e3);
 
   // Repeated-latency cell: the planned mixed-fragment elimination run
   // cold 20 times (QE result cache cleared before each sample), reported

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 
@@ -422,13 +423,184 @@ Formula TuplesToFormula(std::span<const GeneralizedTuple> tuples) {
   return Formula::Or(disjuncts);
 }
 
-Formula RelationToFormula(const ConstraintRelation& relation,
-                          const std::vector<int>& column_vars) {
+void VarBounds::TightenLower(const Rational& value) {
+  if (!lower.has_value() || value > *lower) lower = value;
+}
+
+void VarBounds::TightenUpper(const Rational& value) {
+  if (!upper.has_value() || value < *upper) upper = value;
+}
+
+void VarBounds::Intersect(const VarBounds& other) {
+  if (other.lower.has_value()) TightenLower(*other.lower);
+  if (other.upper.has_value()) TightenUpper(*other.upper);
+}
+
+bool VarBounds::Meets(const VarBounds& other) const {
+  const std::optional<Rational>& lo =
+      !other.lower.has_value() || (lower.has_value() && *lower > *other.lower)
+          ? lower
+          : other.lower;
+  const std::optional<Rational>& hi =
+      !other.upper.has_value() || (upper.has_value() && *upper < *other.upper)
+          ? upper
+          : other.upper;
+  return !lo.has_value() || !hi.has_value() || *lo <= *hi;
+}
+
+namespace {
+
+// A linear polynomial as constant + sum of coefficient * variable; false
+// for a nonlinear one.
+bool LinearForm(const Polynomial& p, Rational* constant,
+                std::vector<std::pair<int, Rational>>* terms) {
+  *constant = Rational(0);
+  terms->clear();
+  for (const auto& [monomial, coefficient] : p.terms()) {
+    if (monomial.is_one()) {
+      *constant = coefficient;
+    } else if (monomial.total_degree() == 1) {
+      terms->emplace_back(monomial.max_var(), coefficient);
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Whether `op` bounds p by p <= 0 (sign +1) or by -p <= 0 (sign -1): =
+// both ways, != neither. A strict bound is taken as closed.
+bool BoundsBy(RelOp op, int sign) {
+  switch (op) {
+    case RelOp::kLe:
+    case RelOp::kLt:
+      return sign > 0;
+    case RelOp::kGe:
+    case RelOp::kGt:
+      return sign < 0;
+    case RelOp::kEq:
+      return true;
+    case RelOp::kNeq:
+      return false;
+  }
+  return false;
+}
+
+// The bounds a linear atom in one variable (a*x + b op 0, a != 0) puts on
+// that variable, stored into `*var` and `*bounds`; false for any other
+// atom, and for !=. A strict bound comes back closed.
+bool SingleVariableBounds(const Atom& atom, int* var, VarBounds* bounds) {
+  if (atom.op == RelOp::kNeq) return false;
+  const Rational* a = nullptr;
+  Rational b(0);
+  for (const auto& [monomial, coefficient] : atom.poly.terms()) {
+    if (monomial.is_one()) {
+      b = coefficient;
+    } else if (monomial.total_degree() == 1 && a == nullptr) {
+      a = &coefficient;
+      *var = monomial.max_var();
+    } else {
+      return false;
+    }
+  }
+  if (a == nullptr) return false;
+  *bounds = VarBounds();
+  // s*(a*x + b) <= 0 bounds x above by -b/a when s*a > 0, below otherwise.
+  const Rational value = -b / *a;
+  for (int s : {1, -1}) {
+    if (!BoundsBy(atom.op, s)) continue;
+    if ((s > 0) == (a->sign() > 0)) {
+      bounds->TightenUpper(value);
+    } else {
+      bounds->TightenLower(value);
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+TupleBox TupleBox::Of(const GeneralizedTuple& tuple, int arity) {
+  TupleBox box;
+  box.columns.assign(static_cast<std::size_t>(arity), VarBounds());
+  std::vector<const Atom*> multi;
+  for (const Atom& atom : tuple.atoms) {
+    int var = 0;
+    VarBounds bounds;
+    if (SingleVariableBounds(atom, &var, &bounds)) {
+      if (var < arity) box.columns[var].Intersect(bounds);
+    } else {
+      multi.push_back(&atom);
+    }
+  }
+  // One propagation pass: s*(sum c_i x_i + d) <= 0 gives
+  // s*c_k x_k <= -s*d - min over the box of sum_{i != k} s*c_i x_i.
+  Rational constant;
+  std::vector<std::pair<int, Rational>> terms;
+  for (const Atom* atom : multi) {
+    if (!LinearForm(atom->poly, &constant, &terms)) continue;
+    bool in_arity = true;
+    for (const auto& term : terms) in_arity &= term.first < arity;
+    if (!in_arity) continue;
+    for (int s : {1, -1}) {
+      if (!BoundsBy(atom->op, s)) continue;
+      for (std::size_t k = 0; k < terms.size(); ++k) {
+        Rational rest = -constant * Rational(s);
+        bool bounded = true;
+        for (std::size_t i = 0; i < terms.size() && bounded; ++i) {
+          if (i == k) continue;
+          const Rational c = terms[i].second * Rational(s);
+          const VarBounds& column = box.columns[terms[i].first];
+          const std::optional<Rational>& end =
+              c.sign() > 0 ? column.lower : column.upper;
+          bounded = end.has_value();
+          if (bounded) rest -= c * *end;
+        }
+        if (!bounded) continue;
+        const Rational c = terms[k].second * Rational(s);
+        VarBounds& column = box.columns[terms[k].first];
+        if (c.sign() > 0) {
+          column.TightenUpper(rest / c);
+        } else {
+          column.TightenLower(rest / c);
+        }
+      }
+    }
+  }
+  return box;
+}
+
+bool TupleBox::MayContain(const std::vector<Rational>& point) const {
+  for (std::size_t v = 0; v < point.size() && v < columns.size(); ++v) {
+    const VarBounds& column = columns[v];
+    if (column.lower.has_value() && point[v] < *column.lower) return false;
+    if (column.upper.has_value() && point[v] > *column.upper) return false;
+  }
+  return true;
+}
+
+bool TupleBox::Meets(std::span<const VarBounds> query) const {
+  for (std::size_t v = 0; v < query.size() && v < columns.size(); ++v) {
+    if (!columns[v].Meets(query[v])) return false;
+  }
+  return true;
+}
+
+namespace {
+
+// The Or of the kept tuples (all of them when `kept` is null), each the And
+// of its atoms with column v renamed to column_vars[v].
+Formula BuildBody(const ConstraintRelation& relation,
+                  const std::vector<int>& column_vars,
+                  const std::vector<std::size_t>* kept) {
   CCDB_CHECK(static_cast<int>(column_vars.size()) == relation.arity());
+  const std::vector<GeneralizedTuple>& tuples = relation.tuples();
+  const std::size_t count = kept != nullptr ? kept->size() : tuples.size();
   std::vector<Formula> disjuncts;
-  disjuncts.reserve(relation.tuples().size());
+  disjuncts.reserve(count);
   std::uint64_t atoms = 0;
-  for (const GeneralizedTuple& tuple : relation.tuples()) {
+  for (std::size_t k = 0; k < count; ++k) {
+    const GeneralizedTuple& tuple = tuples[kept != nullptr ? (*kept)[k] : k];
     std::vector<Formula> conjuncts;
     conjuncts.reserve(tuple.atoms.size());
     for (const Atom& atom : tuple.atoms) {
@@ -444,10 +616,19 @@ Formula RelationToFormula(const ConstraintRelation& relation,
   return Formula::Or(disjuncts);
 }
 
+}  // namespace
+
+Formula RelationToFormula(const ConstraintRelation& relation,
+                          const std::vector<int>& column_vars) {
+  return BuildBody(relation, column_vars, nullptr);
+}
+
 struct RelationBody::State {
   explicit State(ConstraintRelation r) : relation(std::move(r)) {}
 
   const ConstraintRelation relation;
+  std::once_flag boxes_built;
+  std::vector<TupleBox> boxes;  // written once, under `boxes_built`
   std::once_flag built;
   Formula body;  // written once, under `built`
   // The body under one non-identity column map, built once.
@@ -467,10 +648,29 @@ struct RelationBody::State {
 RelationBody::RelationBody(ConstraintRelation relation)
     : state_(std::make_shared<State>(std::move(relation))) {}
 
+RelationBody::RelationBody(ConstraintRelation relation,
+                           std::vector<TupleBox> boxes)
+    : RelationBody(std::move(relation)) {
+  CCDB_CHECK(boxes.size() == state_->relation.tuples().size());
+  std::call_once(state_->boxes_built,
+                 [&] { state_->boxes = std::move(boxes); });
+}
+
 int RelationBody::arity() const { return state_->relation.arity(); }
 
 const ConstraintRelation& RelationBody::relation() const {
   return state_->relation;
+}
+
+const std::vector<TupleBox>& RelationBody::Boxes() const {
+  State& state = *state_;
+  std::call_once(state.boxes_built, [&state] {
+    state.boxes.reserve(state.relation.tuples().size());
+    for (const GeneralizedTuple& tuple : state.relation.tuples()) {
+      state.boxes.push_back(TupleBox::Of(tuple, state.relation.arity()));
+    }
+  });
+  return state.boxes;
 }
 
 const Formula& RelationBody::Body() const {
@@ -486,14 +686,33 @@ const Formula& RelationBody::Body() const {
   return state.body;
 }
 
-Formula RelationBody::Instantiate(const std::vector<int>& args) const {
+Formula RelationBody::Instantiate(
+    const std::vector<int>& args,
+    std::span<const VarBounds> column_bounds) const {
   CCDB_CHECK(static_cast<int>(args.size()) == arity());
+  State& state = *state_;
+  const std::size_t tuples = state.relation.tuples().size();
+  bool bounded = false;
+  for (const VarBounds& bounds : column_bounds) bounded |= bounds.bounded();
+  if (bounded) {
+    const std::vector<TupleBox>& boxes = Boxes();
+    std::vector<std::size_t> kept;
+    for (std::size_t i = 0; i < tuples; ++i) {
+      if (boxes[i].Meets(column_bounds)) kept.push_back(i);
+    }
+    if (kept.size() < tuples) {
+      CCDB_METRIC_COUNT("query.instantiate.tuples_kept", kept.size());
+      CCDB_METRIC_COUNT("query.instantiate.tuples_pruned",
+                        tuples - kept.size());
+      return BuildBody(state.relation, args, &kept);
+    }
+  }
+  CCDB_METRIC_COUNT("query.instantiate.tuples_kept", tuples);
   bool identity = true;
   for (std::size_t v = 0; v < args.size(); ++v) {
     identity &= args[v] == static_cast<int>(v);
   }
   if (identity) return Body();
-  State& state = *state_;
   std::shared_ptr<State::Renaming> renaming;
   {
     std::lock_guard<std::mutex> lock(state.mu);
@@ -510,47 +729,134 @@ Formula RelationBody::Instantiate(const std::vector<int>& args) const {
   return renaming->formula;
 }
 
-StatusOr<Formula> Formula::InstantiateRelations(
-    const RelationLookup& lookup) const {
-  if (!has_relation_symbols()) return *this;
-  switch (kind()) {
-    case Kind::kTrue:
-    case Kind::kFalse:
-    case Kind::kAtom:
-      return *this;
-    case Kind::kRelation: {
-      CCDB_ASSIGN_OR_RETURN(RelationBody body, lookup(relation_name()));
-      if (static_cast<int>(relation_args().size()) != body.arity()) {
+namespace {
+
+// Single-variable bounds by variable: what the conjuncts around a relation
+// occurrence imply.
+using BoundsByVar = std::map<int, VarBounds>;
+
+// Adds the single-variable bounds `f` implies: a single-variable linear
+// atom's, every conjunct's of a conjunction, and an ∃'s body's outside its
+// bound variable.
+void CollectBounds(const Formula& f, BoundsByVar* bounds) {
+  switch (f.kind()) {
+    case Formula::Kind::kAtom: {
+      int var = 0;
+      VarBounds atom_bounds;
+      if (SingleVariableBounds(f.atom(), &var, &atom_bounds)) {
+        (*bounds)[var].Intersect(atom_bounds);
+      }
+      return;
+    }
+    case Formula::Kind::kAnd:
+      for (const Formula& child : f.children()) CollectBounds(child, bounds);
+      return;
+    case Formula::Kind::kExists: {
+      BoundsByVar inner;
+      CollectBounds(f.children()[0], &inner);
+      inner.erase(f.quantified_var());
+      for (const auto& [var, var_bounds] : inner) {
+        (*bounds)[var].Intersect(var_bounds);
+      }
+      return;
+    }
+    default:
+      return;
+  }
+}
+
+// InstantiateRelations under `context`, the bounds the conjuncts around
+// `f` imply: every occurrence keeps only the tuples whose box meets them.
+StatusOr<Formula> InstantiateWithin(const Formula& f,
+                                    const RelationLookup& lookup,
+                                    const BoundsByVar& context) {
+  if (!f.has_relation_symbols()) return f;
+  switch (f.kind()) {
+    case Formula::Kind::kTrue:
+    case Formula::Kind::kFalse:
+    case Formula::Kind::kAtom:
+      return f;
+    case Formula::Kind::kRelation: {
+      CCDB_ASSIGN_OR_RETURN(RelationBody body, lookup(f.relation_name()));
+      const std::vector<int>& args = f.relation_args();
+      if (static_cast<int>(args.size()) != body.arity()) {
         return Status::InvalidArgument(
-            "relation " + relation_name() + " used with arity " +
-            std::to_string(relation_args().size()) + ", declared " +
+            "relation " + f.relation_name() + " used with arity " +
+            std::to_string(args.size()) + ", declared " +
             std::to_string(body.arity()));
       }
-      return body.Instantiate(relation_args());
+      std::vector<VarBounds> columns;
+      for (std::size_t v = 0; v < args.size(); ++v) {
+        auto it = context.find(args[v]);
+        if (it == context.end()) continue;
+        columns.resize(args.size());
+        columns[v] = it->second;
+      }
+      return body.Instantiate(args, columns);
     }
-    case Kind::kNot: {
-      CCDB_ASSIGN_OR_RETURN(Formula inner,
-                            children()[0].InstantiateRelations(lookup));
-      return Not(std::move(inner));
+    case Formula::Kind::kNot: {
+      CCDB_ASSIGN_OR_RETURN(
+          Formula inner, InstantiateWithin(f.children()[0], lookup, context));
+      return Formula::Not(std::move(inner));
     }
-    case Kind::kAnd:
-    case Kind::kOr: {
+    case Formula::Kind::kOr: {
       std::vector<Formula> mapped;
-      for (const Formula& child : children()) {
-        CCDB_ASSIGN_OR_RETURN(Formula m, child.InstantiateRelations(lookup));
+      for (const Formula& child : f.children()) {
+        CCDB_ASSIGN_OR_RETURN(Formula m,
+                              InstantiateWithin(child, lookup, context));
         mapped.push_back(std::move(m));
       }
-      return kind() == Kind::kAnd ? And(mapped) : Or(mapped);
+      return Formula::Or(mapped);
     }
-    case Kind::kExists:
-    case Kind::kForall: {
+    case Formula::Kind::kAnd: {
+      BoundsByVar local = context;
+      std::vector<Formula> mapped;
+      std::vector<const Formula*> pending;
+      for (const Formula& child : f.children()) {
+        if (child.has_relation_symbols()) {
+          pending.push_back(&child);
+        } else {
+          CollectBounds(child, &local);
+          mapped.push_back(child);
+        }
+      }
+      // Compound occurrences first: one under a constant binding may
+      // instantiate to a single tuple, whose bounds then filter a bare
+      // occurrence beside it. Each instantiated conjunct implies the
+      // bounds it adds, so the later ones stay equivalent.
+      std::stable_partition(pending.begin(), pending.end(),
+                            [](const Formula* g) {
+                              return g->kind() != Formula::Kind::kRelation;
+                            });
+      for (const Formula* child : pending) {
+        CCDB_ASSIGN_OR_RETURN(Formula m,
+                              InstantiateWithin(*child, lookup, local));
+        CollectBounds(m, &local);
+        mapped.push_back(std::move(m));
+      }
+      return Formula::And(mapped);
+    }
+    case Formula::Kind::kExists:
+    case Formula::Kind::kForall: {
+      // The bound variable is a new one inside: outer bounds on it lapse.
+      const int var = f.quantified_var();
+      BoundsByVar scoped = context;
+      scoped.erase(var);
       CCDB_ASSIGN_OR_RETURN(Formula inner,
-                            children()[0].InstantiateRelations(lookup));
-      return kind() == Kind::kExists ? Exists(quantified_var(), inner)
-                                     : Forall(quantified_var(), inner);
+                            InstantiateWithin(f.children()[0], lookup, scoped));
+      return f.kind() == Formula::Kind::kExists
+                 ? Formula::Exists(var, std::move(inner))
+                 : Formula::Forall(var, std::move(inner));
     }
   }
   return Status::Internal("unreachable formula kind");
+}
+
+}  // namespace
+
+StatusOr<Formula> Formula::InstantiateRelations(
+    const RelationLookup& lookup) const {
+  return InstantiateWithin(*this, lookup, BoundsByVar());
 }
 
 Formula Formula::SubstituteValue(int var, const Rational& value) const {

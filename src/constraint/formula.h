@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -108,8 +109,14 @@ class Formula {
   /// the INSTANTIATION step of query evaluation (paper, Section 2).
   /// `lookup(name)` returns the relation's stored body (columns are
   /// variables 0..arity-1); each occurrence becomes
-  /// RelationBody::Instantiate of its argument variables. A subformula
-  /// without relation symbols is returned as is.
+  /// RelationBody::Instantiate of its argument variables, filtered by the
+  /// single-variable bounds its sibling conjuncts imply: a linear atom in
+  /// one variable (a constant argument's binding c - 7 = 0 included), and
+  /// a sibling that instantiated to a conjunction, counting only the
+  /// atoms outside its own ∃ variables. Since A ∧ (t₁ ∨ … ∨ tₙ) is
+  /// equivalent to A ∧ (the tᵢ whose box meets A), the rewrite is sound
+  /// under ¬ and ∀ as well. A subformula without relation symbols is
+  /// returned as is.
   StatusOr<Formula> InstantiateRelations(const RelationLookup& lookup) const;
 
   /// Substitutes a rational value for a free variable (into atoms).
@@ -194,26 +201,73 @@ Formula TuplesToFormula(std::span<const GeneralizedTuple> tuples);
 Formula RelationToFormula(const ConstraintRelation& relation,
                           const std::vector<int>& column_vars);
 
-/// One relation version as instantiation reads it: the relation and its
-/// body, the interned Or of its tuples' Ands over columns 0..arity-1.
-/// The body is built once, by RelationToFormula, on the first Body() or
-/// identity Instantiate(). Another column map is built by
-/// RelationToFormula(relation(), args) too, and the last one is memoized.
-/// catalog.relation_formula_builds counts the builds.
+/// Closed bounds on one variable; a missing end is unbounded.
+struct VarBounds {
+  std::optional<Rational> lower;
+  std::optional<Rational> upper;
+
+  bool bounded() const { return lower.has_value() || upper.has_value(); }
+  void TightenLower(const Rational& value);
+  void TightenUpper(const Rational& value);
+  /// Both ends of `other` tightened into this one.
+  void Intersect(const VarBounds& other);
+  /// True iff the two closed ranges share a point.
+  bool Meets(const VarBounds& other) const;
+};
+
+/// Per-tuple bounding box: a closed over-approximation of the tuple's
+/// point set, one VarBounds per column, missing ends unbounded. Built from
+/// the tuple's single-variable linear atoms, then tightened by one
+/// interval-propagation pass over its multi-variable linear atoms, so the
+/// box of a rectangle, or of a triangle cut from one by a diagonal, is its
+/// vertex hull. Nonlinear and != atoms are skipped, and strict bounds are
+/// taken as closed, so every point that satisfies the tuple lies in its
+/// box. The selection index of RelationBody — the constraint-database
+/// analogue of the spatial indexing the paper cites ([KRVV93]).
+struct TupleBox {
+  std::vector<VarBounds> columns;
+
+  /// Derives the box of one generalized tuple of the given arity.
+  static TupleBox Of(const GeneralizedTuple& tuple, int arity);
+  /// False when the point provably does not satisfy the tuple.
+  bool MayContain(const std::vector<Rational>& point) const;
+  /// False when no point within `query` (one entry per column) can
+  /// satisfy the tuple.
+  bool Meets(std::span<const VarBounds> query) const;
+};
+
+/// One relation version as instantiation reads it: the relation, its
+/// tuples' boxes, and its body, the interned Or of its tuples' Ands over
+/// columns 0..arity-1. The body is built once, by RelationToFormula, on
+/// the first Body() or unfiltered identity Instantiate(). Another column
+/// map is built by RelationToFormula(relation(), args) too, and the last
+/// one is memoized. catalog.relation_formula_builds counts the builds.
 ///
-/// A cheap handle: copies share the relation, the body and the memo, so
-/// every reader of one version builds it once. Safe to use from any
-/// number of threads.
+/// A cheap handle: copies share the relation, the boxes, the body and the
+/// memo, so every reader of one version builds each once. Safe to use from
+/// any number of threads.
 class RelationBody {
  public:
   explicit RelationBody(ConstraintRelation relation);
+  /// With the tuples' boxes already built (boxes[i] of tuple i).
+  RelationBody(ConstraintRelation relation, std::vector<TupleBox> boxes);
 
   int arity() const;
   const ConstraintRelation& relation() const;
+  /// One box per tuple, in tuple order; built on the first call when the
+  /// body was made without them.
+  const std::vector<TupleBox>& Boxes() const;
   /// The body over columns 0..arity-1.
   const Formula& Body() const;
   /// The body with column v renamed to args[v]; args.size() == arity().
-  Formula Instantiate(const std::vector<int>& args) const;
+  /// With `column_bounds` (one entry per column, or empty), only the tuples
+  /// whose box meets them: the Or of those tuples, built per call, or the
+  /// memoized body when no column is bounded or every tuple is kept. So
+  /// the result equals the body wherever every column v lies within
+  /// column_bounds[v]. Adds to query.instantiate.tuples_kept the tuples
+  /// instantiated and to query.instantiate.tuples_pruned those dropped.
+  Formula Instantiate(const std::vector<int>& args,
+                      std::span<const VarBounds> column_bounds = {}) const;
 
  private:
   struct State;

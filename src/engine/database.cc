@@ -37,8 +37,14 @@ std::string QueryProfile::ToString() const {
     out << "  PARSE                   " << FormatMillis(stats.parse_seconds)
         << "\n";
   }
+  auto delta = [this](const char* name) {
+    return MetricDelta(metric_deltas, name);
+  };
   out << "  INSTANTIATION           "
-      << FormatMillis(stats.instantiation_seconds) << "\n";
+      << FormatMillis(stats.instantiation_seconds)
+      << "  (tuples_kept=" << delta("query.instantiate.tuples_kept")
+      << ", tuples_pruned=" << delta("query.instantiate.tuples_pruned")
+      << ")\n";
   out << "  QUANTIFIER ELIMINATION  " << FormatMillis(stats.qe_seconds)
       << "  (rounds=" << stats.qe_rounds
       << ", max_bits=" << stats.max_intermediate_bits << ")\n";
@@ -60,9 +66,6 @@ std::string QueryProfile::ToString() const {
     out << "qe round " << (i + 1) << " of " << qe_rounds.size() << ":\n";
     out << qe_rounds[i].ToString(1);
   }
-  auto delta = [this](const char* name) {
-    return MetricDelta(metric_deltas, name);
-  };
   out << "caches: qe_cache hits=" << delta("qe_cache_hits")
       << " misses=" << delta("qe_cache_misses")
       << "  resultant_cache hits=" << delta("resultant_cache_hits") << "\n";

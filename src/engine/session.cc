@@ -67,17 +67,21 @@ void CollectRelationNames(const QFormula& formula,
 
 // The relation names `text` mentions, sorted and deduplicated — the
 // query's read-set, computed by a parse (no evaluation). Memoized on the
-// text alone: the AST, hence the name set, is a pure function of it.
-StatusOr<std::vector<std::string>> RelationsReadBy(const std::string& text) {
+// text alone: the AST, hence the name set, is a pure function of it. A
+// non-null `parsed` gets the parse when there was one (a memo miss), so
+// the evaluation that follows need not parse the text again.
+StatusOr<std::vector<std::string>> RelationsReadBy(
+    const std::string& text, std::optional<ParsedQuery>* parsed = nullptr) {
   static auto* cache =
       new ShardedMemoCache<std::string, std::vector<std::string>>(
           "read_set_cache", 64);
   std::vector<std::string> names;
   const bool use_cache = MemoCachesEnabled();
   if (use_cache && cache->Lookup(text, &names)) return names;
-  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text));
+  CCDB_ASSIGN_OR_RETURN(ParsedQuery parse, ParseQuery(text));
   std::set<std::string> set;
-  CollectRelationNames(*parsed, &set);
+  CollectRelationNames(*parse.formula, &set);
+  if (parsed != nullptr) *parsed = std::move(parse);
   names.assign(set.begin(), set.end());
   if (use_cache) cache->Insert(text, names);
   return names;
@@ -99,10 +103,12 @@ ReadVersions ResolveReadSet(const std::vector<std::string>& names,
 
 // The query's read-set at `snapshot`: the whole-query memo key and the
 // log's invalidation scope. Unparsable text has none (the evaluator
-// reports the parse error), so it is never cached.
+// reports the parse error), so it is never cached. `parsed` as for
+// RelationsReadBy.
 std::optional<ReadVersions> ReadSetAt(const std::string& text,
-                                      const Catalog::View& snapshot) {
-  StatusOr<std::vector<std::string>> names = RelationsReadBy(text);
+                                      const Catalog::View& snapshot,
+                                      std::optional<ParsedQuery>* parsed) {
+  StatusOr<std::vector<std::string>> names = RelationsReadBy(text, parsed);
   if (!names.ok()) return std::nullopt;
   return ResolveReadSet(*names, snapshot);
 }
@@ -423,7 +429,8 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   // the cache entirely so budget charging never depends on temperature.
   const bool use_cache = options.qe.governor == nullptr && MemoCachesEnabled();
   std::optional<ReadVersions> read_set;
-  if (use_cache || log) read_set = ReadSetAt(text, *snapshot);
+  std::optional<ParsedQuery> parsed;  // set when the read-set lookup parsed
+  if (use_cache || log) read_set = ReadSetAt(text, *snapshot, &parsed);
   StatusOr<CalcFResult> outcome = [&]() -> StatusOr<CalcFResult> {
     std::string key;
     if (use_cache && read_set) {
@@ -435,7 +442,9 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
       }
     }
     CalcFEvaluator evaluator(LookupFor(snapshot), options);
-    CCDB_ASSIGN_OR_RETURN(CalcFResult result, evaluator.EvaluateText(text));
+    CCDB_ASSIGN_OR_RETURN(CalcFResult result,
+                          parsed.has_value() ? evaluator.Evaluate(*parsed)
+                                             : evaluator.EvaluateText(text));
     if (use_cache && read_set) QueryResultCache().Insert(key, result);
     return result;
   }();
@@ -480,11 +489,14 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
   opts.qe.profile = &sink;
   std::shared_ptr<const Catalog::View> snapshot = ReadSnapshot();
   std::optional<ReadVersions> read_set;
-  if (log) read_set = ReadSetAt(text, *snapshot);
+  std::optional<ParsedQuery> parsed;
+  if (log) read_set = ReadSetAt(text, *snapshot, &parsed);
   CalcFEvaluator evaluator(LookupFor(snapshot), opts);
   ExplainAnalyzeResult out;
-  Status status =
-      FinishProfile(evaluator.EvaluateText(text), before, span, opts, &out);
+  Status status = FinishProfile(parsed.has_value()
+                                    ? evaluator.Evaluate(*parsed)
+                                    : evaluator.EvaluateText(text),
+                                before, span, opts, &out);
   out.profile.qe_rounds = sink.Take();
   // One record per call, whichever stage failed.
   if (log) {

@@ -436,14 +436,26 @@ StatusOr<CalcFResult> CalcFEvaluator::Evaluate(
   return result;
 }
 
+StatusOr<ParsedQuery> ParseQuery(const std::string& text) {
+  ParsedQuery parsed;
+  CCDB_ASSIGN_OR_RETURN(parsed.formula, ParseFormula(text, &parsed.parse_us));
+  return parsed;
+}
+
+StatusOr<CalcFResult> CalcFEvaluator::Evaluate(
+    const ParsedQuery& parsed,
+    const std::vector<std::string>& output_order) const {
+  CCDB_ASSIGN_OR_RETURN(CalcFResult result,
+                        Evaluate(*parsed.formula, output_order));
+  result.stats.parse_seconds += parsed.parse_us * 1e-6;
+  return result;
+}
+
 StatusOr<CalcFResult> CalcFEvaluator::EvaluateText(
     const std::string& text,
     const std::vector<std::string>& output_order) const {
-  std::int64_t parse_us = 0;
-  CCDB_ASSIGN_OR_RETURN(auto parsed, ParseFormula(text, &parse_us));
-  CCDB_ASSIGN_OR_RETURN(CalcFResult result, Evaluate(*parsed, output_order));
-  result.stats.parse_seconds += parse_us * 1e-6;
-  return result;
+  CCDB_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(text));
+  return Evaluate(parsed, output_order);
 }
 
 }  // namespace ccdb

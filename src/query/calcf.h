@@ -1,7 +1,9 @@
 #ifndef CCDB_QUERY_CALCF_H_
 #define CCDB_QUERY_CALCF_H_
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,6 +81,15 @@ struct CalcFResult {
   CalcFStats stats;
 };
 
+/// A query text's parse and the time it took (the PARSE stage).
+struct ParsedQuery {
+  std::shared_ptr<const QFormula> formula;
+  std::int64_t parse_us = 0;
+};
+
+/// Parses a CALC_F query text (ParseFormula), timing the parse.
+StatusOr<ParsedQuery> ParseQuery(const std::string& text);
+
 /// Bottom-up CALC_F evaluator (the Section 5 evaluation algorithm):
 /// aggregate predicates are evaluated innermost-first over the DAG G_Q;
 /// at each stage analytic functions are replaced by piecewise polynomial
@@ -96,6 +107,11 @@ class CalcFEvaluator {
   /// by `output_order` when non-empty).
   StatusOr<CalcFResult> Evaluate(
       const QFormula& query,
+      const std::vector<std::string>& output_order = {}) const;
+
+  /// Evaluates a parsed text; the result's stats carry its parse time.
+  StatusOr<CalcFResult> Evaluate(
+      const ParsedQuery& parsed,
       const std::vector<std::string>& output_order = {}) const;
 
   /// Convenience: parse and evaluate.

@@ -15,76 +15,6 @@
 
 namespace ccdb {
 
-TupleBox TupleBox::Of(const GeneralizedTuple& tuple, int arity) {
-  TupleBox box;
-  box.lower.assign(arity, std::nullopt);
-  box.upper.assign(arity, std::nullopt);
-  for (const Atom& atom : tuple.atoms) {
-    // Recognize a*x_v + b (op) 0 with a != 0 constant and single variable.
-    const Polynomial& p = atom.poly;
-    int var = p.max_var();
-    if (var < 0 || p.DegreeIn(var) != 1) continue;
-    bool single = true;
-    for (int v = 0; v < var; ++v) {
-      if (p.Mentions(v)) {
-        single = false;
-        break;
-      }
-    }
-    if (!single) continue;
-    auto coeffs = p.CoefficientsIn(var);
-    if (!coeffs[1].is_constant() || !coeffs[0].is_constant()) continue;
-    Rational a = coeffs[1].constant_value();
-    Rational bound = -coeffs[0].constant_value() / a;
-    RelOp op = atom.op;
-    // a*x + b op 0  <=>  x op' bound, with op' flipped when a < 0.
-    bool flip = a.sign() < 0;
-    auto tighten_upper = [&](const Rational& value) {
-      if (!box.upper[var].has_value() || value < *box.upper[var]) {
-        box.upper[var] = value;
-      }
-    };
-    auto tighten_lower = [&](const Rational& value) {
-      if (!box.lower[var].has_value() || value > *box.lower[var]) {
-        box.lower[var] = value;
-      }
-    };
-    switch (op) {
-      case RelOp::kLe:
-      case RelOp::kLt:
-        if (flip) {
-          tighten_lower(bound);
-        } else {
-          tighten_upper(bound);
-        }
-        break;
-      case RelOp::kGe:
-      case RelOp::kGt:
-        if (flip) {
-          tighten_upper(bound);
-        } else {
-          tighten_lower(bound);
-        }
-        break;
-      case RelOp::kEq:
-        tighten_lower(bound);
-        tighten_upper(bound);
-        break;
-      case RelOp::kNeq:
-        break;
-    }
-  }
-  return box;
-}
-
-bool TupleBox::MayContain(const std::vector<Rational>& point) const {
-  for (std::size_t v = 0; v < point.size() && v < lower.size(); ++v) {
-    if (lower[v].has_value() && point[v] < *lower[v]) return false;
-    if (upper[v].has_value() && point[v] > *upper[v]) return false;
-  }
-  return true;
-}
-
 namespace {
 
 // Process-global version source shared by every Catalog instance: a fresh
@@ -210,7 +140,7 @@ Status Catalog::AddRelation(const std::string& name,
   // for a previously dropped relation of the same name — misses.
   next->relations_.emplace(
       name, std::make_shared<const Entry>(Entry{
-                RelationBody(std::move(relation)), std::move(boxes),
+                RelationBody(std::move(relation), std::move(boxes)),
                 std::move(hashes), {next->version_, next->version_}}));
   view_ = std::move(next);
   return Status::Ok();
@@ -234,7 +164,7 @@ Status Catalog::InsertTuples(const std::string& name,
   CCDB_FAILPOINT("catalog.insert");
   auto next = std::make_shared<View>(*view_);
   ConstraintRelation relation = old.body.relation();
-  std::vector<TupleBox> boxes = old.boxes;
+  std::vector<TupleBox> boxes = old.body.Boxes();
   std::unordered_set<std::size_t> hashes = old.tuple_hashes;
   // Canonicalize the delta and drop syntactic duplicates of existing (or
   // earlier delta) tuples — exactly the normal form a serialize/parse
@@ -259,7 +189,7 @@ Status Catalog::InsertTuples(const std::string& name,
   // base unchanged: append-only
   RelationVersion version{next->version_, old.version.base};
   next->relations_[name] = std::make_shared<const Entry>(
-      Entry{RelationBody(std::move(relation)), std::move(boxes),
+      Entry{RelationBody(std::move(relation), std::move(boxes)),
             std::move(hashes), version});
   view_ = std::move(next);
   return Status::Ok();
@@ -352,8 +282,9 @@ StatusOr<bool> Catalog::View::Contains(
   if (static_cast<int>(point.size()) != relation.arity()) {
     return Status::InvalidArgument("point arity mismatch");
   }
+  const std::vector<TupleBox>& boxes = entry.body.Boxes();
   for (std::size_t i = 0; i < relation.tuples().size(); ++i) {
-    if (!entry.boxes[i].MayContain(point)) {
+    if (!boxes[i].MayContain(point)) {
       // Index fast path: the bounding box proves non-membership without
       // evaluating the tuple's polynomial constraints.
       CCDB_METRIC_COUNT("catalog.box_index.pruned", 1);

@@ -16,20 +16,6 @@
 
 namespace ccdb {
 
-/// Per-tuple bounding box derived from single-variable linear atoms
-/// (x - c <= 0 and friends). Missing bounds are unbounded. Used by the
-/// catalog's point-query fast path — the constraint-database analogue of
-/// the spatial indexing the paper cites ([KRVV93]).
-struct TupleBox {
-  std::vector<std::optional<Rational>> lower;
-  std::vector<std::optional<Rational>> upper;
-
-  /// Derives the box of one generalized tuple of the given arity.
-  static TupleBox Of(const GeneralizedTuple& tuple, int arity);
-  /// True iff the point can possibly satisfy the tuple.
-  bool MayContain(const std::vector<Rational>& point) const;
-};
-
 /// Version stamps of one named relation (see Catalog::version() for the
 /// stamp source). `version` advances on every change to the relation,
 /// including tuple inserts; `base` advances only on structural changes
@@ -59,14 +45,17 @@ struct RelationVersion {
 /// relations by shared pointer to immutable entries, so a mutation copies
 /// the name map and the one entry it changes, never the other relations.
 ///
-/// Each entry's RelationBody is the relation version's body formula, built
-/// once on the first instantiation and shared by every reader of the
-/// version (Formula::InstantiateRelations).
+/// Each entry's RelationBody is the relation version with its tuples'
+/// boxes, built when the tuples are added (a define builds every box, an
+/// insert only the appended tuples', carrying the others over), and its
+/// body formula, built once on the first instantiation and shared by every
+/// reader of the version (Formula::InstantiateRelations). The boxes are
+/// the catalog's one index: instantiation filters by them, and Contains
+/// skips a tuple whose box misses the point.
 class Catalog {
  private:
   struct Entry {
-    RelationBody body;  // the relation, and its body formula once read
-    std::vector<TupleBox> boxes;
+    RelationBody body;  // the relation, its boxes, and its body once read
     std::unordered_set<std::size_t> tuple_hashes;  // GeneralizedTuple::Hash
     RelationVersion version;
   };

@@ -17,6 +17,13 @@
 // evaluated exactly at the same x: seeded points, the answer atoms' rational
 // roots and isolating-interval endpoints, and the midpoints between them.
 //
+// Filtered reads: a stored union read through a database keeps only the
+// tuples whose box meets the bounds around the occurrence. Point location
+// is checked against GeneralizedTuple::SatisfiedAt over every stored
+// tuple; windows and a join with a one-tuple occurrence
+// against QE of the unfiltered RelationToFormula conjunction, the two
+// answers compared by EvaluateAt on a rational grid of ids.
+//
 // Determinism: the rendering is byte-identical at every thread count
 // (1, 2, 8), cached and uncached. Every corpus here has two
 // variables, so no sample point has three irrational coordinates and the
@@ -35,6 +42,7 @@
 #include "base/thread_pool.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
+#include "engine/database.h"
 #include "property_env.h"
 #include "qe/qe.h"
 #include "qe/qe_cache.h"
@@ -483,6 +491,206 @@ TEST(MixedOracleTest, MixedFragmentUnionMatchesTheOracle) {
       return body;
     });
   }
+}
+
+// A registry of convex parcels over (id, x, y): an irregular grid of
+// cells, some cut along a diagonal into two triangles, every tuple
+// id = k and, for each edge (a, b) of its counter-clockwise vertex list,
+// (bx-ax)(y-ay) - (by-ay)(x-ax) >= 0.
+ConstraintRelation RandomParcels(std::mt19937_64* rng) {
+  std::uniform_int_distribution<int> step(1, 3), cut(0, 2);
+  std::vector<int> xs = {0}, ys = {0};
+  for (int i = 0; i < 5; ++i) xs.push_back(xs.back() + step(*rng));
+  for (int i = 0; i < 5; ++i) ys.push_back(ys.back() + step(*rng));
+  using Vertices = std::vector<std::pair<int, int>>;
+  std::vector<Vertices> parcels;
+  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
+    for (std::size_t j = 0; j + 1 < ys.size(); ++j) {
+      const int x0 = xs[i], x1 = xs[i + 1], y0 = ys[j], y1 = ys[j + 1];
+      switch (cut(*rng)) {
+        case 0:
+          parcels.push_back({{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}});
+          break;
+        case 1:
+          parcels.push_back({{x0, y0}, {x1, y0}, {x1, y1}});
+          parcels.push_back({{x0, y0}, {x1, y1}, {x0, y1}});
+          break;
+        default:
+          parcels.push_back({{x0, y0}, {x1, y0}, {x0, y1}});
+          parcels.push_back({{x1, y0}, {x1, y1}, {x0, y1}});
+      }
+    }
+  }
+  ConstraintRelation relation(3);
+  const Polynomial id = Polynomial::Var(0), x = Polynomial::Var(1),
+                   y = Polynomial::Var(2);
+  for (std::size_t k = 0; k < parcels.size(); ++k) {
+    const Vertices& v = parcels[k];
+    GeneralizedTuple tuple;
+    tuple.atoms.emplace_back(id - Polynomial(static_cast<std::int64_t>(k)),
+                             RelOp::kEq);
+    for (std::size_t e = 0; e < v.size(); ++e) {
+      auto [ax, ay] = v[e];
+      auto [bx, by] = v[(e + 1) % v.size()];
+      tuple.atoms.emplace_back(Polynomial(bx - ax) * (y - Polynomial(ay)) -
+                                   Polynomial(by - ay) * (x - Polynomial(ax)),
+                               RelOp::kGe);
+    }
+    tuple.Canonicalize();
+    relation.AddTuple(std::move(tuple));
+  }
+  return relation;
+}
+
+// A rational in [0, 16] on a grid fine enough to land on vertices, edges
+// and interiors alike.
+Rational RandomCoordinate(std::mt19937_64* rng) {
+  std::uniform_int_distribution<std::int64_t> numerator(0, 64);
+  return Rational(BigInt(numerator(*rng)), BigInt(4));
+}
+
+std::string Text(const Rational& value) { return "(" + value.ToString() + ")"; }
+
+// Ids k/2 from -2 to twice the parcel count plus 2: every parcel id, the
+// half-ids between them and a few outside.
+std::vector<Rational> IdGrid(std::size_t parcels) {
+  std::vector<Rational> ids;
+  for (std::int64_t k = -4; k <= 2 * static_cast<std::int64_t>(parcels) + 4;
+       ++k) {
+    ids.push_back(Rational(BigInt(k), BigInt(2)));
+  }
+  return ids;
+}
+
+// Checks a database answer over id against an oracle formula over
+// variable 0 at every id of the grid; returns the number of ids in both.
+int ExpectSameOnIdGrid(const ConstraintRelation& answer, const Formula& oracle,
+                       std::size_t parcels, const std::string& query) {
+  const Formula got = TuplesToFormula(answer.tuples());
+  int hits = 0;
+  for (const Rational& id : IdGrid(parcels)) {
+    const bool expected = oracle.EvaluateAt({id});
+    EXPECT_EQ(got.EvaluateAt({id}), expected)
+        << "id=" << id.ToString() << " query " << query;
+    hits += expected;
+  }
+  return hits;
+}
+
+// The oracle of exists x y (body over id = 0, x = 1, y = 2): QE of the
+// relation-free formula, which instantiation never sees.
+Formula OracleExistsXY(const Formula& body) {
+  auto result =
+      EliminateQuantifiers(Formula::Exists(1, Formula::Exists(2, body)), 1);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? TuplesToFormula(result->tuples()) : Formula::False();
+}
+
+TEST(FilteredReadOracleTest, PointLocationMatchesSatisfiedAtOverAllTuples) {
+  for (int trial = 0; trial < 2 * ccdb_test::PropertyIterScale(); ++trial) {
+    std::mt19937_64 rng(500 + trial);
+    ConstraintDatabase db;
+    const ConstraintRelation parcels = RandomParcels(&rng);
+    ASSERT_TRUE(db.Register("P", parcels).ok());
+    Counter* pruned =
+        MetricsRegistry::Global().GetCounter("query.instantiate.tuples_pruned");
+    const std::uint64_t pruned_before = pruned->value();
+    for (int probe = 0; probe < 24; ++probe) {
+      const Rational px = RandomCoordinate(&rng), py = RandomCoordinate(&rng);
+      const std::string query = "P(id, " + Text(px) + ", " + Text(py) + ")";
+      auto result = db.Query(query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (const Rational& id : IdGrid(parcels.tuples().size())) {
+        bool oracle = false;
+        for (const GeneralizedTuple& tuple : parcels.tuples()) {
+          oracle |= tuple.SatisfiedAt({id, px, py});
+        }
+        EXPECT_EQ(result->relation.Contains({id}), oracle)
+            << "id=" << id.ToString() << " query " << query;
+      }
+    }
+    EXPECT_GT(pruned->value(), pruned_before);
+  }
+}
+
+TEST(FilteredReadOracleTest, WindowsMatchUnfilteredQe) {
+  const Polynomial x = Polynomial::Var(1), y = Polynomial::Var(2);
+  int hits = 0;
+  for (int trial = 0; trial < 2 * ccdb_test::PropertyIterScale(); ++trial) {
+    std::mt19937_64 rng(700 + trial);
+    ConstraintDatabase db;
+    const ConstraintRelation parcels = RandomParcels(&rng);
+    ASSERT_TRUE(db.Register("P", parcels).ok());
+    const Formula stored = RelationToFormula(parcels, {0, 1, 2});
+    for (int probe = 0; probe < 6; ++probe) {
+      const Rational x0 = RandomCoordinate(&rng), y0 = RandomCoordinate(&rng);
+      std::uniform_int_distribution<int> side(0, 8), strict(0, 1);
+      const Rational x1 = x0 + Rational(BigInt(side(rng)), BigInt(2));
+      const Rational y1 = y0 + Rational(BigInt(side(rng)), BigInt(2));
+      // Strict or closed edges: the filter takes both as closed.
+      const bool open = strict(rng) == 1;
+      const char* ge = open ? " > " : " >= ";
+      const char* le = open ? " < " : " <= ";
+      const std::string window = "x" + std::string(ge) + Text(x0) + " and x" +
+                                 le + Text(x1) + " and y" + ge + Text(y0) +
+                                 " and y" + le + Text(y1);
+      const RelOp lower = open ? RelOp::kGt : RelOp::kGe;
+      const RelOp upper = open ? RelOp::kLt : RelOp::kLe;
+      const Formula box = Formula::And(
+          {Formula::Compare(x, lower, Polynomial(x0)),
+           Formula::Compare(x, upper, Polynomial(x1)),
+           Formula::Compare(y, lower, Polynomial(y0)),
+           Formula::Compare(y, upper, Polynomial(y1))});
+      const Formula oracle = OracleExistsXY(Formula::And(stored, box));
+      const std::string query =
+          "exists x y (P(id, x, y) and " + window + ")";
+      auto result = db.Query(query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      hits += ExpectSameOnIdGrid(result->relation, oracle,
+                                 parcels.tuples().size(), query);
+    }
+  }
+  EXPECT_GT(hits, 0);
+}
+
+TEST(FilteredReadOracleTest, JoinWithAOneTupleOccurrenceMatchesUnfilteredQe) {
+  // Q(r, x, y) holds four road segments along grid lines; Q(r0, x, y)
+  // instantiates to one tuple, whose bounds then filter P beside it.
+  const Polynomial r = Polynomial::Var(3), x = Polynomial::Var(1),
+                   y = Polynomial::Var(2);
+  int hits = 0;
+  for (int trial = 0; trial < 2 * ccdb_test::PropertyIterScale(); ++trial) {
+    std::mt19937_64 rng(900 + trial);
+    ConstraintDatabase db;
+    const ConstraintRelation parcels = RandomParcels(&rng);
+    ASSERT_TRUE(db.Register("P", parcels).ok());
+    std::string roads = "Q(r, x, y) := ";
+    for (int k = 0; k < 4; ++k) {
+      const Rational at = RandomCoordinate(&rng);
+      roads += std::string(k == 0 ? "" : " or ") + "(r = " +
+               std::to_string(k) + " and " +
+               (k % 2 == 0 ? "y = " + Text(at) + " and x >= 0 and x <= 16"
+                           : "x = " + Text(at) + " and y >= 0 and y <= 16") +
+               ")";
+    }
+    ASSERT_TRUE(db.Define(roads).ok());
+    auto stored_roads = db.Relation("Q");
+    ASSERT_TRUE(stored_roads.ok());
+    const Formula stored = RelationToFormula(parcels, {0, 1, 2});
+    const Formula road = RelationToFormula(*stored_roads, {3, 1, 2});
+    for (int k = 0; k < 4; ++k) {
+      const Formula oracle = OracleExistsXY(Formula::Exists(
+          3, Formula::And({stored, road,
+                           Formula::Compare(r, RelOp::kEq, Polynomial(k))})));
+      const std::string query = "exists x y (P(id, x, y) and Q(" +
+                                std::to_string(k) + ", x, y))";
+      auto result = db.Query(query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      hits += ExpectSameOnIdGrid(result->relation, oracle,
+                                 parcels.tuples().size(), query);
+    }
+  }
+  EXPECT_GT(hits, 0);
 }
 
 }  // namespace
