@@ -1,10 +1,16 @@
 // Ablation — the QE engine's design choices (DESIGN.md): the linear
 // Fourier-Motzkin fast path, the equation-substitution pass, and the Thom
-// derivative augmentation. Each is toggled independently on a workload
-// that exercises it; the table shows what each buys.
+// derivative augmentation. The engine has no switch for any of them: each
+// ON cell runs EliminateQuantifiers, and each OFF cell calls the public
+// engine steps (qe/qe.h, qe/cad.h) that the choice skips or replaces, on a
+// workload that exercises it; the table shows what each buys.
+
+#include <algorithm>
+#include <functional>
 
 #include "bench_util.h"
 #include "constraint/formula.h"
+#include "qe/cad.h"
 #include "qe/qe.h"
 
 using namespace ccdb;
@@ -15,22 +21,51 @@ Polynomial X() { return Polynomial::Var(0); }
 Polynomial Y() { return Polynomial::Var(1); }
 Polynomial Z() { return Polynomial::Var(2); }
 
-// Runs one configuration cell under the harness deadline (--deadline-ms):
-// an exhausted cell reports nullopt and lands as `null` in the JSON row.
-std::optional<double> RunQe(const Formula& query, int free_vars,
-                            QeOptions options, QeStats* stats, bool* ok) {
+// Runs one cell under the harness deadline (--deadline-ms): an exhausted
+// cell reports nullopt and lands as `null` in the JSON row. `eliminate`
+// reports solver-level failures through *ok.
+std::optional<double> RunCell(
+    const std::function<Status(const QeOptions&)>& eliminate, bool* ok) {
   return ccdb_bench::GovernedCell(
       [&](const ResourceGovernor* gov) -> Status {
+        QeOptions options;
         options.governor = gov;
         options.pool = ccdb_bench::Pool();
-        auto result = EliminateQuantifiers(query, free_vars, options, stats);
-        *ok = result.ok();
-        if (!result.ok() &&
-            result.status().code() == StatusCode::kResourceExhausted) {
-          return result.status();
-        }
-        return Status::Ok();  // solver-level failures are reported via *ok
+        Status status = eliminate(options);
+        *ok = status.ok();
+        if (status.code() == StatusCode::kResourceExhausted) return status;
+        return Status::Ok();
       });
+}
+
+// The planned elimination: the ON cell of every workload.
+std::optional<double> RunPlanned(const Formula& query, QeStats* stats,
+                                 bool* ok) {
+  return RunCell(
+      [&](const QeOptions& options) {
+        return EliminateQuantifiers(query, 1, options, stats).status();
+      },
+      ok);
+}
+
+// CAD over the query's whole normal form, with or without peeling its
+// defining equations first: the OFF cells of workloads A and B.
+std::optional<double> RunCadOnly(const Formula& query, bool peel,
+                                 QeStats* stats, bool* ok) {
+  return RunCell(
+      [&](const QeOptions& options) -> Status {
+        CCDB_ASSIGN_OR_RETURN(QeNormalForm normal,
+                              NormalizeForQe(query, 1, options.governor));
+        if (peel) {
+          CCDB_RETURN_IF_ERROR(PeelDefiningEquations(&normal.tuples,
+                                                     &normal.prefix, options,
+                                                     stats)
+                                   .status());
+        }
+        return EliminateByCad(normal.tuples, normal.prefix, 1, options, stats)
+            .status();
+      },
+      ok);
 }
 
 }  // namespace
@@ -56,11 +91,11 @@ int main(int argc, char** argv) {
     ccdb_bench::Row("%-28s %12s %10s %12s", "configuration", "time [ms]",
                     "path", "cells");
     for (bool linear : {true, false}) {
-      QeOptions options;
-      options.allow_linear_fast_path = linear;
       QeStats stats;
       bool ok = false;
-      std::optional<double> t = RunQe(instantiated, 1, options, &stats, &ok);
+      std::optional<double> t =
+          linear ? RunPlanned(instantiated, &stats, &ok)
+                 : RunCadOnly(instantiated, /*peel=*/true, &stats, &ok);
       ccdb_bench::RecordCell(linear ? "A/linear_on" : "A/linear_off", t);
       ccdb_bench::Row("%-28s %12s %10s %12zu",
                       linear ? "linear fast path ON" : "linear fast path OFF",
@@ -96,11 +131,11 @@ int main(int argc, char** argv) {
     ccdb_bench::Row("workload B: chained defining equations (CALC_F shape)");
     ccdb_bench::Row("%-28s %12s %12s", "configuration", "time [ms]", "cells");
     for (bool substitution : {true, false}) {
-      QeOptions options;
-      options.allow_equation_substitution = substitution;
       QeStats stats;
       bool ok = false;
-      std::optional<double> t = RunQe(query, 1, options, &stats, &ok);
+      std::optional<double> t =
+          substitution ? RunPlanned(query, &stats, &ok)
+                       : RunCadOnly(query, /*peel=*/false, &stats, &ok);
       ccdb_bench::RecordCell(substitution ? "B/subst_on" : "B/subst_off", t);
       ccdb_bench::Row("%-28s %12s %12zu",
                       substitution ? "equation substitution ON"
@@ -132,30 +167,74 @@ int main(int argc, char** argv) {
     ccdb_bench::Row("%-28s %12s %10s %8s", "configuration", "time [ms]",
                     "thom used", "solved");
     for (bool thom : {true, false}) {
-      QeOptions options;
-      options.allow_thom_augmentation = thom;
       QeStats stats;
       bool ok = false;
-      std::optional<double> t = RunQe(query, 1, options, &stats, &ok);
+      // Whether the construction asked for the derivative-closed retry.
+      bool retried = false;
+      std::optional<double> t;
+      if (thom) {
+        t = RunPlanned(query, &stats, &ok);
+        retried = stats.used_thom_augmentation;
+      } else {
+        // The solution formula over the query's CAD with the same cell
+        // labels as the CAD path, built by a spec whose before_attempt
+        // observer refuses the retry (attempt 1).
+        t = RunCell(
+            [&](const QeOptions& options) -> Status {
+              CCDB_ASSIGN_OR_RETURN(QeNormalForm normal,
+                                    NormalizeForQe(query, 1, options.governor));
+              SolutionFormulaSpec spec;
+              for (const GeneralizedTuple& tuple : normal.tuples) {
+                for (const Atom& atom : tuple.atoms) {
+                  if (std::find(spec.polys.begin(), spec.polys.end(),
+                                atom.poly) == spec.polys.end()) {
+                    spec.polys.push_back(atom.poly);
+                  }
+                }
+              }
+              spec.num_vars = 2;
+              spec.num_free = 1;
+              spec.cad.governor = options.governor;
+              spec.cad.pool = options.pool;
+              spec.label_pool = options.pool;
+              // exists y: a free cell is true iff one of its y-cells
+              // satisfies the matrix.
+              spec.label = [&](const CadCell& cell) -> StatusOr<CellLabel> {
+                for (const CadCell& child : cell.children) {
+                  if (child.sample.Satisfies(normal.tuples)) {
+                    return CellLabel(std::vector<Atom>());
+                  }
+                }
+                return CellLabel();
+              };
+              spec.before_attempt = [&](int attempt) -> Status {
+                if (attempt == 0) return Status::Ok();
+                retried = true;
+                return Status::Internal("Thom-augmented retry refused");
+              };
+              return BuildSolutionFormula(spec).status();
+            },
+            &ok);
+      }
       ccdb_bench::RecordCell(thom ? "C/thom_on" : "C/thom_off", t);
       // Only the retry on the derivative-closed CAD separates 2 + sqrt2
-      // from its conjugate, so the query is solved exactly when Thom
-      // augmentation is on. An exhausted cell (deadline) proves nothing.
+      // from its conjugate, so the query is solved exactly when the retry
+      // runs, and both cells ask for it. An exhausted cell (deadline)
+      // proves nothing.
       if (t.has_value()) {
-        CCDB_CHECK_MSG(ok == thom && stats.used_thom_augmentation == thom,
-                       "workload C is solved iff Thom augmentation is on");
+        CCDB_CHECK_MSG(ok == thom && retried,
+                       "workload C is solved iff the Thom retry runs");
       }
       ccdb_bench::Row("%-28s %12s %10s %8s",
                       thom ? "Thom augmentation ON" : "Thom augmentation OFF",
                       ccdb_bench::TableCell(t).c_str(),
-                      stats.used_thom_augmentation ? "yes" : "no",
-                      ok ? "yes" : "NO");
+                      thom && retried ? "yes" : "no", ok ? "yes" : "NO");
     }
   }
 
   ccdb_bench::Row("");
   ccdb_bench::Row(
-      "expected shape: each switch carries its workload — FM beats CAD on "
+      "expected shape: each choice carries its workload — FM beats CAD on "
       "linear data, substitution avoids a 3-var CAD entirely, and the "
       "asymmetric-root query is UNSOLVABLE without Thom augmentation");
   ccdb_bench::WriteRunRecord("ablation_qe");

@@ -188,15 +188,14 @@ int main(int argc, char** argv) {
                   t_warm > 0.0 ? t_cold / t_warm : 0.0);
 
   // Planned vs unsplit elimination on a mixed-fragment query:
-  //   exists y ( (x <= y and y <= 3)               -- dense-order block
+  //   exists y ( (x <= y and y <= 3)               -- dense-order (FM) block
   //           or (x + 2y <= 4 and -1 <= y)         -- linear block
   //           or (x < 5 and x^2 + y^2 <= 4) )      -- free leaf + CAD block
   // The matrix is polynomial and all-existential, so the planner
   // miniscopes x < 5 out of the quantifier scope and dispatches the first
-  // two disjuncts to dense-order/Fourier-Motzkin: CAD only ever sees the
-  // circle. With allow_disjunct_split off the same union is one
-  // whole-matrix node and one joint CAD over every disjunct's
-  // polynomials — strictly more cells.
+  // two disjuncts to Fourier-Motzkin: CAD only ever sees the circle. The
+  // unsplit cell peels the whole normal form and builds one joint CAD over
+  // every disjunct's polynomials (EliminateByCad) — strictly more cells.
   ccdb_bench::Row("");
   ccdb_bench::Row("planned vs unsplit: mixed-fragment query (threads=%d)",
                   ccdb_bench::BenchThreads());
@@ -221,12 +220,25 @@ int main(int argc, char** argv) {
           QeOptions options;
           options.governor = gov;
           options.pool = ccdb_bench::Pool();
-          options.allow_disjunct_split = planned == 1;
           QeStats mixed_stats;
-          auto result = EliminateQuantifiers(mixed, 1, options, &mixed_stats);
-          CCDB_RETURN_IF_ERROR(result.status());
+          if (planned == 1) {
+            CCDB_RETURN_IF_ERROR(
+                EliminateQuantifiers(mixed, 1, options, &mixed_stats)
+                    .status());
+            ccdb_bench::Row("plan: %s", mixed_stats.plan.c_str());
+          } else {
+            CCDB_ASSIGN_OR_RETURN(QeNormalForm normal,
+                                  NormalizeForQe(mixed, 1, gov));
+            CCDB_RETURN_IF_ERROR(PeelDefiningEquations(&normal.tuples,
+                                                       &normal.prefix,
+                                                       options, &mixed_stats)
+                                     .status());
+            CCDB_RETURN_IF_ERROR(EliminateByCad(normal.tuples, normal.prefix,
+                                                1, options, &mixed_stats)
+                                     .status());
+            ccdb_bench::Row("unsplit: one joint CAD over the normal form");
+          }
           mixed_cells[planned] = mixed_stats.cad_cells;
-          ccdb_bench::Row("plan: %s", mixed_stats.plan.c_str());
           return Status::Ok();
         });
     ccdb_bench::RecordCell(planned ? "mixed_fragment_planned"

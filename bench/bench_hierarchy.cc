@@ -3,9 +3,10 @@
 // semantics.
 //
 // The harness demonstrates each level with witness queries whose answers
-// need exactly that level's arithmetic, and reports evaluation cost and
-// engine path (order/linear levels ride Fourier-Motzkin, the
-// multiplicative level needs CAD).
+// need exactly that level's arithmetic, and reports evaluation cost, the
+// plan that ran and the CAD cells it built (a linear matrix rides
+// Fourier-Motzkin; a polynomial one is planned into CAD blocks, where a
+// defining equation may still be peeled before any CAD is built).
 
 #include "bench_util.h"
 #include "qe/qe.h"
@@ -64,7 +65,11 @@ int main(int argc, char** argv) {
        {Rational(-1)}});
   (void)z;
 
-  ccdb_bench::Row("%-12s %10s %12s %16s", "level", "path", "time [ms]",
+  // Each witness is eliminated cold, once: the plan summary names the
+  // engine the planner dispatched (Fourier-Motzkin for a linear matrix,
+  // CAD blocks for a polynomial one) and `cad cells` what CAD built — 0
+  // when a defining equation is peeled before any CAD runs.
+  ccdb_bench::Row("%-12s %10s %12s %16s", "level", "cad cells", "time [ms]",
                   "answers check");
   for (Level& level : levels) {
     QeStats stats;
@@ -76,6 +81,8 @@ int main(int argc, char** argv) {
       CCDB_CHECK(r.ok());
       result = *r;
     });
+    ccdb_bench::RecordCell(std::string("hier_") + level.name + "_planned",
+                           elapsed);
     bool ok = true;
     for (const Rational& v : level.inside) {
       if (!result.Contains({v})) ok = false;
@@ -83,9 +90,9 @@ int main(int argc, char** argv) {
     for (const Rational& v : level.outside) {
       if (result.Contains({v})) ok = false;
     }
-    ccdb_bench::Row("%-12s %10s %12.3f %16s", level.name,
-                    stats.used_linear_path ? "linear" : "CAD",
+    ccdb_bench::Row("%-12s %10zu %12.3f %16s", level.name, stats.cad_cells,
                     elapsed * 1e3, ok ? "yes" : "NO");
+    ccdb_bench::Row("    plan:  %s", stats.plan.c_str());
     ccdb_bench::Row("    query: %s", level.description);
   }
 
@@ -96,28 +103,6 @@ int main(int argc, char** argv) {
       "query must identify (x -> x^3 preserves order but not midpoints); "
       "the FO(<=,+,*) answer set {x : x = y^2} is not semi-linear, hence "
       "outside FO(<=,+).");
-
-  // Planned elimination across the hierarchy: the planner classifies each
-  // witness into its level's fragment and dispatches the matching engine
-  // (dense-order / Fourier-Motzkin / CAD); the per-level plan summary
-  // documents the dispatch.
-  ccdb_bench::Row("");
-  ccdb_bench::Row("planned elimination per level (threads=%d)",
-                  ccdb_bench::BenchThreads());
-  ccdb_bench::Row("%-12s %14s", "level", "planned[ms]");
-  for (Level& level : levels) {
-    std::string summary;
-    double ms = ccdb_bench::TimeSeconds([&] {
-      QeOptions options;
-      options.pool = ccdb_bench::Pool();
-      QeStats stats;
-      auto r = EliminateQuantifiers(level.query, 1, options, &stats);
-      CCDB_CHECK(r.ok());
-      summary = stats.plan;
-    });
-    ccdb_bench::RecordCell(std::string("hier_") + level.name + "_planned", ms);
-    ccdb_bench::Row("%-12s %14.3f", level.name, ms * 1e3);
-    ccdb_bench::Row("    plan: %s", summary.c_str());
-  }
+  ccdb_bench::WriteRunRecord("hierarchy");
   return 0;
 }

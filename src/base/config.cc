@@ -62,17 +62,6 @@ EngineConfig EngineConfig::FromEnv(std::vector<std::string>* warnings) {
       config.threads = static_cast<int>(parsed);
     }
   }
-  if (const char* env = std::getenv("CCDB_QE_CACHE_CAPACITY")) {
-    std::uint64_t parsed = 0;
-    if (!ParseU64(env, &parsed) || parsed < 1) {
-      Warn(warnings,
-           std::string("CCDB_QE_CACHE_CAPACITY: invalid capacity \"") + env +
-               "\" (want a positive integer); using " +
-               std::to_string(config.qe_cache_capacity));
-    } else {
-      config.qe_cache_capacity = static_cast<std::size_t>(parsed);
-    }
-  }
   if (const char* env = std::getenv("CCDB_LOG_LEVEL")) {
     if (std::strcmp(env, "DEBUG") == 0 || std::strcmp(env, "INFO") == 0 ||
         std::strcmp(env, "WARN") == 0 || std::strcmp(env, "ERROR") == 0 ||
@@ -129,8 +118,7 @@ EngineConfig EngineConfig::WithThreads(int value) const {
 
 std::string EngineConfig::Canonical() const {
   std::ostringstream out;
-  out << "threads=" << threads << ",qe_cache_capacity=" << qe_cache_capacity
-      << ",log_level=" << log_level
+  out << "threads=" << threads << ",log_level=" << log_level
       << ",trace=" << trace << ",query_log=" << query_log_path
       << ",wal_fsync=" << wal_fsync
       << ",wal_checkpoint_bytes=" << wal_checkpoint_bytes;
@@ -159,7 +147,6 @@ std::string EngineConfig::ToString() const {
   std::ostringstream out;
   out << "EngineConfig (fingerprint " << Fingerprint() << ")\n"
       << "  threads               " << threads << "\n"
-      << "  qe_cache_capacity     " << qe_cache_capacity << "\n"
       << "  log_level             " << log_level << "\n"
       << "  trace                 " << (trace ? "on" : "off") << "\n"
       << "  query_log             "

@@ -7,8 +7,8 @@
 /// the engine never calls getenv — a CI gate, scripts/check_no_getenv.sh,
 /// enforces this; the only allowlisted exceptions are this file's
 /// implementation and the fault-injection registry. Subsystems
-/// that used to sniff the environment at first use (QE cache capacity,
-/// thread pool, tracing, logging, WAL durability) now read their defaults
+/// that used to sniff the environment at first use (thread pool, tracing,
+/// logging, WAL durability) now read their defaults
 /// from EngineConfig::Process(), and a Session (engine/session.h) can
 /// carry a different EngineConfig per client, so two sessions with
 /// different configurations coexist in one process.
@@ -21,7 +21,6 @@
 /// knob naming the variable and the fallback actually used — startup
 /// never crashes on a bad environment (DESIGN.md §16).
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,9 +39,6 @@ struct EngineConfig {
   /// many runners, the database's default session included; there is no
   /// process-wide pool.
   int threads = 1;
-  /// Capacity of the QE result cache (CCDB_QE_CACHE_CAPACITY,
-  /// default 4096 entries).
-  std::size_t qe_cache_capacity = 4096;
   /// Minimum log severity, one of DEBUG|INFO|WARN|ERROR|OFF
   /// (CCDB_LOG_LEVEL, default WARN). Stored as the canonical spelling.
   std::string log_level = "WARN";
@@ -66,8 +62,8 @@ struct EngineConfig {
 
   /// The process-wide configuration: FromEnv() resolved exactly once, at
   /// first use, with warnings to stderr. Every process-wide default
-  /// (the default session's pool width, QE cache capacity, log level,
-  /// tracer, query log, WAL policy) reads from here instead of calling
+  /// (the default session's pool width, log level, tracer, query log, WAL
+  /// policy) reads from here instead of calling
   /// getenv.
   static const EngineConfig& Process();
 

@@ -105,21 +105,6 @@ class ShardedMemoCache {
     return total;
   }
 
-  /// Shrinks (or grows) the bound; evicts FIFO down to the new capacity.
-  void SetCapacity(std::size_t capacity) {
-    std::size_t per_shard = capacity / shards_.size();
-    if (per_shard == 0) per_shard = 1;
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.capacity = per_shard;
-      while (shard.map.size() > shard.capacity) {
-        shard.map.erase(shard.order.front());
-        shard.order.pop_front();
-        evictions_->Increment();
-      }
-    }
-  }
-
  private:
   struct Shard {
     mutable std::mutex mu;

@@ -1108,18 +1108,23 @@ class PrefixStripper {
 };
 
 // The disjuncts of a quantifier-free, relation-free NNF formula, unsorted.
-std::vector<GeneralizedTuple> Disjuncts(const Formula& g) {
+// A conjunction's product is the DNF's blow-up (the negation of a union of
+// m tuples has the product of their sizes as disjuncts), so every disjunct
+// it builds charges a non-null `gov` one step and its atoms' bytes.
+StatusOr<std::vector<GeneralizedTuple>> Disjuncts(const Formula& g,
+                                                  const ResourceGovernor* gov) {
   switch (g.kind()) {
     case Formula::Kind::kTrue:
-      return {GeneralizedTuple()};
+      return std::vector<GeneralizedTuple>{GeneralizedTuple()};
     case Formula::Kind::kFalse:
-      return {};
+      return std::vector<GeneralizedTuple>{};
     case Formula::Kind::kAtom:
-      return {GeneralizedTuple({g.atom()})};
+      return std::vector<GeneralizedTuple>{GeneralizedTuple({g.atom()})};
     case Formula::Kind::kOr: {
       std::vector<GeneralizedTuple> out;
       for (const Formula& child : g.children()) {
-        auto sub = Disjuncts(child);
+        CCDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> sub,
+                              Disjuncts(child, gov));
         out.insert(out.end(), std::make_move_iterator(sub.begin()),
                    std::make_move_iterator(sub.end()));
       }
@@ -1128,13 +1133,22 @@ std::vector<GeneralizedTuple> Disjuncts(const Formula& g) {
     case Formula::Kind::kAnd: {
       std::vector<GeneralizedTuple> acc{GeneralizedTuple()};
       for (const Formula& child : g.children()) {
-        auto sub = Disjuncts(child);
+        CCDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> sub,
+                              Disjuncts(child, gov));
         std::vector<GeneralizedTuple> next;
         for (const GeneralizedTuple& left : acc) {
           for (const GeneralizedTuple& right : sub) {
             GeneralizedTuple merged = left;
             merged.atoms.insert(merged.atoms.end(), right.atoms.begin(),
                                 right.atoms.end());
+            if (gov != nullptr) {
+              std::size_t bytes = 0;
+              for (const Atom& atom : merged.atoms) {
+                bytes += atom.poly.EstimateBytes();
+              }
+              gov->ChargeBytes(bytes);
+              CCDB_CHECK_BUDGET(gov, "formula.dnf");
+            }
             next.push_back(std::move(merged));
           }
         }
@@ -1145,15 +1159,17 @@ std::vector<GeneralizedTuple> Disjuncts(const Formula& g) {
     default:
       CCDB_CHECK_MSG(false,
                      "ToDnf requires a quantifier/relation-free formula");
-      return {};
+      return std::vector<GeneralizedTuple>{};
   }
 }
 
 // DNF of a quantifier-free, relation-free NNF formula. Atoms of interned
 // nodes are canonical and non-constant (MakeAtom folds constants), so each
 // disjunct only needs its atoms sorted and deduplicated to be canonical.
-std::vector<GeneralizedTuple> DnfOfNnf(const Formula& nnf) {
-  std::vector<GeneralizedTuple> tuples = Disjuncts(nnf);
+StatusOr<std::vector<GeneralizedTuple>> DnfOfNnf(const Formula& nnf,
+                                                 const ResourceGovernor* gov) {
+  CCDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> tuples,
+                        Disjuncts(nnf, gov));
   // Sort each disjunct and drop syntactically duplicate ones (first
   // occurrence kept, so order stays input-derived).
   std::vector<GeneralizedTuple> kept;
@@ -1179,18 +1195,20 @@ std::vector<GeneralizedTuple> DnfOfNnf(const Formula& nnf) {
 
 }  // namespace
 
-QeNormalForm NormalizeForQe(const Formula& f, int num_free_vars) {
+StatusOr<QeNormalForm> NormalizeForQe(const Formula& f, int num_free_vars,
+                                      const ResourceGovernor* gov) {
   PrefixStripper stripper(num_free_vars);
   QeNormalForm out;
   out.matrix = stripper.Strip(ToNnf(f));
   out.prefix = std::move(stripper.prefix);
-  out.tuples = DnfOfNnf(out.matrix);
   CCDB_METRIC_COUNT("qe.normalize.atoms_renamed", stripper.atoms_renamed);
+  CCDB_ASSIGN_OR_RETURN(out.tuples, DnfOfNnf(out.matrix, gov));
   return out;
 }
 
-std::vector<GeneralizedTuple> ToDnf(const Formula& f) {
-  return DnfOfNnf(ToNnf(f));
+StatusOr<std::vector<GeneralizedTuple>> ToDnf(const Formula& f,
+                                              const ResourceGovernor* gov) {
+  return DnfOfNnf(ToNnf(f), gov);
 }
 
 }  // namespace ccdb

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "base/resource.h"
 #include "base/status.h"
 #include "constraint/atom.h"
 
@@ -178,16 +179,24 @@ struct QeNormalForm {
 /// whose free variables moves is kept as is, never re-interned. Sibling
 /// quantifier scopes are numbered in the structural child order of the NNF
 /// input. Adds the number of atoms it re-interned to the metric
-/// qe.normalize.atoms_renamed.
-QeNormalForm NormalizeForQe(const Formula& f, int num_free_vars);
+/// qe.normalize.atoms_renamed. The matrix's DNF charges a non-null `gov`
+/// as ToDnf does.
+StatusOr<QeNormalForm> NormalizeForQe(const Formula& f, int num_free_vars,
+                                      const ResourceGovernor* gov = nullptr);
 
 /// Disjunctive normal form of a quantifier-free, relation-free formula, as
 /// a list of generalized tuples, each with its atoms sorted and
 /// deduplicated, and with syntactically duplicate disjuncts dropped (first
 /// occurrence kept). Interned atoms are canonical and non-constant, so the
 /// tuples come out canonical (GeneralizedTuple::Canonicalize would not
-/// change them) and no disjunct is trivially false.
-std::vector<GeneralizedTuple> ToDnf(const Formula& f);
+/// change them) and no disjunct is trivially false. Each disjunct a
+/// conjunction's product builds charges a non-null `gov` one step at stage
+/// "formula.dnf" plus its atoms' bytes, so the product's blow-up (the
+/// negation of a union of m tuples has the product of their sizes as
+/// disjuncts) trips the governor instead of running unbounded; with a null
+/// `gov` it cannot fail.
+StatusOr<std::vector<GeneralizedTuple>> ToDnf(
+    const Formula& f, const ResourceGovernor* gov = nullptr);
 
 /// The disjunction of the tuples, each the conjunction of its atoms, over
 /// the tuples' own variables. A single tuple yields its conjunction and a

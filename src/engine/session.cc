@@ -517,7 +517,9 @@ StatusOr<std::string> Session::Plan(const std::string& text) const {
   CCDB_METRIC_COUNT("db.plans", 1);
   CCDB_ASSIGN_OR_RETURN(InstantiatedQuery query,
                         InstantiateText(text, ReadSnapshot()));
-  QueryPlan plan = PlanQuery(query.formula, query.arity, options_.qe);
+  CCDB_ASSIGN_OR_RETURN(QueryPlan plan,
+                        PlanQuery(query.formula, query.arity,
+                                  options_.qe.governor));
   return plan.ToString(query.env.NamesByIndex());
 }
 

@@ -2,22 +2,8 @@
 
 namespace ccdb {
 
-const char* FragmentName(Fragment f) {
-  switch (f) {
-    case Fragment::kDenseOrder:
-      return "dense_order";
-    case Fragment::kLinear:
-      return "linear";
-    case Fragment::kPolynomial:
-      return "polynomial";
-  }
-  return "?";
-}
-
 const char* FragmentEngine(Fragment f) {
   switch (f) {
-    case Fragment::kDenseOrder:
-      return "dense_order";
     case Fragment::kLinear:
       return "fourier_motzkin";
     case Fragment::kPolynomial:
@@ -26,57 +12,22 @@ const char* FragmentEngine(Fragment f) {
   return "?";
 }
 
-Fragment WidenFragment(Fragment a, Fragment b) {
-  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
-}
-
-bool IsDenseOrderAtom(const Atom& atom) {
-  const Polynomial& p = atom.poly;
-  if (p.TotalDegree() > 1) return false;
-  int vars = 0;
-  Rational coeff_sum(0);
-  bool has_constant = false;
-  for (const auto& [monomial, coeff] : p.terms()) {
-    if (monomial.is_one()) {
-      has_constant = true;
-      continue;
-    }
-    ++vars;
-    if (!(coeff == Rational(1) || coeff == Rational(-1))) return false;
-    coeff_sum += coeff;
-  }
-  if (vars > 2) return false;
-  if (vars == 2) {
-    // x - y form: coefficients must cancel, and no constant offset (an
-    // offset would encode addition, leaving the dense-order language).
-    return coeff_sum.is_zero() && !has_constant;
-  }
-  return true;  // x - c or a constant atom
-}
-
 bool IsLinearAtom(const Atom& atom) { return atom.poly.TotalDegree() <= 1; }
 
-Fragment ClassifyAtom(const Atom& atom) {
-  if (!IsLinearAtom(atom)) return Fragment::kPolynomial;
-  return IsDenseOrderAtom(atom) ? Fragment::kDenseOrder : Fragment::kLinear;
-}
-
 Fragment ClassifyTuple(const GeneralizedTuple& tuple) {
-  Fragment f = Fragment::kDenseOrder;
   for (const Atom& atom : tuple.atoms) {
-    f = WidenFragment(f, ClassifyAtom(atom));
-    if (f == Fragment::kPolynomial) break;
+    if (!IsLinearAtom(atom)) return Fragment::kPolynomial;
   }
-  return f;
+  return Fragment::kLinear;
 }
 
 Fragment ClassifyTuples(const std::vector<GeneralizedTuple>& tuples) {
-  Fragment f = Fragment::kDenseOrder;
   for (const GeneralizedTuple& tuple : tuples) {
-    f = WidenFragment(f, ClassifyTuple(tuple));
-    if (f == Fragment::kPolynomial) break;
+    if (ClassifyTuple(tuple) == Fragment::kPolynomial) {
+      return Fragment::kPolynomial;
+    }
   }
-  return f;
+  return Fragment::kLinear;
 }
 
 }  // namespace ccdb

@@ -6,13 +6,16 @@
 /// generalized tuple, and DNF system is classified into the CHEAPEST
 /// fragment whose elimination engine can answer it:
 ///
-///   kDenseOrder  → dense-order elimination (qe/dense_order, Theorem 4.8)
 ///   kLinear      → Fourier-Motzkin          (qe/fourier_motzkin, Thm 4.2)
 ///   kPolynomial  → CAD                      (qe/cad, Theorem 4.1)
 ///
-/// This is the one shared home of the linearity/degree tests that the
-/// engines' entry guards (IsLinearSystem, IsDenseOrderSystem) and the
-/// structure-aware planner (plan/planner) all dispatch on.
+/// FO(<=) has no engine of its own: a dense-order matrix is linear, and
+/// Fourier-Motzkin keeps dense-order input dense-order (the closure behind
+/// Theorem 4.8, checked by dense_order_test).
+///
+/// This is the one shared home of the linearity test that the engines'
+/// entry guard (IsLinearSystem) and the structure-aware planner
+/// (plan/planner) dispatch on.
 
 #include <vector>
 
@@ -21,30 +24,19 @@
 namespace ccdb {
 
 enum class Fragment {
-  kDenseOrder = 0,  // x θ y or x θ c, unit coefficients, no mixed offset
-  kLinear = 1,      // total degree <= 1
-  kPolynomial = 2,  // anything else
+  kLinear = 0,      // total degree <= 1
+  kPolynomial = 1,  // anything else
 };
 
-/// "dense_order", "linear", "polynomial".
-const char* FragmentName(Fragment f);
-/// The engine answering the fragment: "dense_order", "fourier_motzkin",
-/// "cad".
+/// The engine answering the fragment: "fourier_motzkin", "cad".
 const char* FragmentEngine(Fragment f);
-/// The coarser (more expensive) of two fragments.
-Fragment WidenFragment(Fragment a, Fragment b);
 
-/// Dense-order atom: unit-coefficient difference of at most two variables,
-/// plus a rational constant only in the one-variable case (an offset on a
-/// two-variable difference would encode addition, leaving FO(<=)).
-bool IsDenseOrderAtom(const Atom& atom);
 /// Linear atom: total degree <= 1.
 bool IsLinearAtom(const Atom& atom);
 
-Fragment ClassifyAtom(const Atom& atom);
-/// Widened over all atoms; an empty conjunction is dense-order.
+/// Polynomial iff some atom is; an empty conjunction is linear.
 Fragment ClassifyTuple(const GeneralizedTuple& tuple);
-/// Widened over all tuples; an empty system is dense-order.
+/// Polynomial iff some tuple is; an empty system is linear.
 Fragment ClassifyTuples(const std::vector<GeneralizedTuple>& tuples);
 
 }  // namespace ccdb

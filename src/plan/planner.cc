@@ -109,12 +109,8 @@ StatusOr<std::uint64_t> EliminateMatrix(std::vector<GeneralizedTuple>* tuples,
   CCDB_ASSIGN_OR_RETURN(std::uint64_t peeled,
                         PeelDefiningEquations(tuples, &prefix, options, stats));
   if (prefix.empty()) return peeled;
-  const Fragment fragment = options.allow_linear_fast_path
-                                ? ClassifyTuples(*tuples)
-                                : Fragment::kPolynomial;
-  if (fragment != Fragment::kPolynomial) {
-    CCDB_RETURN_IF_ERROR(
-        EliminateLinearPrefix(tuples, prefix, fragment, options, stats));
+  if (ClassifyTuples(*tuples) == Fragment::kLinear) {
+    CCDB_RETURN_IF_ERROR(EliminateLinearPrefix(tuples, prefix, options, stats));
   } else {
     CCDB_ASSIGN_OR_RETURN(*tuples, EliminateByCad(*tuples, prefix,
                                                   num_free_vars, options,
@@ -136,8 +132,7 @@ Status EliminateResidue(std::vector<GeneralizedTuple>* tuples,
   const bool use_cache = options.governor == nullptr && MemoCachesEnabled();
   QeCacheKey key;
   if (use_cache) {
-    key = MakeQeCacheKey(residue, num_free_vars, options,
-                         /*block_residue=*/true);
+    key = MakeQeCacheKey(residue, num_free_vars, /*block_residue=*/true);
     QeCacheValue cached;
     if (QeResultCache().Lookup(key, &cached)) {
       stats->Merge(cached.stats);
@@ -146,7 +141,9 @@ Status EliminateResidue(std::vector<GeneralizedTuple>* tuples,
       return Status::Ok();
     }
   }
-  QeNormalForm normal = NormalizeForQe(residue, num_free_vars);
+  CCDB_ASSIGN_OR_RETURN(QeNormalForm normal,
+                        NormalizeForQe(residue, num_free_vars,
+                                       options.governor));
   QeStats sub;
   sub.max_intermediate_bits = MaxCoefficientBits(normal.tuples);
   CCDB_RETURN_IF_ERROR(EliminateMatrix(&normal.tuples, std::move(normal.prefix),
@@ -166,8 +163,8 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
                               const QeOptions& options, bool profiling);
 
 // Eliminates one block with its fragment's engine: peel defining equations
-// innermost-first, then dense-order / Fourier-Motzkin rounds; polynomial
-// residue goes through EliminateResidue. `span` times the node.
+// innermost-first, then Fourier-Motzkin rounds; polynomial residue goes
+// through EliminateResidue. `span` times the node.
 StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
                                const QeOptions& options, bool profiling,
                                const TraceSpan& span) {
@@ -178,10 +175,9 @@ StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
   CCDB_ASSIGN_OR_RETURN(
       std::uint64_t peeled,
       PeelDefiningEquations(&r.tuples, &prefix, options, &r.stats));
-  if (!prefix.empty() && node.fragment != Fragment::kPolynomial) {
-    CCDB_RETURN_IF_ERROR(EliminateLinearPrefix(&r.tuples, prefix,
-                                               node.fragment, options,
-                                               &r.stats));
+  if (!prefix.empty() && node.fragment == Fragment::kLinear) {
+    CCDB_RETURN_IF_ERROR(
+        EliminateLinearPrefix(&r.tuples, prefix, options, &r.stats));
   } else if (!prefix.empty()) {
     CCDB_RETURN_IF_ERROR(
         EliminateResidue(&r.tuples, prefix, num_free_vars, options, &r.stats));
@@ -313,8 +309,7 @@ std::string QueryPlan::Summary() const {
   }
   std::ostringstream out;
   out << "union=" << root->children.size() << " blocks=" << blocks
-      << " [dense_order=" << dispatch[0]
-      << " fourier_motzkin=" << dispatch[1] << " cad=" << dispatch[2]
+      << " [fourier_motzkin=" << dispatch[0] << " cad=" << dispatch[1]
       << "] miniscoped=" << miniscope_pushes
       << " split=" << component_splits;
   return out.str();
@@ -327,14 +322,15 @@ std::string QueryPlan::ToString(const std::vector<std::string>& names) const {
   return out.str();
 }
 
-QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
-                    const QeOptions& options) {
+StatusOr<QueryPlan> PlanQuery(const Formula& formula, int num_free_vars,
+                              const ResourceGovernor* gov) {
   CCDB_TRACE_SPAN("qe.plan");
   CCDB_METRIC_COUNT("qe.plan.built", 1);
   QueryPlan plan;
   plan.num_free_vars = num_free_vars;
 
-  QeNormalForm normal = NormalizeForQe(formula, num_free_vars);
+  CCDB_ASSIGN_OR_RETURN(QeNormalForm normal,
+                        NormalizeForQe(formula, num_free_vars, gov));
   std::vector<GeneralizedTuple>& tuples = normal.tuples;
   const int q = static_cast<int>(normal.prefix.size());
   if (q == 0) {
@@ -342,19 +338,15 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
     return plan;
   }
 
-  // The matrix fragment picks the shape. Linear and dense-order matrices
-  // take one whole-union pass of their engine; so do universal prefixes
-  // (miniscoping ∃ over ∨ needs an all-existential prefix) and — with the
-  // disjunct-split ablation knob off — multi-disjunct unions.
+  // The matrix fragment picks the shape. A linear matrix takes one
+  // whole-union Fourier-Motzkin pass; so does a universal prefix
+  // (miniscoping ∃ over ∨ needs an all-existential prefix).
   bool all_exists = true;
   for (const PrenexBlock& block : normal.prefix) {
     if (!block.is_exists) all_exists = false;
   }
-  const Fragment fragment = options.allow_linear_fast_path
-                                ? ClassifyTuples(tuples)
-                                : Fragment::kPolynomial;
-  if (fragment != Fragment::kPolynomial || !all_exists ||
-      (!options.allow_disjunct_split && tuples.size() > 1)) {
+  const Fragment fragment = ClassifyTuples(tuples);
+  if (fragment == Fragment::kLinear || !all_exists) {
     auto node = std::make_shared<PlanNode>();
     node->kind = PlanNode::Kind::kMonolithic;
     node->fragment = fragment;
@@ -440,9 +432,7 @@ QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
       });
       block->prefix.reserve(ordered.size());
       for (int v : ordered) block->prefix.push_back({true, num_free_vars + v});
-      block->fragment = options.allow_linear_fast_path
-                            ? ClassifyTuple(block->tuples[0])
-                            : Fragment::kPolynomial;
+      block->fragment = ClassifyTuple(block->tuples[0]);
       ++plan.blocks;
       ++plan.dispatch[static_cast<int>(block->fragment)];
       kids.push_back(std::move(block));
@@ -471,9 +461,8 @@ StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
   CCDB_METRIC_COUNT("qe.plan.blocks", plan.blocks);
   CCDB_METRIC_COUNT("qe.plan.miniscope_pushes", plan.miniscope_pushes);
   CCDB_METRIC_COUNT("qe.plan.component_splits", plan.component_splits);
-  CCDB_METRIC_COUNT("qe.plan.dispatch.dense_order", plan.dispatch[0]);
-  CCDB_METRIC_COUNT("qe.plan.dispatch.fourier_motzkin", plan.dispatch[1]);
-  CCDB_METRIC_COUNT("qe.plan.dispatch.cad", plan.dispatch[2]);
+  CCDB_METRIC_COUNT("qe.plan.dispatch.fourier_motzkin", plan.dispatch[0]);
+  CCDB_METRIC_COUNT("qe.plan.dispatch.cad", plan.dispatch[1]);
   CCDB_ASSIGN_OR_RETURN(
       ExecResult r,
       ExecNode(*plan.root, plan.num_free_vars, options, profile != nullptr));

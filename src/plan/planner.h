@@ -19,17 +19,17 @@
 ///       graph), plus cheap-first variable elimination ordering inside a
 ///       block (min-occurrence heuristic, least-constrained variable
 ///       innermost);
-///   (c) DISPATCHES each block to the matching engine — dense-order
-///       elimination for order-only blocks, Fourier-Motzkin for linear
-///       blocks, CAD only for genuinely polynomial residue.
+///   (c) DISPATCHES each block to the matching engine — Fourier-Motzkin
+///       for linear blocks (dense-order ones included), CAD only for
+///       genuinely polynomial residue.
 ///
 /// The matrix fragment picks the shape (DESIGN.md §10): a quantifier-free
-/// input is a leaf; a linear or dense-order matrix, a prefix with a
-/// universal quantifier, or a multi-disjunct union with
-/// allow_disjunct_split off is ONE whole-matrix node (peel defining
-/// equations, then Fourier-Motzkin over the whole union, else CAD); only a
-/// polynomial all-existential matrix is miniscoped into a union of
-/// per-disjunct products of leaves and component blocks. On linear
+/// input is a leaf; a linear matrix or a prefix with a universal
+/// quantifier is ONE whole-matrix node (peel defining equations, then
+/// Fourier-Motzkin over the whole union, else CAD); only a polynomial
+/// all-existential matrix is miniscoped into a union of per-disjunct
+/// products of leaves and component blocks. There is no option to pick
+/// another shape: the plan is a function of the formula alone. On linear
 /// matrices the whole-union Fourier-Motzkin pass is what pays: it answers
 /// identically without materializing a block per disjunct.
 ///
@@ -81,7 +81,7 @@ struct PlanNode {
     kMonolithic,
   };
   Kind kind = Kind::kLeaf;
-  Fragment fragment = Fragment::kDenseOrder;
+  Fragment fragment = Fragment::kLinear;
   std::vector<PrenexBlock> prefix;       // kBlock, kMonolithic
   std::vector<GeneralizedTuple> tuples;  // kLeaf residue, else the matrix
   std::vector<std::shared_ptr<const PlanNode>> children;
@@ -94,11 +94,11 @@ struct QueryPlan {
   std::size_t blocks = 0;            // elimination blocks dispatched
   std::size_t miniscope_pushes = 0;  // scopes narrowed by miniscoping
   std::size_t component_splits = 0;  // disjuncts split into >1 block
-  std::size_t dispatch[3] = {0, 0, 0};  // block count per Fragment
+  std::size_t dispatch[2] = {0, 0};  // block count per Fragment
 
   /// One-line summary, e.g. "quantifier_free",
-  /// "monolithic[fourier_motzkin]", "union=3 blocks=4 [dense_order=1
-  /// fourier_motzkin=2 cad=1] miniscoped=2 split=1".
+  /// "monolithic[fourier_motzkin]", "union=3 blocks=4 [fourier_motzkin=3
+  /// cad=1] miniscoped=2 split=1".
   std::string Summary() const;
   /// Multi-line plan tree (the EXPLAIN rendering). `names` maps variable
   /// indices to display names; missing entries render as x<i>.
@@ -108,10 +108,11 @@ struct QueryPlan {
 /// Builds the plan for `formula` (same preconditions as
 /// EliminateQuantifiers: relation-free, free variables < num_free_vars):
 /// normalizes it once (NormalizeForQe) and picks the shape from the
-/// matrix fragment. Pure function of (formula, num_free_vars, algorithm
-/// option bits). Span "qe.plan".
-QueryPlan PlanQuery(const Formula& formula, int num_free_vars,
-                    const QeOptions& options);
+/// matrix fragment. Pure function of (formula, num_free_vars); the
+/// normalization's DNF charges a non-null `gov`, so a plan that would
+/// blow up fails with kResourceExhausted. Span "qe.plan".
+StatusOr<QueryPlan> PlanQuery(const Formula& formula, int num_free_vars,
+                              const ResourceGovernor* gov = nullptr);
 
 /// Executes a built plan. Union members fan out across options.pool and
 /// merge in member order, so the answer is identical at every thread

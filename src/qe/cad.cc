@@ -324,8 +324,7 @@ StatusOr<SolutionFormula> BuildSolutionFormula(
     CellLabel label;
   };
   ThreadPool* label_pool = ThreadPool::Resolve(spec.label_pool);
-  const int attempts = spec.allow_thom_retry ? 2 : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < 2; ++attempt) {
     if (spec.before_attempt) CCDB_RETURN_IF_ERROR(spec.before_attempt(attempt));
     CadOptions cad_options = spec.cad;
     cad_options.derivative_closure_below = attempt == 0 ? 0 : spec.num_free;
@@ -368,11 +367,8 @@ StatusOr<SolutionFormula> BuildSolutionFormula(
     if (!collision) return formula;
   }
   return Status::Internal(
-      std::string("solution formula construction failed: cells with "
-                  "different verdicts share a sign vector on ") +
-      (spec.allow_thom_retry
-           ? "both the plain and the Thom-augmented CAD"
-           : "the plain CAD (Thom augmentation not allowed, no retry ran)"));
+      "solution formula construction failed: cells with different verdicts "
+      "share a sign vector on both the plain and the Thom-augmented CAD");
 }
 
 GeneralizedTuple SignConditions(const std::vector<Polynomial>& factors,

@@ -109,15 +109,13 @@ struct SolutionFormulaSpec {
   int num_free = 0;
   /// Governor and lifting pool of every CAD built.
   CadOptions cad;
-  /// Whether a sign-vector collision may be retried once on a CAD whose
-  /// free-space factors are closed under derivatives (Thom's lemma).
-  bool allow_thom_retry = true;
   /// Cells are labeled across this pool; null labels them on the calling
   /// thread in cell order (a labeler that is not thread-safe).
   ThreadPool* label_pool = nullptr;
   std::function<StatusOr<CellLabel>(const CadCell&)> label;
   /// Optional observers: called with the attempt number (0, then 1 for the
-  /// retry) before each CAD is built, and with each CAD once built.
+  /// retry) before each CAD is built, and with each CAD once built. A
+  /// non-OK status from before_attempt ends the construction with it.
   std::function<Status(int attempt)> before_attempt;
   std::function<void(const Cad&)> on_cad;
 };
@@ -138,7 +136,8 @@ struct SolutionFormula {
 /// collects the rows. Two cells with one sign vector but different verdicts
 /// (kept with different labels, or kept and dropped) are a collision: the
 /// rows could not describe the answer. A collision is retried once on the
-/// derivative-closed CAD when allowed, else fails with kInternal.
+/// CAD whose free-space factors are closed under derivatives (Thom's
+/// lemma); a collision there too fails with kInternal.
 StatusOr<SolutionFormula> BuildSolutionFormula(const SolutionFormulaSpec& spec);
 
 /// The sign conditions `factors[i] signs[i] 0` (one sign-to-operator map

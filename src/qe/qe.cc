@@ -10,10 +10,8 @@
 #include "base/metrics.h"
 #include "base/profile.h"
 #include "base/trace.h"
-#include "plan/fragment.h"
 #include "plan/planner.h"
 #include "qe/cad.h"
-#include "qe/dense_order.h"
 #include "qe/fourier_motzkin.h"
 #include "qe/qe_cache.h"
 
@@ -21,9 +19,11 @@ namespace ccdb {
 
 namespace {
 
-std::vector<GeneralizedTuple> NegateTuples(
-    const std::vector<GeneralizedTuple>& tuples) {
-  return ToDnf(Formula::Not(TuplesToFormula(tuples)));
+// The DNF of ¬(t1 ∨ ... ∨ tm): a product over the tuples of their negated
+// atoms, charged to `gov` as it is built (ToDnf).
+StatusOr<std::vector<GeneralizedTuple>> NegateTuples(
+    const std::vector<GeneralizedTuple>& tuples, const ResourceGovernor* gov) {
+  return ToDnf(Formula::Not(TuplesToFormula(tuples)), gov);
 }
 
 std::vector<Polynomial> CollectDistinctPolys(
@@ -108,7 +108,6 @@ struct QeMetricsFolder {
   ~QeMetricsFolder() {
     CCDB_METRIC_COUNT("qe.calls", 1);
     if (s->used_linear_path) CCDB_METRIC_COUNT("qe.linear_path", 1);
-    if (s->used_dense_order_path) CCDB_METRIC_COUNT("qe.dense_order_path", 1);
     if (s->used_thom_augmentation) CCDB_METRIC_COUNT("qe.thom_augmentations", 1);
     CCDB_METRIC_MAX("qe.max_intermediate_bits", s->max_intermediate_bits);
   }
@@ -124,7 +123,6 @@ void QeStats::Merge(const QeStats& from) {
   max_intermediate_bits =
       std::max(max_intermediate_bits, from.max_intermediate_bits);
   used_linear_path |= from.used_linear_path;
-  used_dense_order_path |= from.used_dense_order_path;
   used_thom_augmentation |= from.used_thom_augmentation;
 }
 
@@ -135,7 +133,6 @@ std::string QeStats::ToString() const {
       << " fm_rounds=" << fm_rounds
       << " max_intermediate_bits=" << max_intermediate_bits
       << " linear_path=" << (used_linear_path ? "yes" : "no")
-      << " dense_order_path=" << (used_dense_order_path ? "yes" : "no")
       << " thom_augmentation=" << (used_thom_augmentation ? "yes" : "no");
   if (!plan.empty()) out << " plan={" << plan << "}";
   return out.str();
@@ -148,7 +145,6 @@ std::string QeStats::ToJson() const {
       .Add("fm_rounds", fm_rounds)
       .Add("max_intermediate_bits", max_intermediate_bits)
       .Add("used_linear_path", used_linear_path)
-      .Add("used_dense_order_path", used_dense_order_path)
       .Add("used_thom_augmentation", used_thom_augmentation)
       .Add("plan", plan)
       .Build();
@@ -180,8 +176,7 @@ StatusOr<std::uint64_t> PeelDefiningEquations(
     std::vector<GeneralizedTuple>* tuples, std::vector<PrenexBlock>* prefix,
     const QeOptions& options, QeStats* stats) {
   std::uint64_t peeled = 0;
-  while (options.allow_equation_substitution && !prefix->empty() &&
-         prefix->back().is_exists &&
+  while (!prefix->empty() && prefix->back().is_exists &&
          TrySubstituteInnermostExists(tuples, prefix->back().var)) {
     CCDB_CHECK_BUDGET(options.governor, "qe.drive");
     CCDB_METRIC_COUNT("qe.equation_substitutions", 1);
@@ -196,29 +191,24 @@ StatusOr<std::uint64_t> PeelDefiningEquations(
 
 Status EliminateLinearPrefix(std::vector<GeneralizedTuple>* tuples,
                              const std::vector<PrenexBlock>& prefix,
-                             Fragment fragment, const QeOptions& options,
-                             QeStats* stats) {
+                             const QeOptions& options, QeStats* stats) {
   CCDB_TRACE_SPAN("qe.fourier_motzkin");
   const ResourceGovernor* gov = options.governor;
-  const bool dense_order = fragment == Fragment::kDenseOrder;
-  // Dense-order rounds assert closure over FO(<=) per round, so every
-  // intermediate result stays inside the dense-order language.
-  auto eliminate = [&](const std::vector<GeneralizedTuple>& in, int var) {
-    return dense_order
-               ? EliminateExistsDenseOrder(in, var, gov, options.pool)
-               : EliminateExistsLinear(in, var, gov, options.pool);
-  };
   stats->used_linear_path = true;
-  stats->used_dense_order_path |= dense_order;
   for (auto block = prefix.rbegin(); block != prefix.rend(); ++block) {
     CCDB_CHECK_BUDGET(gov, "qe.fm");
     ++stats->fm_rounds;
     if (block->is_exists) {
-      CCDB_ASSIGN_OR_RETURN(*tuples, eliminate(*tuples, block->var));
+      CCDB_ASSIGN_OR_RETURN(
+          *tuples, EliminateExistsLinear(*tuples, block->var, gov,
+                                         options.pool));
     } else {
       CCDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> negated,
-                            eliminate(NegateTuples(*tuples), block->var));
-      *tuples = NegateTuples(negated);
+                            NegateTuples(*tuples, gov));
+      CCDB_ASSIGN_OR_RETURN(
+          negated, EliminateExistsLinear(negated, block->var, gov,
+                                         options.pool));
+      CCDB_ASSIGN_OR_RETURN(*tuples, NegateTuples(negated, gov));
     }
     stats->max_intermediate_bits =
         std::max(stats->max_intermediate_bits, MaxCoefficientBits(*tuples));
@@ -290,7 +280,6 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
   spec.num_free = num_free_vars;
   spec.cad.governor = gov;
   spec.cad.pool = options.pool;
-  spec.allow_thom_retry = options.allow_thom_augmentation;
   spec.label_pool = options.pool;
   spec.label = [&](const CadCell& cell) -> StatusOr<CellLabel> {
     if (truth(cell)) return CellLabel(std::vector<Atom>());
@@ -349,7 +338,7 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
   const bool use_cache = gov == nullptr && MemoCachesEnabled();
   QeCacheKey key;
   if (use_cache) {
-    key = MakeQeCacheKey(formula, num_free_vars, options);
+    key = MakeQeCacheKey(formula, num_free_vars);
     QeCacheValue cached;
     if (QeResultCache().Lookup(key, &cached)) {
       *s = cached.stats;
@@ -367,7 +356,8 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
     }
   }
   // One driver: normalize once, plan from the matrix fragment, execute.
-  QueryPlan plan = PlanQuery(formula, num_free_vars, options);
+  CCDB_ASSIGN_OR_RETURN(QueryPlan plan,
+                        PlanQuery(formula, num_free_vars, gov));
   s->plan = plan.Summary();
   ProfileNode prof_root;
   CCDB_ASSIGN_OR_RETURN(

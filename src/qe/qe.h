@@ -10,7 +10,6 @@
 #include "base/thread_pool.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
-#include "plan/fragment.h"
 
 namespace ccdb {
 
@@ -22,8 +21,8 @@ struct ProfileNode;
 struct QeStats {
   std::size_t cad_cells = 0;
   std::size_t projection_factors = 0;
-  /// Variable-elimination rounds taken on the linear paths (dense-order /
-  /// Fourier-Motzkin), summed over blocks and disjuncts.
+  /// Variable-elimination rounds taken on the Fourier-Motzkin path, summed
+  /// over blocks and disjuncts.
   std::uint64_t fm_rounds = 0;
   /// QE-result-cache hits that served this run or its CAD block residues.
   /// 0 on a fully cold run.
@@ -39,14 +38,10 @@ struct QeStats {
   /// the quantity Lemma 4.4 bounds.
   std::uint64_t max_intermediate_bits = 0;
   bool used_linear_path = false;
-  /// The linear path additionally recognized a pure dense-order input (the
-  /// class DO of Theorem 4.8): elimination stayed inside the dense-order
-  /// language.
-  bool used_dense_order_path = false;
   bool used_thom_augmentation = false;
   /// One-line summary of the plan that ran (QueryPlan::Summary; "" in the
   /// stats of a block residue). Deterministic — depends only on the input
-  /// formula and options.
+  /// formula.
   std::string plan;
 
   /// Accumulates a block's stats into this run's. `plan` is not merged:
@@ -58,26 +53,11 @@ struct QeStats {
   std::string ToJson() const;
 };
 
-/// Options for quantifier elimination.
+/// The execution context of quantifier elimination. It carries no
+/// algorithm choice: every query runs the one plan its matrix selects
+/// (plan/planner.h), so the finite-precision semantics FO^F_QE (Section 4)
+/// is the output of one fixed algorithm.
 struct QeOptions {
-  /// Prefer Fourier-Motzkin when every atom is linear (exact, fast, any
-  /// dimension). CAD is used otherwise.
-  bool allow_linear_fast_path = true;
-  /// Retry solution-formula construction with derivative-closed (Thom)
-  /// projection sets when plain sign vectors cannot separate true cells
-  /// from false cells.
-  bool allow_thom_augmentation = true;
-  /// Peel innermost existential quantifiers that have defining linear
-  /// equations by exact substitution before running CAD (a large win for
-  /// CALC_F's function-approximation rewriting). Disable for ablation.
-  bool allow_equation_substitution = true;
-  /// Plan a polynomial all-existential union disjunct by disjunct:
-  /// exists ȳ (D1 ∨ ... ∨ Dm) becomes m miniscoped members (plan/planner.h),
-  /// each building a CAD over only its own polynomials, unioned in input
-  /// order. Off, such a union is one whole-matrix node with one joint CAD
-  /// (the ablation baseline). The split is a deterministic algorithm
-  /// decision — it does not depend on the thread count.
-  bool allow_disjunct_split = true;
   /// Resource budget charged at every hot-loop head of the elimination
   /// (driver rounds, CAD projection/base/lifting, root isolation,
   /// Fourier-Motzkin tuples). Null = unlimited. Borrowed, not owned.
@@ -123,25 +103,23 @@ StatusOr<bool> DecideSentence(const Formula& sentence,
 /// the innermost block of *prefix is "exists v" and EVERY tuple either
 /// does not mention v or contains an equation p = 0 linear in v with a
 /// nonzero CONSTANT coefficient, v := g(rest) is substituted and the block
-/// popped. Off under !options.allow_equation_substitution. Returns the
-/// number of quantifiers peeled.
+/// popped. Returns the number of quantifiers peeled.
 StatusOr<std::uint64_t> PeelDefiningEquations(
     std::vector<GeneralizedTuple>* tuples, std::vector<PrenexBlock>* prefix,
     const QeOptions& options, QeStats* stats);
 
-/// Eliminates *prefix innermost-first from linear tuples with `fragment`'s
-/// engine (dense-order or Fourier-Motzkin); a universal block goes through
-/// negation. Span "qe.fourier_motzkin".
+/// Eliminates *prefix innermost-first from linear tuples by
+/// Fourier-Motzkin; a universal block goes through negation, whose DNF
+/// round trips charge options.governor. Span "qe.fourier_motzkin".
 Status EliminateLinearPrefix(std::vector<GeneralizedTuple>* tuples,
                              const std::vector<PrenexBlock>& prefix,
-                             Fragment fragment, const QeOptions& options,
-                             QeStats* stats);
+                             const QeOptions& options, QeStats* stats);
 
 /// The CAD path over a compact normal form (prefix[i] binds
 /// num_free_vars + i): BuildSolutionFormula labels each free-space cell
 /// with the prefix's truth over its subtree (retrying with Thom
-/// augmentation when sign vectors collide, if allowed); a sentence is
-/// decided over the base stack. Span "qe.cad_path".
+/// augmentation when sign vectors collide); a sentence is decided over the
+/// base stack. Span "qe.cad_path".
 StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
     const std::vector<GeneralizedTuple>& tuples,
     const std::vector<PrenexBlock>& prefix, int num_free_vars,

@@ -2,9 +2,9 @@
 #define CCDB_QE_QE_CACHE_H_
 
 /// The cross-query QE result cache: memoizes EliminateQuantifiers on the
-/// interned formula id, the free-variable count, and the algorithm-relevant
-/// option bits. Pure memo — a hit returns exactly the relation and stats a
-/// recomputation would produce, so output is byte-identical warm or cold
+/// interned formula id and the free-variable count. Pure memo — a hit
+/// returns exactly the relation and stats a recomputation would produce,
+/// so output is byte-identical warm or cold
 /// (qe_cache_test and plan_differential_test compare warm hits against a
 /// cleared cache and against a run under an unlimited governor, which
 /// skips every lookup).
@@ -16,6 +16,7 @@
 /// because formulas are immutable and relation symbols are instantiated
 /// away before elimination.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "base/memo.h"
@@ -28,20 +29,18 @@ namespace ccdb {
 struct QeCacheKey {
   std::uint64_t formula_id = 0;
   int num_free_vars = 0;
-  /// Packed algorithm options (linear fast path, Thom augmentation,
-  /// equation substitution, disjunct split) plus the
-  /// block-residue bit. The governor and pool are excluded: lookups only
-  /// happen ungoverned, and results are thread-count independent by the
-  /// determinism contract. A block residue (the CAD residue of one plan
-  /// block, plan/planner.cc) is eliminated without planning and its stats
-  /// carry no plan summary, so residue and whole-query entries never share
-  /// a key even for the same formula.
-  unsigned option_bits = 0;
+  /// A block residue (the CAD residue of one plan block, plan/planner.cc)
+  /// is eliminated without planning and its stats carry no plan summary,
+  /// so residue and whole-query entries never share a key even for the
+  /// same formula. QeOptions is not part of the key: lookups only happen
+  /// ungoverned, results are thread-count independent by the determinism
+  /// contract, and a profile sink only observes.
+  bool block_residue = false;
 
   bool operator==(const QeCacheKey& other) const {
     return formula_id == other.formula_id &&
            num_free_vars == other.num_free_vars &&
-           option_bits == other.option_bits;
+           block_residue == other.block_residue;
   }
 };
 
@@ -50,7 +49,7 @@ struct QeCacheKeyHash {
     std::size_t h = 1469598103934665603ull;
     h = h * 1099511628211ull + static_cast<std::size_t>(key.formula_id);
     h = h * 1099511628211ull + static_cast<std::size_t>(key.num_free_vars);
-    h = h * 1099511628211ull + key.option_bits;
+    h = h * 1099511628211ull + (key.block_residue ? 1u : 0u);
     return h;
   }
 };
@@ -62,11 +61,12 @@ struct QeCacheValue {
 };
 
 QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
-                          const QeOptions& options,
                           bool block_residue = false);
 
-/// The process-wide cache. Its capacity is EngineConfig::Process()
-/// .qe_cache_capacity (default 4096 entries), taken once at first use.
+/// Entry bound of the QE result cache (FIFO per shard).
+inline constexpr std::size_t kQeCacheCapacity = 4096;
+
+/// The process-wide cache, bounded at kQeCacheCapacity entries.
 /// Metrics: qe_cache_hits / qe_cache_misses / qe_cache_evictions.
 ShardedMemoCache<QeCacheKey, QeCacheValue, QeCacheKeyHash>& QeResultCache();
 

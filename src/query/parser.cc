@@ -221,7 +221,9 @@ class Parser {
             "relation definition mentions a non-column variable");
       }
     }
-    def.relation = ConstraintRelation(arity, ToDnf(lowered));
+    CCDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> tuples,
+                          ToDnf(lowered));
+    def.relation = ConstraintRelation(arity, std::move(tuples));
     return def;
   }
 

@@ -54,10 +54,9 @@ class ScopedEnv {
 };
 
 const char* kAllKnobs[] = {
-    "CCDB_THREADS",   "CCDB_QE_CACHE_CAPACITY",
-    "CCDB_LOG_LEVEL", "CCDB_TRACE",
-    "CCDB_QUERY_LOG", "CCDB_WAL_FSYNC",
-    "CCDB_WAL_CHECKPOINT_BYTES",
+    "CCDB_THREADS",   "CCDB_LOG_LEVEL",
+    "CCDB_TRACE",     "CCDB_QUERY_LOG",
+    "CCDB_WAL_FSYNC", "CCDB_WAL_CHECKPOINT_BYTES",
 };
 
 TEST(ConfigTest, CleanEnvironmentYieldsDefaultsWithoutWarnings) {
@@ -68,7 +67,6 @@ TEST(ConfigTest, CleanEnvironmentYieldsDefaultsWithoutWarnings) {
   EngineConfig config = EngineConfig::FromEnv(&warnings);
   EXPECT_TRUE(warnings.empty());
   EXPECT_EQ(config.threads, 1);
-  EXPECT_EQ(config.qe_cache_capacity, 4096u);
   EXPECT_EQ(config.log_level, "WARN");
   EXPECT_FALSE(config.trace);
   EXPECT_EQ(config.query_log_path, "");
@@ -80,7 +78,6 @@ TEST(ConfigTest, ValidKnobsAreParsed) {
   ScopedEnv env;
   for (const char* knob : kAllKnobs) env.Unset(knob);
   env.Set("CCDB_THREADS", "8");
-  env.Set("CCDB_QE_CACHE_CAPACITY", "128");
   env.Set("CCDB_LOG_LEVEL", "ERROR");
   env.Set("CCDB_TRACE", "1");
   env.Set("CCDB_QUERY_LOG", "/tmp/q.jsonl");
@@ -91,7 +88,6 @@ TEST(ConfigTest, ValidKnobsAreParsed) {
   EngineConfig config = EngineConfig::FromEnv(&warnings);
   EXPECT_TRUE(warnings.empty()) << warnings.front();
   EXPECT_EQ(config.threads, 8);
-  EXPECT_EQ(config.qe_cache_capacity, 128u);
   EXPECT_EQ(config.log_level, "ERROR");
   EXPECT_TRUE(config.trace);
   EXPECT_EQ(config.query_log_path, "/tmp/q.jsonl");
@@ -117,7 +113,7 @@ TEST(ConfigTest, EachBadKnobWarnsOnceNamingVariableAndFallback) {
   for (const char* knob : kAllKnobs) env.Unset(knob);
   env.Set("CCDB_THREADS", "zero");       // not an integer
   env.Set("CCDB_TRACE", "fales");        // the typo that motivated ParseBool
-  env.Set("CCDB_QE_CACHE_CAPACITY", "-4");  // negative
+  env.Set("CCDB_WAL_CHECKPOINT_BYTES", "-4");  // negative
   env.Set("CCDB_LOG_LEVEL", "verbose");  // unknown level
   env.Set("CCDB_WAL_FSYNC", "sometimes");  // unknown policy
 
@@ -139,9 +135,9 @@ TEST(ConfigTest, EachBadKnobWarnsOnceNamingVariableAndFallback) {
   EXPECT_NE(warning_for("CCDB_THREADS").find("using 1"), std::string::npos);
   EXPECT_NE(warning_for("CCDB_TRACE").find("\"fales\""), std::string::npos);
   EXPECT_NE(warning_for("CCDB_TRACE").find("using 0"), std::string::npos);
-  EXPECT_NE(warning_for("CCDB_QE_CACHE_CAPACITY").find("\"-4\""),
+  EXPECT_NE(warning_for("CCDB_WAL_CHECKPOINT_BYTES").find("\"-4\""),
             std::string::npos);
-  EXPECT_NE(warning_for("CCDB_QE_CACHE_CAPACITY").find("using 4096"),
+  EXPECT_NE(warning_for("CCDB_WAL_CHECKPOINT_BYTES").find("using 1048576"),
             std::string::npos);
   EXPECT_NE(warning_for("CCDB_LOG_LEVEL").find("\"verbose\""),
             std::string::npos);
@@ -155,9 +151,9 @@ TEST(ConfigTest, EachBadKnobWarnsOnceNamingVariableAndFallback) {
   // And every bad knob actually fell back — never crashed, never guessed.
   EXPECT_EQ(config.threads, 1);
   EXPECT_FALSE(config.trace);
-  EXPECT_EQ(config.qe_cache_capacity, 4096u);
   EXPECT_EQ(config.log_level, "WARN");
   EXPECT_EQ(config.wal_fsync, "always");
+  EXPECT_EQ(config.wal_checkpoint_bytes, 1u << 20);
 }
 
 TEST(ConfigTest, ThreadCountBoundsAreEnforced) {
@@ -203,18 +199,24 @@ TEST(ConfigTest, FingerprintIsStableAndConfigSensitive) {
   EXPECT_EQ(fp, a.Fingerprint());
   EXPECT_EQ(fp, b.Fingerprint());
 
-  // Any field change moves the fingerprint (it hashes Canonical(), which
+  // Every field moves the fingerprint (it hashes Canonical(), which
   // renders every field).
   EXPECT_NE(fp, a.WithThreads(2).Fingerprint());
+  EngineConfig quiet = a;
+  quiet.log_level = "ERROR";
+  EXPECT_NE(fp, quiet.Fingerprint());
   EngineConfig traced = a;
   traced.trace = true;
   EXPECT_NE(fp, traced.Fingerprint());
-  EngineConfig small_cache = a;
-  small_cache.qe_cache_capacity = 16;
-  EXPECT_NE(fp, small_cache.Fingerprint());
+  EngineConfig logged = a;
+  logged.query_log_path = "q.jsonl";
+  EXPECT_NE(fp, logged.Fingerprint());
   EngineConfig batched = a;
   batched.wal_fsync = "batch";
   EXPECT_NE(fp, batched.Fingerprint());
+  EngineConfig eager_checkpoint = a;
+  eager_checkpoint.wal_checkpoint_bytes = 4096;
+  EXPECT_NE(fp, eager_checkpoint.Fingerprint());
   // Distinct overrides, distinct fingerprints.
   EXPECT_NE(a.WithThreads(2).Fingerprint(), a.WithThreads(3).Fingerprint());
 
@@ -222,7 +224,7 @@ TEST(ConfigTest, FingerprintIsStableAndConfigSensitive) {
   // knob.
   const std::string canonical = a.Canonical();
   for (const char* key :
-       {"threads=", "qe_cache_capacity=", "log_level=", "trace=",
+       {"threads=", "log_level=", "trace=",
         "query_log=", "wal_fsync=", "wal_checkpoint_bytes="}) {
     EXPECT_NE(canonical.find(key), std::string::npos) << key;
   }
@@ -233,7 +235,7 @@ TEST(ConfigTest, ToStringNamesEveryKnobAndTheFingerprint) {
   const std::string table = config.ToString();
   EXPECT_NE(table.find(config.Fingerprint()), std::string::npos);
   for (const char* key :
-       {"threads", "qe_cache_capacity", "log_level", "trace", "query_log",
+       {"threads", "log_level", "trace", "query_log",
         "wal_fsync", "wal_checkpoint_bytes"}) {
     EXPECT_NE(table.find(key), std::string::npos) << key;
   }

@@ -182,14 +182,14 @@ TEST(PrenexTest, PullsAndRenames) {
   Formula left = Formula::Exists(1, Formula::Compare(X(), RelOp::kLt, Y()));
   Formula right = Formula::Exists(1, Formula::Compare(Y(), RelOp::kLt, X()));
   Formula f = Formula::And(left, right);
-  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1);
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1).value();
   ASSERT_EQ(normal.prefix.size(), 2u);
   EXPECT_TRUE(normal.prefix[0].is_exists);
   EXPECT_TRUE(normal.prefix[1].is_exists);
   EXPECT_EQ(normal.prefix[0].var, 1);
   EXPECT_EQ(normal.prefix[1].var, 2);
   EXPECT_TRUE(normal.matrix.is_quantifier_free());
-  EXPECT_EQ(normal.tuples, ToDnf(normal.matrix));
+  EXPECT_EQ(normal.tuples, ToDnf(normal.matrix).value());
   // Matrix satisfiable with suitable witnesses: x=0 and {1, -1} for the
   // two bound variables. AND children are structurally sorted, so which
   // bound variable belongs to which conjunct is not fixed — one of the two
@@ -209,7 +209,7 @@ TEST(PrenexTest, ForallUnderNegation) {
   // not (forall y (y > x)) == exists y (y <= x).
   Formula f = Formula::Not(
       Formula::Forall(1, Formula::Compare(Y(), RelOp::kGt, X())));
-  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1);
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1).value();
   ASSERT_EQ(normal.prefix.size(), 1u);
   EXPECT_TRUE(normal.prefix[0].is_exists);
   EXPECT_EQ(normal.prefix[0].var, 1);
@@ -224,7 +224,7 @@ TEST(PrenexTest, BoundVariablesAtTheirTargetsAreNotRebuilt) {
   // the quantifier's own body node.
   Formula body = Formula::And(Formula::Compare(X(), RelOp::kLt, Y()),
                               Formula::Compare(Y(), RelOp::kLt, Polynomial(3)));
-  QeNormalForm normal = NormalizeForQe(Formula::Exists(1, body), 1);
+  QeNormalForm normal = NormalizeForQe(Formula::Exists(1, body), 1).value();
   ASSERT_EQ(normal.prefix.size(), 1u);
   EXPECT_EQ(normal.prefix[0].var, 1);
   EXPECT_EQ(normal.matrix.id(), body.id());
@@ -234,7 +234,7 @@ TEST(PrenexTest, BoundVariableBelowFreeCountMovesUp) {
   // exists x (x < y) with two free slots: x (variable 0) is bound, so it
   // moves to the first quantifier slot 2 while y stays variable 1.
   Formula f = Formula::Exists(0, Formula::Compare(X(), RelOp::kLt, Y()));
-  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/2);
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/2).value();
   ASSERT_EQ(normal.prefix.size(), 1u);
   EXPECT_EQ(normal.prefix[0].var, 2);
   EXPECT_EQ(normal.matrix,
@@ -250,7 +250,7 @@ TEST(PrenexTest, ShadowedVariableGetsItsOwnSlot) {
       1, Formula::And(Formula::Compare(Y(), RelOp::kLt, Polynomial(1)),
                       Formula::And(inner, Formula::Compare(X(), RelOp::kLt,
                                                            Y()))));
-  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1);
+  QeNormalForm normal = NormalizeForQe(f, /*num_free_vars=*/1).value();
   ASSERT_EQ(normal.prefix.size(), 2u);
   Formula expected = Formula::And(
       {Formula::Compare(Y(), RelOp::kLt, Polynomial(1)),
@@ -264,7 +264,7 @@ TEST(DnfTest, CrossProduct) {
   Formula a = Formula::Compare(X(), RelOp::kLt, Polynomial(0));
   Formula b = Formula::Compare(X(), RelOp::kGt, Polynomial(5));
   Formula c = Formula::Compare(Y(), RelOp::kEq, Polynomial(1));
-  auto tuples = ToDnf(Formula::And(Formula::Or(a, b), c));
+  auto tuples = ToDnf(Formula::And(Formula::Or(a, b), c)).value();
   ASSERT_EQ(tuples.size(), 2u);
   EXPECT_EQ(tuples[0].atoms.size(), 2u);
   EXPECT_EQ(tuples[1].atoms.size(), 2u);
@@ -273,11 +273,11 @@ TEST(DnfTest, CrossProduct) {
 TEST(DnfTest, SimplifiesTrivial) {
   Formula contradiction =
       Formula::Compare(Polynomial(1), RelOp::kLt, Polynomial(0));
-  EXPECT_TRUE(ToDnf(contradiction).empty());
-  auto tuples = ToDnf(Formula::True());
+  EXPECT_TRUE(ToDnf(contradiction).value().empty());
+  auto tuples = ToDnf(Formula::True()).value();
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_TRUE(tuples[0].atoms.empty());
-  EXPECT_TRUE(ToDnf(Formula::False()).empty());
+  EXPECT_TRUE(ToDnf(Formula::False()).value().empty());
 }
 
 TEST(FormulaTest, ToStringRoundTripReadable) {

@@ -84,6 +84,38 @@ TEST(GovernorIntegrationTest, ByteBudgetStopsCad) {
       << result.status().ToString();
 }
 
+TEST(GovernorIntegrationTest, NegatedWindowDnfRespectsDeadline) {
+  // not exists x y (P(id, x, y) and <window>) over two unit rectangles:
+  // the negated matrix normalizes to 27 disjuncts, and the universal
+  // quantifiers go through the DNF of their negation, a product that grows
+  // exponentially with the disjuncts. Ungoverned it runs for tens of
+  // seconds (or out of memory); every disjunct the product builds charges
+  // the governor, so the read stops at its deadline.
+  ConstraintDatabase db;
+  ASSERT_TRUE(db.Define("P(id, x, y) := (id = 1 and x >= 0 and x <= 1 and "
+                        "y >= 0 and y <= 1) or (id = 2 and x >= 2 and "
+                        "x <= 3 and y >= 0 and y <= 1)")
+                  .ok());
+  constexpr double kDeadline = 0.5;
+  QueryPolicy policy;
+  policy.limits = ResourceLimits::Deadline(kDeadline);
+  auto start = std::chrono::steady_clock::now();
+  auto result = db.QueryWithPolicy(
+      "not exists x y (P(id, x, y) and x >= 0 and x <= 100 and y >= 0 and "
+      "y <= 100)",
+      policy);
+  double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("reason=deadline"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_LT(elapsed, 2 * kDeadline) << "governor reacted too slowly";
+}
+
 TEST(GovernorIntegrationTest, UnlimitedPolicyAnswers) {
   ConstraintDatabase db;
   ASSERT_TRUE(db.Define("S(x, y) := 4*x^2 - y - 20*x + 25 <= 0").ok());

@@ -300,7 +300,8 @@ TEST_P(InternPropertyTest, ToDnfMatchesCanonicalizingDnf) {
   for (int trial = 0; trial < 30; ++trial) {
     std::unique_ptr<Shadow> shadow;
     Formula f = RandomFormula(&rng, 3, &shadow);
-    EXPECT_EQ(ToDnf(f), CanonicalizingToDnf(f)) << f.ToString({"x", "y"});
+    EXPECT_EQ(ToDnf(f).value(), CanonicalizingToDnf(f))
+        << f.ToString({"x", "y"});
   }
 }
 

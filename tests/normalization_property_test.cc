@@ -271,7 +271,7 @@ TEST_P(NormalizationPropertyTest, DnfPreservesTruthPointwise) {
   std::mt19937_64 rng(500 + GetParam());
   for (int trial = 0; trial < 20; ++trial) {
     Formula f = RandomQfFormula(&rng, 3);
-    std::vector<GeneralizedTuple> dnf = ToDnf(f);
+    std::vector<GeneralizedTuple> dnf = ToDnf(f).value();
     for (std::int64_t xi = -4; xi <= 4; ++xi) {
       for (std::int64_t yi = -4; yi <= 4; yi += 2) {
         std::vector<Rational> point{R(xi, 2), R(yi, 3)};
@@ -305,7 +305,7 @@ TEST_P(NormalizationPropertyTest, PrenexMatrixAgreesUnderWitnesses) {
       continue;
     }
     QeNormalForm normal =
-        NormalizeForQe(Formula::Exists(3, with_z), /*num_free_vars=*/2);
+        NormalizeForQe(Formula::Exists(3, with_z), /*num_free_vars=*/2).value();
     ASSERT_EQ(normal.prefix.size(), 1u);
     ASSERT_EQ(normal.prefix[0].var, 2);
     for (std::int64_t w = -2; w <= 2; ++w) {
@@ -336,12 +336,12 @@ TEST_P(NormalizationPropertyTest, NormalizeForQeAgreesWithPrenexOracle) {
     std::iota(scope.begin(), scope.end(), 0);
     Formula f = RandomQuantifiedFormula(&rng, 4, scope);
     const std::string text = f.ToString();
-    QeNormalForm normal = NormalizeForQe(f, num_free_vars);
+    QeNormalForm normal = NormalizeForQe(f, num_free_vars).value();
     OraclePrenex oracle = OracleNormalize(f, num_free_vars);
     const std::size_t q = normal.prefix.size();
     ASSERT_EQ(q, oracle.prefix.size()) << text;
     EXPECT_TRUE(normal.matrix.is_quantifier_free()) << text;
-    EXPECT_EQ(normal.tuples, ToDnf(normal.matrix)) << text;
+    EXPECT_EQ(normal.tuples, ToDnf(normal.matrix).value()) << text;
     for (std::size_t i = 0; i < q; ++i) {
       EXPECT_EQ(normal.prefix[i].var, num_free_vars + static_cast<int>(i));
     }
@@ -438,7 +438,7 @@ TEST(AtomsRenamedCounterTest, ZeroWhenBoundVariablesSitAtTheirTargets) {
   // already variables 1 and 2: the instantiated union is not rebuilt.
   Formula aligned = LoweredRegistryQuery(/*padding=*/0);
   const std::uint64_t before = AtomsRenamed();
-  QeNormalForm normal = NormalizeForQe(aligned, /*num_free_vars=*/1);
+  QeNormalForm normal = NormalizeForQe(aligned, /*num_free_vars=*/1).value();
   EXPECT_EQ(AtomsRenamed() - before, 0u);
   EXPECT_EQ(normal.prefix.size(), 2u);
   EXPECT_EQ(normal.tuples.size(), 2u);
@@ -449,10 +449,10 @@ TEST(AtomsRenamedCounterTest, CountsAtomsWhoseBoundVariablesMove) {
   // and must move to 1 and 2; the result is the aligned query's.
   Formula moved = LoweredRegistryQuery(/*padding=*/2);
   const std::uint64_t before = AtomsRenamed();
-  QeNormalForm normal = NormalizeForQe(moved, /*num_free_vars=*/1);
+  QeNormalForm normal = NormalizeForQe(moved, /*num_free_vars=*/1).value();
   EXPECT_GT(AtomsRenamed() - before, 0u);
   QeNormalForm aligned =
-      NormalizeForQe(LoweredRegistryQuery(/*padding=*/0), 1);
+      NormalizeForQe(LoweredRegistryQuery(/*padding=*/0), 1).value();
   EXPECT_EQ(normal.matrix, aligned.matrix);
   EXPECT_EQ(normal.tuples, aligned.tuples);
 }

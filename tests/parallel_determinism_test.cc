@@ -98,18 +98,24 @@ TEST(ParallelDeterminismTest, NonlinearDisjunctSplit) {
 }
 
 TEST(ParallelDeterminismTest, NonlinearJointCad) {
-  // Split disabled: the whole union goes through one joint CAD, so the
-  // base/lifting fan-out itself is what must stay deterministic.
+  // The direct joint-CAD oracle: the whole union's normal form, peeled,
+  // goes through one CAD, so the base/lifting fan-out itself is what must
+  // stay deterministic.
   Formula formula = ParabolaBands(3);
   auto run = [&](int threads) {
     ThreadPool pool(threads);
     QeOptions options;
     options.pool = &pool;
-    options.allow_disjunct_split = false;
     QeStats stats;
-    auto result = EliminateQuantifiers(formula, 1, options, &stats);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return QeRun{result.ok() ? result->ToString() : "", stats.ToJson()};
+    QeNormalForm normal = NormalizeForQe(formula, 1).value();
+    EXPECT_TRUE(PeelDefiningEquations(&normal.tuples, &normal.prefix,
+                                      options, &stats)
+                    .ok());
+    auto tuples =
+        EliminateByCad(normal.tuples, normal.prefix, 1, options, &stats);
+    EXPECT_TRUE(tuples.ok()) << tuples.status().ToString();
+    return QeRun{tuples.ok() ? ConstraintRelation(1, *tuples).ToString() : "",
+                 stats.ToJson()};
   };
   QeRun baseline = run(1);
   for (int threads : kThreadCounts) {

@@ -1,10 +1,11 @@
 // Unit tests for the structure-aware query planner (plan/planner.h) and
 // the shared fragment classifier (plan/fragment.h): atom/tuple
-// classification into the FO(<=) ⊂ FO(<=,+) ⊂ FO(<=,+,*) hierarchy,
-// miniscoping of ∃ past non-mentioning conjuncts, independent-component
-// splitting, the min-occurrence elimination order, per-fragment engine
-// dispatch, the matrix-fragment choice between one whole-matrix node and a
-// miniscoped union, and the database-level .plan / EXPLAIN surfaces.
+// classification into the linear (FO(<=) and FO(<=,+)) and polynomial
+// (FO(<=,+,*)) fragments, miniscoping of ∃ past non-mentioning
+// conjuncts, independent-component splitting, the min-occurrence
+// elimination order, per-fragment engine dispatch, the matrix-fragment
+// choice between one whole-matrix node and a miniscoped union, and the
+// database-level .plan / EXPLAIN surfaces.
 
 #include <gtest/gtest.h>
 
@@ -60,64 +61,58 @@ Formula MixedFragmentQuery() {
   return Formula::Exists(1, Formula::Or({dense, linear, poly}));
 }
 
-// ---------------------------------------------------------------------------
-// Fragment classification (the shared linearity/degree helper).
-
-TEST(FragmentTest, DenseOrderAtoms) {
-  EXPECT_TRUE(IsDenseOrderAtom(A(X() - Y())));          // x <= y
-  EXPECT_TRUE(IsDenseOrderAtom(A(Y() - X(), RelOp::kLt)));
-  EXPECT_TRUE(IsDenseOrderAtom(A(X() - Polynomial(3))));  // x <= 3
-  EXPECT_TRUE(IsDenseOrderAtom(A(-X() + Polynomial(7), RelOp::kEq)));
-  EXPECT_TRUE(IsDenseOrderAtom(A(Polynomial(0))));        // constant atom
+// The direct joint-CAD oracle: the whole normal form, defining equations
+// peeled, eliminated by ONE CAD over every disjunct's polynomials — what
+// eliminating a polynomial union without the planner's split costs.
+StatusOr<ConstraintRelation> JointCad(const Formula& formula,
+                                      int num_free_vars, QeStats* stats) {
+  CCDB_ASSIGN_OR_RETURN(QeNormalForm normal,
+                        NormalizeForQe(formula, num_free_vars));
+  CCDB_RETURN_IF_ERROR(PeelDefiningEquations(&normal.tuples, &normal.prefix,
+                                             Pooled(), stats)
+                           .status());
+  CCDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> tuples,
+                        EliminateByCad(normal.tuples, normal.prefix,
+                                       num_free_vars, Pooled(), stats));
+  return ConstraintRelation(num_free_vars, std::move(tuples));
 }
 
-TEST(FragmentTest, LinearButNotDenseOrderAtoms) {
-  // A constant offset on a two-variable difference encodes addition.
-  EXPECT_FALSE(IsDenseOrderAtom(A(X() - Y() + Polynomial(1))));
-  // Non-unit coefficients encode addition (x + x).
-  EXPECT_FALSE(IsDenseOrderAtom(A(Polynomial(2) * X())));
-  // Same-sign coefficients (x + y) are not an order comparison.
-  EXPECT_FALSE(IsDenseOrderAtom(A(X() + Y())));
-  // Three variables cannot be a single comparison.
-  EXPECT_FALSE(IsDenseOrderAtom(A(X() + Y() - Z())));
+// ---------------------------------------------------------------------------
+// Fragment classification (the shared linearity helper).
+
+TEST(FragmentTest, LinearAtoms) {
+  // Order comparisons (dense-order atoms) and genuine linear arithmetic
+  // are one fragment: Fourier-Motzkin answers both.
   for (const Atom& atom :
-       {A(X() - Y() + Polynomial(1)), A(Polynomial(2) * X()), A(X() + Y()),
+       {A(X() - Y()), A(X() - Polynomial(3)), A(Polynomial(0)),
+        A(X() - Y() + Polynomial(1)), A(Polynomial(2) * X()), A(X() + Y()),
         A(X() + Y() - Z())}) {
     EXPECT_TRUE(IsLinearAtom(atom));
-    EXPECT_EQ(ClassifyAtom(atom), Fragment::kLinear);
   }
 }
 
 TEST(FragmentTest, PolynomialAtoms) {
   EXPECT_FALSE(IsLinearAtom(A(X() * Y())));
-  EXPECT_EQ(ClassifyAtom(A(X() * X() - Y())), Fragment::kPolynomial);
-  EXPECT_EQ(ClassifyAtom(A(X().Pow(3))), Fragment::kPolynomial);
+  EXPECT_FALSE(IsLinearAtom(A(X() * X() - Y())));
+  EXPECT_FALSE(IsLinearAtom(A(X().Pow(3))));
 }
 
-TEST(FragmentTest, TupleAndSystemWidening) {
-  EXPECT_EQ(ClassifyTuple(GeneralizedTuple{}), Fragment::kDenseOrder);
-  EXPECT_EQ(ClassifyTuples({}), Fragment::kDenseOrder);
+TEST(FragmentTest, TupleAndSystemClassification) {
+  EXPECT_EQ(ClassifyTuple(GeneralizedTuple{}), Fragment::kLinear);
+  EXPECT_EQ(ClassifyTuples({}), Fragment::kLinear);
   GeneralizedTuple dense({A(X() - Y()), A(X() - Polynomial(1))});
   GeneralizedTuple linear({A(X() - Y()), A(Polynomial(2) * X() + Y())});
   GeneralizedTuple poly({A(X() - Y()), A(X() * X())});
-  EXPECT_EQ(ClassifyTuple(dense), Fragment::kDenseOrder);
+  EXPECT_EQ(ClassifyTuple(dense), Fragment::kLinear);
   EXPECT_EQ(ClassifyTuple(linear), Fragment::kLinear);
   EXPECT_EQ(ClassifyTuple(poly), Fragment::kPolynomial);
   EXPECT_EQ(ClassifyTuples({dense, linear}), Fragment::kLinear);
   EXPECT_EQ(ClassifyTuples({dense, linear, poly}), Fragment::kPolynomial);
 }
 
-TEST(FragmentTest, NamesAndWidening) {
-  EXPECT_STREQ(FragmentName(Fragment::kDenseOrder), "dense_order");
-  EXPECT_STREQ(FragmentName(Fragment::kLinear), "linear");
-  EXPECT_STREQ(FragmentName(Fragment::kPolynomial), "polynomial");
-  EXPECT_STREQ(FragmentEngine(Fragment::kDenseOrder), "dense_order");
+TEST(FragmentTest, EngineNames) {
   EXPECT_STREQ(FragmentEngine(Fragment::kLinear), "fourier_motzkin");
   EXPECT_STREQ(FragmentEngine(Fragment::kPolynomial), "cad");
-  EXPECT_EQ(WidenFragment(Fragment::kDenseOrder, Fragment::kPolynomial),
-            Fragment::kPolynomial);
-  EXPECT_EQ(WidenFragment(Fragment::kLinear, Fragment::kDenseOrder),
-            Fragment::kLinear);
 }
 
 // ---------------------------------------------------------------------------
@@ -126,8 +121,8 @@ TEST(FragmentTest, NamesAndWidening) {
 // order and dispatch.
 
 TEST(PlanQueryTest, QuantifierFreeInputIsALeaf) {
-  QueryPlan plan = PlanQuery(Formula::Compare(X(), RelOp::kLe, Polynomial(1)),
-                             1, QeOptions{});
+  QueryPlan plan =
+      PlanQuery(Formula::Compare(X(), RelOp::kLe, Polynomial(1)), 1).value();
   ASSERT_NE(plan.root, nullptr);
   EXPECT_EQ(plan.root->kind, PlanNode::Kind::kLeaf);
   EXPECT_EQ(plan.blocks, 0u);
@@ -144,26 +139,26 @@ TEST(PlanQueryTest, LinearMatrixPlansToOneWholeMatrixNode) {
                           Formula::Compare(Y(), RelOp::kLe, X())),
              Formula::Compare(X() + Polynomial(2) * Y(), RelOp::kLe,
                               Polynomial(4))));
-  QueryPlan plan = PlanQuery(query, 1, QeOptions{});
+  QueryPlan plan = PlanQuery(query, 1).value();
   ASSERT_EQ(plan.root->kind, PlanNode::Kind::kMonolithic);
   EXPECT_TRUE(plan.root->children.empty());
   EXPECT_EQ(plan.root->fragment, Fragment::kLinear);
   EXPECT_EQ(PrefixVars(*plan.root), std::vector<int>({1}));
   EXPECT_EQ(plan.root->tuples.size(), 2u);
   EXPECT_EQ(plan.blocks, 1u);
-  EXPECT_EQ(plan.dispatch[1], 1u);
+  EXPECT_EQ(plan.dispatch[0], 1u);
   EXPECT_EQ(plan.miniscope_pushes, 0u);
   EXPECT_EQ(plan.Summary(), "monolithic[fourier_motzkin]");
   EXPECT_NE(
       plan.ToString({"x", "y"}).find("monolithic[fourier_motzkin] exists y"),
       std::string::npos);
 
-  // A dense-order matrix is one node of the dense-order engine.
+  // A dense-order matrix is linear: the same one Fourier-Motzkin node.
   Formula dense = Formula::Exists(
       1, Formula::And(Formula::Compare(X(), RelOp::kLe, Y()),
                       Formula::Compare(Y(), RelOp::kLe, Polynomial(3))));
-  EXPECT_EQ(PlanQuery(dense, 1, QeOptions{}).Summary(),
-            "monolithic[dense_order]");
+  EXPECT_EQ(PlanQuery(dense, 1).value().Summary(),
+            "monolithic[fourier_motzkin]");
 }
 
 TEST(PlanQueryTest, MiniscopingPushesNonMentioningConjunctsIntoALeaf) {
@@ -173,7 +168,7 @@ TEST(PlanQueryTest, MiniscopingPushesNonMentioningConjunctsIntoALeaf) {
   Formula query = Formula::Exists(
       1, Formula::And(Formula::Compare(X(), RelOp::kLe, Polynomial(3)),
                       Formula::Compare(Y() * Y(), RelOp::kLe, X())));
-  QueryPlan plan = PlanQuery(query, 1, QeOptions{});
+  QueryPlan plan = PlanQuery(query, 1).value();
   EXPECT_EQ(plan.miniscope_pushes, 1u);
   EXPECT_EQ(plan.blocks, 1u);
   ASSERT_EQ(plan.root->kind, PlanNode::Kind::kUnion);
@@ -197,7 +192,7 @@ TEST(PlanQueryTest, IndependentVariableComponentsSplitIntoSeparateBlocks) {
       1, Formula::Exists(
              2, Formula::And(Formula::Compare(Y(), RelOp::kLe, X()),
                              Formula::Compare(Z() * Z(), RelOp::kLe, X()))));
-  QueryPlan plan = PlanQuery(query, 1, QeOptions{});
+  QueryPlan plan = PlanQuery(query, 1).value();
   EXPECT_EQ(plan.component_splits, 1u);
   EXPECT_EQ(plan.blocks, 2u);
   EXPECT_EQ(plan.miniscope_pushes, 0u);
@@ -211,7 +206,7 @@ TEST(PlanQueryTest, IndependentVariableComponentsSplitIntoSeparateBlocks) {
     EXPECT_EQ(child->prefix.size(), 1u);
   }
   // Each component is dispatched on its own: y's block stays linear.
-  EXPECT_EQ(disjunct.children[0]->fragment, Fragment::kDenseOrder);
+  EXPECT_EQ(disjunct.children[0]->fragment, Fragment::kLinear);
   EXPECT_EQ(disjunct.children[1]->fragment, Fragment::kPolynomial);
 }
 
@@ -226,7 +221,7 @@ TEST(PlanQueryTest, MinOccurrenceVariableGoesInnermost) {
                               Formula::Compare(Z() * Z(), RelOp::kLe, X()),
                               Formula::Compare(Polynomial(0), RelOp::kLe,
                                                Z())})));
-  QueryPlan plan = PlanQuery(query, 1, QeOptions{});
+  QueryPlan plan = PlanQuery(query, 1).value();
   EXPECT_EQ(plan.blocks, 1u);
   EXPECT_EQ(plan.component_splits, 0u);
   ASSERT_EQ(plan.root->kind, PlanNode::Kind::kUnion);
@@ -237,53 +232,33 @@ TEST(PlanQueryTest, MinOccurrenceVariableGoesInnermost) {
 
 TEST(PlanQueryTest, DispatchClassifiesEachDisjunctIntoItsCheapestEngine) {
   // A three-way union mixing the hierarchy's levels is a polynomial
-  // matrix, so it is miniscoped: one block per fragment — dense-order,
-  // Fourier-Motzkin, and CAD.
-  QueryPlan plan = PlanQuery(MixedFragmentQuery(), 1, QeOptions{});
+  // matrix, so it is miniscoped: the dense-order and the linear disjunct
+  // go to Fourier-Motzkin, the circle to CAD.
+  QueryPlan plan = PlanQuery(MixedFragmentQuery(), 1).value();
   EXPECT_EQ(plan.blocks, 3u);
-  EXPECT_EQ(plan.dispatch[0], 1u);  // dense order
-  EXPECT_EQ(plan.dispatch[1], 1u);  // Fourier-Motzkin
-  EXPECT_EQ(plan.dispatch[2], 1u);  // CAD
+  EXPECT_EQ(plan.dispatch[0], 2u);  // Fourier-Motzkin
+  EXPECT_EQ(plan.dispatch[1], 1u);  // CAD
   EXPECT_EQ(plan.Summary(),
-            "union=3 blocks=3 [dense_order=1 fourier_motzkin=1 cad=1] "
-            "miniscoped=1 split=0");
+            "union=3 blocks=3 [fourier_motzkin=2 cad=1] miniscoped=1 "
+            "split=0");
   // The tree rendering names the engines and the quantified variable.
   std::string tree = plan.ToString({"x", "y"});
   EXPECT_NE(tree.find("plan ("), std::string::npos);
-  EXPECT_NE(tree.find("dense_order"), std::string::npos);
-  EXPECT_NE(tree.find("fourier_motzkin"), std::string::npos);
-  EXPECT_NE(tree.find("cad"), std::string::npos);
+  EXPECT_NE(tree.find("block[fourier_motzkin]"), std::string::npos);
+  EXPECT_NE(tree.find("block[cad]"), std::string::npos);
   EXPECT_NE(tree.find("exists y"), std::string::npos);
-}
-
-TEST(PlanQueryTest, DisabledLinearFastPathForcesCadDispatch) {
-  QeOptions options;
-  options.allow_linear_fast_path = false;
-  Formula query = Formula::Exists(1, Formula::Compare(Y(), RelOp::kLe, X()));
-  QueryPlan plan = PlanQuery(query, 1, options);
-  EXPECT_EQ(plan.dispatch[0], 0u);
-  EXPECT_EQ(plan.dispatch[2], 1u);
 }
 
 TEST(PlanQueryTest, UniversalPrefixIsOneMatrixNode) {
   Formula query = Formula::Forall(
       1, Formula::Compare(Y() * Y() + X(), RelOp::kGe, Polynomial(0)));
-  QueryPlan plan = PlanQuery(query, 1, QeOptions{});
+  QueryPlan plan = PlanQuery(query, 1).value();
   ASSERT_EQ(plan.root->kind, PlanNode::Kind::kMonolithic);
   ASSERT_EQ(plan.root->prefix.size(), 1u);
   EXPECT_FALSE(plan.root->prefix[0].is_exists);
   EXPECT_EQ(plan.Summary(), "monolithic[cad]");
   EXPECT_NE(plan.ToString({"x", "y"}).find("monolithic[cad] forall y"),
             std::string::npos);
-}
-
-TEST(PlanQueryTest, DisabledDisjunctSplitKeepsAPolynomialUnionWhole) {
-  QeOptions options;
-  options.allow_disjunct_split = false;
-  QueryPlan plan = PlanQuery(MixedFragmentQuery(), 1, options);
-  ASSERT_EQ(plan.root->kind, PlanNode::Kind::kMonolithic);
-  EXPECT_EQ(plan.root->tuples.size(), 3u);
-  EXPECT_EQ(plan.Summary(), "monolithic[cad]");
 }
 
 // ---------------------------------------------------------------------------
@@ -299,12 +274,13 @@ TEST(PlanExecTest, StatsCarryThePlanThatRan) {
   auto linear_result = EliminateQuantifiers(linear, 1, Pooled(),
                                             &linear_stats);
   ASSERT_TRUE(linear_result.ok()) << linear_result.status().ToString();
-  EXPECT_EQ(linear_stats.plan, "monolithic[dense_order]");
+  EXPECT_EQ(linear_stats.plan, "monolithic[fourier_motzkin]");
   EXPECT_TRUE(linear_stats.used_linear_path);
   EXPECT_EQ(linear_stats.fm_rounds, 1u);
   EXPECT_EQ(linear_stats.cad_cells, 0u);
-  EXPECT_NE(linear_stats.ToString().find("plan={monolithic[dense_order]}"),
-            std::string::npos);
+  EXPECT_NE(
+      linear_stats.ToString().find("plan={monolithic[fourier_motzkin]}"),
+      std::string::npos);
   EXPECT_EQ(linear_result->ToString(), "(x0 >= 0)");
 
   // ...a quantifier-free input is a leaf...
@@ -327,29 +303,25 @@ TEST(PlanExecTest, StatsCarryThePlanThatRan) {
   ASSERT_TRUE(peeled_result.ok()) << peeled_result.status().ToString();
   EXPECT_EQ(peeled_stats.cad_cells, 0u);
   EXPECT_EQ(peeled_stats.plan,
-            "union=1 blocks=1 [dense_order=0 fourier_motzkin=0 cad=1] "
-            "miniscoped=0 split=0");
+            "union=1 blocks=1 [fourier_motzkin=0 cad=1] miniscoped=0 "
+            "split=0");
 }
 
 TEST(PlanExecTest, MixedFragmentQueryPlansFewerCadCellsThanUnsplit) {
   // The planner routes only the genuinely polynomial disjunct through CAD;
-  // with the split off, the whole union is one joint CAD.
+  // the direct joint-CAD oracle decomposes the whole union at once.
   QeStats planned_stats;
   auto planned = EliminateQuantifiers(MixedFragmentQuery(), 1, Pooled(),
                                       &planned_stats);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_EQ(planned_stats.plan,
-            "union=3 blocks=3 [dense_order=1 fourier_motzkin=1 cad=1] "
-            "miniscoped=1 split=0");
+            "union=3 blocks=3 [fourier_motzkin=2 cad=1] miniscoped=1 "
+            "split=0");
   EXPECT_EQ(planned_stats.cad_cells, 18u);
 
-  QeOptions unsplit_options = Pooled();
-  unsplit_options.allow_disjunct_split = false;
   QeStats unsplit_stats;
-  auto unsplit = EliminateQuantifiers(MixedFragmentQuery(), 1,
-                                      unsplit_options, &unsplit_stats);
+  auto unsplit = JointCad(MixedFragmentQuery(), 1, &unsplit_stats);
   ASSERT_TRUE(unsplit.ok()) << unsplit.status().ToString();
-  EXPECT_EQ(unsplit_stats.plan, "monolithic[cad]");
   EXPECT_LT(planned_stats.cad_cells, unsplit_stats.cad_cells);
   // Same set, different derivations: spot-check membership on a grid.
   for (int num = -16; num <= 16; ++num) {
@@ -407,10 +379,10 @@ TEST(DatabasePlanTest, ExplainReportsTheCachedPlanOnAWholeQueryCacheHit) {
       << "EXPLAIN carries no QE round trees";
   // The cached result still carries the original evaluation's plan, and
   // the rendering marks both the hit and the plan's provenance.
-  EXPECT_EQ(first->result.stats.plan, "monolithic[dense_order]");
+  EXPECT_EQ(first->result.stats.plan, "monolithic[fourier_motzkin]");
   EXPECT_EQ(second->result.stats.plan, first->result.stats.plan);
   EXPECT_NE(second->ToString().find("PLAN                    "
-                                    "monolithic[dense_order]  (cached)"),
+                                    "monolithic[fourier_motzkin]  (cached)"),
             std::string::npos);
   EXPECT_NE(second->ToString().find("whole-query cache hit"),
             std::string::npos);

@@ -498,16 +498,6 @@ TEST(QeTest, ThomRetrySeparatesConjugateRoots) {
   ASSERT_EQ(points->size(), 1u);
   EXPECT_NEAR((*points)[0][0].ToDouble(), 2.0 + std::sqrt(2.0),
               std::ldexp(1.0, -30));
-
-  QeOptions no_thom = Pooled();
-  no_thom.allow_thom_augmentation = false;
-  QeStats plain_stats;
-  auto plain = EliminateQuantifiers(query, 1, no_thom, &plain_stats);
-  ASSERT_FALSE(plain.ok());
-  EXPECT_EQ(plain.status().code(), StatusCode::kInternal);
-  EXPECT_FALSE(plain_stats.used_thom_augmentation);
-  EXPECT_NE(plain.status().message().find("no retry ran"), std::string::npos)
-      << plain.status().ToString();
 }
 
 }  // namespace
