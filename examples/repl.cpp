@@ -16,8 +16,9 @@
 //   .solve <formula>          numerical evaluation (finite answer sets)
 //   .fp <k> <formula>         finite-precision evaluation under Z_k
 //   .explain <formula>        per-stage profile of the Figure-1 pipeline
-//   .profile [formula]        EXPLAIN ANALYZE: execute with the profiler
-//                             armed (defaults to the last query text)
+//   .profile [formula]        EXPLAIN ANALYZE: execute and print the
+//                             query's span tree (defaults to the last
+//                             query text)
 //   .plan <formula>           print the query plan without executing
 //   .log [on [path]|off]      structured JSONL query log
 //   .config                   resolved EngineConfig (every CCDB_* knob)
@@ -71,7 +72,8 @@ void PrintHelp() {
       "  .solve <formula>        epsilon-approximate a finite answer set\n"
       "  .fp <k> <formula>       finite-precision query under Z_k\n"
       "  .explain <formula>      per-stage profile (Figure-1 pipeline)\n"
-      "  .profile [formula]      EXPLAIN ANALYZE with per-plan-node times\n"
+      "  .profile [formula]      EXPLAIN ANALYZE: the query's span tree\n"
+      "                          (plan nodes, CAD phases) with times\n"
       "                          (no formula = profile the last query)\n"
       "  .plan <formula>         print the query plan without executing\n"
       "  .log on [path]          start the JSONL query log (default\n"

@@ -17,7 +17,7 @@ if(out MATCHES "error:")
   message(FATAL_ERROR "repl reported an error\n${out}")
 endif()
 foreach(expected "INSTANTIATION" "QUANTIFIER ELIMINATION" "EXPLAIN ANALYZE"
-                 "qe round 1")
+                 "span tree:")
   string(FIND "${out}" "${expected}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "missing \"${expected}\" in repl output\n${out}")

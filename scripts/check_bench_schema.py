@@ -9,7 +9,7 @@ CI's bench-smoke leg produces. Exit 0 = every file valid.
 Usage:
   check_bench_schema.py BENCH_pipeline.json [more.json ...]
   check_bench_schema.py --query-log ccdb_query_log.jsonl   # JSONL records
-                                                           # (schema 4)
+                                                           # (schema 5)
 
 Schema (DESIGN.md §12):
   top level: schema_version == 1, bench (str), threads (int >= 1),
@@ -86,7 +86,7 @@ def check_bench(path):
     return errors
 
 
-# Required keys of every query-log record (base/query_log.h, schema 4).
+# Required keys of every query-log record (base/query_log.h, schema 5).
 QUERY_LOG_KEYS = ("schema_version", "ts_us", "session_id", "config", "kind",
                   "text_hash", "text_len", "catalog_version", "ok",
                   "cache_hit", "elapsed_seconds", "read_set", "invalidation")
@@ -139,6 +139,53 @@ def check_verdict(path, lineno, rec):
     return errors
 
 
+def check_span_node(path, lineno, node, where):
+    """One node of a span tree: label (str), inclusive_us and exclusive_us
+    (int, 0 <= exclusive <= inclusive), counters (object of int) and
+    children (list of nodes)."""
+    if not isinstance(node, dict):
+        return fail(path, f"line {lineno}: {where} must be an object")
+    errors = 0
+    if not isinstance(node.get("label"), str) or not node["label"]:
+        errors += fail(path, f"line {lineno}: {where} needs a 'label'")
+    inc, exc = node.get("inclusive_us"), node.get("exclusive_us")
+    if not (isinstance(inc, int) and isinstance(exc, int)
+            and 0 <= exc <= inc):
+        errors += fail(path, f"line {lineno}: {where} needs "
+                             f"0 <= exclusive_us <= inclusive_us")
+    counters = node.get("counters")
+    if not (isinstance(counters, dict)
+            and all(isinstance(v, int) for v in counters.values())):
+        errors += fail(path, f"line {lineno}: {where} 'counters' must be an "
+                             f"object of ints")
+    children = node.get("children")
+    if not isinstance(children, list):
+        return errors + fail(path, f"line {lineno}: {where} 'children' "
+                                   f"must be a list")
+    for i, child in enumerate(children):
+        errors += check_span_node(path, lineno, child,
+                                  f"{where}.children[{i}]")
+    return errors
+
+
+def check_profile(path, lineno, rec):
+    """Schema 5: an explain_analyze record's 'profile' carries 'span_tree',
+    the query's span tree rooted at db.explain_analyze, and no
+    'qe_rounds' list."""
+    profile = rec.get("profile")
+    if profile is None:
+        return 0
+    if not isinstance(profile, dict):
+        return fail(path, f"line {lineno}: 'profile' must be an object")
+    if "qe_rounds" in profile:
+        return fail(path, f"line {lineno}: 'profile' carries 'qe_rounds' "
+                          f"(schema <= 4)")
+    tree = profile.get("span_tree")
+    if tree is None:
+        return fail(path, f"line {lineno}: 'profile' needs a 'span_tree'")
+    return check_span_node(path, lineno, tree, "span_tree")
+
+
 def check_query_log(path):
     errors = 0
     records = 0
@@ -158,11 +205,12 @@ def check_query_log(path):
                     if key not in rec:
                         errors += fail(path,
                                        f"line {lineno}: missing '{key}'")
-                if rec.get("schema_version") != 4:
+                if rec.get("schema_version") != 5:
                     errors += fail(path, f"line {lineno}: schema_version "
-                                         f"must be 4")
+                                         f"must be 5")
                 errors += check_read_set(path, lineno, rec)
                 errors += check_verdict(path, lineno, rec)
+                errors += check_profile(path, lineno, rec)
                 sid = rec.get("session_id")
                 if not isinstance(sid, int) or sid < 0:
                     errors += fail(path, f"line {lineno}: session_id must be "

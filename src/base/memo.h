@@ -10,13 +10,14 @@
 /// returns exactly the value a recomputation would produce, so query
 /// output is byte-identical whatever the cache temperature. There is no
 /// knob that turns the memo layers off; they stand down only where safety
-/// demands it. Lookups are skipped under an armed ResourceGovernor
-/// (callers gate on `gov == nullptr`), so governed budget charging never
-/// depends on cache temperature;
-/// successful results are still inserted so later ungoverned evaluations
-/// can reuse them. While any failpoint is armed the caches stand down
-/// entirely (MemoCachesEnabled reports false), so fault injection always
-/// reaches the real stage instead of a memo hit. A test that wants an
+/// demands it. Every memo follows one policy under an armed
+/// ResourceGovernor: the call bypasses it entirely, neither looking up nor
+/// inserting (callers gate on `gov == nullptr`), so governed budget
+/// charging never depends on cache temperature and a governed run never
+/// fills a memo that ungoverned runs read. While any failpoint is armed
+/// the caches stand down entirely (MemoCachesEnabled reports false), so
+/// fault injection always reaches the real stage instead of a memo hit.
+/// A test that wants an
 /// uncached reference clears the caches (QeResultCache().Clear()) or runs
 /// under an unlimited governor.
 

@@ -3,23 +3,25 @@
 
 /// Per-query profiling primitives (Observability v2, DESIGN.md §12).
 ///
-/// Two layers share this header:
+/// Two views of one set of spans (base/trace.h) share this header:
 ///
-///   * ProfileNode / ProfileSink — the attribution tree EXPLAIN ANALYZE
-///     builds while a query executes. The executor mirrors the plan tree
-///     (plan/planner.h) into ProfileNodes: one node per plan node,
-///     carrying inclusive wall time (the elapsed time of the node's trace
-///     span, base/trace.h) and the counters that node incurred (CAD cells, FM rounds, peak bigint bit
-///     length, cache hits). Nodes are assembled in canonical plan order —
-///     never completion order — so the tree SHAPE is deterministic at
-///     every thread count; only the timings vary.
+///   * ProfileNode — a node of the EXPLAIN ANALYZE tree. Every span opened
+///     under a collecting span (TraceSpan::CollectProfile) is one node:
+///     its label (the span name, or what the span set: "union",
+///     "block[cad] exists x1", "qe[cached]", "datalog.round[2]"), its
+///     inclusive wall time (the span's ElapsedUs() at close) and the
+///     counters set on it (cad_cells on cad.build, fm_rounds on
+///     qe.fourier_motzkin, tuples_out on plan nodes). Children keep their
+///     opening order on one thread and ParallelFor index order across
+///     threads, so the tree SHAPE is deterministic at every thread count;
+///     only the timings vary.
 ///
 ///   * SpanProfile — a flamegraph-style fold of the trace buffer
 ///     (base/trace.h): per-thread span nesting is reconstructed from the
 ///     recorded [start, start+duration) intervals and aggregated into
 ///     path → {count, inclusive, exclusive}, with text and JSON export.
 ///
-/// Hard contract: profiling is OBSERVATION ONLY. Arming a ProfileSink (or
+/// Hard contract: profiling is OBSERVATION ONLY. Arming a collector (or
 /// enabling the tracer) must never change a query's answer — the profiled
 /// run stays byte-identical to the unprofiled one at every thread count
 /// and cache temperature. Profiling code therefore only reads span times
@@ -27,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,19 +37,16 @@
 
 namespace ccdb {
 
-/// One node of the per-query attribution tree.
+/// One node of the per-query attribution tree: one collected span.
 struct ProfileNode {
-  /// Display label, e.g. "qe", "union", "block[cad] exists y",
-  /// "qe[cached]". Deterministic — derived from the plan, not the
-  /// schedule.
+  /// Display label: the span name unless the span set one. Deterministic —
+  /// derived from the plan and the program, not the schedule.
   std::string label;
   /// Wall time of this node including its children, microseconds: the
-  /// ElapsedUs() of the span that times the node, read just before the
-  /// span closes, so it never exceeds the span's recorded duration.
+  /// ElapsedUs() of the span, read just before it closes, so it never
+  /// exceeds the span's recorded duration.
   std::int64_t inclusive_us = 0;
-  /// Attribution counters in insertion order (cad_cells, fm_rounds,
-  /// max_bits, qe_cache_hits, ...). Zero-valued counters are usually
-  /// omitted by the producer.
+  /// Counters the span set, in insertion order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<ProfileNode> children;
 
@@ -63,12 +61,6 @@ struct ProfileNode {
   }
   /// First counter with `name`, or 0.
   std::uint64_t Counter(const std::string& name) const;
-  bool HasCounter(const std::string& name) const {
-    for (const auto& c : counters) {
-      if (c.first == name) return true;
-    }
-    return false;
-  }
 
   /// Multi-line indented tree rendering:
   ///   label  12.345 ms (self 10.201 ms) [cad_cells=18 max_bits=12]
@@ -76,34 +68,6 @@ struct ProfileNode {
   /// {"label":...,"inclusive_us":...,"exclusive_us":...,
   ///  "counters":{...},"children":[...]}
   std::string ToJson() const;
-};
-
-/// Thread-safe collection point for completed top-level QE profile trees.
-/// The evaluator may run several QE rounds per query (nested aggregate
-/// stages before the main round); each round appends its root here.
-/// Rounds initiated serially (the CALC_F DAG order) arrive in a
-/// deterministic order; rounds initiated from pool workers are ordered by
-/// arrival and documented as schedule-dependent.
-class ProfileSink {
- public:
-  void Add(ProfileNode node) {
-    std::lock_guard<std::mutex> lock(mu_);
-    roots_.push_back(std::move(node));
-  }
-  std::vector<ProfileNode> Take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<ProfileNode> out = std::move(roots_);
-    roots_.clear();
-    return out;
-  }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return roots_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<ProfileNode> roots_;
 };
 
 /// One aggregated span path of a SpanProfile.

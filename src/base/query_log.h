@@ -47,8 +47,10 @@ class QueryLog {
   /// ran under); 4 = "verdict" keeps only ok, steps_consumed,
   /// bytes_consumed and elapsed_seconds, read from the one governor that
   /// spans a governed call (the per-attempt fields are gone), and is
-  /// present on every record whose evaluation ran under a governor.
-  static constexpr int kSchemaVersion = 4;
+  /// present on every record whose evaluation ran under a governor; 5 =
+  /// an explain_analyze record's "profile" carries "span_tree" (the
+  /// query's span tree) in place of the "qe_rounds" list.
+  static constexpr int kSchemaVersion = 5;
 
   /// A fresh, disabled log. Call Enable(path) to start appending.
   QueryLog() = default;

@@ -6,6 +6,7 @@
 
 #include "base/logging.h"
 #include "base/metrics.h"
+#include "base/profile.h"
 
 namespace ccdb {
 
@@ -164,6 +165,30 @@ void ThreadPool::WorkerLoop(int self) {
 }
 
 Status ThreadPool::ParallelFor(
+    std::size_t count, const std::function<Status(std::size_t)>& body) {
+  ProfileNode* parent = tls_profile_parent;
+  if (parent == nullptr) return RunBatch(count, body);
+  // Under a profile collector each index gathers the spans its body opens
+  // in a group of its own, whichever thread runs it; the groups splice
+  // under the submitting thread's open span in index order.
+  std::vector<ProfileNode> groups(count);
+  Status status = RunBatch(count, [&](std::size_t i) -> Status {
+    struct Restore {
+      ProfileNode* saved = tls_profile_parent;
+      ~Restore() { tls_profile_parent = saved; }
+    } restore;
+    tls_profile_parent = &groups[i];
+    return body(i);
+  });
+  for (ProfileNode& group : groups) {
+    for (ProfileNode& child : group.children) {
+      parent->children.push_back(std::move(child));
+    }
+  }
+  return status;
+}
+
+Status ThreadPool::RunBatch(
     std::size_t count, const std::function<Status(std::size_t)>& body) {
   if (count == 0) return Status::Ok();
   if (workers_.empty() || count == 1) {

@@ -29,6 +29,9 @@
 /// one; a direct pipeline call runs on the pool its options carry, and a
 /// null pool is the calling thread (Resolve).
 ///
+/// Under an EXPLAIN ANALYZE collector (base/trace.h) each task's spans
+/// attach under the span open on the submitting thread, in index order.
+///
 /// ParallelFor may be called from inside a pool task (nested parallelism):
 /// the inner caller drains its own batch while waiting, so progress is
 /// guaranteed even when every worker is busy with ancestor batches.
@@ -103,6 +106,9 @@ class ThreadPool {
 
   // Runs batch indices on the calling thread until none remain claimable.
   static void DrainBatch(const std::shared_ptr<Batch>& batch);
+  // ParallelFor without the profile plumbing.
+  Status RunBatch(std::size_t count,
+                  const std::function<Status(std::size_t)>& body);
 
   void WorkerLoop(int self);
   // Pops from the worker's own deque (LIFO); steals FIFO from siblings.

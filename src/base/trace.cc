@@ -1,8 +1,10 @@
 #include "base/trace.h"
 
 #include <fstream>
+#include <utility>
 
 #include "base/config.h"
+#include "base/profile.h"
 
 namespace ccdb {
 
@@ -85,6 +87,44 @@ std::uint64_t TraceSpan::CurrentThreadId() {
   static std::atomic<std::uint64_t> next_id{1};
   thread_local std::uint64_t id = next_id.fetch_add(1);
   return id;
+}
+
+void TraceSpan::OpenNode() {
+  node_ = &parent_->children.emplace_back();
+  node_->label = name_;
+  tls_profile_parent = node_;
+}
+
+void TraceSpan::CloseNode() {
+  node_->inclusive_us = ElapsedUs();
+  tls_profile_parent = parent_;
+  if (parent_ == nullptr) delete node_;  // a root nobody took
+}
+
+void TraceSpan::CollectProfile() {
+  if (node_ != nullptr) return;
+  node_ = new ProfileNode();
+  node_->label = name_;
+  tls_profile_parent = node_;
+}
+
+ProfileNode TraceSpan::TakeProfile() {
+  if (node_ == nullptr) return ProfileNode();
+  node_->inclusive_us = ElapsedUs();
+  if (parent_ != nullptr) return *node_;
+  ProfileNode tree = std::move(*node_);
+  delete node_;
+  node_ = nullptr;
+  tls_profile_parent = nullptr;
+  return tree;
+}
+
+void TraceSpan::SetLabel(std::string label) {
+  if (node_ != nullptr) node_->label = std::move(label);
+}
+
+void TraceSpan::AddCounter(const char* name, std::uint64_t value) {
+  if (node_ != nullptr) node_->AddCounter(name, value);
 }
 
 }  // namespace ccdb

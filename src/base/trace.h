@@ -8,15 +8,25 @@
 /// Spans are recorded into a process-wide, thread-safe recorder and can be
 /// exported in the Chrome `trace_event` JSON format (load the file in
 /// chrome://tracing or https://ui.perfetto.dev). Tracing is disabled by
-/// default; when disabled, a span costs one clock read and one relaxed
-/// atomic load, and records nothing. Enable programmatically with
-/// `Tracer::Global().SetEnabled()` or by setting the `CCDB_TRACE=1`
-/// environment variable before the first span is created.
+/// default; when disabled, a span costs one clock read, one relaxed
+/// atomic load and one thread-local read, and records nothing. Enable
+/// programmatically with `Tracer::Global().SetEnabled()` or by setting the
+/// `CCDB_TRACE=1` environment variable before the first span is created.
 ///
 ///   {
 ///     CCDB_TRACE_SPAN("qe.eliminate");
 ///     ... // work measured as one complete ("ph":"X") event
 ///   }
+///
+/// The same spans are the nodes of the EXPLAIN ANALYZE tree
+/// (base/profile.h). A span armed with CollectProfile() is a tree root:
+/// every span opened under it adds one ProfileNode under its parent,
+/// holding the span's elapsed time and any label or counters set on it.
+/// The parent is the innermost collecting span open on the same thread,
+/// or, inside a ThreadPool::ParallelFor task, the span that submitted the
+/// task; task children splice in index order, so the tree has the same
+/// shape at every thread count. With no collector armed the label and
+/// counter setters do nothing and nothing is allocated.
 
 #include <atomic>
 #include <chrono>
@@ -28,6 +38,14 @@
 #include "base/status.h"
 
 namespace ccdb {
+
+struct ProfileNode;
+
+/// The node a span opened now on this thread attaches under: the innermost
+/// collecting span's, or the group of the running ParallelFor task. Null
+/// when no collector is armed. Saved and restored by TraceSpan and by
+/// ThreadPool::ParallelFor; nothing else writes it.
+inline thread_local ProfileNode* tls_profile_parent = nullptr;
 
 /// One completed span: a Chrome trace_event "complete" event ("ph":"X").
 struct TraceEvent {
@@ -105,8 +123,12 @@ class TraceSpan {
       : active_(Tracer::Global().enabled()),
         name_(name),
         category_(category),
-        start_us_(Tracer::Global().NowMicros()) {}
+        start_us_(Tracer::Global().NowMicros()),
+        parent_(tls_profile_parent) {
+    if (parent_ != nullptr) OpenNode();
+  }
   ~TraceSpan() {
+    if (node_ != nullptr) CloseNode();
     if (active_) {
       Tracer& tracer = Tracer::Global();
       TraceEvent event;
@@ -125,6 +147,22 @@ class TraceSpan {
     return Tracer::Global().NowMicros() - start_us_;
   }
 
+  /// Arms a profile collector on this span (EXPLAIN ANALYZE): it becomes
+  /// the root of a ProfileNode tree that every span opened under it joins.
+  void CollectProfile();
+  /// The tree collected so far, its root's time read now. A root armed by
+  /// CollectProfile stops collecting; a span that was already collecting
+  /// under an outer root returns a copy and goes on.
+  ProfileNode TakeProfile();
+
+  /// Whether this span is a node of a collected tree. Only then do
+  /// SetLabel and AddCounter record anything; guard a label that costs an
+  /// allocation to build with it.
+  bool profiling() const { return node_ != nullptr; }
+  /// Replaces the node's label (default: the span name).
+  void SetLabel(std::string label);
+  void AddCounter(const char* name, std::uint64_t value);
+
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
@@ -132,10 +170,17 @@ class TraceSpan {
   static std::uint64_t CurrentThreadId();
 
  private:
+  // Appends this span's node under parent_ and makes it the thread's
+  // parent; CloseNode stamps the node's time and restores parent_.
+  void OpenNode();
+  void CloseNode();
+
   bool active_;
   const char* name_;
   const char* category_;
   std::int64_t start_us_;
+  ProfileNode* parent_;
+  ProfileNode* node_ = nullptr;  // owned only by a CollectProfile root
 };
 
 }  // namespace ccdb

@@ -10,7 +10,6 @@
 #include "base/failpoint.h"
 #include "base/logging.h"
 #include "base/metrics.h"
-#include "base/profile.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
 #include "plan/fragment.h"
@@ -266,16 +265,6 @@ Status RunFixpoint(const DatalogProgram& program,
                    DatalogStats* s) {
   const ResourceGovernor* gov = options.qe.governor;
 
-  // Per-round attribution (Observability v2, DESIGN.md §12): when the
-  // caller armed a ProfileSink, each fixpoint round appends ONE node —
-  // "datalog.round[i]" with one child per rule in rule order — instead of
-  // letting every rule elimination add its own root from a pool worker in
-  // arrival order. Rule-level eliminations therefore run with the sink
-  // cleared (`rule_qe`); observation only.
-  ProfileSink* profile = options.qe.profile;
-  QeOptions rule_qe = options.qe;
-  rule_qe.profile = nullptr;
-
   auto find_relation = [&edb, idb](
                            const std::string& name) -> const ConstraintRelation* {
     auto it = idb->find(name);
@@ -338,7 +327,14 @@ Status RunFixpoint(const DatalogProgram& program,
   };
 
   for (int round = 0; round < options.max_iterations; ++round) {
+    // Under an EXPLAIN ANALYZE collector a round is the node
+    // "datalog.round[i]" with one "rule[j] Head" child per rule, in rule
+    // order, skipped rules included.
     TraceSpan span("datalog.iteration");
+    if (span.profiling()) {
+      span.SetLabel("datalog.round[" + std::to_string(round) + "]");
+      span.AddCounter("rules", program.rules.size());
+    }
     CCDB_FAILPOINT("datalog.iteration");
     CCDB_CHECK_BUDGET(gov, "datalog.iteration");
     ++s->iterations;
@@ -361,6 +357,7 @@ Status RunFixpoint(const DatalogProgram& program,
         round_delta_tuples += delta_size(name);
       }
       s->delta_tuples += round_delta_tuples;
+      span.AddCounter("delta_tuples", round_delta_tuples);
       for (std::size_t i = 0; i < program.rules.size(); ++i) {
         bool any_changed = false;
         bool negated_changed = false;
@@ -398,11 +395,17 @@ Status RunFixpoint(const DatalogProgram& program,
             program.rules.size(),
             [&](std::size_t i) -> StatusOr<RuleSlot> {
               const DatalogRule& rule = program.rules[i];
+              TraceSpan rule_span("datalog.rule");
+              if (rule_span.profiling()) {
+                rule_span.SetLabel("rule[" + std::to_string(i) + "] " +
+                                   rule.head);
+              }
               RuleSlot slot;
               if (modes[i] == RuleMode::kSkip) {
                 slot.skipped = true;
                 slot.rel = ConstraintRelation(
                     static_cast<int>(rule.head_vars.size()));
+                rule_span.AddCounter("skipped", 1);
                 return slot;
               }
               Formula body = Formula::False();
@@ -417,32 +420,10 @@ Status RunFixpoint(const DatalogProgram& program,
                   slot.rel,
                   EliminateQuantifiers(instantiated,
                                        static_cast<int>(rule.head_vars.size()),
-                                       rule_qe, &slot.qe_stats));
+                                       options.qe, &slot.qe_stats));
+              rule_span.AddCounter("tuples_out", slot.rel.tuples().size());
               return slot;
             }));
-    if (profile != nullptr) {
-      ProfileNode round_node;
-      round_node.label = "datalog.round[" + std::to_string(round) + "]";
-      round_node.inclusive_us = span.ElapsedUs();
-      round_node.AddCounter("rules", program.rules.size());
-      if (delta_round) {
-        round_node.AddCounter("delta_tuples", round_delta_tuples);
-      }
-      for (std::size_t i = 0; i < program.rules.size(); ++i) {
-        // Children in rule order — deterministic shape at every thread
-        // count regardless of which deltas fired; a rule whose delta join
-        // was empty still gets its child, with zeroed counters.
-        ProfileNode child;
-        child.label = "rule[" + std::to_string(i) + "] " +
-                      program.rules[i].head;
-        child.inclusive_us = rule_slots[i].qe_stats.elapsed_us;
-        AddQeCounters(&child, rule_slots[i].qe_stats);
-        child.AddCounter("tuples_out", rule_slots[i].rel.tuples().size());
-        round_node.children.push_back(std::move(child));
-      }
-      profile->Add(std::move(round_node));
-    }
-
     // Deltas for the NEXT round: everything this round's merge appends
     // beyond the sizes recorded here.
     std::map<std::string, std::size_t> next_delta_start;
@@ -487,7 +468,7 @@ Status RunFixpoint(const DatalogProgram& program,
         CCDB_CHECK_BUDGET(gov, "datalog.iteration");
         CCDB_ASSIGN_OR_RETURN(
             bool contained,
-            TupleContained(tuple, current, rule_qe, s));
+            TupleContained(tuple, current, options.qe, s));
         if (contained) continue;
         if (gov != nullptr) {
           std::size_t bytes = 0;

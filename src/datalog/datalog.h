@@ -63,11 +63,7 @@ struct DatalogOptions {
   /// `qe.pool` additionally drives the per-rule fan-out of each
   /// inflationary round: rule bodies evaluate in parallel
   /// against the frozen current interpretation and merge in rule order,
-  /// so the fixpoint is identical at every thread count. `qe.profile`,
-  /// when armed, receives one node per fixpoint round
-  /// ("datalog.round[i]", one child per rule in rule order) instead of
-  /// per-elimination roots; observation only — the fixpoint is
-  /// byte-identical with or without it.
+  /// so the fixpoint is identical at every thread count.
   QeOptions qe;
 };
 

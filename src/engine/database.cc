@@ -23,7 +23,7 @@ std::string FormatMillis(double seconds) {
 
 std::string QueryProfile::ToString() const {
   std::ostringstream out;
-  if (!qe_rounds.empty()) {
+  if (span_tree.has_value()) {
     out << "EXPLAIN ANALYZE (profiled execution)\n";
   } else {
     out << "EXPLAIN (Figure-1 pipeline"
@@ -62,10 +62,7 @@ std::string QueryProfile::ToString() const {
       << "  (aggregate_calls=" << stats.aggregate_calls
       << ", approximation_calls=" << stats.approximation_calls << ")\n";
   out << "  TOTAL                   " << FormatMillis(total_seconds) << "\n";
-  for (std::size_t i = 0; i < qe_rounds.size(); ++i) {
-    out << "qe round " << (i + 1) << " of " << qe_rounds.size() << ":\n";
-    out << qe_rounds[i].ToString(1);
-  }
+  if (span_tree.has_value()) out << "span tree:\n" << span_tree->ToString(1);
   out << "caches: qe_cache hits=" << delta("qe_cache_hits")
       << " misses=" << delta("qe_cache_misses")
       << "  resultant_cache hits=" << delta("resultant_cache_hits") << "\n";
@@ -93,12 +90,6 @@ std::uint64_t MetricDelta(const std::map<std::string, std::uint64_t>& deltas,
 }
 
 std::string QueryProfile::ToJson() const {
-  std::string rounds = "[";
-  for (std::size_t i = 0; i < qe_rounds.size(); ++i) {
-    if (i > 0) rounds += ',';
-    rounds += qe_rounds[i].ToJson();
-  }
-  rounds += ']';
   JsonObjectBuilder delta_obj;
   for (const auto& [name, value] : metric_deltas) delta_obj.Add(name, value);
   JsonObjectBuilder caches, pool;
@@ -115,7 +106,7 @@ std::string QueryProfile::ToJson() const {
       .Add("total_seconds", total_seconds)
       .AddRaw("stats", stats.ToJson())
       .Add("from_cache", from_cache)
-      .AddRaw("qe_rounds", rounds)
+      .AddRaw("span_tree", span_tree.has_value() ? span_tree->ToJson() : "null")
       .Add("ran_numeric", ran_numeric)
       .Add("numeric_finite", numeric_finite)
       .Add("numeric_points", static_cast<std::uint64_t>(numeric_points))

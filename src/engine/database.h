@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,11 +29,11 @@ namespace ccdb {
 /// EXPLAIN and EXPLAIN ANALYZE output (Observability v2, DESIGN.md §12):
 /// everything an explained execution observed. Stage timings come from
 /// CalcFStats; cache temperature and thread-pool utilization are metric
-/// deltas across the run. EXPLAIN ANALYZE additionally arms the executor's
-/// ProfileSink and carries its per-plan-node attribution trees; EXPLAIN
-/// carries none, and may be answered by the whole-query memo. Collection
-/// is observation only: the answer is byte-identical to an unexplained
-/// Query at every thread count and cache temperature.
+/// deltas across the run. EXPLAIN ANALYZE additionally collects the
+/// query's span tree (base/trace.h); EXPLAIN carries none, and may be
+/// answered by the whole-query memo. Collection is observation only: the
+/// answer is byte-identical to an unexplained Query at every thread count
+/// and cache temperature.
 struct QueryProfile {
   /// Total wall time of the explained evaluation (plus the numeric stage
   /// when it ran): the db.explain / db.explain_analyze span.
@@ -45,13 +46,11 @@ struct QueryProfile {
   /// cache hit, while the stats, including the plan, are the cached
   /// evaluation's.
   bool from_cache = false;
-  /// EXPLAIN ANALYZE only: per-plan-node attribution trees, one per QE
-  /// round the evaluator ran (aggregate stages first, the main round
-  /// last). Labels mirror the plan ("union", "block[cad] exists x1",
-  /// "monolithic[fourier_motzkin]", ...) or name a cache hit ("qe[cached]").
-  /// A profiled execution always runs the main round, so this is
-  /// non-empty exactly for EXPLAIN ANALYZE profiles.
-  std::vector<ProfileNode> qe_rounds;
+  /// EXPLAIN ANALYZE only: the span tree of the profiled execution, rooted
+  /// at its db.explain_analyze span — parse, instantiation, every QE round
+  /// (plan nodes labeled "union", "block[cad] exists x1", ..., a cache hit
+  /// "qe[cached]"), the CAD phases, aggregates and numerical evaluation.
+  std::optional<ProfileNode> span_tree;
   /// Whether the NUMERICAL EVALUATION stage ran, and what it found.
   bool ran_numeric = false;
   bool numeric_finite = false;
@@ -71,9 +70,9 @@ struct QueryProfile {
   std::map<std::string, std::uint64_t> metric_deltas;
 
   /// Multi-line rendering, titled "EXPLAIN ANALYZE" when the profile
-  /// carries QE round trees and "EXPLAIN" otherwise: stage table, the
-  /// annotated round trees, cache / pool / governor summary lines, and the
-  /// metrics the query moved.
+  /// carries a span tree and "EXPLAIN" otherwise: stage table, the span
+  /// tree, cache / pool / governor summary lines, and the metrics the
+  /// query moved.
   std::string ToString() const;
   /// Machine-readable JSON (single object; schema documented in DESIGN.md
   /// §12).
@@ -224,16 +223,17 @@ class ConstraintDatabase {
 
   /// EXPLAIN: evaluates `text` like Query (whole-query memo included),
   /// additionally running the NUMERICAL EVALUATION stage when applicable,
-  /// and reports the profile without QE round trees: per-stage wall
+  /// and reports the profile without a span tree: per-stage wall
   /// times, cache / pool readings and the metric counters the evaluation
   /// moved. On a whole-query cache hit the cached plan is still reported
   /// (marked "cached", profile.from_cache), not an empty pipeline.
   StatusOr<ExplainAnalyzeResult> Explain(const std::string& text) const;
 
-  /// EXPLAIN ANALYZE: ACTUALLY EXECUTES `text` with a profile sink armed
-  /// and reports per-plan-node wall time (inclusive/exclusive), CAD cell
-  /// counts, FM rounds, peak bigint bit length, cache temperature, and
-  /// thread-pool utilization alongside the result. Bypasses the
+  /// EXPLAIN ANALYZE: ACTUALLY EXECUTES `text` with its span tree
+  /// collected and reports each span's wall time (inclusive/exclusive)
+  /// and counters — plan nodes, CAD phases and cells, FM rounds, peak
+  /// bigint bit length — with cache temperature and thread-pool
+  /// utilization alongside the result. Bypasses the
   /// whole-query memo (the point is to observe the pipeline run; the QE /
   /// plan / resultant memo layers still apply and are what the cache
   /// temperature reports). The answer is byte-identical to Query(text) —

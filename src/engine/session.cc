@@ -479,32 +479,30 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
   QueryLog& qlog = Log();
   const bool log = qlog.enabled();
   auto before = MetricsRegistry::Global().SnapshotValues();
-  // Run the actual pipeline with a profile sink armed — the whole-query
-  // memo is bypassed on purpose (EXPLAIN ANALYZE observes an execution,
-  // not a memo lookup); the QE / resultant memo layers still apply
-  // and surface as cache temperature. The sink is observation only: the
-  // evaluation is byte-identical to Query(text).
-  ProfileSink sink;
-  CalcFOptions opts = options_;
-  opts.qe.profile = &sink;
+  // Run the actual pipeline with the span tree collected under this span
+  // — the whole-query memo is bypassed on purpose (EXPLAIN ANALYZE
+  // observes an execution, not a memo lookup); the QE / resultant memo
+  // layers still apply and surface as cache temperature. Collection is
+  // observation only: the evaluation is byte-identical to Query(text).
+  span.CollectProfile();
   std::shared_ptr<const Catalog::View> snapshot = ReadSnapshot();
   std::optional<ReadVersions> read_set;
   std::optional<ParsedQuery> parsed;
   if (log) read_set = ReadSetAt(text, *snapshot, &parsed);
-  CalcFEvaluator evaluator(LookupFor(snapshot), opts);
+  CalcFEvaluator evaluator(LookupFor(snapshot), options_);
   ExplainAnalyzeResult out;
   Status status = FinishProfile(parsed.has_value()
                                     ? evaluator.Evaluate(*parsed)
                                     : evaluator.EvaluateText(text),
-                                before, span, opts, &out);
-  out.profile.qe_rounds = sink.Take();
+                                before, span, options_, &out);
+  out.profile.span_tree = span.TakeProfile();
   // One record per call, whichever stage failed.
   if (log) {
     AppendQueryLogRecord(
         qlog, id_, fingerprint_, "explain_analyze", text, snapshot->version(),
         status.ok() ? StatusOr<CalcFResult>(out.result)
                     : StatusOr<CalcFResult>(status),
-        /*cache_hit=*/false, opts.qe.governor, out.profile.total_seconds,
+        /*cache_hit=*/false, options_.qe.governor, out.profile.total_seconds,
         out.profile.metric_deltas, read_set,
         status.ok() ? out.profile.ToJson() : "");
   }

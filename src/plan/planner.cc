@@ -6,12 +6,9 @@
 #include <sstream>
 
 #include "base/logging.h"
-#include "base/memo.h"
 #include "base/metrics.h"
-#include "base/profile.h"
 #include "base/trace.h"
 #include "qe/fourier_motzkin.h"
-#include "qe/qe_cache.h"
 
 namespace ccdb {
 
@@ -33,34 +30,44 @@ std::string TuplesToDisplay(const std::vector<GeneralizedTuple>& tuples,
   return out;
 }
 
-void RenderNode(const PlanNode& node, const std::vector<std::string>& names,
-                int depth, std::ostringstream* out) {
-  std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
+// A plan node's heading: the first line of its EXPLAIN rendering and its
+// EXPLAIN ANALYZE label.
+std::string NodeHeading(const PlanNode& node,
+                        const std::vector<std::string>& names) {
   switch (node.kind) {
     case PlanNode::Kind::kLeaf:
-      *out << indent << "leaf: " << TuplesToDisplay(node.tuples, names)
-           << "\n";
-      return;
+      return "leaf";
     case PlanNode::Kind::kBlock:
     case PlanNode::Kind::kMonolithic: {
-      *out << indent
-           << (node.kind == PlanNode::Kind::kBlock ? "block[" : "monolithic[")
-           << FragmentEngine(node.fragment) << "]";
+      std::string out =
+          std::string(node.kind == PlanNode::Kind::kBlock ? "block["
+                                                          : "monolithic[") +
+          FragmentEngine(node.fragment) + "]";
       for (const PrenexBlock& block : node.prefix) {
-        *out << (block.is_exists ? " exists " : " forall ")
-             << VarName(block.var, names);
+        out += (block.is_exists ? " exists " : " forall ") +
+               VarName(block.var, names);
       }
-      *out << ": " << TuplesToDisplay(node.tuples, names) << "\n";
-      return;
+      return out;
     }
     case PlanNode::Kind::kProduct:
-      *out << indent << "product\n";
-      break;
+      return "product";
     case PlanNode::Kind::kUnion:
-      *out << indent << "union (" << node.children.size() << " member"
-           << (node.children.size() == 1 ? "" : "s") << ")\n";
-      break;
+      return "union";
   }
+  return "";
+}
+
+void RenderNode(const PlanNode& node, const std::vector<std::string>& names,
+                int depth, std::ostringstream* out) {
+  *out << std::string(static_cast<std::size_t>(depth) * 2, ' ')
+       << NodeHeading(node, names);
+  if (node.kind == PlanNode::Kind::kUnion) {
+    *out << " (" << node.children.size() << " member"
+         << (node.children.size() == 1 ? "" : "s") << ")";
+  } else if (node.kind != PlanNode::Kind::kProduct) {
+    *out << ": " << TuplesToDisplay(node.tuples, names);
+  }
+  *out << "\n";
   for (const auto& child : node.children) {
     RenderNode(*child, names, depth + 1, out);
   }
@@ -77,15 +84,11 @@ std::shared_ptr<PlanNode> MakeLeaf(std::vector<GeneralizedTuple> tuples) {
 // free variables plus the engine stats of the steps that produced it.
 // Stats are returned (not written through a shared pointer) because union
 // members execute in parallel; the caller merges them in member order,
-// keeping the accumulation thread-count independent. The
-// profile node (filled only when EXPLAIN ANALYZE armed a sink) rides the
-// same channel for the same reason: parents splice children in plan
-// order, so the attribution tree's shape is deterministic at every thread
-// count.
+// keeping the accumulation thread-count independent.
 struct ExecResult {
   std::vector<GeneralizedTuple> tuples;
   QeStats stats;
-  ProfileNode profile;
+  std::uint64_t peeled = 0;  // quantifiers peeled by defining equations
 };
 
 Formula BlockToFormula(const std::vector<GeneralizedTuple>& tuples,
@@ -120,30 +123,16 @@ StatusOr<std::uint64_t> EliminateMatrix(std::vector<GeneralizedTuple>* tuples,
 }
 
 // A polynomial block's residue after peeling, as a compact normal form —
-// its variables renumbered in elimination order, its matrix DNF-sorted —
-// eliminated by the whole-matrix sequence behind a block-level memo. The
-// memo's keys carry the block-residue bit, so they never alias a
-// whole-query entry (whose stats carry the plan summary).
+// its variables renumbered in elimination order, as the CAD needs, its
+// matrix DNF-sorted — eliminated by the whole-matrix sequence.
 Status EliminateResidue(std::vector<GeneralizedTuple>* tuples,
                         const std::vector<PrenexBlock>& prefix,
                         int num_free_vars, const QeOptions& options,
                         QeStats* stats) {
-  Formula residue = BlockToFormula(*tuples, prefix);
-  const bool use_cache = options.governor == nullptr && MemoCachesEnabled();
-  QeCacheKey key;
-  if (use_cache) {
-    key = MakeQeCacheKey(residue, num_free_vars, /*block_residue=*/true);
-    QeCacheValue cached;
-    if (QeResultCache().Lookup(key, &cached)) {
-      stats->Merge(cached.stats);
-      ++stats->cache_hits;
-      *tuples = cached.relation.tuples();
-      return Status::Ok();
-    }
-  }
-  CCDB_ASSIGN_OR_RETURN(QeNormalForm normal,
-                        NormalizeForQe(residue, num_free_vars,
-                                       options.governor));
+  CCDB_ASSIGN_OR_RETURN(
+      QeNormalForm normal,
+      NormalizeForQe(BlockToFormula(*tuples, prefix), num_free_vars,
+                     options.governor));
   QeStats sub;
   sub.max_intermediate_bits = MaxCoefficientBits(normal.tuples);
   CCDB_RETURN_IF_ERROR(EliminateMatrix(&normal.tuples, std::move(normal.prefix),
@@ -151,30 +140,23 @@ Status EliminateResidue(std::vector<GeneralizedTuple>* tuples,
                            .status());
   *tuples = SimplifyTuples(std::move(normal.tuples));
   stats->Merge(sub);
-  if (use_cache) {
-    QeResultCache().Insert(
-        key, QeCacheValue{residue, ConstraintRelation(num_free_vars, *tuples),
-                          sub});
-  }
   return Status::Ok();
 }
 
 StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
-                              const QeOptions& options, bool profiling);
+                              const QeOptions& options);
 
 // Eliminates one block with its fragment's engine: peel defining equations
 // innermost-first, then Fourier-Motzkin rounds; polynomial residue goes
-// through EliminateResidue. `span` times the node.
+// through EliminateResidue.
 StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
-                               const QeOptions& options, bool profiling,
-                               const TraceSpan& span) {
+                               const QeOptions& options) {
   ExecResult r;
   r.tuples = node.tuples;
   r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
   std::vector<PrenexBlock> prefix = node.prefix;
   CCDB_ASSIGN_OR_RETURN(
-      std::uint64_t peeled,
-      PeelDefiningEquations(&r.tuples, &prefix, options, &r.stats));
+      r.peeled, PeelDefiningEquations(&r.tuples, &prefix, options, &r.stats));
   if (!prefix.empty() && node.fragment == Fragment::kLinear) {
     CCDB_RETURN_IF_ERROR(
         EliminateLinearPrefix(&r.tuples, prefix, options, &r.stats));
@@ -182,69 +164,43 @@ StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
     CCDB_RETURN_IF_ERROR(
         EliminateResidue(&r.tuples, prefix, num_free_vars, options, &r.stats));
   }
-  if (profiling) {
-    r.profile.label = std::string("block[") + FragmentEngine(node.fragment) +
-                      "] exists";
-    for (const PrenexBlock& block : node.prefix) {
-      r.profile.label += " x" + std::to_string(block.var);
-    }
-    r.profile.inclusive_us = span.ElapsedUs();
-    if (peeled > 0) r.profile.AddCounter("substitutions", peeled);
-    AddQeCounters(&r.profile, r.stats);
-    r.profile.AddCounter("tuples_out", r.tuples.size());
-  }
   return r;
 }
 
-// Runs one plan node; its span's elapsed time is the node's profile time.
+// Runs one plan node under a "qe.plan.execute" span, which EXPLAIN ANALYZE
+// labels with the node's heading.
 StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
-                              const QeOptions& options, bool profiling) {
+                              const QeOptions& options) {
   const ResourceGovernor* gov = options.governor;
   TraceSpan span("qe.plan.execute");
+  ExecResult r;
   switch (node.kind) {
-    case PlanNode::Kind::kLeaf: {
-      ExecResult r;
+    case PlanNode::Kind::kLeaf:
       r.tuples = node.tuples;
       r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
-      if (profiling) {
-        r.profile.label = "leaf";
-        r.profile.inclusive_us = span.ElapsedUs();
-        r.profile.AddCounter("tuples_out", r.tuples.size());
-      }
-      return r;
+      break;
+    case PlanNode::Kind::kBlock: {
+      CCDB_ASSIGN_OR_RETURN(r, ExecBlock(node, num_free_vars, options));
+      break;
     }
-    case PlanNode::Kind::kBlock:
-      return ExecBlock(node, num_free_vars, options, profiling, span);
     case PlanNode::Kind::kMonolithic: {
-      ExecResult r;
       r.tuples = node.tuples;
       r.stats.max_intermediate_bits = MaxCoefficientBits(r.tuples);
-      CCDB_ASSIGN_OR_RETURN(std::uint64_t peeled,
+      CCDB_ASSIGN_OR_RETURN(r.peeled,
                             EliminateMatrix(&r.tuples, node.prefix,
                                             num_free_vars, options, &r.stats));
-      if (profiling) {
-        r.profile.label =
-            std::string("monolithic[") + FragmentEngine(node.fragment) + "]";
-        r.profile.inclusive_us = span.ElapsedUs();
-        if (peeled > 0) r.profile.AddCounter("substitutions", peeled);
-        AddQeCounters(&r.profile, r.stats);
-        r.profile.AddCounter("tuples_out", r.tuples.size());
-      }
-      return r;
+      break;
     }
     case PlanNode::Kind::kProduct: {
       // Cartesian recombination of independent factors, in child order:
       // sound because the children's quantified supports are disjoint and
       // deterministic because the nesting order is a plan decision.
-      ExecResult r;
       r.tuples = {GeneralizedTuple()};
       for (const auto& child : node.children) {
         CCDB_CHECK_BUDGET(gov, "qe.drive");
-        CCDB_ASSIGN_OR_RETURN(
-            ExecResult part,
-            ExecNode(*child, num_free_vars, options, profiling));
+        CCDB_ASSIGN_OR_RETURN(ExecResult part,
+                              ExecNode(*child, num_free_vars, options));
         r.stats.Merge(part.stats);
-        if (profiling) r.profile.children.push_back(std::move(part.profile));
         std::vector<GeneralizedTuple> crossed;
         crossed.reserve(r.tuples.size() * part.tuples.size());
         for (const GeneralizedTuple& a : r.tuples) {
@@ -257,12 +213,7 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
         }
         r.tuples = std::move(crossed);
       }
-      if (profiling) {
-        r.profile.label = "product";
-        r.profile.inclusive_us = span.ElapsedUs();
-        r.profile.AddCounter("tuples_out", r.tuples.size());
-      }
-      return r;
+      break;
     }
     case PlanNode::Kind::kUnion: {
       // The planner's parallel fan-out point: members are independent
@@ -274,29 +225,22 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
               node.children.size(),
               [&](std::size_t i) -> StatusOr<ExecResult> {
                 CCDB_CHECK_BUDGET(gov, "qe.drive");
-                return ExecNode(*node.children[i], num_free_vars, options,
-                                profiling);
+                return ExecNode(*node.children[i], num_free_vars, options);
               }));
-      ExecResult r;
       for (ExecResult& slot : slots) {
         r.stats.Merge(slot.stats);
-        if (profiling) r.profile.children.push_back(std::move(slot.profile));
         for (GeneralizedTuple& tuple : slot.tuples) {
           r.tuples.push_back(std::move(tuple));
         }
       }
-      if (profiling) {
-        // Inclusive time is the union's wall time (the parallel wait);
-        // children may sum past it, which exclusive_us() clamps at 0.
-        r.profile.label = "union";
-        r.profile.inclusive_us = span.ElapsedUs();
-        r.profile.AddCounter("members", node.children.size());
-        r.profile.AddCounter("tuples_out", r.tuples.size());
-      }
-      return r;
+      span.AddCounter("members", node.children.size());
+      break;
     }
   }
-  return Status::Internal("unreachable plan node kind");
+  if (span.profiling()) span.SetLabel(NodeHeading(node, {}));
+  if (r.peeled > 0) span.AddCounter("substitutions", r.peeled);
+  span.AddCounter("tuples_out", r.tuples.size());
+  return r;
 }
 
 }  // namespace
@@ -454,8 +398,7 @@ StatusOr<QueryPlan> PlanQuery(const Formula& formula, int num_free_vars,
 
 StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
                                          const QeOptions& options,
-                                         QeStats* stats,
-                                         ProfileNode* profile) {
+                                         QeStats* stats) {
   CCDB_CHECK(plan.root != nullptr);
   CCDB_METRIC_COUNT("qe.plan.executions", 1);
   CCDB_METRIC_COUNT("qe.plan.blocks", plan.blocks);
@@ -463,11 +406,9 @@ StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
   CCDB_METRIC_COUNT("qe.plan.component_splits", plan.component_splits);
   CCDB_METRIC_COUNT("qe.plan.dispatch.fourier_motzkin", plan.dispatch[0]);
   CCDB_METRIC_COUNT("qe.plan.dispatch.cad", plan.dispatch[1]);
-  CCDB_ASSIGN_OR_RETURN(
-      ExecResult r,
-      ExecNode(*plan.root, plan.num_free_vars, options, profile != nullptr));
+  CCDB_ASSIGN_OR_RETURN(ExecResult r,
+                        ExecNode(*plan.root, plan.num_free_vars, options));
   stats->Merge(r.stats);
-  if (profile != nullptr) *profile = std::move(r.profile);
   return ConstraintRelation(plan.num_free_vars,
                             SimplifyTuples(std::move(r.tuples)));
 }

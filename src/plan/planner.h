@@ -57,8 +57,6 @@
 
 namespace ccdb {
 
-struct ProfileNode;
-
 /// One node of the plan IR. Immutable once built.
 struct PlanNode {
   enum class Kind {
@@ -116,19 +114,15 @@ StatusOr<QueryPlan> PlanQuery(const Formula& formula, int num_free_vars,
 
 /// Executes a built plan. Union members fan out across options.pool and
 /// merge in member order, so the answer is identical at every thread
-/// count. The CAD residue of a polynomial block is memoized per block in
-/// the QE result cache (its own key space, qe/qe_cache.h). Plan decision
-/// counters fold into the metrics registry, engine stats accumulate into
-/// *stats. When `profile` is non-null, the executor mirrors the plan tree
-/// into it (base/profile.h): one ProfileNode per plan node with inclusive
-/// wall time and attribution counters, children spliced in plan order —
-/// observation only, the answer is byte-identical with profiling on or
-/// off. Each plan node runs under a "qe.plan.execute" span, whose elapsed
-/// time is the node's inclusive time.
+/// count. Plan decision counters fold into the metrics registry, engine
+/// stats accumulate into *stats. Each plan node runs under a
+/// "qe.plan.execute" span; under an EXPLAIN ANALYZE collector
+/// (base/trace.h) the span is labeled with the node's heading ("union",
+/// "block[cad] exists x1", ...) and counts the tuples it produced —
+/// observation only, the answer is the same with or without it.
 StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
                                          const QeOptions& options,
-                                         QeStats* stats,
-                                         ProfileNode* profile = nullptr);
+                                         QeStats* stats);
 
 }  // namespace ccdb
 

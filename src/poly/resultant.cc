@@ -151,9 +151,8 @@ StatusOr<Polynomial> ResultantOrdered(Polynomial a, Polynomial b, int var,
 // discriminant, gcd). Keys hold the operand polynomials themselves —
 // structural equality is pointer-fast for interned operands and exact
 // otherwise — so a hash collision can never return a wrong result. The
-// operations are pure, so entries never need invalidation; lookups are
-// skipped under an armed governor (see base/memo.h) but successful
-// results are inserted either way.
+// operations are pure, so entries never need invalidation. Under an armed
+// governor the memo is bypassed entirely, lookup and insert (base/memo.h).
 enum PolyOpKind { kOpResultant = 0, kOpDiscriminant = 1, kOpGcd = 2 };
 
 struct PolyOpKey {
@@ -205,10 +204,12 @@ StatusOr<Polynomial> ResultantUncached(const Polynomial& a,
 
 StatusOr<Polynomial> Resultant(const Polynomial& a, const Polynomial& b,
                                int var, const ResourceGovernor* gov) {
-  if (!MemoCachesEnabled()) return ResultantUncached(a, b, var, gov);
+  if (gov != nullptr || !MemoCachesEnabled()) {
+    return ResultantUncached(a, b, var, gov);
+  }
   PolyOpKey key{a, b, var, kOpResultant};
   Polynomial cached;
-  if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
+  if (PolyOpCache().Lookup(key, &cached)) return cached;
   CCDB_ASSIGN_OR_RETURN(Polynomial result,
                         ResultantUncached(a, b, var, gov));
   PolyOpCache().Insert(std::move(key), result);
@@ -238,10 +239,12 @@ StatusOr<Polynomial> DiscriminantUncached(const Polynomial& p, int var,
 
 StatusOr<Polynomial> Discriminant(const Polynomial& p, int var,
                                   const ResourceGovernor* gov) {
-  if (!MemoCachesEnabled()) return DiscriminantUncached(p, var, gov);
+  if (gov != nullptr || !MemoCachesEnabled()) {
+    return DiscriminantUncached(p, var, gov);
+  }
   PolyOpKey key{p, Polynomial(), var, kOpDiscriminant};
   Polynomial cached;
-  if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
+  if (PolyOpCache().Lookup(key, &cached)) return cached;
   CCDB_ASSIGN_OR_RETURN(Polynomial result,
                         DiscriminantUncached(p, var, gov));
   PolyOpCache().Insert(std::move(key), result);
@@ -360,16 +363,18 @@ StatusOr<Polynomial> MvGcdUncached(const Polynomial& a, const Polynomial& b,
 
 StatusOr<Polynomial> MvGcd(const Polynomial& a, const Polynomial& b,
                            const ResourceGovernor* gov) {
-  if (!MemoCachesEnabled()) return MvGcdUncached(a, b, gov);
+  if (gov != nullptr || !MemoCachesEnabled()) return MvGcdUncached(a, b, gov);
   // gcd is symmetric: order the operands so (a,b) and (b,a) share an entry.
   PolyOpKey key = b < a ? PolyOpKey{b, a, -1, kOpGcd}
                         : PolyOpKey{a, b, -1, kOpGcd};
   Polynomial cached;
-  if (gov == nullptr && PolyOpCache().Lookup(key, &cached)) return cached;
+  if (PolyOpCache().Lookup(key, &cached)) return cached;
   CCDB_ASSIGN_OR_RETURN(Polynomial result, MvGcdUncached(a, b, gov));
   PolyOpCache().Insert(std::move(key), result);
   return result;
 }
+
+std::size_t ResultantCacheSize() { return PolyOpCache().size(); }
 
 StatusOr<Polynomial> SquarefreePartIn(const Polynomial& p, int var,
                                       const ResourceGovernor* gov) {

@@ -61,6 +61,10 @@ StatusOr<Polynomial> PrimitivePartIn(const Polynomial& p, int var,
 StatusOr<Polynomial> MvGcd(const Polynomial& a, const Polynomial& b,
                            const ResourceGovernor* gov = nullptr);
 
+/// Entries in the memo behind Resultant, Discriminant and MvGcd (metrics
+/// "resultant_cache_*"). A governed call neither reads nor fills it.
+std::size_t ResultantCacheSize();
+
 /// Squarefree part of p with respect to `var`: p / gcd(p, dp/dvar),
 /// normalized.
 StatusOr<Polynomial> SquarefreePartIn(const Polynomial& p, int var,

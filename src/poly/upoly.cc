@@ -234,26 +234,6 @@ UPoly UPoly::SquarefreePart() const {
   return result->MakeMonic();
 }
 
-std::vector<UPoly> UPoly::SquarefreeDecomposition() const {
-  // Yun's algorithm over a field of characteristic 0.
-  std::vector<UPoly> factors;
-  if (degree() <= 0) return factors;
-  UPoly f = MakeMonic();
-  UPoly fp = f.Derivative();
-  UPoly a = Gcd(f, fp);
-  UPoly b = *f.DivideExact(a);
-  UPoly c = *fp.DivideExact(a);
-  UPoly d = c - b.Derivative();
-  while (b.degree() > 0) {
-    UPoly factor = Gcd(b, d);
-    factors.push_back(factor);
-    b = *b.DivideExact(factor);
-    c = *d.DivideExact(factor);
-    d = c - b.Derivative();
-  }
-  return factors;
-}
-
 Rational UPoly::Evaluate(const Rational& x) const {
   Rational result(0);
   for (std::size_t i = coeffs_.size(); i-- > 0;) {
@@ -327,14 +307,6 @@ Interval UPoly::EvaluateInterval(const Interval& x) const {
   Interval result{Rational(0)};
   for (std::size_t i = coeffs_.size(); i-- > 0;) {
     result = result * x + Interval(coeffs_[i]);
-  }
-  return result;
-}
-
-UPoly UPoly::Compose(const UPoly& inner) const {
-  UPoly result;
-  for (std::size_t i = coeffs_.size(); i-- > 0;) {
-    result = result * inner + Constant(coeffs_[i]);
   }
   return result;
 }

@@ -70,10 +70,6 @@ class UPoly {
   UPoly MakeMonic() const;
   /// Squarefree part: this / gcd(this, this').
   UPoly SquarefreePart() const;
-  /// Yun's algorithm: returns factors f_1, f_2, ... with
-  /// this == lc * prod f_i^i and each f_i squarefree, pairwise coprime,
-  /// monic. Factors of multiplicity i sit at index i-1 (may be 1).
-  std::vector<UPoly> SquarefreeDecomposition() const;
 
   /// The value at x. Callers that only need the sign use SignAt.
   Rational Evaluate(const Rational& x) const;
@@ -95,8 +91,6 @@ class UPoly {
     return IntegerSignAt(coefficients, x.numerator(), x.denominator());
   }
   Interval EvaluateInterval(const Interval& x) const;
-  /// Composition this(inner(x)).
-  UPoly Compose(const UPoly& inner) const;
 
   /// Number of sign variations of the coefficient sequence (for Descartes
   /// style bounds).

@@ -156,7 +156,7 @@ StatusOr<std::vector<Polynomial>> DerivativeClosure(
 
 StatusOr<Cad> Cad::Build(const std::vector<Polynomial>& polys, int num_vars,
                          const CadOptions& options) {
-  CCDB_TRACE_SPAN("cad.build");
+  TraceSpan span("cad.build");
   CCDB_METRIC_COUNT("cad.builds", 1);
   CCDB_CHECK_MSG(num_vars >= 1, "CAD needs at least one variable");
   Cad cad;
@@ -275,7 +275,9 @@ StatusOr<Cad> Cad::Build(const std::vector<Polynomial>& polys, int num_vars,
                                              return lift(cad.roots_[i], 1);
                                            }));
   }
-  CCDB_METRIC_COUNT("cad.cells", cad.CountAllCells());
+  const std::size_t cells = cad.CountAllCells();
+  CCDB_METRIC_COUNT("cad.cells", cells);
+  span.AddCounter("cad_cells", cells);
   return cad;
 }
 

@@ -8,7 +8,6 @@
 #include "base/logging.h"
 #include "base/memo.h"
 #include "base/metrics.h"
-#include "base/profile.h"
 #include "base/trace.h"
 #include "plan/planner.h"
 #include "qe/cad.h"
@@ -119,7 +118,6 @@ void QeStats::Merge(const QeStats& from) {
   cad_cells += from.cad_cells;
   projection_factors += from.projection_factors;
   fm_rounds += from.fm_rounds;
-  cache_hits += from.cache_hits;
   max_intermediate_bits =
       std::max(max_intermediate_bits, from.max_intermediate_bits);
   used_linear_path |= from.used_linear_path;
@@ -160,18 +158,6 @@ std::uint64_t MaxCoefficientBits(const std::vector<GeneralizedTuple>& tuples) {
   return bits;
 }
 
-void AddQeCounters(ProfileNode* node, const QeStats& stats) {
-  auto add = [node](const char* name, std::uint64_t v) {
-    if (v == 0 || node->HasCounter(name)) return;
-    node->AddCounter(name, v);
-  };
-  add("cad_cells", stats.cad_cells);
-  add("projection_factors", stats.projection_factors);
-  add("fm_rounds", stats.fm_rounds);
-  add("max_bits", stats.max_intermediate_bits);
-  add("qe_cache_hits", stats.cache_hits);
-}
-
 StatusOr<std::uint64_t> PeelDefiningEquations(
     std::vector<GeneralizedTuple>* tuples, std::vector<PrenexBlock>* prefix,
     const QeOptions& options, QeStats* stats) {
@@ -192,7 +178,8 @@ StatusOr<std::uint64_t> PeelDefiningEquations(
 Status EliminateLinearPrefix(std::vector<GeneralizedTuple>* tuples,
                              const std::vector<PrenexBlock>& prefix,
                              const QeOptions& options, QeStats* stats) {
-  CCDB_TRACE_SPAN("qe.fourier_motzkin");
+  TraceSpan span("qe.fourier_motzkin");
+  span.AddCounter("fm_rounds", prefix.size());
   const ResourceGovernor* gov = options.governor;
   stats->used_linear_path = true;
   for (auto block = prefix.rbegin(); block != prefix.rend(); ++block) {
@@ -327,14 +314,10 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
                    "free variable " << v << " beyond arity " << num_free_vars);
   }
 
-  // Profile bookkeeping (observation only — arming a sink never changes
-  // the answer, and the sink pointer is excluded from every cache key).
-  ProfileSink* sink = options.profile;
-
-  // Memoized path: only ungoverned runs may SKIP work via the cache, so
-  // governed budget charging never depends on cache temperature. (The failpoint above fires either way.) The cache
-  // is a pure memo over the interned formula id — a hit is byte-identical
-  // to recomputation.
+  // Memoized path: only ungoverned runs touch the cache, so governed
+  // budget charging never depends on cache temperature. (The failpoint
+  // above fires either way.) The cache is a pure memo over the interned
+  // formula id — a hit is byte-identical to recomputation.
   const bool use_cache = gov == nullptr && MemoCachesEnabled();
   QeCacheKey key;
   if (use_cache) {
@@ -342,15 +325,14 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
     QeCacheValue cached;
     if (QeResultCache().Lookup(key, &cached)) {
       *s = cached.stats;
-      s->cache_hits += 1;
       s->elapsed_us = span.ElapsedUs();
-      if (sink != nullptr) {
-        ProfileNode node;
-        node.label = "qe[cached]";
-        node.inclusive_us = s->elapsed_us;
-        AddQeCounters(&node, *s);
-        node.AddCounter("tuples_out", cached.relation.tuples().size());
-        sink->Add(std::move(node));
+      // A hit has no subtree: its node carries the replayed totals.
+      if (span.profiling()) {
+        span.SetLabel("qe[cached]");
+        if (s->cad_cells > 0) span.AddCounter("cad_cells", s->cad_cells);
+        if (s->fm_rounds > 0) span.AddCounter("fm_rounds", s->fm_rounds);
+        span.AddCounter("max_bits", s->max_intermediate_bits);
+        span.AddCounter("tuples_out", cached.relation.tuples().size());
       }
       return cached.relation;
     }
@@ -359,30 +341,18 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
   CCDB_ASSIGN_OR_RETURN(QueryPlan plan,
                         PlanQuery(formula, num_free_vars, gov));
   s->plan = plan.Summary();
-  ProfileNode prof_root;
-  CCDB_ASSIGN_OR_RETURN(
-      ConstraintRelation result,
-      ExecutePlan(plan, options, s, sink != nullptr ? &prof_root : nullptr));
+  CCDB_ASSIGN_OR_RETURN(ConstraintRelation result,
+                        ExecutePlan(plan, options, s));
   // Canonical presentation: sorting the union of canonicalized disjuncts
   // makes the answer independent of derivation order (and of the thread
   // count) — a no-op for semantics, since a union is order-insensitive.
   std::sort(result.mutable_tuples()->begin(), result.mutable_tuples()->end());
   if (use_cache) {
-    // The stored stats describe the computation itself; the hit count is
-    // zeroed so a replay reports exactly the hits it newly incurs.
-    QeStats stored = *s;
-    stored.cache_hits = 0;
-    QeResultCache().Insert(key, QeCacheValue{formula, result, stored});
+    QeResultCache().Insert(key, QeCacheValue{formula, result, *s});
   }
   s->elapsed_us = span.ElapsedUs();
-  if (sink != nullptr) {
-    prof_root.inclusive_us = s->elapsed_us;
-    AddQeCounters(&prof_root, *s);
-    if (!prof_root.HasCounter("tuples_out")) {
-      prof_root.AddCounter("tuples_out", result.tuples().size());
-    }
-    sink->Add(std::move(prof_root));
-  }
+  span.AddCounter("max_bits", s->max_intermediate_bits);
+  span.AddCounter("tuples_out", result.tuples().size());
   return result;
 }
 

@@ -13,9 +13,6 @@
 
 namespace ccdb {
 
-class ProfileSink;
-struct ProfileNode;
-
 /// Statistics of one quantifier-elimination run, exposed for the paper's
 /// complexity experiments (Theorems 3.1, 4.1, 4.2; Lemma 4.4).
 struct QeStats {
@@ -24,15 +21,10 @@ struct QeStats {
   /// Variable-elimination rounds taken on the Fourier-Motzkin path, summed
   /// over blocks and disjuncts.
   std::uint64_t fm_rounds = 0;
-  /// QE-result-cache hits that served this run or its CAD block residues.
-  /// 0 on a fully cold run.
-  /// Profiling attribution only: EXCLUDED from ToString()/ToJson(), since
-  /// cache temperature is schedule/history-dependent while the canonical
-  /// stats rendering replays byte-identically on a memo hit.
-  std::uint64_t cache_hits = 0;
   /// Wall time of the call, microseconds: its qe.eliminate span at a
-  /// successful return. Like cache_hits, not rendered; never merged or
-  /// cached.
+  /// successful return. Not rendered (it is schedule-dependent, while the
+  /// canonical stats rendering replays byte-identically on a memo hit);
+  /// never merged or cached.
   std::int64_t elapsed_us = 0;
   /// Largest coefficient bit length seen in any intermediate polynomial —
   /// the quantity Lemma 4.4 bounds.
@@ -40,7 +32,7 @@ struct QeStats {
   bool used_linear_path = false;
   bool used_thom_augmentation = false;
   /// One-line summary of the plan that ran (QueryPlan::Summary; "" in the
-  /// stats of a block residue). Deterministic — depends only on the input
+  /// stats of a plan block). Deterministic — depends only on the input
   /// formula.
   std::string plan;
 
@@ -67,12 +59,6 @@ struct QeOptions {
   /// calling thread. Borrowed, not owned. Results are merged in canonical
   /// index order, so answers are identical at every thread count.
   ThreadPool* pool = nullptr;
-  /// EXPLAIN ANALYZE sink (base/profile.h): when non-null, each top-level
-  /// elimination appends one ProfileNode tree — per plan node inclusive
-  /// wall time, CAD cells, FM rounds, peak bit length, and cache
-  /// temperature. Observation only: arming it never changes the answer,
-  /// and it is excluded from every memo-cache key. Borrowed, not owned.
-  ProfileSink* profile = nullptr;
 };
 
 /// The QUANTIFIER ELIMINATION step of the paper's pipeline (Section 2,
@@ -127,10 +113,6 @@ StatusOr<std::vector<GeneralizedTuple>> EliminateByCad(
 
 /// Largest coefficient bit length over the tuples' atoms.
 std::uint64_t MaxCoefficientBits(const std::vector<GeneralizedTuple>& tuples);
-
-/// Attribution counters for a profile node from a run's stats; zero values
-/// and names the node already carries are skipped.
-void AddQeCounters(ProfileNode* node, const QeStats& stats);
 
 }  // namespace ccdb
 

@@ -2,13 +2,8 @@
 
 namespace ccdb {
 
-QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
-                          bool block_residue) {
-  QeCacheKey key;
-  key.formula_id = formula.id();
-  key.num_free_vars = num_free_vars;
-  key.block_residue = block_residue;
-  return key;
+QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars) {
+  return QeCacheKey{formula.id(), num_free_vars};
 }
 
 ShardedMemoCache<QeCacheKey, QeCacheValue, QeCacheKeyHash>& QeResultCache() {

@@ -29,18 +29,11 @@ namespace ccdb {
 struct QeCacheKey {
   std::uint64_t formula_id = 0;
   int num_free_vars = 0;
-  /// A block residue (the CAD residue of one plan block, plan/planner.cc)
-  /// is eliminated without planning and its stats carry no plan summary,
-  /// so residue and whole-query entries never share a key even for the
-  /// same formula. QeOptions is not part of the key: lookups only happen
-  /// ungoverned, results are thread-count independent by the determinism
-  /// contract, and a profile sink only observes.
-  bool block_residue = false;
-
+  // QeOptions is not part of the key: lookups only happen ungoverned, and
+  // results are thread-count independent by the determinism contract.
   bool operator==(const QeCacheKey& other) const {
     return formula_id == other.formula_id &&
-           num_free_vars == other.num_free_vars &&
-           block_residue == other.block_residue;
+           num_free_vars == other.num_free_vars;
   }
 };
 
@@ -49,7 +42,6 @@ struct QeCacheKeyHash {
     std::size_t h = 1469598103934665603ull;
     h = h * 1099511628211ull + static_cast<std::size_t>(key.formula_id);
     h = h * 1099511628211ull + static_cast<std::size_t>(key.num_free_vars);
-    h = h * 1099511628211ull + (key.block_residue ? 1u : 0u);
     return h;
   }
 };
@@ -60,8 +52,7 @@ struct QeCacheValue {
   QeStats stats;
 };
 
-QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars,
-                          bool block_residue = false);
+QeCacheKey MakeQeCacheKey(const Formula& formula, int num_free_vars);
 
 /// Entry bound of the QE result cache (FIFO per shard).
 inline constexpr std::size_t kQeCacheCapacity = 4096;

@@ -375,8 +375,8 @@ TEST(DatabasePlanTest, ExplainReportsTheCachedPlanOnAWholeQueryCacheHit) {
   auto second = db.Explain(query);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second->profile.from_cache);
-  EXPECT_TRUE(second->profile.qe_rounds.empty())
-      << "EXPLAIN carries no QE round trees";
+  EXPECT_FALSE(second->profile.span_tree.has_value())
+      << "EXPLAIN carries no span tree";
   // The cached result still carries the original evaluation's plan, and
   // the rendering marks both the hit and the plan's provenance.
   EXPECT_EQ(first->result.stats.plan, "monolithic[fourier_motzkin]");

@@ -83,7 +83,7 @@ TEST_F(QueryLogTest, RecordsPlainGovernedAndAnalyzedQueries) {
   for (const std::string& line : lines) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"schema_version\":4"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"schema_version\":5"), std::string::npos) << line;
     EXPECT_NE(line.find("\"session_id\":0"), std::string::npos) << line;
     EXPECT_NE(line.find(process_fp), std::string::npos) << line;
     EXPECT_NE(line.find("\"text_hash\":\""), std::string::npos) << line;
@@ -123,6 +123,9 @@ TEST_F(QueryLogTest, RecordsPlainGovernedAndAnalyzedQueries) {
   EXPECT_NE(lines[2].find("\"kind\":\"explain_analyze\""),
             std::string::npos);
   EXPECT_NE(lines[2].find("\"profile\":"), std::string::npos);
+  EXPECT_NE(lines[2].find("\"span_tree\":{\"label\":\"db.explain_analyze\""),
+            std::string::npos)
+      << lines[2];
   EXPECT_NE(lines[3].find("\"ok\":false"), std::string::npos);
   EXPECT_NE(lines[3].find("\"error_code\":"), std::string::npos);
 

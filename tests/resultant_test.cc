@@ -149,6 +149,22 @@ TEST(MvGcdTest, ZeroCases) {
   EXPECT_EQ(MvGcd(Polynomial(3), X()).value(), Polynomial(1));
 }
 
+// A governed call bypasses the memo entirely: it neither reads nor fills
+// it, so an ungoverned call never reuses work whose budget was charged to
+// someone else's governor.
+TEST(MvGcdTest, GovernedCallLeavesTheMemoUnchanged) {
+  Polynomial a = (X() + Y() + Polynomial(7)) * (X() - Polynomial(3));
+  Polynomial b = (X() + Y() + Polynomial(7)) * (Y() + Polynomial(5));
+  ResourceGovernor unlimited{ResourceLimits{}};
+  const std::size_t before = ResultantCacheSize();
+  StatusOr<Polynomial> governed = MvGcd(a, b, &unlimited);
+  ASSERT_TRUE(governed.ok()) << governed.status().ToString();
+  EXPECT_EQ(ResultantCacheSize(), before);
+  // Control: the same gcd ungoverned fills the memo.
+  EXPECT_EQ(MvGcd(a, b).value(), *governed);
+  EXPECT_GT(ResultantCacheSize(), before);
+}
+
 TEST(ContentTest, ContentAndPrimitivePart) {
   // p = y*(x^2) + y*(x) = y*x*(x+1): content in x is y (times units).
   Polynomial p = Y() * X().Pow(2) + Y() * X();
